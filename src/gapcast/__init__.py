@@ -23,8 +23,6 @@ from .extrapolate import (
     default_truncation,
     estimate,
     filter_taps,
-    mean_square_error,
-    spectral_characteristic,
 )
 from .operators import (
     MissingPattern,
@@ -40,7 +38,6 @@ from .oracle import (
     functional_variance,
     monte_carlo_mse,
     projection_oracle,
-    sample_paths,
 )
 from .config import (
     RunConfig,
@@ -81,9 +78,7 @@ from .spectral import (
     check_minimality,
     coeffs_from_samples,
     covariance,
-    covariance_table,
     density_from_samples,
-    fourier_coeffs,
     grid_points,
     laurent_density,
     laurent_entry,

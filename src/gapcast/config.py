@@ -188,12 +188,10 @@ def build_model(cfg: RunConfig) -> SpectralModel:
                 raise ConfigError(
                     f"grid file nodes do not match grid_size {n}",
                     location="model.path")
-            F = density_from_samples(lam, np.asarray(data["F"]))
+            F = density_from_samples(data["F"])
             d = np.asarray(data["F"]).shape[-1]
-            G = density_from_samples(lam, np.asarray(data["G"])) \
-                if "G" in data else None
-            Fxe = density_from_samples(lam, np.asarray(data["Fxe"])) \
-                if "Fxe" in data else None
+            G = density_from_samples(data["G"]) if "G" in data else None
+            Fxe = density_from_samples(data["Fxe"]) if "Fxe" in data else None
             return SpectralModel(dim=d, F=F, G=G, F_xe=Fxe, grid_size=n,
                                  pole_modulus=sec.get("pole_modulus"))
     except ConfigError:
@@ -270,11 +268,16 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
     bad = sorted(set(data_map) - known)
     if bad:
         raise ConfigError(f"unknown constraint field(s) {bad}", location="minimax.data")
-    mat_keys = {"weight_f", "weight_g"}
     fields = {}
     for key, value in data_map.items():
-        fields[key] = np.asarray(value, dtype=float) \
-            if key in mat_keys and value is not None else value
+        if value is None:
+            continue
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"expected a number or an array of numbers: {exc}",
+                              location=f"minimax.data.{key}") from exc
+        fields[key] = float(arr) if arr.ndim == 0 else arr
     data = ClassData(**fields)
 
     fam_sec = _expect_map(_require(sec, "family", "minimax"), "minimax.family")

@@ -131,13 +131,10 @@ def _select_variant(model: SpectralModel, functional: FunctionalSpec) -> str:
     return "general"
 
 
-_VARIANTS = ("general", "uncorrelated", "noiseless", "finite-horizon")
-
-
 def estimate(model: SpectralModel, pattern: MissingPattern,
              functional: FunctionalSpec, K: int | None = None,
              grid_size: int | None = None, taps_window: int | None = None,
-             variant: str | None = None, cond_ceiling: float = 1e12,
+             cond_ceiling: float = 1e12,
              check_convergence: bool = False) -> EstimateResult:
     """Full optimal-extrapolation pipeline; see module docstring.
 
@@ -145,8 +142,6 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     filter taps off the spectral characteristic (default 4K, tail mass beyond
     it is reported in the diagnostics).
     """
-    if variant is not None and variant not in _VARIANTS:
-        raise InvalidParameterError(f"unknown variant {variant!r}")
     if functional.dim != model.dim:
         raise InvalidParameterError(
             f"functional dimension {functional.dim} does not match model dim {model.dim}"
@@ -237,8 +232,8 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
 
     if check_convergence:
         doubled = estimate(model, pattern, functional, K=2 * K,
-                           taps_window=taps_window, variant=variant,
-                           cond_ceiling=cond_ceiling, check_convergence=False)
+                           taps_window=taps_window, cond_ceiling=cond_ceiling,
+                           check_convergence=False)
         diags.delta_doubled = doubled.delta
         diags.doubling_rel_change = (
             abs(doubled.delta - delta) / max(abs(doubled.delta), 1e-12)
@@ -247,23 +242,9 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     c_map = {int(j): c_blocks[p].copy() for p, j in enumerate(imap.entries)}
     return EstimateResult(
         c=c_map, lam=lam, h_grid=h_row, taps=taps, delta=delta,
-        variant=variant or _select_variant(model, functional),
+        variant=_select_variant(model, functional),
         diagnostics=diags, system=system,
     )
-
-
-def spectral_characteristic(model: SpectralModel, pattern: MissingPattern,
-                            functional: FunctionalSpec, K: int | None = None,
-                            **kwargs) -> EstimateResult:
-    """Compute the optimal spectral characteristic (full estimate result)."""
-    return estimate(model, pattern, functional, K=K, **kwargs)
-
-
-def mean_square_error(model: SpectralModel, pattern: MissingPattern,
-                      functional: FunctionalSpec, K: int | None = None,
-                      **kwargs) -> float:
-    """Mean-square error of the optimal extrapolation."""
-    return estimate(model, pattern, functional, K=K, **kwargs).delta
 
 
 def filter_taps(result: EstimateResult, window: int | None = None) -> dict[int, np.ndarray]:

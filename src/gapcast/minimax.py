@@ -6,15 +6,16 @@ error ("least favorable"), together with checks that the estimate built from
 that pair is minimax: the saddle inequality over sampled class members, and
 the pointwise multiplier equations that characterize interior maximizers.
 
-Supported admissible sets (``kind``) constrain either the signal density F or
-the noise density G:
-
-* ``D0_1..4``   fixed power: trace / per-component / weighted / full matrix;
-* ``DVU_1..4``  pointwise band between two given densities plus fixed power,
-  in the same four flavors;
-* ``Deps_1..4`` contamination: density = (1-eps)*anchor + eps*(free density),
-  with fixed power, same four flavors;
-* ``D1delta_1..4`` an L1 ball around an anchor density, same four flavors.
+Supported admissible sets (``kind`` = ``base_k``) constrain the signal density
+F or the noise density G.  The bases are ``D0`` (fixed power), ``DVU``
+(pointwise band plus fixed power), ``Deps`` (contamination: (1-eps)*anchor +
+eps*free density, fixed power) and ``D1delta`` (L1 ball around an anchor).
+The flavor ``k`` fixes how a constraint reads the matrix density: through its
+trace (1), its diagonal (2), a weighted trace tr(W F) (3) or the full matrix
+(4).  Power is the node mean of that projection; pointwise inequalities hold
+per value, or for flavor 4 on the smallest eigenvalue; the multipliers of the
+characterization equations live on the bases I, W^T, e_k e_k^T or every E_ij.
+What else a base needs sits in one table, ``_BASES``.
 
 A class instance pairs a signal-side kind with an optional noise-side kind.
 Candidate densities come from a finite-dimensional family that is inside the
@@ -41,15 +42,7 @@ from .extrapolate import (
     estimate,
 )
 from .operators import MissingPattern
-from .spectral import SpectralModel, grid_points
-
-F_KINDS = tuple(f"D0_{k}" for k in range(1, 5)) \
-    + tuple(f"Deps_{k}" for k in range(1, 5)) \
-    + tuple(f"DVU_{k}" for k in range(1, 5)) \
-    + tuple(f"D1delta_{k}" for k in range(1, 5))
-G_KINDS = tuple(f"DVU_{k}" for k in range(1, 5)) \
-    + tuple(f"D1delta_{k}" for k in range(1, 5))
-
+from .spectral import SpectralModel, density_from_samples, grid_points
 
 # ---------------------------------------------------------------------------
 # Families and classes
@@ -135,6 +128,136 @@ def _as_samples(value, n: int, dim: int) -> np.ndarray | None:
     raise InvalidParameterError(f"cannot interpret density data of shape {arr.shape}")
 
 
+# ---------------------------------------------------------------------------
+# Class kinds: per-flavor helpers and the per-base table
+# ---------------------------------------------------------------------------
+
+
+def _project(x: np.ndarray, flavor: int, weight: np.ndarray | None) -> np.ndarray:
+    """The per-node quantity a flavor constrains: trace, diagonal, tr(W x), or x."""
+    if flavor == 1:
+        return np.einsum("nii->n", x).real
+    if flavor == 2:
+        return np.einsum("nkk->nk", x.real)
+    if flavor == 3:
+        return np.einsum("ij,nji->n", weight, x).real
+    return x
+
+
+_FLAVOR_FIELDS = {3: ("weight",)}   # ClassData a projection reads, per side
+
+
+def _slack(x: np.ndarray, flavor: int) -> tuple[np.ndarray, float]:
+    """Per-node slack of the inequality ``x >= 0``, and the size of ``x``.
+
+    The slack is the value itself, or the smallest eigenvalue of a flavor 4
+    matrix; the size is the largest absolute value (eigenvalue) over all nodes.
+    """
+    values = np.linalg.eigvalsh(x) if flavor == 4 else x
+    slack = values.min(axis=-1) if flavor == 4 else values
+    return slack, float(np.max(np.abs(values)))
+
+
+def _bases(field: np.ndarray, flavor: int, weight: np.ndarray | None, mult: str):
+    """Coordinates of a coupling field on the multiplier bases of a flavor.
+
+    The bases are I, W^T, each e_k e_k^T, or each E_ij; coordinates on the
+    Hermitian bases of flavors 1-3 are real.  Returns the per-node coordinates
+    (n, m), the norm of each basis, the per-node norm of the part of the field
+    no combination explains, the parameter names and the structure suffix.
+    """
+    d = field.shape[-1]
+    eye = np.eye(d, dtype=complex)
+    names, suffix = [f"{mult}2"], ""
+    if flavor == 1:
+        bases = eye[None]
+    elif flavor == 2:
+        bases = np.einsum("ki,kj->kij", eye, eye)
+        names, suffix = [f"mult_{k + 1}" for k in range(d)], " (per component)"
+    elif flavor == 3:
+        bases = np.asarray(weight, dtype=complex).T[None]
+    else:
+        bases = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        names = [f"{mult}_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
+        suffix = " (per entry)"
+    sq = np.sum(np.abs(bases) ** 2, axis=(1, 2))
+    coords = np.einsum("ntu,jtu->nj", field, np.conj(bases))
+    coords = (coords.real if flavor < 4 else coords) / sq
+    rest = field - np.einsum("nj,jtu->ntu", coords, bases)
+    return coords, np.sqrt(sq), np.linalg.norm(rest, axis=(1, 2)), names, suffix
+
+
+_BTOL = 1e-6   # relative slack below which a pointwise constraint binds
+_SIDE_FIELDS = {"F": {"power": "power", "weight": "weight_f", "anchor": "anchor_f"},
+                "G": {"power": "noise_power", "weight": "weight_g", "anchor": "anchor_g"}}
+
+
+class _Side:
+    """One constrained density, F or G, with the data its kind reads."""
+
+    def __init__(self, cls: "DensityClass", model: SpectralModel, which: str):
+        self.kind = cls.kind if which == "F" else cls.g_kind
+        self.spec, self.flavor = _BASES[self.kind[:-2]], int(self.kind[-1])
+        self.data, self.samples = cls.data, model.samples(which)
+        names = _SIDE_FIELDS[which]
+        self.power = getattr(cls.data, names["power"])
+        self.weight = getattr(cls.data, names["weight"])
+        self.anchor = _as_samples(getattr(cls.data, names["anchor"]), model.grid_size, model.dim)
+        self.value = self.project(self.samples)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return _project(x, self.flavor, self.weight)
+
+
+def _band_bounds(side: _Side):
+    n, d = side.samples.shape[:2]
+    lower = side.data.lower if side.data.lower is not None else 0.0
+    lo = side.project(_as_samples(lower, n, d))
+    hi = side.project(_as_samples(side.data.upper, n, d))
+    return side.value - lo, hi - side.value, hi
+
+
+def _mixture_bounds(side: _Side):
+    return side.value - (1.0 - side.data.eps) * side.project(side.anchor), None, side.value
+
+
+@dataclass(frozen=True)
+class _Base:
+    """What a base of admissible classes reads and how its multiplier is fit.
+
+    ``fields`` are the ClassData entries a kind requires (``power``, ``anchor``
+    and ``weight`` read per side).  ``bounds(side)`` gives its pointwise
+    inequalities ``x >= 0``, named ``names``, as a lower and an upper one (None
+    when absent) and the reference whose size scales their binding test;
+    ``fallback`` is the multiplier when no node is free.
+    """
+
+    fields: tuple[str, ...]
+    mult: str
+    bounds: Callable | None = None
+    names: tuple[str, ...] = ()
+    fallback: Callable | None = None
+
+
+_BASES = {
+    "D0": _Base(("power",), "alpha"),
+    "Deps": _Base(("power", "anchor", "eps"), "alpha", _mixture_bounds, ("mixture",), np.max),
+    "DVU": _Base(("power", "upper"), "beta", _band_bounds, ("lower", "upper"), np.median),
+    "D1delta": _Base(("anchor", "radius"), "beta"),
+}
+F_KINDS = tuple(f"{base}_{k}" for base in _BASES for k in range(1, 5))
+G_KINDS = tuple(kind for kind in F_KINDS if kind[:-2] in ("DVU", "D1delta"))
+
+
+def _binding(side: _Side):
+    """Nodes where the lower and the upper pointwise constraint bind."""
+    lower, upper, ref = side.spec.bounds(side) if side.spec.bounds else (None, None, side.value)
+    slack, size = _slack(ref, side.flavor)
+    tol = _BTOL * max(size, 1.0)
+    return tuple(np.zeros(slack.shape, dtype=bool) if x is None
+                 else _slack(x, side.flavor)[0] <= tol for x in (lower, upper))
+
+
 @dataclass(frozen=True)
 class DensityClass:
     """An admissible set: signal-side kind, optional noise-side kind, family."""
@@ -149,28 +272,15 @@ class DensityClass:
             raise InvalidParameterError(f"unknown class kind {self.kind!r}")
         if self.g_kind is not None and self.g_kind not in G_KINDS:
             raise InvalidParameterError(f"unknown noise-side kind {self.g_kind!r}")
-
-
-def _power_value(samples: np.ndarray, flavor: int, weight: np.ndarray | None):
-    """The constrained moment of a density: number, vector, or matrix."""
-    if flavor == 1:
-        return float(np.einsum("nii->n", samples).real.mean())
-    if flavor == 2:
-        return np.einsum("nkk->k", samples.real) / samples.shape[0]
-    if flavor == 3:
-        return float(np.einsum("ij,nji->n", weight, samples).real.mean())
-    return samples.mean(axis=0)
-
-
-def _band_value(samples: np.ndarray, flavor: int, weight: np.ndarray | None):
-    """The quantity bounded pointwise by the band flavors (per node)."""
-    if flavor == 1:
-        return np.einsum("nii->n", samples).real
-    if flavor == 2:
-        return np.einsum("nkk->nk", samples.real)
-    if flavor == 3:
-        return np.einsum("ij,nji->n", weight, samples).real
-    return samples
+        for kind, which in ((self.kind, "F"), (self.g_kind, "G")):
+            if kind is None:
+                continue
+            needed = _BASES[kind[:-2]].fields + _FLAVOR_FIELDS.get(int(kind[-1]), ())
+            names = [_SIDE_FIELDS[which].get(key, key) for key in needed]
+            missing = [name for name in names if getattr(self.data, name) is None]
+            if missing:
+                raise InvalidParameterError(
+                    f"{kind} requires " + ", ".join(f"data.{m}" for m in missing))
 
 
 def class_constraint_report(cls: DensityClass, model: SpectralModel) -> dict[str, float]:
@@ -179,67 +289,22 @@ def class_constraint_report(cls: DensityClass, model: SpectralModel) -> dict[str
     All entries are nonnegative; an in-class model reports values at numerical
     noise level.
     """
-    n, d = model.grid_size, model.dim
+    if cls.g_kind is not None and model.is_noiseless:
+        raise InvalidParameterError(
+            "class constrains the noise density but the model has none")
     out: dict[str, float] = {}
-
-    def side(kind, samples, power, weight, lower, upper, anchor, radius):
-        flavor = int(kind[-1])
-        base = kind[: -2]
-        if base in ("D0", "Deps", "DVU"):
-            target = power
-            got = _power_value(samples, flavor, weight)
-            out[f"{kind}:power"] = float(np.max(np.abs(np.asarray(got) - np.asarray(target))))
-        if base == "DVU":
-            lo = _band_value(_as_samples(lower if lower is not None else 0.0, n, d),
-                             flavor, weight)
-            hi = _band_value(_as_samples(upper, n, d), flavor, weight)
-            val = _band_value(samples, flavor, weight)
-            if flavor == 4:
-                def min_eig(x):
-                    return np.linalg.eigvalsh(x).min(axis=-1)
-                out[f"{kind}:lower"] = float(max(-min_eig(val - lo).min(), 0.0))
-                out[f"{kind}:upper"] = float(max(-min_eig(hi - val).min(), 0.0))
-            else:
-                out[f"{kind}:lower"] = float(max(np.max(lo - val), 0.0))
-                out[f"{kind}:upper"] = float(max(np.max(val - hi), 0.0))
-        if base == "Deps":
-            anc = _as_samples(anchor, n, d)
-            eps = cls.data.eps
-            if anc is None or eps is None:
-                raise InvalidParameterError(f"{kind} requires anchor density and eps")
-            rem = _band_value(samples, flavor, weight) \
-                - (1.0 - eps) * _band_value(anc, flavor, weight)
-            if flavor == 4:
-                out[f"{kind}:mixture"] = float(
-                    max(-np.linalg.eigvalsh(rem).min(), 0.0))
-            else:
-                out[f"{kind}:mixture"] = float(max(-np.min(rem), 0.0))
-        if base == "D1delta":
-            anc = _as_samples(anchor, n, d)
-            if anc is None or radius is None:
-                raise InvalidParameterError(f"{kind} requires anchor density and radius")
-            diff = samples - anc
-            if flavor == 4:
-                dist = np.abs(diff).mean(axis=0)
-                out[f"{kind}:distance"] = float(np.max(dist - np.asarray(radius)))
-            elif flavor == 2:
-                dist = np.abs(np.einsum("nkk->nk", diff)).mean(axis=0)
-                out[f"{kind}:distance"] = float(np.max(dist - np.asarray(radius)))
-            else:
-                q = _band_value(diff, flavor, weight) if flavor != 1 \
-                    else np.einsum("nii->n", diff).real
-                out[f"{kind}:distance"] = float(np.abs(q).mean() - radius)
-            out[f"{kind}:distance"] = max(out[f"{kind}:distance"], 0.0)
-
-    data = cls.data
-    side(cls.kind, model.samples("F"), data.power, data.weight_f,
-         data.lower, data.upper, data.anchor_f, data.radius)
-    if cls.g_kind is not None:
-        if model.is_noiseless:
-            raise InvalidParameterError(
-                "class constrains the noise density but the model has none")
-        side(cls.g_kind, model.samples("G"), data.noise_power, data.weight_g,
-             data.lower, data.upper, data.anchor_g, data.radius)
+    for which in ("F", "G") if cls.g_kind is not None else ("F",):
+        side = _Side(cls, model, which)
+        kind, fields, val = side.kind, side.spec.fields, side.value
+        if "power" in fields:
+            out[f"{kind}:power"] = float(np.max(np.abs(val.mean(axis=0) - np.asarray(side.power))))
+        if side.spec.bounds:
+            for key, x in zip(side.spec.names, side.spec.bounds(side)):
+                out[f"{kind}:{key}"] = float(max(-np.min(_slack(x, side.flavor)[0]), 0.0))
+        if "radius" in fields:
+            dist = np.abs(side.project(side.samples - side.anchor)).mean(axis=0)
+            out[f"{kind}:distance"] = max(
+                float(np.max(dist - np.asarray(side.data.radius))), 0.0)
     return out
 
 
@@ -338,6 +403,19 @@ class LeastFavorableResult:
     residual_report: ResidualReport | None = None
 
 
+def _result(cls: DensityClass, theta: np.ndarray, model: SpectralModel,
+            est: EstimateResult, trace: list[Evaluation], pattern: MissingPattern,
+            functional: FunctionalSpec) -> LeastFavorableResult:
+    fam = cls.family
+    width = np.where(fam.upper > fam.lower, fam.upper - fam.lower, 1.0)
+    edge = (np.abs(theta - fam.lower) <= 1e-9 * width) \
+        | (np.abs(theta - fam.upper) <= 1e-9 * width)
+    return LeastFavorableResult(
+        theta_star=theta, model_star=model, delta_star=est.delta, estimate_star=est,
+        evaluations=trace, boundary=bool(np.any(edge)), cls=cls, pattern=pattern,
+        functional=functional)
+
+
 def _check_in_class(cls: DensityClass, model: SpectralModel, tol: float):
     report = class_constraint_report(cls, model)
     worst = max(report.values(), default=0.0)
@@ -365,7 +443,7 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
 
     cache: dict[tuple, float] = {}
     trace: list[Evaluation] = []
-    best: dict = {"theta": None, "delta": -np.inf, "estimate": None, "model": None}
+    best: dict = {"theta": None, "delta": -np.inf}
 
     def evaluate(theta: np.ndarray) -> float:
         key = tuple(np.round(theta, 12))
@@ -380,8 +458,8 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
         cache[key] = val
         trace.append(Evaluation(theta=key, delta=val))
         if val > best["delta"]:
-            best.update(theta=np.asarray(theta, dtype=float), delta=val,
-                        estimate=est, model=model)
+            best.update(theta=np.asarray(theta, dtype=float), delta=val, model=model,
+                        estimate=est)
         return val
 
     if fam.dim == 0:
@@ -415,18 +493,8 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
 
     if best["theta"] is None:
         raise InfeasibleClassError("no feasible family point was evaluated")
-    theta_star = best["theta"]
-    edge = (np.abs(theta_star - fam.lower) <= 1e-9 * width) \
-        | (np.abs(theta_star - fam.upper) <= 1e-9 * width)
-    return LeastFavorableResult(
-        theta_star=theta_star,
-        model_star=best["model"],
-        delta_star=best["delta"],
-        estimate_star=best["estimate"],
-        evaluations=trace,
-        boundary=bool(np.any(edge)) if fam.dim else False,
-        cls=cls, pattern=pattern, functional=functional,
-    )
+    return _result(cls, best["theta"], best["model"], best["estimate"], trace,
+                   pattern, functional)
 
 
 def evaluate_candidate(cls: DensityClass, theta, pattern: MissingPattern,
@@ -442,15 +510,8 @@ def evaluate_candidate(cls: DensityClass, theta, pattern: MissingPattern,
     model = fam.build(theta)
     _check_in_class(cls, model, opt.constraint_tol)
     est = estimate(model, pattern, functional, K=opt.truncation)
-    width = np.where(fam.upper > fam.lower, fam.upper - fam.lower, 1.0)
-    edge = (np.abs(theta - fam.lower) <= 1e-9 * width) \
-        | (np.abs(theta - fam.upper) <= 1e-9 * width)
-    return LeastFavorableResult(
-        theta_star=theta, model_star=model, delta_star=est.delta,
-        estimate_star=est, evaluations=[Evaluation(tuple(theta), est.delta)],
-        boundary=bool(np.any(edge)) if fam.dim else False,
-        cls=cls, pattern=pattern, functional=functional,
-    )
+    return _result(cls, theta, model, est, [Evaluation(tuple(theta), est.delta)],
+                   pattern, functional)
 
 
 def verify_saddle_point(result: LeastFavorableResult, cls: DensityClass,
@@ -508,55 +569,36 @@ def _coupling_field(result: LeastFavorableResult, side: str) -> np.ndarray:
     return np.einsum("nt,nu->ntu", np.conj(r), r)
 
 
-def _structure_base(flavor: int, weight: np.ndarray | None, d: int) -> np.ndarray:
-    if flavor == 3:
-        if weight is None:
-            raise InvalidParameterError("weighted flavor requires a weight matrix")
-        return np.asarray(weight, dtype=complex).T
-    return np.eye(d, dtype=complex)
+def _misfit(dev: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Per-node misfit of deviations (n, k, k) from a fitted multiplier.
 
-
-def _scalar_profile(theta_field: np.ndarray, base: np.ndarray):
-    """Project a matrix field onto multiples of a fixed base matrix.
-
-    Returns the per-node coefficient and the per-node norm of the part of the
-    field that no multiple of the base can explain.
+    Free nodes count the whole deviation.  Where only the lower (upper) bound
+    binds, its pointwise slack multiplier absorbs the negative (positive)
+    eigenvalue part; where both bind, anything goes.
     """
-    denom = float(np.sum(np.abs(base) ** 2).real)
-    c = np.einsum("ntu,ut->n", theta_field, np.conj(base).T).real / denom
-    aniso = np.linalg.norm(theta_field - c[:, None, None] * base, axis=(1, 2))
-    return c, aniso
+    w = np.linalg.eigvalsh(0.5 * (dev + np.conj(np.swapaxes(dev, -1, -2))))
+    part = np.where(lower[:, None], np.maximum(w, 0.0), np.maximum(-w, 0.0))
+    return np.where(~(lower | upper), np.linalg.norm(dev, axis=(1, 2)),
+                    np.where(lower & upper, 0.0, np.linalg.norm(part, axis=-1)))
 
 
-def _fit_const(c: np.ndarray):
-    m = max(float(c.mean()), 0.0)
-    return m, np.abs(c - m)
+def _fit(c: np.ndarray, lower: np.ndarray, upper: np.ndarray, fallback: Callable):
+    """Nonnegative multiplier for the coordinates ``c`` and its misfit per node.
 
-def _fit_banded(c: np.ndarray, lower_active: np.ndarray, upper_active: np.ndarray):
-    interior = ~(lower_active | upper_active)
-    if interior.any():
-        m = max(float(c[interior].mean()), 0.0)
-    else:
-        m = max(float(np.median(c)), 0.0)
-    viol = np.zeros_like(c)
-    viol[interior] = np.abs(c[interior] - m)
-    only_lo = lower_active & ~upper_active
-    only_hi = upper_active & ~lower_active
-    viol[only_lo] = np.maximum(c[only_lo] - m, 0.0)
-    viol[only_hi] = np.maximum(m - c[only_hi], 0.0)
-    return m, viol
+    Free nodes set it; ``fallback(c)`` does when no node is free.
+    """
+    free = ~(lower | upper)
+    m = max(float(c[free].mean() if free.any() else fallback(c)), 0.0)
+    return m, _misfit((c - m)[:, None, None], lower, upper)
 
-def _fit_contaminated(c: np.ndarray, active: np.ndarray):
-    m = max(float(c[active].mean()) if active.any() else float(c.max()), 0.0)
-    viol = np.where(active, np.abs(c - m), np.maximum(c - m, 0.0))
-    return m, viol
 
-def _fit_signed(c: np.ndarray, sign: np.ndarray):
-    active = sign != 0
-    m = max(float((c[active] * sign[active]).mean()) if active.any()
-            else float(np.abs(c).max()), 0.0)
-    viol = np.where(active, np.abs(c - m * sign), np.maximum(np.abs(c) - m, 0.0))
-    return m, viol
+def _phase_fit(c: np.ndarray, diff: np.ndarray, span: float):
+    """L1-ball multiplier: ``c = m * phase(diff)`` off the anchor, ``|c| <= m`` on it."""
+    active = np.abs(diff) > _BTOL * span
+    phase = np.where(active, diff / np.where(active, np.abs(diff), 1.0), 0.0)
+    m = max(float(np.mean((c * np.conj(phase))[active].real)), 0.0) if active.any() \
+        else float(np.abs(c).max())
+    return m, np.where(active, np.abs(c - m * phase), np.maximum(np.abs(c) - m, 0.0))
 
 
 def _rank_one_fit(mean_field: np.ndarray):
@@ -567,204 +609,56 @@ def _rank_one_fit(mean_field: np.ndarray):
     return np.outer(vec, np.conj(vec)), vec
 
 
-def _eig_part(mats: np.ndarray, which: str) -> np.ndarray:
-    """Per-node norm of the positive or negative eigenvalue part."""
-    w = np.linalg.eigvalsh(0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2))))
-    part = np.maximum(w, 0.0) if which == "pos" else np.maximum(-w, 0.0)
-    return np.linalg.norm(part, axis=-1)
-
-
 def _l2(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(values) ** 2)))
 
 
-def _residual_for_kind(kind: str, field: np.ndarray, data: ClassData,
-                       own: np.ndarray, other_weight_key: str,
-                       name: str) -> list[ResidualEntry]:
+def _side_residuals(side: _Side, field: np.ndarray, name: str) -> list[ResidualEntry]:
     """Fit the multiplier structure of one equation and report the misfit.
 
-    ``field`` is the whitened rank-one field, ``own`` the samples of the
-    density this class constrains (used for the support conditions of the
-    pointwise multipliers).
+    ``field`` is the whitened rank-one field of the density ``side``
+    constrains; the pointwise multipliers are supported where that density's
+    constraints bind.
     """
-    n, d, _ = field.shape
-    flavor = int(kind[-1])
-    base_kind = kind[: -2]
-    weight = data.weight_f if other_weight_key == "f" else data.weight_g
+    n = field.shape[0]
+    spec, flavor, base = side.spec, side.flavor, side.kind[:-2]
     scale = _l2(np.linalg.norm(field, axis=(1, 2)))
-    entries: list[ResidualEntry] = []
+    ball = "radius" in spec.fields
 
-    band_lo = band_hi = anchor = None
-    if base_kind == "DVU":
-        band_lo = _as_samples(data.lower if data.lower is not None else 0.0, n, d)
-        band_hi = _as_samples(data.upper, n, d)
-    if base_kind == "Deps":
-        anchor = _as_samples(data.anchor_f, n, d)
-    if base_kind == "D1delta":
-        anchor = _as_samples(data.anchor_g if other_weight_key == "g"
-                             else data.anchor_f, n, d)
-        if anchor is None:
-            anchor = _as_samples(data.anchor_f if other_weight_key == "g"
-                                 else data.anchor_g, n, d)
-    btol = 1e-6
+    if flavor == 4 and not ball:
+        lower, upper = _binding(side)
+        free = ~(lower | upper)
+        fitted, vec = _rank_one_fit((field[free] if free.any() else field).mean(axis=0))
+        viol = _misfit(field - fitted, lower, upper)
+        label = "(rank one + matrix slack)" if spec.bounds else "(constant rank one)"
+        return [ResidualEntry(
+            name=name, structure=f"{base} flavor 4 {label}",
+            params={f"{spec.mult}_vec": vec.tolist()}, residual=_l2(viol), scale=scale)]
 
-    if flavor in (1, 3):
-        base = _structure_base(flavor, weight, d)
-        c, aniso = _scalar_profile(field, base)
-        val = _band_value(own, flavor, weight)
-        if base_kind == "D0":
-            m, viol = _fit_const(c)
-            params = {"alpha2": m}
-        elif base_kind == "DVU":
-            lo = _band_value(band_lo, flavor, weight)
-            hi = _band_value(band_hi, flavor, weight)
-            span = max(float(np.max(np.abs(hi))), 1.0)
-            m, viol = _fit_banded(c, val - lo <= btol * span, hi - val <= btol * span)
-            params = {"beta2": m}
-        elif base_kind == "Deps":
-            ref = (1.0 - data.eps) * _band_value(anchor, flavor, weight)
-            span = max(float(np.max(np.abs(val))), 1.0)
-            m, viol = _fit_contaminated(c, val - ref > btol * span)
-            params = {"alpha2": m}
-        else:
-            diff = val - _band_value(anchor, flavor, weight)
-            span = max(float(np.max(np.abs(diff))), 1e-12)
-            sgn = np.where(diff > btol * span, 1.0,
-                           np.where(diff < -btol * span, -1.0, 0.0))
-            m, viol = _fit_signed(c, sgn)
-            params = {"beta2": m}
+    coords, norms, aniso, names, suffix = _bases(field, flavor, side.weight, spec.mult)
+    if ball:
+        diff = side.project(side.samples - side.anchor)
+        span = max(float(np.max(np.abs(diff))), 1e-12)
+        fits = [_phase_fit(c, dd, span)
+                for c, dd in zip(coords.T, diff.reshape(n, -1).T)]
+    else:
+        lower, upper = _binding(side)
+        fits = [_fit(c, lo, hi, spec.fallback) for c, lo, hi in
+                zip(coords.T, lower.reshape(n, -1).T, upper.reshape(n, -1).T)]
+    total = aniso ** 2 + sum((viol * norm) ** 2 for (_, viol), norm in zip(fits, norms))
+    entries = [ResidualEntry(
+        name=name, structure=f"{base} flavor {flavor}{suffix}",
+        params={key: m for key, (m, _) in zip(names, fits)},
+        residual=_l2(np.sqrt(total)), scale=scale)]
+
+    if ball:
+        dist = np.abs(diff).mean(axis=0)
+        rad = np.broadcast_to(np.asarray(side.data.radius, dtype=float), np.shape(dist))
         entries.append(ResidualEntry(
-            name=name, structure=f"{base_kind} flavor {flavor}", params=params,
-            residual=_l2(np.hypot(viol * np.linalg.norm(base), aniso)),
-            scale=scale))
-    elif flavor == 2:
-        diag = np.einsum("nkk->nk", field).real
-        off = field - np.einsum("nk,kl->nkl", np.einsum("nkk->nk", field),
-                                np.eye(d, dtype=complex))
-        aniso = np.linalg.norm(off, axis=(1, 2))
-        own_d = _band_value(own, 2, None)
-        params: dict = {}
-        viols = [aniso]
-        for k in range(d):
-            c = diag[:, k]
-            if base_kind == "D0":
-                m, viol = _fit_const(c)
-            elif base_kind == "DVU":
-                lo = _band_value(band_lo, 2, None)[:, k]
-                hi = _band_value(band_hi, 2, None)[:, k]
-                span = max(float(np.max(np.abs(hi))), 1.0)
-                m, viol = _fit_banded(c, own_d[:, k] - lo <= btol * span,
-                                      hi - own_d[:, k] <= btol * span)
-            elif base_kind == "Deps":
-                ref = (1.0 - data.eps) * _band_value(anchor, 2, None)[:, k]
-                span = max(float(np.max(np.abs(own_d))), 1.0)
-                m, viol = _fit_contaminated(c, own_d[:, k] - ref > btol * span)
-            else:
-                diff = own_d[:, k] - _band_value(anchor, 2, None)[:, k]
-                span = max(float(np.max(np.abs(diff))), 1e-12)
-                sgn = np.where(diff > btol * span, 1.0,
-                               np.where(diff < -btol * span, -1.0, 0.0))
-                m, viol = _fit_signed(c, sgn)
-            params[f"mult_{k + 1}"] = m
-            viols.append(viol)
-        entries.append(ResidualEntry(
-            name=name, structure=f"{base_kind} flavor 2 (per component)",
-            params=params, residual=_l2(np.sqrt(sum(v ** 2 for v in viols))),
-            scale=scale))
-    else:  # flavor 4: full-matrix structures
-        if base_kind == "D1delta":
-            diff = own - anchor
-            span = max(float(np.max(np.abs(diff))), 1e-12)
-            params = {}
-            viols = []
-            for i in range(d):
-                for j in range(d):
-                    c_ij = field[:, i, j]
-                    dd = diff[:, i, j]
-                    active = np.abs(dd) > btol * span
-                    phase = np.where(active, dd / np.where(active, np.abs(dd), 1.0), 0.0)
-                    if active.any():
-                        m = max(float(np.mean((c_ij * np.conj(phase))[active].real)), 0.0)
-                    else:
-                        m = float(np.abs(c_ij).max())
-                    viol = np.where(active, np.abs(c_ij - m * phase),
-                                    np.maximum(np.abs(c_ij) - m, 0.0))
-                    params[f"beta_{i + 1}{j + 1}"] = m
-                    viols.append(viol)
-            entries.append(ResidualEntry(
-                name=name, structure="D1delta flavor 4 (per entry)", params=params,
-                residual=_l2(np.sqrt(sum(v ** 2 for v in viols))), scale=scale))
-        else:
-            if base_kind == "D0":
-                fitted, vec = _rank_one_fit(field.mean(axis=0))
-                resid = _l2(np.linalg.norm(field - fitted, axis=(1, 2)))
-                entries.append(ResidualEntry(
-                    name=name, structure="D0 flavor 4 (constant rank one)",
-                    params={"alpha_vec": vec.tolist()}, residual=resid, scale=scale))
-            else:
-                if base_kind == "DVU":
-                    lo_m = np.linalg.eigvalsh(own - band_lo).min(axis=-1)
-                    hi_m = np.linalg.eigvalsh(band_hi - own).min(axis=-1)
-                    span = max(float(np.abs(np.linalg.eigvalsh(band_hi)).max()), 1.0)
-                    lower_active = lo_m <= btol * span
-                    upper_active = hi_m <= btol * span
-                    interior = ~(lower_active | upper_active)
-                else:  # Deps flavor 4
-                    rem = np.linalg.eigvalsh(own - (1.0 - data.eps) * anchor)
-                    span = max(float(np.abs(np.linalg.eigvalsh(own)).max()), 1.0)
-                    interior = rem.min(axis=-1) > btol * span
-                    lower_active = ~interior
-                    upper_active = np.zeros_like(interior)
-                pool = field[interior] if interior.any() else field
-                fitted, vec = _rank_one_fit(pool.mean(axis=0))
-                dev = field - fitted
-                viol = np.empty(n)
-                viol[interior] = np.linalg.norm(dev[interior], axis=(1, 2))
-                only_lo = lower_active & ~upper_active
-                only_hi = upper_active & ~lower_active
-                both = lower_active & upper_active
-                viol[only_lo] = _eig_part(dev[only_lo], "pos")
-                viol[only_hi] = _eig_part(dev[only_hi], "neg")
-                viol[both] = 0.0
-                label = "DVU" if base_kind == "DVU" else "Deps"
-                key = "beta_vec" if base_kind == "DVU" else "alpha_vec"
-                entries.append(ResidualEntry(
-                    name=name, structure=f"{label} flavor 4 (rank one + matrix slack)",
-                    params={key: vec.tolist()}, residual=_l2(viol), scale=scale))
-
-    if base_kind == "D1delta":
-        radius = data.radius
-        diff = own - anchor
-        if flavor == 1:
-            dist = float(np.abs(np.einsum("nii->n", diff).real).mean())
-            entries.append(ResidualEntry(
-                name=f"{name} distance", structure="L1 ball saturation",
-                params={"distance": dist}, residual=abs(dist - float(radius)),
-                scale=max(float(radius), 1e-12)))
-        elif flavor == 2:
-            dist = np.abs(np.einsum("nkk->nk", diff)).mean(axis=0)
-            rad = np.broadcast_to(np.asarray(radius, dtype=float), (d,))
-            entries.append(ResidualEntry(
-                name=f"{name} distance", structure="L1 ball saturation",
-                params={"distance": dist.tolist()},
-                residual=float(np.max(np.abs(dist - rad))),
-                scale=max(float(rad.max()), 1e-12)))
-        elif flavor == 3:
-            q = np.einsum("ij,nji->n", data.weight_g if other_weight_key == "g"
-                          else data.weight_f, diff).real
-            dist = float(np.abs(q).mean())
-            entries.append(ResidualEntry(
-                name=f"{name} distance", structure="L1 ball saturation",
-                params={"distance": dist}, residual=abs(dist - float(radius)),
-                scale=max(float(radius), 1e-12)))
-        else:
-            dist = np.abs(diff).mean(axis=0)
-            rad = np.broadcast_to(np.asarray(radius, dtype=float), (d, d))
-            entries.append(ResidualEntry(
-                name=f"{name} distance", structure="L1 ball saturation",
-                params={"distance": dist.tolist()},
-                residual=float(np.max(np.abs(dist - rad))),
-                scale=max(float(rad.max()), 1e-12)))
+            name=f"{name} distance", structure="L1 ball saturation",
+            params={"distance": dist.tolist()},
+            residual=float(np.max(np.abs(dist - rad))),
+            scale=max(float(rad.max()), 1e-12)))
     return entries
 
 
@@ -784,27 +678,19 @@ def characterization_residuals(result: LeastFavorableResult,
             "characterization residuals are implemented for dimension <= 2")
     paired = cls.g_kind is not None
     if paired:
-        k_f, k_g = int(cls.kind[-1]), int(cls.g_kind[-1])
-        base_f = cls.kind[: -2]
-        ok = (base_f == "D0" and cls.g_kind.startswith("DVU") and k_f == k_g) or \
-             (base_f == "Deps" and cls.g_kind.startswith("D1delta") and k_f == k_g)
-        if not ok:
+        if (cls.kind[:-2], cls.g_kind[:-2]) not in {("D0", "DVU"), ("Deps", "D1delta")} \
+                or cls.kind[-1] != cls.g_kind[-1]:
             raise UnsupportedClassError(
                 f"unsupported class pair ({cls.kind}, {cls.g_kind})")
     elif not model.is_noiseless:
         raise UnsupportedClassError(
             "a noisy model needs both a signal-side and a noise-side class")
 
-    entries: list[ResidualEntry] = []
-    field_signal = _coupling_field(result, "signal")
-    entries.extend(_residual_for_kind(
-        cls.kind, field_signal, cls.data, model.samples("F"), "f",
-        name="signal-side equation"))
+    entries = _side_residuals(_Side(cls, model, "F"), _coupling_field(result, "signal"),
+                              "signal-side equation")
     if paired:
-        field_noise = _coupling_field(result, "noise")
-        entries.extend(_residual_for_kind(
-            cls.g_kind, field_noise, cls.data, model.samples("G"), "g",
-            name="noise-side equation"))
+        entries += _side_residuals(_Side(cls, model, "G"), _coupling_field(result, "noise"),
+                                   "noise-side equation")
     report = ResidualReport(entries=entries)
     result.residual_report = report
     return report
@@ -815,8 +701,19 @@ def characterization_residuals(result: LeastFavorableResult,
 # ---------------------------------------------------------------------------
 
 
-def _unit_ar1(lam: np.ndarray, b: float) -> np.ndarray:
-    return (1.0 - b * b) / np.abs(1.0 - b * np.exp(1j * lam)) ** 2
+def _mixture(lam: np.ndarray, power: float, w: float, b: float) -> np.ndarray:
+    """power * ((1-w) flat + w unit-power AR(1) with pole b), on the nodes."""
+    return power * ((1.0 - w) + w * ((1.0 - b * b) / np.abs(1.0 - b * np.exp(1j * lam)) ** 2))
+
+
+def _scalar_model(grid_size: int, f: np.ndarray, g: np.ndarray | None = None,
+                  poles: Sequence[float] = ()) -> SpectralModel:
+    """Scalar model from node values; the pole modulus is None when all poles are 0."""
+    rho = max((abs(b) for b in poles), default=0.0)
+    return SpectralModel(
+        dim=1, F=density_from_samples(f[:, None, None]),
+        G=None if g is None else density_from_samples(g[:, None, None]),
+        grid_size=grid_size, pole_modulus=rho if rho > 0 else None)
 
 
 def scalar_mixture_family(power: float, w_max: float = 0.9, b_max: float = 0.8,
@@ -832,61 +729,27 @@ def scalar_mixture_family(power: float, w_max: float = 0.9, b_max: float = 0.8,
     """
     if power <= 0:
         raise InvalidParameterError("power must be positive")
+    lam = grid_points(grid_size)
+    powers = (power,) if noise_power is None else (power, noise_power)
 
-    def build_f(theta):
-        w, b = theta[0], theta[1]
-        lam = grid_points(grid_size)
-        f = power * ((1.0 - w) + w * _unit_ar1(lam, b))
-        return f[:, None, None].astype(complex)
+    def build(theta):
+        pairs = np.reshape(theta, (-1, 2))
+        return _scalar_model(grid_size, *(_mixture(lam, p, w, b)
+                                          for p, (w, b) in zip(powers, pairs)),
+                             poles=[b if w > 0 else 0.0 for w, b in pairs])
 
-    if noise_power is None:
-        def build(theta):
-            return SpectralModel(dim=1, F=density_like(build_f(theta)),
-                                 grid_size=grid_size,
-                                 pole_modulus=abs(theta[1]) if theta[0] > 0 else None)
-        return DensityFamily(dim=2, lower=[0.0, -b_max], upper=[w_max, b_max],
-                             build=build, label=label)
-
-    def build_pair(theta):
-        lam = grid_points(grid_size)
-        f = power * ((1.0 - theta[0]) + theta[0] * _unit_ar1(lam, theta[1]))
-        g = noise_power * ((1.0 - theta[2]) + theta[2] * _unit_ar1(lam, theta[3]))
-        rho = max(abs(theta[1]) if theta[0] > 0 else 0.0,
-                  abs(theta[3]) if theta[2] > 0 else 0.0)
-        return SpectralModel(dim=1, F=density_like(f[:, None, None].astype(complex)),
-                             G=density_like(g[:, None, None].astype(complex)),
-                             grid_size=grid_size,
-                             pole_modulus=rho if rho > 0 else None)
-
-    return DensityFamily(dim=4, lower=[0.0, -b_max, 0.0, -b_max],
-                         upper=[w_max, b_max, w_max, b_max],
-                         build=build_pair, label=label + " + noise")
-
-
-def density_like(samples: np.ndarray):
-    """Wrap precomputed node values as a density callable pinned to its grid."""
-    samples = np.asarray(samples, dtype=complex)
-
-    def fn(lam):
-        if len(lam) != samples.shape[0]:
-            raise InvalidParameterError(
-                f"density sampled on {samples.shape[0]} nodes, asked for {len(lam)}")
-        return samples
-
-    return fn
+    return DensityFamily(dim=2 * len(powers), lower=[0.0, -b_max] * len(powers),
+                         upper=[w_max, b_max] * len(powers), build=build,
+                         label=label if noise_power is None else label + " + noise")
 
 
 def ar1_fixed_power_family(power: float, b_max: float = 0.8,
                            grid_size: int = 4096) -> DensityFamily:
     """Scalar AR(1) densities of fixed total power, parameterized by the pole."""
+    lam = grid_points(grid_size)
 
     def build(theta):
-        b = float(theta[0])
-        lam = grid_points(grid_size)
-        f = power * _unit_ar1(lam, b)
-        return SpectralModel(dim=1, F=density_like(f[:, None, None].astype(complex)),
-                             grid_size=grid_size,
-                             pole_modulus=abs(b) if b != 0 else None)
+        return _scalar_model(grid_size, _mixture(lam, power, 1.0, theta[0]), poles=theta)
 
     return DensityFamily(dim=1, lower=[-b_max], upper=[b_max], build=build,
                          label="AR(1), fixed power")
@@ -916,21 +779,13 @@ def convex_combination_family(models: Sequence[SpectralModel],
             raise InvalidParameterError("anchor models must be structurally alike")
     rho = max((m.pole_modulus or 0.0) for m in models) or None
 
-    def weights(theta):
-        w = []
-        rest = 1.0
-        for t in theta:
-            w.append(rest * t)
-            rest *= (1.0 - t)
-        w.append(rest)
-        return np.asarray(w)
-
     def build(theta):
-        w = weights(theta)
+        rest = np.cumprod(np.concatenate(([1.0], 1.0 - np.asarray(theta, dtype=float))))
+        w = np.append(rest[:-1] * theta, rest[-1])
         F = sum(wi * m.samples("F") for wi, m in zip(w, models))
         G = sum(wi * m.samples("G") for wi, m in zip(w, models)) if noisy else None
-        return SpectralModel(dim=d, F=density_like(F),
-                             G=density_like(G) if noisy else None,
+        return SpectralModel(dim=d, F=density_from_samples(F),
+                             G=density_from_samples(G) if noisy else None,
                              grid_size=n, pole_modulus=rho)
 
     k = len(models)
@@ -953,17 +808,13 @@ def contamination_family(anchor_power: float, anchor_pole: float, eps: float,
     if w_pow < 0:
         raise InfeasibleClassError(
             "target power below the anchor's share; no admissible member")
+    lam = grid_points(grid_size)
+    anchor = (1.0 - eps) * _mixture(lam, anchor_power, 1.0, anchor_pole)
 
     def build(theta):
-        u, b = theta[0], theta[1]
-        lam = grid_points(grid_size)
-        anchor = anchor_power * _unit_ar1(lam, anchor_pole)
-        free = w_pow * ((1.0 - u) + u * _unit_ar1(lam, b))
-        f = (1.0 - eps) * anchor + eps * free
-        rho = max(abs(anchor_pole), abs(b) if u > 0 else 0.0)
-        return SpectralModel(dim=1, F=density_like(f[:, None, None].astype(complex)),
-                             grid_size=grid_size,
-                             pole_modulus=rho if rho > 0 else None)
+        u, b = theta
+        return _scalar_model(grid_size, anchor + eps * _mixture(lam, w_pow, u, b),
+                             poles=(anchor_pole, b if u > 0 else 0.0))
 
     return DensityFamily(dim=2, lower=[0.0, -b_max], upper=[0.9, b_max],
                          build=build, label="contaminated AR(1)")

@@ -226,28 +226,6 @@ def _stream(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)))
 
 
-def sample_paths(model: SpectralModel, config: SimulationConfig,
-                 replications: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary zero-mean Gaussian paths of (xi, eta).
-
-    Returns arrays of shape (R, path_length, T).  Replication r uses the
-    stream keyed by (seed, r); results do not depend on batching.
-    """
-    R = config.replications if replications is None else replications
-    length = config.path_length or config.window
-    emb = CirculantEmbedding(model, length, margin=config.embedding_margin,
-                             psd_tol=config.psd_tol)
-    d = model.dim
-    xi = np.empty((R, length, d))
-    eta = np.empty((R, length, d))
-    for start in range(0, R, config.batch):
-        stop = min(start + config.batch, R)
-        block = emb.sample_block([_stream(config.seed, r) for r in range(start, stop)])
-        xi[start:stop] = block[:, :, :d]
-        eta[start:stop] = block[:, :, d:]
-    return xi, eta
-
-
 @dataclass
 class MonteCarloResult:
     """Empirical mean-square error of a fixed time-domain filter."""

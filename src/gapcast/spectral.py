@@ -383,21 +383,19 @@ def laurent_density(dim: int, entries: dict) -> DensityFn:
     return fn
 
 
-def density_from_samples(lam_ref: np.ndarray, samples: np.ndarray) -> DensityFn:
-    """Density defined by samples on a fixed grid (no interpolation).
+def density_from_samples(samples: np.ndarray) -> DensityFn:
+    """Density given by its values on the grid nodes (no interpolation).
 
-    The callable checks that it is evaluated on exactly the reference grid;
-    models built from sample files therefore pin their own grid size.
+    ``samples`` has shape (n, T, T).  The callable answers only for a grid of
+    exactly n nodes, so a model built from it pins its own grid size.
     """
-    lam_ref = np.asarray(lam_ref, dtype=float)
     samples = np.asarray(samples, dtype=complex)
 
     def fn(lam):
-        if lam.shape != lam_ref.shape or not np.allclose(lam, lam_ref, atol=1e-12):
+        if len(lam) != samples.shape[0]:
             raise InvalidParameterError(
-                "sampled density evaluated on a grid different from its file grid"
-            )
-        return samples.copy()
+                f"density sampled on {samples.shape[0]} nodes, asked for {len(lam)}")
+        return samples
 
     return fn
 
@@ -442,6 +440,8 @@ class FourierTable:
 def coeffs_from_samples(samples: np.ndarray, max_lag: int) -> FourierTable:
     """Fourier coefficients of grid samples (standard grid layout assumed)."""
     n = samples.shape[0]
+    if max_lag < 0:
+        raise InvalidParameterError(f"max_lag must be >= 0, got {max_lag}")
     if n < 4 * max_lag:
         raise InvalidParameterError(
             f"grid size {n} too small for max_lag {max_lag} (need >= {4 * max_lag})"
@@ -453,37 +453,6 @@ def coeffs_from_samples(samples: np.ndarray, max_lag: int) -> FourierTable:
     return FourierTable(max_lag=max_lag, data=data)
 
 
-def fourier_coeffs(fn: DensityFn | np.ndarray, max_lag: int,
-                   grid_size: int = 4096) -> FourierTable:
-    """Fourier coefficient table of a matrix function on [-pi, pi).
-
-    ``fn`` may be a callable or precomputed samples.  Requires
-    grid_size >= 4 * max_lag.
-    """
-    if max_lag < 0:
-        raise InvalidParameterError(f"max_lag must be >= 0, got {max_lag}")
-    if callable(fn):
-        samples = fn(grid_points(grid_size))
-        samples = np.asarray(samples, dtype=complex)
-        if samples.ndim == 1:
-            samples = samples[:, None, None]
-        if not np.all(np.isfinite(samples)):
-            bad = int(np.argwhere(~np.isfinite(samples))[0][0])
-            lam = grid_points(grid_size)[bad]
-            raise SingularDensityError(
-                f"integrand non-finite at grid node lambda={lam:.6f}"
-            )
-    else:
-        samples = np.asarray(fn, dtype=complex)
-        if not np.all(np.isfinite(samples)):
-            bad = int(np.argwhere(~np.isfinite(samples))[0][0])
-            lam = grid_points(samples.shape[0])[bad]
-            raise SingularDensityError(
-                f"integrand non-finite at grid node lambda={lam:.6f}"
-            )
-    return coeffs_from_samples(samples, max_lag)
-
-
 # ---------------------------------------------------------------------------
 # Covariances and minimality
 # ---------------------------------------------------------------------------
@@ -493,14 +462,6 @@ def covariance(model: SpectralModel, n: int, which: str = "F") -> np.ndarray:
     """Covariance R(n) = (1/2pi) int e^{i n lambda} density d lambda."""
     table = coeffs_from_samples(model.samples(which), abs(n))
     return table.coeff(-n)
-
-
-def covariance_table(model: SpectralModel, max_lag: int, which: str = "F") -> FourierTable:
-    """All covariances R(n), |n| <= max_lag, as a table indexed by -n.
-
-    ``table.coeff(-n)`` is R(n); use :func:`covariance` for single lags.
-    """
-    return coeffs_from_samples(model.samples(which), max_lag)
 
 
 @dataclass(frozen=True)

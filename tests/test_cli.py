@@ -396,6 +396,41 @@ minimax:
 # exit codes and config handling
 # ---------------------------------------------------------------------------
 
+MINIMAX_DATA_YAML = """
+model:
+  kind: white
+  dim: 1
+  scale: 1.5
+pattern:
+  intervals: []
+functional:
+  coeffs: [[1.0]]
+numerics:
+  grid_size: 256
+  truncation: 8
+minimax:
+  kind: {kind}
+  data: {data}
+  family:
+    kind: singleton
+  saddle_samples: 2
+"""
+
+
+@pytest.mark.parametrize("kind,data", [
+    ("D0_1", "{power: lots}"),                      # not a number
+    ("DVU_1", "{power: 1.5, lower: 0.0}"),          # no upper band edge
+    ("D0_1", "{}"),                                 # no power
+    ("D0_3", "{power: 1.5}"),                       # no weight_f
+    ("Deps_1", "{power: 1.5, anchor_f: 1.5}"),      # no eps
+    ("D1delta_1", "{anchor_f: 1.5}"),               # no radius
+])
+def test_bad_minimax_data_exits_2(tmp_path, capsys, kind, data):
+    cfg = write_config(tmp_path, MINIMAX_DATA_YAML.format(kind=kind, data=data))
+    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert "config error: minimax" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert run_cli(["estimate", "--config", tmp_path / "nope.yaml"]) == 2
     assert "config error:" in capsys.readouterr().err

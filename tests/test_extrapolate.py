@@ -25,8 +25,6 @@ from gapcast import (
     estimate,
     filter_taps,
     make_ar1_pair,
-    mean_square_error,
-    spectral_characteristic,
     white_model,
 )
 from gapcast.oracle import functional_variance
@@ -147,9 +145,9 @@ def test_two_error_routes_agree(seed):
 
 def test_error_scales_quadratically():
     model, pattern, functional = _random_instance(42)
-    d1 = mean_square_error(model, pattern, functional, K=16)
+    d1 = estimate(model, pattern, functional, K=16).delta
     doubled = FunctionalSpec(coeffs=2.0 * functional.coeffs)
-    d2 = mean_square_error(model, pattern, doubled, K=16)
+    d2 = estimate(model, pattern, doubled, K=16).delta
     assert d2 == pytest.approx(4.0 * d1, rel=1e-10)
 
 
@@ -237,9 +235,3 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(InvalidParameterError):
         estimate(model, MissingPattern(intervals=()),
                  FunctionalSpec(coeffs=np.array([[1.0]])), K=8)
-
-
-def test_wrapper_functions_consistent():
-    model, pattern, functional = _random_instance(5)
-    res = spectral_characteristic(model, pattern, functional, K=16)
-    assert mean_square_error(model, pattern, functional, K=16) == res.delta

@@ -9,6 +9,10 @@ as negative controls: the saddle check must flag them and their residuals
 must be large.
 """
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from gapcast import (
     DensityClass,
     DensityFamily,
     FunctionalSpec,
+    LeastFavorableResult,
     MissingPattern,
     OptConfig,
     SpectralModel,
@@ -25,6 +30,7 @@ from gapcast import (
     class_constraint_report,
     contamination_family,
     convex_combination_family,
+    density_from_samples,
     estimate,
     evaluate_candidate,
     grid_points,
@@ -35,7 +41,6 @@ from gapcast import (
     verify_saddle_point,
     white_model,
 )
-from gapcast.minimax import density_like
 from gapcast.errors import (
     InfeasibleClassError,
     InvalidParameterError,
@@ -68,8 +73,8 @@ def _diag_mixture_family(powers, noise_powers=None, b_max=0.7,
             gs = np.zeros((grid_size, 2, 2), dtype=complex)
             gs[:, 0, 0] = noise_powers[0]
             gs[:, 1, 1] = noise_powers[1]
-            G = density_like(gs)
-        return SpectralModel(dim=2, F=density_like(out), G=G,
+            G = density_from_samples(gs)
+        return SpectralModel(dim=2, F=density_from_samples(out), G=G,
                              grid_size=grid_size,
                              pole_modulus=rho if rho > 0 else None)
 
@@ -452,3 +457,182 @@ def test_correlated_observations_unsupported_for_residuals():
     out = maximize_delta(cls, NO_GAP, PRED, FAST)
     with pytest.raises(UnsupportedClassError):
         characterization_residuals(out, cls)
+
+
+# ---------------------------------------------------------------------------
+# golden values: constraint reports and residual entries of every class kind
+# ---------------------------------------------------------------------------
+#
+# Each case pairs a class with a fixed model whose densities are clipped into
+# a band, so band, mixture and distance constraints are active at some nodes
+# and free at others.  golden_minimax.json pins every report value and
+# residual entry; regenerate it only on purpose, with
+# ``PYTHONPATH=src python tests/test_minimax.py``.
+
+GOLDEN_PATH = Path(__file__).with_name("golden_minimax.json")
+GOLDEN_GRID = 256
+LO, HI = 0.6, 2.0          # signal band
+LO_G, HI_G = 0.3, 0.9      # noise band
+EPS = 0.25
+
+
+def _rotation(d):
+    if d == 1:
+        return np.eye(1, dtype=complex)
+    c, s = np.cos(0.4), np.sin(0.4)
+    return np.array([[c, -s], [s, c]]) @ np.diag([1.0, np.exp(0.7j)])
+
+
+def _clipped_density(poles_scales, lo, hi):
+    """U diag(clip(ar1_k)) U^H: a band-clipped density with complex entries."""
+    lam = grid_points(GOLDEN_GRID)
+    d = len(poles_scales)
+    diag = np.zeros((GOLDEN_GRID, d, d), dtype=complex)
+    for k, (b, s) in enumerate(poles_scales):
+        diag[:, k, k] = np.clip(s * _unit_ar1(lam, b) / (1 - b * b), lo, hi)
+    U = _rotation(d)
+    return np.einsum("ij,njk,lk->nil", U, diag, np.conj(U))
+
+
+def _fixed(samples):
+    return lambda lam: samples
+
+
+def _bumped(dens):
+    """An anchor that crosses the density: equal to it on |lambda| <= 1."""
+    lam = grid_points(GOLDEN_GRID)
+    bump = np.where(np.abs(lam) > 1.0, 0.3 * np.sin(lam), 0.0)
+    return dens + bump[:, None, None] * np.eye(dens.shape[-1])
+
+
+def _golden_data(base, flavor, F, G):
+    """Constraint data for a case whose signal-side base is ``base``.
+
+    With a noise density G the band and the ball constrain the noise side.
+    """
+    d, noisy = F.shape[-1], G is not None
+
+    def by_flavor(one, two, four):
+        return {1: one, 2: np.asarray(two[:d]), 3: one,
+                4: np.asarray(four if d == 2 else [[one]])}[flavor]
+
+    weights = (np.array([[1.5]]), np.array([[0.7]])) if d == 1 else \
+        (np.array([[1.0, 0.3], [0.3, 0.5]]), np.array([[0.8, -0.2], [-0.2, 1.1]]))
+    return ClassData(
+        power=by_flavor(2.5, [1.0, 1.5], [[1.2, 0.1], [0.1, 0.9]]),
+        noise_power=by_flavor(0.7, [0.4, 0.5], [[0.6, 0.05], [0.05, 0.4]]),
+        weight_f=weights[0], weight_g=weights[1],
+        lower=LO_G if noisy else LO, upper=HI_G if noisy else HI,
+        anchor_f=_bumped(F) if base == "D1delta" else LO / (1 - EPS),
+        anchor_g=_bumped(G) if noisy else None, eps=EPS,
+        radius=by_flavor(0.5, [0.4, 0.6], [[0.4, 0.2], [0.2, 0.6]]))
+
+
+def _golden_cases():
+    cases = {}
+    for d in (1, 2):
+        F = _clipped_density([(0.7, 0.5), (0.5, 0.8)][:d], LO, HI)
+        G = _clipped_density([(-0.5, 0.4), (0.3, 0.5)][:d], LO_G, HI_G)
+        fun = FunctionalSpec(coeffs=np.array([[1.0], [0.5]]) if d == 1
+                             else np.array([[1.0, 0.5], [0.2, -0.3]]))
+        clean = SpectralModel(dim=d, F=_fixed(F), grid_size=GOLDEN_GRID,
+                              pole_modulus=0.7)
+        noisy = SpectralModel(dim=d, F=_fixed(F), G=_fixed(G),
+                              grid_size=GOLDEN_GRID, pole_modulus=0.7)
+        for base in ("D0", "DVU", "Deps", "D1delta"):
+            for k in range(1, 5):
+                cases[f"{base}_{k}-d{d}"] = (
+                    f"{base}_{k}", None, _golden_data(base, k, F, None), clean, fun)
+        for base, g_base in (("D0", "DVU"), ("Deps", "D1delta")):
+            for k in range(1, 5):
+                cases[f"{base}_{k}x{g_base}_{k}-d{d}"] = (
+                    f"{base}_{k}", f"{g_base}_{k}", _golden_data(base, k, F, G),
+                    noisy, fun)
+        # no free node: the band pins the density, the anchor leaves no room
+        # for the contamination, the ball is centred on the density itself
+        for k in (1, 4):
+            base_data = _golden_data("DVU", k, F, None)
+            cases[f"pinned-DVU_{k}-d{d}"] = ("DVU_" + str(k), None, replace(
+                base_data, lower=F, upper=F), clean, fun)
+            cases[f"pinned-Deps_{k}-d{d}"] = ("Deps_" + str(k), None, replace(
+                base_data, anchor_f=F / (1 - EPS)), clean, fun)
+            cases[f"pinned-D1delta_{k}-d{d}"] = ("D1delta_" + str(k), None, replace(
+                base_data, anchor_f=F), clean, fun)
+    return cases
+
+
+def _plain(value):
+    """JSON-ready copy: complex numbers become [re, im] pairs."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in value]
+    if isinstance(value, (complex, np.complexfloating)):
+        return [float(value.real), float(value.imag)]
+    return float(value)
+
+
+def _golden_record(case):
+    kind, g_kind, data, model, fun = case
+    cls = DensityClass(kind=kind, g_kind=g_kind, data=data,
+                       family=singleton_family(model))
+    est = estimate(model, MissingPattern(intervals=((2, 0),)), fun, K=16)
+    result = LeastFavorableResult(
+        theta_star=np.zeros(0), model_star=model, delta_star=est.delta,
+        estimate_star=est, evaluations=[], boundary=False, cls=cls,
+        pattern=MissingPattern(intervals=((2, 0),)), functional=fun)
+    entries = characterization_residuals(result, cls).entries
+    return {
+        "report": _plain(class_constraint_report(cls, model)),
+        "entries": [{"name": e.name, "structure": e.structure,
+                     "params": _plain(e.params), "residual": float(e.residual),
+                     "scale": float(e.scale)} for e in entries],
+    }
+
+
+def _canonical_phase(vec):
+    """A multiplier vector is fixed only up to a unit factor; pin its phase."""
+    z = np.array([complex(*v) if isinstance(v, list) else v for v in vec])
+    lead = z[np.argmax(np.abs(z))]
+    return z * (np.conj(lead) / abs(lead)) if abs(lead) > 0 else z
+
+
+def _assert_close(got, want, where):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, str):
+        assert got == want, where
+    else:
+        if where.endswith("_vec"):
+            got, want = _canonical_phase(got), _canonical_phase(want)
+        # relative 1e-12, with an absolute floor for rounding noise around 0
+        np.testing.assert_allclose(np.asarray(got), np.asarray(want),
+                                   rtol=1e-12, atol=1e-13, err_msg=where)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_cases():
+    return _golden_cases()
+
+
+@pytest.mark.parametrize("case_id", sorted(_golden_cases()))
+def test_golden_reports_and_residuals(case_id, golden, golden_cases):
+    got = _golden_record(golden_cases[case_id])
+    want = golden[case_id]
+    _assert_close(got["report"], want["report"], f"{case_id}.report")
+    assert len(got["entries"]) == len(want["entries"]), case_id
+    for i, (g, w) in enumerate(zip(got["entries"], want["entries"])):
+        _assert_close(g, w, f"{case_id}.entries[{i}]")
+
+
+if __name__ == "__main__":
+    records = {cid: _golden_record(case) for cid, case in _golden_cases().items()}
+    GOLDEN_PATH.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(records)} cases to {GOLDEN_PATH}")

@@ -23,12 +23,10 @@ from gapcast import (
     density_from_samples,
     estimate,
     functional_variance,
-    grid_points,
     make_ar1_pair,
     ma_pair_model,
     monte_carlo_mse,
     projection_oracle,
-    sample_paths,
     white_model,
 )
 from gapcast.oracle import CirculantEmbedding, _stream
@@ -134,8 +132,7 @@ def test_projection_with_everything_missing():
 
 
 def test_projection_rejects_degenerate_observations():
-    lam = grid_points(256)
-    zero = density_from_samples(lam, np.zeros((256, 1, 1), dtype=complex))
+    zero = density_from_samples(np.zeros((256, 1, 1), dtype=complex))
     model = SpectralModel(dim=1, F=zero, grid_size=256, pole_modulus=None)
     with pytest.raises(DegenerateObservationsError):
         projection_oracle(model, MissingPattern(intervals=()),
@@ -147,13 +144,23 @@ def test_projection_rejects_degenerate_observations():
 # ---------------------------------------------------------------------------
 
 
+def _paths(model, cfg):
+    """(xi, eta) paths, shape (R, window, T); replication r uses stream (seed, r)."""
+    emb = CirculantEmbedding(model, cfg.window)
+    R = cfg.replications
+    paths = np.concatenate([
+        emb.sample_block([_stream(cfg.seed, r) for r in range(s, min(s + cfg.batch, R))])
+        for s in range(0, R, cfg.batch)])
+    return paths[..., :model.dim], paths[..., model.dim:]
+
+
 def test_sampler_covariance_is_exact():
     # With many replications the sample covariance must match R(h) to within
     # Monte-Carlo error; the acceptance band is ~5 standard errors.
     b, scale = 0.6, 1.0
     model = _scalar_ar1(b, scale, grid_size=512)
     cfg = SimulationConfig(replications=20000, seed=7, window=8)
-    xi, eta = sample_paths(model, cfg)
+    xi, eta = _paths(model, cfg)
     assert eta.shape == xi.shape
     assert np.abs(eta).max() == 0.0  # noiseless model: silent noise channel
     for h in (0, 1, 3):
@@ -168,7 +175,7 @@ def test_sampler_cross_covariance():
     S = np.array([[1.0, 0.5], [0.5, 1.0]])
     model = ma_pair_model(Cx, Ce, innovation_cov=S, grid_size=256)
     cfg = SimulationConfig(replications=30000, seed=3, window=4)
-    xi, eta = sample_paths(model, cfg)
+    xi, eta = _paths(model, cfg)
     want = covariance(model, 0, which="Fxe")[0, 0].real
     emp = np.mean(xi[:, 2, 0] * eta[:, 2, 0])
     assert emp == pytest.approx(want, abs=5 * 1.5 / np.sqrt(30000))
@@ -176,18 +183,22 @@ def test_sampler_cross_covariance():
 
 def test_sampler_reproducible_and_batch_invariant():
     model = ar1_model(poles=(0.5,), noise_poles=(0.2,), grid_size=256)
-    cfg_a = SimulationConfig(replications=9, seed=11, window=6, batch=4)
-    cfg_b = SimulationConfig(replications=9, seed=11, window=6, batch=256)
-    xa, ea = sample_paths(model, cfg_a)
-    xb, eb = sample_paths(model, cfg_b)
-    assert np.array_equal(xa, xb) and np.array_equal(ea, eb)
+    pattern = MissingPattern(intervals=((2, 0),))
+    fun = FunctionalSpec(coeffs=np.array([[1.0], [0.5]]))
+    taps = {-1: np.array([0.5]), -3: np.array([0.2])}
+    runs = [monte_carlo_mse(model, pattern, fun, taps,
+                            SimulationConfig(replications=9, seed=11, window=6,
+                                             batch=batch)).errors
+            for batch in (4, 256)]
+    assert np.array_equal(runs[0], runs[1])
     # replication streams are independent of the total count (prefix rule)
-    xc, _ = sample_paths(model, cfg_a, replications=4)
-    assert np.array_equal(xc, xa[:4])
+    emb = CirculantEmbedding(model, 6)
+    full = emb.sample_block([_stream(11, r) for r in range(9)])
+    assert np.array_equal(emb.sample_block([_stream(11, r) for r in range(4)]),
+                          full[:4])
     # different seed, different draws
-    xd, _ = sample_paths(model, SimulationConfig(replications=9, seed=12,
-                                                 window=6))
-    assert not np.array_equal(xd, xa)
+    other = emb.sample_block([_stream(12, r) for r in range(9)])
+    assert not np.array_equal(other, full)
 
 
 def test_stream_keying_is_per_replication():

@@ -17,9 +17,7 @@ from gapcast import (
     check_minimality,
     coeffs_from_samples,
     covariance,
-    covariance_table,
     density_from_samples,
-    fourier_coeffs,
     grid_points,
     laurent_density,
     laurent_entry,
@@ -55,7 +53,7 @@ def test_model_rejects_bad_grid_sizes():
 
 
 def test_white_coefficients_vanish_off_zero():
-    table = fourier_coeffs(white_density(2, 1.7), max_lag=6, grid_size=64)
+    table = coeffs_from_samples(white_density(2, 1.7)(grid_points(64)), max_lag=6)
     assert np.allclose(table.coeff(0), 1.7 * np.eye(2), atol=1e-14)
     for k in range(1, 7):
         assert np.abs(table.coeff(k)).max() < 1e-14
@@ -67,7 +65,7 @@ def test_trig_polynomial_coefficients_exact():
     def f(lam):
         return (2.0 + 2.0 * np.cos(lam))[:, None, None].astype(complex)
 
-    table = fourier_coeffs(f, max_lag=5, grid_size=64)
+    table = coeffs_from_samples(f(grid_points(64)), max_lag=5)
     assert table.coeff(0)[0, 0] == pytest.approx(2.0, abs=1e-14)
     assert table.coeff(1)[0, 0] == pytest.approx(1.0, abs=1e-14)
     assert table.coeff(-1)[0, 0] == pytest.approx(1.0, abs=1e-14)
@@ -76,7 +74,7 @@ def test_trig_polynomial_coefficients_exact():
 
 
 def test_table_lag_bounds():
-    table = fourier_coeffs(white_density(1), max_lag=3, grid_size=64)
+    table = coeffs_from_samples(white_density(1)(grid_points(64)), max_lag=3)
     with pytest.raises(InsufficientLagError):
         table.coeff(4)
     with pytest.raises(InsufficientLagError):
@@ -85,7 +83,9 @@ def test_table_lag_bounds():
 
 def test_grid_too_small_for_lag():
     with pytest.raises(InvalidParameterError):
-        fourier_coeffs(white_density(1), max_lag=20, grid_size=64)
+        coeffs_from_samples(white_density(1)(grid_points(64)), max_lag=20)
+    with pytest.raises(InvalidParameterError):
+        coeffs_from_samples(white_density(1)(grid_points(64)), max_lag=-1)
 
 
 def test_hermitian_defect_zero_for_hermitian_integrand():
@@ -97,7 +97,7 @@ def test_hermitian_defect_zero_for_hermitian_integrand():
         base = A[None] * ph + np.conj(A.T)[None] * np.conj(ph)
         return base + 5.0 * np.eye(2)[None]
 
-    table = fourier_coeffs(f, max_lag=4, grid_size=128)
+    table = coeffs_from_samples(f(grid_points(128)), max_lag=4)
     assert table.hermitian_defect() < 1e-14
 
 
@@ -108,7 +108,7 @@ def test_nonfinite_integrand_rejected():
         return out
 
     with pytest.raises(SingularDensityError):
-        fourier_coeffs(f, max_lag=2, grid_size=64)
+        SpectralModel(dim=1, F=f, grid_size=64)
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +133,9 @@ def test_covariance_conjugate_symmetry():
     c0 = rng.normal(size=(2, 2))
     c1 = rng.normal(size=(2, 2))
     model = ma_pair_model([c0, c1], grid_size=256)
-    table = covariance_table(model, max_lag=4)
     for n in range(5):
-        Rp = table.coeff(-n)
-        Rm = table.coeff(n)
+        Rp = covariance(model, n)
+        Rm = covariance(model, -n)
         assert np.allclose(Rm, Rp.conj().T, atol=1e-12)
 
 
@@ -234,10 +233,12 @@ def test_laurent_density_assembles_matrix():
 def test_density_from_samples_pins_grid():
     lam = grid_points(64)
     samples = np.ones((64, 1, 1), dtype=complex)
-    fn = density_from_samples(lam, samples)
+    fn = density_from_samples(samples)
     assert np.allclose(fn(lam), samples)
     with pytest.raises(InvalidParameterError):
         fn(grid_points(128))
+    with pytest.raises(InvalidParameterError):
+        SpectralModel(dim=1, F=fn, grid_size=128)
 
 
 def test_with_grid_regrids_callable_models():
@@ -248,16 +249,15 @@ def test_with_grid_regrids_callable_models():
 
 
 def test_psd_validation_at_construction():
-    lam = grid_points(64)
     bad = -np.ones((64, 1, 1), dtype=complex)
     with pytest.raises(InvalidParameterError):
-        SpectralModel(dim=1, F=density_from_samples(lam, bad), grid_size=64,
+        SpectralModel(dim=1, F=density_from_samples(bad), grid_size=64,
                       pole_modulus=None)
     skew = np.zeros((64, 2, 2), dtype=complex)
     skew[:, 0, 1] = 1.0
     skew[:, 1, 0] = -1.0
     with pytest.raises(InvalidParameterError):
-        SpectralModel(dim=2, F=density_from_samples(lam, skew), grid_size=64,
+        SpectralModel(dim=2, F=density_from_samples(skew), grid_size=64,
                       pole_modulus=None)
 
 
