@@ -22,7 +22,6 @@ from .extrapolate import (
     delta_of_characteristic,
     default_truncation,
     estimate,
-    filter_taps,
 )
 from .operators import (
     MissingPattern,
@@ -44,6 +43,7 @@ from .config import (
     build_class,
     build_functional,
     build_model,
+    build_oracle_check,
     build_pattern,
     build_simulation,
     config_hash,

@@ -25,6 +25,7 @@ from .config import (
     build_class,
     build_functional,
     build_model,
+    build_oracle_check,
     build_pattern,
     build_simulation,
     config_hash,
@@ -125,9 +126,7 @@ def cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> int:
     model = build_model(cfg)
     pattern = build_pattern(cfg)
     functional = build_functional(cfg)
-    sec = cfg.oracle_check
-    windows = [int(w) for w in sec.get("windows", (25, 50, 100, 200))]
-    tol = float(sec.get("tolerance", 1e-4))
+    windows, tol = build_oracle_check(cfg)
     res = estimate(model, pattern, functional, K=cfg.truncation)
 
     rows = _header(cfg) + [

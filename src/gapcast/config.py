@@ -11,13 +11,13 @@ backs the reproducibility hash embedded in every output file).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError
 from .extrapolate import FunctionalSpec
 from .minimax import (
     ClassData,
@@ -44,6 +44,20 @@ from .spectral import (
 
 _SECTIONS = ("model", "pattern", "functional", "numerics", "simulation",
              "oracle_check", "minimax", "output")
+_NUMERICS = ("grid_size", "truncation")
+
+
+def _float_array(value):
+    arr = np.asarray(value, dtype=float)
+    return float(arr) if arr.ndim == 0 else arr
+
+
+def _cast(value, kind, where: str):
+    """``kind(value)`` for kind int, float or _float_array; a ConfigError at ``where``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"expected a numeric value, got {value!r}", location=where) from exc
 
 
 @dataclass
@@ -69,12 +83,12 @@ class RunConfig:
 
     @property
     def grid_size(self) -> int:
-        return int(self.numerics.get("grid_size", 4096))
+        return _cast(self.numerics.get("grid_size", 4096), int, "numerics.grid_size")
 
     @property
     def truncation(self) -> int | None:
         K = self.numerics.get("truncation")
-        return None if K is None else int(K)
+        return None if K is None else _cast(K, int, "numerics.truncation")
 
     @property
     def out_dir(self) -> str:
@@ -108,6 +122,9 @@ def loads_config(text: str) -> RunConfig:
         if name not in doc:
             raise ConfigError(f"missing required section {name!r}", location="top level")
     kwargs = {name: _expect_map(doc.get(name, {}) or {}, name) for name in _SECTIONS}
+    unknown = sorted(set(kwargs["numerics"]) - set(_NUMERICS))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown}", location="numerics")
     cfg = RunConfig(**kwargs)
     # Fail fast on structural problems; builders re-raise with locations.
     build_pattern(cfg)
@@ -229,24 +246,42 @@ def build_functional(cfg: RunConfig) -> FunctionalSpec:
         raise ConfigError(str(exc), location="functional.coeffs") from exc
 
 
-def build_simulation(cfg: RunConfig) -> SimulationConfig:
-    sec = cfg.simulation
+def _from_section(cls, sec: dict, where: str, **given):
+    """Dataclass ``cls`` built from the keys of ``sec`` that name its fields.
+
+    An absent or null key keeps the field's default; a value is read as a float
+    where that default is a float and as an integer otherwise.  ``given`` sets
+    fields outright.
+    """
+    kwargs = dict(given)
+    for f in fields(cls):
+        value = sec.get(f.name)
+        if f.name not in given and value is not None:
+            kind = float if isinstance(f.default, float) else int
+            kwargs[f.name] = _cast(value, kind, f"{where}.{f.name}")
     try:
-        return SimulationConfig(
-            replications=int(sec.get("replications", 10000)),
-            seed=int(sec.get("seed", 0)),
-            window=int(sec.get("window", 50)),
-            path_length=None if sec.get("path_length") is None
-            else int(sec["path_length"]),
-            embedding_margin=None if sec.get("embedding_margin") is None
-            else int(sec["embedding_margin"]),
-            psd_tol=float(sec.get("psd_tol", 1e-8)),
-            batch=int(sec.get("batch", 256)),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(str(exc), location="simulation") from exc
+        return cls(**kwargs)
+    except InvalidParameterError as exc:
+        raise ConfigError(str(exc), location=where) from exc
+
+
+def build_simulation(cfg: RunConfig) -> SimulationConfig:
+    return _from_section(SimulationConfig, cfg.simulation, "simulation")
+
+
+def build_oracle_check(cfg: RunConfig) -> tuple[list[int], float]:
+    """The oracle_check section: the window ladder and the relative tolerance."""
+    sec = cfg.oracle_check
+    windows = sec.get("windows")
+    if windows is None:
+        windows = [25, 50, 100, 200]
+    if not isinstance(windows, list) or not windows:
+        raise ConfigError("expected a non-empty list of window lengths",
+                          location="oracle_check.windows")
+    windows = [_cast(w, int, f"oracle_check.windows[{i}]") for i, w in enumerate(windows)]
+    if min(windows) < 1:
+        raise ConfigError("window lengths must be >= 1", location="oracle_check.windows")
+    return windows, _cast(sec.get("tolerance", 1e-4), float, "oracle_check.tolerance")
 
 
 _FAMILY_BUILDERS = {
@@ -263,22 +298,11 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
         raise ConfigError("missing required section 'minimax'", location="top level")
     kind = _require(sec, "kind", "minimax")
     data_map = _expect_map(sec.get("data", {}) or {}, "minimax.data")
-    known = {"power", "noise_power", "weight_f", "weight_g", "lower", "upper",
-             "anchor_f", "anchor_g", "eps", "radius"}
-    bad = sorted(set(data_map) - known)
+    bad = sorted(set(data_map) - {f.name for f in fields(ClassData)})
     if bad:
         raise ConfigError(f"unknown constraint field(s) {bad}", location="minimax.data")
-    fields = {}
-    for key, value in data_map.items():
-        if value is None:
-            continue
-        try:
-            arr = np.asarray(value, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"expected a number or an array of numbers: {exc}",
-                              location=f"minimax.data.{key}") from exc
-        fields[key] = float(arr) if arr.ndim == 0 else arr
-    data = ClassData(**fields)
+    data = ClassData(**{key: _cast(value, _float_array, f"minimax.data.{key}")
+                        for key, value in data_map.items() if value is not None})
 
     fam_sec = _expect_map(_require(sec, "family", "minimax"), "minimax.family")
     fam_kind = _require(fam_sec, "kind", "minimax.family")
@@ -304,26 +328,20 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
         raise ConfigError(str(exc), location="minimax") from exc
 
     opt_sec = _expect_map(sec.get("opt", {}) or {}, "minimax.opt")
-    try:
-        opt = OptConfig(
-            starts=int(opt_sec.get("starts", 16)),
-            budget=int(opt_sec.get("budget", 2000)),
-            initial_step=float(opt_sec.get("initial_step", 0.25)),
-            min_step=float(opt_sec.get("min_step", 1e-6)),
-            seed=int(opt_sec.get("seed", 0)),
-            truncation=cfg.truncation if opt_sec.get("truncation") is None
-            else int(opt_sec["truncation"]),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(str(exc), location="minimax.opt") from exc
+    given = {"truncation": cfg.truncation} if opt_sec.get("truncation") is None else {}
+    opt = _from_section(OptConfig, opt_sec, "minimax.opt", **given)
 
+    theta = sec.get("theta")
+    if theta is not None:
+        theta = np.atleast_1d(_cast(theta, _float_array, "minimax.theta"))
+        if theta.shape != (fam.dim,):
+            raise ConfigError(f"expected {fam.dim} value(s), one per family parameter",
+                              location="minimax.theta")
     extras = {
-        "saddle_samples": int(sec.get("saddle_samples", 100)),
-        "saddle_seed": int(sec.get("saddle_seed", 1)),
-        "saddle_tol": float(sec.get("saddle_tol", 1e-6)),
-        "theta": sec.get("theta"),
+        "saddle_samples": _cast(sec.get("saddle_samples", 100), int, "minimax.saddle_samples"),
+        "saddle_seed": _cast(sec.get("saddle_seed", 1), int, "minimax.saddle_seed"),
+        "saddle_tol": _cast(sec.get("saddle_tol", 1e-6), float, "minimax.saddle_tol"),
+        "theta": theta,
         "skip_residuals": bool(sec.get("skip_residuals", False)),
     }
     return cls, opt, extras

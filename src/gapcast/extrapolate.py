@@ -89,8 +89,6 @@ class EstimateDiagnostics:
     orthogonality_max: float
     tap_tail_mass: float
     minimality_value: float
-    delta_doubled: float | None = None
-    doubling_rel_change: float | None = None
 
 
 @dataclass
@@ -132,36 +130,29 @@ def _select_variant(model: SpectralModel, functional: FunctionalSpec) -> str:
 
 
 def estimate(model: SpectralModel, pattern: MissingPattern,
-             functional: FunctionalSpec, K: int | None = None,
-             grid_size: int | None = None, taps_window: int | None = None,
-             cond_ceiling: float = 1e12,
-             check_convergence: bool = False) -> EstimateResult:
+             functional: FunctionalSpec, K: int | None = None) -> EstimateResult:
     """Full optimal-extrapolation pipeline; see module docstring.
 
-    ``taps_window`` is the length of the observed past kept when reading the
-    filter taps off the spectral characteristic (default 4K, tail mass beyond
-    it is reported in the diagnostics).
+    The filter taps are read off the spectral characteristic over the observed
+    past of length 4K (at most half the grid); the tail mass beyond it is
+    reported in the diagnostics.
     """
     if functional.dim != model.dim:
         raise InvalidParameterError(
             f"functional dimension {functional.dim} does not match model dim {model.dim}"
         )
-    if grid_size is not None:
-        model = model.with_grid(grid_size)
     if K is None:
         K = default_truncation(model, functional)
     if K < functional.horizon:
         raise InvalidParameterError(
             f"truncation K={K} smaller than functional horizon {functional.horizon}"
         )
-    if taps_window is None:
-        taps_window = 4 * max(K, 1)
-    taps_window = min(taps_window, model.grid_size // 2 - 1)
+    taps_window = min(4 * max(K, 1), model.grid_size // 2 - 1)
 
-    system = build_operator_system(model, pattern, K, cond_ceiling=cond_ceiling)
+    system = build_operator_system(model, pattern, K)
     imap = system.index_map
     a_vec = layout_vector(imap, functional.coeffs)
-    sol = solve_coefficients(system, a_vec, cond_ceiling=cond_ceiling)
+    sol = solve_coefficients(system, a_vec)
 
     n, d = model.grid_size, model.dim
     lam = model.lam
@@ -171,12 +162,9 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     phases = np.exp(1j * np.outer(lam, entries))          # (n, P)
     C_row = phases @ c_blocks                             # (n, T), C^T rows
     A_row = functional.a_on_grid(lam)                     # (n, T), A^T rows
-
-    Z = model.samples("Fz")
-    Zinv = np.linalg.inv(Z)
-    X = model.samples("F") + model.samples("Fxe")
+    AX = np.einsum("nt,ntu->nu", A_row, system.X)         # A^T (F + F_xe) rows
     # h^T = (A^T X - C^T) Z^{-1}, rows evaluated per node
-    h_row = np.einsum("nt,ntu->nu", np.einsum("nt,ntu->nu", A_row, X) - C_row, Zinv)
+    h_row = np.einsum("nt,ntu->nu", AX - C_row, system.Zinv)
 
     # --- mean-square error, two routes --------------------------------
     rhs = system.Rmat @ a_vec
@@ -198,17 +186,13 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     check_lag = min(n // 4, max(taps_window, K + pattern.max_depth + 8))
     h_table = coeffs_from_samples(h_row[:, :, None], check_lag)
     coeff_norms = np.linalg.norm(h_table.data[:, :, 0], axis=1)  # by lag
+    gap_max = float(coeff_norms[entries + check_lag].max())
 
-    def norm_at(k: int) -> float:
-        return float(coeff_norms[k + check_lag])
-
-    gap_max = max((norm_at(j) for j in imap.entries), default=0.0)
-
-    ort_row = np.einsum("nt,ntu->nu", A_row, X) - np.einsum("nt,ntu->nu", h_row, Z)
+    ort_row = AX - np.einsum("nt,ntu->nu", h_row, model.samples("Fz"))
     ort_table = coeffs_from_samples(ort_row[:, :, None], check_lag)
     ort_norms = np.linalg.norm(ort_table.data[:, :, 0], axis=1)
-    observed = [j for j in range(-check_lag, 0) if j not in pattern]
-    ort_max = max((float(ort_norms[j + check_lag]) for j in observed), default=0.0)
+    observed = np.asarray(pattern.observed_window(check_lag), dtype=int)
+    ort_max = float(ort_norms[observed + check_lag].max(initial=0.0))
 
     taps = {j: h_table.data[j + check_lag, :, 0].copy()
             for j in pattern.observed_window(min(taps_window, check_lag))}
@@ -218,8 +202,9 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
                           for k in range(-check_lag, check_lag + 1) if k not in used))
     tail_rel = tail_mass / max(total_mass, np.finfo(float).tiny)
 
+    # looked up at call time so that spectral.check_minimality stays patchable
     from .spectral import check_minimality
-    minim = check_minimality(model, cond_ceiling=cond_ceiling)
+    minim = check_minimality(model)
 
     diags = EstimateDiagnostics(
         truncation=K, grid_size=n, max_lag=h_table.max_lag,
@@ -230,38 +215,12 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
         minimality_value=minim.value,
     )
 
-    if check_convergence:
-        doubled = estimate(model, pattern, functional, K=2 * K,
-                           taps_window=taps_window, cond_ceiling=cond_ceiling,
-                           check_convergence=False)
-        diags.delta_doubled = doubled.delta
-        diags.doubling_rel_change = (
-            abs(doubled.delta - delta) / max(abs(doubled.delta), 1e-12)
-        )
-
     c_map = {int(j): c_blocks[p].copy() for p, j in enumerate(imap.entries)}
     return EstimateResult(
         c=c_map, lam=lam, h_grid=h_row, taps=taps, delta=delta,
         variant=_select_variant(model, functional),
         diagnostics=diags, system=system,
     )
-
-
-def filter_taps(result: EstimateResult, window: int | None = None) -> dict[int, np.ndarray]:
-    """Time-domain filter taps read off the spectral characteristic.
-
-    Returns {j: tap vector} over the observed indices in {-window..-1}; the
-    result's diagnostics already report the relative mass beyond the default
-    window.
-    """
-    if window is None:
-        return dict(result.taps)
-    n = result.h_grid.shape[0]
-    check_lag = min(n // 2 - 1, window)
-    table = coeffs_from_samples(result.h_grid[:, :, None], check_lag)
-    gaps = {j for j in result.c if j < 0}
-    return {j: table.data[j + check_lag, :, 0].copy()
-            for j in range(-check_lag, 0) if j not in gaps}
 
 
 def delta_of_characteristic(model: SpectralModel, functional: FunctionalSpec,

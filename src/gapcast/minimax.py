@@ -323,7 +323,6 @@ class OptConfig:
     min_step: float = 1e-6
     seed: int = 0
     truncation: int | None = None
-    constraint_tol: float = 1e-8
 
     def __post_init__(self):
         if self.starts < 1 or self.budget < 1:
@@ -416,13 +415,17 @@ def _result(cls: DensityClass, theta: np.ndarray, model: SpectralModel,
         functional=functional)
 
 
-def _check_in_class(cls: DensityClass, model: SpectralModel, tol: float):
+# largest class-constraint violation of a family point that still counts as in class
+_CONSTRAINT_TOL = 1e-8
+
+
+def _check_in_class(cls: DensityClass, model: SpectralModel):
     report = class_constraint_report(cls, model)
     worst = max(report.values(), default=0.0)
-    if worst > tol:
+    if worst > _CONSTRAINT_TOL:
         name = max(report, key=report.get)
         raise InfeasibleClassError(
-            f"family point violates {name} by {worst:.3e} (tol {tol:.1e})"
+            f"family point violates {name} by {worst:.3e} (tol {_CONSTRAINT_TOL:.1e})"
         )
 
 
@@ -452,7 +455,7 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
         if len(trace) >= opt.budget:
             return -np.inf
         model = fam.build(theta)
-        _check_in_class(cls, model, opt.constraint_tol)
+        _check_in_class(cls, model)
         est = estimate(model, pattern, functional, K=opt.truncation)
         val = est.delta
         cache[key] = val
@@ -508,7 +511,7 @@ def evaluate_candidate(cls: DensityClass, theta, pattern: MissingPattern,
     fam = cls.family
     theta = fam.clip(np.asarray(theta, dtype=float).reshape(-1))
     model = fam.build(theta)
-    _check_in_class(cls, model, opt.constraint_tol)
+    _check_in_class(cls, model)
     est = estimate(model, pattern, functional, K=opt.truncation)
     return _result(cls, theta, model, est, [Evaluation(tuple(theta), est.delta)],
                    pattern, functional)
@@ -532,7 +535,7 @@ def verify_saddle_point(result: LeastFavorableResult, cls: DensityClass,
     for _ in range(n_samples):
         theta = fam.sample(rng)
         model = fam.build(theta)
-        _check_in_class(cls, model, 1e-8)
+        _check_in_class(cls, model)
         if model.grid_size != result.model_star.grid_size:
             raise InvalidParameterError("family members must share one grid size")
         val = delta_of_characteristic(model, result.functional, h0)

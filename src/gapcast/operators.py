@@ -27,7 +27,13 @@ from .errors import (
     NonInvertibleOperatorError,
     SingularDensityError,
 )
-from .spectral import FourierTable, SpectralModel, check_minimality, coeffs_from_samples
+from .spectral import (
+    COND_CEILING,
+    FourierTable,
+    SpectralModel,
+    check_minimality,
+    coeffs_from_samples,
+)
 
 
 @dataclass(frozen=True)
@@ -104,19 +110,9 @@ class IndexMap:
     def scalar_size(self) -> int:
         return len(self.entries) * self.dim
 
-    def block_of(self, pos: int) -> tuple[int, int]:
-        """Map a scalar position to (sequence index j, coordinate k)."""
-        if not 0 <= pos < self.scalar_size:
-            raise InvalidParameterError(f"position {pos} out of range")
-        return self.entries[pos // self.dim], pos % self.dim
-
     def position_of(self, j: int) -> int:
         """First scalar position of sequence index j."""
         return self.entries.index(j) * self.dim
-
-    def lag_matrix(self) -> np.ndarray:
-        e = np.asarray(self.entries)
-        return e[:, None] - e[None, :]
 
 
 def build_index_map(pattern: MissingPattern, K: int, dim: int = 1) -> IndexMap:
@@ -129,21 +125,23 @@ def build_index_map(pattern: MissingPattern, K: int, dim: int = 1) -> IndexMap:
     return IndexMap(entries=entries, K=K, dim=dim)
 
 
-def assemble(table: FourierTable, index_map: IndexMap) -> np.ndarray:
-    """Block matrix with block (p, q) = table.coeff(j_p - j_q)."""
-    if table.dim != index_map.dim:
-        raise InvalidParameterError(
-            f"table dim {table.dim} does not match index map dim {index_map.dim}"
-        )
-    lags = index_map.lag_matrix()
-    if np.abs(lags).max() > table.max_lag:
-        worst = int(np.abs(lags).max())
+def assemble(table: FourierTable, rows: Sequence[int],
+             cols: Sequence[int] | None = None) -> np.ndarray:
+    """Block matrix with block (p, q) = table.coeff(rows[p] - cols[q]).
+
+    ``cols`` defaults to ``rows``; each block is table.dim x table.dim.
+    """
+    rows = np.asarray(rows, dtype=int)
+    cols = rows if cols is None else np.asarray(cols, dtype=int)
+    lags = rows[:, None] - cols[None, :]
+    worst = int(np.abs(lags).max(initial=0))
+    if worst > table.max_lag:
         raise InsufficientLagError(
             f"assembly needs lag {worst} but table covers only +-{table.max_lag}"
         )
-    blocks = table.data[lags + table.max_lag]  # (P, P, T, T)
-    P, T = len(index_map.entries), index_map.dim
-    return blocks.transpose(0, 2, 1, 3).reshape(P * T, P * T)
+    blocks = table.data[lags + table.max_lag]  # (P, Q, T, T)
+    T = table.dim
+    return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * T, len(cols) * T)
 
 
 @dataclass
@@ -152,7 +150,8 @@ class OperatorSystem:
 
     Bmat is Hermitian positive definite whenever the minimality check passes;
     Rmat carries the signal-vs-observation coupling and Qmat the quadratic
-    remainder of the mean-square error.
+    remainder of the mean-square error.  Zinv (F_zeta^{-1}) and X
+    (F + F_xe) are the grid samples the matrices were built from.
     """
 
     Bmat: np.ndarray
@@ -160,29 +159,29 @@ class OperatorSystem:
     Qmat: np.ndarray
     index_map: IndexMap
     cond_B: float
+    Zinv: np.ndarray
+    X: np.ndarray
 
 
 def _transposed(samples: np.ndarray) -> np.ndarray:
     return np.swapaxes(samples, -1, -2)
 
 
-def build_operator_system(model: SpectralModel, pattern: MissingPattern, K: int,
-                          max_lag: int | None = None,
-                          cond_ceiling: float = 1e12) -> OperatorSystem:
+def build_operator_system(model: SpectralModel, pattern: MissingPattern,
+                          K: int) -> OperatorSystem:
     """Build the operator system for ``model`` truncated at future order K.
 
     The Fourier tables are computed from the model's grid samples; their lag
-    range defaults to 4 * (K + max interval depth), clamped to what the grid
-    supports (at least the assembly requirement K + max depth).
+    range is 4 * (K + max interval depth), clamped to what the grid supports
+    (at least the assembly requirement K + max depth).
     """
-    report = check_minimality(model, cond_ceiling=cond_ceiling)
+    report = check_minimality(model)
     if not report.passed:
         raise SingularDensityError(
             f"minimality check failed: {report.note or 'non-finite integral'}"
         )
     need = K + pattern.max_depth
-    if max_lag is None:
-        max_lag = min(4 * max(need, 1), model.grid_size // 4)
+    max_lag = min(4 * max(need, 1), model.grid_size // 4)
     if max_lag < need:
         raise InsufficientLagError(
             f"max_lag {max_lag} cannot cover assembly lag {need}; "
@@ -190,30 +189,27 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern, K: int,
         )
 
     imap = build_index_map(pattern, K, model.dim)
-    n, d = model.grid_size, model.dim
-    Z = model.samples("Fz")
     try:
-        Zinv = np.linalg.inv(Z)
+        Zinv = np.linalg.inv(model.samples("Fz"))
     except np.linalg.LinAlgError as exc:
         raise SingularDensityError(f"observation density not invertible: {exc}") from exc
+    X = model.samples("F") + model.samples("Fxe")
 
-    Bmat = assemble(coeffs_from_samples(_transposed(Zinv), max_lag), imap)
+    def block(samples: np.ndarray) -> np.ndarray:
+        return assemble(coeffs_from_samples(_transposed(samples), max_lag), imap.entries)
 
+    Bmat = block(Zinv)
     if model.is_noiseless:
         size = imap.scalar_size
         Rmat = np.eye(size, dtype=complex)
         Qmat = np.zeros((size, size), dtype=complex)
     else:
-        X = model.samples("F") + model.samples("Fxe")
         XZinv = X @ Zinv
-        Rmat = assemble(coeffs_from_samples(_transposed(XZinv), max_lag), imap)
-        Xh = np.conj(_transposed(X))
-        W = model.samples("F") - XZinv @ Xh
-        Qmat = assemble(coeffs_from_samples(_transposed(W), max_lag), imap)
+        Rmat = block(XZinv)
+        Qmat = block(model.samples("F") - XZinv @ np.conj(_transposed(X)))
 
-    cond_B = float(np.linalg.cond(Bmat))
     return OperatorSystem(Bmat=Bmat, Rmat=Rmat, Qmat=Qmat, index_map=imap,
-                          cond_B=cond_B)
+                          cond_B=float(np.linalg.cond(Bmat)), Zinv=Zinv, X=X)
 
 
 @dataclass(frozen=True)
@@ -224,8 +220,7 @@ class CoefficientSolution:
     residual: float
 
 
-def solve_coefficients(system: OperatorSystem, a_vec: np.ndarray,
-                       cond_ceiling: float = 1e12) -> CoefficientSolution:
+def solve_coefficients(system: OperatorSystem, a_vec: np.ndarray) -> CoefficientSolution:
     """Solve Bmat c = Rmat a by Cholesky factorization with one refinement step."""
     a_vec = np.asarray(a_vec, dtype=complex)
     if a_vec.shape != (system.index_map.scalar_size,):
@@ -233,10 +228,10 @@ def solve_coefficients(system: OperatorSystem, a_vec: np.ndarray,
             f"layout vector has shape {a_vec.shape}, "
             f"expected ({system.index_map.scalar_size},)"
         )
-    if not np.isfinite(system.cond_B) or system.cond_B > cond_ceiling:
+    if not np.isfinite(system.cond_B) or system.cond_B > COND_CEILING:
         raise NonInvertibleOperatorError(
             f"operator condition number {system.cond_B:.3e} exceeds "
-            f"ceiling {cond_ceiling:.1e}"
+            f"ceiling {COND_CEILING:.1e}"
         )
     rhs = system.Rmat @ a_vec
     try:

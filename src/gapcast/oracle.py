@@ -22,7 +22,7 @@ from .errors import (
     SimulationMethodError,
 )
 from .extrapolate import FunctionalSpec
-from .operators import MissingPattern
+from .operators import MissingPattern, assemble
 from .spectral import SpectralModel, coeffs_from_samples
 
 
@@ -66,12 +66,8 @@ def functional_variance(model: SpectralModel, functional: FunctionalSpec) -> flo
     """E |sum a(j)^T xi(j)|^2 from quadrature covariances."""
     N = functional.horizon
     table = coeffs_from_samples(model.samples("F"), max(N, 1))
-    a = functional.coeffs
-    total = 0.0 + 0.0j
-    for j in range(N + 1):
-        for k in range(N + 1):
-            total += a[j] @ table.coeff(-(j - k)) @ np.conj(a[k])
-    return float(total.real)
+    a = functional.coeffs.ravel()
+    return float((a @ assemble(table, -np.arange(N + 1)) @ np.conj(a)).real)
 
 
 def projection_oracle(model: SpectralModel, pattern: MissingPattern,
@@ -87,36 +83,21 @@ def projection_oracle(model: SpectralModel, pattern: MissingPattern,
     if functional.dim != model.dim:
         raise InvalidParameterError("functional dimension does not match model")
     N = functional.horizon
-    L = window + N
     d = model.dim
-
-    cov_z = coeffs_from_samples(model.samples("Fz"), L)
-    cross = model.samples("F") + model.samples("Fex")   # density of (zeta, xi)
-    cov_zx = coeffs_from_samples(cross, L)
-
-    def Rz(n):
-        return cov_z.coeff(-n)
-
-    def Rzx(n):
-        return cov_zx.coeff(-n)
-
     observed = pattern.observed_window(window)
     e_s2 = functional_variance(model, functional)
     if not observed:
         return OracleResult(delta_oracle=e_s2, taps_oracle={}, window=window)
 
-    W = len(observed)
-    gamma = np.empty((W * d, W * d), dtype=complex)
-    for i, u in enumerate(observed):
-        for j, v in enumerate(observed):
-            gamma[i * d:(i + 1) * d, j * d:(j + 1) * d] = Rz(u - v)
-    m = np.zeros(W * d, dtype=complex)
-    a = functional.coeffs
-    for i, u in enumerate(observed):
-        acc = np.zeros(d, dtype=complex)
-        for k in range(N + 1):
-            acc += Rzx(u - k) @ np.conj(a[k])
-        m[i * d:(i + 1) * d] = acc
+    # Covariances R(n) = table.coeff(-n): Gamma has blocks R_z(u - v) over
+    # observed u, v; m has blocks sum_k R_zx(u - k) conj(a(k)).
+    L = window + N
+    cov_z = coeffs_from_samples(model.samples("Fz"), L)
+    cross = model.samples("F") + model.samples("Fex")   # density of (zeta, xi)
+    cov_zx = coeffs_from_samples(cross, L)
+    rows = -np.asarray(observed)
+    gamma = assemble(cov_z, rows)
+    m = assemble(cov_zx, rows, -np.arange(N + 1)) @ np.conj(functional.coeffs).ravel()
 
     try:
         cho = scipy.linalg.cho_factor(gamma)
@@ -199,10 +180,6 @@ class CirculantEmbedding:
         self.order = m
         self.dim = d
         self.path_length = path_length
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """One real path of the stacked process, shape (path_length, 2T)."""
-        return self.sample_block([rng])[0]
 
     def sample_block(self, rngs) -> np.ndarray:
         """Paths for several independent streams, shape (B, path_length, 2T)."""

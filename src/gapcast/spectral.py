@@ -33,6 +33,10 @@ DensityFn = Callable[[np.ndarray], np.ndarray]
 _HERMITIAN_TOL = 1e-10
 _PSD_TOL = 1e-10
 
+# Largest condition number accepted for F_zeta at a grid node and for the
+# assembled operator matrix.
+COND_CEILING = 1e12
+
 
 def grid_points(n: int) -> np.ndarray:
     """Equispaced frequency nodes -pi + 2*pi*m/n, m = 0..n-1."""
@@ -419,10 +423,6 @@ class FourierTable:
     def dim(self) -> int:
         return self.data.shape[-1]
 
-    @property
-    def lags(self) -> np.ndarray:
-        return np.arange(-self.max_lag, self.max_lag + 1)
-
     def coeff(self, k: int) -> np.ndarray:
         if abs(k) > self.max_lag:
             raise InsufficientLagError(
@@ -475,12 +475,12 @@ class MinimalityReport:
     note: str = ""
 
 
-def check_minimality(model: SpectralModel, cond_ceiling: float = 1e12) -> MinimalityReport:
+def check_minimality(model: SpectralModel) -> MinimalityReport:
     """Check that the observation density is invertible enough to estimate.
 
     The truth condition is integrability of trace(F_zeta^{-1}); numerically we
     require the quadrature value to be finite and the condition number of
-    F_zeta to stay below ``cond_ceiling`` at every grid node.
+    F_zeta to stay below ``COND_CEILING`` at every grid node.
     """
     fz = model.samples("Fz")
     eig = np.linalg.eigvalsh(fz)
@@ -502,9 +502,9 @@ def check_minimality(model: SpectralModel, cond_ceiling: float = 1e12) -> Minima
             note=f"observation density singular at lambda={lam[bad]:.6f}",
         )
     value = float(np.mean(np.sum(1.0 / eig, axis=1)))
-    passed = bool(np.isfinite(value) and max_cond <= cond_ceiling)
+    passed = bool(np.isfinite(value) and max_cond <= COND_CEILING)
     note = "" if passed else (
-        f"condition number {max_cond:.3e} exceeds ceiling {cond_ceiling:.1e} "
+        f"condition number {max_cond:.3e} exceeds ceiling {COND_CEILING:.1e} "
         f"at lambda={lam[worst]:.6f}"
     )
     return MinimalityReport(value=value, passed=passed, max_cond=max_cond,

@@ -431,6 +431,31 @@ def test_bad_minimax_data_exits_2(tmp_path, capsys, kind, data):
     assert "config error: minimax" in capsys.readouterr().err
 
 
+VALID_MINIMAX = MINIMAX_DATA_YAML.format(kind="D0_1", data="{power: 1.5}")
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("estimate", BENCH_YAML.replace("grid_size: 1024", "grid_size: abc"),
+     "numerics.grid_size"),
+    ("estimate", BENCH_YAML.replace("truncation: 48", "truncation: abc"),
+     "numerics.truncation"),
+    ("oracle-check", BENCH_YAML + "oracle_check: {windows: [x]}",
+     "oracle_check.windows[0]"),
+    ("oracle-check", BENCH_YAML + "oracle_check: {windows: 5}", "oracle_check.windows"),
+    ("oracle-check", BENCH_YAML + "oracle_check: {windows: [0]}", "oracle_check.windows"),
+    ("oracle-check", BENCH_YAML + "oracle_check: {tolerance: x}",
+     "oracle_check.tolerance"),
+    ("minimax", VALID_MINIMAX.replace("saddle_samples: 2", "saddle_samples: x"),
+     "minimax.saddle_samples"),
+    ("minimax", VALID_MINIMAX + "  theta: [0.5]\n", "minimax.theta"),  # singleton: no params
+], ids=["grid_size", "truncation", "windows_x", "windows_5", "windows_0", "tolerance",
+        "saddle_samples", "theta_length"])
+def test_malformed_numbers_exit_2(tmp_path, capsys, command, text, key):
+    cfg = write_config(tmp_path, text)
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert run_cli(["estimate", "--config", tmp_path / "nope.yaml"]) == 2
     assert "config error:" in capsys.readouterr().err

@@ -25,6 +25,7 @@ from gapcast.operators import (
     layout_vector,
 )
 from gapcast.errors import (
+    InsufficientLagError,
     InvalidParameterError,
     InvalidPatternError,
     NonInvertibleOperatorError,
@@ -81,9 +82,6 @@ def test_index_map_layout():
     assert im.scalar_size == 8
     assert im.position_of(-2) == 0
     assert im.position_of(1) == 4
-    assert im.block_of(5) == (1, 1)
-    lag = im.lag_matrix()
-    assert lag[0, 1] == -2 and lag[3, 1] == 2
 
 
 def test_index_map_validation():
@@ -106,11 +104,23 @@ def test_assemble_places_lag_blocks():
                      for k in range(-max_lag, max_lag + 1)])
     table = FourierTable(max_lag=max_lag, data=data.astype(complex))
     im = build_index_map(MissingPattern(intervals=((2, 0),)), K=2, dim=1)
-    mat = assemble(table, im)
+    mat = assemble(table, im.entries)
     entries = im.entries
     for p, jp in enumerate(entries):
         for q, jq in enumerate(entries):
             assert mat[p, q] == pytest.approx(jp - jq + 10.0)
+    # rectangular: rows and columns on different index sets, 2 x 2 blocks
+    table2 = FourierTable(max_lag=max_lag, data=np.einsum("k,ij->kij", data[:, 0, 0],
+                                                          [[1.0, 2.0], [3.0, 4.0]]))
+    rows, cols = (-2, -1), (0, 1, 2)
+    rect = assemble(table2, rows, cols)
+    assert rect.shape == (4, 6)
+    for p, jp in enumerate(rows):
+        for q, jq in enumerate(cols):
+            assert np.array_equal(rect[2 * p:2 * p + 2, 2 * q:2 * q + 2],
+                                  table2.coeff(jp - jq))
+    with pytest.raises(InsufficientLagError):
+        assemble(table2, (-3,), (2,))          # lag -5 beyond +-4
 
 
 def test_layout_vector_places_future_coefficients():
@@ -248,6 +258,7 @@ def test_solve_rejects_ill_conditioned_system():
     bad = np.eye(n, dtype=complex)
     bad[-1, -1] = 1e-18
     sick = OperatorSystem(Bmat=bad, Rmat=base.Rmat, Qmat=base.Qmat,
-                          index_map=base.index_map, cond_B=1e18)
+                          index_map=base.index_map, cond_B=1e18,
+                          Zinv=base.Zinv, X=base.X)
     with pytest.raises(NonInvertibleOperatorError):
         solve_coefficients(sick, np.ones(n, dtype=complex))

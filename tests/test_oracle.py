@@ -11,6 +11,7 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gapcast import (
     FunctionalSpec,
@@ -19,6 +20,7 @@ from gapcast import (
     SpectralModel,
     ar1_model,
     ar1_scalar,
+    coeffs_from_samples,
     covariance,
     density_from_samples,
     estimate,
@@ -137,6 +139,80 @@ def test_projection_rejects_degenerate_observations():
     with pytest.raises(DegenerateObservationsError):
         projection_oracle(model, MissingPattern(intervals=()),
                           FunctionalSpec(coeffs=np.array([[1.0]])), window=5)
+
+
+# ---------------------------------------------------------------------------
+# reference: the normal equations assembled block by block
+# ---------------------------------------------------------------------------
+
+
+def _reference_variance(model, functional):
+    """sum_{j,k} a(j)^T R_xi(j - k) conj(a(k)), with R(n) = table.coeff(-n)."""
+    N = functional.horizon
+    table = coeffs_from_samples(model.samples("F"), max(N, 1))
+    a = functional.coeffs
+    total = 0.0 + 0.0j
+    for j in range(N + 1):
+        for k in range(N + 1):
+            total += a[j] @ table.coeff(-(j - k)) @ np.conj(a[k])
+    return float(total.real)
+
+
+def _reference_projection(model, pattern, functional, window):
+    """(delta, taps) of the window projection, one covariance block at a time."""
+    N, d = functional.horizon, model.dim
+    cov_z = coeffs_from_samples(model.samples("Fz"), window + N)
+    cov_zx = coeffs_from_samples(model.samples("F") + model.samples("Fex"), window + N)
+    observed = pattern.observed_window(window)
+    e_s2 = _reference_variance(model, functional)
+    if not observed:
+        return e_s2, {}
+    W = len(observed)
+    gamma = np.empty((W * d, W * d), dtype=complex)
+    m = np.zeros(W * d, dtype=complex)
+    for i, u in enumerate(observed):
+        for j, v in enumerate(observed):
+            gamma[i * d:(i + 1) * d, j * d:(j + 1) * d] = cov_z.coeff(-(u - v))
+        for k in range(N + 1):
+            m[i * d:(i + 1) * d] += cov_zx.coeff(-(u - k)) @ np.conj(functional.coeffs[k])
+    gm = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gamma), m)
+    taps = {u: np.conj(gm[i * d:(i + 1) * d]) for i, u in enumerate(observed)}
+    return max(e_s2 - float(np.vdot(m, gm).real), 0.0), taps
+
+
+def _oracle_instance(dim, kind, gaps, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "ar1":
+        model = ar1_model(poles=rng.uniform(-0.7, 0.7, size=dim),
+                          mix=np.eye(dim) + 0.3 * rng.normal(size=(dim, dim)),
+                          noise_poles=rng.uniform(-0.5, 0.5, size=dim),
+                          noise_scales=rng.uniform(0.2, 1.0, size=dim), grid_size=256)
+    else:   # moving-average signal and noise with correlated innovations
+        root = np.eye(2 * dim) + 0.5 * rng.normal(size=(2 * dim, 2 * dim))
+        model = ma_pair_model([rng.normal(size=(dim, dim)) for _ in range(3)],
+                              [rng.normal(size=(dim, dim)) for _ in range(2)],
+                              innovation_cov=root @ root.T, grid_size=256)
+    pattern = MissingPattern(intervals=((1, 1), (6, 2)) if gaps else ())
+    N = int(rng.integers(0, 3))
+    return model, pattern, FunctionalSpec(coeffs=rng.normal(size=(N + 1, dim)))
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+@pytest.mark.parametrize("kind", ("ar1", "ma_pair"))
+@pytest.mark.parametrize("gaps", (False, True))
+def test_projection_matches_block_reference(dim, kind, gaps):
+    model, pattern, fun = _oracle_instance(dim, kind, gaps, seed=10 * dim + len(kind))
+    if kind == "ma_pair":
+        assert not model.is_uncorrelated
+    assert functional_variance(model, fun) == pytest.approx(
+        _reference_variance(model, fun), rel=1e-13)
+    for window in (1, 7, 40):
+        got = projection_oracle(model, pattern, fun, window=window)
+        want, taps = _reference_projection(model, pattern, fun, window)
+        assert got.delta_oracle == pytest.approx(want, rel=1e-12)
+        assert set(got.taps_oracle) == set(taps)
+        for j, tap in taps.items():
+            np.testing.assert_allclose(got.taps_oracle[j], tap, rtol=1e-12, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
