@@ -25,7 +25,6 @@ from .extrapolate import (
 )
 from .operators import (
     MissingPattern,
-    build_index_map,
     build_operator_system,
     solve_coefficients,
 )

@@ -45,6 +45,8 @@ from .spectral import (
 _SECTIONS = ("model", "pattern", "functional", "numerics", "simulation",
              "oracle_check", "minimax", "output")
 _NUMERICS = ("grid_size", "truncation")
+_MINIMAX = ("kind", "g_kind", "data", "family", "opt", "theta", "saddle_samples",
+            "saddle_seed", "saddle_tol", "skip_residuals")
 
 
 def _float_array(value):
@@ -52,12 +54,36 @@ def _float_array(value):
     return float(arr) if arr.ndim == 0 else arr
 
 
+def _integer(value) -> int:
+    """``value`` as an int; a boolean or a number with a fractional part is refused."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(value)
+    return value if isinstance(value, int) else int(float(value))
+
+
+def _boolean(value) -> bool:
+    """``value`` if it is a YAML boolean (true/false); anything else is refused."""
+    if not isinstance(value, bool):
+        raise TypeError(value)
+    return value
+
+
+_EXPECTED = {_integer: "an integer", _boolean: "a boolean (true or false)"}
+
+
 def _cast(value, kind, where: str):
-    """``kind(value)`` for kind int, float or _float_array; a ConfigError at ``where``."""
+    """``kind(value)`` (_integer, _boolean, float or _float_array); a ConfigError at ``where``."""
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"expected a numeric value, got {value!r}", location=where) from exc
+        expected = _EXPECTED.get(kind, "a numeric value")
+        raise ConfigError(f"expected {expected}, got {value!r}", location=where) from exc
+
+
+def _reject_unknown(section: dict, known, where: str):
+    unknown = sorted(set(section) - set(known), key=str)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown}", location=where)
 
 
 @dataclass
@@ -83,12 +109,12 @@ class RunConfig:
 
     @property
     def grid_size(self) -> int:
-        return _cast(self.numerics.get("grid_size", 4096), int, "numerics.grid_size")
+        return _cast(self.numerics.get("grid_size", 4096), _integer, "numerics.grid_size")
 
     @property
     def truncation(self) -> int | None:
         K = self.numerics.get("truncation")
-        return None if K is None else _cast(K, int, "numerics.truncation")
+        return None if K is None else _cast(K, _integer, "numerics.truncation")
 
     @property
     def out_dir(self) -> str:
@@ -115,16 +141,12 @@ def loads_config(text: str) -> RunConfig:
     if doc is None:
         raise ConfigError("empty configuration")
     doc = _expect_map(doc, "top level")
-    unknown = sorted(set(doc) - set(_SECTIONS))
-    if unknown:
-        raise ConfigError(f"unknown section(s) {unknown}", location="top level")
+    _reject_unknown(doc, _SECTIONS, "top level")
     for name in ("model", "pattern", "functional"):
         if name not in doc:
             raise ConfigError(f"missing required section {name!r}", location="top level")
     kwargs = {name: _expect_map(doc.get(name, {}) or {}, name) for name in _SECTIONS}
-    unknown = sorted(set(kwargs["numerics"]) - set(_NUMERICS))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown}", location="numerics")
+    _reject_unknown(kwargs["numerics"], _NUMERICS, "numerics")
     cfg = RunConfig(**kwargs)
     # Fail fast on structural problems; builders re-raise with locations.
     build_pattern(cfg)
@@ -163,7 +185,7 @@ def build_model(cfg: RunConfig) -> SpectralModel:
             return make_ar1_pair(float(_require(sec, "b1", "model")),
                                  float(_require(sec, "b2", "model")), grid_size=n)
         if kind == "white":
-            return white_model(int(sec.get("dim", 1)),
+            return white_model(_cast(sec.get("dim", 1), _integer, "model.dim"),
                                scale=sec.get("scale", 1.0), grid_size=n)
         if kind == "ar1":
             noise = _expect_map(sec.get("noise", {}) or {}, "model.noise")
@@ -181,15 +203,18 @@ def build_model(cfg: RunConfig) -> SpectralModel:
                 innovation_cov=None if sec.get("innovation_cov") is None else
                 np.asarray(sec["innovation_cov"], dtype=float), grid_size=n)
         if kind == "laurent":
-            dim = int(_require(sec, "dim", "model"))
+            dim = _cast(_require(sec, "dim", "model"), _integer, "model.dim")
             entries = {}
             for i, ent in enumerate(_require(sec, "entries", "model")):
-                ent = _expect_map(ent, f"model.entries[{i}]")
-                r, c = int(_require(ent, "row", f"model.entries[{i}]")), \
-                    int(_require(ent, "col", f"model.entries[{i}]"))
+                where = f"model.entries[{i}]"
+                ent = _expect_map(ent, where)
+                r, c = (_cast(_require(ent, key, where), _integer, f"{where}.{key}")
+                        for key in ("row", "col"))
+                num_offset, den_offset = (_cast(ent.get(key, 0), _integer, f"{where}.{key}")
+                                          for key in ("num_offset", "den_offset"))
                 entries[(r, c)] = laurent_entry(
-                    int(ent.get("num_offset", 0)), ent.get("num_coeffs", (1.0,)),
-                    int(ent.get("den_offset", 0)), ent.get("den_coeffs", (1.0,)))
+                    num_offset, ent.get("num_coeffs", (1.0,)),
+                    den_offset, ent.get("den_coeffs", (1.0,)))
             F = laurent_density(dim, entries)
             return SpectralModel(dim=dim, F=F, grid_size=n,
                                  pole_modulus=sec.get("pole_modulus"))
@@ -224,10 +249,13 @@ def build_pattern(cfg: RunConfig) -> MissingPattern:
     if intervals is None:
         intervals = []
     try:
-        parsed = tuple((int(m), int(k)) for m, k in intervals)
+        pairs = [(m, k) for m, k in intervals]
     except (TypeError, ValueError) as exc:
         raise ConfigError("intervals must be pairs [offset, extra_length]",
                           location="pattern.intervals") from exc
+    parsed = tuple((_cast(m, _integer, f"pattern.intervals[{i}]"),
+                    _cast(k, _integer, f"pattern.intervals[{i}]"))
+                   for i, (m, k) in enumerate(pairs))
     try:
         return MissingPattern(intervals=parsed)
     except Exception as exc:
@@ -237,9 +265,10 @@ def build_pattern(cfg: RunConfig) -> MissingPattern:
 def build_functional(cfg: RunConfig) -> FunctionalSpec:
     sec = cfg.functional
     coeffs = _require(sec, "coeffs", "functional")
+    truncated = _cast(sec.get("truncated", False), _boolean, "functional.truncated")
     try:
         arr = np.atleast_2d(np.asarray(coeffs, dtype=complex))
-        return FunctionalSpec(coeffs=arr, truncated=bool(sec.get("truncated", False)))
+        return FunctionalSpec(coeffs=arr, truncated=truncated)
     except ConfigError:
         raise
     except Exception as exc:
@@ -250,14 +279,15 @@ def _from_section(cls, sec: dict, where: str, **given):
     """Dataclass ``cls`` built from the keys of ``sec`` that name its fields.
 
     An absent or null key keeps the field's default; a value is read as a float
-    where that default is a float and as an integer otherwise.  ``given`` sets
-    fields outright.
+    where that default is a float and as an integer otherwise.  A key that names
+    no field is an error.  ``given`` sets fields outright.
     """
+    _reject_unknown(sec, [f.name for f in fields(cls)], where)
     kwargs = dict(given)
     for f in fields(cls):
         value = sec.get(f.name)
         if f.name not in given and value is not None:
-            kind = float if isinstance(f.default, float) else int
+            kind = float if isinstance(f.default, float) else _integer
             kwargs[f.name] = _cast(value, kind, f"{where}.{f.name}")
     try:
         return cls(**kwargs)
@@ -272,13 +302,14 @@ def build_simulation(cfg: RunConfig) -> SimulationConfig:
 def build_oracle_check(cfg: RunConfig) -> tuple[list[int], float]:
     """The oracle_check section: the window ladder and the relative tolerance."""
     sec = cfg.oracle_check
+    _reject_unknown(sec, ("windows", "tolerance"), "oracle_check")
     windows = sec.get("windows")
     if windows is None:
         windows = [25, 50, 100, 200]
     if not isinstance(windows, list) or not windows:
         raise ConfigError("expected a non-empty list of window lengths",
                           location="oracle_check.windows")
-    windows = [_cast(w, int, f"oracle_check.windows[{i}]") for i, w in enumerate(windows)]
+    windows = [_cast(w, _integer, f"oracle_check.windows[{i}]") for i, w in enumerate(windows)]
     if min(windows) < 1:
         raise ConfigError("window lengths must be >= 1", location="oracle_check.windows")
     return windows, _cast(sec.get("tolerance", 1e-4), float, "oracle_check.tolerance")
@@ -296,6 +327,7 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
     sec = cfg.minimax
     if not sec:
         raise ConfigError("missing required section 'minimax'", location="top level")
+    _reject_unknown(sec, _MINIMAX, "minimax")
     kind = _require(sec, "kind", "minimax")
     data_map = _expect_map(sec.get("data", {}) or {}, "minimax.data")
     bad = sorted(set(data_map) - {f.name for f in fields(ClassData)})
@@ -311,7 +343,8 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
     elif fam_kind in _FAMILY_BUILDERS:
         params = dict(_expect_map(fam_sec.get("params", {}) or {},
                                   "minimax.family.params"))
-        grid_size = int(params.pop("grid_size", cfg.grid_size))
+        grid_size = _cast(params.pop("grid_size", cfg.grid_size), _integer,
+                          "minimax.family.params.grid_size")
         try:
             fam = _FAMILY_BUILDERS[fam_kind](**params, grid_size=grid_size)
         except ConfigError:
@@ -338,10 +371,12 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
             raise ConfigError(f"expected {fam.dim} value(s), one per family parameter",
                               location="minimax.theta")
     extras = {
-        "saddle_samples": _cast(sec.get("saddle_samples", 100), int, "minimax.saddle_samples"),
-        "saddle_seed": _cast(sec.get("saddle_seed", 1), int, "minimax.saddle_seed"),
+        "saddle_samples": _cast(sec.get("saddle_samples", 100), _integer,
+                                "minimax.saddle_samples"),
+        "saddle_seed": _cast(sec.get("saddle_seed", 1), _integer, "minimax.saddle_seed"),
         "saddle_tol": _cast(sec.get("saddle_tol", 1e-6), float, "minimax.saddle_tol"),
         "theta": theta,
-        "skip_residuals": bool(sec.get("skip_residuals", False)),
+        "skip_residuals": _cast(sec.get("skip_residuals", False), _boolean,
+                                "minimax.skip_residuals"),
     }
     return cls, opt, extras

@@ -27,7 +27,6 @@ from .operators import (
     MissingPattern,
     OperatorSystem,
     build_operator_system,
-    layout_vector,
     solve_coefficients,
 )
 from .spectral import SpectralModel, coeffs_from_samples
@@ -150,13 +149,15 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     taps_window = min(4 * max(K, 1), model.grid_size // 2 - 1)
 
     system = build_operator_system(model, pattern, K)
-    imap = system.index_map
-    a_vec = layout_vector(imap, functional.coeffs)
+    entries = system.entries
+    n, d = model.grid_size, model.dim
+    # a(0..N) sits on the rows of 0..N, right after the |S| gap rows
+    a_blocks = np.zeros((len(entries), d), dtype=complex)
+    a_blocks[pattern.size:pattern.size + functional.horizon + 1] = functional.coeffs
+    a_vec = a_blocks.ravel()
     sol = solve_coefficients(system, a_vec)
 
-    n, d = model.grid_size, model.dim
     lam = model.lam
-    entries = np.asarray(imap.entries)
     c_blocks = sol.c.reshape(len(entries), d)
 
     phases = np.exp(1j * np.outer(lam, entries))          # (n, P)
@@ -194,12 +195,13 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     observed = np.asarray(pattern.observed_window(check_lag), dtype=int)
     ort_max = float(ort_norms[observed + check_lag].max(initial=0.0))
 
-    taps = {j: h_table.data[j + check_lag, :, 0].copy()
-            for j in pattern.observed_window(min(taps_window, check_lag))}
+    tap_lags = observed[observed >= -taps_window]
+    taps = dict(zip(tap_lags.tolist(), h_table.data[tap_lags + check_lag, :, 0]))
     total_mass = float(np.sum(coeff_norms ** 2))
-    used = set(taps) | set(imap.entries)
-    tail_mass = float(sum(coeff_norms[k + check_lag] ** 2
-                          for k in range(-check_lag, check_lag + 1) if k not in used))
+    unused = np.ones(coeff_norms.size, dtype=bool)
+    unused[tap_lags + check_lag] = False
+    unused[entries + check_lag] = False
+    tail_mass = float(np.sum(coeff_norms[unused] ** 2))
     tail_rel = tail_mass / max(total_mass, np.finfo(float).tiny)
 
     # looked up at call time so that spectral.check_minimality stays patchable
@@ -215,10 +217,9 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
         minimality_value=minim.value,
     )
 
-    c_map = {int(j): c_blocks[p].copy() for p, j in enumerate(imap.entries)}
     return EstimateResult(
-        c=c_map, lam=lam, h_grid=h_row, taps=taps, delta=delta,
-        variant=_select_variant(model, functional),
+        c=dict(zip(entries.tolist(), c_blocks)), lam=lam, h_grid=h_row, taps=taps,
+        delta=delta, variant=_select_variant(model, functional),
         diagnostics=diags, system=system,
     )
 

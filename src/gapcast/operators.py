@@ -14,7 +14,7 @@ conditions (column layout; see extrapolate.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -42,10 +42,12 @@ class MissingPattern:
 
     Each interval is a pair (M, N) with M >= 1, N >= 0 and covers
     {-M - N, ..., -M}.  Intervals must be pairwise disjoint; they are stored
-    sorted by leftmost point so equal patterns compare equal.
+    sorted by leftmost point so equal patterns compare equal.  ``points`` holds
+    all missed indices, ascending.
     """
 
     intervals: tuple[tuple[int, int], ...] = ()
+    points: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cleaned = []
@@ -59,23 +61,16 @@ class MissingPattern:
                 )
             cleaned.append((m, n))
         cleaned.sort(key=lambda mn: -(mn[0] + mn[1]))
-        seen: set[int] = set()
-        for m, n in cleaned:
-            pts = set(range(-m - n, -m + 1))
-            if pts & seen:
+        # sorted by leftmost point, disjoint intervals each start right of
+        # where the one before ends
+        for (m, _), (m2, n2) in zip(cleaned, cleaned[1:]):
+            if -m2 - n2 <= -m:
                 raise InvalidPatternError(
-                    f"interval (M={m}, N={n}) overlaps another interval"
+                    f"interval (M={m2}, N={n2}) overlaps another interval"
                 )
-            seen |= pts
         object.__setattr__(self, "intervals", tuple(cleaned))
-
-    @property
-    def points(self) -> tuple[int, ...]:
-        """All missed indices, ascending."""
-        pts: list[int] = []
-        for m, n in self.intervals:
-            pts.extend(range(-m - n, -m + 1))
-        return tuple(sorted(pts))
+        object.__setattr__(self, "points",
+                           tuple(j for m, n in cleaned for j in range(-m - n, -m + 1)))
 
     @property
     def size(self) -> int:
@@ -86,43 +81,11 @@ class MissingPattern:
         """max(M_l + N_l), i.e. how far back the deepest interval reaches."""
         return max((m + n for m, n in self.intervals), default=0)
 
-    def __contains__(self, j: int) -> bool:
-        return any(-m - n <= j <= -m for m, n in self.intervals)
-
     def observed_window(self, window: int) -> tuple[int, ...]:
         """Observed indices in {-window, ..., -1}, ascending."""
-        return tuple(j for j in range(-window, 0) if j not in self)
-
-
-@dataclass(frozen=True)
-class IndexMap:
-    """Ordered scalar layout of U_K = S union {0..K} for dimension ``dim``.
-
-    entries are the sequence indices (gap points ascending, then 0..K); the
-    scalar position of coordinate k of entry p is p * dim + k.
-    """
-
-    entries: tuple[int, ...]
-    K: int
-    dim: int
-
-    @property
-    def scalar_size(self) -> int:
-        return len(self.entries) * self.dim
-
-    def position_of(self, j: int) -> int:
-        """First scalar position of sequence index j."""
-        return self.entries.index(j) * self.dim
-
-
-def build_index_map(pattern: MissingPattern, K: int, dim: int = 1) -> IndexMap:
-    """Index map over the gap points followed by the future segment 0..K."""
-    if K < 0:
-        raise InvalidParameterError(f"truncation K must be >= 0, got {K}")
-    if dim < 1:
-        raise InvalidParameterError(f"dim must be positive, got {dim}")
-    entries = tuple(pattern.points) + tuple(range(K + 1))
-    return IndexMap(entries=entries, K=K, dim=dim)
+        # both sides hold distinct indices, so the set-difference needs no sort
+        return tuple(np.setdiff1d(np.arange(-window, 0), self.points,
+                                  assume_unique=True).tolist())
 
 
 def assemble(table: FourierTable, rows: Sequence[int],
@@ -150,14 +113,15 @@ class OperatorSystem:
 
     Bmat is Hermitian positive definite whenever the minimality check passes;
     Rmat carries the signal-vs-observation coupling and Qmat the quadratic
-    remainder of the mean-square error.  Zinv (F_zeta^{-1}) and X
-    (F + F_xe) are the grid samples the matrices were built from.
+    remainder of the mean-square error.  entries lists U_K in block order
+    (gap points ascending, then 0..K).  Zinv (F_zeta^{-1}) and X (F + F_xe)
+    are the grid samples the matrices were built from.
     """
 
     Bmat: np.ndarray
     Rmat: np.ndarray
     Qmat: np.ndarray
-    index_map: IndexMap
+    entries: np.ndarray
     cond_B: float
     Zinv: np.ndarray
     X: np.ndarray
@@ -175,6 +139,8 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
     range is 4 * (K + max interval depth), clamped to what the grid supports
     (at least the assembly requirement K + max depth).
     """
+    if K < 0:
+        raise InvalidParameterError(f"truncation K must be >= 0, got {K}")
     report = check_minimality(model)
     if not report.passed:
         raise SingularDensityError(
@@ -188,7 +154,7 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
             f"enlarge the grid or reduce K"
         )
 
-    imap = build_index_map(pattern, K, model.dim)
+    entries = np.concatenate((np.asarray(pattern.points, dtype=int), np.arange(K + 1)))
     try:
         Zinv = np.linalg.inv(model.samples("Fz"))
     except np.linalg.LinAlgError as exc:
@@ -196,11 +162,11 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
     X = model.samples("F") + model.samples("Fxe")
 
     def block(samples: np.ndarray) -> np.ndarray:
-        return assemble(coeffs_from_samples(_transposed(samples), max_lag), imap.entries)
+        return assemble(coeffs_from_samples(_transposed(samples), max_lag), entries)
 
     Bmat = block(Zinv)
     if model.is_noiseless:
-        size = imap.scalar_size
+        size = len(entries) * model.dim
         Rmat = np.eye(size, dtype=complex)
         Qmat = np.zeros((size, size), dtype=complex)
     else:
@@ -208,7 +174,7 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
         Rmat = block(XZinv)
         Qmat = block(model.samples("F") - XZinv @ np.conj(_transposed(X)))
 
-    return OperatorSystem(Bmat=Bmat, Rmat=Rmat, Qmat=Qmat, index_map=imap,
+    return OperatorSystem(Bmat=Bmat, Rmat=Rmat, Qmat=Qmat, entries=entries,
                           cond_B=float(np.linalg.cond(Bmat)), Zinv=Zinv, X=X)
 
 
@@ -223,10 +189,9 @@ class CoefficientSolution:
 def solve_coefficients(system: OperatorSystem, a_vec: np.ndarray) -> CoefficientSolution:
     """Solve Bmat c = Rmat a by Cholesky factorization with one refinement step."""
     a_vec = np.asarray(a_vec, dtype=complex)
-    if a_vec.shape != (system.index_map.scalar_size,):
+    if a_vec.shape != system.Bmat.shape[:1]:
         raise InvalidParameterError(
-            f"layout vector has shape {a_vec.shape}, "
-            f"expected ({system.index_map.scalar_size},)"
+            f"layout vector has shape {a_vec.shape}, expected {system.Bmat.shape[:1]}"
         )
     if not np.isfinite(system.cond_B) or system.cond_B > COND_CEILING:
         raise NonInvertibleOperatorError(
@@ -247,21 +212,6 @@ def solve_coefficients(system: OperatorSystem, a_vec: np.ndarray) -> Coefficient
     resid = rhs - system.Bmat @ c
     denom = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
     return CoefficientSolution(c=c, residual=float(np.linalg.norm(resid)) / denom)
-
-
-def layout_vector(index_map: IndexMap, coeffs: Sequence[np.ndarray]) -> np.ndarray:
-    """Embed functional coefficients a(0..N) into the U_K scalar layout."""
-    d = index_map.dim
-    coeffs = [np.asarray(a, dtype=complex).reshape(d) for a in coeffs]
-    if len(coeffs) - 1 > index_map.K:
-        raise InvalidParameterError(
-            f"functional horizon {len(coeffs) - 1} exceeds truncation K={index_map.K}"
-        )
-    vec = np.zeros(index_map.scalar_size, dtype=complex)
-    for j, a in enumerate(coeffs):
-        p = index_map.position_of(j)
-        vec[p:p + d] = a
-    return vec
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ class SimulationConfig:
     replications: int = 10000
     seed: int = 0
     window: int = 50
-    path_length: int | None = None
     embedding_margin: int | None = None
     psd_tol: float = 1e-8
     batch: int = 256
@@ -158,12 +157,10 @@ class CirculantEmbedding:
                 "(covariances came out complex)"
             )
 
-        def R(n):
-            return table.coeff(-n).real
-
-        C = np.empty((m, D, D))
-        for j_ in range(m):
-            C[j_] = R(j_) if j_ <= m // 2 else R(j_ - m).T
+        # first column of the block circulant: R(j) for lags j = 0..m/2, then
+        # R(j - m) for the wrapped lags -(m/2 - 1)..-1; R(j) = table.coeff(-j)
+        lags = np.concatenate((np.arange(m // 2 + 1), np.arange(m // 2 + 1 - m, 0)))
+        C = table.data.real[table.max_lag - lags]
         spec = np.fft.fft(C, axis=0)
         spec = 0.5 * (spec + np.conj(np.swapaxes(spec, -1, -2)))
         w, V = np.linalg.eigh(spec)
@@ -223,8 +220,7 @@ def monte_carlo_mse(model: SpectralModel, pattern: MissingPattern,
     observed window {-window..-1} \\ S (taps outside it are rejected).
     """
     N = functional.horizon
-    gaps = set(pattern.points)
-    bad = [j for j in taps if j >= 0 or j in gaps]
+    bad = [j for j in taps if j >= 0 or j in pattern.points]
     if bad:
         raise InvalidParameterError(
             f"taps at indices {sorted(bad)} are not observable "
@@ -232,10 +228,6 @@ def monte_carlo_mse(model: SpectralModel, pattern: MissingPattern,
         )
     depth = max([config.window] + [-j for j in taps])
     length = depth + N + 1
-    if config.path_length is not None and config.path_length < length:
-        raise InvalidParameterError(
-            f"path_length {config.path_length} shorter than needed length {length}"
-        )
 
     tap_idx = np.array(sorted(taps), dtype=int)
     if taps:

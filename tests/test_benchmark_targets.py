@@ -1,9 +1,11 @@
-"""The benchmark's traced run wraps gapcast functions by name.
+"""The benchmark reaches into gapcast by name.
 
-``perfbench/tracer.py`` lists them as ``(module, attribute)`` pairs in
-``TARGETS``.  A rename in the package would only surface when the traced
-benchmark runs, so this test reads that list (without importing the
-benchmark code) and checks that every entry still resolves.
+``perfbench/tracer.py`` lists the functions its traced run wraps as
+``(module, attribute)`` pairs in ``TARGETS``; the workload and scaling scripts
+import further names and read attributes of what they get back.  A rename in
+the package would only surface when the benchmark runs, so these tests read
+the benchmark sources (without importing them) and check that every name
+still resolves.
 """
 
 import ast
@@ -12,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _tracer_constant(name):
@@ -41,3 +44,48 @@ def test_cli_dispatch_table_is_patchable():
     assert set(cli._COMMANDS.values()) >= {
         getattr(cli, attr) for module, attr in _tracer_constant("TARGETS")
         if module == "cli" and attr.startswith("cmd_")}
+
+
+def _gapcast_names():
+    """(file, module, name) for each gapcast name a benchmark file imports or reads.
+
+    Covers ``from gapcast[.module] import name`` and ``alias.name`` after
+    ``import gapcast.module as alias``.
+    """
+    found = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gapcast":
+                found |= {(path.name, node.module, a.name) for a in node.names}
+            elif isinstance(node, ast.Import):
+                aliases |= {a.asname: a.name for a in node.names
+                            if a.asname and a.name.startswith("gapcast.")}
+        found |= {(path.name, aliases[node.value.id], node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases}
+    return sorted(found)
+
+
+def test_benchmark_scripts_name_gapcast():
+    names = {name for path, _, name in _gapcast_names()
+             if path in ("workloads.py", "scaling.py")}
+    assert names >= {"load_config", "build_model", "build_pattern", "build_functional",
+                     "projection_oracle", "ar1_model", "FunctionalSpec", "MissingPattern",
+                     "estimate"}
+
+
+@pytest.mark.parametrize("path,module,name", _gapcast_names())
+def test_benchmark_import_resolves(path, module, name):
+    assert hasattr(importlib.import_module(module), name), f"{path}: {module}.{name}"
+
+
+def test_benchmark_reads_pattern_size_and_system_matrix():
+    # scaling.py prints pattern.size; tracer.COUNTERS reads the system's Bmat
+    from gapcast import MissingPattern, build_operator_system, white_model
+
+    pattern = MissingPattern(intervals=((2, 1),))
+    assert pattern.size == 2
+    system = build_operator_system(white_model(1, grid_size=64), pattern, K=2)
+    assert system.Bmat.shape == (5, 5)

@@ -456,6 +456,97 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, command, text, key):
     assert f"config error: {key}:" in capsys.readouterr().err
 
 
+LAURENT_YAML = """
+model:
+  kind: laurent
+  dim: 1
+  entries:
+    - {row: 0, col: 0, num_offset: 0, num_coeffs: [2.0]}
+pattern:
+  intervals: [[2, 1]]
+functional:
+  coeffs: [[1.0]]
+numerics:
+  grid_size: 256
+  truncation: 8
+"""
+
+MIXTURE_MINIMAX = VALID_MINIMAX.replace(
+    "    kind: singleton\n", "    kind: mixture\n    params: {power: 1.5, grid_size: 256}\n")
+
+
+def _assert_config_error(tmp_path, capsys, command, text, key):
+    cfg = write_config(tmp_path, text)
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("estimate", BENCH_YAML.replace("truncation: 48", "truncation: 48.9"),
+     "numerics.truncation"),
+    ("estimate", BENCH_YAML.replace("truncation: 48", "truncation: true"),
+     "numerics.truncation"),
+    ("estimate", BENCH_YAML.replace("grid_size: 1024", "grid_size: 1024.5"),
+     "numerics.grid_size"),
+    ("estimate", BENCH_YAML.replace("[[2, 1]]", "[[2.7, 1]]"), "pattern.intervals[0]"),
+    ("estimate", BENCH_YAML.replace("[[2, 1]]", "[[5, 0], [2, 1.5]]"),
+     "pattern.intervals[1]"),
+    ("oracle-check", BENCH_YAML + "oracle_check: {windows: [25.5]}",
+     "oracle_check.windows[0]"),
+    ("simulate", BENCH_YAML + "simulation: {replications: 10.5}",
+     "simulation.replications"),
+    ("minimax", VALID_MINIMAX + "  opt: {starts: 2.5}\n", "minimax.opt.starts"),
+    ("minimax", VALID_MINIMAX.replace("saddle_samples: 2", "saddle_samples: 2.5"),
+     "minimax.saddle_samples"),
+    ("minimax", VALID_MINIMAX + "  saddle_seed: 1.5\n", "minimax.saddle_seed"),
+    ("minimax", MIXTURE_MINIMAX.replace("grid_size: 256}", "grid_size: 256.5}"),
+     "minimax.family.params.grid_size"),
+    ("estimate", VALID_MINIMAX.replace("dim: 1", "dim: 1.5"), "model.dim"),
+    ("estimate", LAURENT_YAML.replace("dim: 1", "dim: 1.5"), "model.dim"),
+    ("estimate", LAURENT_YAML.replace("row: 0", "row: 0.5"), "model.entries[0].row"),
+    ("estimate", LAURENT_YAML.replace("num_offset: 0", "num_offset: 0.5"),
+     "model.entries[0].num_offset"),
+], ids=["truncation", "truncation_bool", "grid_size", "interval", "second_interval",
+        "windows", "replications", "opt_starts", "saddle_samples", "saddle_seed",
+        "family_grid_size", "white_dim", "laurent_dim", "laurent_row", "laurent_offset"])
+def test_fractional_integers_exit_2(tmp_path, capsys, command, text, key):
+    _assert_config_error(tmp_path, capsys, command, text, key)
+
+
+def test_integral_values_accepted(tmp_path):
+    # a float with no fractional part reads as the integer
+    text = LAURENT_YAML.replace("row: 0", "row: 0.0").replace("truncation: 8",
+                                                                "truncation: 8.0")
+    cfg = write_config(tmp_path, text)
+    assert run_cli(["estimate", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    assert read_summary(tmp_path / "out" / "result.summary")["truncation"] == "8"
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("estimate", BENCH_YAML.replace("coeffs: [[1.0, 1.0], [1.0, 1.0]]",
+                                    "coeffs: [[1.0, 1.0], [1.0, 1.0]]\n  truncated: 'false'"),
+     "functional.truncated"),
+    ("estimate", BENCH_YAML.replace("coeffs: [[1.0, 1.0], [1.0, 1.0]]",
+                                    "coeffs: [[1.0, 1.0], [1.0, 1.0]]\n  truncated: 0"),
+     "functional.truncated"),
+    ("minimax", VALID_MINIMAX + "  skip_residuals: 'false'\n", "minimax.skip_residuals"),
+    ("minimax", VALID_MINIMAX + "  skip_residuals: 1\n", "minimax.skip_residuals"),
+], ids=["truncated_string", "truncated_int", "skip_residuals_string", "skip_residuals_int"])
+def test_non_boolean_flags_exit_2(tmp_path, capsys, command, text, key):
+    _assert_config_error(tmp_path, capsys, command, text, key)
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("simulate", BENCH_YAML + "simulation: {replicatons: 7}", "simulation"),
+    ("simulate", BENCH_YAML + "simulation: {path_length: 100}", "simulation"),
+    ("oracle-check", BENCH_YAML + "oracle_check: {window: [25]}", "oracle_check"),
+    ("minimax", VALID_MINIMAX + "  opt: {strats: 2}\n", "minimax.opt"),
+    ("minimax", VALID_MINIMAX + "  saddle_sample: 3\n", "minimax"),
+], ids=["simulation", "path_length", "oracle_check", "minimax_opt", "minimax"])
+def test_unknown_keys_exit_2(tmp_path, capsys, command, text, key):
+    _assert_config_error(tmp_path, capsys, command, text, key)
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert run_cli(["estimate", "--config", tmp_path / "nope.yaml"]) == 2
     assert "config error:" in capsys.readouterr().err
@@ -468,6 +559,9 @@ def test_invalid_yaml_exits_2(tmp_path):
 
 def test_unknown_section_exits_2(tmp_path):
     cfg = write_config(tmp_path, BENCH_YAML + "\nextras:\n  x: 1\n")
+    assert run_cli(["estimate", "--config", cfg]) == 2
+    # keys of mixed types are reported, not compared
+    cfg = write_config(tmp_path, BENCH_YAML + "\nextras: 1\n7: 2\n")
     assert run_cli(["estimate", "--config", cfg]) == 2
 
 

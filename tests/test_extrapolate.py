@@ -27,6 +27,7 @@ from gapcast import (
     white_model,
 )
 from gapcast.oracle import functional_variance
+from gapcast.spectral import coeffs_from_samples
 from gapcast.errors import InvalidParameterError
 
 
@@ -217,6 +218,30 @@ def test_filter_taps_window_and_gaps():
     # the taps cover the observed past of length 4K and skip the gap
     assert set(res.taps) == {j for j in range(-64, 0) if j != -2}
     assert res.taps[-1] == pytest.approx(0.6, abs=1e-6)   # AR(1): x(0) ~ 0.6 x(-1)
+
+
+def test_taps_and_tail_mass_match_loop_reference():
+    # K = 2 makes the taps window (4K = 8) shorter than the checked lag range
+    # (K + depth + 8 = 15), so observed lags -15..-9 count toward the tail.
+    model = ar1_model(poles=(0.6, -0.4), noise_poles=(0.2, 0.3),
+                      noise_scales=(0.4, 0.2), grid_size=512)
+    pattern = MissingPattern(intervals=((1, 1), (5, 0)))
+    K = 2
+    res = estimate(model, pattern, FunctionalSpec(coeffs=[[1.0, 0.0], [0.0, 2.0]]), K=K)
+    L = res.diagnostics.max_lag
+    assert L == 15
+    h = coeffs_from_samples(res.h_grid[:, :, None], L)
+    norms = np.linalg.norm(h.data[:, :, 0], axis=1)
+    # the per-lag loops the estimate once ran
+    window = [j for j in range(-4 * K, 0)
+              if not any(-m - n <= j <= -m for m, n in pattern.intervals)]
+    assert list(res.taps) == window
+    for j in window:
+        assert np.array_equal(res.taps[j], h.data[j + L, :, 0])
+    used = set(window) | set(pattern.points) | set(range(K + 1))
+    tail = sum(norms[k + L] ** 2 for k in range(-L, L + 1) if k not in used)
+    assert res.diagnostics.tap_tail_mass == pytest.approx(tail / np.sum(norms ** 2),
+                                                          rel=1e-12)
 
 
 def test_functional_validation():

@@ -1,4 +1,4 @@
-"""Tests for patterns, index maps, operator assembly, and the worked
+"""Tests for patterns, the U_K layout, operator assembly, and the worked
 two-component benchmark whose operator blocks and factorized inverse are
 known in closed form.
 """
@@ -9,9 +9,10 @@ import pytest
 from gapcast import (
     FourierTable,
     MissingPattern,
+    FunctionalSpec,
     ar1_model,
-    build_index_map,
     build_operator_system,
+    estimate,
     make_ar1_pair,
     solve_coefficients,
     white_model,
@@ -22,7 +23,6 @@ from gapcast.operators import (
     example1_psi,
     example1_theta,
     factorized_inverse_check,
-    layout_vector,
 )
 from gapcast.errors import (
     InsufficientLagError,
@@ -33,7 +33,7 @@ from gapcast.errors import (
 
 
 # ---------------------------------------------------------------------------
-# missing patterns and index maps
+# missing patterns and the U_K layout
 # ---------------------------------------------------------------------------
 
 
@@ -42,7 +42,7 @@ def test_interval_coverage():
     assert pat.points == (-3, -2)
     assert pat.size == 2
     assert pat.max_depth == 3
-    assert -3 in pat and -2 in pat and -1 not in pat and -4 not in pat
+    assert pat.observed_window(5) == (-5, -4, -1)
 
 
 def test_interval_union_and_window():
@@ -66,6 +66,9 @@ def test_pattern_validation():
     with pytest.raises(InvalidPatternError):
         MissingPattern(intervals=((2, 1), (3, 0)))   # {-3,-2} overlaps {-3}
     with pytest.raises(InvalidPatternError):
+        MissingPattern(intervals=((3, 0), (1, 5)))   # {-6..-1} contains {-3}
+    assert MissingPattern(intervals=((1, 0), (2, 0))).points == (-2, -1)  # adjacent
+    with pytest.raises(InvalidPatternError):
         MissingPattern(intervals=((1, 0, 0),))       # not a pair
 
 
@@ -75,21 +78,17 @@ def test_equal_patterns_compare_equal():
     assert a == b
 
 
-def test_index_map_layout():
-    pat = MissingPattern(intervals=((2, 0),))
-    im = build_index_map(pat, K=2, dim=2)
-    assert im.entries == (-2, 0, 1, 2)
-    assert im.scalar_size == 8
-    assert im.position_of(-2) == 0
-    assert im.position_of(1) == 4
+def test_operator_system_entries():
+    # U_K = S union {0..K}: gap points first, then the future segment
+    model = white_model(2, grid_size=256)
+    sys = build_operator_system(model, MissingPattern(intervals=((2, 0),)), K=2)
+    assert sys.entries.tolist() == [-2, 0, 1, 2]
+    assert sys.Bmat.shape == (8, 8)
 
 
-def test_index_map_validation():
-    pat = MissingPattern(intervals=())
+def test_operator_system_rejects_negative_truncation():
     with pytest.raises(InvalidParameterError):
-        build_index_map(pat, K=-1)
-    with pytest.raises(InvalidParameterError):
-        build_index_map(pat, K=2, dim=0)
+        build_operator_system(white_model(1, grid_size=256), MissingPattern(), K=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +102,8 @@ def test_assemble_places_lag_blocks():
     data = np.stack([(k + 10.0) * np.eye(1)
                      for k in range(-max_lag, max_lag + 1)])
     table = FourierTable(max_lag=max_lag, data=data.astype(complex))
-    im = build_index_map(MissingPattern(intervals=((2, 0),)), K=2, dim=1)
-    mat = assemble(table, im.entries)
-    entries = im.entries
+    entries = (-2, 0, 1, 2)
+    mat = assemble(table, entries)
     for p, jp in enumerate(entries):
         for q, jq in enumerate(entries):
             assert mat[p, q] == pytest.approx(jp - jq + 10.0)
@@ -123,14 +121,17 @@ def test_assemble_places_lag_blocks():
         assemble(table2, (-3,), (2,))          # lag -5 beyond +-4
 
 
-def test_layout_vector_places_future_coefficients():
-    # Entries are (-3, 0, 1, 2); the functional rows land on 0..N and the
-    # gap block stays zero.
-    im = build_index_map(MissingPattern(intervals=((3, 0),)), K=2, dim=2)
-    v = layout_vector(im, [np.array([1.0, 2.0]), np.array([3.0, 4.0])])
-    assert np.allclose(v, [0, 0, 1, 2, 3, 4, 0, 0])
+def test_estimate_lays_out_functional_after_gaps():
+    # On a flat noiseless density Bmat and Rmat are identities, so the solved
+    # coefficients are the layout of a itself: entries (-3, 0, 1, 2), the
+    # functional rows land on 0..N and the gap and tail blocks stay zero.
+    model = white_model(2, grid_size=256)
+    pattern = MissingPattern(intervals=((3, 0),))
+    res = estimate(model, pattern, FunctionalSpec(coeffs=[[1.0, 2.0], [3.0, 4.0]]), K=2)
+    assert list(res.c) == [-3, 0, 1, 2]
+    assert np.allclose(np.concatenate(list(res.c.values())), [0, 0, 1, 2, 3, 4, 0, 0])
     with pytest.raises(InvalidParameterError):
-        layout_vector(im, [np.zeros(2)] * 4)  # horizon 3 exceeds K=2
+        estimate(model, pattern, FunctionalSpec(coeffs=np.zeros((4, 2))), K=2)  # N=3 > K
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +152,16 @@ def test_benchmark_known_blocks(b1, b2):
     #   B1 = [[-b1 - b2, b2], [b2, -b2]]
     # and vanishes beyond lag 1.
     sys = _benchmark_system(b1, b2)
-    im = sys.index_map
+    assert sys.entries.tolist()[:3] == [-3, -2, 0]   # block p starts at row 2 p
     B0 = np.array([[2 + b1 ** 2 + b2 ** 2, -1 - b2 ** 2],
                    [-1 - b2 ** 2, 1 + b2 ** 2]])
     B1 = np.array([[-b1 - b2, b2], [b2, -b2]])
-    p0 = im.position_of(0)
-    p1 = im.position_of(1)
+    p0, p1, pg = 4, 6, 0
     got0 = sys.Bmat[p0:p0 + 2, p0:p0 + 2]
     got1 = sys.Bmat[p1:p1 + 2, p0:p0 + 2]   # rows at lag 1, cols at lag 0
     assert np.allclose(got0, B0, atol=1e-10)
     assert np.allclose(got1, B1, atol=1e-10)
     # beyond lag 1 the blocks vanish: entries (-3) vs (0) sit at lag 3
-    pg = im.position_of(-3)
     assert np.abs(sys.Bmat[pg:pg + 2, p0:p0 + 2]).max() < 1e-10
 
 
@@ -258,7 +257,7 @@ def test_solve_rejects_ill_conditioned_system():
     bad = np.eye(n, dtype=complex)
     bad[-1, -1] = 1e-18
     sick = OperatorSystem(Bmat=bad, Rmat=base.Rmat, Qmat=base.Qmat,
-                          index_map=base.index_map, cond_B=1e18,
+                          entries=base.entries, cond_B=1e18,
                           Zinv=base.Zinv, X=base.X)
     with pytest.raises(NonInvertibleOperatorError):
         solve_coefficients(sick, np.ones(n, dtype=complex))

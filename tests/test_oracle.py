@@ -252,9 +252,14 @@ def test_sampler_cross_covariance():
     model = ma_pair_model(Cx, Ce, innovation_cov=S, grid_size=256)
     cfg = SimulationConfig(replications=30000, seed=3, window=4)
     xi, eta = _paths(model, cfg)
+    tol = 5 * 1.5 / np.sqrt(30000)
     want = covariance(model, 0, which="Fxe")[0, 0].real
     emp = np.mean(xi[:, 2, 0] * eta[:, 2, 0])
-    assert emp == pytest.approx(want, abs=5 * 1.5 / np.sqrt(30000))
+    assert emp == pytest.approx(want, abs=tol)
+    # xi(t) = e1(t) + 0.6 e1(t-1) and eta(t) = 0.8 e2(t) with E e1 e2 = 0.5:
+    # the lagged cross-covariances are not symmetric
+    assert np.mean(xi[:, 3, 0] * eta[:, 2, 0]) == pytest.approx(0.6 * 0.8 * 0.5, abs=tol)
+    assert np.mean(xi[:, 2, 0] * eta[:, 3, 0]) == pytest.approx(0.0, abs=tol)
 
 
 def test_sampler_reproducible_and_batch_invariant():
