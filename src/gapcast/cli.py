@@ -71,19 +71,19 @@ def _header(cfg: RunConfig, seed: int | None = None) -> list[str]:
     return lines
 
 
-def _complex_cols(prefix: str, dim: int) -> list[str]:
-    cols = []
-    for t in range(1, dim + 1):
-        cols += [f"{prefix}{t}_re", f"{prefix}{t}_im"]
-    return cols
+def _complex_table(key_name: str, prefix: str, keys, key_fmt: str, values,
+                   dim: int) -> list[str]:
+    """CSV lines: a header, then per key the key and its ``dim`` complex values.
 
-
-def _complex_row(vec) -> list[str]:
-    out = []
-    for z in np.atleast_1d(vec):
-        z = complex(z)
-        out += [_fmt(z.real), _fmt(z.imag)]
-    return out
+    Column t of a row is written as ``<prefix>t_re,<prefix>t_im``; every
+    number reads as ``_fmt`` would write it, from one format string per row.
+    """
+    header = [key_name] + [f"{prefix}{t}_{part}" for t in range(1, dim + 1)
+                           for part in ("re", "im")]
+    parts = np.ascontiguousarray(values, dtype=complex).reshape(len(keys), dim)
+    row_fmt = ",".join([key_fmt] + ["%.17g"] * (2 * dim))
+    return [",".join(header)] + [row_fmt % (key, *row)
+                                 for key, row in zip(keys, parts.view(float).tolist())]
 
 
 def cmd_estimate(cfg: RunConfig, out_dir: Path) -> int:
@@ -110,15 +110,11 @@ def cmd_estimate(cfg: RunConfig, out_dir: Path) -> int:
         lines.append(f"{key} = {_fmt(val)}")
     _write(out_dir / "result.summary", lines)
 
-    taps = _header(cfg) + [",".join(["lag"] + _complex_cols("tap", model.dim))]
-    for lag in sorted(res.taps):
-        taps.append(",".join([str(lag)] + _complex_row(res.taps[lag])))
-    _write(out_dir / "taps.csv", taps)
-
-    hg = _header(cfg) + [",".join(["lambda"] + _complex_cols("h", model.dim))]
-    for i, lam in enumerate(res.lam):
-        hg.append(",".join([_fmt(lam)] + _complex_row(res.h_grid[i])))
-    _write(out_dir / "h_grid.csv", hg)
+    lags = sorted(res.taps)
+    _write(out_dir / "taps.csv", _header(cfg) + _complex_table(
+        "lag", "tap", lags, "%d", [res.taps[lag] for lag in lags], model.dim))
+    _write(out_dir / "h_grid.csv", _header(cfg) + _complex_table(
+        "lambda", "h", res.lam.tolist(), "%.17g", res.h_grid, model.dim))
     return EXIT_OK
 
 

@@ -47,6 +47,16 @@ _SECTIONS = ("model", "pattern", "functional", "numerics", "simulation",
 _NUMERICS = ("grid_size", "truncation")
 _MINIMAX = ("kind", "g_kind", "data", "family", "opt", "theta", "saddle_samples",
             "saddle_seed", "saddle_tol", "skip_residuals")
+# keys of the model section besides ``kind``, per model kind
+_MODEL_KEYS = {
+    "example1": ("b1", "b2"),
+    "white": ("dim", "scale"),
+    "ar1": ("poles", "scales", "mix", "noise"),
+    "ma_pair": ("signal_coeffs", "noise_coeffs", "innovation_cov"),
+    "laurent": ("dim", "entries", "pole_modulus"),
+    "grid_file": ("path", "pole_modulus"),
+}
+_LAURENT_ENTRY = ("row", "col", "num_offset", "num_coeffs", "den_offset", "den_coeffs")
 
 
 def _float_array(value):
@@ -147,6 +157,7 @@ def loads_config(text: str) -> RunConfig:
             raise ConfigError(f"missing required section {name!r}", location="top level")
     kwargs = {name: _expect_map(doc.get(name, {}) or {}, name) for name in _SECTIONS}
     _reject_unknown(kwargs["numerics"], _NUMERICS, "numerics")
+    _reject_unknown(kwargs["output"], ("directory",), "output")
     cfg = RunConfig(**kwargs)
     # Fail fast on structural problems; builders re-raise with locations.
     build_pattern(cfg)
@@ -179,6 +190,9 @@ def config_hash(cfg: RunConfig) -> str:
 def build_model(cfg: RunConfig) -> SpectralModel:
     sec = cfg.model
     kind = _require(sec, "kind", "model")
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+        raise ConfigError(f"unknown model kind {kind!r}", location="model.kind")
+    _reject_unknown(sec, ("kind",) + _MODEL_KEYS[kind], "model")
     n = cfg.grid_size
     try:
         if kind == "example1":
@@ -189,6 +203,7 @@ def build_model(cfg: RunConfig) -> SpectralModel:
                                scale=sec.get("scale", 1.0), grid_size=n)
         if kind == "ar1":
             noise = _expect_map(sec.get("noise", {}) or {}, "model.noise")
+            _reject_unknown(noise, ("poles", "scales", "mix"), "model.noise")
             return ar1_model(
                 poles=_require(sec, "poles", "model"),
                 scales=sec.get("scales"), mix=sec.get("mix"),
@@ -208,6 +223,7 @@ def build_model(cfg: RunConfig) -> SpectralModel:
             for i, ent in enumerate(_require(sec, "entries", "model")):
                 where = f"model.entries[{i}]"
                 ent = _expect_map(ent, where)
+                _reject_unknown(ent, _LAURENT_ENTRY, where)
                 r, c = (_cast(_require(ent, key, where), _integer, f"{where}.{key}")
                         for key in ("row", "col"))
                 num_offset, den_offset = (_cast(ent.get(key, 0), _integer, f"{where}.{key}")
@@ -240,11 +256,11 @@ def build_model(cfg: RunConfig) -> SpectralModel:
         raise
     except Exception as exc:
         raise ConfigError(str(exc), location="model") from exc
-    raise ConfigError(f"unknown model kind {kind!r}", location="model.kind")
 
 
 def build_pattern(cfg: RunConfig) -> MissingPattern:
     sec = cfg.pattern
+    _reject_unknown(sec, ("intervals",), "pattern")
     intervals = sec.get("intervals", [])
     if intervals is None:
         intervals = []
@@ -264,6 +280,7 @@ def build_pattern(cfg: RunConfig) -> MissingPattern:
 
 def build_functional(cfg: RunConfig) -> FunctionalSpec:
     sec = cfg.functional
+    _reject_unknown(sec, ("coeffs", "truncated"), "functional")
     coeffs = _require(sec, "coeffs", "functional")
     truncated = _cast(sec.get("truncated", False), _boolean, "functional.truncated")
     try:
@@ -337,6 +354,7 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
                         for key, value in data_map.items() if value is not None})
 
     fam_sec = _expect_map(_require(sec, "family", "minimax"), "minimax.family")
+    _reject_unknown(fam_sec, ("kind", "params"), "minimax.family")
     fam_kind = _require(fam_sec, "kind", "minimax.family")
     if fam_kind == "singleton":
         fam = singleton_family(build_model(cfg))

@@ -29,7 +29,7 @@ from .operators import (
     build_operator_system,
     solve_coefficients,
 )
-from .spectral import SpectralModel, coeffs_from_samples
+from .spectral import SpectralModel, coeffs_from_samples, trig_poly_on_grid
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,9 @@ class FunctionalSpec:
             raise InvalidParameterError(f"horizon must be >= 0, got {N}")
         return FunctionalSpec(self.coeffs[: N + 1].copy(), truncated=True)
 
-    def a_on_grid(self, lam: np.ndarray) -> np.ndarray:
-        """A(e^{i lambda}) = sum_j a(j) e^{i j lambda}, shape (n, T)."""
-        phases = np.exp(1j * np.outer(lam, np.arange(self.horizon + 1)))
-        return phases @ self.coeffs
+    def a_on_grid(self, n: int) -> np.ndarray:
+        """A(e^{i lambda}) = sum_j a(j) e^{i j lambda} at the n grid nodes, shape (n, T)."""
+        return trig_poly_on_grid(np.arange(self.horizon + 1), self.coeffs, n)
 
 
 @dataclass
@@ -160,9 +159,8 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     lam = model.lam
     c_blocks = sol.c.reshape(len(entries), d)
 
-    phases = np.exp(1j * np.outer(lam, entries))          # (n, P)
-    C_row = phases @ c_blocks                             # (n, T), C^T rows
-    A_row = functional.a_on_grid(lam)                     # (n, T), A^T rows
+    C_row = trig_poly_on_grid(entries, c_blocks, n)       # (n, T), C^T rows
+    A_row = functional.a_on_grid(n)                       # (n, T), A^T rows
     AX = np.einsum("nt,ntu->nu", A_row, system.X)         # A^T (F + F_xe) rows
     # h^T = (A^T X - C^T) Z^{-1}, rows evaluated per node
     h_row = np.einsum("nt,ntu->nu", AX - C_row, system.Zinv)
@@ -210,7 +208,7 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
 
     diags = EstimateDiagnostics(
         truncation=K, grid_size=n, max_lag=h_table.max_lag,
-        cond_B=system.cond_B, solve_residual=sol.residual,
+        cond_B=sol.cond_B, solve_residual=sol.residual,
         delta_operator=delta_op, delta_quadrature=delta_quad,
         two_form_rel_diff=two_form, gap_coeff_max=gap_max,
         orthogonality_max=ort_max, tap_tail_mass=tail_rel,
@@ -240,8 +238,7 @@ def delta_of_characteristic(model: SpectralModel, functional: FunctionalSpec,
             f"characteristic grid has shape {h_grid.shape}, "
             f"expected {(lam.size, model.dim)}"
         )
-    A_row = functional.a_on_grid(lam)
-    r = A_row - h_grid
+    r = functional.a_on_grid(lam.size) - h_grid
 
     def form(row_l, dens, row_r):
         return np.einsum("nt,ntu,nu->n", row_l, model.samples(dens), np.conj(row_r))

@@ -567,7 +567,7 @@ def _coupling_field(result: LeastFavorableResult, side: str) -> np.ndarray:
         raise UnsupportedClassError(
             "characterization residuals require uncorrelated signal and noise")
     est = result.estimate_star
-    A = result.functional.a_on_grid(est.lam)
+    A = result.functional.a_on_grid(est.lam.size)
     r = (A - est.h_grid) if side == "signal" else est.h_grid
     return np.einsum("nt,nu->ntu", np.conj(r), r)
 

@@ -36,6 +36,15 @@ from .spectral import (
 )
 
 
+def _whole(value, pair) -> int:
+    """An interval bound as an int; a fractional, boolean or non-numeric bound is refused."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise InvalidPatternError(f"interval {pair!r} has a bound that is not a whole number")
+
+
 @dataclass(frozen=True)
 class MissingPattern:
     """Union of missed-observation intervals in the negative integers.
@@ -54,7 +63,7 @@ class MissingPattern:
         for pair in self.intervals:
             if len(pair) != 2:
                 raise InvalidPatternError(f"interval {pair!r} is not an (M, N) pair")
-            m, n = int(pair[0]), int(pair[1])
+            m, n = (_whole(v, pair) for v in pair)
             if m < 1 or n < 0:
                 raise InvalidPatternError(
                     f"interval (M={m}, N={n}) must have M >= 1 and N >= 0"
@@ -115,14 +124,14 @@ class OperatorSystem:
     Rmat carries the signal-vs-observation coupling and Qmat the quadratic
     remainder of the mean-square error.  entries lists U_K in block order
     (gap points ascending, then 0..K).  Zinv (F_zeta^{-1}) and X (F + F_xe)
-    are the grid samples the matrices were built from.
+    are the grid samples the matrices were built from.  ``solve_coefficients``
+    factors Bmat and measures its conditioning.
     """
 
     Bmat: np.ndarray
     Rmat: np.ndarray
     Qmat: np.ndarray
     entries: np.ndarray
-    cond_B: float
     Zinv: np.ndarray
     X: np.ndarray
 
@@ -175,43 +184,69 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
         Qmat = block(model.samples("F") - XZinv @ np.conj(_transposed(X)))
 
     return OperatorSystem(Bmat=Bmat, Rmat=Rmat, Qmat=Qmat, entries=entries,
-                          cond_B=float(np.linalg.cond(Bmat)), Zinv=Zinv, X=X)
+                          Zinv=Zinv, X=X)
 
 
 @dataclass(frozen=True)
 class CoefficientSolution:
-    """Solution of the operator system with its reported solve residual."""
+    """Solution of the operator system, its relative solve residual and the
+    1-norm condition number ``cond_B`` of Bmat."""
 
     c: np.ndarray
     residual: float
+    cond_B: float
+
+
+def _cond_1(B: np.ndarray, upper: np.ndarray) -> float:
+    """Exact ||B||_1 ||B^{-1}||_1 of Hermitian B from its upper Cholesky factor.
+
+    LAPACK ?potri leaves B^{-1} in the upper triangle; a column sum of the
+    full inverse adds the conjugate mirror of the strict upper part.  For B of
+    order P the result lies between the 2-norm condition number and P times it.
+    """
+    potri, = scipy.linalg.get_lapack_funcs(("potri",), (upper,))
+    inv, info = potri(upper)
+    if info != 0:
+        return float("inf")
+    half = np.abs(np.triu(inv))
+    col_sums = half.sum(axis=0) + half.sum(axis=1) - np.diagonal(half)
+    return float(np.abs(B).sum(axis=0).max() * col_sums.max())
 
 
 def solve_coefficients(system: OperatorSystem, a_vec: np.ndarray) -> CoefficientSolution:
-    """Solve Bmat c = Rmat a by Cholesky factorization with one refinement step."""
+    """Solve Bmat c = Rmat a by Cholesky factorization with one refinement step.
+
+    The same factor gives the 1-norm condition number of Bmat, which must not
+    exceed ``COND_CEILING``.
+    """
     a_vec = np.asarray(a_vec, dtype=complex)
-    if a_vec.shape != system.Bmat.shape[:1]:
+    B = system.Bmat
+    if a_vec.shape != B.shape[:1]:
         raise InvalidParameterError(
-            f"layout vector has shape {a_vec.shape}, expected {system.Bmat.shape[:1]}"
+            f"layout vector has shape {a_vec.shape}, expected {B.shape[:1]}"
         )
-    if not np.isfinite(system.cond_B) or system.cond_B > COND_CEILING:
-        raise NonInvertibleOperatorError(
-            f"operator condition number {system.cond_B:.3e} exceeds "
-            f"ceiling {COND_CEILING:.1e}"
-        )
-    rhs = system.Rmat @ a_vec
+    if not np.all(np.isfinite(B)):
+        raise NonInvertibleOperatorError("operator matrix has non-finite entries")
     try:
-        cho = scipy.linalg.cho_factor(system.Bmat)
+        cho = scipy.linalg.cho_factor(B, lower=False, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NonInvertibleOperatorError(
             f"operator matrix is not positive definite: {exc}"
         ) from exc
+    cond = _cond_1(B, cho[0])
+    if not np.isfinite(cond) or cond > COND_CEILING:
+        raise NonInvertibleOperatorError(
+            f"operator condition number {cond:.3e} exceeds ceiling {COND_CEILING:.1e}"
+        )
+    rhs = system.Rmat @ a_vec
     c = scipy.linalg.cho_solve(cho, rhs)
     # one step of iterative refinement
-    resid = rhs - system.Bmat @ c
+    resid = rhs - B @ c
     c = c + scipy.linalg.cho_solve(cho, resid)
-    resid = rhs - system.Bmat @ c
+    resid = rhs - B @ c
     denom = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
-    return CoefficientSolution(c=c, residual=float(np.linalg.norm(resid)) / denom)
+    return CoefficientSolution(c=c, residual=float(np.linalg.norm(resid)) / denom,
+                               cond_B=cond)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,20 @@ def grid_points(n: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(n) / n
 
 
+def trig_poly_on_grid(lags: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
+    """sum_j coeffs[j] e^{i lags[j] lambda_m} at the n grid nodes, shape (n, T).
+
+    e^{i lambda_m j} = (-1)^j e^{2 pi i m j / n}, so this is one inverse FFT of
+    the signed coefficients folded onto their lags mod n.
+    """
+    lags = np.asarray(lags, dtype=int)
+    coeffs = np.asarray(coeffs)
+    signs = np.where(lags % 2 == 0, 1.0, -1.0)[:, None]
+    folded = np.zeros((n, coeffs.shape[1]), dtype=complex)
+    np.add.at(folded, lags % n, signs * coeffs)
+    return n * np.fft.ifft(folded, axis=0)
+
+
 def _as_matrix_samples(values: np.ndarray, n: int, dim: int, name: str) -> np.ndarray:
     values = np.asarray(values)
     if values.shape != (n, dim, dim):

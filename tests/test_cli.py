@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from gapcast.cli import main
+from gapcast.cli import _complex_table, _fmt, main
 from gapcast.config import config_hash, dumps_config, load_config, loads_config
 from gapcast.spectral import grid_points
 
@@ -116,6 +116,36 @@ def test_estimate_rerun_is_byte_identical(tmp_path):
     assert run_cli(["estimate", "--config", cfg, "--out", out_b]) == 0
     for name in ("result.summary", "taps.csv", "h_grid.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def _per_float_rows(keys, values):
+    """Rows as written one ``_fmt`` call per number, the reference layout."""
+    return [",".join([_fmt(key)] + [_fmt(part) for z in row
+                                    for part in (complex(z).real, complex(z).imag)])
+            for key, row in zip(keys, values)]
+
+
+def test_complex_table_matches_per_float_formatting():
+    n = 8192
+    rng = np.random.default_rng(3)
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300,
+               5e-324, 1.0, -2.5]
+    re, im = rng.normal(size=(n, 2)), 1e-17 * rng.normal(size=(n, 2))
+    re[:len(special), 0] = special
+    im[len(special):2 * len(special), 1] = special
+    values = np.empty((n, 2), dtype=complex)
+    values.real, values.imag = re, im
+    lam = grid_points(n).tolist()
+
+    got = _complex_table("lambda", "h", lam, "%.17g", values, 2)
+    assert got[0] == "lambda,h1_re,h1_im,h2_re,h2_im"
+    assert "\n".join(got[1:]).encode() == "\n".join(_per_float_rows(lam, values)).encode()
+
+    lags = [-40, -7, -1]
+    taps = [values[i] for i in range(3)]
+    got = _complex_table("lag", "tap", lags, "%d", taps, 2)
+    assert got[1:] == _per_float_rows(lags, taps)
+    assert _complex_table("lag", "tap", [], "%d", [], 2) == ["lag,tap1_re,tap1_im,tap2_re,tap2_im"]
 
 
 def test_estimate_white_no_gaps(tmp_path):
@@ -471,6 +501,21 @@ numerics:
   truncation: 8
 """
 
+NOISY_AR1_YAML = """
+model:
+  kind: ar1
+  poles: [0.6]
+  scales: [1.0]
+  noise: {poles: [0.2]}
+pattern:
+  intervals: [[1, 1]]
+functional:
+  coeffs: [[1.0]]
+numerics:
+  grid_size: 256
+  truncation: 8
+"""
+
 MIXTURE_MINIMAX = VALID_MINIMAX.replace(
     "    kind: singleton\n", "    kind: mixture\n    params: {power: 1.5, grid_size: 256}\n")
 
@@ -542,9 +587,28 @@ def test_non_boolean_flags_exit_2(tmp_path, capsys, command, text, key):
     ("oracle-check", BENCH_YAML + "oracle_check: {window: [25]}", "oracle_check"),
     ("minimax", VALID_MINIMAX + "  opt: {strats: 2}\n", "minimax.opt"),
     ("minimax", VALID_MINIMAX + "  saddle_sample: 3\n", "minimax"),
-], ids=["simulation", "path_length", "oracle_check", "minimax_opt", "minimax"])
+    ("estimate", BENCH_YAML.replace("intervals: [[2, 1]]", "interval: [[2, 1]]"),
+     "pattern"),
+    ("estimate", VALID_MINIMAX.replace("dim: 1", "dimm: 2"), "model"),
+    ("estimate", BENCH_YAML.replace("b2: 0.3", "b2: 0.3\n  b3: 0.1"), "model"),
+    ("estimate", NOISY_AR1_YAML.replace("noise: {poles: [0.2]}", "noise: {pole: [0.2]}"),
+     "model.noise"),
+    ("estimate", LAURENT_YAML.replace("num_coeffs", "num_coefs"), "model.entries[0]"),
+    ("estimate", BENCH_YAML.replace("[1.0, 1.0]]", "[1.0, 1.0]]\n  truncate: true"),
+     "functional"),
+    ("estimate", BENCH_YAML + "output: {dir: elsewhere}", "output"),
+    ("minimax", VALID_MINIMAX.replace("kind: singleton", "kind: singleton\n    param: {}"),
+     "minimax.family"),
+], ids=["simulation", "path_length", "oracle_check", "minimax_opt", "minimax",
+        "pattern", "model_white", "model_example1", "model_noise", "model_entry",
+        "functional", "output", "minimax_family"])
 def test_unknown_keys_exit_2(tmp_path, capsys, command, text, key):
     _assert_config_error(tmp_path, capsys, command, text, key)
+
+
+def test_known_model_keys_accepted(tmp_path):
+    assert run_cli(["estimate", "--config", write_config(tmp_path, NOISY_AR1_YAML),
+                    "--out", tmp_path / "out"]) == 0
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -11,6 +11,8 @@ precision, the error is nonnegative, orthogonality of the residual to the
 observed past holds, and the truncated error is monotone in the order.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,9 @@ from gapcast import (
     make_ar1_pair,
     white_model,
 )
+from gapcast.config import build_functional, build_model, build_pattern, load_config
 from gapcast.oracle import functional_variance
-from gapcast.spectral import coeffs_from_samples
+from gapcast.spectral import coeffs_from_samples, grid_points, trig_poly_on_grid
 from gapcast.errors import InvalidParameterError
 
 
@@ -242,6 +245,52 @@ def test_taps_and_tail_mass_match_loop_reference():
     tail = sum(norms[k + L] ** 2 for k in range(-L, L + 1) if k not in used)
     assert res.diagnostics.tap_tail_mass == pytest.approx(tail / np.sum(norms ** 2),
                                                           rel=1e-12)
+
+
+def _phase_matrix_eval(lam, lags, coeffs):
+    """sum_j coeffs[j] e^{i lags[j] lambda}: the n x len(lags) phase-matrix product."""
+    return np.exp(1j * np.outer(lam, lags)) @ coeffs
+
+
+def _normwise_close(got, ref, rtol):
+    return np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_characteristic_matches_phase_matrix_reference(seed):
+    model, pattern, functional = _random_instance(seed)
+    assert pattern.size > 0
+    res = estimate(model, pattern, functional, K=20)
+    sys, lam, n = res.system, res.lam, model.grid_size
+    c_blocks = np.array([res.c[j] for j in sys.entries.tolist()])
+
+    C_ref = _phase_matrix_eval(lam, sys.entries, c_blocks)
+    A_ref = _phase_matrix_eval(lam, np.arange(functional.horizon + 1), functional.coeffs)
+    assert _normwise_close(trig_poly_on_grid(sys.entries, c_blocks, n), C_ref, 1e-12)
+    assert _normwise_close(functional.a_on_grid(n), A_ref, 1e-12)
+
+    AX = np.einsum("nt,ntu->nu", A_ref, sys.X)
+    h_ref = np.einsum("nt,ntu->nu", AX - C_ref, sys.Zinv)
+    assert _normwise_close(res.h_grid, h_ref, 1e-12)
+
+
+def test_trig_poly_on_grid_folds_lags_beyond_the_grid():
+    n = 16
+    lags = np.array([-n - 3, -5, 0, 7, n, 2 * n + 1])
+    coeffs = np.random.default_rng(0).normal(size=(lags.size, 2))
+    ref = _phase_matrix_eval(grid_points(n), lags, coeffs)
+    assert _normwise_close(trig_poly_on_grid(lags, coeffs, n), ref, 1e-12)
+
+
+def test_benchmark_example_condition_numbers_pinned():
+    # docs/examples/benchmark.yaml: the 2-norm condition number the SVD once
+    # reported, and the 1-norm one reported now
+    path = Path(__file__).resolve().parents[1] / "docs" / "examples" / "benchmark.yaml"
+    cfg = load_config(path)
+    res = estimate(build_model(cfg), build_pattern(cfg), build_functional(cfg),
+                   K=cfg.truncation)
+    assert np.linalg.cond(res.system.Bmat) == pytest.approx(44.235451368951, rel=1e-11)
+    assert res.diagnostics.cond_B == pytest.approx(56.529795918367, rel=1e-11)
 
 
 def test_functional_validation():

@@ -72,6 +72,16 @@ def test_pattern_validation():
         MissingPattern(intervals=((1, 0, 0),))       # not a pair
 
 
+def test_pattern_refuses_fractional_bounds():
+    for bad in (((2.7, 1.9),), ((2, 0.5),), ((True, 0),), (("2", 0),)):
+        with pytest.raises(InvalidPatternError):
+            MissingPattern(intervals=bad)
+    for two in (2, 2.0, np.int64(2), np.float64(2.0)):
+        pat = MissingPattern(intervals=((two, 1),))
+        assert pat.intervals == ((2, 1),)
+        assert all(type(b) is int for b in pat.intervals[0])
+
+
 def test_equal_patterns_compare_equal():
     a = MissingPattern(intervals=((1, 0), (4, 1)))
     b = MissingPattern(intervals=((4, 1), (1, 0)))
@@ -250,14 +260,48 @@ def test_solve_reports_small_residual():
     assert np.allclose(sys.Bmat @ sol.c, sys.Rmat @ a, atol=1e-8)
 
 
-def test_solve_rejects_ill_conditioned_system():
+def _solve_with_last_pivot(last):
     base = build_operator_system(white_model(1, grid_size=256),
                                  MissingPattern(intervals=()), K=3)
     n = base.Bmat.shape[0]
     bad = np.eye(n, dtype=complex)
-    bad[-1, -1] = 1e-18
+    bad[-1, -1] = last
     sick = OperatorSystem(Bmat=bad, Rmat=base.Rmat, Qmat=base.Qmat,
-                          entries=base.entries, cond_B=1e18,
-                          Zinv=base.Zinv, X=base.X)
+                          entries=base.entries, Zinv=base.Zinv, X=base.X)
+    return solve_coefficients(sick, np.ones(n, dtype=complex))
+
+
+def test_solve_rejects_ill_conditioned_system():
+    # positive definite, but its condition number 1e18 exceeds the ceiling
+    with pytest.raises(NonInvertibleOperatorError, match="condition number"):
+        _solve_with_last_pivot(1e-18)
+
+
+@pytest.mark.parametrize("last", [-1.0, np.nan], ids=["indefinite", "non_finite"])
+def test_solve_rejects_indefinite_or_non_finite_system(last):
     with pytest.raises(NonInvertibleOperatorError):
-        solve_coefficients(sick, np.ones(n, dtype=complex))
+        _solve_with_last_pivot(last)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_cond_B_is_exact_one_norm_condition_number(seed):
+    # T in {1, 2, 3}, with and without noise, with and without gaps
+    rng = np.random.default_rng(100 + seed)
+    dim, noisy, gappy = 1 + seed % 3, seed % 2 == 0, (seed // 2) % 2 == 0
+    model = ar1_model(poles=rng.uniform(-0.8, 0.8, size=dim),
+                      scales=rng.uniform(0.5, 2.0, size=dim),
+                      mix=np.eye(dim) + 0.4 * rng.normal(size=(dim, dim)),
+                      noise_poles=rng.uniform(-0.5, 0.5, size=dim) if noisy else None,
+                      noise_scales=rng.uniform(0.1, 1.0, size=dim) if noisy else None,
+                      grid_size=256)
+    intervals = ((int(rng.integers(1, 4)), int(rng.integers(0, 4))),) if gappy else ()
+    system = build_operator_system(model, MissingPattern(intervals=intervals),
+                                   K=int(rng.integers(2, 12)))
+    B = system.Bmat
+    sol = solve_coefficients(system, rng.normal(size=B.shape[0]).astype(complex))
+
+    exact = np.linalg.norm(B, 1) * np.linalg.norm(np.linalg.inv(B), 1)
+    assert sol.cond_B == pytest.approx(exact, rel=1e-9)
+    kappa_2 = np.linalg.cond(B, 2)
+    assert kappa_2 <= sol.cond_B * (1 + 1e-10)
+    assert sol.cond_B <= B.shape[0] * kappa_2
