@@ -64,8 +64,9 @@ def _write(path: Path, lines: list[str]):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _header(cfg: RunConfig, seed: int | None = None) -> list[str]:
-    lines = [f"# config_sha256={config_hash(cfg)}"]
+def _header(digest: str, seed: int | None = None) -> list[str]:
+    """Comment lines that open an artifact: the config hash ``digest``, then the seed."""
+    lines = [f"# config_sha256={digest}"]
     if seed is not None:
         lines.append(f"# seed={seed}")
     return lines
@@ -93,7 +94,8 @@ def cmd_estimate(cfg: RunConfig, out_dir: Path) -> int:
     res = estimate(model, pattern, functional, K=cfg.truncation)
     d = res.diagnostics
 
-    lines = _header(cfg)
+    digest = config_hash(cfg)
+    lines = _header(digest)
     for key, val in [
         ("variant", res.variant), ("delta", res.delta),
         ("delta_operator", d.delta_operator),
@@ -111,9 +113,9 @@ def cmd_estimate(cfg: RunConfig, out_dir: Path) -> int:
     _write(out_dir / "result.summary", lines)
 
     lags = sorted(res.taps)
-    _write(out_dir / "taps.csv", _header(cfg) + _complex_table(
+    _write(out_dir / "taps.csv", _header(digest) + _complex_table(
         "lag", "tap", lags, "%d", [res.taps[lag] for lag in lags], model.dim))
-    _write(out_dir / "h_grid.csv", _header(cfg) + _complex_table(
+    _write(out_dir / "h_grid.csv", _header(digest) + _complex_table(
         "lambda", "h", res.lam.tolist(), "%.17g", res.h_grid, model.dim))
     return EXIT_OK
 
@@ -125,7 +127,7 @@ def cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> int:
     windows, tol = build_oracle_check(cfg)
     res = estimate(model, pattern, functional, K=cfg.truncation)
 
-    rows = _header(cfg) + [
+    rows = _header(config_hash(cfg)) + [
         "window,delta_spectral,delta_oracle,abs_diff,rel_diff,within_tol"]
     last_rel = np.inf
     for w in windows:
@@ -149,7 +151,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     res = estimate(model, pattern, functional, K=cfg.truncation)
     mc = monte_carlo_mse(model, pattern, functional, res.taps, sim)
     z = (mc.mse - res.delta) / mc.stderr if mc.stderr > 0 else float("nan")
-    rows = _header(cfg, seed=sim.seed) + [
+    rows = _header(config_hash(cfg), seed=sim.seed) + [
         "replications,seed,window,mse,stderr,delta_spectral,z_score",
         ",".join([str(mc.replications), str(mc.seed), str(sim.window),
                   _fmt(mc.mse), _fmt(mc.stderr), _fmt(res.delta), _fmt(z)]),
@@ -170,7 +172,8 @@ def cmd_minimax(cfg: RunConfig, out_dir: Path) -> int:
                                  seed=extras["saddle_seed"],
                                  tol=extras["saddle_tol"])
 
-    lines = _header(cfg, seed=opt.seed)
+    digest = config_hash(cfg)
+    lines = _header(digest, seed=opt.seed)
     lines += [
         f"class = {cls.kind}" + (f" x {cls.g_kind}" if cls.g_kind else ""),
         f"family = {cls.family.label}",
@@ -189,7 +192,7 @@ def cmd_minimax(cfg: RunConfig, out_dir: Path) -> int:
     _write(out_dir / "lfd.summary", lines)
 
     dim = len(result.theta_star)
-    srows = _header(cfg, seed=extras["saddle_seed"]) + [
+    srows = _header(digest, seed=extras["saddle_seed"]) + [
         ",".join(["index"] + [f"theta{i + 1}" for i in range(max(dim, 1))]
                  + ["delta_fixed_filter", "reference", "passed"])]
     for i, s in enumerate(saddle.samples):
@@ -199,7 +202,7 @@ def cmd_minimax(cfg: RunConfig, out_dir: Path) -> int:
                                  _fmt(saddle.reference), _fmt(s.passed)]))
     _write(out_dir / "saddle.csv", srows)
 
-    rrows = _header(cfg) + ["name,structure,residual,scale,relative,params"]
+    rrows = _header(digest) + ["name,structure,residual,scale,relative,params"]
     if not extras["skip_residuals"]:
         resid = characterization_residuals(result, cls)
         for e in resid.entries:

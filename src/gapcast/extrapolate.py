@@ -147,13 +147,10 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
         )
     taps_window = min(4 * max(K, 1), model.grid_size // 2 - 1)
 
-    system = build_operator_system(model, pattern, K)
+    system = build_operator_system(model, pattern, K, horizon=functional.horizon)
     entries = system.entries
     n, d = model.grid_size, model.dim
-    # a(0..N) sits on the rows of 0..N, right after the |S| gap rows
-    a_blocks = np.zeros((len(entries), d), dtype=complex)
-    a_blocks[pattern.size:pattern.size + functional.horizon + 1] = functional.coeffs
-    a_vec = a_blocks.ravel()
+    a_vec = functional.coeffs.ravel()
     sol = solve_coefficients(system, a_vec)
 
     lam = model.lam

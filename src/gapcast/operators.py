@@ -118,14 +118,15 @@ def assemble(table: FourierTable, rows: Sequence[int],
 
 @dataclass
 class OperatorSystem:
-    """Assembled operator matrices over U_K.
+    """Assembled operator matrices over U_K, P = |U_K| T unknowns.
 
-    Bmat is Hermitian positive definite whenever the minimality check passes;
-    Rmat carries the signal-vs-observation coupling and Qmat the quadratic
-    remainder of the mean-square error.  entries lists U_K in block order
-    (gap points ascending, then 0..K).  Zinv (F_zeta^{-1}) and X (F + F_xe)
-    are the grid samples the matrices were built from.  ``solve_coefficients``
-    factors Bmat and measures its conditioning.
+    Bmat (P x P) is Hermitian positive definite whenever the minimality check
+    passes.  Rmat (P x (N+1) T) carries the signal-vs-observation coupling and
+    Qmat ((N+1) T square) the quadratic remainder of the mean-square error;
+    their columns cover only the functional's indices 0..N.  entries lists
+    U_K in block order (gap points ascending, then 0..K).  Zinv (F_zeta^{-1})
+    and X (F + F_xe) are the grid samples the matrices were built from;
+    eig_max is the largest eigenvalue of F_zeta over the grid.
     """
 
     Bmat: np.ndarray
@@ -134,6 +135,7 @@ class OperatorSystem:
     entries: np.ndarray
     Zinv: np.ndarray
     X: np.ndarray
+    eig_max: float
 
 
 def _transposed(samples: np.ndarray) -> np.ndarray:
@@ -141,15 +143,22 @@ def _transposed(samples: np.ndarray) -> np.ndarray:
 
 
 def build_operator_system(model: SpectralModel, pattern: MissingPattern,
-                          K: int) -> OperatorSystem:
+                          K: int, horizon: int = 0) -> OperatorSystem:
     """Build the operator system for ``model`` truncated at future order K.
 
-    The Fourier tables are computed from the model's grid samples; their lag
+    ``horizon`` is the last index N of the functional, 0 <= N <= K.  The
+    Fourier tables are computed from the model's grid samples; their lag
     range is 4 * (K + max interval depth), clamped to what the grid supports
-    (at least the assembly requirement K + max depth).
+    (at least the assembly requirement K + max depth).  That keeps every lag
+    of U_K distinct modulo the grid size, which the eigenvalue bound on Bmat
+    relies on.
     """
     if K < 0:
         raise InvalidParameterError(f"truncation K must be >= 0, got {K}")
+    if not 0 <= horizon <= K:
+        raise InvalidParameterError(
+            f"functional horizon must lie in 0..K={K}, got {horizon}"
+        )
     report = check_minimality(model)
     if not report.passed:
         raise SingularDensityError(
@@ -164,80 +173,74 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
         )
 
     entries = np.concatenate((np.asarray(pattern.points, dtype=int), np.arange(K + 1)))
+    future = np.arange(horizon + 1)
     try:
         Zinv = np.linalg.inv(model.samples("Fz"))
     except np.linalg.LinAlgError as exc:
         raise SingularDensityError(f"observation density not invertible: {exc}") from exc
     X = model.samples("F") + model.samples("Fxe")
 
-    def block(samples: np.ndarray) -> np.ndarray:
-        return assemble(coeffs_from_samples(_transposed(samples), max_lag), entries)
+    def block(samples: np.ndarray, rows, cols=None) -> np.ndarray:
+        return assemble(coeffs_from_samples(_transposed(samples), max_lag), rows, cols)
 
-    Bmat = block(Zinv)
+    Bmat = block(Zinv, entries)
     if model.is_noiseless:
-        size = len(entries) * model.dim
-        Rmat = np.eye(size, dtype=complex)
-        Qmat = np.zeros((size, size), dtype=complex)
+        T = model.dim
+        # the identity's columns of 0..N, which follow the |S| gap blocks
+        Rmat = np.eye(len(entries) * T, future.size * T, k=-pattern.size * T,
+                      dtype=complex)
+        Qmat = np.zeros((future.size * T,) * 2, dtype=complex)
     else:
         XZinv = X @ Zinv
-        Rmat = block(XZinv)
-        Qmat = block(model.samples("F") - XZinv @ np.conj(_transposed(X)))
+        Rmat = block(XZinv, entries, future)
+        Qmat = block(model.samples("F") - XZinv @ np.conj(_transposed(X)), future)
 
     return OperatorSystem(Bmat=Bmat, Rmat=Rmat, Qmat=Qmat, entries=entries,
-                          Zinv=Zinv, X=X)
+                          Zinv=Zinv, X=X, eig_max=report.eig_max)
 
 
 @dataclass(frozen=True)
 class CoefficientSolution:
-    """Solution of the operator system, its relative solve residual and the
-    1-norm condition number ``cond_B`` of Bmat."""
+    """Solution of the operator system and its relative solve residual.
+
+    ``cond_B`` is the conditioning bound U = ||B||_1 sqrt(P) eig_max of the
+    P x P Bmat.  B is a principal submatrix of the block circulant whose
+    eigenvalues are those of F_zeta^{-1} at the grid nodes, so
+    ||B^{-1}||_1 <= sqrt(P) ||B^{-1}||_2 <= sqrt(P) eig_max: U is never below
+    the 1-norm condition number ||B||_1 ||B^{-1}||_1, nor below the 2-norm one.
+    """
 
     c: np.ndarray
     residual: float
     cond_B: float
 
 
-def _cond_1(B: np.ndarray, upper: np.ndarray) -> float:
-    """Exact ||B||_1 ||B^{-1}||_1 of Hermitian B from its upper Cholesky factor.
-
-    LAPACK ?potri leaves B^{-1} in the upper triangle; a column sum of the
-    full inverse adds the conjugate mirror of the strict upper part.  For B of
-    order P the result lies between the 2-norm condition number and P times it.
-    """
-    potri, = scipy.linalg.get_lapack_funcs(("potri",), (upper,))
-    inv, info = potri(upper)
-    if info != 0:
-        return float("inf")
-    half = np.abs(np.triu(inv))
-    col_sums = half.sum(axis=0) + half.sum(axis=1) - np.diagonal(half)
-    return float(np.abs(B).sum(axis=0).max() * col_sums.max())
-
-
 def solve_coefficients(system: OperatorSystem, a_vec: np.ndarray) -> CoefficientSolution:
     """Solve Bmat c = Rmat a by Cholesky factorization with one refinement step.
 
-    The same factor gives the 1-norm condition number of Bmat, which must not
-    exceed ``COND_CEILING``.
+    ``a_vec`` holds a(0..N) flattened, (N+1) T values, one per column of Rmat.
+    The conditioning bound ``cond_B`` (see ``CoefficientSolution``) must not
+    exceed ``COND_CEILING``; it is checked before the factorization.
     """
     a_vec = np.asarray(a_vec, dtype=complex)
     B = system.Bmat
-    if a_vec.shape != B.shape[:1]:
+    if a_vec.shape != system.Rmat.shape[1:]:
         raise InvalidParameterError(
-            f"layout vector has shape {a_vec.shape}, expected {B.shape[:1]}"
+            f"functional vector has shape {a_vec.shape}, expected {system.Rmat.shape[1:]}"
         )
     if not np.all(np.isfinite(B)):
         raise NonInvertibleOperatorError("operator matrix has non-finite entries")
+    cond = float(np.linalg.norm(B, 1) * np.sqrt(B.shape[0]) * system.eig_max)
+    if not np.isfinite(cond) or cond > COND_CEILING:
+        raise NonInvertibleOperatorError(
+            f"operator condition number bound {cond:.3e} exceeds ceiling {COND_CEILING:.1e}"
+        )
     try:
         cho = scipy.linalg.cho_factor(B, lower=False, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NonInvertibleOperatorError(
             f"operator matrix is not positive definite: {exc}"
         ) from exc
-    cond = _cond_1(B, cho[0])
-    if not np.isfinite(cond) or cond > COND_CEILING:
-        raise NonInvertibleOperatorError(
-            f"operator condition number {cond:.3e} exceeds ceiling {COND_CEILING:.1e}"
-        )
     rhs = system.Rmat @ a_vec
     c = scipy.linalg.cho_solve(cho, rhs)
     # one step of iterative refinement

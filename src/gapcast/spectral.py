@@ -33,8 +33,8 @@ DensityFn = Callable[[np.ndarray], np.ndarray]
 _HERMITIAN_TOL = 1e-10
 _PSD_TOL = 1e-10
 
-# Largest condition number accepted for F_zeta at a grid node and for the
-# assembled operator matrix.
+# Largest condition number accepted for F_zeta at a grid node, and largest
+# accepted upper bound on that of the assembled operator matrix.
 COND_CEILING = 1e12
 
 
@@ -486,6 +486,8 @@ class MinimalityReport:
     passed: bool
     max_cond: float
     worst_lambda: float
+    eig_max: float        # largest eigenvalue of F_zeta over all grid nodes
+    eig_min: float        # smallest eigenvalue of F_zeta over all grid nodes
     note: str = ""
 
 
@@ -494,12 +496,15 @@ def check_minimality(model: SpectralModel) -> MinimalityReport:
 
     The truth condition is integrability of trace(F_zeta^{-1}); numerically we
     require the quadrature value to be finite and the condition number of
-    F_zeta to stay below ``COND_CEILING`` at every grid node.
+    F_zeta to stay below ``COND_CEILING`` at every grid node.  The report also
+    carries the extreme eigenvalues of F_zeta over the grid, which bound the
+    spectrum of every operator matrix built from F_zeta^{-1}.
     """
     fz = model.samples("Fz")
     eig = np.linalg.eigvalsh(fz)
     lam = model.lam
-    scale = max(float(eig.max()), 0.0)
+    eig_max, eig_min = float(eig.max()), float(eig.min())
+    scale = max(eig_max, 0.0)
     floor = np.finfo(float).tiny * max(scale, 1.0)
     mineig = eig.min(axis=1)
     maxeig = eig.max(axis=1)
@@ -512,7 +517,7 @@ def check_minimality(model: SpectralModel) -> MinimalityReport:
         bad = int(np.argmax(singular))
         return MinimalityReport(
             value=float("inf"), passed=False, max_cond=float("inf"),
-            worst_lambda=float(lam[bad]),
+            worst_lambda=float(lam[bad]), eig_max=eig_max, eig_min=eig_min,
             note=f"observation density singular at lambda={lam[bad]:.6f}",
         )
     value = float(np.mean(np.sum(1.0 / eig, axis=1)))
@@ -522,4 +527,5 @@ def check_minimality(model: SpectralModel) -> MinimalityReport:
         f"at lambda={lam[worst]:.6f}"
     )
     return MinimalityReport(value=value, passed=passed, max_cond=max_cond,
-                            worst_lambda=float(lam[worst]), note=note)
+                            worst_lambda=float(lam[worst]), eig_max=eig_max,
+                            eig_min=eig_min, note=note)

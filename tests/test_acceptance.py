@@ -222,6 +222,9 @@ def test_criterion_5_structural_invariants():
             ma_decay=0.7)
         res = estimate(model, pattern, fun, K=24)
         B, Q = res.system.Bmat, res.system.Qmat
+        # Rmat and Qmat hold only the columns of the functional's 0..N rows
+        assert res.system.Rmat.shape == (B.shape[0], fun.coeffs.size)
+        assert Q.shape == (fun.coeffs.size,) * 2
         worst["herm"] = max(worst["herm"],
                             float(np.abs(B - B.conj().T).max()),
                             float(np.abs(Q - Q.conj().T).max()))
