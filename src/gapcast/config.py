@@ -146,7 +146,10 @@ def _expect_map(value, where: str) -> dict:
 def loads_config(text: str) -> RunConfig:
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except Exception as exc:
+        # besides YAMLError, the constructors raise their own errors on scalars
+        # that match a tag but not its range or form (ValueError for the
+        # timestamp 2001-13-01, IndexError for "!!int -", KeyError, ...)
         raise ConfigError(f"not valid YAML: {exc}") from exc
     if doc is None:
         raise ConfigError("empty configuration")

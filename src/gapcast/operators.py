@@ -36,6 +36,12 @@ from .spectral import (
 )
 
 
+# The operator system holds a dense block row per missing point, so a pattern
+# with more points could not even be stored; refusing it early also keeps
+# ``points`` from being enumerated.
+MAX_GAP_POINTS = 100_000
+
+
 def _whole(value, pair) -> int:
     """An interval bound as an int; a fractional, boolean or non-numeric bound is refused."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)):
@@ -69,6 +75,11 @@ class MissingPattern:
                     f"interval (M={m}, N={n}) must have M >= 1 and N >= 0"
                 )
             cleaned.append((m, n))
+        total = sum(n + 1 for _, n in cleaned)
+        if total > MAX_GAP_POINTS:
+            raise InvalidPatternError(
+                f"pattern has {total} missing points; at most {MAX_GAP_POINTS} are supported"
+            )
         cleaned.sort(key=lambda mn: -(mn[0] + mn[1]))
         # sorted by leftmost point, disjoint intervals each start right of
         # where the one before ends

@@ -3,9 +3,11 @@
 The projection oracle solves the finite-window normal equations built from
 quadrature covariances of the observed process; it is an independent route to
 the optimal estimate that never touches the operator system, so it serves as
-ground truth for the spectral pipeline.  The simulator draws exact Gaussian
-paths of the joint signal/noise sequence by circulant embedding of the
-covariance sequence and estimates the mean-square error empirically.
+ground truth for the spectral pipeline.  The simulator samples the joint
+signal/noise sequence exactly by circulant embedding of its covariance
+sequence and estimates the mean-square error empirically; since the filter
+error is a fixed linear functional of the path, it is applied to the normal
+draws directly and no path is synthesized.
 """
 
 from __future__ import annotations
@@ -195,6 +197,28 @@ class CirculantEmbedding:
         X = math.sqrt(m) * np.fft.irfft(W, n=m, axis=1)
         return X[:, : self.path_length, :]
 
+    def draw_weights(self, gather: np.ndarray) -> np.ndarray:
+        """Weights w with sum(gather * path) = w @ draws, for every stream.
+
+        ``gather`` has shape (path_length, 2T); ``draws`` are the
+        2 (m/2 + 1) 2T normals ``sample_block`` takes from one stream, u
+        then v.  The path is sqrt(m) irfft(A_k z_k), so the functional is
+        m^{-1/2} sum_k c_k Re(h_k . z_k) with h_k = A_k^T conj(rfft(gather))_k
+        and c_k = 1 at DC and Nyquist, 2 elsewhere.  There z_k = u_k (irfft
+        would drop an imaginary part), so those v weights are 0; the v are
+        still drawn, which keeps every stream's position.
+        """
+        m, half = self.order, self.order // 2
+        H = np.conj(np.fft.rfft(gather, n=m, axis=0))
+        h = np.einsum("kd,kde->ke", H, self.factors[: half + 1])
+        # c_k / sqrt(m), with the 1/sqrt(2) of z_k = (u_k + i v_k)/sqrt(2) folded in
+        c = np.full((half + 1, 1), math.sqrt(2.0 / m))
+        c[0] = c[half] = 1.0 / math.sqrt(m)
+        h *= c
+        w_v = -h.imag
+        w_v[[0, half]] = 0.0
+        return np.concatenate((h.real.ravel(), w_v.ravel()))
+
 
 def _stream(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)))
@@ -216,8 +240,12 @@ def monte_carlo_mse(model: SpectralModel, pattern: MissingPattern,
                     config: SimulationConfig) -> MonteCarloResult:
     """Estimate E |A_N xi - sum_j taps(j)^T (xi + eta)(j)|^2 by simulation.
 
-    Fresh paths per replication; the estimator applies ``taps`` over the
-    observed window {-window..-1} \\ S (taps outside it are rejected).
+    The path spans the window {-window..-1}, or down to the deepest tap if
+    that is deeper, plus the horizon 0..N.  Its error is w . draws for one
+    weight vector w (``CirculantEmbedding.draw_weights``), so no path is
+    synthesized: replication r draws its normals from ``_stream(seed, r)``
+    into a row of a (batch, len(w)) buffer, and each row is reduced on its
+    own, so ``errors`` does not depend on ``batch``.
     """
     N = functional.horizon
     bad = [j for j in taps if j >= 0 or j in pattern.points]
@@ -244,27 +272,23 @@ def monte_carlo_mse(model: SpectralModel, pattern: MissingPattern,
 
     emb = CirculantEmbedding(model, length, margin=config.embedding_margin,
                              psd_tol=config.psd_tol)
+    # error = sum(gather * path): a on xi over 0..N, -taps on xi + eta
     d = model.dim
-    pos_fun = depth + np.arange(N + 1)
-    pos_tap = depth + tap_idx
+    gather = np.zeros((length, 2 * d))
+    gather[depth:, :d] = a
+    gather[depth + tap_idx] -= np.tile(tap_mat, 2)
+    w = emb.draw_weights(gather)
 
-    errors = np.empty(config.replications)
-    for start in range(0, config.replications, config.batch):
-        stop = min(start + config.batch, config.replications)
-        block = emb.sample_block(
-            [_stream(config.seed, r) for r in range(start, stop)]
-        )
-        xi = block[:, :, :d]
-        zeta = xi + block[:, :, d:]
-        s = np.einsum("jt,bjt->b", a, xi[:, pos_fun, :])
-        if len(tap_idx):
-            shat = np.einsum("jt,bjt->b", tap_mat, zeta[:, pos_tap, :])
-        else:
-            shat = np.zeros(stop - start)
-        errors[start:stop] = (s - shat) ** 2
+    R = config.replications
+    errors = np.empty(R)
+    draws = np.empty((min(config.batch, R), w.size))
+    for start in range(0, R, config.batch):
+        rows = draws[: min(config.batch, R - start)]
+        for r, row in enumerate(rows, start):
+            _stream(config.seed, r).standard_normal(out=row)
+        np.multiply(rows, w, out=rows)
+        errors[start:start + len(rows)] = rows.sum(axis=1) ** 2
     mse = float(errors.mean())
-    stderr = float(errors.std(ddof=1) / math.sqrt(config.replications)) \
-        if config.replications > 1 else float("nan")
-    return MonteCarloResult(mse=mse, stderr=stderr,
-                            replications=config.replications,
+    stderr = float(errors.std(ddof=1) / math.sqrt(R)) if R > 1 else float("nan")
+    return MonteCarloResult(mse=mse, stderr=stderr, replications=R,
                             seed=config.seed, errors=errors)

@@ -444,12 +444,6 @@ class FourierTable:
             )
         return self.data[k + self.max_lag]
 
-    def hermitian_defect(self) -> float:
-        """max_k || c(-k) - c(k)^* ||, zero for Hermitian-valued integrands."""
-        rev = self.data[::-1]
-        adj = np.conj(np.swapaxes(self.data, -1, -2))
-        return float(np.abs(rev - adj).max())
-
 
 def coeffs_from_samples(samples: np.ndarray, max_lag: int) -> FourierTable:
     """Fourier coefficients of grid samples (standard grid layout assumed)."""

@@ -11,6 +11,7 @@ precision, the error is nonnegative, orthogonality of the residual to the
 observed past holds, and the truncated error is monotone in the order.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,12 @@ from gapcast import (
 )
 from gapcast.config import build_functional, build_model, build_pattern, load_config
 from gapcast.oracle import functional_variance
-from gapcast.spectral import coeffs_from_samples, grid_points, trig_poly_on_grid
+from gapcast.spectral import (
+    coeffs_from_samples,
+    diagonal_ar1_density,
+    grid_points,
+    trig_poly_on_grid,
+)
 from gapcast.errors import InvalidParameterError
 
 
@@ -144,6 +150,61 @@ def test_two_error_routes_agree(seed):
     assert d.two_form_rel_diff < 1e-10
     assert d.orthogonality_max < 1e-8
     assert d.gap_coeff_max < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# properties over seeded random instances
+# ---------------------------------------------------------------------------
+
+# K at which the truncation error of _random_instance (poles <= 0.7) is far
+# below the comparisons' tolerance
+PROP_K = 64
+
+
+def _slack(*results):
+    """Relative tolerance of a comparison: the larger two-route gap, or 1e-10."""
+    return max([1e-10] + [r.diagnostics.two_form_rel_diff for r in results])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_delta_between_zero_and_functional_variance(seed):
+    model, pattern, functional = _random_instance(seed)
+    res = estimate(model, pattern, functional, K=PROP_K)
+    var = functional_variance(model, functional)
+    assert -_slack(res) * var <= res.delta <= var * (1 + _slack(res))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_enlarging_the_gap_set_never_lowers_delta(seed):
+    model, pattern, functional = _random_instance(seed)
+    base = estimate(model, pattern, functional, K=PROP_K)
+    rng = np.random.default_rng(1000 + seed)
+    deepest = pattern.max_depth
+    deeper = pattern.intervals + ((deepest + int(rng.integers(2, 6)),
+                                   int(rng.integers(0, 3))),)
+    recent = ((1, deepest - 1),)    # S and every point after it
+    for intervals in (deeper, recent):
+        enlarged = MissingPattern(intervals=intervals)
+        assert set(pattern.points) <= set(enlarged.points)
+        bigger = estimate(model, enlarged, functional, K=PROP_K)
+        assert bigger.delta >= base.delta * (1 - _slack(base, bigger))
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("noisy", (True, False), ids=("noisy", "noiseless"))
+def test_adding_independent_noise_never_lowers_delta(seed, noisy):
+    model, pattern, functional = _random_instance(seed)
+    if not noisy:
+        model = dataclasses.replace(model, G=None, _samples={})
+    rng = np.random.default_rng(2000 + seed)
+    extra = diagonal_ar1_density(rng.uniform(-0.5, 0.5, size=model.dim),
+                                 rng.uniform(0.1, 1.0, size=model.dim))
+    own = model.G
+    G = extra if own is None else (lambda lam: own(lam) + extra(lam))
+    louder = dataclasses.replace(model, G=G, _samples={})
+    base = estimate(model, pattern, functional, K=PROP_K)
+    more = estimate(louder, pattern, functional, K=PROP_K)
+    assert more.delta >= base.delta * (1 - _slack(base, more))
 
 
 def test_error_scales_quadratically():

@@ -18,6 +18,7 @@ from gapcast import (
     white_model,
 )
 from gapcast.operators import (
+    MAX_GAP_POINTS,
     OperatorSystem,
     assemble,
     example1_psi,
@@ -81,6 +82,14 @@ def test_pattern_refuses_fractional_bounds():
         pat = MissingPattern(intervals=((two, 1),))
         assert pat.intervals == ((2, 1),)
         assert all(type(b) is int for b in pat.intervals[0])
+
+
+def test_pattern_refuses_more_points_than_supported():
+    # counted from the bounds, before any point is enumerated
+    assert MissingPattern(intervals=((1, MAX_GAP_POINTS - 1),)).size == MAX_GAP_POINTS
+    for bad in (((1, MAX_GAP_POINTS),), ((1, 0), (3, MAX_GAP_POINTS - 1)), ((2, 10 ** 22),)):
+        with pytest.raises(InvalidPatternError, match="missing points"):
+            MissingPattern(intervals=bad)
 
 
 def test_equal_patterns_compare_equal():

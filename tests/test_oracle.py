@@ -220,9 +220,13 @@ def test_projection_matches_block_reference(dim, kind, gaps):
 # ---------------------------------------------------------------------------
 
 
-def _paths(model, cfg):
-    """(xi, eta) paths, shape (R, window, T); replication r uses stream (seed, r)."""
-    emb = CirculantEmbedding(model, cfg.window)
+def _paths(model, cfg, length=None):
+    """(xi, eta) paths, shape (R, length, T); replication r uses stream (seed, r).
+
+    ``length`` defaults to the window.
+    """
+    emb = CirculantEmbedding(model, length or cfg.window,
+                             margin=cfg.embedding_margin, psd_tol=cfg.psd_tol)
     R = cfg.replications
     paths = np.concatenate([
         emb.sample_block([_stream(cfg.seed, r) for r in range(s, min(s + cfg.batch, R))])
@@ -357,6 +361,41 @@ def test_monte_carlo_prefers_optimal_taps():
     detuned = {j: t + (0.3 if j == -1 else 0.0) for j, t in res.taps.items()}
     bad = monte_carlo_mse(model, pattern, fun, detuned, cfg)
     assert bad.mse > good.mse + 3 * bad.stderr
+
+
+def _reference_errors(model, functional, taps, cfg):
+    """Squared filter errors on synthesized paths: sample_block, then the gather."""
+    N = functional.horizon
+    depth = max([cfg.window] + [-j for j in taps])
+    xi, eta = _paths(model, cfg, depth + N + 1)
+    err = np.einsum("jt,bjt->b", functional.coeffs.real, xi[:, depth:])
+    for j, tap in taps.items():
+        err -= (xi + eta)[:, depth + j] @ tap.real
+    return err ** 2
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+@pytest.mark.parametrize("kind", ("noiseless", "ar1", "ma_pair"))
+@pytest.mark.parametrize("gaps", (False, True))
+def test_monte_carlo_matches_path_reference(dim, kind, gaps):
+    # The weight route applies the filter to the normal draws; the reference
+    # synthesizes every path and gathers the error in the time domain.
+    noiseless = kind == "noiseless"
+    model, pattern, fun = _oracle_instance(dim, "ar1" if noiseless else kind, gaps,
+                                           seed=dim + 7)
+    if noiseless:
+        model = ar1_model(poles=(0.6, -0.3)[:dim], grid_size=256)
+    window = 6
+    rng = np.random.default_rng(dim)
+    # observed lags inside the window, plus one deeper than the window
+    idx = [j for j in pattern.observed_window(window + 4) if j in (-1, -3, -5, -10)]
+    assert min(idx) < -window
+    taps = {j: rng.normal(size=dim) for j in idx}
+    cfg = SimulationConfig(replications=37, seed=4, window=window, batch=8)
+    got = monte_carlo_mse(model, pattern, fun, taps, cfg).errors
+    want = _reference_errors(model, fun, taps, cfg)
+    assert np.abs(want).max() > 0
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_monte_carlo_rejects_unobservable_taps():
