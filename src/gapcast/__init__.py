@@ -22,6 +22,7 @@ from .extrapolate import (
     delta_of_characteristic,
     default_truncation,
     estimate,
+    optimal_delta,
 )
 from .operators import (
     MissingPattern,

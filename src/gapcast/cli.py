@@ -8,7 +8,8 @@ synthetic paths; ``minimax`` searches an admissible class for its least
 favorable member and writes the saddle/characterization reports.
 
 Outputs are plain text and CSV, deterministic byte for byte for a given
-config and seed, and each file records the config hash it came from.
+config, seed and BLAS thread count (threaded BLAS sums in another order), and
+each file records the config hash it came from.
 """
 
 from __future__ import annotations

@@ -65,8 +65,8 @@ def _float_array(value):
 
 
 def _integer(value) -> int:
-    """``value`` as an int; a boolean or a number with a fractional part is refused."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    """``value`` as an int; a boolean, a string or a fractional number is refused."""
+    if isinstance(value, (bool, str)) or not float(value).is_integer():
         raise ValueError(value)
     return value if isinstance(value, int) else int(float(value))
 
@@ -165,6 +165,7 @@ def loads_config(text: str) -> RunConfig:
     # Fail fast on structural problems; builders re-raise with locations.
     build_pattern(cfg)
     build_functional(cfg)
+    cfg.grid_size, cfg.truncation   # the properties refuse malformed numbers
     return cfg
 
 

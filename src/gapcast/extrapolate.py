@@ -12,7 +12,8 @@ U_K = S union {0..K}, determined by the operator system of operators.py.
 
 The mean-square error is computed twice: from the operator inner-product form
 and by direct quadrature of the error integral; their agreement is reported
-and is part of the library's self-checks.
+and is part of the library's self-checks.  ``optimal_delta`` returns the
+operator-form error alone, without the characteristic or the diagnostics.
 """
 
 from __future__ import annotations
@@ -127,13 +128,13 @@ def _select_variant(model: SpectralModel, functional: FunctionalSpec) -> str:
     return "general"
 
 
-def estimate(model: SpectralModel, pattern: MissingPattern,
-             functional: FunctionalSpec, K: int | None = None) -> EstimateResult:
-    """Full optimal-extrapolation pipeline; see module docstring.
+def _operator_route(model: SpectralModel, pattern: MissingPattern,
+                    functional: FunctionalSpec, K: int | None):
+    """Solve the operator system and take the error from its inner-product form.
 
-    The filter taps are read off the spectral characteristic over the observed
-    past of length 4K (at most half the grid); the tail mass beyond it is
-    reported in the diagnostics.
+    Returns the truncation used, the system, its solution and
+    delta_op = Re(c . (R a) + a . (Q a)); a value below -1e-8 is refused.
+    The one formula for the error, shared by ``estimate`` and ``optimal_delta``.
     """
     if functional.dim != model.dim:
         raise InvalidParameterError(
@@ -145,13 +146,43 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
         raise InvalidParameterError(
             f"truncation K={K} smaller than functional horizon {functional.horizon}"
         )
-    taps_window = min(4 * max(K, 1), model.grid_size // 2 - 1)
-
     system = build_operator_system(model, pattern, K, horizon=functional.horizon)
-    entries = system.entries
-    n, d = model.grid_size, model.dim
     a_vec = functional.coeffs.ravel()
     sol = solve_coefficients(system, a_vec)
+    term1 = np.vdot(sol.c, system.Rmat @ a_vec)
+    term2 = np.vdot(a_vec, system.Qmat @ a_vec)
+    delta_op = float((term1 + term2).real)
+    if delta_op < -1e-8:
+        raise InternalConsistencyError(
+            f"mean-square error came out negative ({delta_op:.3e})"
+        )
+    return K, system, sol, delta_op
+
+
+def optimal_delta(model: SpectralModel, pattern: MissingPattern,
+                  functional: FunctionalSpec, K: int | None = None) -> float:
+    """The minimal mean-square error alone: ``estimate(...).delta``, bit for bit.
+
+    Runs only the operator route (system, solve, inner-product form); no
+    characteristic, taps or diagnostics.  For callers that score many models,
+    such as the least-favorable search.
+    """
+    *_, delta_op = _operator_route(model, pattern, functional, K)
+    return max(delta_op, 0.0)
+
+
+def estimate(model: SpectralModel, pattern: MissingPattern,
+             functional: FunctionalSpec, K: int | None = None) -> EstimateResult:
+    """Full optimal-extrapolation pipeline; see module docstring.
+
+    The filter taps are read off the spectral characteristic over the observed
+    past of length 4K (at most half the grid); the tail mass beyond it is
+    reported in the diagnostics.
+    """
+    K, system, sol, delta_op = _operator_route(model, pattern, functional, K)
+    taps_window = min(4 * max(K, 1), model.grid_size // 2 - 1)
+    entries = system.entries
+    n, d = model.grid_size, model.dim
 
     lam = model.lam
     c_blocks = sol.c.reshape(len(entries), d)
@@ -162,20 +193,10 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     # h^T = (A^T X - C^T) Z^{-1}, rows evaluated per node
     h_row = np.einsum("nt,ntu->nu", AX - C_row, system.Zinv)
 
-    # --- mean-square error, two routes --------------------------------
-    rhs = system.Rmat @ a_vec
-    term1 = np.vdot(sol.c, rhs)
-    term2 = np.vdot(a_vec, system.Qmat @ a_vec)
-    delta_op = float((term1 + term2).real)
-
+    # --- mean-square error: second route by quadrature ------------------
     delta_quad = float(delta_of_characteristic(model, functional, h_row))
     scale = max(abs(delta_op), abs(delta_quad), 1e-12)
     two_form = abs(delta_op - delta_quad) / scale
-
-    if delta_op < -1e-8:
-        raise InternalConsistencyError(
-            f"mean-square error came out negative ({delta_op:.3e})"
-        )
     delta = max(delta_op, 0.0)
 
     # --- diagnostics ---------------------------------------------------

@@ -220,8 +220,29 @@ class CirculantEmbedding:
         return np.concatenate((h.real.ravel(), w_v.ravel()))
 
 
+def _key(seed: int, rep: int) -> np.ndarray:
+    return np.array([seed, rep], dtype=np.uint64)
+
+
 def _stream(seed: int, rep: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)))
+    """Replication ``rep``'s random stream: a new Philox keyed by (seed, rep)."""
+    return np.random.Generator(np.random.Philox(key=_key(seed, rep)))
+
+
+def _rekey(gen: np.random.Generator, seed: int, rep: int) -> np.random.Generator:
+    """Reset ``gen``'s Philox, in place, to the start of ``_stream(seed, rep)``.
+
+    The state a keyed Philox starts from: zero counter, empty buffer, no
+    buffered 32-bit half.  Cheaper than a new generator, which also draws OS
+    entropy that the key then overrides.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _key(seed, rep)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return gen
 
 
 @dataclass
@@ -244,8 +265,9 @@ def monte_carlo_mse(model: SpectralModel, pattern: MissingPattern,
     that is deeper, plus the horizon 0..N.  Its error is w . draws for one
     weight vector w (``CirculantEmbedding.draw_weights``), so no path is
     synthesized: replication r draws its normals from ``_stream(seed, r)``
-    into a row of a (batch, len(w)) buffer, and each row is reduced on its
-    own, so ``errors`` does not depend on ``batch``.
+    (one generator, re-keyed per replication by ``_rekey``) into a row of a
+    (batch, len(w)) buffer, and each row is reduced on its own, so ``errors``
+    does not depend on ``batch``.
     """
     N = functional.horizon
     bad = [j for j in taps if j >= 0 or j in pattern.points]
@@ -282,10 +304,11 @@ def monte_carlo_mse(model: SpectralModel, pattern: MissingPattern,
     R = config.replications
     errors = np.empty(R)
     draws = np.empty((min(config.batch, R), w.size))
+    gen = _stream(config.seed, 0)
     for start in range(0, R, config.batch):
         rows = draws[: min(config.batch, R - start)]
         for r, row in enumerate(rows, start):
-            _stream(config.seed, r).standard_normal(out=row)
+            _rekey(gen, config.seed, r).standard_normal(out=row)
         np.multiply(rows, w, out=rows)
         errors[start:start + len(rows)] = rows.sum(axis=1) ** 2
     mse = float(errors.mean())

@@ -478,8 +478,12 @@ VALID_MINIMAX = MINIMAX_DATA_YAML.format(kind="D0_1", data="{power: 1.5}")
     ("minimax", VALID_MINIMAX.replace("saddle_samples: 2", "saddle_samples: x"),
      "minimax.saddle_samples"),
     ("minimax", VALID_MINIMAX + "  theta: [0.5]\n", "minimax.theta"),  # singleton: no params
+    # quoted numbers are strings, not integers
+    ("estimate", BENCH_YAML.replace("truncation: 48", "truncation: '48'"),
+     "numerics.truncation"),
+    ("estimate", BENCH_YAML.replace("[[2, 1]]", "[['2', 1]]"), "pattern.intervals[0]"),
 ], ids=["grid_size", "truncation", "windows_x", "windows_5", "windows_0", "tolerance",
-        "saddle_samples", "theta_length"])
+        "saddle_samples", "theta_length", "quoted_truncation", "quoted_interval"])
 def test_malformed_numbers_exit_2(tmp_path, capsys, command, text, key):
     cfg = write_config(tmp_path, text)
     assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 2

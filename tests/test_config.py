@@ -87,6 +87,12 @@ def test_loads_config_mapping_fuzz(doc):
     # a gap set far too large to enumerate
     VALID.replace("[[2, 1]]", "[[2, 10000000000000000000000]]"),
     VALID.replace("[[2, 1]]", "[[2, 100000]]"),
+    # quoted numbers (and 1e3, which YAML 1.1 reads as a string) are not integers
+    VALID.replace("[[2, 1]]", "[['1', 1]]"),
+    VALID.replace("[[2, 1]]", "[[2, '1e3']]"),
+    VALID + "numerics: {truncation: \"96\"}\n",
+    VALID + "numerics: {truncation: '1e3'}\n",
+    VALID + "numerics: {grid_size: 1e3}\n",
 ])
 def test_loads_config_regressions(text):
     with pytest.raises(ConfigError):

@@ -27,12 +27,15 @@ from gapcast import (
     default_truncation,
     estimate,
     make_ar1_pair,
+    ma_pair_model,
+    optimal_delta,
     white_model,
 )
 from gapcast.config import build_functional, build_model, build_pattern, load_config
 from gapcast.oracle import functional_variance
 from gapcast.spectral import (
     coeffs_from_samples,
+    density_from_samples,
     diagonal_ar1_density,
     grid_points,
     trig_poly_on_grid,
@@ -46,10 +49,11 @@ def _scalar_ar1(b, scale=1.0, grid_size=512):
                          grid_size=grid_size, pole_modulus=abs(b))
 
 
-def _random_instance(seed, grid_size=512):
+def _random_instance(seed, grid_size=512, dim=None):
     """Random noisy model + pattern + functional for structural checks."""
     rng = np.random.default_rng(seed)
-    dim = int(rng.integers(1, 3))
+    drawn = int(rng.integers(1, 3))
+    dim = drawn if dim is None else dim
     model = ar1_model(poles=rng.uniform(-0.7, 0.7, size=dim),
                       scales=rng.uniform(0.5, 2.0, size=dim),
                       mix=np.eye(dim) + 0.3 * rng.normal(size=(dim, dim)),
@@ -205,6 +209,48 @@ def test_adding_independent_noise_never_lowers_delta(seed, noisy):
     base = estimate(model, pattern, functional, K=PROP_K)
     more = estimate(louder, pattern, functional, K=PROP_K)
     assert more.delta >= base.delta * (1 - _slack(base, more))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_optimal_delta_is_the_estimate_delta(seed):
+    model, pattern, functional = _random_instance(seed)
+    for K in (None, 24):
+        assert optimal_delta(model, pattern, functional, K=K) \
+            == estimate(model, pattern, functional, K=K).delta
+
+
+def _change_coordinates(model, M):
+    """The model of (M xi, M eta): every density D becomes M D M^T."""
+    def moved(which):
+        return density_from_samples(M @ model.samples(which) @ M.T)
+
+    return SpectralModel(dim=model.dim, F=moved("F"), G=moved("G"),
+                         F_xe=None if model.is_uncorrelated else moved("Fxe"),
+                         grid_size=model.grid_size, pole_modulus=model.pole_modulus)
+
+
+def _correlated_pair(seed, grid_size=512):
+    """T = 2 moving-average signal and noise driven by correlated innovations."""
+    rng = np.random.default_rng(seed)
+    root = rng.normal(size=(4, 4))
+    return ma_pair_model([np.eye(2), 0.4 * rng.normal(size=(2, 2))],
+                         [0.5 * np.eye(2), 0.2 * rng.normal(size=(2, 2))],
+                         innovation_cov=root @ root.T + 0.5 * np.eye(4),
+                         grid_size=grid_size)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_change_of_coordinates_leaves_delta_unchanged(seed):
+    # observing M(xi + eta) is observing xi + eta, and a^T xi = (M^{-T} a)^T (M xi)
+    model, pattern, functional = _random_instance(seed, dim=2)
+    if seed % 2:
+        model = _correlated_pair(seed)
+    rng = np.random.default_rng(3000 + seed)
+    M = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
+    moved_fun = FunctionalSpec(coeffs=functional.coeffs @ np.linalg.inv(M))
+    base = estimate(model, pattern, functional, K=PROP_K)
+    moved = estimate(_change_coordinates(model, M), pattern, moved_fun, K=PROP_K)
+    assert moved.delta == pytest.approx(base.delta, rel=max(1e-10, _slack(base, moved)))
 
 
 def test_error_scales_quadratically():

@@ -41,11 +41,15 @@ from gapcast import (
     verify_saddle_point,
     white_model,
 )
+import gapcast.minimax as minimax_module
+from gapcast.config import build_class, build_functional, build_pattern, load_config
 from gapcast.errors import (
     InfeasibleClassError,
+    InternalConsistencyError,
     InvalidParameterError,
     UnsupportedClassError,
 )
+from gapcast.minimax import Evaluation, _check_in_class
 
 GRID = 512
 PRED = FunctionalSpec(coeffs=np.array([[1.0]]))
@@ -224,6 +228,115 @@ def test_search_rejects_wide_families_and_infeasible_members():
         maximize_delta(mismatched, NO_GAP, PRED, FAST)
     with pytest.raises(InfeasibleClassError):
         evaluate_candidate(mismatched, (0.5, 0.2), NO_GAP, PRED, FAST)
+
+
+def _reference_search(cls, pattern, functional, opt):
+    """The coordinate ascent with a full estimate at every point, and np.allclose.
+
+    maximize_delta scores points by optimal_delta and estimates only the
+    maximizer; it must reproduce this search bit for bit.
+    """
+    fam = cls.family
+    width = np.where(fam.upper > fam.lower, fam.upper - fam.lower, 1.0)
+    cache, trace, best = {}, [], {"theta": None, "delta": -np.inf}
+
+    def evaluate(theta):
+        key = tuple(np.round(theta, 12))
+        if key in cache:
+            return cache[key]
+        if len(trace) >= opt.budget:
+            return -np.inf
+        model = fam.build(theta)
+        _check_in_class(cls, model)
+        est = estimate(model, pattern, functional, K=opt.truncation)
+        cache[key] = est.delta
+        trace.append(Evaluation(theta=key, delta=est.delta))
+        if est.delta > best["delta"]:
+            best.update(theta=np.asarray(theta, dtype=float), delta=est.delta, estimate=est)
+        return est.delta
+
+    rng = np.random.default_rng(opt.seed)
+    starts = [fam.center]
+    while len(starts) < opt.starts:
+        starts.append(fam.sample(rng))
+    for theta0 in starts:
+        if len(trace) >= opt.budget:
+            break
+        theta = fam.clip(theta0)
+        evaluate(theta)
+        step = opt.initial_step
+        while step >= opt.min_step and len(trace) < opt.budget:
+            moved = False
+            for i in range(fam.dim):
+                for sign in (+1.0, -1.0):
+                    cand = theta.copy()
+                    cand[i] += sign * step * width[i]
+                    cand = fam.clip(cand)
+                    if np.allclose(cand, theta):
+                        continue
+                    if evaluate(cand) > cache[tuple(np.round(theta, 12))]:
+                        theta = cand
+                        moved = True
+                        break
+            if not moved:
+                step *= 0.5
+    return trace, best["theta"], best["estimate"]
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+
+
+def _search_cases():
+    cases = {}
+    for path in sorted(EXAMPLES.glob("robust_*.yaml")):
+        cfg = load_config(path)
+        cls, opt, _ = build_class(cfg)
+        cases[path.stem] = (cls, build_pattern(cfg), build_functional(cfg), opt)
+    fam = _diag_mixture_family((1.0, 2.0), noise_powers=(0.4, 0.6))
+    data = ClassData(power=np.array([1.0, 2.0]), noise_power=np.array([0.4, 0.6]),
+                     lower=0.0, upper=8.0)
+    cases["gapped_D0_2"] = (
+        DensityClass(kind="D0_2", g_kind="DVU_2", data=data, family=fam),
+        MissingPattern(intervals=((2, 1),)),
+        FunctionalSpec(coeffs=np.array([[1.0, 0.5], [0.3, -1.0]])),
+        OptConfig(starts=3, budget=150, seed=1, truncation=16))
+    return cases
+
+
+SEARCH_CASES = _search_cases()
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_search_estimates_once_and_matches_reference(case, monkeypatch):
+    cls, pattern, functional, opt = SEARCH_CASES[case]
+    trace, theta, est = _reference_search(cls, pattern, functional, opt)
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(minimax_module, "estimate", counted)
+    out = maximize_delta(cls, pattern, functional, opt)
+    assert len(calls) == 1
+    assert len(out.evaluations) > 1
+    assert out.evaluations == trace
+    assert out.delta_star == est.delta
+    assert np.array_equal(out.theta_star, theta)
+    assert np.array_equal(out.estimate_star.h_grid, est.h_grid)
+
+
+def test_search_refuses_an_estimate_that_disagrees(monkeypatch):
+    def nudged(*args, **kwargs):
+        est = estimate(*args, **kwargs)
+        return replace(est, delta=np.nextafter(est.delta, np.inf))
+
+    monkeypatch.setattr(minimax_module, "estimate", nudged)
+    cls = DensityClass(kind="D0_1", data=ClassData(power=1.0),
+                       family=scalar_mixture_family(power=1.0, grid_size=GRID))
+    with pytest.raises(InternalConsistencyError, match="maximizer"):
+        maximize_delta(cls, NO_GAP, PRED, OptConfig(starts=1, budget=5, truncation=12))
 
 
 def test_opt_config_validation():

@@ -31,7 +31,7 @@ from gapcast import (
     projection_oracle,
     white_model,
 )
-from gapcast.oracle import CirculantEmbedding, _stream
+from gapcast.oracle import CirculantEmbedding, _rekey, _stream
 from gapcast.errors import (
     DegenerateObservationsError,
     InvalidParameterError,
@@ -291,6 +291,20 @@ def test_stream_keying_is_per_replication():
     b = _stream(5, 1).standard_normal(4)
     assert not np.array_equal(a, b)
     assert np.array_equal(a, _stream(5, 0).standard_normal(4))
+
+
+def test_rekeyed_generator_draws_the_fresh_streams():
+    # monte_carlo_mse re-keys one generator per replication; each re-keyed
+    # stream must equal _stream(seed, r) even when the generator was left
+    # part-way through its buffer and holding half of a 64-bit word
+    gen = _stream(0, 0)
+    for seed, r in [(0, 0), (0, 1), (7, 3), (7, 4), (2 ** 31 - 1, 4999), (123456, 2 ** 40)]:
+        gen.integers(0, 2 ** 32, size=3, dtype=np.uint32)
+        gen.standard_normal(5)
+        state = gen.bit_generator.state
+        assert state["buffer_pos"] < 4 or state["has_uint32"] == 1
+        got = _rekey(gen, seed, r).standard_normal(2056)
+        assert np.array_equal(got, _stream(seed, r).standard_normal(2056))
 
 
 def test_embedding_rejects_indefinite_truncation():
