@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigError, InvalidParameterError
+from .errors import ConfigError, GapcastError, InvalidParameterError
 from .extrapolate import FunctionalSpec
 from .minimax import (
     ClassData,
@@ -362,16 +362,14 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
     fam_kind = _require(fam_sec, "kind", "minimax.family")
     if fam_kind == "singleton":
         fam = singleton_family(build_model(cfg))
-    elif fam_kind in _FAMILY_BUILDERS:
+    elif isinstance(fam_kind, str) and fam_kind in _FAMILY_BUILDERS:
         params = dict(_expect_map(fam_sec.get("params", {}) or {},
                                   "minimax.family.params"))
         grid_size = _cast(params.pop("grid_size", cfg.grid_size), _integer,
                           "minimax.family.params.grid_size")
         try:
             fam = _FAMILY_BUILDERS[fam_kind](**params, grid_size=grid_size)
-        except ConfigError:
-            raise
-        except TypeError as exc:
+        except (TypeError, ValueError, GapcastError) as exc:
             raise ConfigError(str(exc), location="minimax.family.params") from exc
     else:
         raise ConfigError(f"unknown family kind {fam_kind!r}",
@@ -401,4 +399,8 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
         "skip_residuals": _cast(sec.get("skip_residuals", False), _boolean,
                                 "minimax.skip_residuals"),
     }
+    for key, least in (("saddle_samples", 1), ("saddle_seed", 0)):
+        if extras[key] < least:
+            raise ConfigError(f"expected an integer >= {least}, got {extras[key]}",
+                              location=f"minimax.{key}")
     return cls, opt, extras

@@ -319,7 +319,13 @@ def class_constraint_report(cls: DensityClass, model: SpectralModel) -> dict[str
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Budgeted multi-start coordinate-ascent settings."""
+    """Budgeted multi-start coordinate-ascent settings.
+
+    The steps are fractions of each parameter's range: a start halves its step
+    from ``initial_step`` until it falls below ``min_step``.  Both must be
+    finite and positive (a zero ``min_step`` would never end the halving), and
+    ``seed`` nonnegative.
+    """
 
     starts: int = 16
     budget: int = 2000
@@ -331,6 +337,12 @@ class OptConfig:
     def __post_init__(self):
         if self.starts < 1 or self.budget < 1:
             raise InvalidParameterError("starts and budget must be positive")
+        for name in ("initial_step", "min_step"):
+            step = getattr(self, name)
+            if not (math.isfinite(step) and step > 0):
+                raise InvalidParameterError(f"{name} must be finite and positive, got {step!r}")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -534,8 +546,11 @@ def verify_saddle_point(result: LeastFavorableResult, cls: DensityClass,
 
     Holds the spectral characteristic of the maximizer fixed and evaluates its
     error against random class members; each must stay below the error at the
-    maximizer (up to ``tol``).  Failures are recorded, not raised.
+    maximizer (up to ``tol``).  Failures are recorded, not raised; at least
+    one sample is required, since an empty check would pass vacuously.
     """
+    if n_samples < 1:
+        raise InvalidParameterError(f"need at least one saddle sample, got {n_samples}")
     fam = cls.family
     h0 = result.estimate_star.h_grid
     ref = delta_of_characteristic(result.model_star, result.functional, h0)
@@ -714,9 +729,14 @@ def characterization_residuals(result: LeastFavorableResult,
 # ---------------------------------------------------------------------------
 
 
-def _mixture(lam: np.ndarray, power: float, w: float, b: float) -> np.ndarray:
-    """power * ((1-w) flat + w unit-power AR(1) with pole b), on the nodes."""
-    return power * ((1.0 - w) + w * ((1.0 - b * b) / np.abs(1.0 - b * np.exp(1j * lam)) ** 2))
+def _mixture(z: np.ndarray, power: float, w: float, b: float) -> np.ndarray:
+    """power * ((1-w) flat + w unit-power AR(1) with pole b), at the nodes z = e^{i lambda}."""
+    return power * ((1.0 - w) + w * ((1.0 - b * b) / np.abs(1.0 - b * z) ** 2))
+
+
+def _nodes(grid_size: int) -> np.ndarray:
+    """e^{i lambda} at the grid nodes, taken once per family."""
+    return np.exp(1j * grid_points(grid_size))
 
 
 def _scalar_model(grid_size: int, f: np.ndarray, g: np.ndarray | None = None,
@@ -742,12 +762,12 @@ def scalar_mixture_family(power: float, w_max: float = 0.9, b_max: float = 0.8,
     """
     if power <= 0:
         raise InvalidParameterError("power must be positive")
-    lam = grid_points(grid_size)
+    z = _nodes(grid_size)
     powers = (power,) if noise_power is None else (power, noise_power)
 
     def build(theta):
         pairs = np.reshape(theta, (-1, 2))
-        return _scalar_model(grid_size, *(_mixture(lam, p, w, b)
+        return _scalar_model(grid_size, *(_mixture(z, p, w, b)
                                           for p, (w, b) in zip(powers, pairs)),
                              poles=[b if w > 0 else 0.0 for w, b in pairs])
 
@@ -759,10 +779,10 @@ def scalar_mixture_family(power: float, w_max: float = 0.9, b_max: float = 0.8,
 def ar1_fixed_power_family(power: float, b_max: float = 0.8,
                            grid_size: int = 4096) -> DensityFamily:
     """Scalar AR(1) densities of fixed total power, parameterized by the pole."""
-    lam = grid_points(grid_size)
+    z = _nodes(grid_size)
 
     def build(theta):
-        return _scalar_model(grid_size, _mixture(lam, power, 1.0, theta[0]), poles=theta)
+        return _scalar_model(grid_size, _mixture(z, power, 1.0, theta[0]), poles=theta)
 
     return DensityFamily(dim=1, lower=[-b_max], upper=[b_max], build=build,
                          label="AR(1), fixed power")
@@ -821,12 +841,12 @@ def contamination_family(anchor_power: float, anchor_pole: float, eps: float,
     if w_pow < 0:
         raise InfeasibleClassError(
             "target power below the anchor's share; no admissible member")
-    lam = grid_points(grid_size)
-    anchor = (1.0 - eps) * _mixture(lam, anchor_power, 1.0, anchor_pole)
+    z = _nodes(grid_size)
+    anchor = (1.0 - eps) * _mixture(z, anchor_power, 1.0, anchor_pole)
 
     def build(theta):
         u, b = theta
-        return _scalar_model(grid_size, anchor + eps * _mixture(lam, w_pow, u, b),
+        return _scalar_model(grid_size, anchor + eps * _mixture(z, w_pow, u, b),
                              poles=(anchor_pole, b if u > 0 else 0.0))
 
     return DensityFamily(dim=2, lower=[0.0, -b_max], upper=[0.9, b_max],

@@ -153,6 +153,17 @@ def _transposed(samples: np.ndarray) -> np.ndarray:
     return np.swapaxes(samples, -1, -2)
 
 
+def _inverse(samples: np.ndarray) -> np.ndarray:
+    """Per-node inverse of (n, T, T) samples; 1 x 1 blocks take a reciprocal.
+
+    On real-valued 1 x 1 samples the reciprocal is bit-equal to
+    ``np.linalg.inv``, at a fraction of its per-call cost.
+    """
+    if samples.shape[-1] == 1:
+        return 1.0 / samples
+    return np.linalg.inv(samples)
+
+
 def build_operator_system(model: SpectralModel, pattern: MissingPattern,
                           K: int, horizon: int = 0) -> OperatorSystem:
     """Build the operator system for ``model`` truncated at future order K.
@@ -186,7 +197,7 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
     entries = np.concatenate((np.asarray(pattern.points, dtype=int), np.arange(K + 1)))
     future = np.arange(horizon + 1)
     try:
-        Zinv = np.linalg.inv(model.samples("Fz"))
+        Zinv = _inverse(model.samples("Fz"))
     except np.linalg.LinAlgError as exc:
         raise SingularDensityError(f"observation density not invertible: {exc}") from exc
     X = model.samples("F") + model.samples("Fxe")
@@ -231,7 +242,11 @@ def solve_coefficients(system: OperatorSystem, a_vec: np.ndarray) -> Coefficient
 
     ``a_vec`` holds a(0..N) flattened, (N+1) T values, one per column of Rmat.
     The conditioning bound ``cond_B`` (see ``CoefficientSolution``) must not
-    exceed ``COND_CEILING``; it is checked before the factorization.
+    exceed ``COND_CEILING``; it is checked before the factorization.  The
+    factor is one LAPACK ``?potrf`` (upper triangle) and each solve one
+    ``?potrs``: the routines ``scipy.linalg.cho_factor``/``cho_solve`` wrap,
+    called without the wrappers' argument checks (Bmat is checked for finite
+    entries here).
     """
     a_vec = np.asarray(a_vec, dtype=complex)
     B = system.Bmat
@@ -246,17 +261,24 @@ def solve_coefficients(system: OperatorSystem, a_vec: np.ndarray) -> Coefficient
         raise NonInvertibleOperatorError(
             f"operator condition number bound {cond:.3e} exceeds ceiling {COND_CEILING:.1e}"
         )
-    try:
-        cho = scipy.linalg.cho_factor(B, lower=False, check_finite=False)
-    except np.linalg.LinAlgError as exc:
+    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (B,))
+    factor, info = potrf(B, lower=0, clean=0)
+    if info != 0:
         raise NonInvertibleOperatorError(
-            f"operator matrix is not positive definite: {exc}"
-        ) from exc
+            f"operator matrix is not positive definite (?potrf info {info})")
     rhs = system.Rmat @ a_vec
-    c = scipy.linalg.cho_solve(cho, rhs)
+    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (factor, rhs))
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x, info = potrs(factor, b, lower=0)
+        if info != 0:
+            raise NonInvertibleOperatorError(f"?potrs refused its arguments (info {info})")
+        return x
+
+    c = solve(rhs)
     # one step of iterative refinement
     resid = rhs - B @ c
-    c = c + scipy.linalg.cho_solve(cho, resid)
+    c = c + solve(resid)
     resid = rhs - B @ c
     denom = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
     return CoefficientSolution(c=c, residual=float(np.linalg.norm(resid)) / denom,

@@ -17,6 +17,7 @@ covariances       R(n) = (1/2pi) int e^{i n lambda} F(lambda) d lambda
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,6 +58,17 @@ def trig_poly_on_grid(lags: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarra
     return n * np.fft.ifft(folded, axis=0)
 
 
+def _eigvalsh(samples: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of Hermitian (n, T, T) samples, shape (n, T).
+
+    For 1 x 1 blocks these are the real parts, which is what LAPACK's ?heevd
+    returns for an order-1 matrix, so the shortcut is bit for bit.
+    """
+    if samples.shape[-1] == 1:
+        return samples[..., 0].real
+    return np.linalg.eigvalsh(samples)
+
+
 def _as_matrix_samples(values: np.ndarray, n: int, dim: int, name: str) -> np.ndarray:
     values = np.asarray(values)
     if values.shape != (n, dim, dim):
@@ -86,6 +98,11 @@ class SpectralModel:
     grid_size : number of frequency nodes (power of two, >= 64).
     pole_modulus : largest pole modulus of the underlying rational model,
         when known; used by default truncation rules.
+
+    Construction samples each given density on the grid and validates what
+    exists: F and G (when given) must be Hermitian and positive semidefinite,
+    and the cross densities (when given) adjoint to each other.  The grid
+    nodes ``lam`` are computed once, read-only.
     """
 
     dim: int
@@ -96,6 +113,7 @@ class SpectralModel:
     grid_size: int = 4096
     pole_modulus: float | None = None
     _samples: dict = field(default_factory=dict, repr=False)
+    lam: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.grid_size
@@ -108,13 +126,11 @@ class SpectralModel:
         if self.F_ex is None and self.F_xe is not None:
             fxe = self.F_xe
             self.F_ex = lambda lam: np.conj(np.swapaxes(fxe(lam), -1, -2))
+        self.lam = grid_points(n)
+        self.lam.flags.writeable = False
         self._validate()
 
     # -- evaluation ------------------------------------------------------
-
-    @property
-    def lam(self) -> np.ndarray:
-        return grid_points(self.grid_size)
 
     def samples(self, which: str = "F") -> np.ndarray:
         """Density samples on the model grid, shape (n, T, T).
@@ -141,11 +157,11 @@ class SpectralModel:
         self._samples[which] = out
         return out
 
-    @property
+    @cached_property
     def is_noiseless(self) -> bool:
         return self.G is None or not np.any(np.abs(self.samples("G")) > 0)
 
-    @property
+    @cached_property
     def is_uncorrelated(self) -> bool:
         return self.F_xe is None or not np.any(np.abs(self.samples("Fxe")) > 0)
 
@@ -166,7 +182,10 @@ class SpectralModel:
     # -- validation ------------------------------------------------------
 
     def _validate(self):
-        for which in ("F", "G"):
+        """Check the densities that exist; an absent one samples as zero."""
+        for which, fn in (("F", self.F), ("G", self.G)):
+            if fn is None:
+                continue
             s = self.samples(which)
             scale = max(np.abs(s).max(), 1.0)
             herm = np.abs(s - np.conj(np.swapaxes(s, -1, -2))).max()
@@ -174,18 +193,19 @@ class SpectralModel:
                 raise InvalidParameterError(
                     f"density {which} is not Hermitian (defect {herm:.2e})"
                 )
-            mineig = np.linalg.eigvalsh(s).min()
+            mineig = _eigvalsh(s).min()
             if mineig < -_PSD_TOL * scale:
                 raise InvalidParameterError(
                     f"density {which} has a negative eigenvalue ({mineig:.2e})"
                 )
-        fxe = self.samples("Fxe")
-        fex = self.samples("Fex")
-        adj = np.abs(fex - np.conj(np.swapaxes(fxe, -1, -2))).max()
-        if adj > _HERMITIAN_TOL * max(np.abs(fxe).max(), 1.0):
-            raise InvalidParameterError(
-                f"cross densities are not adjoint to each other (defect {adj:.2e})"
-            )
+        if self.F_xe is not None or self.F_ex is not None:
+            fxe = self.samples("Fxe")
+            fex = self.samples("Fex")
+            adj = np.abs(fex - np.conj(np.swapaxes(fxe, -1, -2))).max()
+            if adj > _HERMITIAN_TOL * max(np.abs(fxe).max(), 1.0):
+                raise InvalidParameterError(
+                    f"cross densities are not adjoint to each other (defect {adj:.2e})"
+                )
         if self.is_noiseless and not self.is_uncorrelated:
             raise InvalidParameterError(
                 "a noiseless model cannot carry a nonzero cross density"
@@ -454,10 +474,10 @@ def coeffs_from_samples(samples: np.ndarray, max_lag: int) -> FourierTable:
         raise InvalidParameterError(
             f"grid size {n} too small for max_lag {max_lag} (need >= {4 * max_lag})"
         )
-    fft = np.fft.fft(samples, axis=0) / n
+    fft = np.fft.fft(samples, axis=0)
     ks = np.arange(-max_lag, max_lag + 1)
     signs = np.where(ks % 2 == 0, 1.0, -1.0)
-    data = signs[:, None, None] * fft[ks % n]
+    data = signs[:, None, None] * (fft[ks % n] / n)
     return FourierTable(max_lag=max_lag, data=data)
 
 
@@ -494,26 +514,22 @@ def check_minimality(model: SpectralModel) -> MinimalityReport:
     carries the extreme eigenvalues of F_zeta over the grid, which bound the
     spectrum of every operator matrix built from F_zeta^{-1}.
     """
-    fz = model.samples("Fz")
-    eig = np.linalg.eigvalsh(fz)
+    eig = _eigvalsh(model.samples("Fz"))
     lam = model.lam
-    eig_max, eig_min = float(eig.max()), float(eig.min())
-    scale = max(eig_max, 0.0)
-    floor = np.finfo(float).tiny * max(scale, 1.0)
-    mineig = eig.min(axis=1)
-    maxeig = eig.max(axis=1)
-    singular = mineig <= floor
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conds = np.where(singular, np.inf, maxeig / np.maximum(mineig, floor))
-    worst = int(np.argmax(conds))
-    max_cond = float(conds[worst])
-    if np.any(singular):
-        bad = int(np.argmax(singular))
+    # eigenvalues come in ascending order: the per-node extremes are the ends
+    mineig, maxeig = eig[:, 0], eig[:, -1]
+    eig_max, eig_min = float(maxeig.max()), float(mineig.min())
+    floor = np.finfo(float).tiny * max(eig_max, 1.0)
+    if eig_min <= floor:
+        bad = int(np.argmax(mineig <= floor))
         return MinimalityReport(
             value=float("inf"), passed=False, max_cond=float("inf"),
             worst_lambda=float(lam[bad]), eig_max=eig_max, eig_min=eig_min,
             note=f"observation density singular at lambda={lam[bad]:.6f}",
         )
+    conds = maxeig / mineig
+    worst = int(np.argmax(conds))
+    max_cond = float(conds[worst])
     value = float(np.mean(np.sum(1.0 / eig, axis=1)))
     passed = bool(np.isfinite(value) and max_cond <= COND_CEILING)
     note = "" if passed else (

@@ -610,6 +610,36 @@ def test_unknown_keys_exit_2(tmp_path, capsys, command, text, key):
     _assert_config_error(tmp_path, capsys, command, text, key)
 
 
+@pytest.mark.parametrize("extra,key", [
+    # a step that halves to zero never ends the search; these used to hang
+    ("  opt: {min_step: 0}\n", "minimax.opt"),
+    ("  opt: {min_step: -1.0e-6}\n", "minimax.opt"),
+    ("  opt: {initial_step: 0}\n", "minimax.opt"),
+    ("  opt: {initial_step: .inf}\n", "minimax.opt"),
+    ("  opt: {min_step: .nan}\n", "minimax.opt"),
+    # negative seeds used to escape as a raw NumPy ValueError
+    ("  opt: {seed: -1}\n", "minimax.opt"),
+    ("  saddle_seed: -1\n", "minimax.saddle_seed"),
+], ids=["min_step_0", "min_step_negative", "initial_step_0", "initial_step_inf",
+        "min_step_nan", "opt_seed", "saddle_seed"])
+def test_out_of_range_minimax_options_exit_2(tmp_path, capsys, extra, key):
+    _assert_config_error(tmp_path, capsys, "minimax", MIXTURE_MINIMAX + extra, key)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_saddle_check_needs_a_sample(tmp_path, capsys, samples):
+    # zero samples used to exit 0 with saddle_all_pass = true
+    text = MIXTURE_MINIMAX.replace("saddle_samples: 2", f"saddle_samples: {samples}")
+    _assert_config_error(tmp_path, capsys, "minimax", text, "minimax.saddle_samples")
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, MIXTURE_MINIMAX)
+    assert run_cli(["minimax", "--config", cfg, "--seed", "-1",
+                    "--out", tmp_path / "out"]) == 2
+    assert "config error: minimax.opt:" in capsys.readouterr().err
+
+
 def test_known_model_keys_accepted(tmp_path):
     assert run_cli(["estimate", "--config", write_config(tmp_path, NOISY_AR1_YAML),
                     "--out", tmp_path / "out"]) == 0

@@ -1,17 +1,27 @@
-"""Robustness of the run-file parser.
+"""Robustness of the run-file parser and the section builders.
 
 ``loads_config`` either returns a configuration or raises ``ConfigError``
 (exit code 2 at the command line); no input text may escape as another
 exception.  The property is fuzzed over raw text and over YAML mappings
 shaped like run files; inputs that once escaped are pinned as regressions.
+The section builders (``build_model``, ``build_simulation``, ``build_class``)
+are held to the same property over mapping-shaped sections.
 """
+
+from dataclasses import fields
 
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gapcast.config import loads_config
+from gapcast.config import (
+    build_class,
+    build_model,
+    build_simulation,
+    loads_config,
+)
 from gapcast.errors import ConfigError
+from gapcast.minimax import F_KINDS, ClassData, OptConfig
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -97,6 +107,105 @@ def test_loads_config_mapping_fuzz(doc):
 def test_loads_config_regressions(text):
     with pytest.raises(ConfigError):
         loads_config(text)
+
+
+# Section builders.  Each section is a valid one with up to two of its keys
+# replaced by drawn values, so that most draws get past the key checks into
+# the builders.  Grid sizes stay at or below 1024 so that every drawn model is
+# cheap to sample; no grid_file path is drawn.
+_GRIDS = st.sampled_from([64, 128, 256, 512, 1024, 1024.0, 100, 0, -64, 2.5, "512", None])
+_LISTS = st.lists(_NUMBERS, max_size=3) | st.lists(st.lists(_NUMBERS, max_size=3), max_size=3)
+_FIELD_VALUES = _NUMBERS | st.none() | _LISTS | _VALUES
+
+
+def _perturbed(templates, values, extra_keys=()):
+    """A template with up to two of its keys (or ``extra_keys``) set to drawn ``values``."""
+    return st.sampled_from(templates).flatmap(lambda template: st.dictionaries(
+        st.sampled_from(sorted(template) + list(extra_keys)), values, max_size=2
+    ).map(lambda drawn: {**template, **drawn}))
+
+
+_MODELS = _perturbed(
+    [{"kind": "example1", "b1": 0.5, "b2": 0.3},
+     {"kind": "white", "dim": 1, "scale": 1.5},
+     {"kind": "ar1", "poles": [0.6, -0.2], "mix": [[1.0, 0.3], [0.0, 1.0]],
+      "noise": {"poles": [0.2, 0.1], "scales": [0.5, 0.5]}},
+     {"kind": "ma_pair", "signal_coeffs": [[[1.0]], [[0.5]]], "noise_coeffs": [[[1.0]]],
+      "innovation_cov": [[1.0, 0.2], [0.2, 1.0]]},
+     {"kind": "laurent", "dim": 1, "pole_modulus": 0.5,
+      "entries": [{"row": 0, "col": 0, "num_offset": 0, "num_coeffs": [2.0],
+                   "den_coeffs": [1.0]}]},
+     {"kind": "grid_file"}],
+    _FIELD_VALUES | st.lists(st.dictionaries(
+        st.sampled_from(["row", "col", "num_offset", "num_coeffs", "den_offset",
+                         "den_coeffs"]), _NUMBERS | _LISTS, max_size=6), max_size=3),
+    extra_keys=["pole_modulus"])
+_SIMULATIONS = _perturbed(
+    [{"replications": 200, "seed": 7, "window": 30}], _NUMBERS | st.none(),
+    extra_keys=["embedding_margin", "psd_tol", "batch"])
+_FAMILIES = [
+    {"kind": "singleton"},
+    {"kind": "mixture", "params": {"power": 1.5, "noise_power": 0.8}},
+    {"kind": "ar1_fixed_power", "params": {"power": 1.5, "b_max": 0.7}},
+    {"kind": "contamination",
+     "params": {"anchor_power": 1.5, "anchor_pole": 0.3, "eps": 0.2, "power": 1.5}},
+    {"kind": ["mixture"]},
+]
+_PARAMS = st.dictionaries(
+    st.sampled_from(["power", "w_max", "b_max", "noise_power", "label", "anchor_power",
+                     "anchor_pole", "eps"]) | _KEYS, _NUMBERS | st.none() | _LISTS,
+    max_size=2)
+_FAMILY = st.tuples(st.sampled_from(_FAMILIES), _PARAMS, _GRIDS).map(
+    lambda t: {**t[0], "params": {**t[0].get("params", {}), **t[1], "grid_size": t[2]}})
+_MINIMAX = _perturbed(
+    [{"kind": "D0_1", "data": {"power": 1.5}, "family": family, "opt": {"starts": 2}}
+     for family in _FAMILIES]
+    + [{"kind": "D0_1", "g_kind": "DVU_1",
+        "data": {"power": 1.5, "noise_power": 0.8, "lower": 0.0, "upper": 8.0},
+        "family": _FAMILIES[1]}],
+    _FIELD_VALUES | st.sampled_from(F_KINDS) | _FAMILY
+    | st.dictionaries(st.sampled_from([f.name for f in fields(ClassData)]),
+                      _FIELD_VALUES, max_size=4)
+    | st.dictionaries(st.sampled_from([f.name for f in fields(OptConfig)]),
+                      _NUMBERS | st.none(), max_size=3),
+    extra_keys=["g_kind", "theta", "saddle_samples", "saddle_seed", "saddle_tol",
+                "skip_residuals"])
+_SECTION_FILES = st.fixed_dictionaries(
+    {"model": _MODELS,
+     "pattern": st.just({"intervals": [[2, 1]]}),
+     "functional": st.just({"coeffs": [[1.0]]}),
+     "numerics": st.fixed_dictionaries({"grid_size": _GRIDS},
+                                       optional={"truncation": st.sampled_from(
+                                           [8, 16, 16.0, 0, -1, 2.5, "8", None])}),
+     "simulation": _SIMULATIONS, "minimax": _MINIMAX})
+
+
+@FUZZ
+@given(_SECTION_FILES)
+def test_section_builders_fuzz(doc):
+    try:
+        cfg = loads_config(yaml.safe_dump(doc, sort_keys=False))
+    except ConfigError:
+        return
+    for build in (build_model, build_simulation, build_class):
+        try:
+            build(cfg)
+        except ConfigError:
+            pass
+
+
+@pytest.mark.parametrize("family", [
+    "{kind: []}",                                               # unhashable kind
+    "{kind: mixture, params: {power: -1.0}}",                   # refused power
+    "{kind: contamination, params: {anchor_power: 4.0, anchor_pole: 0.0, eps: 0.2, "
+    "power: 1.0}}",                                             # no admissible member
+])
+def test_build_class_regressions(family):
+    # each escaped build_class as a raw TypeError or a non-config error
+    cfg = loads_config(VALID + "minimax: {kind: D0_1, data: {power: 1.0}, "
+                       f"family: {family}}}\n")
+    with pytest.raises(ConfigError, match="minimax.family"):
+        build_class(cfg)
 
 
 def test_loads_config_accepts_valid_file():

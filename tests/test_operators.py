@@ -5,6 +5,7 @@ known in closed form.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gapcast import (
     FourierTable,
@@ -20,6 +21,7 @@ from gapcast import (
 from gapcast.operators import (
     MAX_GAP_POINTS,
     OperatorSystem,
+    _inverse,
     assemble,
     example1_psi,
     example1_theta,
@@ -32,6 +34,7 @@ from gapcast.errors import (
     InvalidPatternError,
     NonInvertibleOperatorError,
 )
+from test_extrapolate import _random_instance
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +344,55 @@ def test_solve_rejects_ill_conditioned_system():
 def test_solve_rejects_indefinite_or_non_finite_system(last):
     with pytest.raises(NonInvertibleOperatorError):
         _solve_with_last_pivot(last)
+
+
+def test_solve_names_an_indefinite_system():
+    with pytest.raises(NonInvertibleOperatorError, match="not positive definite"):
+        _solve_with_last_pivot(-1.0)
+
+
+def _cho_pair_solve(system, a_vec):
+    """Reference: the same solve through scipy's cho_factor/cho_solve wrappers."""
+    B = system.Bmat
+    cho = scipy.linalg.cho_factor(B, lower=False, check_finite=False)
+    rhs = system.Rmat @ a_vec
+    c = scipy.linalg.cho_solve(cho, rhs)
+    c = c + scipy.linalg.cho_solve(cho, rhs - B @ c)
+    residual = float(np.linalg.norm(rhs - B @ c)) / max(float(np.linalg.norm(rhs)),
+                                                         np.finfo(float).tiny)
+    return c, residual, float(np.linalg.norm(B, 1) * np.sqrt(B.shape[0]) * system.eig_max)
+
+
+@pytest.mark.parametrize("seed,dim", [(seed, None) for seed in range(12)] + [(0, 3), (1, 3)])
+def test_solve_is_bit_equal_to_cho_pair(seed, dim):
+    # one ?potrf and one ?potrs per solve: the wrappers' routines, called directly
+    model, pattern, functional = _random_instance(seed, dim=dim)
+    system = build_operator_system(model, pattern, K=24, horizon=functional.horizon)
+    a_vec = functional.coeffs.ravel()
+    sol = solve_coefficients(system, a_vec)
+    c, residual, cond = _cho_pair_solve(system, a_vec)
+    assert np.array_equal(sol.c, c)
+    assert sol.residual == residual and sol.cond_B == cond
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scalar_observation_inverse_is_the_reciprocal(seed):
+    # at T = 1 Zinv is 1 / F_zeta: bit-equal to np.linalg.inv on real samples
+    model, pattern, functional = _random_instance(seed, dim=1)
+    system = build_operator_system(model, pattern, K=12, horizon=functional.horizon)
+    fz = model.samples("Fz")
+    assert not np.any(fz.imag)
+    assert np.array_equal(system.Zinv, np.linalg.inv(fz))
+
+
+def test_inverse_of_complex_blocks():
+    rng = np.random.default_rng(5)
+    z = (rng.uniform(0.1, 10.0, 4096) * np.exp(1j * rng.uniform(-3.1, 3.1, 4096)))
+    scalar = z[:, None, None]
+    ref = np.linalg.inv(scalar)
+    assert np.max(np.abs(_inverse(scalar) - ref) / np.abs(ref)) <= 4e-16
+    blocks = rng.normal(size=(64, 2, 2)) + 1j * rng.normal(size=(64, 2, 2))
+    assert np.array_equal(_inverse(blocks), np.linalg.inv(blocks))
 
 
 def _random_ar_instance(seed):

@@ -31,6 +31,7 @@ from gapcast.errors import (
     InvalidParameterError,
     SingularDensityError,
 )
+from gapcast.spectral import _eigvalsh
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +262,47 @@ def test_psd_validation_at_construction():
     with pytest.raises(InvalidParameterError):
         SpectralModel(dim=2, F=density_from_samples(skew), grid_size=64,
                       pole_modulus=None)
+
+
+def _flat(dim, value=1.0):
+    return density_from_samples(np.broadcast_to(value * np.eye(dim, dtype=complex),
+                                                (64, dim, dim)))
+
+
+def test_validation_checks_the_noise_and_cross_densities():
+    skew = np.zeros((64, 2, 2), dtype=complex)
+    skew[:, 0, 1], skew[:, 1, 0] = 1.0, -1.0
+    cross = density_from_samples(np.full((64, 1, 1), 0.1 + 0.1j))
+    for kwargs, message in [
+        (dict(dim=1, G=_flat(1, -1.0)), "density G has a negative eigenvalue"),
+        (dict(dim=2, G=density_from_samples(skew)), "density G is not Hermitian"),
+        (dict(dim=1, G=_flat(1), F_xe=cross, F_ex=cross), "not adjoint"),
+        (dict(dim=1, G=_flat(1), F_ex=cross), "not adjoint"),
+        (dict(dim=1, F_xe=cross), "noiseless model cannot carry"),
+    ]:
+        with pytest.raises(InvalidParameterError, match=message):
+            SpectralModel(F=_flat(kwargs["dim"]), grid_size=64, **kwargs)
+
+
+def test_validation_skips_absent_densities():
+    model = SpectralModel(dim=1, F=_flat(1), grid_size=64)
+    assert set(model._samples) == {"F"}
+    assert model.is_noiseless and model.is_uncorrelated
+
+
+def test_grid_nodes_are_computed_once_and_read_only():
+    model = white_model(1, grid_size=128)
+    assert model.lam is model.lam and not model.lam.flags.writeable
+    assert np.array_equal(model.lam, grid_points(128))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_node_eigenvalues_match_eigvalsh(dim):
+    # 1 x 1 blocks take the real part, which is what ?heevd returns
+    rng = np.random.default_rng(dim)
+    x = rng.normal(size=(256, dim, dim)) + 1j * rng.normal(size=(256, dim, dim))
+    x = x @ np.conj(np.swapaxes(x, -1, -2))
+    assert np.array_equal(_eigvalsh(x), np.linalg.eigvalsh(x))
 
 
 # ---------------------------------------------------------------------------
