@@ -166,12 +166,12 @@ def cmd_minimax(cfg: RunConfig, out_dir: Path) -> int:
     pattern = build_pattern(cfg)
     functional = build_functional(cfg)
     if extras["theta"] is not None:
-        result = evaluate_candidate(cls, extras["theta"], pattern, functional, opt)
+        result = evaluate_candidate(cls, extras["theta"], pattern, functional,
+                                    K=cfg.truncation)
     else:
-        result = maximize_delta(cls, pattern, functional, opt)
-    saddle = verify_saddle_point(result, cls, n_samples=extras["saddle_samples"],
-                                 seed=extras["saddle_seed"],
-                                 tol=extras["saddle_tol"])
+        result = maximize_delta(cls, pattern, functional, opt, K=cfg.truncation)
+    saddle = verify_saddle_point(result, n_samples=extras["saddle_samples"],
+                                 seed=extras["saddle_seed"], tol=extras["saddle_tol"])
 
     digest = config_hash(cfg)
     lines = _header(digest, seed=opt.seed)
@@ -205,7 +205,7 @@ def cmd_minimax(cfg: RunConfig, out_dir: Path) -> int:
 
     rrows = _header(digest) + ["name,structure,residual,scale,relative,params"]
     if not extras["skip_residuals"]:
-        resid = characterization_residuals(result, cls)
+        resid = characterization_residuals(result)
         for e in resid.entries:
             params = json.dumps(e.params, sort_keys=True, default=_fmt)
             rrows.append(",".join([

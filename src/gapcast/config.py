@@ -11,6 +11,7 @@ backs the reproducibility hash embedded in every output file).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from .oracle import SimulationConfig
 from .spectral import (
     SpectralModel,
     ar1_model,
+    check_grid_size,
     density_from_samples,
     grid_points,
     laurent_density,
@@ -59,8 +61,17 @@ _MODEL_KEYS = {
 _LAURENT_ENTRY = ("row", "col", "num_offset", "num_coeffs", "den_offset", "den_coeffs")
 
 
+def _real(value) -> float:
+    """``value`` as a float; a boolean or a string is refused."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(value)
+    return float(value)
+
+
 def _float_array(value):
-    arr = np.asarray(value, dtype=float)
+    """``value`` as a float, or an array of floats each read by ``_real``."""
+    entries = np.asarray(value, dtype=object)
+    arr = np.array([_real(v) for v in entries.flat]).reshape(entries.shape)
     return float(arr) if arr.ndim == 0 else arr
 
 
@@ -82,7 +93,7 @@ _EXPECTED = {_integer: "an integer", _boolean: "a boolean (true or false)"}
 
 
 def _cast(value, kind, where: str):
-    """``kind(value)`` (_integer, _boolean, float or _float_array); a ConfigError at ``where``."""
+    """``kind(value)`` (_integer, _boolean, _real or _float_array); a ConfigError at ``where``."""
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -119,7 +130,11 @@ class RunConfig:
 
     @property
     def grid_size(self) -> int:
-        return _cast(self.numerics.get("grid_size", 4096), _integer, "numerics.grid_size")
+        n = _cast(self.numerics.get("grid_size", 4096), _integer, "numerics.grid_size")
+        try:
+            return check_grid_size(n)
+        except InvalidParameterError as exc:
+            raise ConfigError(str(exc), location="numerics.grid_size") from exc
 
     @property
     def truncation(self) -> int | None:
@@ -165,7 +180,7 @@ def loads_config(text: str) -> RunConfig:
     # Fail fast on structural problems; builders re-raise with locations.
     build_pattern(cfg)
     build_functional(cfg)
-    cfg.grid_size, cfg.truncation   # the properties refuse malformed numbers
+    cfg.grid_size, cfg.truncation   # the properties refuse malformed numbers and grids
     return cfg
 
 
@@ -200,8 +215,9 @@ def build_model(cfg: RunConfig) -> SpectralModel:
     n = cfg.grid_size
     try:
         if kind == "example1":
-            return make_ar1_pair(float(_require(sec, "b1", "model")),
-                                 float(_require(sec, "b2", "model")), grid_size=n)
+            return make_ar1_pair(_cast(_require(sec, "b1", "model"), _real, "model.b1"),
+                                 _cast(_require(sec, "b2", "model"), _real, "model.b2"),
+                                 grid_size=n)
         if kind == "white":
             return white_model(_cast(sec.get("dim", 1), _integer, "model.dim"),
                                scale=sec.get("scale", 1.0), grid_size=n)
@@ -284,31 +300,27 @@ def build_pattern(cfg: RunConfig) -> MissingPattern:
 
 def build_functional(cfg: RunConfig) -> FunctionalSpec:
     sec = cfg.functional
-    _reject_unknown(sec, ("coeffs", "truncated"), "functional")
+    _reject_unknown(sec, ("coeffs",), "functional")
     coeffs = _require(sec, "coeffs", "functional")
-    truncated = _cast(sec.get("truncated", False), _boolean, "functional.truncated")
     try:
-        arr = np.atleast_2d(np.asarray(coeffs, dtype=complex))
-        return FunctionalSpec(coeffs=arr, truncated=truncated)
-    except ConfigError:
-        raise
+        return FunctionalSpec(coeffs=np.atleast_2d(np.asarray(coeffs, dtype=complex)))
     except Exception as exc:
         raise ConfigError(str(exc), location="functional.coeffs") from exc
 
 
-def _from_section(cls, sec: dict, where: str, **given):
+def _from_section(cls, sec: dict, where: str):
     """Dataclass ``cls`` built from the keys of ``sec`` that name its fields.
 
     An absent or null key keeps the field's default; a value is read as a float
     where that default is a float and as an integer otherwise.  A key that names
-    no field is an error.  ``given`` sets fields outright.
+    no field is an error.
     """
     _reject_unknown(sec, [f.name for f in fields(cls)], where)
-    kwargs = dict(given)
+    kwargs = {}
     for f in fields(cls):
         value = sec.get(f.name)
-        if f.name not in given and value is not None:
-            kind = float if isinstance(f.default, float) else _integer
+        if value is not None:
+            kind = _real if isinstance(f.default, float) else _integer
             kwargs[f.name] = _cast(value, kind, f"{where}.{f.name}")
     try:
         return cls(**kwargs)
@@ -333,7 +345,7 @@ def build_oracle_check(cfg: RunConfig) -> tuple[list[int], float]:
     windows = [_cast(w, _integer, f"oracle_check.windows[{i}]") for i, w in enumerate(windows)]
     if min(windows) < 1:
         raise ConfigError("window lengths must be >= 1", location="oracle_check.windows")
-    return windows, _cast(sec.get("tolerance", 1e-4), float, "oracle_check.tolerance")
+    return windows, _cast(sec.get("tolerance", 1e-4), _real, "oracle_check.tolerance")
 
 
 _FAMILY_BUILDERS = {
@@ -363,10 +375,8 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
     if fam_kind == "singleton":
         fam = singleton_family(build_model(cfg))
     elif isinstance(fam_kind, str) and fam_kind in _FAMILY_BUILDERS:
-        params = dict(_expect_map(fam_sec.get("params", {}) or {},
-                                  "minimax.family.params"))
-        grid_size = _cast(params.pop("grid_size", cfg.grid_size), _integer,
-                          "minimax.family.params.grid_size")
+        params = _expect_map(fam_sec.get("params", {}) or {}, "minimax.family.params")
+        grid_size = cfg.grid_size   # a bad grid is an error at numerics.grid_size
         try:
             fam = _FAMILY_BUILDERS[fam_kind](**params, grid_size=grid_size)
         except (TypeError, ValueError, GapcastError) as exc:
@@ -380,9 +390,8 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
     except Exception as exc:
         raise ConfigError(str(exc), location="minimax") from exc
 
-    opt_sec = _expect_map(sec.get("opt", {}) or {}, "minimax.opt")
-    given = {"truncation": cfg.truncation} if opt_sec.get("truncation") is None else {}
-    opt = _from_section(OptConfig, opt_sec, "minimax.opt", **given)
+    opt = _from_section(OptConfig, _expect_map(sec.get("opt", {}) or {}, "minimax.opt"),
+                        "minimax.opt")
 
     theta = sec.get("theta")
     if theta is not None:
@@ -394,7 +403,7 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
         "saddle_samples": _cast(sec.get("saddle_samples", 100), _integer,
                                 "minimax.saddle_samples"),
         "saddle_seed": _cast(sec.get("saddle_seed", 1), _integer, "minimax.saddle_seed"),
-        "saddle_tol": _cast(sec.get("saddle_tol", 1e-6), float, "minimax.saddle_tol"),
+        "saddle_tol": _cast(sec.get("saddle_tol", 1e-6), _real, "minimax.saddle_tol"),
         "theta": theta,
         "skip_residuals": _cast(sec.get("skip_residuals", False), _boolean,
                                 "minimax.skip_residuals"),
@@ -403,4 +412,7 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
         if extras[key] < least:
             raise ConfigError(f"expected an integer >= {least}, got {extras[key]}",
                               location=f"minimax.{key}")
+    if not (math.isfinite(extras["saddle_tol"]) and extras["saddle_tol"] >= 0):
+        raise ConfigError(f"expected a finite number >= 0, got {extras['saddle_tol']}",
+                          location="minimax.saddle_tol")
     return cls, opt, extras

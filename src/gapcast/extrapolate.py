@@ -37,13 +37,10 @@ from .spectral import SpectralModel, coeffs_from_samples, trig_poly_on_grid
 class FunctionalSpec:
     """Finite linear functional sum_{j=0}^{N} a(j)^T xi(j).
 
-    ``coeffs`` has shape (N+1, T); row j is a(j).  ``truncated`` marks
-    functionals obtained by explicitly cutting a longer coefficient sequence
-    to a finite horizon, which is reported as the finite-horizon variant.
+    ``coeffs`` has shape (N+1, T); row j is a(j).
     """
 
     coeffs: np.ndarray
-    truncated: bool = False
 
     def __post_init__(self):
         arr = np.atleast_2d(np.asarray(self.coeffs))
@@ -60,12 +57,6 @@ class FunctionalSpec:
     @property
     def dim(self) -> int:
         return self.coeffs.shape[1]
-
-    def truncate(self, N: int) -> "FunctionalSpec":
-        """Keep coefficients a(0..N) only; marks the finite-horizon variant."""
-        if N < 0:
-            raise InvalidParameterError(f"horizon must be >= 0, got {N}")
-        return FunctionalSpec(self.coeffs[: N + 1].copy(), truncated=True)
 
     def a_on_grid(self, n: int) -> np.ndarray:
         """A(e^{i lambda}) = sum_j a(j) e^{i j lambda} at the n grid nodes, shape (n, T)."""
@@ -118,9 +109,7 @@ def default_truncation(model: SpectralModel, functional: FunctionalSpec) -> int:
     return N + 8 * max(1, math.ceil(1.0 / (1.0 - rho)))
 
 
-def _select_variant(model: SpectralModel, functional: FunctionalSpec) -> str:
-    if functional.truncated:
-        return "finite-horizon"
+def _select_variant(model: SpectralModel) -> str:
     if model.is_noiseless:
         return "noiseless"
     if model.is_uncorrelated:
@@ -235,7 +224,7 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
 
     return EstimateResult(
         c=dict(zip(entries.tolist(), c_blocks)), lam=lam, h_grid=h_row, taps=taps,
-        delta=delta, variant=_select_variant(model, functional),
+        delta=delta, variant=_select_variant(model),
         diagnostics=diags, system=system,
     )
 

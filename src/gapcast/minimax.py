@@ -332,7 +332,6 @@ class OptConfig:
     initial_step: float = 0.25
     min_step: float = 1e-6
     seed: int = 0
-    truncation: int | None = None
 
     def __post_init__(self):
         if self.starts < 1 or self.budget < 1:
@@ -414,8 +413,6 @@ class LeastFavorableResult:
     cls: DensityClass
     pattern: MissingPattern
     functional: FunctionalSpec
-    saddle_report: SaddleReport | None = None
-    residual_report: ResidualReport | None = None
 
 
 def _result(cls: DensityClass, theta: np.ndarray, model: SpectralModel,
@@ -446,16 +443,17 @@ def _check_in_class(cls: DensityClass, model: SpectralModel):
 
 
 def maximize_delta(cls: DensityClass, pattern: MissingPattern,
-                   functional: FunctionalSpec,
-                   opt: OptConfig = OptConfig()) -> LeastFavorableResult:
+                   functional: FunctionalSpec, opt: OptConfig = OptConfig(),
+                   K: int | None = None) -> LeastFavorableResult:
     """Search the family for the density pair with the largest optimal error.
 
     Multi-start coordinate ascent with step halving; every evaluation first
     verifies class membership, then computes the optimal error by the
-    operator route (``optimal_delta``).  The returned maximizer is the best
-    point seen anywhere in the search; the full estimation pipeline runs once,
-    on it, and must reproduce the searched error bit for bit.  The complete
-    evaluation trace is kept for audit.
+    operator route (``optimal_delta`` at truncation ``K``, as in
+    ``estimate``).  The returned maximizer is the best point seen anywhere in
+    the search; the full estimation pipeline runs once, on it, and must
+    reproduce the searched error bit for bit.  The complete evaluation trace
+    is kept for audit.
     """
     fam = cls.family
     if fam.dim > 8:
@@ -474,7 +472,7 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
             return -np.inf
         model = fam.build(theta)
         _check_in_class(cls, model)
-        val = optimal_delta(model, pattern, functional, K=opt.truncation)
+        val = optimal_delta(model, pattern, functional, K=K)
         cache[key] = val
         trace.append(Evaluation(theta=key, delta=val))
         if val > best["delta"]:
@@ -514,7 +512,7 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
 
     if best["theta"] is None:
         raise InfeasibleClassError("no feasible family point was evaluated")
-    est = estimate(best["model"], pattern, functional, K=opt.truncation)
+    est = estimate(best["model"], pattern, functional, K=K)
     if est.delta != best["delta"]:
         raise InternalConsistencyError(
             f"estimate at the maximizer gives delta {est.delta!r}, "
@@ -524,7 +522,7 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
 
 def evaluate_candidate(cls: DensityClass, theta, pattern: MissingPattern,
                        functional: FunctionalSpec,
-                       opt: OptConfig = OptConfig()) -> LeastFavorableResult:
+                       K: int | None = None) -> LeastFavorableResult:
     """Package a fixed family point as if it were the search result.
 
     Useful for negative controls: saddle/residual checks applied to a point
@@ -534,23 +532,26 @@ def evaluate_candidate(cls: DensityClass, theta, pattern: MissingPattern,
     theta = fam.clip(np.asarray(theta, dtype=float).reshape(-1))
     model = fam.build(theta)
     _check_in_class(cls, model)
-    est = estimate(model, pattern, functional, K=opt.truncation)
+    est = estimate(model, pattern, functional, K=K)
     return _result(cls, theta, model, est, [Evaluation(tuple(theta), est.delta)],
                    pattern, functional)
 
 
-def verify_saddle_point(result: LeastFavorableResult, cls: DensityClass,
-                        n_samples: int = 100, seed: int = 1,
-                        tol: float = 1e-6) -> SaddleReport:
+def verify_saddle_point(result: LeastFavorableResult, n_samples: int = 100,
+                        seed: int = 1, tol: float = 1e-6) -> SaddleReport:
     """Check that the fixed minimax filter does not do worse inside the class.
 
     Holds the spectral characteristic of the maximizer fixed and evaluates its
-    error against random class members; each must stay below the error at the
-    maximizer (up to ``tol``).  Failures are recorded, not raised; at least
-    one sample is required, since an empty check would pass vacuously.
+    error against random members of ``result.cls``; each must stay below the
+    error at the maximizer (up to ``tol``, finite and nonnegative).  Failures
+    are recorded, not raised; at least one sample is required, since an empty
+    check would pass vacuously.
     """
     if n_samples < 1:
         raise InvalidParameterError(f"need at least one saddle sample, got {n_samples}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidParameterError(f"tol must be finite and nonnegative, got {tol!r}")
+    cls = result.cls
     fam = cls.family
     h0 = result.estimate_star.h_grid
     ref = delta_of_characteristic(result.model_star, result.functional, h0)
@@ -568,10 +569,7 @@ def verify_saddle_point(result: LeastFavorableResult, cls: DensityClass,
         worst = max(worst, val - ref)
         samples.append(SaddleSample(theta=tuple(np.atleast_1d(theta)),
                                     delta_fixed_filter=val, passed=ok))
-    report = SaddleReport(reference=ref, tol=tol, samples=samples,
-                          max_violation=worst)
-    result.saddle_report = report
-    return report
+    return SaddleReport(reference=ref, tol=tol, samples=samples, max_violation=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -690,17 +688,16 @@ def _side_residuals(side: _Side, field: np.ndarray, name: str) -> list[ResidualE
     return entries
 
 
-def characterization_residuals(result: LeastFavorableResult,
-                               cls: DensityClass) -> ResidualReport:
+def characterization_residuals(result: LeastFavorableResult) -> ResidualReport:
     """Fit the Lagrange-multiplier structure of each optimality equation.
 
-    At an interior least-favorable pair the whitened coupling field collapses
-    to the class-specific multiplier shape (constant, diagonal, weighted,
-    rank-one, possibly with signed pointwise slack); what least squares cannot
-    explain is returned as the residual of that equation, relative to the
-    field's own size.
+    At an interior least-favorable pair of ``result.cls`` the whitened
+    coupling field collapses to the class-specific multiplier shape (constant,
+    diagonal, weighted, rank-one, possibly with signed pointwise slack); what
+    least squares cannot explain is returned as the residual of that
+    equation, relative to the field's own size.
     """
-    model = result.model_star
+    cls, model = result.cls, result.model_star
     if model.dim > 2:
         raise UnsupportedClassError(
             "characterization residuals are implemented for dimension <= 2")
@@ -719,9 +716,7 @@ def characterization_residuals(result: LeastFavorableResult,
     if paired:
         entries += _side_residuals(_Side(cls, model, "G"), _coupling_field(result, "noise"),
                                    "noise-side equation")
-    report = ResidualReport(entries=entries)
-    result.residual_report = report
-    return report
+    return ResidualReport(entries=entries)
 
 
 # ---------------------------------------------------------------------------

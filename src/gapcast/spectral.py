@@ -39,6 +39,13 @@ _PSD_TOL = 1e-10
 COND_CEILING = 1e12
 
 
+def check_grid_size(n: int) -> int:
+    """``n`` if it is a power of two >= 64, the grids a model accepts."""
+    if n < 64 or (n & (n - 1)) != 0:
+        raise InvalidParameterError(f"grid_size must be a power of two >= 64, got {n}")
+    return n
+
+
 def grid_points(n: int) -> np.ndarray:
     """Equispaced frequency nodes -pi + 2*pi*m/n, m = 0..n-1."""
     return -np.pi + 2.0 * np.pi * np.arange(n) / n
@@ -93,39 +100,30 @@ class SpectralModel:
     dim : dimension T of the sequences.
     F : spectral density of the signal.
     G : spectral density of the noise, or None for noiseless observation.
-    F_xe : cross density (signal vs noise); None means uncorrelated.
-    F_ex : adjoint cross density; derived from F_xe when omitted.
+    F_xe : cross density (signal vs noise); None means uncorrelated.  The
+        adjoint cross density F_ex is its conjugate transpose.
     grid_size : number of frequency nodes (power of two, >= 64).
     pole_modulus : largest pole modulus of the underlying rational model,
         when known; used by default truncation rules.
 
     Construction samples each given density on the grid and validates what
-    exists: F and G (when given) must be Hermitian and positive semidefinite,
-    and the cross densities (when given) adjoint to each other.  The grid
-    nodes ``lam`` are computed once, read-only.
+    exists: F and G (when given) must be Hermitian and positive semidefinite.
+    The grid nodes ``lam`` are computed once, read-only.
     """
 
     dim: int
     F: DensityFn
     G: DensityFn | None = None
     F_xe: DensityFn | None = None
-    F_ex: DensityFn | None = None
     grid_size: int = 4096
     pole_modulus: float | None = None
     _samples: dict = field(default_factory=dict, repr=False)
     lam: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.grid_size
-        if n < 64 or (n & (n - 1)) != 0:
-            raise InvalidParameterError(
-                f"grid_size must be a power of two >= 64, got {n}"
-            )
+        n = check_grid_size(self.grid_size)
         if self.dim < 1:
             raise InvalidParameterError(f"dim must be positive, got {self.dim}")
-        if self.F_ex is None and self.F_xe is not None:
-            fxe = self.F_xe
-            self.F_ex = lambda lam: np.conj(np.swapaxes(fxe(lam), -1, -2))
         self.lam = grid_points(n)
         self.lam.flags.writeable = False
         self._validate()
@@ -135,8 +133,8 @@ class SpectralModel:
     def samples(self, which: str = "F") -> np.ndarray:
         """Density samples on the model grid, shape (n, T, T).
 
-        ``which`` is one of F, G, Fxe, Fex, Fz (observation density
-        F + F_xe + F_ex + G).
+        ``which`` is one of F, G, Fxe, Fex (the conjugate transpose of Fxe),
+        Fz (observation density F + F_xe + F_ex + G).
         """
         if which in self._samples:
             return self._samples[which]
@@ -149,9 +147,11 @@ class SpectralModel:
                 + self.samples("Fex")
             )
         else:
-            fn = {"F": self.F, "G": self.G, "Fxe": self.F_xe, "Fex": self.F_ex}[which]
+            fn = {"F": self.F, "G": self.G, "Fxe": self.F_xe, "Fex": self.F_xe}[which]
             if fn is None:
                 out = np.zeros((n, d, d), dtype=complex)
+            elif which == "Fex":
+                out = np.conj(np.swapaxes(self.samples("Fxe"), -1, -2))
             else:
                 out = _as_matrix_samples(fn(self.lam), n, d, which)
         self._samples[which] = out
@@ -174,7 +174,6 @@ class SpectralModel:
             F=self.F,
             G=self.G,
             F_xe=self.F_xe,
-            F_ex=self.F_ex,
             grid_size=grid_size,
             pole_modulus=self.pole_modulus,
         )
@@ -197,14 +196,6 @@ class SpectralModel:
             if mineig < -_PSD_TOL * scale:
                 raise InvalidParameterError(
                     f"density {which} has a negative eigenvalue ({mineig:.2e})"
-                )
-        if self.F_xe is not None or self.F_ex is not None:
-            fxe = self.samples("Fxe")
-            fex = self.samples("Fex")
-            adj = np.abs(fex - np.conj(np.swapaxes(fxe, -1, -2))).max()
-            if adj > _HERMITIAN_TOL * max(np.abs(fxe).max(), 1.0):
-                raise InvalidParameterError(
-                    f"cross densities are not adjoint to each other (defect {adj:.2e})"
                 )
         if self.is_noiseless and not self.is_uncorrelated:
             raise InvalidParameterError(

@@ -5,14 +5,26 @@ temp directory, then parses the emitted artifacts the way a user would.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from gapcast.cli import _complex_table, _fmt, main
-from gapcast.config import config_hash, dumps_config, load_config, loads_config
+from gapcast.config import (
+    build_class,
+    build_functional,
+    build_pattern,
+    config_hash,
+    dumps_config,
+    load_config,
+    loads_config,
+)
+from gapcast.minimax import maximize_delta
 from gapcast.spectral import grid_points
+
+ROBUST = Path(__file__).resolve().parent.parent / "docs" / "examples" / "robust_fixed_power.yaml"
 
 BENCH_YAML = """
 model:
@@ -363,7 +375,6 @@ minimax:
     kind: mixture
     params:
       power: 2.0
-      grid_size: 512
   theta: [0.85, 0.7]
   saddle_samples: 40
   skip_residuals: true
@@ -382,6 +393,38 @@ minimax:
     # residuals were skipped: header only
     _, rrows, _ = read_csv_rows(out / "residuals.csv")
     assert rrows == []
+
+
+@pytest.mark.parametrize("command", ["estimate", "oracle-check", "simulate", "minimax"])
+def test_grid_flag_is_checked_for_every_command(tmp_path, capsys, command):
+    # minimax used to build its family on a grid of its own and exit 0
+    assert run_cli([command, "--config", ROBUST, "--out", tmp_path / "out",
+                    "--grid", 100]) == 2
+    assert capsys.readouterr().err.startswith("config error: numerics.grid_size: ")
+
+
+def test_minimax_family_follows_the_grid_flag():
+    cfg = load_config(ROBUST)
+    cfg.numerics["grid_size"] = 2048   # what --grid 2048 does
+    cls, _, _ = build_class(cfg)
+    fam = cls.family
+    assert {fam.build(theta).grid_size for theta in (fam.lower, fam.center)} == {2048}
+
+
+def test_minimax_search_follows_the_truncation_flag(tmp_path):
+    cfg = load_config(ROBUST)
+    cls, opt, _ = build_class(cfg)
+    pattern, functional = build_pattern(cfg), build_functional(cfg)
+    traces = {}
+    for K in (cfg.truncation, 40):
+        assert run_cli(["minimax", "--config", ROBUST, "--out", tmp_path / str(K),
+                        "--truncation", K]) == 0
+        lines = (tmp_path / str(K) / "lfd.summary").read_text().splitlines()
+        traces[K] = [line for line in lines if line.startswith("eval ")]
+        want = maximize_delta(cls, pattern, functional, opt, K=K).evaluations
+        assert [line.split("delta = ")[1] for line in traces[K]] == \
+            [_fmt(ev.delta) for ev in want]
+    assert traces[cfg.truncation] != traces[40]
 
 
 def test_minimax_mismatched_pair_exits_4(tmp_path, capsys):
@@ -410,7 +453,6 @@ minimax:
     params:
       power: 1.5
       noise_power: 0.8
-      grid_size: 256
   opt:
     starts: 2
     budget: 60
@@ -482,8 +524,22 @@ VALID_MINIMAX = MINIMAX_DATA_YAML.format(kind="D0_1", data="{power: 1.5}")
     ("estimate", BENCH_YAML.replace("truncation: 48", "truncation: '48'"),
      "numerics.truncation"),
     ("estimate", BENCH_YAML.replace("[[2, 1]]", "[['2', 1]]"), "pattern.intervals[0]"),
+    # and not floats either
+    ("minimax", VALID_MINIMAX + "  opt: {min_step: '0.001'}\n", "minimax.opt.min_step"),
+    ("minimax", VALID_MINIMAX.replace("data: {power: 1.5}", "data: {power: '2.0'}"),
+     "minimax.data.power"),
+    ("minimax", VALID_MINIMAX.replace("data: {power: 1.5}", "data: {power: [1.5, '2']}"),
+     "minimax.data.power"),
+    ("estimate", BENCH_YAML.replace("b1: 0.5", "b1: '0.5'"), "model.b1"),
+    ("oracle-check", BENCH_YAML + "oracle_check: {tolerance: '1.0e-4'}",
+     "oracle_check.tolerance"),
+    ("oracle-check", BENCH_YAML + "oracle_check: {tolerance: 1e-4}",
+     "oracle_check.tolerance"),
+    ("simulate", BENCH_YAML + "simulation: {psd_tol: true}", "simulation.psd_tol"),
 ], ids=["grid_size", "truncation", "windows_x", "windows_5", "windows_0", "tolerance",
-        "saddle_samples", "theta_length", "quoted_truncation", "quoted_interval"])
+        "saddle_samples", "theta_length", "quoted_truncation", "quoted_interval",
+        "quoted_min_step", "quoted_power", "quoted_power_entry", "quoted_b1",
+        "quoted_tolerance", "tolerance_1e-4", "boolean_psd_tol"])
 def test_malformed_numbers_exit_2(tmp_path, capsys, command, text, key):
     cfg = write_config(tmp_path, text)
     assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
@@ -521,7 +577,7 @@ numerics:
 """
 
 MIXTURE_MINIMAX = VALID_MINIMAX.replace(
-    "    kind: singleton\n", "    kind: mixture\n    params: {power: 1.5, grid_size: 256}\n")
+    "    kind: singleton\n", "    kind: mixture\n    params: {power: 1.5}\n")
 
 
 def _assert_config_error(tmp_path, capsys, command, text, key):
@@ -548,8 +604,9 @@ def _assert_config_error(tmp_path, capsys, command, text, key):
     ("minimax", VALID_MINIMAX.replace("saddle_samples: 2", "saddle_samples: 2.5"),
      "minimax.saddle_samples"),
     ("minimax", VALID_MINIMAX + "  saddle_seed: 1.5\n", "minimax.saddle_seed"),
-    ("minimax", MIXTURE_MINIMAX.replace("grid_size: 256}", "grid_size: 256.5}"),
-     "minimax.family.params.grid_size"),
+    # a stock family is built on numerics.grid_size
+    ("minimax", MIXTURE_MINIMAX.replace("grid_size: 256\n", "grid_size: 256.5\n"),
+     "numerics.grid_size"),
     ("estimate", VALID_MINIMAX.replace("dim: 1", "dim: 1.5"), "model.dim"),
     ("estimate", LAURENT_YAML.replace("dim: 1", "dim: 1.5"), "model.dim"),
     ("estimate", LAURENT_YAML.replace("row: 0", "row: 0.5"), "model.entries[0].row"),
@@ -572,15 +629,9 @@ def test_integral_values_accepted(tmp_path):
 
 
 @pytest.mark.parametrize("command,text,key", [
-    ("estimate", BENCH_YAML.replace("coeffs: [[1.0, 1.0], [1.0, 1.0]]",
-                                    "coeffs: [[1.0, 1.0], [1.0, 1.0]]\n  truncated: 'false'"),
-     "functional.truncated"),
-    ("estimate", BENCH_YAML.replace("coeffs: [[1.0, 1.0], [1.0, 1.0]]",
-                                    "coeffs: [[1.0, 1.0], [1.0, 1.0]]\n  truncated: 0"),
-     "functional.truncated"),
     ("minimax", VALID_MINIMAX + "  skip_residuals: 'false'\n", "minimax.skip_residuals"),
     ("minimax", VALID_MINIMAX + "  skip_residuals: 1\n", "minimax.skip_residuals"),
-], ids=["truncated_string", "truncated_int", "skip_residuals_string", "skip_residuals_int"])
+], ids=["skip_residuals_string", "skip_residuals_int"])
 def test_non_boolean_flags_exit_2(tmp_path, capsys, command, text, key):
     _assert_config_error(tmp_path, capsys, command, text, key)
 
@@ -603,9 +654,13 @@ def test_non_boolean_flags_exit_2(tmp_path, capsys, command, text, key):
     ("estimate", BENCH_YAML + "output: {dir: elsewhere}", "output"),
     ("minimax", VALID_MINIMAX.replace("kind: singleton", "kind: singleton\n    param: {}"),
      "minimax.family"),
+    # retired: the search takes numerics.truncation, and the flag only relabeled output
+    ("minimax", VALID_MINIMAX + "  opt: {truncation: 8}\n", "minimax.opt"),
+    ("estimate", BENCH_YAML.replace("[1.0, 1.0]]", "[1.0, 1.0]]\n  truncated: true"),
+     "functional"),
 ], ids=["simulation", "path_length", "oracle_check", "minimax_opt", "minimax",
         "pattern", "model_white", "model_example1", "model_noise", "model_entry",
-        "functional", "output", "minimax_family"])
+        "functional", "output", "minimax_family", "opt_truncation", "functional_truncated"])
 def test_unknown_keys_exit_2(tmp_path, capsys, command, text, key):
     _assert_config_error(tmp_path, capsys, command, text, key)
 
@@ -620,8 +675,13 @@ def test_unknown_keys_exit_2(tmp_path, capsys, command, text, key):
     # negative seeds used to escape as a raw NumPy ValueError
     ("  opt: {seed: -1}\n", "minimax.opt"),
     ("  saddle_seed: -1\n", "minimax.saddle_seed"),
+    # a tolerance no sample can meet used to exit 0 with saddle_all_pass = false
+    ("  saddle_tol: .nan\n", "minimax.saddle_tol"),
+    ("  saddle_tol: -1.0\n", "minimax.saddle_tol"),
+    ("  saddle_tol: .inf\n", "minimax.saddle_tol"),
 ], ids=["min_step_0", "min_step_negative", "initial_step_0", "initial_step_inf",
-        "min_step_nan", "opt_seed", "saddle_seed"])
+        "min_step_nan", "opt_seed", "saddle_seed", "saddle_tol_nan", "saddle_tol_negative",
+        "saddle_tol_inf"])
 def test_out_of_range_minimax_options_exit_2(tmp_path, capsys, extra, key):
     _assert_config_error(tmp_path, capsys, "minimax", MIXTURE_MINIMAX + extra, key)
 

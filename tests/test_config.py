@@ -8,7 +8,9 @@ The section builders (``build_model``, ``build_simulation``, ``build_class``)
 are held to the same property over mapping-shaped sections.
 """
 
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 import yaml
@@ -16,7 +18,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gapcast.config import (
     build_class,
+    build_functional,
     build_model,
+    build_oracle_check,
+    build_pattern,
     build_simulation,
     loads_config,
 )
@@ -103,6 +108,9 @@ def test_loads_config_mapping_fuzz(doc):
     VALID + "numerics: {truncation: \"96\"}\n",
     VALID + "numerics: {truncation: '1e3'}\n",
     VALID + "numerics: {grid_size: 1e3}\n",
+    # a grid no model accepts is refused at load, whatever the command
+    VALID + "numerics: {grid_size: 100}\n",
+    VALID + "numerics: {grid_size: 32}\n",
 ])
 def test_loads_config_regressions(text):
     with pytest.raises(ConfigError):
@@ -155,8 +163,8 @@ _PARAMS = st.dictionaries(
     st.sampled_from(["power", "w_max", "b_max", "noise_power", "label", "anchor_power",
                      "anchor_pole", "eps"]) | _KEYS, _NUMBERS | st.none() | _LISTS,
     max_size=2)
-_FAMILY = st.tuples(st.sampled_from(_FAMILIES), _PARAMS, _GRIDS).map(
-    lambda t: {**t[0], "params": {**t[0].get("params", {}), **t[1], "grid_size": t[2]}})
+_FAMILY = st.tuples(st.sampled_from(_FAMILIES), _PARAMS).map(
+    lambda t: {**t[0], "params": {**t[0].get("params", {}), **t[1]}})
 _MINIMAX = _perturbed(
     [{"kind": "D0_1", "data": {"power": 1.5}, "family": family, "opt": {"starts": 2}}
      for family in _FAMILIES]
@@ -199,9 +207,11 @@ def test_section_builders_fuzz(doc):
     "{kind: mixture, params: {power: -1.0}}",                   # refused power
     "{kind: contamination, params: {anchor_power: 4.0, anchor_pole: 0.0, eps: 0.2, "
     "power: 1.0}}",                                             # no admissible member
+    "{kind: mixture, params: {power: 1.0, grid_size: 512}}",    # shadowed numerics
 ])
 def test_build_class_regressions(family):
-    # each escaped build_class as a raw TypeError or a non-config error
+    # each escaped build_class as a raw TypeError or a non-config error, or
+    # (the last) overrode numerics.grid_size
     cfg = loads_config(VALID + "minimax: {kind: D0_1, data: {power: 1.0}, "
                        f"family: {family}}}\n")
     with pytest.raises(ConfigError, match="minimax.family"):
@@ -210,3 +220,33 @@ def test_build_class_regressions(family):
 
 def test_loads_config_accepts_valid_file():
     assert loads_config(VALID).pattern == {"intervals": [[2, 1]]}
+
+
+# Each fenced YAML block of the run-file reference, merged over VALID, must load
+# and pass the builder of its section: a key the parser no longer takes cannot
+# stay documented.
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "config.md"
+_DOC_BLOCKS = re.findall(r"```yaml\n(.*?)```", DOCS.read_text(), re.S)
+_SECTION_CHECKS = {
+    "pattern": build_pattern,
+    "functional": build_functional,
+    "numerics": lambda cfg: (cfg.grid_size, cfg.truncation),
+    "simulation": build_simulation,
+    "oracle_check": build_oracle_check,
+    "minimax": build_class,
+    "output": lambda cfg: cfg.out_dir,
+}
+
+
+def test_docs_show_every_optional_section():
+    shown = {name for block in _DOC_BLOCKS for name in yaml.safe_load(block)}
+    assert shown == set(_SECTION_CHECKS)
+
+
+@pytest.mark.parametrize("block", _DOC_BLOCKS,
+                         ids=[",".join(yaml.safe_load(b)) for b in _DOC_BLOCKS])
+def test_documented_sections_load(block):
+    section = yaml.safe_load(block)
+    cfg = loads_config(yaml.safe_dump({**yaml.safe_load(VALID), **section}))
+    for name in section:
+        _SECTION_CHECKS[name](cfg)

@@ -308,7 +308,6 @@ def test_variant_dispatch():
     uncorr = ar1_model(poles=(0.5,), noise_poles=(0.2,), grid_size=256)
     assert estimate(noiseless, pat, fun, K=8).variant == "noiseless"
     assert estimate(uncorr, pat, fun, K=8).variant == "uncorrelated"
-    assert estimate(noiseless, pat, fun.truncate(0), K=8).variant == "finite-horizon"
 
 
 def test_default_truncation_rules():
@@ -409,8 +408,6 @@ def test_functional_validation():
         FunctionalSpec(coeffs=np.zeros((0, 2)))
     with pytest.raises(InvalidParameterError):
         FunctionalSpec(coeffs=np.array([[np.nan]]))
-    with pytest.raises(InvalidParameterError):
-        FunctionalSpec(coeffs=np.array([[1.0]])).truncate(-1)
 
 
 def test_dimension_mismatch_rejected():

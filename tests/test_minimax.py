@@ -54,7 +54,7 @@ from gapcast.minimax import Evaluation, _check_in_class
 GRID = 512
 PRED = FunctionalSpec(coeffs=np.array([[1.0]]))
 NO_GAP = MissingPattern(intervals=())
-FAST = OptConfig(starts=4, budget=200, seed=0, truncation=16)
+FAST = OptConfig(starts=4, budget=200, seed=0)
 
 
 def _unit_ar1(lam, b):
@@ -158,7 +158,7 @@ def test_singleton_search_reduces_to_direct_estimate():
     model = white_model(1, 1.5, GRID)
     cls = DensityClass(kind="D0_1", data=ClassData(power=1.5),
                        family=singleton_family(model))
-    out = maximize_delta(cls, NO_GAP, PRED, FAST)
+    out = maximize_delta(cls, NO_GAP, PRED, FAST, K=16)
     assert out.delta_star == estimate(model, NO_GAP, PRED, K=16).delta
     assert len(out.evaluations) == 1
     assert not out.boundary
@@ -169,7 +169,7 @@ def test_flat_density_is_least_favorable_for_prediction():
     # so its error (the full power) dominates every other member.
     fam = scalar_mixture_family(power=2.0, grid_size=GRID)
     cls = DensityClass(kind="D0_1", data=ClassData(power=2.0), family=fam)
-    out = maximize_delta(cls, MissingPattern(intervals=((2, 0),)), PRED, FAST)
+    out = maximize_delta(cls, MissingPattern(intervals=((2, 0),)), PRED, FAST, K=16)
     assert out.delta_star == pytest.approx(2.0, rel=1e-9)
     assert np.abs(out.estimate_star.h_grid).max() < 1e-8
     rng = np.random.default_rng(5)
@@ -185,8 +185,8 @@ def test_search_matches_dense_scan_and_reparameterization():
     fun = FunctionalSpec(coeffs=np.array([[1.0], [1.0]]))
     fam = ar1_fixed_power_family(power=1.0, b_max=0.8, grid_size=GRID)
     cls = DensityClass(kind="D0_1", data=ClassData(power=1.0), family=fam)
-    out = maximize_delta(cls, pattern, fun, OptConfig(starts=6, budget=400,
-                                                     seed=0, truncation=24))
+    out = maximize_delta(cls, pattern, fun, OptConfig(starts=6, budget=400, seed=0),
+                         K=24)
 
     # dense scan over the same one-parameter family
     grid = np.linspace(-0.8, 0.8, 161)
@@ -199,8 +199,8 @@ def test_search_matches_dense_scan_and_reparameterization():
                           build=lambda u: fam.build(0.8 * u ** 3),
                           label="cubic")
     cls2 = DensityClass(kind="D0_1", data=ClassData(power=1.0), family=cubic)
-    out2 = maximize_delta(cls2, pattern, fun, OptConfig(starts=6, budget=400,
-                                                        seed=3, truncation=24))
+    out2 = maximize_delta(cls2, pattern, fun, OptConfig(starts=6, budget=400, seed=3),
+                          K=24)
     assert out2.delta_star == pytest.approx(out.delta_star, rel=1e-6,
                                             abs=1e-8)
 
@@ -208,8 +208,8 @@ def test_search_matches_dense_scan_and_reparameterization():
 def test_search_respects_budget_and_reports_trace():
     fam = scalar_mixture_family(power=1.0, grid_size=GRID)
     cls = DensityClass(kind="D0_1", data=ClassData(power=1.0), family=fam)
-    opt = OptConfig(starts=3, budget=25, seed=0, truncation=12)
-    out = maximize_delta(cls, NO_GAP, PRED, opt)
+    opt = OptConfig(starts=3, budget=25, seed=0)
+    out = maximize_delta(cls, NO_GAP, PRED, opt, K=12)
     assert 1 <= len(out.evaluations) <= 25
     assert max(e.delta for e in out.evaluations) == out.delta_star
 
@@ -219,18 +219,18 @@ def test_search_rejects_wide_families_and_infeasible_members():
                         build=lambda t: white_model(1, 1.0, GRID))
     cls = DensityClass(kind="D0_1", data=ClassData(power=1.0), family=big)
     with pytest.raises(InvalidParameterError):
-        maximize_delta(cls, NO_GAP, PRED, FAST)
+        maximize_delta(cls, NO_GAP, PRED, FAST, K=16)
 
     fam = scalar_mixture_family(power=2.0, grid_size=GRID)
     mismatched = DensityClass(kind="D0_1", data=ClassData(power=3.0),
                               family=fam)
     with pytest.raises(InfeasibleClassError):
-        maximize_delta(mismatched, NO_GAP, PRED, FAST)
+        maximize_delta(mismatched, NO_GAP, PRED, FAST, K=16)
     with pytest.raises(InfeasibleClassError):
-        evaluate_candidate(mismatched, (0.5, 0.2), NO_GAP, PRED, FAST)
+        evaluate_candidate(mismatched, (0.5, 0.2), NO_GAP, PRED, K=16)
 
 
-def _reference_search(cls, pattern, functional, opt):
+def _reference_search(cls, pattern, functional, opt, K):
     """The coordinate ascent with a full estimate at every point, and np.allclose.
 
     maximize_delta scores points by optimal_delta and estimates only the
@@ -248,7 +248,7 @@ def _reference_search(cls, pattern, functional, opt):
             return -np.inf
         model = fam.build(theta)
         _check_in_class(cls, model)
-        est = estimate(model, pattern, functional, K=opt.truncation)
+        est = estimate(model, pattern, functional, K=K)
         cache[key] = est.delta
         trace.append(Evaluation(theta=key, delta=est.delta))
         if est.delta > best["delta"]:
@@ -291,7 +291,8 @@ def _search_cases():
     for path in sorted(EXAMPLES.glob("robust_*.yaml")):
         cfg = load_config(path)
         cls, opt, _ = build_class(cfg)
-        cases[path.stem] = (cls, build_pattern(cfg), build_functional(cfg), opt)
+        cases[path.stem] = (cls, build_pattern(cfg), build_functional(cfg), opt,
+                            cfg.truncation)
     fam = _diag_mixture_family((1.0, 2.0), noise_powers=(0.4, 0.6))
     data = ClassData(power=np.array([1.0, 2.0]), noise_power=np.array([0.4, 0.6]),
                      lower=0.0, upper=8.0)
@@ -299,7 +300,7 @@ def _search_cases():
         DensityClass(kind="D0_2", g_kind="DVU_2", data=data, family=fam),
         MissingPattern(intervals=((2, 1),)),
         FunctionalSpec(coeffs=np.array([[1.0, 0.5], [0.3, -1.0]])),
-        OptConfig(starts=3, budget=150, seed=1, truncation=16))
+        OptConfig(starts=3, budget=150, seed=1), 16)
     return cases
 
 
@@ -308,8 +309,8 @@ SEARCH_CASES = _search_cases()
 
 @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
 def test_search_estimates_once_and_matches_reference(case, monkeypatch):
-    cls, pattern, functional, opt = SEARCH_CASES[case]
-    trace, theta, est = _reference_search(cls, pattern, functional, opt)
+    cls, pattern, functional, opt, K = SEARCH_CASES[case]
+    trace, theta, est = _reference_search(cls, pattern, functional, opt, K)
 
     calls = []
 
@@ -318,7 +319,7 @@ def test_search_estimates_once_and_matches_reference(case, monkeypatch):
         return estimate(*args, **kwargs)
 
     monkeypatch.setattr(minimax_module, "estimate", counted)
-    out = maximize_delta(cls, pattern, functional, opt)
+    out = maximize_delta(cls, pattern, functional, opt, K=K)
     assert len(calls) == 1
     assert len(out.evaluations) > 1
     assert out.evaluations == trace
@@ -336,7 +337,7 @@ def test_search_refuses_an_estimate_that_disagrees(monkeypatch):
     cls = DensityClass(kind="D0_1", data=ClassData(power=1.0),
                        family=scalar_mixture_family(power=1.0, grid_size=GRID))
     with pytest.raises(InternalConsistencyError, match="maximizer"):
-        maximize_delta(cls, NO_GAP, PRED, OptConfig(starts=1, budget=5, truncation=12))
+        maximize_delta(cls, NO_GAP, PRED, OptConfig(starts=1, budget=5), K=12)
 
 
 def test_opt_config_validation():
@@ -355,17 +356,25 @@ def test_saddle_holds_at_maximizer_and_fails_off_it():
     fam = scalar_mixture_family(power=2.0, grid_size=GRID)
     cls = DensityClass(kind="D0_1", data=ClassData(power=2.0), family=fam)
     pattern = MissingPattern(intervals=((2, 0),))
-    out = maximize_delta(cls, pattern, PRED, FAST)
-    rep = verify_saddle_point(out, cls, n_samples=40, seed=2, tol=1e-6)
+    out = maximize_delta(cls, pattern, PRED, FAST, K=16)
+    rep = verify_saddle_point(out, n_samples=40, seed=2, tol=1e-6)
     assert rep.all_pass
     assert rep.max_violation <= 1e-6
-    assert out.saddle_report is rep
 
-    control = evaluate_candidate(cls, (0.85, 0.7), pattern, PRED, FAST)
-    rep_bad = verify_saddle_point(control, cls, n_samples=40, seed=2,
-                                  tol=1e-6)
+    control = evaluate_candidate(cls, (0.85, 0.7), pattern, PRED, K=16)
+    rep_bad = verify_saddle_point(control, n_samples=40, seed=2, tol=1e-6)
     assert not rep_bad.all_pass
     assert rep_bad.max_violation > 1e-3
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
+def test_saddle_check_refuses_a_tolerance_no_sample_can_meet(tol):
+    cls = DensityClass(kind="D0_1", data=ClassData(power=1.5),
+                       family=singleton_family(white_model(1, 1.5, GRID)))
+    out = maximize_delta(cls, NO_GAP, PRED, FAST, K=16)
+    with pytest.raises(InvalidParameterError, match="tol"):
+        verify_saddle_point(out, n_samples=3, tol=tol)
+    assert verify_saddle_point(out, n_samples=3, tol=0.0).all_pass
 
 
 # ---------------------------------------------------------------------------
@@ -432,21 +441,20 @@ def _residual_cases():
                                   "D1delta_1"])
 def test_residuals_vanish_at_least_favorable_member(kind):
     cls, pattern, fun, control_theta = _residual_cases()[kind]
-    out = maximize_delta(cls, pattern, fun, FAST)
-    report = characterization_residuals(out, cls)
+    out = maximize_delta(cls, pattern, fun, FAST, K=16)
+    report = characterization_residuals(out)
     assert report.max_relative < 1e-8
-    assert out.residual_report is report
 
-    control = evaluate_candidate(cls, control_theta, pattern, fun, FAST)
-    report_bad = characterization_residuals(control, cls)
+    control = evaluate_candidate(cls, control_theta, pattern, fun, K=16)
+    report_bad = characterization_residuals(control)
     assert report_bad.max_relative > 20 * max(report.max_relative, 1e-6)
 
 
 def test_distance_ball_reports_saturation():
     cls, pattern, fun, _ = _residual_cases()["D1delta_1"]
-    out = maximize_delta(cls, pattern, fun, FAST)
+    out = maximize_delta(cls, pattern, fun, FAST, K=16)
     assert out.boundary
-    report = characterization_residuals(out, cls)
+    report = characterization_residuals(out)
     sat = [e for e in report.entries if e.structure == "L1 ball saturation"]
     assert len(sat) == 1
     assert sat[0].params["distance"] == pytest.approx(0.5, abs=1e-9)
@@ -489,17 +497,17 @@ def test_paired_noise_classes_exact_at_flat_pair(flavor):
     cls, control_theta = _paired_cases()[flavor]
     fun = PRED if flavor != 2 else FunctionalSpec(coeffs=np.array([[1.0,
                                                                     0.0]]))
-    out = maximize_delta(cls, NO_GAP, fun, FAST)
+    out = maximize_delta(cls, NO_GAP, fun, FAST, K=16)
     # flat signal cannot be predicted from noisy past at all
     want = 1.5 if flavor != 2 else 1.0
     assert out.delta_star == pytest.approx(want, rel=1e-9)
-    report = characterization_residuals(out, cls)
+    report = characterization_residuals(out)
     assert report.max_relative < 1e-8
     assert {e.name.split()[0] for e in report.entries} == {"signal-side",
                                                            "noise-side"}
 
-    control = evaluate_candidate(cls, control_theta, NO_GAP, fun, FAST)
-    bad = characterization_residuals(control, cls)
+    control = evaluate_candidate(cls, control_theta, NO_GAP, fun, K=16)
+    bad = characterization_residuals(control)
     assert bad.max_relative > 20 * max(report.max_relative, 1e-6)
 
 
@@ -513,9 +521,9 @@ def test_paired_contamination_distance_classes_run_end_to_end():
                      anchor_g=0.5, radius=2.0)
     cls = DensityClass(kind="Deps_1", g_kind="D1delta_1", data=data,
                        family=fam)
-    out = maximize_delta(cls, NO_GAP, PRED, FAST)
+    out = maximize_delta(cls, NO_GAP, PRED, FAST, K=16)
     assert out.delta_star == pytest.approx(2.0, rel=1e-9)
-    report = characterization_residuals(out, cls)
+    report = characterization_residuals(out)
     structural = [e for e in report.entries
                   if e.structure != "L1 ball saturation"]
     assert len(structural) == 2
@@ -535,9 +543,9 @@ def test_unsupported_characterizations():
     cls3 = DensityClass(kind="D0_1", data=ClassData(power=3.0),
                         family=singleton_family(wide))
     out3 = maximize_delta(cls3, NO_GAP,
-                          FunctionalSpec(coeffs=np.ones((1, 3))), FAST)
+                          FunctionalSpec(coeffs=np.ones((1, 3))), FAST, K=16)
     with pytest.raises(UnsupportedClassError):
-        characterization_residuals(out3, cls3)
+        characterization_residuals(out3)
 
     # mismatched pair flavors
     fam = scalar_mixture_family(power=1.5, noise_power=0.8, grid_size=GRID)
@@ -545,15 +553,15 @@ def test_unsupported_characterizations():
                             data=ClassData(power=1.5, noise_power=0.8,
                                            lower=0.0, upper=8.0),
                             family=fam)
-    out = maximize_delta(miswired, NO_GAP, PRED, FAST)
+    out = maximize_delta(miswired, NO_GAP, PRED, FAST, K=16)
     with pytest.raises(UnsupportedClassError):
-        characterization_residuals(out, miswired)
+        characterization_residuals(out)
 
     # noisy model with only a signal-side class
     lone = DensityClass(kind="D0_1", data=ClassData(power=1.5), family=fam)
-    out_lone = maximize_delta(lone, NO_GAP, PRED, FAST)
+    out_lone = maximize_delta(lone, NO_GAP, PRED, FAST, K=16)
     with pytest.raises(UnsupportedClassError):
-        characterization_residuals(out_lone, lone)
+        characterization_residuals(out_lone)
 
 
 def test_correlated_observations_unsupported_for_residuals():
@@ -567,9 +575,9 @@ def test_correlated_observations_unsupported_for_residuals():
                        data=ClassData(power=p_f, noise_power=p_g,
                                       lower=0.0, upper=8.0),
                        family=singleton_family(model))
-    out = maximize_delta(cls, NO_GAP, PRED, FAST)
+    out = maximize_delta(cls, NO_GAP, PRED, FAST, K=16)
     with pytest.raises(UnsupportedClassError):
-        characterization_residuals(out, cls)
+        characterization_residuals(out)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +702,7 @@ def _golden_record(case):
         theta_star=np.zeros(0), model_star=model, delta_star=est.delta,
         estimate_star=est, evaluations=[], boundary=False, cls=cls,
         pattern=MissingPattern(intervals=((2, 0),)), functional=fun)
-    entries = characterization_residuals(result, cls).entries
+    entries = characterization_residuals(result).entries
     return {
         "report": _plain(class_constraint_report(cls, model)),
         "entries": [{"name": e.name, "structure": e.structure,

@@ -23,9 +23,6 @@ from gapcast.operators import (
     OperatorSystem,
     _inverse,
     assemble,
-    example1_psi,
-    example1_theta,
-    factorized_inverse_check,
 )
 from gapcast.spectral import COND_CEILING, check_minimality, coeffs_from_samples
 from gapcast.errors import (
@@ -34,6 +31,7 @@ from gapcast.errors import (
     InvalidPatternError,
     NonInvertibleOperatorError,
 )
+from example1_factors import example1_psi, example1_theta, factorized_inverse_check
 from test_extrapolate import _random_instance
 
 

@@ -276,12 +276,21 @@ def test_validation_checks_the_noise_and_cross_densities():
     for kwargs, message in [
         (dict(dim=1, G=_flat(1, -1.0)), "density G has a negative eigenvalue"),
         (dict(dim=2, G=density_from_samples(skew)), "density G is not Hermitian"),
-        (dict(dim=1, G=_flat(1), F_xe=cross, F_ex=cross), "not adjoint"),
-        (dict(dim=1, G=_flat(1), F_ex=cross), "not adjoint"),
         (dict(dim=1, F_xe=cross), "noiseless model cannot carry"),
     ]:
         with pytest.raises(InvalidParameterError, match=message):
             SpectralModel(F=_flat(kwargs["dim"]), grid_size=64, **kwargs)
+
+
+def test_adjoint_cross_density_is_derived_from_the_cross_density():
+    values = np.random.default_rng(3).normal(size=(64, 2, 2, 2)) @ [1.0, 1.0j]
+    model = SpectralModel(dim=2, F=_flat(2, 4.0), G=_flat(2, 4.0),
+                          F_xe=density_from_samples(values), grid_size=64)
+    assert np.array_equal(model.samples("Fex"), np.conj(np.swapaxes(values, -1, -2)))
+    noisy = SpectralModel(dim=2, F=_flat(2), G=_flat(2), grid_size=64)
+    assert np.array_equal(noisy.samples("Fex"), np.zeros((64, 2, 2)))
+    with pytest.raises(TypeError):
+        SpectralModel(dim=1, F=_flat(1), F_ex=_flat(1), grid_size=64)
 
 
 def test_validation_skips_absent_densities():
