@@ -98,7 +98,7 @@ def cmd_estimate(cfg: RunConfig, out_dir: Path) -> int:
     digest = config_hash(cfg)
     lines = _header(digest)
     for key, val in [
-        ("variant", res.variant), ("delta", res.delta),
+        ("delta", res.delta),
         ("delta_operator", d.delta_operator),
         ("delta_quadrature", d.delta_quadrature),
         ("two_form_rel_diff", d.two_form_rel_diff),

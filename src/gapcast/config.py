@@ -2,16 +2,19 @@
 
 A run file is YAML with top-level sections ``model``, ``pattern``,
 ``functional`` and, as needed, ``numerics``, ``simulation``, ``oracle_check``,
-``minimax``, ``output``.  Parsing is strict: unknown sections or malformed
-entries fail with a message anchored at the offending key, and a parsed
-configuration serializes back to an equivalent document (this round trip
-backs the reproducibility hash embedded in every output file).
+``minimax``, ``output``.  Parsing is strict: every key is read by one schema
+(``_SCHEMA``, ``_MODELS``, ``_FAMILIES``), so an unknown section or key or a
+malformed value fails with a message anchored at the offending key.  The raw
+sections are kept as written, and a parsed configuration serializes back to an
+equivalent document (this round trip backs the reproducibility hash embedded in
+every output file).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 
@@ -46,19 +49,6 @@ from .spectral import (
 
 _SECTIONS = ("model", "pattern", "functional", "numerics", "simulation",
              "oracle_check", "minimax", "output")
-_NUMERICS = ("grid_size", "truncation")
-_MINIMAX = ("kind", "g_kind", "data", "family", "opt", "theta", "saddle_samples",
-            "saddle_seed", "saddle_tol", "skip_residuals")
-# keys of the model section besides ``kind``, per model kind
-_MODEL_KEYS = {
-    "example1": ("b1", "b2"),
-    "white": ("dim", "scale"),
-    "ar1": ("poles", "scales", "mix", "noise"),
-    "ma_pair": ("signal_coeffs", "noise_coeffs", "innovation_cov"),
-    "laurent": ("dim", "entries", "pole_modulus"),
-    "grid_file": ("path", "pole_modulus"),
-}
-_LAURENT_ENTRY = ("row", "col", "num_offset", "num_coeffs", "den_offset", "den_coeffs")
 
 
 def _real(value) -> float:
@@ -89,11 +79,86 @@ def _boolean(value) -> bool:
     return value
 
 
-_EXPECTED = {_integer: "an integer", _boolean: "a boolean (true or false)"}
+def _interval(value) -> tuple[int, int]:
+    """A gap ``[offset, extra_length]`` as a pair of integers, read as one value."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise TypeError(value)
+    return _integer(value[0]), _integer(value[1])
 
 
-def _cast(value, kind, where: str):
-    """``kind(value)`` (_integer, _boolean, _real or _float_array); a ConfigError at ``where``."""
+_EXPECTED = {_integer: "an integer", _boolean: "a boolean (true or false)",
+             _interval: "a pair [offset, extra_length] of integers"}
+
+
+def _fields(cls) -> dict:
+    """The table of dataclass ``cls``: a float where the default is one, else an integer."""
+    return {f.name: _real if isinstance(f.default, float) else _integer for f in fields(cls)}
+
+
+# The schema: one table per section, per model kind and per family kind.  A
+# table maps each key to its reader (_integer, _real, _boolean, _float_array or
+# str), to the table of a nested section, or to a one-entry list ``[entry]``
+# for a list whose items are each read by ``entry``.
+_AR1 = {"poles": _float_array, "scales": _float_array, "mix": _float_array}
+_MODELS = {   # the keys of the model section besides ``kind``
+    "example1": {"b1": _real, "b2": _real},
+    "white": {"dim": _integer, "scale": _float_array},
+    "ar1": {**_AR1, "noise": _AR1},
+    "ma_pair": {"signal_coeffs": _float_array, "noise_coeffs": _float_array,
+                "innovation_cov": _float_array},
+    "laurent": {"dim": _integer, "pole_modulus": _real, "entries": [{
+        "row": _integer, "col": _integer, "num_offset": _integer,
+        "num_coeffs": _float_array, "den_offset": _integer, "den_coeffs": _float_array}]},
+    "grid_file": {"path": str, "pole_modulus": _real},
+}
+_FAMILIES = {   # each family kind's builder and the table of its params
+    "singleton": (singleton_family, {}),
+    "mixture": (scalar_mixture_family, {"power": _real, "w_max": _real, "b_max": _real,
+                                        "noise_power": _real, "label": str}),
+    "ar1_fixed_power": (ar1_fixed_power_family, {"power": _real, "b_max": _real}),
+    "contamination": (contamination_family, {"anchor_power": _real, "anchor_pole": _real,
+                                             "eps": _real, "power": _real, "b_max": _real}),
+}
+_SCHEMA = {   # every section but model; minimax.family is read by its kind
+    "pattern": {"intervals": [_interval]},
+    "functional": {"coeffs": _float_array},
+    "numerics": {"grid_size": _integer, "truncation": _integer},
+    "simulation": _fields(SimulationConfig),
+    "oracle_check": {"windows": [_integer], "tolerance": _real},
+    "minimax": {"kind": str, "g_kind": str,
+                "data": {f.name: _float_array for f in fields(ClassData)},
+                "opt": _fields(OptConfig), "theta": _float_array,
+                "saddle_samples": _integer, "saddle_seed": _integer,
+                "saddle_tol": _real, "skip_residuals": _boolean},
+    "output": {"directory": str},
+}
+
+
+def _reject_unknown(section: dict, known, where: str):
+    unknown = sorted(set(section) - set(known), key=str)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown}", location=where)
+
+
+def _read(section, table: dict, where: str) -> dict:
+    """The non-null keys of mapping ``section``, each read as ``table`` says.
+
+    A key the table does not name is an error at ``where``; a value that its
+    reader refuses is an error at ``where.key`` (``where.key[i]`` in a list).
+    """
+    _reject_unknown(_expect_map(section, where), table, where)
+    return {key: _value(value, table[key], f"{where}.{key}")
+            for key, value in section.items() if value is not None}
+
+
+def _value(value, kind, where: str):
+    """``value`` read by the table entry ``kind``; a ConfigError at ``where``."""
+    if isinstance(kind, dict):
+        return _read(value, kind, where)
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"expected a list, got {value!r}", location=where)
+        return [_value(item, kind[0], f"{where}[{i}]") for i, item in enumerate(value)]
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -101,10 +166,15 @@ def _cast(value, kind, where: str):
         raise ConfigError(f"expected {expected}, got {value!r}", location=where) from exc
 
 
-def _reject_unknown(section: dict, known, where: str):
-    unknown = sorted(set(section) - set(known), key=str)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown}", location=where)
+@contextmanager
+def _at(where: str, errors=Exception):
+    """Re-raise ``errors`` from the block as a ConfigError at ``where``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except errors as exc:
+        raise ConfigError(str(exc), location=where) from exc
 
 
 @dataclass
@@ -128,22 +198,28 @@ class RunConfig:
                 out[name] = section
         return out
 
+    def _section(self, name: str) -> dict:
+        """Section ``name`` read by its schema table."""
+        return _read(getattr(self, name), _SCHEMA[name], name)
+
     @property
     def grid_size(self) -> int:
-        n = _cast(self.numerics.get("grid_size", 4096), _integer, "numerics.grid_size")
-        try:
+        n = self._section("numerics").get("grid_size", 4096)
+        with _at("numerics.grid_size", InvalidParameterError):
             return check_grid_size(n)
-        except InvalidParameterError as exc:
-            raise ConfigError(str(exc), location="numerics.grid_size") from exc
 
     @property
     def truncation(self) -> int | None:
-        K = self.numerics.get("truncation")
-        return None if K is None else _cast(K, _integer, "numerics.truncation")
+        """The operator order K; one below the functional's horizon is refused."""
+        K = self._section("numerics").get("truncation")
+        if K is not None and K < (horizon := build_functional(self).horizon):
+            raise ConfigError(f"expected an integer >= {horizon} (the functional's "
+                              f"horizon), got {K}", location="numerics.truncation")
+        return K
 
     @property
     def out_dir(self) -> str:
-        return str(self.output.get("directory", "."))
+        return self._section("output").get("directory", ".")
 
 
 def _require(section: dict, key: str, where: str):
@@ -173,14 +249,12 @@ def loads_config(text: str) -> RunConfig:
     for name in ("model", "pattern", "functional"):
         if name not in doc:
             raise ConfigError(f"missing required section {name!r}", location="top level")
-    kwargs = {name: _expect_map(doc.get(name, {}) or {}, name) for name in _SECTIONS}
-    _reject_unknown(kwargs["numerics"], _NUMERICS, "numerics")
-    _reject_unknown(kwargs["output"], ("directory",), "output")
-    cfg = RunConfig(**kwargs)
+    cfg = RunConfig(**{name: _expect_map(doc.get(name, {}) or {}, name)
+                       for name in _SECTIONS})
     # Fail fast on structural problems; builders re-raise with locations.
     build_pattern(cfg)
     build_functional(cfg)
-    cfg.grid_size, cfg.truncation   # the properties refuse malformed numbers and grids
+    cfg.grid_size, cfg.truncation, cfg.out_dir   # the accessors read their sections too
     return cfg
 
 
@@ -207,23 +281,19 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def build_model(cfg: RunConfig) -> SpectralModel:
-    sec = cfg.model
-    kind = _require(sec, "kind", "model")
-    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+    kind = _require(cfg.model, "kind", "model")
+    if not isinstance(kind, str) or kind not in _MODELS:
         raise ConfigError(f"unknown model kind {kind!r}", location="model.kind")
-    _reject_unknown(sec, ("kind",) + _MODEL_KEYS[kind], "model")
+    sec = _read(cfg.model, {"kind": str, **_MODELS[kind]}, "model")
     n = cfg.grid_size
-    try:
+    with _at("model"):
         if kind == "example1":
-            return make_ar1_pair(_cast(_require(sec, "b1", "model"), _real, "model.b1"),
-                                 _cast(_require(sec, "b2", "model"), _real, "model.b2"),
+            return make_ar1_pair(_require(sec, "b1", "model"), _require(sec, "b2", "model"),
                                  grid_size=n)
         if kind == "white":
-            return white_model(_cast(sec.get("dim", 1), _integer, "model.dim"),
-                               scale=sec.get("scale", 1.0), grid_size=n)
+            return white_model(sec.get("dim", 1), scale=sec.get("scale", 1.0), grid_size=n)
         if kind == "ar1":
-            noise = _expect_map(sec.get("noise", {}) or {}, "model.noise")
-            _reject_unknown(noise, ("poles", "scales", "mix"), "model.noise")
+            noise = sec.get("noise", {})
             return ar1_model(
                 poles=_require(sec, "poles", "model"),
                 scales=sec.get("scales"), mix=sec.get("mix"),
@@ -231,28 +301,18 @@ def build_model(cfg: RunConfig) -> SpectralModel:
                 noise_mix=noise.get("mix"), grid_size=n)
         if kind == "ma_pair":
             return ma_pair_model(
-                signal_coeffs=[np.asarray(c, dtype=float)
-                               for c in _require(sec, "signal_coeffs", "model")],
-                noise_coeffs=None if sec.get("noise_coeffs") is None else
-                [np.asarray(c, dtype=float) for c in sec["noise_coeffs"]],
-                innovation_cov=None if sec.get("innovation_cov") is None else
-                np.asarray(sec["innovation_cov"], dtype=float), grid_size=n)
+                signal_coeffs=_require(sec, "signal_coeffs", "model"),
+                noise_coeffs=sec.get("noise_coeffs"),
+                innovation_cov=sec.get("innovation_cov"), grid_size=n)
         if kind == "laurent":
-            dim = _cast(_require(sec, "dim", "model"), _integer, "model.dim")
+            dim = _require(sec, "dim", "model")
             entries = {}
             for i, ent in enumerate(_require(sec, "entries", "model")):
-                where = f"model.entries[{i}]"
-                ent = _expect_map(ent, where)
-                _reject_unknown(ent, _LAURENT_ENTRY, where)
-                r, c = (_cast(_require(ent, key, where), _integer, f"{where}.{key}")
-                        for key in ("row", "col"))
-                num_offset, den_offset = (_cast(ent.get(key, 0), _integer, f"{where}.{key}")
-                                          for key in ("num_offset", "den_offset"))
+                r, c = (_require(ent, key, f"model.entries[{i}]") for key in ("row", "col"))
                 entries[(r, c)] = laurent_entry(
-                    num_offset, ent.get("num_coeffs", (1.0,)),
-                    den_offset, ent.get("den_coeffs", (1.0,)))
-            F = laurent_density(dim, entries)
-            return SpectralModel(dim=dim, F=F, grid_size=n,
+                    ent.get("num_offset", 0), ent.get("num_coeffs", (1.0,)),
+                    ent.get("den_offset", 0), ent.get("den_coeffs", (1.0,)))
+            return SpectralModel(dim=dim, F=laurent_density(dim, entries), grid_size=n,
                                  pole_modulus=sec.get("pole_modulus"))
         if kind == "grid_file":
             path = Path(_require(sec, "path", "model"))
@@ -272,141 +332,75 @@ def build_model(cfg: RunConfig) -> SpectralModel:
             Fxe = density_from_samples(data["Fxe"]) if "Fxe" in data else None
             return SpectralModel(dim=d, F=F, G=G, F_xe=Fxe, grid_size=n,
                                  pole_modulus=sec.get("pole_modulus"))
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(str(exc), location="model") from exc
 
 
 def build_pattern(cfg: RunConfig) -> MissingPattern:
-    sec = cfg.pattern
-    _reject_unknown(sec, ("intervals",), "pattern")
-    intervals = sec.get("intervals", [])
-    if intervals is None:
-        intervals = []
-    try:
-        pairs = [(m, k) for m, k in intervals]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("intervals must be pairs [offset, extra_length]",
-                          location="pattern.intervals") from exc
-    parsed = tuple((_cast(m, _integer, f"pattern.intervals[{i}]"),
-                    _cast(k, _integer, f"pattern.intervals[{i}]"))
-                   for i, (m, k) in enumerate(pairs))
-    try:
-        return MissingPattern(intervals=parsed)
-    except Exception as exc:
-        raise ConfigError(str(exc), location="pattern.intervals") from exc
+    intervals = cfg._section("pattern").get("intervals", ())
+    with _at("pattern.intervals"):
+        return MissingPattern(intervals=tuple(intervals))
 
 
 def build_functional(cfg: RunConfig) -> FunctionalSpec:
-    sec = cfg.functional
-    _reject_unknown(sec, ("coeffs",), "functional")
-    coeffs = _require(sec, "coeffs", "functional")
-    try:
+    coeffs = _require(cfg._section("functional"), "coeffs", "functional")
+    with _at("functional.coeffs"):
         return FunctionalSpec(coeffs=np.atleast_2d(np.asarray(coeffs, dtype=complex)))
-    except Exception as exc:
-        raise ConfigError(str(exc), location="functional.coeffs") from exc
-
-
-def _from_section(cls, sec: dict, where: str):
-    """Dataclass ``cls`` built from the keys of ``sec`` that name its fields.
-
-    An absent or null key keeps the field's default; a value is read as a float
-    where that default is a float and as an integer otherwise.  A key that names
-    no field is an error.
-    """
-    _reject_unknown(sec, [f.name for f in fields(cls)], where)
-    kwargs = {}
-    for f in fields(cls):
-        value = sec.get(f.name)
-        if value is not None:
-            kind = _real if isinstance(f.default, float) else _integer
-            kwargs[f.name] = _cast(value, kind, f"{where}.{f.name}")
-    try:
-        return cls(**kwargs)
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc), location=where) from exc
 
 
 def build_simulation(cfg: RunConfig) -> SimulationConfig:
-    return _from_section(SimulationConfig, cfg.simulation, "simulation")
+    with _at("simulation", InvalidParameterError):
+        return SimulationConfig(**cfg._section("simulation"))
 
 
 def build_oracle_check(cfg: RunConfig) -> tuple[list[int], float]:
     """The oracle_check section: the window ladder and the relative tolerance."""
-    sec = cfg.oracle_check
-    _reject_unknown(sec, ("windows", "tolerance"), "oracle_check")
-    windows = sec.get("windows")
-    if windows is None:
-        windows = [25, 50, 100, 200]
-    if not isinstance(windows, list) or not windows:
-        raise ConfigError("expected a non-empty list of window lengths",
+    sec = cfg._section("oracle_check")
+    windows = sec.get("windows", [25, 50, 100, 200])
+    if not windows or min(windows) < 1:
+        raise ConfigError("expected a non-empty list of window lengths, each >= 1",
                           location="oracle_check.windows")
-    windows = [_cast(w, _integer, f"oracle_check.windows[{i}]") for i, w in enumerate(windows)]
-    if min(windows) < 1:
-        raise ConfigError("window lengths must be >= 1", location="oracle_check.windows")
-    return windows, _cast(sec.get("tolerance", 1e-4), _real, "oracle_check.tolerance")
-
-
-_FAMILY_BUILDERS = {
-    "mixture": scalar_mixture_family,
-    "ar1_fixed_power": ar1_fixed_power_family,
-    "contamination": contamination_family,
-}
+    return windows, sec.get("tolerance", 1e-4)
 
 
 def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
     """The minimax section: admissible class, optimizer settings, extras."""
-    sec = cfg.minimax
-    if not sec:
+    if not cfg.minimax:
         raise ConfigError("missing required section 'minimax'", location="top level")
-    _reject_unknown(sec, _MINIMAX, "minimax")
-    kind = _require(sec, "kind", "minimax")
-    data_map = _expect_map(sec.get("data", {}) or {}, "minimax.data")
-    bad = sorted(set(data_map) - {f.name for f in fields(ClassData)})
-    if bad:
-        raise ConfigError(f"unknown constraint field(s) {bad}", location="minimax.data")
-    data = ClassData(**{key: _cast(value, _float_array, f"minimax.data.{key}")
-                        for key, value in data_map.items() if value is not None})
-
-    fam_sec = _expect_map(_require(sec, "family", "minimax"), "minimax.family")
-    _reject_unknown(fam_sec, ("kind", "params"), "minimax.family")
-    fam_kind = _require(fam_sec, "kind", "minimax.family")
-    if fam_kind == "singleton":
-        fam = singleton_family(build_model(cfg))
-    elif isinstance(fam_kind, str) and fam_kind in _FAMILY_BUILDERS:
-        params = _expect_map(fam_sec.get("params", {}) or {}, "minimax.family.params")
-        grid_size = cfg.grid_size   # a bad grid is an error at numerics.grid_size
-        try:
-            fam = _FAMILY_BUILDERS[fam_kind](**params, grid_size=grid_size)
-        except (TypeError, ValueError, GapcastError) as exc:
-            raise ConfigError(str(exc), location="minimax.family.params") from exc
-    else:
+    family = _expect_map(_require(cfg.minimax, "family", "minimax"), "minimax.family")
+    fam_kind = _require(family, "kind", "minimax.family")
+    if not isinstance(fam_kind, str) or fam_kind not in _FAMILIES:
         raise ConfigError(f"unknown family kind {fam_kind!r}",
                           location="minimax.family.kind")
+    builder, params = _FAMILIES[fam_kind]
+    sec = _read(cfg.minimax, {**_SCHEMA["minimax"],
+                              "family": {"kind": str, "params": params}}, "minimax")
+    kind = _require(sec, "kind", "minimax")
 
-    try:
-        cls = DensityClass(kind=kind, g_kind=sec.get("g_kind"), data=data, family=fam)
-    except Exception as exc:
-        raise ConfigError(str(exc), location="minimax") from exc
+    if fam_kind == "singleton":
+        fam = builder(build_model(cfg))
+    else:
+        grid_size = cfg.grid_size   # a bad grid is an error at numerics.grid_size
+        with _at("minimax.family.params", (TypeError, ValueError, GapcastError)):
+            fam = builder(**sec["family"].get("params", {}), grid_size=grid_size)
 
-    opt = _from_section(OptConfig, _expect_map(sec.get("opt", {}) or {}, "minimax.opt"),
-                        "minimax.opt")
+    with _at("minimax"):
+        cls = DensityClass(kind=kind, g_kind=sec.get("g_kind"),
+                           data=ClassData(**sec.get("data", {})), family=fam)
+
+    with _at("minimax.opt", InvalidParameterError):
+        opt = OptConfig(**sec.get("opt", {}))
 
     theta = sec.get("theta")
     if theta is not None:
-        theta = np.atleast_1d(_cast(theta, _float_array, "minimax.theta"))
+        theta = np.atleast_1d(theta)
         if theta.shape != (fam.dim,):
             raise ConfigError(f"expected {fam.dim} value(s), one per family parameter",
                               location="minimax.theta")
     extras = {
-        "saddle_samples": _cast(sec.get("saddle_samples", 100), _integer,
-                                "minimax.saddle_samples"),
-        "saddle_seed": _cast(sec.get("saddle_seed", 1), _integer, "minimax.saddle_seed"),
-        "saddle_tol": _cast(sec.get("saddle_tol", 1e-6), _real, "minimax.saddle_tol"),
+        "saddle_samples": sec.get("saddle_samples", 100),
+        "saddle_seed": sec.get("saddle_seed", 1),
+        "saddle_tol": sec.get("saddle_tol", 1e-6),
         "theta": theta,
-        "skip_residuals": _cast(sec.get("skip_residuals", False), _boolean,
-                                "minimax.skip_residuals"),
+        "skip_residuals": sec.get("skip_residuals", False),
     }
     for key, least in (("saddle_samples", 1), ("saddle_seed", 0)):
         if extras[key] < least:

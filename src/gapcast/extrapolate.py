@@ -90,7 +90,6 @@ class EstimateResult:
     h_grid: np.ndarray           # h(lambda) as column vectors, shape (n, T)
     taps: dict[int, np.ndarray]
     delta: float
-    variant: str
     diagnostics: EstimateDiagnostics
     system: OperatorSystem = field(repr=False, default=None)
 
@@ -107,14 +106,6 @@ def default_truncation(model: SpectralModel, functional: FunctionalSpec) -> int:
         return N + 64
     rho = min(max(float(rho), 0.0), 0.999999)
     return N + 8 * max(1, math.ceil(1.0 / (1.0 - rho)))
-
-
-def _select_variant(model: SpectralModel) -> str:
-    if model.is_noiseless:
-        return "noiseless"
-    if model.is_uncorrelated:
-        return "uncorrelated"
-    return "general"
 
 
 def _operator_route(model: SpectralModel, pattern: MissingPattern,
@@ -224,8 +215,7 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
 
     return EstimateResult(
         c=dict(zip(entries.tolist(), c_blocks)), lam=lam, h_grid=h_row, taps=taps,
-        delta=delta, variant=_select_variant(model),
-        diagnostics=diags, system=system,
+        delta=delta, diagnostics=diags, system=system,
     )
 
 

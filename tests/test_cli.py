@@ -97,7 +97,6 @@ def test_estimate_benchmark_outputs(tmp_path):
     assert run_cli(["estimate", "--config", cfg, "--out", out]) == 0
 
     summary = read_summary(out / "result.summary")
-    assert summary["variant"] == "noiseless"
     delta = float(summary["delta"])
     assert abs(delta - BENCH_DELTA) <= 1e-6 * BENCH_DELTA
     assert float(summary["two_form_rel_diff"]) < 1e-8
@@ -617,6 +616,42 @@ def _assert_config_error(tmp_path, capsys, command, text, key):
         "family_grid_size", "white_dim", "laurent_dim", "laurent_row", "laurent_offset"])
 def test_fractional_integers_exit_2(tmp_path, capsys, command, text, key):
     _assert_config_error(tmp_path, capsys, command, text, key)
+
+
+WHITE_YAML = VALID_MINIMAX.split("minimax:")[0]
+
+
+@pytest.mark.parametrize("command,text,key", [
+    # each of these used to run and exit 0 on the quoted value
+    ("estimate", WHITE_YAML.replace("scale: 1.5", "scale: '2.0'"), "model.scale"),
+    ("estimate", NOISY_AR1_YAML.replace("scales: [1.0]", "scales: ['1.0']"), "model.scales"),
+    ("estimate", LAURENT_YAML.replace("dim: 1", "dim: 1\n  pole_modulus: '0.5'"),
+     "model.pole_modulus"),
+    ("estimate", LAURENT_YAML.replace("num_coeffs: [2.0]", "num_coeffs: ['2.0']"),
+     "model.entries[0].num_coeffs"),
+    ("estimate", WHITE_YAML.replace("coeffs: [[1.0]]", "coeffs: [['1.0']]"),
+     "functional.coeffs"),
+], ids=["white_scale", "ar1_scales", "laurent_pole_modulus", "laurent_num_coeffs",
+        "functional_coeffs"])
+def test_quoted_model_and_functional_numbers_exit_2(tmp_path, capsys, command, text, key):
+    _assert_config_error(tmp_path, capsys, command, text, key)
+
+
+@pytest.mark.parametrize("command", ["estimate", "oracle-check", "simulate", "minimax"])
+def test_truncation_below_the_horizon_exits_2(tmp_path, capsys, command):
+    # used to exit 3 from the operator route ("smaller than functional horizon")
+    assert run_cli([command, "--config", ROBUST, "--out", tmp_path / "out",
+                    "--truncation", -1]) == 2
+    assert capsys.readouterr().err.startswith("config error: numerics.truncation: ")
+
+
+def test_truncation_at_the_horizon_is_the_least_accepted(tmp_path, capsys):
+    # BENCH_YAML's functional has two rows: its horizon is 1
+    _assert_config_error(tmp_path, capsys, "estimate",
+                         BENCH_YAML.replace("truncation: 48", "truncation: 0"),
+                         "numerics.truncation")
+    cfg = write_config(tmp_path, BENCH_YAML.replace("truncation: 48", "truncation: 1"))
+    assert run_cli(["estimate", "--config", cfg, "--out", tmp_path / "out"]) == 0
 
 
 def test_integral_values_accepted(tmp_path):

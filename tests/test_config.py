@@ -8,15 +8,25 @@ The section builders (``build_model``, ``build_simulation``, ``build_class``)
 are held to the same property over mapping-shaped sections.
 """
 
+import copy
 import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from gapcast.cli import main
 from gapcast.config import (
+    _FAMILIES as FAMILY_TABLES,
+    _MODELS as MODEL_TABLES,
+    _SCHEMA as SCHEMA,
+    _float_array,
+    _integer,
+    _interval,
+    _real,
     build_class,
     build_functional,
     build_model,
@@ -27,6 +37,7 @@ from gapcast.config import (
 )
 from gapcast.errors import ConfigError
 from gapcast.minimax import F_KINDS, ClassData, OptConfig
+from gapcast.spectral import grid_points
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -250,3 +261,121 @@ def test_documented_sections_load(block):
     cfg = loads_config(yaml.safe_dump({**yaml.safe_load(VALID), **section}))
     for name in section:
         _SECTION_CHECKS[name](cfg)
+
+
+# The schema.  Every numeric key of every table (each section, each model kind,
+# each family kind) refuses a quoted number and a boolean with a config error at
+# that key, whatever command reads it.  The run files below are minimal valid
+# ones; the walk sets one key at a time on a copy.
+_NUMERIC_READERS = {_integer, _real, _float_array, _interval}   # not str, not _boolean
+_MODEL_BASES = {
+    "example1": {"kind": "example1", "b1": 0.5, "b2": 0.3},
+    "white": {"kind": "white", "dim": 1, "scale": 1.5},
+    "ar1": {"kind": "ar1", "poles": [0.5], "scales": [1.0], "mix": [[1.0]],
+            "noise": {"poles": [0.2], "scales": [0.5], "mix": [[1.0]]}},
+    "ma_pair": {"kind": "ma_pair", "signal_coeffs": [[[1.0]], [[0.5]]],
+                "noise_coeffs": [[[1.0]]], "innovation_cov": [[1.0, 0.2], [0.2, 1.0]]},
+    "laurent": {"kind": "laurent", "dim": 1, "pole_modulus": 0.5,
+                "entries": [{"row": 0, "col": 0, "num_offset": 0, "num_coeffs": [2.0],
+                             "den_offset": 0, "den_coeffs": [1.0]}]},
+    "grid_file": {"kind": "grid_file", "path": "grid.npz", "pole_modulus": 0.5},
+}
+_FAMILY_PARAMS = {
+    "singleton": {},
+    "mixture": {"power": 1.5, "w_max": 0.9, "b_max": 0.8, "noise_power": 0.8,
+                "label": "mixture"},
+    "ar1_fixed_power": {"power": 1.5, "b_max": 0.7},
+    "contamination": {"anchor_power": 1.5, "anchor_pole": 0.3, "eps": 0.2, "power": 1.5,
+                      "b_max": 0.8},
+}
+_COMMANDS = {"simulation": "simulate", "oracle_check": "oracle-check", "minimax": "minimax"}
+
+
+def _run_file(model="white", family="singleton") -> dict:
+    dim = 2 if model == "example1" else 1
+    return {"model": copy.deepcopy(_MODEL_BASES[model]),
+            "pattern": {"intervals": [[2, 1]]},
+            "functional": {"coeffs": [[1.0] * dim, [0.5] * dim]},
+            "numerics": {"grid_size": 64, "truncation": 8},
+            "simulation": {"replications": 10, "seed": 1, "window": 5},
+            "oracle_check": {"windows": [10], "tolerance": 1.0e-4},
+            "minimax": {"kind": "D0_1", "g_kind": "DVU_1" if family == "mixture" else None,
+                        "data": {"power": 1.5, "noise_power": 0.8, "lower": 0.0,
+                                 "upper": 8.0},
+                        "family": {"kind": family, "params": dict(_FAMILY_PARAMS[family])},
+                        "opt": {"starts": 1, "budget": 5}, "saddle_samples": 2},
+            "output": {"directory": "out"}}
+
+
+def _numeric_paths(table, path):
+    for key, kind in table.items():
+        here = path + (key,)
+        if isinstance(kind, list):
+            here, kind = here + (0,), kind[0]
+        if isinstance(kind, dict):
+            yield from _numeric_paths(kind, here)
+        elif kind in _NUMERIC_READERS:
+            yield here
+
+
+_TYPED_KEYS = (
+    [(model, "singleton", path) for model, table in MODEL_TABLES.items()
+     for path in _numeric_paths(table, ("model",))]
+    + [("white", family, path) for family, (_, params) in FAMILY_TABLES.items()
+       for path in _numeric_paths(params, ("minimax", "family", "params"))]
+    + [("white", "singleton", path) for name, table in SCHEMA.items()
+       for path in _numeric_paths(table, (name,))])
+
+
+def _location(path) -> str:
+    return path[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[1:])
+
+
+def _set(doc: dict, path, value):
+    node = doc
+    for key, after in zip(path, path[1:]):
+        if isinstance(node, dict) and key not in node:
+            node[key] = [{}] if isinstance(after, int) else {}
+        node = node[key]
+    node[path[-1]] = value
+
+
+@pytest.mark.parametrize("model,family", [(m, "singleton") for m in MODEL_TABLES]
+                         + [("white", f) for f in FAMILY_TABLES if f != "singleton"])
+def test_schema_walk_run_files_are_valid(tmp_path, monkeypatch, model, family):
+    monkeypatch.chdir(tmp_path)
+    np.savez("grid.npz", lam=grid_points(64), F=np.ones((64, 1, 1)))
+    cfg = loads_config(yaml.safe_dump(_run_file(model, family)))
+    build_model(cfg), build_simulation(cfg), build_oracle_check(cfg), build_class(cfg)
+
+
+@pytest.mark.parametrize("value", ["2", True], ids=["quoted", "boolean"])
+@pytest.mark.parametrize("model,family,path", _TYPED_KEYS,
+                         ids=[f"{m}-{f}-{_location(p)}" for m, f, p in _TYPED_KEYS])
+def test_every_typed_key_refuses_strings_and_booleans(tmp_path, capsys, model, family,
+                                                     path, value):
+    doc = _run_file(model, family)
+    _set(doc, path, value)
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump(doc))
+    command = _COMMANDS.get(path[0], "estimate")
+    assert main([command, "--config", str(tmp_path / "run.yaml"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {_location(path)}:" in capsys.readouterr().err
+
+
+def _schema_keys(table):
+    for key, kind in table.items():
+        yield key
+        kind = kind[0] if isinstance(kind, list) else kind
+        if isinstance(kind, dict):
+            yield from _schema_keys(kind)
+
+
+def test_every_schema_key_is_documented():
+    text = DOCS.read_text()
+    tables = [*SCHEMA.values(), *MODEL_TABLES.values(), *(p for _, p in FAMILY_TABLES.values())]
+    keys = {key for table in tables for key in _schema_keys(table)}
+    keys |= set(SCHEMA) | set(MODEL_TABLES) | set(FAMILY_TABLES)
+    missing = sorted(key for key in keys
+                     if f"`{key}`" not in text and not re.search(rf"\b{key}:", text))
+    assert missing == []

@@ -81,7 +81,6 @@ def test_white_signal_error_is_functional_variance():
     res = estimate(model, MissingPattern(intervals=()), fun, K=8)
     assert res.delta == pytest.approx(1.7 * 5.0, rel=1e-12)
     assert np.abs(res.h_grid).max() < 1e-10
-    assert res.variant == "noiseless"
 
 
 @pytest.mark.parametrize("b,scale", [(0.6, 1.3), (-0.5, 0.7)])
@@ -297,17 +296,8 @@ def test_optimal_characteristic_beats_perturbations():
 
 
 # ---------------------------------------------------------------------------
-# dispatch, defaults, and taps
+# defaults and taps
 # ---------------------------------------------------------------------------
-
-
-def test_variant_dispatch():
-    pat = MissingPattern(intervals=())
-    fun = FunctionalSpec(coeffs=np.array([[1.0]]))
-    noiseless = _scalar_ar1(0.5)
-    uncorr = ar1_model(poles=(0.5,), noise_poles=(0.2,), grid_size=256)
-    assert estimate(noiseless, pat, fun, K=8).variant == "noiseless"
-    assert estimate(uncorr, pat, fun, K=8).variant == "uncorrelated"
 
 
 def test_default_truncation_rules():
