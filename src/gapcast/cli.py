@@ -249,7 +249,12 @@ def main(argv=None) -> int:
             if args.command == "simulate":
                 cfg.simulation["seed"] = args.seed
             elif args.command == "minimax":
-                cfg.minimax.setdefault("opt", {})["seed"] = args.seed
+                opt = cfg.minimax.get("opt")
+                if opt is None:   # a null section is no section, as the schema reads it
+                    opt = cfg.minimax["opt"] = {}
+                if not isinstance(opt, dict):
+                    raise ConfigError("expected a mapping", location="minimax.opt")
+                opt["seed"] = args.seed
         out_dir = Path(args.out if args.out is not None else cfg.out_dir)
         return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:

@@ -343,7 +343,7 @@ def build_pattern(cfg: RunConfig) -> MissingPattern:
 def build_functional(cfg: RunConfig) -> FunctionalSpec:
     coeffs = _require(cfg._section("functional"), "coeffs", "functional")
     with _at("functional.coeffs"):
-        return FunctionalSpec(coeffs=np.atleast_2d(np.asarray(coeffs, dtype=complex)))
+        return FunctionalSpec(coeffs=np.atleast_2d(np.asarray(coeffs, dtype=float)))
 
 
 def build_simulation(cfg: RunConfig) -> SimulationConfig:

@@ -37,7 +37,9 @@ from .spectral import SpectralModel, coeffs_from_samples, trig_poly_on_grid
 class FunctionalSpec:
     """Finite linear functional sum_{j=0}^{N} a(j)^T xi(j).
 
-    ``coeffs`` has shape (N+1, T); row j is a(j).
+    ``coeffs`` has shape (N+1, T); row j is a(j).  Real input is stored as
+    float64 and complex input as complex128, so a real functional on a real
+    process keeps the whole solve in real arithmetic.
     """
 
     coeffs: np.ndarray
@@ -48,7 +50,8 @@ class FunctionalSpec:
             raise InvalidParameterError("functional coefficients must be (N+1, T)")
         if not np.all(np.isfinite(arr)):
             raise InvalidParameterError("functional coefficients must be finite")
-        object.__setattr__(self, "coeffs", arr.astype(complex))
+        object.__setattr__(self, "coeffs",
+                           arr.astype(complex if np.iscomplexobj(arr) else float))
 
     @property
     def horizon(self) -> int:

@@ -134,10 +134,13 @@ class OperatorSystem:
     Bmat (P x P) is Hermitian positive definite whenever the minimality check
     passes.  Rmat (P x (N+1) T) carries the signal-vs-observation coupling and
     Qmat ((N+1) T square) the quadratic remainder of the mean-square error;
-    their columns cover only the functional's indices 0..N.  entries lists
-    U_K in block order (gap points ascending, then 0..K).  Zinv (F_zeta^{-1})
-    and X (F + F_xe) are the grid samples the matrices were built from;
-    eig_max is the largest eigenvalue of F_zeta over the grid.
+    their columns cover only the functional's indices 0..N.  Each matrix takes
+    the dtype of the Fourier table it is assembled from (the noiseless
+    identity Rmat and zero Qmat take Bmat's): real for a real process, complex
+    otherwise.  entries lists U_K in block order (gap points ascending, then
+    0..K).  Zinv (F_zeta^{-1}) and X (F + F_xe) are the grid samples the
+    matrices were built from; eig_max is the largest eigenvalue of F_zeta over
+    the grid.
     """
 
     Bmat: np.ndarray
@@ -210,8 +213,8 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
         T = model.dim
         # the identity's columns of 0..N, which follow the |S| gap blocks
         Rmat = np.eye(len(entries) * T, future.size * T, k=-pattern.size * T,
-                      dtype=complex)
-        Qmat = np.zeros((future.size * T,) * 2, dtype=complex)
+                      dtype=Bmat.dtype)
+        Qmat = np.zeros((future.size * T,) * 2, dtype=Bmat.dtype)
     else:
         XZinv = X @ Zinv
         Rmat = block(XZinv, entries, future)
@@ -246,9 +249,11 @@ def solve_coefficients(system: OperatorSystem, a_vec: np.ndarray) -> Coefficient
     factor is one LAPACK ``?potrf`` (upper triangle) and each solve one
     ``?potrs``: the routines ``scipy.linalg.cho_factor``/``cho_solve`` wrap,
     called without the wrappers' argument checks (Bmat is checked for finite
-    entries here).
+    entries here).  The routines follow the dtypes: a real Bmat is factored by
+    ``dpotrf``, and a real Rmat a is solved by ``dpotrs``; a complex Bmat or
+    right-hand side takes the ``z`` routines.
     """
-    a_vec = np.asarray(a_vec, dtype=complex)
+    a_vec = np.asarray(a_vec)
     B = system.Bmat
     if a_vec.shape != system.Rmat.shape[1:]:
         raise InvalidParameterError(

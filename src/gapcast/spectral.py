@@ -34,6 +34,10 @@ DensityFn = Callable[[np.ndarray], np.ndarray]
 _HERMITIAN_TOL = 1e-10
 _PSD_TOL = 1e-10
 
+# A Fourier table whose imaginary parts are at most this fraction of its
+# largest real part (about 450 ulp) is stored real; see coeffs_from_samples.
+REAL_TOL = 1e-13
+
 # Largest condition number accepted for F_zeta at a grid node, and largest
 # accepted upper bound on that of the assembled operator matrix.
 COND_CEILING = 1e12
@@ -439,6 +443,8 @@ class FourierTable:
     """Matrix Fourier coefficients c(k), |k| <= max_lag.
 
     data[k + max_lag] holds c(k) = (1/2pi) int f e^{-i k lambda} d lambda.
+    ``data`` is float64 when the coefficients are real up to rounding (see
+    ``coeffs_from_samples``), complex128 otherwise.
     """
 
     max_lag: int
@@ -457,7 +463,16 @@ class FourierTable:
 
 
 def coeffs_from_samples(samples: np.ndarray, max_lag: int) -> FourierTable:
-    """Fourier coefficients of grid samples (standard grid layout assumed)."""
+    """Fourier coefficients of grid samples (standard grid layout assumed).
+
+    The table is real (float64) when max|Im c(k)| <= REAL_TOL * max|Re c(k)|
+    over the table, and complex128 otherwise.  The densities of a real
+    process satisfy f(-lambda) = conj f(lambda), so their coefficients are
+    real and the imaginary parts the FFT leaves are rounding, about 1e-17
+    relative.  Dropping them lets every matrix built from the table, and every
+    factorization of it, run in real arithmetic.  A complex process keeps its
+    complex table.  The test reduces over the table, not over the grid.
+    """
     n = samples.shape[0]
     if max_lag < 0:
         raise InvalidParameterError(f"max_lag must be >= 0, got {max_lag}")
@@ -465,11 +480,12 @@ def coeffs_from_samples(samples: np.ndarray, max_lag: int) -> FourierTable:
         raise InvalidParameterError(
             f"grid size {n} too small for max_lag {max_lag} (need >= {4 * max_lag})"
         )
-    fft = np.fft.fft(samples, axis=0)
     ks = np.arange(-max_lag, max_lag + 1)
+    coeffs = np.fft.fft(samples, axis=0)[ks % n]
+    if np.abs(coeffs.imag).max() <= REAL_TOL * np.abs(coeffs.real).max():
+        coeffs = coeffs.real
     signs = np.where(ks % 2 == 0, 1.0, -1.0)
-    data = signs[:, None, None] * (fft[ks % n] / n)
-    return FourierTable(max_lag=max_lag, data=data)
+    return FourierTable(max_lag=max_lag, data=signs[:, None, None] * (coeffs / n))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +494,11 @@ def coeffs_from_samples(samples: np.ndarray, max_lag: int) -> FourierTable:
 
 
 def covariance(model: SpectralModel, n: int, which: str = "F") -> np.ndarray:
-    """Covariance R(n) = (1/2pi) int e^{i n lambda} density d lambda."""
+    """Covariance R(n) = (1/2pi) int e^{i n lambda} density d lambda.
+
+    Real (float64) for the densities of a real process, complex otherwise;
+    ``coeffs_from_samples`` decides.
+    """
     table = coeffs_from_samples(model.samples(which), abs(n))
     return table.coeff(-n)
 

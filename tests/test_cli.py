@@ -735,6 +735,21 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys):
     assert "config error: minimax.opt:" in capsys.readouterr().err
 
 
+def test_seed_flag_over_a_null_opt(tmp_path):
+    # a null opt is no section: the flag's seed drives the search
+    cfg = write_config(tmp_path, MIXTURE_MINIMAX + "  opt: null\n")
+    assert run_cli(["minimax", "--config", cfg, "--seed", "3",
+                    "--out", tmp_path / "out"]) == 0
+    assert "# seed=3" in (tmp_path / "out" / "lfd.summary").read_text().splitlines()
+
+
+def test_seed_flag_over_a_list_opt_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, MIXTURE_MINIMAX + "  opt: []\n")
+    assert run_cli(["minimax", "--config", cfg, "--seed", "3",
+                    "--out", tmp_path / "out"]) == 2
+    assert "config error: minimax.opt:" in capsys.readouterr().err
+
+
 def test_known_model_keys_accepted(tmp_path):
     assert run_cli(["estimate", "--config", write_config(tmp_path, NOISY_AR1_YAML),
                     "--out", tmp_path / "out"]) == 0

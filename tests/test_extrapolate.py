@@ -400,6 +400,17 @@ def test_functional_validation():
         FunctionalSpec(coeffs=np.array([[np.nan]]))
 
 
+@pytest.mark.parametrize("coeffs,dtype", [
+    ([[1, 2]], np.float64),
+    (np.array([[1.0], [0.5]]), np.float64),
+    (np.array([[1.0, 2.0]], dtype=np.float32), np.float64),
+    ([[1.0, 0.5j]], np.complex128),
+    (np.array([[1.0 + 0j]]), np.complex128),
+], ids=["int", "float64", "float32", "complex", "complex_real_valued"])
+def test_functional_keeps_real_coefficients_real(coeffs, dtype):
+    assert FunctionalSpec(coeffs=coeffs).coeffs.dtype == dtype
+
+
 def test_dimension_mismatch_rejected():
     model = white_model(2, grid_size=256)
     with pytest.raises(InvalidParameterError):

@@ -3,10 +3,14 @@ two-component benchmark whose operator blocks and factorized inverse are
 known in closed form.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import gapcast.operators as operators_module
+import gapcast.oracle as oracle_module
 from gapcast import (
     FourierTable,
     MissingPattern,
@@ -15,16 +19,24 @@ from gapcast import (
     build_operator_system,
     estimate,
     make_ar1_pair,
+    projection_oracle,
     solve_coefficients,
     white_model,
 )
+from gapcast.config import build_functional, build_model, build_pattern, load_config
 from gapcast.operators import (
     MAX_GAP_POINTS,
     OperatorSystem,
     _inverse,
     assemble,
 )
-from gapcast.spectral import COND_CEILING, check_minimality, coeffs_from_samples
+from gapcast.spectral import (
+    COND_CEILING,
+    SpectralModel,
+    check_minimality,
+    coeffs_from_samples,
+    ma_pair_model,
+)
 from gapcast.errors import (
     InsufficientLagError,
     InvalidParameterError,
@@ -33,6 +45,7 @@ from gapcast.errors import (
 )
 from example1_factors import example1_psi, example1_theta, factorized_inverse_check
 from test_extrapolate import _random_instance
+from test_minimax import GOLDEN_GRID, HI, HI_G, LO, LO_G, _clipped_density, _fixed
 
 
 # ---------------------------------------------------------------------------
@@ -451,3 +464,166 @@ def test_scaling_densities_scales_delta_only(seed):
     got = np.array(list(scaled.taps.values()))
     ref = np.array(list(base.taps.values()))
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------------------
+# real processes in real arithmetic
+# ---------------------------------------------------------------------------
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+
+
+def _example(name):
+    cfg = load_config(EXAMPLES / f"{name}.yaml")
+    return build_model(cfg), build_pattern(cfg), build_functional(cfg), cfg.truncation
+
+
+def _complex_ma(noisy):
+    """A scalar moving-average pair with complex coefficients: not a real process."""
+    signal = [[[1.0]], [[0.5j]]]
+    if not noisy:
+        return ma_pair_model(signal, grid_size=256)
+    return ma_pair_model(signal, noise_coeffs=[[[0.6]], [[0.2 - 0.3j]]],
+                         innovation_cov=[[1.0, 0.3], [0.3, 1.0]], grid_size=256)
+
+
+def _rotated(noisy, phase=None):
+    """The golden minimax densities, U diag(...) U^H, turned by diag(1, phase).
+
+    Their own U = R diag(1, e^{0.7i}) leaves a real symmetric density: the
+    phase commutes with the diagonal.  A phase applied outside, P F P^H,
+    makes the off-diagonal coefficients complex.
+    """
+    P = np.diag([1.0, 1.0 if phase is None else phase])
+
+    def turned(dens):
+        return P @ dens @ np.conj(P.T)
+
+    F = turned(_clipped_density([(0.5, 1.0), (-0.3, 0.8)], LO, HI))
+    G = turned(_clipped_density([(0.2, 0.5), (0.4, 0.6)], LO_G, HI_G)) if noisy else None
+    return SpectralModel(dim=2, F=_fixed(F), G=None if G is None else _fixed(G),
+                         grid_size=GOLDEN_GRID)
+
+
+COMPLEX_MODELS = {
+    "ma_pair": lambda: _complex_ma(False),
+    "ma_pair_noisy": lambda: _complex_ma(True),
+    "rotation_phased": lambda: _rotated(False, np.exp(0.7j)),
+    "rotation_phased_noisy": lambda: _rotated(True, np.exp(0.7j)),
+}
+
+
+def _dtypes(monkeypatch, model, pattern, functional, K):
+    """dtypes of the operator tables, Bmat, Rmat, Qmat and the oracle's Gamma."""
+    seen = {"tables": [], "gamma": []}
+
+    def table_spy(samples, max_lag):
+        table = coeffs_from_samples(samples, max_lag)
+        seen["tables"].append(table.data.dtype)
+        return table
+
+    cho_factor = scipy.linalg.cho_factor
+
+    def gamma_spy(a, *args, **kwargs):
+        seen["gamma"].append(a.dtype)
+        return cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(operators_module, "coeffs_from_samples", table_spy)
+    monkeypatch.setattr(oracle_module, "coeffs_from_samples", table_spy)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", gamma_spy)
+    system = build_operator_system(model, pattern, K=K, horizon=functional.horizon)
+    projection_oracle(model, pattern, functional, window=20)
+    assert len(seen["gamma"]) == 1
+    return {"tables": set(seen["tables"]), "Bmat": system.Bmat.dtype,
+            "Rmat": system.Rmat.dtype, "Qmat": system.Qmat.dtype,
+            "gamma": seen["gamma"][0]}
+
+
+@pytest.mark.parametrize("name,noiseless", [("benchmark", True), ("noisy_ar1", False),
+                                            ("rotation", True), ("rotation_noisy", False)])
+def test_real_process_is_solved_in_real_arithmetic(monkeypatch, name, noiseless):
+    if name.startswith("rotation"):
+        model, K = _rotated(not noiseless), 12
+        pattern = MissingPattern(intervals=((2, 1),))
+        functional = FunctionalSpec(coeffs=np.ones((2, 2)))
+    else:
+        model, pattern, functional, K = _example(name)
+    assert model.is_noiseless == noiseless
+    assert functional.coeffs.dtype == np.float64
+    real = np.dtype(np.float64)
+    assert _dtypes(monkeypatch, model, pattern, functional, K) == {
+        "tables": {real}, "Bmat": real, "Rmat": real, "Qmat": real, "gamma": real}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_MODELS))
+def test_complex_process_keeps_complex_arithmetic(monkeypatch, name):
+    model = COMPLEX_MODELS[name]()
+    functional = FunctionalSpec(coeffs=np.ones((2, model.dim)))
+    pattern = MissingPattern(intervals=((2, 1),))
+    cplx = np.dtype(np.complex128)
+    assert _dtypes(monkeypatch, model, pattern, functional, K=12) == {
+        "tables": {cplx}, "Bmat": cplx, "Rmat": cplx, "Qmat": cplx, "gamma": cplx}
+
+
+def _complex_reference(model, pattern, functional, K, tap_lags):
+    """delta, c (by U_K entry) and taps, all in complex arithmetic.
+
+    Raw np.fft coefficient tables, blocks by hand, scipy's Cholesky; the
+    characteristic and its coefficients by direct sums over the grid.
+    """
+    n, d = model.grid_size, model.dim
+    lam = model.lam
+    max_lag = min(4 * (K + pattern.max_depth), n // 4)
+    ks = np.arange(-max_lag, max_lag + 1)
+    entries = np.concatenate((np.asarray(pattern.points, dtype=int), np.arange(K + 1)))
+    future = np.arange(functional.horizon + 1)
+
+    def block(samples, rows, cols):
+        fft = np.fft.fft(np.swapaxes(samples, -1, -2), axis=0)
+        data = (-1.0) ** ks[:, None, None] * fft[ks % n] / n
+        return np.block([[data[max_lag + p - q] for q in cols] for p in rows])
+
+    F, Fz = model.samples("F"), model.samples("Fz")
+    X = F + model.samples("Fxe")
+    Zinv = np.linalg.inv(Fz)
+    B = block(Zinv, entries, entries)
+    R = block(X @ Zinv, entries, future)
+    Q = block(F - X @ Zinv @ np.conj(np.swapaxes(X, -1, -2)), future, future)
+    a = functional.coeffs.ravel().astype(complex)
+    c = scipy.linalg.cho_solve(scipy.linalg.cho_factor(B), R @ a)
+    delta = float((np.vdot(c, R @ a) + np.vdot(a, Q @ a)).real)
+
+    C_row = np.exp(1j * np.outer(lam, entries)) @ c.reshape(-1, d)
+    A_row = np.exp(1j * np.outer(lam, future)) @ a.reshape(-1, d)
+    AX = np.einsum("nt,ntu->nu", A_row, X)
+    h_row = np.einsum("nt,ntu->nu", AX - C_row, Zinv)
+    taps = np.exp(-1j * np.outer(tap_lags, lam)) @ h_row / n
+    # the taps come out of (A X - C) F_zeta^{-1}, so their rounding is
+    # relative to the larger of its two terms, not to the taps
+    tap_scale = max(np.abs(np.einsum("nt,ntu->nu", AX, Zinv)).max(),
+                    np.abs(np.einsum("nt,ntu->nu", C_row, Zinv)).max())
+    return delta, c.reshape(-1, d), taps, tap_scale
+
+
+def _close(got, ref, scale, rtol=1e-12):
+    return np.abs(np.asarray(got) - ref).max() <= rtol * scale
+
+
+@pytest.mark.parametrize("seed,dim", [(seed, None) for seed in range(12)]
+                         + [(0, 3), (1, 3)] + [(name, None) for name in COMPLEX_MODELS])
+def test_estimate_matches_complex_reference(seed, dim):
+    if isinstance(seed, str):
+        model = COMPLEX_MODELS[seed]()
+        pattern = MissingPattern(intervals=((2, 1),))
+        functional = FunctionalSpec(coeffs=np.ones((2, model.dim)))
+    else:
+        model, pattern, functional = _random_instance(seed, dim=dim)
+    K = 24
+    res = estimate(model, pattern, functional, K=K)
+    # a real process is solved in real arithmetic, a complex one never is
+    assert np.iscomplexobj(res.system.Bmat) == np.iscomplexobj(res.c[0]) == isinstance(seed, str)
+    lags = sorted(res.taps)
+    delta, c, taps, tap_scale = _complex_reference(model, pattern, functional, K, lags)
+    assert res.delta == pytest.approx(delta, rel=1e-12)
+    assert _close([res.c[j] for j in res.system.entries], c, np.abs(c).max())
+    assert _close([res.taps[j] for j in lags], taps, tap_scale)
