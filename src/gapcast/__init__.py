@@ -51,23 +51,25 @@ from .config import (
     load_config,
     loads_config,
 )
+from .families import (
+    DensityFamily,
+    ar1_fixed_power_family,
+    contamination_family,
+    convex_combination_family,
+    scalar_mixture_family,
+    singleton_family,
+)
 from .minimax import (
     ClassData,
     DensityClass,
-    DensityFamily,
     LeastFavorableResult,
     OptConfig,
     ResidualReport,
     SaddleReport,
-    ar1_fixed_power_family,
     characterization_residuals,
     class_constraint_report,
-    contamination_family,
-    convex_combination_family,
     evaluate_candidate,
     maximize_delta,
-    scalar_mixture_family,
-    singleton_family,
     verify_saddle_point,
 )
 from .spectral import (

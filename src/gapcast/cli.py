@@ -179,6 +179,9 @@ def cmd_minimax(cfg: RunConfig, out_dir: Path) -> int:
         f"class = {cls.kind}" + (f" x {cls.g_kind}" if cls.g_kind else ""),
         f"family = {cls.family.label}",
         f"delta_star = {_fmt(result.delta_star)}",
+        f"fw_gap = {_fmt(result.fw_gap)}",
+        f"delta_upper = {_fmt(result.delta_upper)}",
+        f"stopped = {result.stopped}",
         "theta_star = " + " ".join(_fmt(t) for t in result.theta_star),
         f"boundary = {_fmt(result.boundary)}",
         f"evaluations = {len(result.evaluations)}",

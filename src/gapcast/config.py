@@ -23,15 +23,13 @@ import yaml
 
 from .errors import ConfigError, GapcastError, InvalidParameterError
 from .extrapolate import FunctionalSpec
-from .minimax import (
-    ClassData,
-    DensityClass,
-    OptConfig,
+from .families import (
     ar1_fixed_power_family,
     contamination_family,
     scalar_mixture_family,
     singleton_family,
 )
+from .minimax import ClassData, DensityClass, OptConfig
 from .operators import MissingPattern
 from .oracle import SimulationConfig
 from .spectral import (

@@ -21,14 +21,17 @@ A class instance pairs a signal-side kind with an optional noise-side kind.
 Candidate densities come from a finite-dimensional family that is inside the
 class by construction; the search is a derivative-free multi-start ascent.
 It scores candidates by their optimal error alone (``optimal_delta``) and
-runs the full estimate, whose filter the checks read, once, at the maximizer.
+runs the full estimate, whose filter the checks read, at the maximizer.  For
+scalar classes that filter also bounds the error of every class member in
+closed form (``delta_upper``), and the search stops once no member can beat
+the incumbent by more than rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -45,51 +48,20 @@ from .extrapolate import (
     estimate,
     optimal_delta,
 )
+from .families import (   # the stock families are re-exported here
+    DensityFamily,
+    ar1_fixed_power_family,
+    contamination_family,
+    convex_combination_family,
+    scalar_mixture_family,
+    singleton_family,
+)
 from .operators import MissingPattern
-from .spectral import SpectralModel, density_from_samples, grid_points
+from .spectral import SpectralModel, grid_points
 
 # ---------------------------------------------------------------------------
-# Families and classes
+# Classes
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DensityFamily:
-    """Box-parameterized candidate densities, in-class by construction.
-
-    ``build(theta)`` returns the model for a parameter vector inside
-    [lower, upper]; the family designer is responsible for the image lying in
-    the admissible class (this is re-checked numerically at every evaluated
-    point).
-    """
-
-    dim: int
-    lower: np.ndarray
-    upper: np.ndarray
-    build: Callable[[np.ndarray], SpectralModel]
-    label: str = "family"
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float).reshape(-1)
-        hi = np.asarray(self.upper, dtype=float).reshape(-1)
-        if len(lo) != self.dim or len(hi) != self.dim:
-            raise InvalidParameterError("family bounds must have length dim")
-        if np.any(hi < lo):
-            raise InvalidParameterError("family upper bound below lower bound")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
-    def clip(self, theta: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(theta, dtype=float), self.lower, self.upper)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros(0)
-        return rng.uniform(self.lower, self.upper)
 
 
 @dataclass(frozen=True)
@@ -225,6 +197,49 @@ def _mixture_bounds(side: _Side):
     return side.value - (1.0 - side.data.eps) * side.project(side.anchor), None, side.value
 
 
+# First-order LPs of the scalar (T = 1) bases: the largest mean(g * q) over the
+# projected densities q of the class, for a gradient g >= 0 per node.
+
+
+def _scalar(value) -> float:
+    """A constant of a scalar side: its power and radius have one effective value."""
+    return float(np.min(np.real(value)))
+
+
+def _nodes_of(side: _Side, value) -> np.ndarray:
+    """Projected node values (n,) of density data on a scalar side."""
+    n = side.samples.shape[0]
+    return side.project(_as_samples(value, n, 1)).reshape(n).real
+
+
+def _power_lp(side: _Side, g: np.ndarray) -> float:
+    """D0: all the power at the node of largest gradient."""
+    return _scalar(side.power) * float(g.max())
+
+
+def _band_lp(side: _Side, g: np.ndarray) -> float:
+    """DVU: the lower bound everywhere, then the remaining power poured into the
+    nodes of decreasing gradient up to the upper bound (a fractional knapsack)."""
+    lo = _nodes_of(side, 0.0 if side.data.lower is None else side.data.lower)
+    order = np.argsort(-g, kind="stable")
+    room = (_nodes_of(side, side.data.upper) - lo)[order]
+    left = g.size * _scalar(side.power) - lo.sum()
+    fill = np.clip(left - (np.cumsum(room) - room), 0.0, room)
+    return float(g @ lo + g[order] @ fill) / g.size
+
+
+def _mixture_lp(side: _Side, g: np.ndarray) -> float:
+    """Deps: the kept share of the anchor, the free power at the largest gradient."""
+    kept = (1.0 - side.data.eps) * _nodes_of(side, side.anchor)
+    return float(np.mean(g * kept) + (_scalar(side.power) - kept.mean()) * g.max())
+
+
+def _ball_lp(side: _Side, g: np.ndarray) -> float:
+    """D1delta: the anchor, plus the radius at the node of largest gradient."""
+    return float(np.mean(g * _nodes_of(side, side.anchor))
+                 + _scalar(side.data.radius) * g.max())
+
+
 @dataclass(frozen=True)
 class _Base:
     """What a base of admissible classes reads and how its multiplier is fit.
@@ -233,21 +248,25 @@ class _Base:
     and ``weight`` read per side).  ``bounds(side)`` gives its pointwise
     inequalities ``x >= 0``, named ``names``, as a lower and an upper one (None
     when absent) and the reference whose size scales their binding test;
-    ``fallback`` is the multiplier when no node is free.
+    ``fallback`` is the multiplier when no node is free.  ``lp(side, g)`` is
+    the closed-form first-order LP of a scalar side.
     """
 
     fields: tuple[str, ...]
     mult: str
+    lp: Callable
     bounds: Callable | None = None
     names: tuple[str, ...] = ()
     fallback: Callable | None = None
 
 
 _BASES = {
-    "D0": _Base(("power",), "alpha"),
-    "Deps": _Base(("power", "anchor", "eps"), "alpha", _mixture_bounds, ("mixture",), np.max),
-    "DVU": _Base(("power", "upper"), "beta", _band_bounds, ("lower", "upper"), np.median),
-    "D1delta": _Base(("anchor", "radius"), "beta"),
+    "D0": _Base(("power",), "alpha", _power_lp),
+    "Deps": _Base(("power", "anchor", "eps"), "alpha", _mixture_lp, _mixture_bounds,
+                  ("mixture",), np.max),
+    "DVU": _Base(("power", "upper"), "beta", _band_lp, _band_bounds, ("lower", "upper"),
+                 np.median),
+    "D1delta": _Base(("anchor", "radius"), "beta", _ball_lp),
 }
 F_KINDS = tuple(f"{base}_{k}" for base in _BASES for k in range(1, 5))
 G_KINDS = tuple(kind for kind in F_KINDS if kind[:-2] in ("DVU", "D1delta"))
@@ -402,7 +421,13 @@ class ResidualReport:
 
 @dataclass
 class LeastFavorableResult:
-    """Maximizer of the optimal-estimate error over the family."""
+    """Maximizer of the optimal-estimate error over the family.
+
+    ``delta_upper`` bounds the error of every member of the class (nan where
+    the closed form does not apply), ``fw_gap`` is ``delta_upper -
+    delta_star``, and ``stopped`` says why the search ended: ``certified``
+    (the gap met ``_GAP_TOL``), ``converged`` or ``budget``.
+    """
 
     theta_star: np.ndarray
     model_star: SpectralModel
@@ -413,11 +438,17 @@ class LeastFavorableResult:
     cls: DensityClass
     pattern: MissingPattern
     functional: FunctionalSpec
+    delta_upper: float
+    stopped: str
+
+    @property
+    def fw_gap(self) -> float:
+        return self.delta_upper - self.delta_star
 
 
 def _result(cls: DensityClass, theta: np.ndarray, model: SpectralModel,
-            est: EstimateResult, trace: list[Evaluation], pattern: MissingPattern,
-            functional: FunctionalSpec) -> LeastFavorableResult:
+            est: EstimateResult, upper: float, stopped: str, trace: list[Evaluation],
+            pattern: MissingPattern, functional: FunctionalSpec) -> LeastFavorableResult:
     fam = cls.family
     width = np.where(fam.upper > fam.lower, fam.upper - fam.lower, 1.0)
     edge = (np.abs(theta - fam.lower) <= 1e-9 * width) \
@@ -425,11 +456,55 @@ def _result(cls: DensityClass, theta: np.ndarray, model: SpectralModel,
     return LeastFavorableResult(
         theta_star=theta, model_star=model, delta_star=est.delta, estimate_star=est,
         evaluations=trace, boundary=bool(np.any(edge)), cls=cls, pattern=pattern,
-        functional=functional)
+        functional=functional, delta_upper=upper, stopped=stopped)
 
 
 # largest class-constraint violation of a family point that still counts as in class
 _CONSTRAINT_TOL = 1e-8
+# duality gap, relative to the incumbent's error, at which the search stops
+_GAP_TOL = 1e-12
+
+
+def _gap_met(upper: float, delta: float) -> bool:
+    return upper - delta <= _GAP_TOL * delta
+
+
+def _covered(cls: DensityClass, model: SpectralModel) -> bool:
+    """Whether ``delta_upper`` has a closed form for the class at this model.
+
+    It has for a scalar model with uncorrelated signal and noise, a class on
+    every density the model has, and a positive weight on a flavor 3 side
+    (which constrains w*F).
+    """
+    if model.dim != 1 or not model.is_uncorrelated:
+        return False
+    if cls.g_kind is None and not model.is_noiseless:
+        return False
+    return all(int(kind[-1]) != 3 or np.real(weight).item() > 0
+               for kind, weight in ((cls.kind, cls.data.weight_f),
+                                    (cls.g_kind, cls.data.weight_g)) if kind)
+
+
+def _delta_upper(cls: DensityClass, model: SpectralModel, est: EstimateResult,
+                 functional: FunctionalSpec) -> float:
+    """Largest error the filter of ``est`` makes over the class; nan if not covered.
+
+    The error of a fixed filter is linear in the densities, and the optimal
+    error is its minimum over filters, so no class member has an optimal error
+    above this bound.  Each side is the first-order LP of its base, on the
+    gradient the coupling field gives, in the units of its projection.
+    """
+    if not _covered(cls, model):
+        return math.nan
+    upper = 0.0
+    sides = [("F", "signal")] + ([("G", "noise")] if cls.g_kind else [])
+    for which, name in sides:
+        side = _Side(cls, model, which)
+        g = _coupling_field(model, est, functional, name)[:, 0, 0].real
+        if side.flavor == 3:
+            g = g / np.real(side.weight).item()
+        upper += side.spec.lp(side, g)
+    return upper
 
 
 def _check_in_class(cls: DensityClass, model: SpectralModel):
@@ -451,9 +526,15 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
     verifies class membership, then computes the optimal error by the
     operator route (``optimal_delta`` at truncation ``K``, as in
     ``estimate``).  The returned maximizer is the best point seen anywhere in
-    the search; the full estimation pipeline runs once, on it, and must
-    reproduce the searched error bit for bit.  The complete evaluation trace
-    is kept for audit.
+    the search; the full estimation pipeline runs on it and must reproduce
+    the searched error bit for bit.  The complete evaluation trace is kept
+    for audit.
+
+    Where the class has a closed-form bound (``_covered``), the incumbent is
+    certified after the first evaluation and at the end of every start, one
+    estimate per new incumbent; the search stops once its duality gap is at
+    most ``_GAP_TOL`` times its error, and the last certificate's estimate is
+    the maximizer's.  ``opt.budget`` is then an upper bound.
     """
     fam = cls.family
     if fam.dim > 8:
@@ -462,7 +543,24 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
 
     cache: dict[tuple, float] = {}
     trace: list[Evaluation] = []
-    best: dict = {"theta": None, "delta": -np.inf}
+    best: dict = {"key": None, "theta": None, "delta": -np.inf}
+    cert: dict = {"key": None}
+
+    def certificate() -> dict:
+        """The estimate at the incumbent and its bound, once per incumbent."""
+        if cert["key"] != best["key"]:
+            est = estimate(best["model"], pattern, functional, K=K)
+            if est.delta != best["delta"]:
+                raise InternalConsistencyError(
+                    f"estimate at the maximizer gives delta {est.delta!r}, "
+                    f"the search scored {best['delta']!r}")
+            cert.update(key=best["key"], est=est,
+                        upper=_delta_upper(cls, best["model"], est, functional))
+        return cert
+
+    def certified() -> bool:
+        """Whether no class member can beat the incumbent; True ends the search."""
+        return _covered(cls, best["model"]) and _gap_met(certificate()["upper"], best["delta"])
 
     def evaluate(theta: np.ndarray) -> float:
         key = tuple(np.round(theta, 12))
@@ -476,11 +574,14 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
         cache[key] = val
         trace.append(Evaluation(theta=key, delta=val))
         if val > best["delta"]:
-            best.update(theta=np.asarray(theta, dtype=float), delta=val, model=model)
+            best.update(key=key, theta=np.asarray(theta, dtype=float), delta=val,
+                        model=model)
         return val
 
+    done = False
     if fam.dim == 0:
         evaluate(np.zeros(0))
+        done = certified()
     else:
         rng = np.random.default_rng(opt.seed)
         starts = [fam.center]
@@ -491,6 +592,9 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
                 break
             theta = fam.clip(theta0)
             evaluate(theta)
+            if len(trace) == 1 and certified():
+                done = True
+                break
             step = opt.initial_step
             while step >= opt.min_step and len(trace) < opt.budget:
                 moved = False
@@ -509,15 +613,16 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
                             break
                 if not moved:
                     step *= 0.5
+            if certified():
+                done = True
+                break
 
     if best["theta"] is None:
         raise InfeasibleClassError("no feasible family point was evaluated")
-    est = estimate(best["model"], pattern, functional, K=K)
-    if est.delta != best["delta"]:
-        raise InternalConsistencyError(
-            f"estimate at the maximizer gives delta {est.delta!r}, "
-            f"the search scored {best['delta']!r}")
-    return _result(cls, best["theta"], best["model"], est, trace, pattern, functional)
+    final = certificate()
+    stopped = "certified" if done else "budget" if len(trace) >= opt.budget else "converged"
+    return _result(cls, best["theta"], best["model"], final["est"], final["upper"], stopped,
+                   trace, pattern, functional)
 
 
 def evaluate_candidate(cls: DensityClass, theta, pattern: MissingPattern,
@@ -526,15 +631,24 @@ def evaluate_candidate(cls: DensityClass, theta, pattern: MissingPattern,
     """Package a fixed family point as if it were the search result.
 
     Useful for negative controls: saddle/residual checks applied to a point
-    that is not the maximizer should fail or show large residuals.
+    that is not the maximizer should fail or show large residuals, and its
+    duality gap is large.  It is a search with a budget of one evaluation:
+    ``stopped`` is ``certified`` when the gap meets ``_GAP_TOL``, else
+    ``budget``.  ``theta`` must hold one value per family parameter.
     """
     fam = cls.family
-    theta = fam.clip(np.asarray(theta, dtype=float).reshape(-1))
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    if theta.size != fam.dim:
+        raise InvalidParameterError(
+            f"theta has {theta.size} values, the family has {fam.dim} parameters")
+    theta = fam.clip(theta)
     model = fam.build(theta)
     _check_in_class(cls, model)
     est = estimate(model, pattern, functional, K=K)
-    return _result(cls, theta, model, est, [Evaluation(tuple(theta), est.delta)],
-                   pattern, functional)
+    upper = _delta_upper(cls, model, est, functional)
+    stopped = "certified" if _gap_met(upper, est.delta) else "budget"
+    return _result(cls, theta, model, est, upper, stopped,
+                   [Evaluation(tuple(theta), est.delta)], pattern, functional)
 
 
 def verify_saddle_point(result: LeastFavorableResult, n_samples: int = 100,
@@ -577,7 +691,8 @@ def verify_saddle_point(result: LeastFavorableResult, n_samples: int = 100,
 # ---------------------------------------------------------------------------
 
 
-def _coupling_field(result: LeastFavorableResult, side: str) -> np.ndarray:
+def _coupling_field(model: SpectralModel, est: EstimateResult,
+                    functional: FunctionalSpec, side: str) -> np.ndarray:
     """Pointwise rank-one field that the multiplier structure must match.
 
     The error of a fixed filter is linear in the densities, with matrix-valued
@@ -585,12 +700,10 @@ def _coupling_field(result: LeastFavorableResult, side: str) -> np.ndarray:
     and h0 itself on the noise side.  At an interior least-favorable pair this
     gradient equals the class-specific multiplier structure.
     """
-    model = result.model_star
     if not model.is_uncorrelated and not model.is_noiseless:
         raise UnsupportedClassError(
             "characterization residuals require uncorrelated signal and noise")
-    est = result.estimate_star
-    A = result.functional.a_on_grid(est.lam.size)
+    A = functional.a_on_grid(est.lam.size)
     r = (A - est.h_grid) if side == "signal" else est.h_grid
     return np.einsum("nt,nu->ntu", np.conj(r), r)
 
@@ -711,138 +824,11 @@ def characterization_residuals(result: LeastFavorableResult) -> ResidualReport:
         raise UnsupportedClassError(
             "a noisy model needs both a signal-side and a noise-side class")
 
-    entries = _side_residuals(_Side(cls, model, "F"), _coupling_field(result, "signal"),
+    est, fun = result.estimate_star, result.functional
+    entries = _side_residuals(_Side(cls, model, "F"), _coupling_field(model, est, fun, "signal"),
                               "signal-side equation")
     if paired:
-        entries += _side_residuals(_Side(cls, model, "G"), _coupling_field(result, "noise"),
+        entries += _side_residuals(_Side(cls, model, "G"),
+                                   _coupling_field(model, est, fun, "noise"),
                                    "noise-side equation")
     return ResidualReport(entries=entries)
-
-
-# ---------------------------------------------------------------------------
-# Stock families
-# ---------------------------------------------------------------------------
-
-
-def _mixture(z: np.ndarray, power: float, w: float, b: float) -> np.ndarray:
-    """power * ((1-w) flat + w unit-power AR(1) with pole b), at the nodes z = e^{i lambda}."""
-    return power * ((1.0 - w) + w * ((1.0 - b * b) / np.abs(1.0 - b * z) ** 2))
-
-
-def _nodes(grid_size: int) -> np.ndarray:
-    """e^{i lambda} at the grid nodes, taken once per family."""
-    return np.exp(1j * grid_points(grid_size))
-
-
-def _scalar_model(grid_size: int, f: np.ndarray, g: np.ndarray | None = None,
-                  poles: Sequence[float] = ()) -> SpectralModel:
-    """Scalar model from node values; the pole modulus is None when all poles are 0."""
-    rho = max((abs(b) for b in poles), default=0.0)
-    return SpectralModel(
-        dim=1, F=density_from_samples(f[:, None, None]),
-        G=None if g is None else density_from_samples(g[:, None, None]),
-        grid_size=grid_size, pole_modulus=rho if rho > 0 else None)
-
-
-def scalar_mixture_family(power: float, w_max: float = 0.9, b_max: float = 0.8,
-                          grid_size: int = 4096,
-                          noise_power: float | None = None,
-                          label: str = "white/AR(1) mixture") -> DensityFamily:
-    """Scalar density of fixed total power: (1-w) flat + w unit-power AR(1).
-
-    Parameters are the mixture weight and the AR pole; every member has power
-    exactly ``power``, so the family sits inside the fixed-power class.  With
-    ``noise_power`` set, a second pair of parameters shapes an independent
-    noise density of that power the same way.
-    """
-    if power <= 0:
-        raise InvalidParameterError("power must be positive")
-    z = _nodes(grid_size)
-    powers = (power,) if noise_power is None else (power, noise_power)
-
-    def build(theta):
-        pairs = np.reshape(theta, (-1, 2))
-        return _scalar_model(grid_size, *(_mixture(z, p, w, b)
-                                          for p, (w, b) in zip(powers, pairs)),
-                             poles=[b if w > 0 else 0.0 for w, b in pairs])
-
-    return DensityFamily(dim=2 * len(powers), lower=[0.0, -b_max] * len(powers),
-                         upper=[w_max, b_max] * len(powers), build=build,
-                         label=label if noise_power is None else label + " + noise")
-
-
-def ar1_fixed_power_family(power: float, b_max: float = 0.8,
-                           grid_size: int = 4096) -> DensityFamily:
-    """Scalar AR(1) densities of fixed total power, parameterized by the pole."""
-    z = _nodes(grid_size)
-
-    def build(theta):
-        return _scalar_model(grid_size, _mixture(z, power, 1.0, theta[0]), poles=theta)
-
-    return DensityFamily(dim=1, lower=[-b_max], upper=[b_max], build=build,
-                         label="AR(1), fixed power")
-
-
-def singleton_family(model: SpectralModel) -> DensityFamily:
-    """A family with exactly one member."""
-    return DensityFamily(dim=0, lower=[], upper=[],
-                         build=lambda theta: model, label="singleton")
-
-
-def convex_combination_family(models: Sequence[SpectralModel],
-                              label: str = "convex hull") -> DensityFamily:
-    """Convex combinations of fixed models via stick-breaking weights.
-
-    Any convex admissible class containing the anchors contains the whole
-    family.  Parameters live in [0, 1]^(k-1).
-    """
-    models = list(models)
-    if len(models) < 2:
-        raise InvalidParameterError("need at least two anchor models")
-    n = models[0].grid_size
-    d = models[0].dim
-    noisy = not models[0].is_noiseless
-    for m in models[1:]:
-        if m.grid_size != n or m.dim != d or (not m.is_noiseless) != noisy:
-            raise InvalidParameterError("anchor models must be structurally alike")
-    rho = max((m.pole_modulus or 0.0) for m in models) or None
-
-    def build(theta):
-        rest = np.cumprod(np.concatenate(([1.0], 1.0 - np.asarray(theta, dtype=float))))
-        w = np.append(rest[:-1] * theta, rest[-1])
-        F = sum(wi * m.samples("F") for wi, m in zip(w, models))
-        G = sum(wi * m.samples("G") for wi, m in zip(w, models)) if noisy else None
-        return SpectralModel(dim=d, F=density_from_samples(F),
-                             G=density_from_samples(G) if noisy else None,
-                             grid_size=n, pole_modulus=rho)
-
-    k = len(models)
-    return DensityFamily(dim=k - 1, lower=np.zeros(k - 1), upper=np.ones(k - 1),
-                         build=build, label=label)
-
-
-def contamination_family(anchor_power: float, anchor_pole: float, eps: float,
-                         power: float, b_max: float = 0.8,
-                         grid_size: int = 4096) -> DensityFamily:
-    """Scalar contamination: (1-eps) * fixed AR(1) anchor + eps * free part.
-
-    The free part is a white/AR(1) mixture whose power is pinned so the total
-    power equals ``power``; members therefore satisfy both the mixture and the
-    moment constraints of the contamination class.
-    """
-    if not 0.0 < eps < 1.0:
-        raise InvalidParameterError("eps must lie in (0, 1)")
-    w_pow = (power - (1.0 - eps) * anchor_power) / eps
-    if w_pow < 0:
-        raise InfeasibleClassError(
-            "target power below the anchor's share; no admissible member")
-    z = _nodes(grid_size)
-    anchor = (1.0 - eps) * _mixture(z, anchor_power, 1.0, anchor_pole)
-
-    def build(theta):
-        u, b = theta
-        return _scalar_model(grid_size, anchor + eps * _mixture(z, w_pow, u, b),
-                             poles=(anchor_pole, b if u > 0 else 0.0))
-
-    return DensityFamily(dim=2, lower=[0.0, -b_max], upper=[0.9, b_max],
-                         build=build, label="contaminated AR(1)")

@@ -339,6 +339,7 @@ minimax:
     assert summary["family"] == "singleton"
     assert float(summary["delta_star"]) == pytest.approx(1.5, rel=1e-9)
     assert summary["evaluations"] == "1"
+    assert summary["stopped"] == "certified"
     assert summary["saddle_all_pass"] == "true"
 
     header, rows, _ = read_csv_rows(out / "saddle.csv")
@@ -386,9 +387,15 @@ minimax:
     assert summary["evaluations"] == "1"
     assert summary["saddle_all_pass"] == "false"
     assert float(summary["saddle_max_violation"]) > 1e-3
+    # the deterministic certificate agrees with the sampled check: a large
+    # gap, and a bound no sampled member's error under the fixed filter beats
+    assert float(summary["fw_gap"]) > 1e-3
+    assert summary["stopped"] == "budget"
 
-    _, rows, _ = read_csv_rows(out / "saddle.csv")
+    header, rows, _ = read_csv_rows(out / "saddle.csv")
     assert any(r[-1] == "false" for r in rows)
+    column = header.index("delta_fixed_filter")
+    assert all(float(r[column]) <= float(summary["delta_upper"]) for r in rows)
     # residuals were skipped: header only
     _, rrows, _ = read_csv_rows(out / "residuals.csv")
     assert rrows == []
@@ -410,15 +417,41 @@ def test_minimax_family_follows_the_grid_flag():
     assert {fam.build(theta).grid_size for theta in (fam.lower, fam.center)} == {2048}
 
 
+# xi(0) + xi(1) with the point -2 missing: the family optimum is on the
+# family's boundary, far below the class bound, so the search is not certified
+TWO_STEP_MINIMAX = """
+model:
+  kind: white
+  dim: 1
+  scale: 2.0
+pattern:
+  intervals: [[2, 0]]
+functional:
+  coeffs: [[1.0], [1.0]]
+numerics:
+  grid_size: 512
+  truncation: 16
+minimax:
+  kind: D0_1
+  data: {power: 2.0}
+  family: {kind: mixture, params: {power: 2.0}}
+  opt: {starts: 2, budget: 150, seed: 0}
+  saddle_samples: 5
+  skip_residuals: true
+"""
+
+
 def test_minimax_search_follows_the_truncation_flag(tmp_path):
-    cfg = load_config(ROBUST)
+    path = write_config(tmp_path, TWO_STEP_MINIMAX)
+    cfg = load_config(path)
     cls, opt, _ = build_class(cfg)
     pattern, functional = build_pattern(cfg), build_functional(cfg)
     traces = {}
     for K in (cfg.truncation, 40):
-        assert run_cli(["minimax", "--config", ROBUST, "--out", tmp_path / str(K),
+        assert run_cli(["minimax", "--config", path, "--out", tmp_path / str(K),
                         "--truncation", K]) == 0
         lines = (tmp_path / str(K) / "lfd.summary").read_text().splitlines()
+        assert "stopped = certified" not in lines
         traces[K] = [line for line in lines if line.startswith("eval ")]
         want = maximize_delta(cls, pattern, functional, opt, K=K).evaluations
         assert [line.split("delta = ")[1] for line in traces[K]] == \

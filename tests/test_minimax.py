@@ -234,11 +234,15 @@ def _reference_search(cls, pattern, functional, opt, K):
     """The coordinate ascent with a full estimate at every point, and np.allclose.
 
     maximize_delta scores points by optimal_delta and estimates only the
-    maximizer; it must reproduce this search bit for bit.
+    incumbents it certifies and the maximizer; it must reproduce this search
+    bit for bit, stop rule included: the incumbent is certified after the
+    first evaluation and at the end of every start.  Returns the trace, the
+    maximizer and its estimate, the incumbents certified and why it stopped.
     """
     fam = cls.family
     width = np.where(fam.upper > fam.lower, fam.upper - fam.lower, 1.0)
     cache, trace, best = {}, [], {"theta": None, "delta": -np.inf}
+    certified = []
 
     def evaluate(theta):
         key = tuple(np.round(theta, 12))
@@ -252,18 +256,31 @@ def _reference_search(cls, pattern, functional, opt, K):
         cache[key] = est.delta
         trace.append(Evaluation(theta=key, delta=est.delta))
         if est.delta > best["delta"]:
-            best.update(theta=np.asarray(theta, dtype=float), delta=est.delta, estimate=est)
+            best.update(theta=np.asarray(theta, dtype=float), delta=est.delta,
+                        estimate=est, model=model)
         return est.delta
+
+    def certify():
+        upper = minimax_module._delta_upper(cls, best["model"], best["estimate"],
+                                            functional)
+        key = tuple(np.round(best["theta"], 12))
+        if np.isfinite(upper) and key not in certified:
+            certified.append(key)
+        return upper - best["delta"] <= minimax_module._GAP_TOL * best["delta"]
 
     rng = np.random.default_rng(opt.seed)
     starts = [fam.center]
     while len(starts) < opt.starts:
         starts.append(fam.sample(rng))
+    done = False
     for theta0 in starts:
         if len(trace) >= opt.budget:
             break
         theta = fam.clip(theta0)
         evaluate(theta)
+        if len(trace) == 1 and certify():
+            done = True
+            break
         step = opt.initial_step
         while step >= opt.min_step and len(trace) < opt.budget:
             moved = False
@@ -280,7 +297,11 @@ def _reference_search(cls, pattern, functional, opt, K):
                         break
             if not moved:
                 step *= 0.5
-    return trace, best["theta"], best["estimate"]
+        if certify():
+            done = True
+            break
+    stopped = "certified" if done else "budget" if len(trace) >= opt.budget else "converged"
+    return trace, best["theta"], best["estimate"], certified, stopped
 
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -301,7 +322,20 @@ def _search_cases():
         MissingPattern(intervals=((2, 1),)),
         FunctionalSpec(coeffs=np.array([[1.0, 0.5], [0.3, -1.0]])),
         OptConfig(starts=3, budget=150, seed=1), 16)
+    # not degenerate: the family optimum of xi(0) + xi(1) with the point -2
+    # missing sits on the family's boundary, well below the class bound
+    cases["two_step_D0_1"] = (
+        DensityClass(kind="D0_1", data=ClassData(power=2.0),
+                     family=scalar_mixture_family(power=2.0, grid_size=GRID)),
+        MissingPattern(intervals=((2, 0),)),
+        FunctionalSpec(coeffs=np.array([[1.0], [1.0]])),
+        OptConfig(starts=3, budget=400, seed=0), 16)
     return cases
+
+
+# why each search stops: the shipped examples at their first evaluation
+SEARCH_STOPS = {"robust_banded_noise": "certified", "robust_fixed_power": "certified",
+                "gapped_D0_2": "budget", "two_step_D0_1": "converged"}
 
 
 SEARCH_CASES = _search_cases()
@@ -310,7 +344,8 @@ SEARCH_CASES = _search_cases()
 @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
 def test_search_estimates_once_and_matches_reference(case, monkeypatch):
     cls, pattern, functional, opt, K = SEARCH_CASES[case]
-    trace, theta, est = _reference_search(cls, pattern, functional, opt, K)
+    trace, theta, est, certified, stopped = _reference_search(
+        cls, pattern, functional, opt, K)
 
     calls = []
 
@@ -320,12 +355,20 @@ def test_search_estimates_once_and_matches_reference(case, monkeypatch):
 
     monkeypatch.setattr(minimax_module, "estimate", counted)
     out = maximize_delta(cls, pattern, functional, opt, K=K)
-    assert len(calls) == 1
-    assert len(out.evaluations) > 1
+    # one estimate per certified incumbent, the last one the maximizer's
+    assert len(calls) == max(len(certified), 1)
+    assert out.stopped == stopped == SEARCH_STOPS[case]
+    assert (len(out.evaluations) == 1) == (stopped == "certified")
     assert out.evaluations == trace
     assert out.delta_star == est.delta
     assert np.array_equal(out.theta_star, theta)
     assert np.array_equal(out.estimate_star.h_grid, est.h_grid)
+    # the T = 2 class has no closed-form bound; every other gap is the bound's
+    assert np.isnan(out.fw_gap) == (case == "gapped_D0_2")
+    if stopped == "certified":
+        assert out.fw_gap <= 1e-12 * out.delta_star
+    elif case == "two_step_D0_1":
+        assert out.fw_gap == out.delta_upper - out.delta_star > 0.1 * out.delta_star
 
 
 def test_search_refuses_an_estimate_that_disagrees(monkeypatch):
@@ -338,6 +381,16 @@ def test_search_refuses_an_estimate_that_disagrees(monkeypatch):
                        family=scalar_mixture_family(power=1.0, grid_size=GRID))
     with pytest.raises(InternalConsistencyError, match="maximizer"):
         maximize_delta(cls, NO_GAP, PRED, OptConfig(starts=1, budget=5), K=12)
+
+
+@pytest.mark.parametrize("theta", [(0.5,), (0.5, 0.2, 0.1)])
+def test_candidate_refuses_a_theta_of_the_wrong_length(theta):
+    # (0.5,) used to broadcast to [0.5, 0.5]; a 3-long theta escaped as a
+    # raw NumPy ValueError
+    cls = DensityClass(kind="D0_1", data=ClassData(power=2.0),
+                       family=scalar_mixture_family(power=2.0, grid_size=GRID))
+    with pytest.raises(InvalidParameterError, match="theta has"):
+        evaluate_candidate(cls, theta, NO_GAP, PRED, K=16)
 
 
 def test_opt_config_validation():
@@ -375,6 +428,118 @@ def test_saddle_check_refuses_a_tolerance_no_sample_can_meet(tol):
     with pytest.raises(InvalidParameterError, match="tol"):
         verify_saddle_point(out, n_samples=3, tol=tol)
     assert verify_saddle_point(out, n_samples=3, tol=0.0).all_pass
+
+
+# ---------------------------------------------------------------------------
+# duality-gap certificate: the bound of one member caps every other member
+# ---------------------------------------------------------------------------
+
+
+def _sandwich_cases():
+    """(class, family) per base at T = 1, each family inside its class."""
+    cases = {}
+    fam = scalar_mixture_family(power=1.5, noise_power=0.8, grid_size=GRID)
+    for k in range(1, 5):
+        # flavor 3 constrains w * F: its powers scale with the weights
+        wf, wg = (2.0, 0.5) if k == 3 else (1.0, 1.0)
+        shaped = {2: lambda x: np.array([x]), 4: lambda x: np.array([[x]])}.get(
+            k, float)
+        data = ClassData(power=shaped(1.5 * wf), noise_power=shaped(0.8 * wg),
+                         weight_f=np.array([[wf]]), weight_g=np.array([[wg]]),
+                         lower=0.1, upper=8.0)
+        cases[f"D0_{k}xDVU_{k}"] = (
+            DensityClass(kind=f"D0_{k}", g_kind=f"DVU_{k}", data=data, family=fam), fam)
+
+    lam = grid_points(GRID)
+    anchor = 2.0 * _unit_ar1(lam, 0.5)
+    fam = contamination_family(anchor_power=2.0, anchor_pole=0.5, eps=0.3, power=2.5,
+                               grid_size=GRID)
+    cases["Deps_1"] = (DensityClass(kind="Deps_1", data=ClassData(
+        power=2.5, anchor_f=anchor[:, None, None], eps=0.3), family=fam), fam)
+
+    base = _unit_ar1(lam, 0.3)
+    models = [SpectralModel(dim=1, F=density_from_samples((base * bump)[:, None, None]),
+                            grid_size=GRID, pole_modulus=0.3)
+              for bump in (1.0, 1.0 + 0.2 * np.sin(lam), 1.0 + 0.3 * np.cos(2 * lam))]
+    radius = max(float(np.mean(np.abs(m.samples("F")[:, 0, 0] - base))) for m in models)
+    fam = convex_combination_family(models)
+    cases["D1delta_1"] = (DensityClass(kind="D1delta_1", data=ClassData(
+        anchor_f=base[:, None, None], radius=radius), family=fam), fam)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_sandwich_cases()))
+def test_delta_upper_caps_every_member_of_the_class(case):
+    # Delta(F') <= delta_upper(F) for members F, F' of the class, within the
+    # two-route tolerance of the estimate at F'; and fw_gap(F) >= 0
+    cls, fam = _sandwich_cases()[case]
+    pattern = MissingPattern(intervals=((2, 0),))
+    fun = FunctionalSpec(coeffs=np.array([[1.0], [1.0]]))
+    rng = np.random.default_rng(11)
+    members = [evaluate_candidate(cls, fam.sample(rng), pattern, fun, K=16)
+               for _ in range(6)]
+    for out in members:
+        assert out.fw_gap >= -1e-8
+        assert out.fw_gap == out.delta_upper - out.delta_star
+        for other in members:
+            d = other.estimate_star.diagnostics
+            tol = abs(d.delta_operator - d.delta_quadrature) + 1e-12 * other.delta_star
+            assert other.delta_star <= out.delta_upper + tol
+
+
+def test_delta_upper_is_the_same_for_every_flavor_at_t1():
+    # each flavor states the same scalar class, flavor 3 in units of w * F
+    cases = _sandwich_cases()
+    pattern = MissingPattern(intervals=((2, 0),))
+    fun = FunctionalSpec(coeffs=np.array([[1.0], [1.0]]))
+    uppers = [evaluate_candidate(cases[f"D0_{k}xDVU_{k}"][0], (0.6, 0.5, 0.3, -0.4),
+                                 pattern, fun, K=16).delta_upper for k in range(1, 5)]
+    assert uppers == pytest.approx([uppers[0]] * 4, rel=1e-12)
+
+
+@pytest.mark.parametrize("base", ["D0", "DVU", "Deps", "D1delta"])
+def test_first_order_lp_closed_forms_match_a_solver(base):
+    # the largest mean(g q) over the class, by HiGHS on the same nodes
+    from scipy.optimize import linprog
+
+    n, power, eps, radius = 64, 1.1, 0.3, 0.25
+    rng = np.random.default_rng(3)
+    g, anchor = rng.uniform(0.0, 2.0, n), rng.uniform(0.5, 1.5, n)
+    data = ClassData(power=power, lower=0.2 * anchor[:, None, None],
+                     upper=2.0 * anchor[:, None, None], anchor_f=anchor[:, None, None],
+                     eps=eps, radius=radius)
+    model = SpectralModel(dim=1, F=density_from_samples(anchor[:, None, None]),
+                          grid_size=n)
+    cls = DensityClass(kind=f"{base}_1", data=data, family=singleton_family(model))
+    closed = minimax_module._BASES[base].lp(minimax_module._Side(cls, model, "F"), g)
+
+    mean = np.full((1, n), 1.0 / n)
+    if base == "D1delta":   # variables q and t >= |q - anchor|
+        eye = np.eye(n)
+        sol = linprog(np.concatenate([-g / n, np.zeros(n)]),
+                      A_ub=np.block([[eye, -eye], [-eye, -eye],
+                                     [np.zeros((1, n)), mean]]),
+                      b_ub=np.concatenate([anchor, -anchor, [radius]]),
+                      bounds=[(0.0, None)] * (2 * n))
+    else:
+        lower = {"D0": 0.0 * anchor, "DVU": 0.2 * anchor, "Deps": (1 - eps) * anchor}[base]
+        upper = 2.0 * anchor if base == "DVU" else [None] * n
+        sol = linprog(-g / n, A_eq=mean, b_eq=[power], bounds=list(zip(lower, upper)))
+    assert sol.status == 0
+    assert closed == pytest.approx(-sol.fun, rel=1e-9)
+
+
+def test_delta_upper_is_nan_outside_the_closed_forms():
+    # a noisy model whose noise no class constrains, and a negative weight
+    noisy = scalar_mixture_family(power=1.5, noise_power=0.8, grid_size=GRID)
+    lone = DensityClass(kind="D0_1", data=ClassData(power=1.5), family=noisy)
+    fam = scalar_mixture_family(power=2.0, grid_size=GRID)
+    negative = DensityClass(kind="D0_3", data=ClassData(
+        power=-2.0, weight_f=np.array([[-1.0]])), family=fam)
+    for cls in (lone, negative):
+        out = maximize_delta(cls, NO_GAP, PRED, FAST, K=16)
+        assert np.isnan(out.delta_upper) and np.isnan(out.fw_gap)
+        assert out.stopped != "certified"
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +770,11 @@ def _rotation(d):
 
 
 def _clipped_density(poles_scales, lo, hi):
-    """U diag(clip(ar1_k)) U^H: a band-clipped density with complex entries."""
+    """U diag(clip(ar1_k)) U^H: a band-clipped density.
+
+    It is real symmetric: the phase of U commutes with the diagonal.  The
+    complex densities are the phase-turned ones of ``_turned``.
+    """
     lam = grid_points(GOLDEN_GRID)
     d = len(poles_scales)
     diag = np.zeros((GOLDEN_GRID, d, d), dtype=complex)
@@ -701,7 +870,8 @@ def _golden_record(case):
     result = LeastFavorableResult(
         theta_star=np.zeros(0), model_star=model, delta_star=est.delta,
         estimate_star=est, evaluations=[], boundary=False, cls=cls,
-        pattern=MissingPattern(intervals=((2, 0),)), functional=fun)
+        pattern=MissingPattern(intervals=((2, 0),)), functional=fun,
+        delta_upper=np.nan, stopped="converged")
     entries = characterization_residuals(result).entries
     return {
         "report": _plain(class_constraint_report(cls, model)),
@@ -747,6 +917,44 @@ def golden_cases():
 def test_golden_reports_and_residuals(case_id, golden, golden_cases):
     got = _golden_record(golden_cases[case_id])
     want = golden[case_id]
+    _assert_close(got["report"], want["report"], f"{case_id}.report")
+    assert len(got["entries"]) == len(want["entries"]), case_id
+    for i, (g, w) in enumerate(zip(got["entries"], want["entries"])):
+        _assert_close(g, w, f"{case_id}.entries[{i}]")
+
+
+PHASE = np.diag([1.0, np.exp(0.7j)])
+
+
+def _turned(case):
+    """The case for the process P xi, P = diag(1, e^{0.7i}): densities and
+    density data P X P^H, functional coefficients conj(P) a, so the error and
+    every trace and diagonal stay the same."""
+    kind, g_kind, data, model, fun = case
+
+    def turn(x):
+        x = np.asarray(x)
+        return np.einsum("ij,njk,lk->nil", PHASE, x, np.conj(PHASE)) \
+            if x.shape == (GOLDEN_GRID, 2, 2) else x
+
+    turned = SpectralModel(dim=2, F=_fixed(turn(model.samples("F"))),
+                           G=None if model.is_noiseless else _fixed(turn(model.samples("G"))),
+                           grid_size=GOLDEN_GRID, pole_modulus=0.7)
+    fields = {"lower", "upper", "anchor_f", "anchor_g"}
+    data = replace(data, **{f: turn(getattr(data, f)) for f in fields
+                            if getattr(data, f) is not None})
+    return kind, g_kind, data, turned, FunctionalSpec(coeffs=fun.coeffs @ np.conj(PHASE))
+
+
+@pytest.mark.parametrize("case_id", sorted(c for c in _golden_cases()
+                                           if c.endswith("-d2") and "_3" not in c
+                                           and "_4" not in c))
+def test_phase_turned_density_keeps_flavor_1_and_2_reports(case_id, golden_cases):
+    case = golden_cases[case_id]
+    turned = _turned(case)
+    assert np.iscomplexobj(turned[3].samples("F"))
+    assert np.abs(turned[3].samples("F").imag).max() > 0.1
+    want, got = _golden_record(case), _golden_record(turned)
     _assert_close(got["report"], want["report"], f"{case_id}.report")
     assert len(got["entries"]) == len(want["entries"]), case_id
     for i, (g, w) in enumerate(zip(got["entries"], want["entries"])):
