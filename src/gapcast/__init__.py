@@ -4,6 +4,7 @@ with noise and with missing stretches, plus robust (least-favorable) variants.
 
 from .errors import (
     ConfigError,
+    DataShapeError,
     DegenerateObservationsError,
     GapcastError,
     InfeasibleClassError,

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigError, GapcastError, InvalidParameterError
+from .errors import ConfigError, DataShapeError, GapcastError, InvalidParameterError
 from .extrapolate import FunctionalSpec
 from .families import (
     ar1_fixed_power_family,
@@ -47,6 +47,10 @@ from .spectral import (
 
 _SECTIONS = ("model", "pattern", "functional", "numerics", "simulation",
              "oracle_check", "minimax", "output")
+
+# libyaml's parser where PyYAML has it: the resolver and constructors of
+# SafeLoader, several times faster
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 def _real(value) -> float:
@@ -124,7 +128,7 @@ _SCHEMA = {   # every section but model; minimax.family is read by its kind
     "simulation": _fields(SimulationConfig),
     "oracle_check": {"windows": [_integer], "tolerance": _real},
     "minimax": {"kind": str, "g_kind": str,
-                "data": {f.name: _float_array for f in fields(ClassData)},
+                "data": {**{f.name: _float_array for f in fields(ClassData)}, "eps": _real},
                 "opt": _fields(OptConfig), "theta": _float_array,
                 "saddle_samples": _integer, "saddle_seed": _integer,
                 "saddle_tol": _real, "skip_residuals": _boolean},
@@ -234,7 +238,7 @@ def _expect_map(value, where: str) -> dict:
 
 def loads_config(text: str) -> RunConfig:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except Exception as exc:
         # besides YAMLError, the constructors raise their own errors on scalars
         # that match a tag but not its range or form (ValueError for the
@@ -383,6 +387,10 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
     with _at("minimax"):
         cls = DensityClass(kind=kind, g_kind=sec.get("g_kind"),
                            data=ClassData(**sec.get("data", {})), family=fam)
+    try:   # the constants the search and the saddle check read, once
+        cls.constants(cfg.grid_size, build_functional(cfg).dim)
+    except DataShapeError as exc:
+        raise ConfigError(exc.detail, location=f"minimax.{exc.key}") from exc
 
     with _at("minimax.opt", InvalidParameterError):
         opt = OptConfig(**sec.get("opt", {}))

@@ -13,6 +13,18 @@ class InvalidParameterError(GapcastError):
     """A numeric or structural parameter is out of its admissible range."""
 
 
+class DataShapeError(InvalidParameterError):
+    """An input array has a shape its reader cannot use.
+
+    ``key`` names the input (``data.upper`` for an entry of a class's data)
+    and ``detail`` says what was expected.
+    """
+
+    def __init__(self, key: str, detail: str):
+        self.key, self.detail = key, detail
+        super().__init__(f"{key}: {detail}")
+
+
 class SingularDensityError(GapcastError):
     """A spectral density is singular or non-finite where it must be invertible."""
 

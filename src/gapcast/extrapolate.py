@@ -238,8 +238,15 @@ def delta_of_characteristic(model: SpectralModel, functional: FunctionalSpec,
             f"characteristic grid has shape {h_grid.shape}, "
             f"expected {(lam.size, model.dim)}"
         )
-    r = functional.a_on_grid(lam.size) - h_grid
+    return filter_error(model, functional.a_on_grid(lam.size) - h_grid, h_grid)
 
+
+def filter_error(model: SpectralModel, r: np.ndarray, h_grid: np.ndarray) -> float:
+    """The quadrature of ``delta_of_characteristic`` for a formed r = A - h.
+
+    A caller that scores one fixed h under many models forms r once; both
+    arrays must have shape (n, T) on the model's grid.
+    """
     def form(row_l, dens, row_r):
         return np.einsum("nt,ntu,nu->n", row_l, model.samples(dens), np.conj(row_r))
 

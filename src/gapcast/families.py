@@ -52,10 +52,16 @@ class DensityFamily:
     def clip(self, theta: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(theta, dtype=float), self.lower, self.upper)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+        """Uniform points of the box: one (dim,) point, or (count, dim) rows.
+
+        The rows come from one draw, with the stream and the values of
+        ``count`` single draws; a family without parameters draws nothing.
+        """
+        shape = (self.dim,) if count is None else (count, self.dim)
         if self.dim == 0:
-            return np.zeros(0)
-        return rng.uniform(self.lower, self.upper)
+            return np.zeros(shape)
+        return rng.uniform(self.lower, self.upper, size=shape)
 
 
 def _mixture(z: np.ndarray, power: float, w: float, b: float) -> np.ndarray:
@@ -127,8 +133,9 @@ def convex_combination_family(models: Sequence[SpectralModel],
                               label: str = "convex hull") -> DensityFamily:
     """Convex combinations of fixed models via stick-breaking weights.
 
-    Any convex admissible class containing the anchors contains the whole
-    family.  Parameters live in [0, 1]^(k-1).
+    Each density, the cross density included, is the same combination of the
+    anchors' densities.  Any convex admissible class containing the anchors
+    contains the whole family.  Parameters live in [0, 1]^(k-1).
     """
     models = list(models)
     if len(models) < 2:
@@ -140,14 +147,16 @@ def convex_combination_family(models: Sequence[SpectralModel],
         if m.grid_size != n or m.dim != d or (not m.is_noiseless) != noisy:
             raise InvalidParameterError("anchor models must be structurally alike")
     rho = max((m.pole_modulus or 0.0) for m in models) or None
+    correlated = any(not m.is_uncorrelated for m in models)   # only a noisy model can be
+    parts = ("F", "G", "Fxe")[:1 + noisy + correlated]
 
     def build(theta):
         rest = np.cumprod(np.concatenate(([1.0], 1.0 - np.asarray(theta, dtype=float))))
         w = np.append(rest[:-1] * theta, rest[-1])
-        F = sum(wi * m.samples("F") for wi, m in zip(w, models))
-        G = sum(wi * m.samples("G") for wi, m in zip(w, models)) if noisy else None
-        return SpectralModel(dim=d, F=density_from_samples(F),
-                             G=density_from_samples(G) if noisy else None,
+        dens = [density_from_samples(sum(wi * m.samples(which) for wi, m in zip(w, models)))
+                for which in parts]
+        return SpectralModel(dim=d, F=dens[0], G=dens[1] if noisy else None,
+                             F_xe=dens[2] if correlated else None,
                              grid_size=n, pole_modulus=rho)
 
     k = len(models)

@@ -30,12 +30,13 @@ the incumbent by more than rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import (
+    DataShapeError,
     InfeasibleClassError,
     InternalConsistencyError,
     InvalidParameterError,
@@ -46,6 +47,7 @@ from .extrapolate import (
     FunctionalSpec,
     delta_of_characteristic,
     estimate,
+    filter_error,
     optimal_delta,
 )
 from .families import (   # the stock families are re-exported here
@@ -57,7 +59,7 @@ from .families import (   # the stock families are re-exported here
     singleton_family,
 )
 from .operators import MissingPattern
-from .spectral import SpectralModel, grid_points
+from .spectral import SpectralModel, density_data
 
 # ---------------------------------------------------------------------------
 # Classes
@@ -86,22 +88,6 @@ class ClassData:
     anchor_g: object = None
     eps: float | None = None
     radius: float | np.ndarray | None = None
-
-
-def _as_samples(value, n: int, dim: int) -> np.ndarray | None:
-    """Normalize a density argument to an (n, dim, dim) array."""
-    if value is None:
-        return None
-    if callable(value):
-        return np.asarray(value(grid_points(n)), dtype=complex)
-    arr = np.asarray(value)
-    if arr.ndim == 0:
-        return np.broadcast_to(complex(arr) * np.eye(dim), (n, dim, dim)).copy()
-    if arr.shape == (dim, dim):
-        return np.broadcast_to(arr.astype(complex), (n, dim, dim)).copy()
-    if arr.shape == (n, dim, dim):
-        return arr.astype(complex)
-    raise InvalidParameterError(f"cannot interpret density data of shape {arr.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,32 +155,47 @@ _SIDE_FIELDS = {"F": {"power": "power", "weight": "weight_f", "anchor": "anchor_
 
 
 class _Side:
-    """One constrained density, F or G, with the data its kind reads."""
+    """One constrained density, F or G, with the data its kind reads: the
+    model's ``samples`` and their projection ``value``, and the class's part
+    kept per grid by ``DensityClass.constants`` (``_side_constants``)."""
 
     def __init__(self, cls: "DensityClass", model: SpectralModel, which: str):
-        self.kind = cls.kind if which == "F" else cls.g_kind
-        self.spec, self.flavor = _BASES[self.kind[:-2]], int(self.kind[-1])
-        self.data, self.samples = cls.data, model.samples(which)
-        names = _SIDE_FIELDS[which]
-        self.power = getattr(cls.data, names["power"])
-        self.weight = getattr(cls.data, names["weight"])
-        self.anchor = _as_samples(getattr(cls.data, names["anchor"]), model.grid_size, model.dim)
+        vars(self).update(cls.constants(model.grid_size, model.dim)[which])
+        self.samples = model.samples(which)
         self.value = self.project(self.samples)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return _project(x, self.flavor, self.weight)
 
 
-def _band_bounds(side: _Side):
-    n, d = side.samples.shape[:2]
-    lower = side.data.lower if side.data.lower is not None else 0.0
-    lo = side.project(_as_samples(lower, n, d))
-    hi = side.project(_as_samples(side.data.upper, n, d))
+def _edge_bounds(side: _Side):
+    """``value >= lo`` and, for a band, ``value <= hi``; the reference is hi or value."""
+    lo, hi = side.edges
+    if hi is None:
+        return side.value - lo, None, side.value
     return side.value - lo, hi - side.value, hi
 
 
-def _mixture_bounds(side: _Side):
-    return side.value - (1.0 - side.data.eps) * side.project(side.anchor), None, side.value
+def _side_constants(cls: "DensityClass", which: str, n: int, d: int) -> dict:
+    """The class's part of a ``_Side``: its kind and data, the ``anchor``
+    samples, and the ``edges`` its pointwise bounds measure from, the projected
+    band (DVU) or the kept share of the anchor and no upper edge (Deps)."""
+    kind, names, data = cls.kind if which == "F" else cls.g_kind, _SIDE_FIELDS[which], cls.data
+    flavor, weight = int(kind[-1]), getattr(data, names["weight"])
+    raw = getattr(data, names["anchor"])
+    if flavor == 3 and np.shape(weight) != (d, d):
+        raise DataShapeError(f"data.{names['weight']}", f"expected a {d}x{d} matrix, "
+                                                         f"got shape {np.shape(weight)}")
+    side = {"kind": kind, "spec": _BASES[kind[:-2]], "flavor": flavor, "data": data,
+            "power": getattr(data, names["power"]), "weight": weight, "edges": None,
+            "anchor": None if raw is None else density_data(raw, n, d, f"data.{names['anchor']}")}
+    if kind.startswith("DVU"):
+        lower = 0.0 if data.lower is None else data.lower
+        side["edges"] = tuple(_project(density_data(value, n, d, f"data.{key}"), flavor, weight)
+                              for key, value in (("lower", lower), ("upper", data.upper)))
+    elif kind.startswith("Deps"):
+        side["edges"] = ((1.0 - data.eps) * _project(side["anchor"], flavor, weight), None)
+    return side
 
 
 # First-order LPs of the scalar (T = 1) bases: the largest mean(g * q) over the
@@ -206,12 +207,6 @@ def _scalar(value) -> float:
     return float(np.min(np.real(value)))
 
 
-def _nodes_of(side: _Side, value) -> np.ndarray:
-    """Projected node values (n,) of density data on a scalar side."""
-    n = side.samples.shape[0]
-    return side.project(_as_samples(value, n, 1)).reshape(n).real
-
-
 def _power_lp(side: _Side, g: np.ndarray) -> float:
     """D0: all the power at the node of largest gradient."""
     return _scalar(side.power) * float(g.max())
@@ -220,9 +215,9 @@ def _power_lp(side: _Side, g: np.ndarray) -> float:
 def _band_lp(side: _Side, g: np.ndarray) -> float:
     """DVU: the lower bound everywhere, then the remaining power poured into the
     nodes of decreasing gradient up to the upper bound (a fractional knapsack)."""
-    lo = _nodes_of(side, 0.0 if side.data.lower is None else side.data.lower)
+    lo, hi = (x.reshape(-1).real for x in side.edges)   # the node values of a scalar side
     order = np.argsort(-g, kind="stable")
-    room = (_nodes_of(side, side.data.upper) - lo)[order]
+    room = (hi - lo)[order]
     left = g.size * _scalar(side.power) - lo.sum()
     fill = np.clip(left - (np.cumsum(room) - room), 0.0, room)
     return float(g @ lo + g[order] @ fill) / g.size
@@ -230,13 +225,13 @@ def _band_lp(side: _Side, g: np.ndarray) -> float:
 
 def _mixture_lp(side: _Side, g: np.ndarray) -> float:
     """Deps: the kept share of the anchor, the free power at the largest gradient."""
-    kept = (1.0 - side.data.eps) * _nodes_of(side, side.anchor)
+    kept = (1.0 - side.data.eps) * side.project(side.anchor).reshape(-1).real
     return float(np.mean(g * kept) + (_scalar(side.power) - kept.mean()) * g.max())
 
 
 def _ball_lp(side: _Side, g: np.ndarray) -> float:
     """D1delta: the anchor, plus the radius at the node of largest gradient."""
-    return float(np.mean(g * _nodes_of(side, side.anchor))
+    return float(np.mean(g * side.project(side.anchor).reshape(-1).real)
                  + _scalar(side.data.radius) * g.max())
 
 
@@ -262,9 +257,9 @@ class _Base:
 
 _BASES = {
     "D0": _Base(("power",), "alpha", _power_lp),
-    "Deps": _Base(("power", "anchor", "eps"), "alpha", _mixture_lp, _mixture_bounds,
+    "Deps": _Base(("power", "anchor", "eps"), "alpha", _mixture_lp, _edge_bounds,
                   ("mixture",), np.max),
-    "DVU": _Base(("power", "upper"), "beta", _band_lp, _band_bounds, ("lower", "upper"),
+    "DVU": _Base(("power", "upper"), "beta", _band_lp, _edge_bounds, ("lower", "upper"),
                  np.median),
     "D1delta": _Base(("anchor", "radius"), "beta", _ball_lp),
 }
@@ -289,6 +284,7 @@ class DensityClass:
     data: ClassData
     family: DensityFamily
     g_kind: str | None = None
+    _constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in F_KINDS:
@@ -304,6 +300,14 @@ class DensityClass:
             if missing:
                 raise InvalidParameterError(
                     f"{kind} requires " + ", ".join(f"data.{m}" for m in missing))
+
+    def constants(self, n: int, d: int) -> dict:
+        """Per side, the class's part of a ``_Side`` on n nodes of dimension d,
+        computed once per grid; data the grid cannot read raises DataShapeError."""
+        if (n, d) not in self._constants:
+            self._constants[n, d] = {which: _side_constants(self, which, n, d) for which, kind
+                                     in (("F", self.kind), ("G", self.g_kind)) if kind}
+        return self._constants[n, d]
 
 
 def class_constraint_report(cls: DensityClass, model: SpectralModel) -> dict[str, float]:
@@ -584,9 +588,7 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
         done = certified()
     else:
         rng = np.random.default_rng(opt.seed)
-        starts = [fam.center]
-        while len(starts) < opt.starts:
-            starts.append(fam.sample(rng))
+        starts = [fam.center, *fam.sample(rng, opt.starts - 1)]
         for theta0 in starts:
             if len(trace) >= opt.budget:
                 break
@@ -665,20 +667,17 @@ def verify_saddle_point(result: LeastFavorableResult, n_samples: int = 100,
         raise InvalidParameterError(f"need at least one saddle sample, got {n_samples}")
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidParameterError(f"tol must be finite and nonnegative, got {tol!r}")
-    cls = result.cls
-    fam = cls.family
-    h0 = result.estimate_star.h_grid
-    ref = delta_of_characteristic(result.model_star, result.functional, h0)
-    rng = np.random.default_rng(seed)
+    cls, star, h0 = result.cls, result.model_star, result.estimate_star.h_grid
+    ref = delta_of_characteristic(star, result.functional, h0)
+    r = result.functional.a_on_grid(star.grid_size) - h0   # the filter is fixed
     samples: list[SaddleSample] = []
     worst = 0.0
-    for _ in range(n_samples):
-        theta = fam.sample(rng)
-        model = fam.build(theta)
+    for theta in cls.family.sample(np.random.default_rng(seed), n_samples):
+        model = cls.family.build(theta)
+        if (model.grid_size, model.dim) != (star.grid_size, star.dim):
+            raise InvalidParameterError("family members must share one grid size and dimension")
         _check_in_class(cls, model)
-        if model.grid_size != result.model_star.grid_size:
-            raise InvalidParameterError("family members must share one grid size")
-        val = delta_of_characteristic(model, result.functional, h0)
+        val = filter_error(model, r, h0)
         ok = val <= ref + tol
         worst = max(worst, val - ref)
         samples.append(SaddleSample(theta=tuple(np.atleast_1d(theta)),

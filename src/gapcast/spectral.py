@@ -17,12 +17,13 @@ covariances       R(n) = (1/2pi) int e^{i n lambda} F(lambda) d lambda
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
+    DataShapeError,
     InsufficientLagError,
     InvalidParameterError,
     SingularDensityError,
@@ -53,6 +54,14 @@ def check_grid_size(n: int) -> int:
 def grid_points(n: int) -> np.ndarray:
     """Equispaced frequency nodes -pi + 2*pi*m/n, m = 0..n-1."""
     return -np.pi + 2.0 * np.pi * np.arange(n) / n
+
+
+@lru_cache(maxsize=16)
+def _shared_nodes(n: int) -> np.ndarray:
+    """``grid_points(n)``, read-only, computed once per size for every model."""
+    lam = grid_points(n)
+    lam.flags.writeable = False
+    return lam
 
 
 def trig_poly_on_grid(lags: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -112,7 +121,8 @@ class SpectralModel:
 
     Construction samples each given density on the grid and validates what
     exists: F and G (when given) must be Hermitian and positive semidefinite.
-    The grid nodes ``lam`` are computed once, read-only.
+    The grid nodes ``lam`` are read-only and shared by every model of the
+    same grid size.
     """
 
     dim: int
@@ -128,8 +138,7 @@ class SpectralModel:
         n = check_grid_size(self.grid_size)
         if self.dim < 1:
             raise InvalidParameterError(f"dim must be positive, got {self.dim}")
-        self.lam = grid_points(n)
-        self.lam.flags.writeable = False
+        self.lam = _shared_nodes(n)
         self._validate()
 
     # -- evaluation ------------------------------------------------------
@@ -431,6 +440,25 @@ def density_from_samples(samples: np.ndarray) -> DensityFn:
         return samples
 
     return fn
+
+
+def density_data(value, n: int, dim: int, key: str) -> np.ndarray:
+    """Density data as (n, dim, dim) grid samples.
+
+    ``value`` is a number c (c times the identity), a dim x dim matrix (the
+    same at every node), per-node (n, dim, dim) values, or a function of the
+    grid nodes returning one of these.  Any other shape raises DataShapeError
+    naming ``key``.
+    """
+    arr = np.asarray(value(grid_points(n)) if callable(value) else value)
+    if arr.ndim == 0:
+        return np.broadcast_to(complex(arr) * np.eye(dim), (n, dim, dim)).copy()
+    if arr.shape == (dim, dim):
+        return np.broadcast_to(arr.astype(complex), (n, dim, dim)).copy()
+    if arr.shape == (n, dim, dim):
+        return arr.astype(complex)
+    raise DataShapeError(key, f"expected a number, a {dim}x{dim} matrix or a "
+                              f"{n}x{dim}x{dim} per-node array, got shape {arr.shape}")
 
 
 # ---------------------------------------------------------------------------

@@ -535,6 +535,33 @@ def test_bad_minimax_data_exits_2(tmp_path, capsys, kind, data):
     assert "config error: minimax" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("upper,code", [
+    ([8.0] * 512, 2),         # one value per node, but not an n x T x T array
+    ([8.0] * 100, 2),
+    ([[[8.0]]] * 512, 0),     # the per-node form
+], ids=["flat-512", "flat-100", "nested-512"])
+def test_density_data_of_an_unreadable_shape_exits_2(tmp_path, capsys, upper, code):
+    # the flat lists used to end as a numerical error (exit 3) naming no key
+    doc = yaml.safe_load(ROBUST.with_name("robust_banded_noise.yaml").read_text())
+    doc["minimax"]["data"]["upper"] = upper
+    cfg = write_config(tmp_path, yaml.safe_dump(doc))
+    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == code
+    if code:
+        assert ("config error: minimax.data.upper: expected a number, a 1x1 matrix or "
+                "a 512x1x1 per-node array, got shape") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,data,key", [
+    ("DVU_3", "{power: 1.5, upper: 8.0, weight_f: [1.0, 2.0]}", "weight_f"),
+    ("Deps_1", "{power: 1.5, anchor_f: 1.5, eps: [0.2, 0.3]}", "eps"),
+    ("D1delta_1", "{anchor_f: [1.5, 1.5], radius: 0.5}", "anchor_f"),
+])
+def test_class_data_its_kind_cannot_read_exits_2(tmp_path, capsys, kind, data, key):
+    cfg = write_config(tmp_path, MINIMAX_DATA_YAML.format(kind=kind, data=data))
+    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert f"config error: minimax.data.{key}: expected a" in capsys.readouterr().err
+
+
 VALID_MINIMAX = MINIMAX_DATA_YAML.format(kind="D0_1", data="{power: 1.5}")
 
 

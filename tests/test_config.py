@@ -18,6 +18,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import gapcast.config as config_module
 from gapcast.cli import main
 from gapcast.config import (
     _FAMILIES as FAMILY_TABLES,
@@ -33,6 +34,7 @@ from gapcast.config import (
     build_oracle_check,
     build_pattern,
     build_simulation,
+    config_hash,
     loads_config,
 )
 from gapcast.errors import ConfigError
@@ -261,6 +263,30 @@ def test_documented_sections_load(block):
     cfg = loads_config(yaml.safe_dump({**yaml.safe_load(VALID), **section}))
     for name in section:
         _SECTION_CHECKS[name](cfg)
+
+
+def _with_valid(block: str) -> str:
+    """A documented block completed to a run file by the sections of VALID it lacks."""
+    shown = yaml.safe_load(block)
+    return block + "".join(line + "\n" for line in VALID.splitlines()
+                           if line.split(":")[0] not in shown)
+
+
+_RUN_TEXTS = {path.name: path.read_text()
+              for path in sorted((DOCS.parent / "examples").glob("*.yaml"))}
+_RUN_TEXTS.update({"config.md:" + ",".join(yaml.safe_load(b)): _with_valid(b)
+                   for b in _DOC_BLOCKS})
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+@pytest.mark.parametrize("name", sorted(_RUN_TEXTS))
+def test_libyaml_parser_reads_what_the_python_parser_reads(name, monkeypatch):
+    read = {}
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        monkeypatch.setattr(config_module, "_LOADER", loader)
+        cfg = loads_config(_RUN_TEXTS[name])
+        read[loader] = (cfg.to_dict(), config_hash(cfg))
+    assert read[yaml.CSafeLoader] == read[yaml.SafeLoader]
 
 
 # The schema.  Every numeric key of every table (each section, each model kind,

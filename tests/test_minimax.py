@@ -30,6 +30,7 @@ from gapcast import (
     class_constraint_report,
     contamination_family,
     convex_combination_family,
+    delta_of_characteristic,
     density_from_samples,
     estimate,
     evaluate_candidate,
@@ -124,6 +125,50 @@ def test_convex_family_interpolates_anchors():
     assert mid.samples("F")[0, 0, 0].real == pytest.approx(1.5)
     with pytest.raises(InvalidParameterError):
         convex_combination_family([lo])
+
+
+def _correlated_pair():
+    """Two jointly driven MA pairs, signal power 1.25 and noise power 0.49 each,
+    whose signal and noise are correlated with opposite signs."""
+    return [ma_pair_model([np.array([[a]]), np.array([[b]])], [np.array([[0.7]])],
+                          innovation_cov=np.array([[1.0, s], [s, 1.0]]), grid_size=GRID)
+            for a, b, s in ((1.0, 0.5, 0.4), (0.5, 1.0, -0.3))]
+
+
+def test_convex_family_combines_the_cross_density():
+    # it used to drop the anchors' cross densities, so every member was uncorrelated
+    m1, m2 = _correlated_pair()
+    mid = convex_combination_family([m1, m2]).build(np.array([0.25]))
+    assert not mid.is_uncorrelated
+    for which in ("F", "G", "Fxe"):
+        assert np.array_equal(mid.samples(which),
+                              0.25 * m1.samples(which) + 0.75 * m2.samples(which))
+
+
+def _stock_families():
+    lam = grid_points(GRID)
+    return {
+        "mixture": scalar_mixture_family(power=2.0, grid_size=GRID),
+        "mixture+noise": scalar_mixture_family(power=1.5, noise_power=0.8, grid_size=GRID),
+        "ar1": ar1_fixed_power_family(power=1.0, grid_size=GRID),
+        "contamination": contamination_family(anchor_power=2.0, anchor_pole=0.5, eps=0.3,
+                                              power=2.5, grid_size=GRID),
+        "convex": convex_combination_family(
+            [SpectralModel(dim=1, F=density_from_samples((1.0 + c * np.cos(lam))[:, None, None]),
+                           grid_size=GRID) for c in (0.0, 0.3, 0.6)]),
+        "singleton": singleton_family(white_model(1, 1.0, GRID)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_stock_families()))
+def test_sample_rows_are_single_draws(name):
+    fam = _stock_families()[name]
+    one, many = np.random.default_rng(8), np.random.default_rng(8)
+    singles = [fam.sample(one) for _ in range(7)]
+    rows = fam.sample(many, 7)
+    assert rows.shape == (7, fam.dim)
+    assert np.array_equal(rows, np.reshape(singles, (7, fam.dim)))
+    assert one.random() == many.random()   # the streams stand at the same place
 
 
 def test_contamination_family_respects_both_constraints():
@@ -418,6 +463,167 @@ def test_saddle_holds_at_maximizer_and_fails_off_it():
     rep_bad = verify_saddle_point(control, n_samples=40, seed=2, tol=1e-6)
     assert not rep_bad.all_pass
     assert rep_bad.max_violation > 1e-3
+
+
+def _reference_samples(value, n, dim):
+    """Density data as an (n, dim, dim) array, read the way the class did per call."""
+    if value is None:
+        return None
+    if callable(value):
+        return np.asarray(value(grid_points(n)), dtype=complex)
+    arr = np.asarray(value)
+    if arr.ndim == 0:
+        return np.broadcast_to(complex(arr) * np.eye(dim), (n, dim, dim)).copy()
+    if arr.shape == (dim, dim):
+        return np.broadcast_to(arr.astype(complex), (n, dim, dim)).copy()
+    assert arr.shape == (n, dim, dim)
+    return arr.astype(complex)
+
+
+def _reference_constraint_report(cls, model):
+    """class_constraint_report re-reading every band edge and anchor at each call."""
+    n, d, out = model.grid_size, model.dim, {}
+    for which, kind in (("F", cls.kind), ("G", cls.g_kind)):
+        if kind is None:
+            continue
+        names, spec = minimax_module._SIDE_FIELDS[which], minimax_module._BASES[kind[:-2]]
+        flavor, weight = int(kind[-1]), getattr(cls.data, names["weight"])
+
+        def project(x):
+            return minimax_module._project(x, flavor, weight)
+
+        samples = model.samples(which)
+        val = project(samples)
+        anchor = _reference_samples(getattr(cls.data, names["anchor"]), n, d)
+        if "power" in spec.fields:
+            power = np.asarray(getattr(cls.data, names["power"]))
+            out[f"{kind}:power"] = float(np.max(np.abs(val.mean(axis=0) - power)))
+        bounds = {}
+        if kind.startswith("DVU"):
+            lower = cls.data.lower if cls.data.lower is not None else 0.0
+            bounds = {"lower": val - project(_reference_samples(lower, n, d)),
+                      "upper": project(_reference_samples(cls.data.upper, n, d)) - val}
+        elif kind.startswith("Deps"):
+            bounds = {"mixture": val - (1.0 - cls.data.eps) * project(anchor)}
+        for key, x in bounds.items():
+            slack = minimax_module._slack(x, flavor)[0]
+            out[f"{kind}:{key}"] = float(max(-np.min(slack), 0.0))
+        if "radius" in spec.fields:
+            dist = np.abs(project(samples - anchor)).mean(axis=0)
+            out[f"{kind}:distance"] = max(
+                float(np.max(dist - np.asarray(cls.data.radius))), 0.0)
+    return out
+
+
+def _reference_saddle(result, n_samples, seed, tol):
+    """verify_saddle_point as a loop that pays every quantity per sample: a
+    single draw, the class re-read, r = A - h0 formed again.  Returns the
+    reference, the (theta, delta_fixed_filter, passed) rows and the worst
+    violation."""
+    cls, fam, fun = result.cls, result.cls.family, result.functional
+    h0 = result.estimate_star.h_grid
+    ref = delta_of_characteristic(result.model_star, fun, h0)
+    rng = np.random.default_rng(seed)
+    rows, worst = [], 0.0
+    for _ in range(n_samples):
+        theta = rng.uniform(fam.lower, fam.upper) if fam.dim else np.zeros(0)
+        model = fam.build(theta)
+        report = _reference_constraint_report(cls, model)
+        assert max(report.values(), default=0.0) <= minimax_module._CONSTRAINT_TOL
+        assert model.grid_size == result.model_star.grid_size
+        val = delta_of_characteristic(model, fun, h0)
+        worst = max(worst, val - ref)
+        rows.append((tuple(np.atleast_1d(theta)), val, val <= ref + tol))
+    return ref, rows, worst
+
+
+TWO_STEP = FunctionalSpec(coeffs=np.array([[1.0], [1.0]]))
+GAP_2 = MissingPattern(intervals=((2, 0),))
+
+
+def _example_result(name):
+    cfg = load_config(EXAMPLES / f"{name}.yaml")
+    cls, opt, extras = build_class(cfg)
+    out = maximize_delta(cls, build_pattern(cfg), build_functional(cfg), opt, K=cfg.truncation)
+    return out, extras["saddle_samples"], extras["saddle_seed"]
+
+
+def _at(cls, theta, samples=40, seed=3):
+    return evaluate_candidate(cls, theta, GAP_2, TWO_STEP, K=16), samples, seed
+
+
+def _per_node_band():
+    lam = grid_points(GRID)
+    data = ClassData(power=1.5, noise_power=0.8,
+                     lower=(0.1 + 0.02 * np.sin(lam))[:, None, None],
+                     upper=(8.0 + np.cos(lam))[:, None, None])
+    return DensityClass(kind="D0_1", g_kind="DVU_1", data=data, family=scalar_mixture_family(
+        power=1.5, noise_power=0.8, grid_size=GRID))
+
+
+SADDLE_CASES = {   # each builds (result, n_samples, seed)
+    "robust_fixed_power": lambda: _example_result("robust_fixed_power"),
+    "robust_banded_noise": lambda: _example_result("robust_banded_noise"),
+    "noisy_mixture_per_node_DVU": lambda: _at(_per_node_band(), (0.6, 0.5, 0.3, -0.4)),
+    "contamination_Deps": lambda: _at(_sandwich_cases()["Deps_1"][0], (0.5, 0.2)),
+    "convex_D1delta": lambda: _at(_sandwich_cases()["D1delta_1"][0], (0.3, 0.6)),
+    "ar1_fixed_power": lambda: _at(DensityClass(
+        kind="D0_1", data=ClassData(power=1.0),
+        family=ar1_fixed_power_family(power=1.0, grid_size=GRID)), (0.3,)),
+    "singleton": lambda: _at(DensityClass(
+        kind="D0_1", data=ClassData(power=1.5),
+        family=singleton_family(white_model(1, 1.5, GRID))), (), samples=5),
+    "correlated_ma_pairs": lambda: _at(DensityClass(
+        kind="D0_1", g_kind="DVU_1",
+        data=ClassData(power=1.25, noise_power=0.49, lower=0.0, upper=8.0),
+        family=convex_combination_family(_correlated_pair())), (0.5,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SADDLE_CASES))
+def test_saddle_check_matches_the_per_sample_reference(case):
+    result, n_samples, seed = SADDLE_CASES[case]()
+    if case == "correlated_ma_pairs":
+        assert not result.model_star.is_uncorrelated   # the cross terms run
+    rep = verify_saddle_point(result, n_samples=n_samples, seed=seed, tol=1e-6)
+    ref, rows, worst = _reference_saddle(result, n_samples, seed, 1e-6)
+    assert rep.reference == ref
+    assert rep.max_violation == worst
+    assert [(s.theta, s.delta_fixed_filter, s.passed) for s in rep.samples] == rows
+
+
+def test_saddle_checks_the_grid_size_before_the_class():
+    # per-node band edges of 512 nodes; the saddle members sit on 256 nodes.  The
+    # class used to report the shape of its edges instead of the grid mismatch.
+    fam = DensityFamily(dim=1, lower=[0.0], upper=[1.0], build=lambda theta: white_model(
+        1, 1.5, GRID if theta[0] == 0.5 else GRID // 2))
+    cls = DensityClass(kind="DVU_1", data=ClassData(
+        power=1.5, upper=np.full((GRID, 1, 1), 8.0)), family=fam)
+    result = evaluate_candidate(cls, (0.5,), NO_GAP, PRED, K=16)
+    with pytest.raises(InvalidParameterError, match="family members must share one grid size"):
+        verify_saddle_point(result, n_samples=3)
+
+
+def test_class_constants_are_read_once_per_grid():
+    # a callable anchor is evaluated once per class and grid size, and the
+    # report matches the one that reads it at every call
+    calls = []
+
+    def anchor(lam):
+        calls.append(lam.size)
+        return (2.0 * _unit_ar1(lam, 0.5))[:, None, None]
+
+    fam = contamination_family(anchor_power=2.0, anchor_pole=0.5, eps=0.3, power=2.5,
+                               grid_size=GRID)
+    classes = [DensityClass(kind="Deps_1", data=ClassData(power=2.5, anchor_f=anchor, eps=0.3),
+                            family=fam),
+               DensityClass(kind="D1delta_1", data=ClassData(anchor_f=anchor, radius=0.5),
+                            family=fam)]
+    models = [fam.build(theta) for theta in fam.sample(np.random.default_rng(4), 8)]
+    reports = [[class_constraint_report(cls, m) for m in models] for cls in classes]
+    assert calls == [GRID, GRID]
+    assert reports == [[_reference_constraint_report(cls, m) for m in models]
+                       for cls in classes]
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
@@ -921,6 +1127,13 @@ def test_golden_reports_and_residuals(case_id, golden, golden_cases):
     assert len(got["entries"]) == len(want["entries"]), case_id
     for i, (g, w) in enumerate(zip(got["entries"], want["entries"])):
         _assert_close(g, w, f"{case_id}.entries[{i}]")
+
+
+@pytest.mark.parametrize("case_id", sorted(_golden_cases()))
+def test_constraint_report_matches_the_per_call_reference(case_id, golden_cases):
+    kind, g_kind, data, model, _ = golden_cases[case_id]
+    cls = DensityClass(kind=kind, g_kind=g_kind, data=data, family=singleton_family(model))
+    assert class_constraint_report(cls, model) == _reference_constraint_report(cls, model)
 
 
 PHASE = np.diag([1.0, np.exp(0.7j)])
