@@ -3,8 +3,8 @@
 Four subcommands share one config-file format: ``estimate`` runs the spectral
 pipeline and writes the error with diagnostics and filter tables;
 ``oracle-check`` compares it against the finite-window projection solution
-over a schedule of windows; ``simulate`` measures the filter's error on
-synthetic paths; ``minimax`` searches an admissible class for its least
+over a schedule of windows; ``simulate`` samples the filter's error from its
+exact time-domain law; ``minimax`` searches an admissible class for its least
 favorable member and writes the saddle/characterization reports.
 
 Outputs are plain text and CSV, deterministic byte for byte for a given
@@ -153,9 +153,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     mc = monte_carlo_mse(model, pattern, functional, res.taps, sim)
     z = (mc.mse - res.delta) / mc.stderr if mc.stderr > 0 else float("nan")
     rows = _header(config_hash(cfg), seed=sim.seed) + [
-        "replications,seed,window,mse,stderr,delta_spectral,z_score",
+        "replications,seed,window,mse,stderr,delta_spectral,z_score,mse_exact",
         ",".join([str(mc.replications), str(mc.seed), str(sim.window),
-                  _fmt(mc.mse), _fmt(mc.stderr), _fmt(res.delta), _fmt(z)]),
+                  _fmt(mc.mse), _fmt(mc.stderr), _fmt(res.delta), _fmt(z),
+                  _fmt(mc.mse_exact)]),
     ]
     _write(out_dir / "mc.csv", rows)
     return EXIT_OK

@@ -48,9 +48,10 @@ from .spectral import (
 _SECTIONS = ("model", "pattern", "functional", "numerics", "simulation",
              "oracle_check", "minimax", "output")
 
-# libyaml's parser where PyYAML has it: the resolver and constructors of
-# SafeLoader, several times faster
+# libyaml's parser and emitter where PyYAML has them: the resolver,
+# constructors and representers of SafeLoader/SafeDumper, several times faster
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
 
 
 def _real(value) -> float:
@@ -270,7 +271,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def dumps_config(cfg: RunConfig) -> str:
-    return yaml.safe_dump(cfg.to_dict(), sort_keys=True, default_flow_style=None)
+    return yaml.dump(cfg.to_dict(), Dumper=_DUMPER, sort_keys=True, default_flow_style=None)
 
 
 def config_hash(cfg: RunConfig) -> str:

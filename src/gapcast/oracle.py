@@ -3,11 +3,11 @@
 The projection oracle solves the finite-window normal equations built from
 quadrature covariances of the observed process; it is an independent route to
 the optimal estimate that never touches the operator system, so it serves as
-ground truth for the spectral pipeline.  The simulator samples the joint
-signal/noise sequence exactly by circulant embedding of its covariance
-sequence and estimates the mean-square error empirically; since the filter
-error is a fixed linear functional of the path, it is applied to the normal
-draws directly and no path is synthesized.
+ground truth for the spectral pipeline.  The simulator embeds the joint
+signal/noise covariance sequence in a circulant, an exact Gaussian sampler of
+the path; the filter error is a fixed linear functional of that sampler's
+normal draws, so its variance is known in closed form and the Monte-Carlo
+errors are drawn from that law, one normal per replication.
 """
 
 from __future__ import annotations
@@ -30,10 +30,12 @@ from .spectral import SpectralModel, coeffs_from_samples
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Controls for path sampling and Monte-Carlo error estimation.
+    """Controls for Monte-Carlo error estimation.
 
-    Each replication derives its own counter-based stream from
-    (seed, replication index), so parallel and serial runs agree exactly.
+    Replication r draws the r-th normal of one counter-based stream keyed by
+    ``seed``, so a run's errors are a prefix of any longer run's.  ``window``,
+    ``embedding_margin`` and ``psd_tol`` size and check the circulant
+    embedding the error variance comes from.
     """
 
     replications: int = 10000
@@ -41,7 +43,6 @@ class SimulationConfig:
     window: int = 50
     embedding_margin: int | None = None
     psd_tol: float = 1e-8
-    batch: int = 256
 
     def __post_init__(self):
         if self.replications < 1:
@@ -50,8 +51,6 @@ class SimulationConfig:
             raise InvalidParameterError("seed must be a nonnegative integer")
         if self.window < 1:
             raise InvalidParameterError("window must be >= 1")
-        if self.batch < 1:
-            raise InvalidParameterError("batch must be >= 1")
 
 
 @dataclass
@@ -220,40 +219,21 @@ class CirculantEmbedding:
         return np.concatenate((h.real.ravel(), w_v.ravel()))
 
 
-def _key(seed: int, rep: int) -> np.ndarray:
-    return np.array([seed, rep], dtype=np.uint64)
-
-
 def _stream(seed: int, rep: int) -> np.random.Generator:
-    """Replication ``rep``'s random stream: a new Philox keyed by (seed, rep)."""
-    return np.random.Generator(np.random.Philox(key=_key(seed, rep)))
-
-
-def _rekey(gen: np.random.Generator, seed: int, rep: int) -> np.random.Generator:
-    """Reset ``gen``'s Philox, in place, to the start of ``_stream(seed, rep)``.
-
-    The state a keyed Philox starts from: zero counter, empty buffer, no
-    buffered 32-bit half.  Cheaper than a new generator, which also draws OS
-    entropy that the key then overrides.
-    """
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _key(seed, rep)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0,
-    }
-    return gen
+    """The random stream keyed by (seed, rep): a new Philox with a zero counter."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)))
 
 
 @dataclass
 class MonteCarloResult:
-    """Empirical mean-square error of a fixed time-domain filter."""
+    """Empirical mean-square error of a fixed time-domain filter, and its exact value."""
 
     mse: float
     stderr: float
     replications: int
     seed: int
     errors: np.ndarray
+    mse_exact: float
 
 
 def monte_carlo_mse(model: SpectralModel, pattern: MissingPattern,
@@ -262,12 +242,11 @@ def monte_carlo_mse(model: SpectralModel, pattern: MissingPattern,
     """Estimate E |A_N xi - sum_j taps(j)^T (xi + eta)(j)|^2 by simulation.
 
     The path spans the window {-window..-1}, or down to the deepest tap if
-    that is deeper, plus the horizon 0..N.  Its error is w . draws for one
-    weight vector w (``CirculantEmbedding.draw_weights``), so no path is
-    synthesized: replication r draws its normals from ``_stream(seed, r)``
-    (one generator, re-keyed per replication by ``_rekey``) into a row of a
-    (batch, len(w)) buffer, and each row is reduced on its own, so ``errors``
-    does not depend on ``batch``.
+    that is deeper, plus the horizon 0..N.  Its error is w . z for one weight
+    vector w (``CirculantEmbedding.draw_weights``) and the sampler's iid
+    normals z, so it is N(0, w . w): ``mse_exact`` = w . w is the filter's
+    error variance, and replication r's squared error is mse_exact eps_r^2,
+    eps_r the r-th normal of ``_stream(seed, 0)``.
     """
     N = functional.horizon
     bad = [j for j in taps if j >= 0 or j in pattern.points]
@@ -301,17 +280,10 @@ def monte_carlo_mse(model: SpectralModel, pattern: MissingPattern,
     gather[depth + tap_idx] -= np.tile(tap_mat, 2)
     w = emb.draw_weights(gather)
 
+    mse_exact = float(w @ w)
     R = config.replications
-    errors = np.empty(R)
-    draws = np.empty((min(config.batch, R), w.size))
-    gen = _stream(config.seed, 0)
-    for start in range(0, R, config.batch):
-        rows = draws[: min(config.batch, R - start)]
-        for r, row in enumerate(rows, start):
-            _rekey(gen, config.seed, r).standard_normal(out=row)
-        np.multiply(rows, w, out=rows)
-        errors[start:start + len(rows)] = rows.sum(axis=1) ** 2
+    errors = mse_exact * _stream(config.seed, 0).standard_normal(R) ** 2
     mse = float(errors.mean())
     stderr = float(errors.std(ddof=1) / math.sqrt(R)) if R > 1 else float("nan")
     return MonteCarloResult(mse=mse, stderr=stderr, replications=R,
-                            seed=config.seed, errors=errors)
+                            seed=config.seed, errors=errors, mse_exact=mse_exact)

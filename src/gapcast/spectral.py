@@ -120,7 +120,8 @@ class SpectralModel:
         when known; used by default truncation rules.
 
     Construction samples each given density on the grid and validates what
-    exists: F and G (when given) must be Hermitian and positive semidefinite.
+    exists: F and G (when given) must be Hermitian and positive semidefinite,
+    and so must the joint density [[F, F_xe], [F_ex, G]] when F_xe is nonzero.
     The grid nodes ``lam`` are read-only and shared by every model of the
     same grid size.
     """
@@ -210,9 +211,21 @@ class SpectralModel:
                 raise InvalidParameterError(
                     f"density {which} has a negative eigenvalue ({mineig:.2e})"
                 )
-        if self.is_noiseless and not self.is_uncorrelated:
+        if self.is_uncorrelated:
+            return
+        if self.is_noiseless:
             raise InvalidParameterError(
                 "a noiseless model cannot carry a nonzero cross density"
+            )
+        # the joint density [[F, F_xe], [F_ex, G]] of (xi, eta) must be PSD too
+        joint = np.block([[self.samples("F"), self.samples("Fxe")],
+                          [self.samples("Fex"), self.samples("G")]])
+        scale = max(np.abs(joint).max(), 1.0)
+        mineig = _eigvalsh(joint).min()
+        if mineig < -_PSD_TOL * scale:
+            raise InvalidParameterError(
+                f"joint signal-noise density is not positive semidefinite "
+                f"(eigenvalue {mineig:.2e})"
             )
 
 

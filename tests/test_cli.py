@@ -21,6 +21,7 @@ from gapcast.config import (
     load_config,
     loads_config,
 )
+import gapcast.minimax as minimax_module
 from gapcast.minimax import maximize_delta
 from gapcast.spectral import grid_points
 
@@ -223,6 +224,35 @@ numerics:
     assert run_cli(["estimate", "--config", cfg_bad, "--out", tmp_path / "o2"]) == 2
 
 
+def test_grid_file_with_a_non_psd_joint_density_is_a_config_error(tmp_path, capsys):
+    # F = G = 1 and F_xe = 1.5: each density is PSD, the joint one is not
+    n = 512
+    ones = np.ones((n, 1, 1))
+    npz = tmp_path / "joint.npz"
+    np.savez(npz, lam=grid_points(n), F=ones, G=ones, Fxe=1.5 * ones)
+    cfg = write_config(tmp_path, f"""
+model:
+  kind: grid_file
+  path: {npz}
+pattern:
+  intervals: [[2, 1]]
+functional:
+  coeffs: [[1.0]]
+numerics:
+  grid_size: {n}
+  truncation: 16
+oracle_check:
+  windows: [10]
+simulation:
+  replications: 10
+""")
+    for command in ("estimate", "oracle-check", "simulate"):
+        out = tmp_path / command
+        assert run_cli([command, "--config", cfg, "--out", out]) == 2
+        assert "config error: model: joint signal-noise density" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # oracle-check
 # ---------------------------------------------------------------------------
@@ -273,11 +303,12 @@ def test_simulate_z_score_and_determinism(tmp_path):
 
     header, rows, _ = read_csv_rows(out_a / "mc.csv")
     assert header == ["replications", "seed", "window", "mse", "stderr",
-                      "delta_spectral", "z_score"]
+                      "delta_spectral", "z_score", "mse_exact"]
     (row,) = rows
     assert row[0] == "2000" and row[1] == "7" and row[2] == "60"
     assert float(row[5]) == pytest.approx(BENCH_DELTA, rel=1e-6)
     assert abs(float(row[6])) < 4.0
+    assert float(row[7]) == pytest.approx(BENCH_DELTA, rel=1e-12)
     assert "# seed=7" in (out_a / "mc.csv").read_text().splitlines()
 
 
@@ -309,8 +340,7 @@ def test_simulate_zero_functional_is_exact(tmp_path):
 # minimax
 # ---------------------------------------------------------------------------
 
-def test_minimax_singleton_matches_estimate(tmp_path):
-    text = """
+SINGLETON_MINIMAX = """
 model:
   kind: white
   dim: 1
@@ -330,7 +360,10 @@ minimax:
     kind: singleton
   saddle_samples: 5
 """
-    cfg = write_config(tmp_path, text)
+
+
+def test_minimax_singleton_matches_estimate(tmp_path):
+    cfg = write_config(tmp_path, SINGLETON_MINIMAX)
     out = tmp_path / "out"
     assert run_cli(["minimax", "--config", cfg, "--out", out]) == 0
 
@@ -352,6 +385,28 @@ minimax:
     assert rrows  # characterization equations were emitted
     for row in rrows:
         json.loads(json.loads(",".join(row[5:])))  # params field round-trips
+
+
+def test_singleton_saddle_check_scores_its_one_member_once(tmp_path, monkeypatch):
+    # every saddle sample of a one-member family is the same model: it is
+    # built and scored once, and each of the five rows still written
+    cfg = write_config(tmp_path, SINGLETON_MINIMAX)
+    checked = []
+    real = minimax_module._check_in_class
+    monkeypatch.setattr(minimax_module, "_check_in_class",
+                        lambda cls, model: checked.append(model) or real(cls, model))
+    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    assert len(checked) == 2   # the search's one evaluation, then the saddle check
+    assert (tmp_path / "out" / "saddle.csv").read_text() == f"""\
+# config_sha256={config_hash(load_config(cfg))}
+# seed=1
+index,theta1,delta_fixed_filter,reference,passed
+0,0,1.5,1.5,true
+1,0,1.5,1.5,true
+2,0,1.5,1.5,true
+3,0,1.5,1.5,true
+4,0,1.5,1.5,true
+"""
 
 
 def test_minimax_fixed_candidate_fails_saddle(tmp_path):

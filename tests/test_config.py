@@ -41,6 +41,8 @@ from gapcast.errors import ConfigError
 from gapcast.minimax import F_KINDS, ClassData, OptConfig
 from gapcast.spectral import grid_points
 
+import test_cli
+
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
@@ -163,7 +165,7 @@ _MODELS = _perturbed(
     extra_keys=["pole_modulus"])
 _SIMULATIONS = _perturbed(
     [{"replications": 200, "seed": 7, "window": 30}], _NUMBERS | st.none(),
-    extra_keys=["embedding_margin", "psd_tol", "batch"])
+    extra_keys=["embedding_margin", "psd_tol"])
 _FAMILIES = [
     {"kind": "singleton"},
     {"kind": "mixture", "params": {"power": 1.5, "noise_power": 0.8}},
@@ -287,6 +289,51 @@ def test_libyaml_parser_reads_what_the_python_parser_reads(name, monkeypatch):
         cfg = loads_config(_RUN_TEXTS[name])
         read[loader] = (cfg.to_dict(), config_hash(cfg))
     assert read[yaml.CSafeLoader] == read[yaml.SafeLoader]
+
+
+# Run files as the CLI tests write them, and the forms the hash must see
+# through unchanged: null, exponent floats, flow and block lists, nested
+# minimax sections and long per-node arrays.
+_CLI_TEXTS = {name: text for name, text in vars(test_cli).items()
+              if name.isupper() and isinstance(text, str) and "\nmodel:" in text}
+_DUMP_TEXTS = {**_RUN_TEXTS, **{"test_cli:" + name: text for name, text in _CLI_TEXTS.items()},
+               "nulls-and-exponents": test_cli.BENCH_YAML + """
+simulation: {replications: 20, seed: 3, embedding_margin: null, psd_tol: 1.0e-9}
+oracle_check: {windows: [25, 50], tolerance: 1.0e-4}
+output: {directory: null}
+""",
+               "long-flow-list": test_cli.BENCH_YAML + "oracle_check: {windows: ["
+               + ", ".join(str(w) for w in range(100, 160)) + "]}\n",
+               "nested-minimax": test_cli.VALID_MINIMAX + """\
+  opt: {starts: 2, budget: 40, seed: 0, min_step: 1.0e-6}
+  saddle_tol: 1.0e-9
+  skip_residuals: false
+""",
+               "per-node-band": _RUN_TEXTS["robust_banded_noise.yaml"].replace(
+                   "upper: 8.0", "upper: [" + ", ".join(["[[8.0]]"] * 512) + "]")}
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+@pytest.mark.parametrize("name", sorted(_DUMP_TEXTS))
+def test_libyaml_emitter_writes_what_the_python_emitter_writes(name, monkeypatch):
+    cfg = loads_config(_DUMP_TEXTS[name])
+    written = {}
+    for dumper in (yaml.CSafeDumper, yaml.SafeDumper):
+        monkeypatch.setattr(config_module, "_DUMPER", dumper)
+        written[dumper] = config_module.dumps_config(cfg)
+    assert written[yaml.CSafeDumper] == written[yaml.SafeDumper]
+    assert written[yaml.SafeDumper] == yaml.safe_dump(cfg.to_dict(), sort_keys=True,
+                                                      default_flow_style=None)
+
+
+def test_dumped_text_covers_the_forms_it_must_keep():
+    text = {name: config_module.dumps_config(loads_config(t)) for name, t in _DUMP_TEXTS.items()}
+    assert "embedding_margin: null" in text["nulls-and-exponents"]
+    assert "tolerance: 0.0001" in text["nulls-and-exponents"]
+    assert "saddle_tol: 1.0e-09" in text["nested-minimax"]
+    assert "intervals:\n  - [2, 1]\n" in text["test_cli:BENCH_YAML"]
+    assert "\n    146, 147," in text["long-flow-list"]   # wrapped at the line width
+    assert text["per-node-band"].count("[8.0]") == 512
 
 
 # The schema.  Every numeric key of every table (each section, each model kind,

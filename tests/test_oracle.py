@@ -4,10 +4,13 @@ The finite-window Gaussian projection is an independent route to the same
 mean-square error: it never touches the spectral solver, only covariance
 matrices.  The circulant sampler is checked for exactness of its second
 moments, reproducibility, and its refusal to proceed when the embedding is
-not positive semidefinite.
+not positive semidefinite; it is also the path-level reference for the
+Monte-Carlo error law, which draws one normal per replication.
 """
 
+import dataclasses
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +34,16 @@ from gapcast import (
     projection_oracle,
     white_model,
 )
-from gapcast.oracle import CirculantEmbedding, _rekey, _stream
+from gapcast.config import (
+    build_functional,
+    build_model,
+    build_pattern,
+    build_simulation,
+    load_config,
+)
+from gapcast.extrapolate import filter_error
+from gapcast.oracle import CirculantEmbedding, _stream
+from gapcast.spectral import trig_poly_on_grid
 from gapcast.errors import (
     DegenerateObservationsError,
     InvalidParameterError,
@@ -220,17 +232,22 @@ def test_projection_matches_block_reference(dim, kind, gaps):
 # ---------------------------------------------------------------------------
 
 
+def _embedding(model, cfg, length=None):
+    """The sampler ``monte_carlo_mse`` builds for ``cfg``; ``length`` defaults to the window."""
+    return CirculantEmbedding(model, length or cfg.window,
+                              margin=cfg.embedding_margin, psd_tol=cfg.psd_tol)
+
+
 def _paths(model, cfg, length=None):
     """(xi, eta) paths, shape (R, length, T); replication r uses stream (seed, r).
 
-    ``length`` defaults to the window.
+    ``length`` defaults to the window; paths are synthesized 256 at a time.
     """
-    emb = CirculantEmbedding(model, length or cfg.window,
-                             margin=cfg.embedding_margin, psd_tol=cfg.psd_tol)
-    R = cfg.replications
+    emb = _embedding(model, cfg, length)
+    R, chunk = cfg.replications, 256
     paths = np.concatenate([
-        emb.sample_block([_stream(cfg.seed, r) for r in range(s, min(s + cfg.batch, R))])
-        for s in range(0, R, cfg.batch)])
+        emb.sample_block([_stream(cfg.seed, r) for r in range(s, min(s + chunk, R))])
+        for s in range(0, R, chunk)])
     return paths[..., :model.dim], paths[..., model.dim:]
 
 
@@ -266,16 +283,8 @@ def test_sampler_cross_covariance():
     assert np.mean(xi[:, 2, 0] * eta[:, 3, 0]) == pytest.approx(0.0, abs=tol)
 
 
-def test_sampler_reproducible_and_batch_invariant():
+def test_sampler_reproducible_and_prefix_stable():
     model = ar1_model(poles=(0.5,), noise_poles=(0.2,), grid_size=256)
-    pattern = MissingPattern(intervals=((2, 0),))
-    fun = FunctionalSpec(coeffs=np.array([[1.0], [0.5]]))
-    taps = {-1: np.array([0.5]), -3: np.array([0.2])}
-    runs = [monte_carlo_mse(model, pattern, fun, taps,
-                            SimulationConfig(replications=9, seed=11, window=6,
-                                             batch=batch)).errors
-            for batch in (4, 256)]
-    assert np.array_equal(runs[0], runs[1])
     # replication streams are independent of the total count (prefix rule)
     emb = CirculantEmbedding(model, 6)
     full = emb.sample_block([_stream(11, r) for r in range(9)])
@@ -291,20 +300,6 @@ def test_stream_keying_is_per_replication():
     b = _stream(5, 1).standard_normal(4)
     assert not np.array_equal(a, b)
     assert np.array_equal(a, _stream(5, 0).standard_normal(4))
-
-
-def test_rekeyed_generator_draws_the_fresh_streams():
-    # monte_carlo_mse re-keys one generator per replication; each re-keyed
-    # stream must equal _stream(seed, r) even when the generator was left
-    # part-way through its buffer and holding half of a 64-bit word
-    gen = _stream(0, 0)
-    for seed, r in [(0, 0), (0, 1), (7, 3), (7, 4), (2 ** 31 - 1, 4999), (123456, 2 ** 40)]:
-        gen.integers(0, 2 ** 32, size=3, dtype=np.uint32)
-        gen.standard_normal(5)
-        state = gen.bit_generator.state
-        assert state["buffer_pos"] < 4 or state["has_uint32"] == 1
-        got = _rekey(gen, seed, r).standard_normal(2056)
-        assert np.array_equal(got, _stream(seed, r).standard_normal(2056))
 
 
 def test_embedding_rejects_indefinite_truncation():
@@ -388,12 +383,24 @@ def _reference_errors(model, functional, taps, cfg):
     return err ** 2
 
 
+def _error_weights(model, functional, taps, cfg):
+    """``draw_weights`` of the filter error: a on xi over 0..N, -taps on xi + eta."""
+    d, N = model.dim, functional.horizon
+    depth = max([cfg.window] + [-j for j in taps])
+    gather = np.zeros((depth + N + 1, 2 * d))
+    gather[depth:, :d] = functional.coeffs.real
+    for j, tap in taps.items():
+        gather[depth + j] -= np.tile(tap.real, 2)
+    return _embedding(model, cfg, depth + N + 1).draw_weights(gather)
+
+
 @pytest.mark.parametrize("dim", (1, 2))
 @pytest.mark.parametrize("kind", ("noiseless", "ar1", "ma_pair"))
 @pytest.mark.parametrize("gaps", (False, True))
 def test_monte_carlo_matches_path_reference(dim, kind, gaps):
     # The weight route applies the filter to the normal draws; the reference
-    # synthesizes every path and gathers the error in the time domain.
+    # synthesizes every path and gathers the error in the time domain.  So
+    # the error is N(0, w . w), the law monte_carlo_mse samples.
     noiseless = kind == "noiseless"
     model, pattern, fun = _oracle_instance(dim, "ar1" if noiseless else kind, gaps,
                                            seed=dim + 7)
@@ -405,11 +412,45 @@ def test_monte_carlo_matches_path_reference(dim, kind, gaps):
     idx = [j for j in pattern.observed_window(window + 4) if j in (-1, -3, -5, -10)]
     assert min(idx) < -window
     taps = {j: rng.normal(size=dim) for j in idx}
-    cfg = SimulationConfig(replications=37, seed=4, window=window, batch=8)
-    got = monte_carlo_mse(model, pattern, fun, taps, cfg).errors
+    cfg = SimulationConfig(replications=37, seed=4, window=window)
+    w = _error_weights(model, fun, taps, cfg)
+    got = np.array([w @ _stream(cfg.seed, r).standard_normal(w.size)
+                    for r in range(cfg.replications)]) ** 2
     want = _reference_errors(model, fun, taps, cfg)
     assert np.abs(want).max() > 0
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert monte_carlo_mse(model, pattern, fun, taps, cfg).mse_exact == w @ w
+
+
+def test_monte_carlo_draws_one_normal_per_replication():
+    model, pattern, fun = _oracle_instance(2, "ma_pair", True, seed=3)
+    taps = {-3: np.array([0.4, -0.2]), -10: np.array([0.1, 0.3])}
+    runs = [monte_carlo_mse(model, pattern, fun, taps,
+                            SimulationConfig(replications=R, seed=11, window=6))
+            for R in (4, 9)]
+    eps = _stream(11, 0).standard_normal(9)
+    assert runs[1].mse_exact > 0
+    assert np.array_equal(runs[1].errors, runs[1].mse_exact * eps ** 2)
+    # replication r's error does not depend on the count (prefix rule)
+    assert runs[0].mse_exact == runs[1].mse_exact
+    assert np.array_equal(runs[0].errors, runs[1].errors[:4])
+
+
+@pytest.mark.parametrize("example", ("benchmark", "noisy_ar1"))
+def test_exact_error_matches_quadrature_of_the_taps(example):
+    # Third route to delta: the time-domain error variance of the written
+    # taps equals the quadrature of those taps put on the grid, h = sum_j
+    # tap_j e^{i j lambda}, with no operator solve in between.
+    cfg = load_config(Path(__file__).parents[1] / "docs" / "examples" / f"{example}.yaml")
+    model, pattern, fun = build_model(cfg), build_pattern(cfg), build_functional(cfg)
+    res = estimate(model, pattern, fun, K=cfg.truncation)
+    sim = dataclasses.replace(build_simulation(cfg), replications=2)
+    exact = monte_carlo_mse(model, pattern, fun, res.taps, sim).mse_exact
+    lags = sorted(res.taps)
+    h = trig_poly_on_grid(lags, [res.taps[j] for j in lags], model.grid_size)
+    quad = filter_error(model, fun.a_on_grid(model.grid_size) - h, h)
+    assert exact == pytest.approx(quad, rel=1e-13)
+    assert exact == pytest.approx(res.delta, rel=1e-12)
 
 
 def test_monte_carlo_rejects_unobservable_taps():
@@ -428,5 +469,3 @@ def test_simulation_config_validation():
         SimulationConfig(replications=0)
     with pytest.raises(InvalidParameterError):
         SimulationConfig(window=0)
-    with pytest.raises(InvalidParameterError):
-        SimulationConfig(batch=0)

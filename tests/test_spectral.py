@@ -282,6 +282,22 @@ def test_validation_checks_the_noise_and_cross_densities():
             SpectralModel(F=_flat(kwargs["dim"]), grid_size=64, **kwargs)
 
 
+def test_validation_checks_the_joint_density():
+    # F = G = 1 with F_xe = 1.5: each density is PSD, but [[1, 1.5], [1.5, 1]]
+    # has the eigenvalue -0.5, so no (xi, eta) has these densities
+    with pytest.raises(InvalidParameterError,
+                       match="joint signal-noise density is not positive semidefinite"):
+        SpectralModel(dim=1, F=_flat(1), G=_flat(1), F_xe=_flat(1, 1.5), grid_size=64)
+    # the rank-one boundary F_xe = 1 is a process: xi = eta
+    SpectralModel(dim=1, F=_flat(1), G=_flat(1), F_xe=_flat(1, 1.0), grid_size=64)
+    # correlated innovations give a PSD joint density by construction, of
+    # rank one when the innovations are equal
+    for rho in (0.5, 1.0):
+        model = ma_pair_model([[[1.0]], [[0.6]]], [[[0.8]]],
+                              innovation_cov=[[1.0, rho], [rho, 1.0]], grid_size=256)
+        assert not model.is_uncorrelated
+
+
 def test_adjoint_cross_density_is_derived_from_the_cross_density():
     values = np.random.default_rng(3).normal(size=(64, 2, 2, 2)) @ [1.0, 1.0j]
     model = SpectralModel(dim=2, F=_flat(2, 4.0), G=_flat(2, 4.0),
