@@ -153,10 +153,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     mc = monte_carlo_mse(model, pattern, functional, res.taps, sim)
     z = (mc.mse - res.delta) / mc.stderr if mc.stderr > 0 else float("nan")
     rows = _header(config_hash(cfg), seed=sim.seed) + [
-        "replications,seed,window,mse,stderr,delta_spectral,z_score,mse_exact",
-        ",".join([str(mc.replications), str(mc.seed), str(sim.window),
-                  _fmt(mc.mse), _fmt(mc.stderr), _fmt(res.delta), _fmt(z),
-                  _fmt(mc.mse_exact)]),
+        "replications,seed,mse,stderr,delta_spectral,z_score,mse_exact",
+        ",".join([str(mc.replications), str(mc.seed), _fmt(mc.mse), _fmt(mc.stderr),
+                  _fmt(res.delta), _fmt(z), _fmt(mc.mse_exact)]),
     ]
     _write(out_dir / "mc.csv", rows)
     return EXIT_OK

@@ -46,7 +46,7 @@ class DegenerateObservationsError(GapcastError):
 
 
 class SimulationMethodError(GapcastError):
-    """The path sampler cannot produce a valid embedding for this model."""
+    """The process has no real path to simulate, or the path sampler cannot embed it."""
 
 
 class InternalConsistencyError(GapcastError):

@@ -224,6 +224,32 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
                           Zinv=Zinv, X=X, eig_max=report.eig_max)
 
 
+def cholesky_solver(matrix: np.ndarray, error: type[Exception], name: str):
+    """``solve(b)`` = matrix^{-1} b for a Hermitian positive definite ``matrix``.
+
+    One LAPACK ``?potrf`` (upper triangle), then one ``?potrs`` per solve: the
+    calls ``scipy.linalg.cho_factor``/``cho_solve`` make, without their checks.
+    A real matrix and b take ``dpotrf``/``dpotrs``, complex ones the ``z``
+    routines.  A non-finite matrix or a failed factorization raises ``error``
+    with the matrix's ``name``.
+    """
+    if not np.all(np.isfinite(matrix)):
+        raise error(f"{name} has non-finite entries")
+    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (matrix,))
+    factor, info = potrf(matrix, lower=0, clean=0)
+    if info != 0:
+        raise error(f"{name} is not positive definite (?potrf info {info})")
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (factor, b))
+        x, info = potrs(factor, b, lower=0)
+        if info != 0:
+            raise error(f"?potrs refused its arguments (info {info})")
+        return x
+
+    return solve
+
+
 @dataclass(frozen=True)
 class CoefficientSolution:
     """Solution of the operator system and its relative solve residual.
@@ -245,13 +271,8 @@ def solve_coefficients(system: OperatorSystem, a_vec: np.ndarray) -> Coefficient
 
     ``a_vec`` holds a(0..N) flattened, (N+1) T values, one per column of Rmat.
     The conditioning bound ``cond_B`` (see ``CoefficientSolution``) must not
-    exceed ``COND_CEILING``; it is checked before the factorization.  The
-    factor is one LAPACK ``?potrf`` (upper triangle) and each solve one
-    ``?potrs``: the routines ``scipy.linalg.cho_factor``/``cho_solve`` wrap,
-    called without the wrappers' argument checks (Bmat is checked for finite
-    entries here).  The routines follow the dtypes: a real Bmat is factored by
-    ``dpotrf``, and a real Rmat a is solved by ``dpotrs``; a complex Bmat or
-    right-hand side takes the ``z`` routines.
+    exceed ``COND_CEILING``; it is checked before the factorization by
+    ``cholesky_solver``, and refuses a non-finite Bmat.
     """
     a_vec = np.asarray(a_vec)
     B = system.Bmat
@@ -259,27 +280,13 @@ def solve_coefficients(system: OperatorSystem, a_vec: np.ndarray) -> Coefficient
         raise InvalidParameterError(
             f"functional vector has shape {a_vec.shape}, expected {system.Rmat.shape[1:]}"
         )
-    if not np.all(np.isfinite(B)):
-        raise NonInvertibleOperatorError("operator matrix has non-finite entries")
     cond = float(np.linalg.norm(B, 1) * np.sqrt(B.shape[0]) * system.eig_max)
     if not np.isfinite(cond) or cond > COND_CEILING:
         raise NonInvertibleOperatorError(
             f"operator condition number bound {cond:.3e} exceeds ceiling {COND_CEILING:.1e}"
         )
-    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (B,))
-    factor, info = potrf(B, lower=0, clean=0)
-    if info != 0:
-        raise NonInvertibleOperatorError(
-            f"operator matrix is not positive definite (?potrf info {info})")
+    solve = cholesky_solver(B, NonInvertibleOperatorError, "operator matrix")
     rhs = system.Rmat @ a_vec
-    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (factor, rhs))
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        x, info = potrs(factor, b, lower=0)
-        if info != 0:
-            raise NonInvertibleOperatorError(f"?potrs refused its arguments (info {info})")
-        return x
-
     c = solve(rhs)
     # one step of iterative refinement
     resid = rhs - B @ c

@@ -3,11 +3,11 @@
 The projection oracle solves the finite-window normal equations built from
 quadrature covariances of the observed process; it is an independent route to
 the optimal estimate that never touches the operator system, so it serves as
-ground truth for the spectral pipeline.  The simulator embeds the joint
-signal/noise covariance sequence in a circulant, an exact Gaussian sampler of
-the path; the filter error is a fixed linear functional of that sampler's
-normal draws, so its variance is known in closed form and the Monte-Carlo
-errors are drawn from that law, one normal per replication.
+ground truth for the spectral pipeline.  A fixed filter's error is a
+Gaussian linear functional of the path, so its variance is the quadrature of
+the written taps and the Monte-Carlo errors are drawn from that law, one
+normal per replication.  ``CirculantEmbedding`` is the exact path sampler
+that law is checked against.
 """
 
 from __future__ import annotations
@@ -16,16 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import (
-    DegenerateObservationsError,
-    InvalidParameterError,
-    SimulationMethodError,
-)
-from .extrapolate import FunctionalSpec
-from .operators import MissingPattern, assemble
-from .spectral import SpectralModel, coeffs_from_samples
+from .errors import DegenerateObservationsError, InvalidParameterError, SimulationMethodError
+from .extrapolate import FunctionalSpec, filter_error
+from .operators import MissingPattern, assemble, cholesky_solver
+from .spectral import SpectralModel, coeffs_from_samples, trig_poly_on_grid
 
 
 @dataclass(frozen=True)
@@ -33,24 +28,18 @@ class SimulationConfig:
     """Controls for Monte-Carlo error estimation.
 
     Replication r draws the r-th normal of one counter-based stream keyed by
-    ``seed``, so a run's errors are a prefix of any longer run's.  ``window``,
-    ``embedding_margin`` and ``psd_tol`` size and check the circulant
-    embedding the error variance comes from.
+    ``seed``, so a run's errors are a prefix of any longer run's.  The seed is
+    one 64-bit word of the stream's key.
     """
 
     replications: int = 10000
     seed: int = 0
-    window: int = 50
-    embedding_margin: int | None = None
-    psd_tol: float = 1e-8
 
     def __post_init__(self):
         if self.replications < 1:
             raise InvalidParameterError("replications must be >= 1")
-        if self.seed < 0:
-            raise InvalidParameterError("seed must be a nonnegative integer")
-        if self.window < 1:
-            raise InvalidParameterError("window must be >= 1")
+        if not 0 <= self.seed < 2 ** 64:
+            raise InvalidParameterError("seed must be an integer in 0..2**64 - 1")
 
 
 @dataclass
@@ -99,13 +88,8 @@ def projection_oracle(model: SpectralModel, pattern: MissingPattern,
     gamma = assemble(cov_z, rows)
     m = assemble(cov_zx, rows, -np.arange(N + 1)) @ np.conj(functional.coeffs).ravel()
 
-    try:
-        cho = scipy.linalg.cho_factor(gamma)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise DegenerateObservationsError(
-            f"observation covariance is singular over window {window}: {exc}"
-        ) from exc
-    gm = scipy.linalg.cho_solve(cho, m)
+    gm = cholesky_solver(gamma, DegenerateObservationsError,
+                         f"observation covariance over window {window}")(m)
     delta = e_s2 - float(np.vdot(m, gm).real)
     taps_vec = np.conj(gm)
     taps = {u: taps_vec[i * d:(i + 1) * d].copy() for i, u in enumerate(observed)}
@@ -117,46 +101,61 @@ def projection_oracle(model: SpectralModel, pattern: MissingPattern,
 # ---------------------------------------------------------------------------
 
 
+def _require_real(model: SpectralModel) -> None:
+    """Refuse a process with complex covariances: it has no real path.
+
+    Real covariances need f(-lambda) = conj f(lambda), node n - m mirroring
+    node m, in F, G and F_xe, to 1e-9 of the largest sample.
+    """
+    mirror = -np.arange(model.grid_size) % model.grid_size
+    for which in ("F", "G") + (() if model.is_uncorrelated else ("Fxe",)):
+        s = model.samples(which)
+        scale = max(float(np.abs(s).max()), np.finfo(float).tiny)
+        if float(np.abs(s[mirror] - np.conj(s)).max()) > 1e-9 * scale:
+            raise SimulationMethodError(f"time-domain simulation requires a real-valued "
+                                        f"process (density {which} is not conjugate-symmetric)")
+
+
+def _resolving_grid(model: SpectralModel, path_length: int,
+                    margin: int | None = None) -> tuple[int, SpectralModel]:
+    """The embedding order m of a path, and the model on at least 2m nodes.
+
+    Covariances beyond ``margin`` lags are taken as negligible: by default
+    rho^margin <= 1e-12 for the largest pole modulus rho (64..1024 lags), or
+    256 lags when rho is unknown.  m is the power of two of at least
+    2 (path_length + margin), so a grid of 2m nodes aliases no covariance
+    that a path of ``path_length`` sees.
+    """
+    if margin is None:
+        rho = model.pole_modulus or 0.0
+        margin = (int(min(max(math.ceil(math.log(1e-12) / math.log(rho)), 64), 1024))
+                  if 0.0 < rho < 1.0 else 256)
+    m = 1 << max(int(math.ceil(math.log2(2 * (path_length + margin)))), 3)
+    return m, model if model.grid_size >= 2 * m else model.with_grid(2 * m)
+
+
 class CirculantEmbedding:
     """Exact Gaussian sampler for the joint (xi, eta) sequence.
 
     Embeds the covariance sequence of the stacked 2T-dimensional process in a
-    block circulant, factorizes its spectrum, and synthesizes real paths by
-    inverse FFT.  Small negative circulant eigenvalues (within ``psd_tol``
-    relative to the largest) are clipped to zero; larger ones raise, with the
-    advice to enlarge the embedding order.
+    block circulant (order and grid from ``_resolving_grid``), factorizes its
+    spectrum, and synthesizes real paths by inverse FFT.  Small negative
+    circulant eigenvalues (within 1e-8 relative to the largest) are clipped
+    to zero; larger ones raise, with the advice to enlarge the margin.
     """
 
-    def __init__(self, model: SpectralModel, path_length: int,
-                 margin: int | None = None, psd_tol: float = 1e-8):
+    def __init__(self, model: SpectralModel, path_length: int, margin: int | None = None):
         if path_length < 1:
             raise InvalidParameterError("path_length must be >= 1")
-        if margin is None:
-            rho = model.pole_modulus
-            if rho is not None and 0.0 < rho < 1.0:
-                margin = int(min(max(math.ceil(math.log(1e-12) / math.log(rho)), 64), 1024))
-            else:
-                margin = 256
-        m = 1 << max(int(math.ceil(math.log2(2 * (path_length + margin)))), 3)
-        d = model.dim
-        D = 2 * d
-
-        work = model
-        if work.grid_size < 2 * m:
-            work = model.with_grid(1 << int(math.ceil(math.log2(2 * m))))
+        _require_real(model)
+        m, work = _resolving_grid(model, path_length, margin)
+        d, D = model.dim, 2 * model.dim
         joint = np.zeros((work.grid_size, D, D), dtype=complex)
         joint[:, :d, :d] = work.samples("F")
         joint[:, :d, d:] = work.samples("Fxe")
         joint[:, d:, :d] = work.samples("Fex")
         joint[:, d:, d:] = work.samples("G")
-
         table = coeffs_from_samples(joint, m // 2)
-        scale = max(float(np.abs(table.data).max()), np.finfo(float).tiny)
-        if float(np.abs(table.data.imag).max()) > 1e-9 * scale:
-            raise SimulationMethodError(
-                "time-domain simulation requires a real-valued process "
-                "(covariances came out complex)"
-            )
 
         # first column of the block circulant: R(j) for lags j = 0..m/2, then
         # R(j - m) for the wrapped lags -(m/2 - 1)..-1; R(j) = table.coeff(-j)
@@ -167,7 +166,7 @@ class CirculantEmbedding:
         w, V = np.linalg.eigh(spec)
         wmax = max(float(w.max()), np.finfo(float).tiny)
         wmin = float(w.min())
-        if wmin < -psd_tol * wmax:
+        if wmin < -1e-8 * wmax:
             raise SimulationMethodError(
                 f"circulant embedding is not positive semidefinite "
                 f"(min eigenvalue {wmin:.3e} vs scale {wmax:.3e}); "
@@ -181,42 +180,18 @@ class CirculantEmbedding:
 
     def sample_block(self, rngs) -> np.ndarray:
         """Paths for several independent streams, shape (B, path_length, 2T)."""
-        m, D = self.order, 2 * self.dim
-        half = m // 2
+        m, half, D = self.order, self.order // 2, 2 * self.dim
         B = len(rngs)
         z = np.empty((B, half + 1, D), dtype=complex)
         for b, rng in enumerate(rngs):
             u = rng.standard_normal((half + 1, D))
             v = rng.standard_normal((half + 1, D))
             zb = (u + 1j * v) / math.sqrt(2.0)
-            zb[0] = u[0]
-            zb[half] = u[half]
+            zb[[0, half]] = u[[0, half]]
             z[b] = zb
         W = np.einsum("kde,bke->bkd", self.factors[: half + 1], z)
         X = math.sqrt(m) * np.fft.irfft(W, n=m, axis=1)
         return X[:, : self.path_length, :]
-
-    def draw_weights(self, gather: np.ndarray) -> np.ndarray:
-        """Weights w with sum(gather * path) = w @ draws, for every stream.
-
-        ``gather`` has shape (path_length, 2T); ``draws`` are the
-        2 (m/2 + 1) 2T normals ``sample_block`` takes from one stream, u
-        then v.  The path is sqrt(m) irfft(A_k z_k), so the functional is
-        m^{-1/2} sum_k c_k Re(h_k . z_k) with h_k = A_k^T conj(rfft(gather))_k
-        and c_k = 1 at DC and Nyquist, 2 elsewhere.  There z_k = u_k (irfft
-        would drop an imaginary part), so those v weights are 0; the v are
-        still drawn, which keeps every stream's position.
-        """
-        m, half = self.order, self.order // 2
-        H = np.conj(np.fft.rfft(gather, n=m, axis=0))
-        h = np.einsum("kd,kde->ke", H, self.factors[: half + 1])
-        # c_k / sqrt(m), with the 1/sqrt(2) of z_k = (u_k + i v_k)/sqrt(2) folded in
-        c = np.full((half + 1, 1), math.sqrt(2.0 / m))
-        c[0] = c[half] = 1.0 / math.sqrt(m)
-        h *= c
-        w_v = -h.imag
-        w_v[[0, half]] = 0.0
-        return np.concatenate((h.real.ravel(), w_v.ravel()))
 
 
 def _stream(seed: int, rep: int) -> np.random.Generator:
@@ -241,46 +216,31 @@ def monte_carlo_mse(model: SpectralModel, pattern: MissingPattern,
                     config: SimulationConfig) -> MonteCarloResult:
     """Estimate E |A_N xi - sum_j taps(j)^T (xi + eta)(j)|^2 by simulation.
 
-    The path spans the window {-window..-1}, or down to the deepest tap if
-    that is deeper, plus the horizon 0..N.  Its error is w . z for one weight
-    vector w (``CirculantEmbedding.draw_weights``) and the sampler's iid
-    normals z, so it is N(0, w . w): ``mse_exact`` = w . w is the filter's
-    error variance, and replication r's squared error is mse_exact eps_r^2,
-    eps_r the r-th normal of ``_stream(seed, 0)``.
+    The error is a linear functional of the Gaussian path, so it is
+    N(0, mse_exact) with ``mse_exact`` the quadrature ``filter_error`` of
+    r = A - h, h = sum_j taps(j) e^{i j lambda}, on the model's grid or, when
+    that grid would alias the covariances the filter spans (deepest tap to
+    N), on the finer grid ``_resolving_grid`` gives.  Replication r's squared
+    error is mse_exact eps_r^2, eps_r the r-th normal of ``_stream(seed, 0)``.
+    A complex-valued process is refused (``_require_real``).
     """
-    N = functional.horizon
     bad = [j for j in taps if j >= 0 or j in pattern.points]
     if bad:
         raise InvalidParameterError(
             f"taps at indices {sorted(bad)} are not observable "
             f"(nonnegative time or inside a missing stretch)"
         )
-    depth = max([config.window] + [-j for j in taps])
-    length = depth + N + 1
-
-    tap_idx = np.array(sorted(taps), dtype=int)
-    if taps:
-        raw = np.array([np.asarray(taps[j], dtype=complex) for j in tap_idx])
-        if np.abs(raw.imag).max() > 1e-9:
-            raise InvalidParameterError("simulation requires real-valued taps")
-        tap_mat = raw.real
-    else:
-        tap_mat = np.zeros((0, model.dim))
-    a = np.real_if_close(functional.coeffs)
-    if np.iscomplexobj(a) and np.abs(a.imag).max() > 1e-9:
+    tap_idx = sorted(taps)
+    tap_mat = np.array([taps[j] for j in tap_idx], dtype=complex).reshape(len(taps), model.dim)
+    if np.abs(tap_mat.imag).max(initial=0.0) > 1e-9:
+        raise InvalidParameterError("simulation requires real-valued taps")
+    if np.abs(np.imag(functional.coeffs)).max() > 1e-9:
         raise InvalidParameterError("simulation requires real functional coefficients")
-    a = np.asarray(a, dtype=float)
-
-    emb = CirculantEmbedding(model, length, margin=config.embedding_margin,
-                             psd_tol=config.psd_tol)
-    # error = sum(gather * path): a on xi over 0..N, -taps on xi + eta
-    d = model.dim
-    gather = np.zeros((length, 2 * d))
-    gather[depth:, :d] = a
-    gather[depth + tap_idx] -= np.tile(tap_mat, 2)
-    w = emb.draw_weights(gather)
-
-    mse_exact = float(w @ w)
+    _require_real(model)
+    _, work = _resolving_grid(model, functional.horizon + 1 - min([0] + tap_idx))
+    n = work.grid_size
+    h = trig_poly_on_grid(tap_idx, tap_mat.real, n)
+    mse_exact = filter_error(work, functional.a_on_grid(n) - h, h)
     R = config.replications
     errors = mse_exact * _stream(config.seed, 0).standard_normal(R) ** 2
     mse = float(errors.mean())

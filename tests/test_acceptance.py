@@ -181,16 +181,15 @@ def test_criterion_4_monte_carlo(tmp_path):
 simulation:
   replications: 10000
   seed: 7
-  window: 60
 """)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--config", str(cfg), "--out", str(out_a)]) == 0
     assert main(["simulate", "--config", str(cfg), "--out", str(out_b)]) == 0
     assert (out_a / "mc.csv").read_bytes() == (out_b / "mc.csv").read_bytes()
 
-    _, rows = read_rows(out_a / "mc.csv")
-    (row,) = rows
-    mse, stderr, delta = float(row[3]), float(row[4]), float(row[5])
+    header, (row,) = read_rows(out_a / "mc.csv")
+    row = dict(zip(header, row))
+    mse, stderr, delta = (float(row[key]) for key in ("mse", "stderr", "delta_spectral"))
     assert delta == pytest.approx(15.69, rel=1e-6)
     z = (mse - 15.69) / stderr
     assert abs(z) <= 3.0, f"z = {z:.2f}"

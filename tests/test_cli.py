@@ -23,6 +23,7 @@ from gapcast.config import (
 )
 import gapcast.minimax as minimax_module
 from gapcast.minimax import maximize_delta
+from gapcast.oracle import CirculantEmbedding
 from gapcast.spectral import grid_points
 
 ROBUST = Path(__file__).resolve().parent.parent / "docs" / "examples" / "robust_fixed_power.yaml"
@@ -290,8 +291,13 @@ SIM_YAML = BENCH_YAML + """
 simulation:
   replications: 2000
   seed: 7
-  window: 60
 """
+
+
+def read_mc(path) -> dict:
+    """The one data row of ``mc.csv``, by column name."""
+    header, (row,), _ = read_csv_rows(path)
+    return dict(zip(header, row))
 
 
 def test_simulate_z_score_and_determinism(tmp_path):
@@ -301,14 +307,14 @@ def test_simulate_z_score_and_determinism(tmp_path):
     assert run_cli(["simulate", "--config", cfg, "--out", out_b]) == 0
     assert (out_a / "mc.csv").read_bytes() == (out_b / "mc.csv").read_bytes()
 
-    header, rows, _ = read_csv_rows(out_a / "mc.csv")
-    assert header == ["replications", "seed", "window", "mse", "stderr",
+    header, _, _ = read_csv_rows(out_a / "mc.csv")
+    assert header == ["replications", "seed", "mse", "stderr",
                       "delta_spectral", "z_score", "mse_exact"]
-    (row,) = rows
-    assert row[0] == "2000" and row[1] == "7" and row[2] == "60"
-    assert float(row[5]) == pytest.approx(BENCH_DELTA, rel=1e-6)
-    assert abs(float(row[6])) < 4.0
-    assert float(row[7]) == pytest.approx(BENCH_DELTA, rel=1e-12)
+    row = read_mc(out_a / "mc.csv")
+    assert row["replications"] == "2000" and row["seed"] == "7"
+    assert float(row["delta_spectral"]) == pytest.approx(BENCH_DELTA, rel=1e-6)
+    assert abs(float(row["z_score"])) < 4.0
+    assert float(row["mse_exact"]) == pytest.approx(BENCH_DELTA, rel=1e-12)
     assert "# seed=7" in (out_a / "mc.csv").read_text().splitlines()
 
 
@@ -319,10 +325,9 @@ def test_simulate_seed_override(tmp_path):
     assert run_cli(["simulate", "--config", cfg, "--out", out_b, "--seed", 11]) == 0
     text_b = (out_b / "mc.csv").read_text().splitlines()
     assert "# seed=11" in text_b
-    _, rows_a, _ = read_csv_rows(out_a / "mc.csv")
-    _, rows_b, _ = read_csv_rows(out_b / "mc.csv")
-    assert rows_a[0][1] == "7" and rows_b[0][1] == "11"
-    assert rows_a[0][3] != rows_b[0][3]  # different draws, different mse
+    row_a, row_b = read_mc(out_a / "mc.csv"), read_mc(out_b / "mc.csv")
+    assert row_a["seed"] == "7" and row_b["seed"] == "11"
+    assert row_a["mse"] != row_b["mse"]  # different draws, different mse
 
 
 def test_simulate_zero_functional_is_exact(tmp_path):
@@ -331,9 +336,38 @@ def test_simulate_zero_functional_is_exact(tmp_path):
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
     assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
-    _, rows, _ = read_csv_rows(out / "mc.csv")
-    assert rows[0][3] == "0"      # mse identically zero
-    assert rows[0][5] == "0"      # spectral value likewise
+    row = read_mc(out / "mc.csv")
+    assert row["mse"] == "0"               # mse identically zero
+    assert row["delta_spectral"] == "0"    # spectral value likewise
+    assert row["mse_exact"] == "0"
+
+
+def test_simulate_seed_is_one_64_bit_word(tmp_path, capsys):
+    # a seed of 2**64 or more does not fit the stream key: a config error,
+    # from the flag and from the run file alike
+    cfg = write_config(tmp_path, SIM_YAML)
+    too_big = str(2 ** 64)
+    assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "a",
+                    "--seed", too_big]) == 2
+    assert "config error: simulation:" in capsys.readouterr().err
+    big_file = write_config(tmp_path, SIM_YAML.replace("seed: 7", f"seed: {too_big}"),
+                            name="big.yaml")
+    assert run_cli(["simulate", "--config", big_file, "--out", tmp_path / "b"]) == 2
+    assert "config error: simulation:" in capsys.readouterr().err
+    assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "c",
+                    "--seed", str(2 ** 64 - 1)]) == 0
+    assert read_mc(tmp_path / "c" / "mc.csv")["seed"] == str(2 ** 64 - 1)
+
+
+def test_simulate_builds_no_path_sampler(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate built a CirculantEmbedding")
+
+    monkeypatch.setattr(CirculantEmbedding, "__init__", refuse)
+    cfg = write_config(tmp_path, SIM_YAML)
+    assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    assert float(read_mc(tmp_path / "out" / "mc.csv")["mse_exact"]) == pytest.approx(
+        BENCH_DELTA, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -649,11 +683,12 @@ VALID_MINIMAX = MINIMAX_DATA_YAML.format(kind="D0_1", data="{power: 1.5}")
      "oracle_check.tolerance"),
     ("oracle-check", BENCH_YAML + "oracle_check: {tolerance: 1e-4}",
      "oracle_check.tolerance"),
-    ("simulate", BENCH_YAML + "simulation: {psd_tol: true}", "simulation.psd_tol"),
+    ("oracle-check", BENCH_YAML + "oracle_check: {tolerance: true}",
+     "oracle_check.tolerance"),
 ], ids=["grid_size", "truncation", "windows_x", "windows_5", "windows_0", "tolerance",
         "saddle_samples", "theta_length", "quoted_truncation", "quoted_interval",
         "quoted_min_step", "quoted_power", "quoted_power_entry", "quoted_b1",
-        "quoted_tolerance", "tolerance_1e-4", "boolean_psd_tol"])
+        "quoted_tolerance", "tolerance_1e-4", "boolean_tolerance"])
 def test_malformed_numbers_exit_2(tmp_path, capsys, command, text, key):
     cfg = write_config(tmp_path, text)
     assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
@@ -804,13 +839,18 @@ def test_non_boolean_flags_exit_2(tmp_path, capsys, command, text, key):
     ("estimate", BENCH_YAML + "output: {dir: elsewhere}", "output"),
     ("minimax", VALID_MINIMAX.replace("kind: singleton", "kind: singleton\n    param: {}"),
      "minimax.family"),
+    # retired: they sized the circulant embedding, which simulate no longer builds
+    ("simulate", SIM_YAML + "  window: 60\n", "simulation"),
+    ("simulate", SIM_YAML + "  embedding_margin: 900\n", "simulation"),
+    ("simulate", SIM_YAML + "  psd_tol: 1.0e-8\n", "simulation"),
     # retired: the search takes numerics.truncation, and the flag only relabeled output
     ("minimax", VALID_MINIMAX + "  opt: {truncation: 8}\n", "minimax.opt"),
     ("estimate", BENCH_YAML.replace("[1.0, 1.0]]", "[1.0, 1.0]]\n  truncated: true"),
      "functional"),
 ], ids=["simulation", "path_length", "oracle_check", "minimax_opt", "minimax",
         "pattern", "model_white", "model_example1", "model_noise", "model_entry",
-        "functional", "output", "minimax_family", "opt_truncation", "functional_truncated"])
+        "functional", "output", "minimax_family", "window", "embedding_margin", "psd_tol",
+        "opt_truncation", "functional_truncated"])
 def test_unknown_keys_exit_2(tmp_path, capsys, command, text, key):
     _assert_config_error(tmp_path, capsys, command, text, key)
 

@@ -164,8 +164,7 @@ _MODELS = _perturbed(
                          "den_coeffs"]), _NUMBERS | _LISTS, max_size=6), max_size=3),
     extra_keys=["pole_modulus"])
 _SIMULATIONS = _perturbed(
-    [{"replications": 200, "seed": 7, "window": 30}], _NUMBERS | st.none(),
-    extra_keys=["embedding_margin", "psd_tol"])
+    [{"replications": 200, "seed": 7}], _NUMBERS | st.none())
 _FAMILIES = [
     {"kind": "singleton"},
     {"kind": "mixture", "params": {"power": 1.5, "noise_power": 0.8}},
@@ -298,7 +297,7 @@ _CLI_TEXTS = {name: text for name, text in vars(test_cli).items()
               if name.isupper() and isinstance(text, str) and "\nmodel:" in text}
 _DUMP_TEXTS = {**_RUN_TEXTS, **{"test_cli:" + name: text for name, text in _CLI_TEXTS.items()},
                "nulls-and-exponents": test_cli.BENCH_YAML + """
-simulation: {replications: 20, seed: 3, embedding_margin: null, psd_tol: 1.0e-9}
+simulation: {replications: 20, seed: null}
 oracle_check: {windows: [25, 50], tolerance: 1.0e-4}
 output: {directory: null}
 """,
@@ -328,7 +327,7 @@ def test_libyaml_emitter_writes_what_the_python_emitter_writes(name, monkeypatch
 
 def test_dumped_text_covers_the_forms_it_must_keep():
     text = {name: config_module.dumps_config(loads_config(t)) for name, t in _DUMP_TEXTS.items()}
-    assert "embedding_margin: null" in text["nulls-and-exponents"]
+    assert "seed: null" in text["nulls-and-exponents"]
     assert "tolerance: 0.0001" in text["nulls-and-exponents"]
     assert "saddle_tol: 1.0e-09" in text["nested-minimax"]
     assert "intervals:\n  - [2, 1]\n" in text["test_cli:BENCH_YAML"]
@@ -370,7 +369,7 @@ def _run_file(model="white", family="singleton") -> dict:
             "pattern": {"intervals": [[2, 1]]},
             "functional": {"coeffs": [[1.0] * dim, [0.5] * dim]},
             "numerics": {"grid_size": 64, "truncation": 8},
-            "simulation": {"replications": 10, "seed": 1, "window": 5},
+            "simulation": {"replications": 10, "seed": 1},
             "oracle_check": {"windows": [10], "tolerance": 1.0e-4},
             "minimax": {"kind": "D0_1", "g_kind": "DVU_1" if family == "mixture" else None,
                         "data": {"power": 1.5, "noise_power": 0.8, "lower": 0.0,

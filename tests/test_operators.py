@@ -29,6 +29,7 @@ from gapcast.operators import (
     OperatorSystem,
     _inverse,
     assemble,
+    cholesky_solver,
 )
 from gapcast.spectral import (
     COND_CEILING,
@@ -362,6 +363,15 @@ def test_solve_names_an_indefinite_system():
         _solve_with_last_pivot(-1.0)
 
 
+@pytest.mark.parametrize("last,match", [(-1.0, "Gamma is not positive definite"),
+                                        (np.nan, "Gamma has non-finite entries")])
+def test_cholesky_solver_names_its_refusals(last, match):
+    matrix = np.eye(3)
+    matrix[-1, -1] = last
+    with pytest.raises(NonInvertibleOperatorError, match=match):
+        cholesky_solver(matrix, NonInvertibleOperatorError, "Gamma")
+
+
 def _cho_pair_solve(system, a_vec):
     """Reference: the same solve through scipy's cho_factor/cho_solve wrappers."""
     B = system.Bmat
@@ -522,15 +532,13 @@ def _dtypes(monkeypatch, model, pattern, functional, K):
         seen["tables"].append(table.data.dtype)
         return table
 
-    cho_factor = scipy.linalg.cho_factor
-
-    def gamma_spy(a, *args, **kwargs):
-        seen["gamma"].append(a.dtype)
-        return cho_factor(a, *args, **kwargs)
+    def gamma_spy(matrix, *args):
+        seen["gamma"].append(matrix.dtype)
+        return cholesky_solver(matrix, *args)
 
     monkeypatch.setattr(operators_module, "coeffs_from_samples", table_spy)
     monkeypatch.setattr(oracle_module, "coeffs_from_samples", table_spy)
-    monkeypatch.setattr(scipy.linalg, "cho_factor", gamma_spy)
+    monkeypatch.setattr(oracle_module, "cholesky_solver", gamma_spy)
     system = build_operator_system(model, pattern, K=K, horizon=functional.horizon)
     projection_oracle(model, pattern, functional, window=20)
     assert len(seen["gamma"]) == 1

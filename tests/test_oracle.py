@@ -5,7 +5,8 @@ mean-square error: it never touches the spectral solver, only covariance
 matrices.  The circulant sampler is checked for exactness of its second
 moments, reproducibility, and its refusal to proceed when the embedding is
 not positive semidefinite; it is also the path-level reference for the
-Monte-Carlo error law, which draws one normal per replication.
+Monte-Carlo error law, whose variance ``monte_carlo_mse`` takes from the
+quadrature of the taps and which draws one normal per replication.
 """
 
 import dataclasses
@@ -49,6 +50,7 @@ from gapcast.errors import (
     InvalidParameterError,
     SimulationMethodError,
 )
+from test_operators import COMPLEX_MODELS
 
 
 def _scalar_ar1(b, scale=1.0, grid_size=512):
@@ -232,18 +234,12 @@ def test_projection_matches_block_reference(dim, kind, gaps):
 # ---------------------------------------------------------------------------
 
 
-def _embedding(model, cfg, length=None):
-    """The sampler ``monte_carlo_mse`` builds for ``cfg``; ``length`` defaults to the window."""
-    return CirculantEmbedding(model, length or cfg.window,
-                              margin=cfg.embedding_margin, psd_tol=cfg.psd_tol)
-
-
-def _paths(model, cfg, length=None):
+def _paths(model, cfg, length):
     """(xi, eta) paths, shape (R, length, T); replication r uses stream (seed, r).
 
-    ``length`` defaults to the window; paths are synthesized 256 at a time.
+    Paths are synthesized 256 at a time.
     """
-    emb = _embedding(model, cfg, length)
+    emb = CirculantEmbedding(model, length)
     R, chunk = cfg.replications, 256
     paths = np.concatenate([
         emb.sample_block([_stream(cfg.seed, r) for r in range(s, min(s + chunk, R))])
@@ -256,8 +252,8 @@ def test_sampler_covariance_is_exact():
     # Monte-Carlo error; the acceptance band is ~5 standard errors.
     b, scale = 0.6, 1.0
     model = _scalar_ar1(b, scale, grid_size=512)
-    cfg = SimulationConfig(replications=20000, seed=7, window=8)
-    xi, eta = _paths(model, cfg)
+    cfg = SimulationConfig(replications=20000, seed=7)
+    xi, eta = _paths(model, cfg, 8)
     assert eta.shape == xi.shape
     assert np.abs(eta).max() == 0.0  # noiseless model: silent noise channel
     for h in (0, 1, 3):
@@ -271,8 +267,8 @@ def test_sampler_cross_covariance():
     Ce = [np.array([[0.8]])]
     S = np.array([[1.0, 0.5], [0.5, 1.0]])
     model = ma_pair_model(Cx, Ce, innovation_cov=S, grid_size=256)
-    cfg = SimulationConfig(replications=30000, seed=3, window=4)
-    xi, eta = _paths(model, cfg)
+    cfg = SimulationConfig(replications=30000, seed=3)
+    xi, eta = _paths(model, cfg, 4)
     tol = 5 * 1.5 / np.sqrt(30000)
     want = covariance(model, 0, which="Fxe")[0, 0].real
     emp = np.mean(xi[:, 2, 0] * eta[:, 2, 0])
@@ -331,14 +327,14 @@ def test_monte_carlo_zero_functional():
     model = _scalar_ar1(0.5, grid_size=256)
     fun = FunctionalSpec(coeffs=np.array([[0.0]]))
     out = monte_carlo_mse(model, MissingPattern(intervals=()), fun, {},
-                          SimulationConfig(replications=50, seed=0, window=8))
+                          SimulationConfig(replications=50, seed=0))
     assert out.mse == 0.0
 
 
 def test_monte_carlo_without_taps_measures_variance():
     model = _scalar_ar1(0.6, grid_size=256)
     fun = FunctionalSpec(coeffs=np.array([[1.0], [1.0]]))
-    cfg = SimulationConfig(replications=4000, seed=2, window=8)
+    cfg = SimulationConfig(replications=4000, seed=2)
     out = monte_carlo_mse(model, MissingPattern(intervals=()), fun, {}, cfg)
     want = functional_variance(model, fun)
     assert abs(out.mse - want) < 5 * out.stderr
@@ -347,7 +343,7 @@ def test_monte_carlo_without_taps_measures_variance():
 def test_monte_carlo_validates_estimated_error():
     model = BENCH["model"]()
     res = estimate(model, BENCH["pattern"], BENCH["functional"], K=48)
-    cfg = SimulationConfig(replications=3000, seed=5, window=40)
+    cfg = SimulationConfig(replications=3000, seed=5)
     out = monte_carlo_mse(model, BENCH["pattern"], BENCH["functional"],
                           res.taps, cfg)
     z = (out.mse - BENCH["delta"]) / out.stderr
@@ -365,17 +361,19 @@ def test_monte_carlo_prefers_optimal_taps():
     pattern = MissingPattern(intervals=())
     fun = FunctionalSpec(coeffs=np.array([[1.0]]))
     res = estimate(model, pattern, fun, K=32)
-    cfg = SimulationConfig(replications=6000, seed=9, window=20)
+    cfg = SimulationConfig(replications=6000, seed=9)
     good = monte_carlo_mse(model, pattern, fun, res.taps, cfg)
     detuned = {j: t + (0.3 if j == -1 else 0.0) for j, t in res.taps.items()}
     bad = monte_carlo_mse(model, pattern, fun, detuned, cfg)
     assert bad.mse > good.mse + 3 * bad.stderr
 
 
-def _reference_errors(model, functional, taps, cfg):
-    """Squared filter errors on synthesized paths: sample_block, then the gather."""
+def _reference_errors(model, functional, taps, cfg, depth):
+    """Squared filter errors on synthesized paths: sample_block, then the gather.
+
+    The paths run from time -depth to the horizon N.
+    """
     N = functional.horizon
-    depth = max([cfg.window] + [-j for j in taps])
     xi, eta = _paths(model, cfg, depth + N + 1)
     err = np.einsum("jt,bjt->b", functional.coeffs.real, xi[:, depth:])
     for j, tap in taps.items():
@@ -383,15 +381,37 @@ def _reference_errors(model, functional, taps, cfg):
     return err ** 2
 
 
-def _error_weights(model, functional, taps, cfg):
-    """``draw_weights`` of the filter error: a on xi over 0..N, -taps on xi + eta."""
+def _draw_weights(emb, gather):
+    """Weights w with sum(gather * path) = w @ draws, for every stream.
+
+    ``gather`` has shape (path_length, 2T); ``draws`` are the
+    2 (m/2 + 1) 2T normals ``emb.sample_block`` takes from one stream, u then
+    v.  The path is sqrt(m) irfft(A_k z_k), so the functional is
+    m^{-1/2} sum_k c_k Re(h_k . z_k) with h_k = A_k^T conj(rfft(gather))_k and
+    c_k = 1 at DC and Nyquist, 2 elsewhere.  There z_k = u_k (irfft would drop
+    an imaginary part), so those v weights are 0; the v are still drawn, which
+    keeps every stream's position.
+    """
+    m, half = emb.order, emb.order // 2
+    H = np.conj(np.fft.rfft(gather, n=m, axis=0))
+    h = np.einsum("kd,kde->ke", H, emb.factors[: half + 1])
+    # c_k / sqrt(m), with the 1/sqrt(2) of z_k = (u_k + i v_k)/sqrt(2) folded in
+    c = np.full((half + 1, 1), np.sqrt(2.0 / m))
+    c[0] = c[half] = 1.0 / np.sqrt(m)
+    h *= c
+    w_v = -h.imag
+    w_v[[0, half]] = 0.0
+    return np.concatenate((h.real.ravel(), w_v.ravel()))
+
+
+def _error_weights(model, functional, taps, depth):
+    """``_draw_weights`` of the filter error: a on xi over 0..N, -taps on xi + eta."""
     d, N = model.dim, functional.horizon
-    depth = max([cfg.window] + [-j for j in taps])
     gather = np.zeros((depth + N + 1, 2 * d))
     gather[depth:, :d] = functional.coeffs.real
     for j, tap in taps.items():
         gather[depth + j] -= np.tile(tap.real, 2)
-    return _embedding(model, cfg, depth + N + 1).draw_weights(gather)
+    return _draw_weights(CirculantEmbedding(model, depth + N + 1), gather)
 
 
 @pytest.mark.parametrize("dim", (1, 2))
@@ -400,7 +420,8 @@ def _error_weights(model, functional, taps, cfg):
 def test_monte_carlo_matches_path_reference(dim, kind, gaps):
     # The weight route applies the filter to the normal draws; the reference
     # synthesizes every path and gathers the error in the time domain.  So
-    # the error is N(0, w . w), the law monte_carlo_mse samples.
+    # the error is N(0, w . w), and monte_carlo_mse's quadrature of the taps
+    # is that variance.
     noiseless = kind == "noiseless"
     model, pattern, fun = _oracle_instance(dim, "ar1" if noiseless else kind, gaps,
                                            seed=dim + 7)
@@ -412,21 +433,45 @@ def test_monte_carlo_matches_path_reference(dim, kind, gaps):
     idx = [j for j in pattern.observed_window(window + 4) if j in (-1, -3, -5, -10)]
     assert min(idx) < -window
     taps = {j: rng.normal(size=dim) for j in idx}
-    cfg = SimulationConfig(replications=37, seed=4, window=window)
-    w = _error_weights(model, fun, taps, cfg)
+    cfg = SimulationConfig(replications=37, seed=4)
+    depth = max([window] + [-j for j in taps])
+    w = _error_weights(model, fun, taps, depth)
     got = np.array([w @ _stream(cfg.seed, r).standard_normal(w.size)
                     for r in range(cfg.replications)]) ** 2
-    want = _reference_errors(model, fun, taps, cfg)
+    want = _reference_errors(model, fun, taps, cfg, depth)
     assert np.abs(want).max() > 0
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert monte_carlo_mse(model, pattern, fun, taps, cfg).mse_exact == w @ w
+    exact = monte_carlo_mse(model, pattern, fun, taps, cfg).mse_exact
+    assert exact == pytest.approx(w @ w, rel=1e-13)
+
+
+def test_monte_carlo_resolves_a_coarse_grid():
+    # A pole near 1 on a 512-node grid: that grid's rectangle rule aliases
+    # R(0) to R(0) (1 + rho^512) / (1 - rho^512), about 17% high.  The exact
+    # error variance is taken on a grid that resolves the covariances, so it
+    # is the law of the synthesized paths and R(0) = 1 / (1 - rho^2) itself.
+    rho = 0.995
+    model = _scalar_ar1(rho, grid_size=512)
+    fun = FunctionalSpec(coeffs=np.array([[1.0]]))
+    cfg = SimulationConfig(replications=37, seed=4)
+    w = _error_weights(model, fun, {}, 0)
+    got = np.array([w @ _stream(cfg.seed, r).standard_normal(w.size)
+                    for r in range(cfg.replications)]) ** 2
+    want = _reference_errors(model, fun, {}, cfg, 0)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    exact = monte_carlo_mse(model, MissingPattern(intervals=()), fun, {}, cfg).mse_exact
+    assert exact == pytest.approx(w @ w, rel=1e-13)
+    assert exact == pytest.approx(1 / (1 - rho ** 2), rel=1e-12)
+    aliased = filter_error(model, fun.a_on_grid(512), np.zeros((512, 1)))
+    assert aliased == pytest.approx((1 + rho ** 512) / (1 - rho ** 512) / (1 - rho ** 2),
+                                    rel=1e-12)
 
 
 def test_monte_carlo_draws_one_normal_per_replication():
     model, pattern, fun = _oracle_instance(2, "ma_pair", True, seed=3)
     taps = {-3: np.array([0.4, -0.2]), -10: np.array([0.1, 0.3])}
     runs = [monte_carlo_mse(model, pattern, fun, taps,
-                            SimulationConfig(replications=R, seed=11, window=6))
+                            SimulationConfig(replications=R, seed=11))
             for R in (4, 9)]
     eps = _stream(11, 0).standard_normal(9)
     assert runs[1].mse_exact > 0
@@ -457,15 +502,28 @@ def test_monte_carlo_rejects_unobservable_taps():
     model = _scalar_ar1(0.5, grid_size=256)
     pattern = MissingPattern(intervals=((2, 0),))
     fun = FunctionalSpec(coeffs=np.array([[1.0]]))
-    cfg = SimulationConfig(replications=10, seed=0, window=8)
+    cfg = SimulationConfig(replications=10, seed=0)
     with pytest.raises(InvalidParameterError):
         monte_carlo_mse(model, pattern, fun, {0: np.array([1.0])}, cfg)
     with pytest.raises(InvalidParameterError):
         monte_carlo_mse(model, pattern, fun, {-2: np.array([1.0])}, cfg)
 
 
+@pytest.mark.parametrize("name", sorted(COMPLEX_MODELS))
+def test_monte_carlo_refuses_a_complex_process(name):
+    # complex covariances: no real path has this law
+    model = COMPLEX_MODELS[name]()
+    fun = FunctionalSpec(coeffs=np.ones((1, model.dim)))
+    with pytest.raises(SimulationMethodError, match="real-valued process"):
+        monte_carlo_mse(model, MissingPattern(intervals=()), fun, {},
+                        SimulationConfig(replications=2))
+
+
 def test_simulation_config_validation():
     with pytest.raises(InvalidParameterError):
         SimulationConfig(replications=0)
-    with pytest.raises(InvalidParameterError):
-        SimulationConfig(window=0)
+    # the seed is one 64-bit word of the stream key
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(InvalidParameterError):
+            SimulationConfig(seed=seed)
+    assert _stream(SimulationConfig(seed=2 ** 64 - 1).seed, 0).standard_normal() != 0
