@@ -81,13 +81,11 @@ from .spectral import (
     check_minimality,
     coeffs_from_samples,
     covariance,
-    density_from_samples,
     grid_points,
     laurent_density,
     laurent_entry,
     ma_pair_model,
     make_ar1_pair,
-    white_density,
     white_model,
 )
 

@@ -21,7 +21,13 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigError, DataShapeError, GapcastError, InvalidParameterError
+from .errors import (
+    ConfigError,
+    DataShapeError,
+    GapcastError,
+    InvalidParameterError,
+    SingularDensityError,
+)
 from .extrapolate import FunctionalSpec
 from .families import (
     ar1_fixed_power_family,
@@ -36,7 +42,6 @@ from .spectral import (
     SpectralModel,
     ar1_model,
     check_grid_size,
-    density_from_samples,
     grid_points,
     laurent_density,
     laurent_entry,
@@ -329,11 +334,9 @@ def build_model(cfg: RunConfig) -> SpectralModel:
                 raise ConfigError(
                     f"grid file nodes do not match grid_size {n}",
                     location="model.path")
-            F = density_from_samples(data["F"])
-            d = np.asarray(data["F"]).shape[-1]
-            G = density_from_samples(data["G"]) if "G" in data else None
-            Fxe = density_from_samples(data["Fxe"]) if "Fxe" in data else None
-            return SpectralModel(dim=d, F=F, G=G, F_xe=Fxe, grid_size=n,
+            F = data["F"]
+            return SpectralModel(dim=np.shape(F)[-1], F=F, G=data.get("G"),
+                                 F_xe=data.get("Fxe"), grid_size=n,
                                  pole_modulus=sec.get("pole_modulus"))
 
 
@@ -385,13 +388,16 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
         with _at("minimax.family.params", (TypeError, ValueError, GapcastError)):
             fam = builder(**sec["family"].get("params", {}), grid_size=grid_size)
 
-    with _at("minimax"):
+    try:   # the class, and the constants the search and the saddle check read, once
         cls = DensityClass(kind=kind, g_kind=sec.get("g_kind"),
                            data=ClassData(**sec.get("data", {})), family=fam)
-    try:   # the constants the search and the saddle check read, once
         cls.constants(cfg.grid_size, build_functional(cfg).dim)
     except DataShapeError as exc:
         raise ConfigError(exc.detail, location=f"minimax.{exc.key}") from exc
+    except SingularDensityError as exc:   # non-finite density data
+        raise ConfigError(str(exc), location=f"minimax.{exc.key}") from exc
+    except InvalidParameterError as exc:
+        raise ConfigError(str(exc), location="minimax") from exc
 
     with _at("minimax.opt", InvalidParameterError):
         opt = OptConfig(**sec.get("opt", {}))

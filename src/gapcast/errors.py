@@ -14,7 +14,7 @@ class InvalidParameterError(GapcastError):
 
 
 class DataShapeError(InvalidParameterError):
-    """An input array has a shape its reader cannot use.
+    """An input array has a shape or a value its reader cannot use.
 
     ``key`` names the input (``data.upper`` for an entry of a class's data)
     and ``detail`` says what was expected.
@@ -26,7 +26,15 @@ class DataShapeError(InvalidParameterError):
 
 
 class SingularDensityError(GapcastError):
-    """A spectral density is singular or non-finite where it must be invertible."""
+    """A spectral density is singular or non-finite where it must be invertible.
+
+    ``key`` names the density data that ``spectral.density_data`` found
+    non-finite, and is None for a singularity found later.
+    """
+
+    def __init__(self, message: str, key: str | None = None):
+        self.key = key
+        super().__init__(message)
 
 
 class InvalidPatternError(GapcastError):

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InfeasibleClassError, InvalidParameterError
-from .spectral import SpectralModel, density_from_samples, grid_points
+from .spectral import SpectralModel, grid_points
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,7 @@ def _scalar_model(grid_size: int, f: np.ndarray, g: np.ndarray | None = None,
     """Scalar model from node values; the pole modulus is None when all poles are 0."""
     rho = max((abs(b) for b in poles), default=0.0)
     return SpectralModel(
-        dim=1, F=density_from_samples(f[:, None, None]),
-        G=None if g is None else density_from_samples(g[:, None, None]),
+        dim=1, F=f[:, None, None], G=None if g is None else g[:, None, None],
         grid_size=grid_size, pole_modulus=rho if rho > 0 else None)
 
 
@@ -153,8 +152,7 @@ def convex_combination_family(models: Sequence[SpectralModel],
     def build(theta):
         rest = np.cumprod(np.concatenate(([1.0], 1.0 - np.asarray(theta, dtype=float))))
         w = np.append(rest[:-1] * theta, rest[-1])
-        dens = [density_from_samples(sum(wi * m.samples(which) for wi, m in zip(w, models)))
-                for which in parts]
+        dens = [sum(wi * m.samples(which) for wi, m in zip(w, models)) for which in parts]
         return SpectralModel(dim=d, F=dens[0], G=dens[1] if noisy else None,
                              F_xe=dens[2] if correlated else None,
                              grid_size=n, pole_modulus=rho)

@@ -276,6 +276,11 @@ def _binding(side: _Side):
                  else _slack(x, side.flavor)[0] <= tol for x in (lower, upper))
 
 
+# the ClassData constants no density reader sees; the densities are checked
+# by ``density_data``
+_CONSTANT_FIELDS = ("power", "noise_power", "weight_f", "weight_g", "eps", "radius")
+
+
 @dataclass(frozen=True)
 class DensityClass:
     """An admissible set: signal-side kind, optional noise-side kind, family."""
@@ -300,6 +305,10 @@ class DensityClass:
             if missing:
                 raise InvalidParameterError(
                     f"{kind} requires " + ", ".join(f"data.{m}" for m in missing))
+        for name in _CONSTANT_FIELDS:
+            value = getattr(self.data, name)
+            if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=complex))):
+                raise DataShapeError(f"data.{name}", f"expected finite values, got {value!r}")
 
     def constants(self, n: int, d: int) -> dict:
         """Per side, the class's part of a ``_Side`` on n nodes of dimension d,
@@ -512,10 +521,10 @@ def _delta_upper(cls: DensityClass, model: SpectralModel, est: EstimateResult,
 
 
 def _check_in_class(cls: DensityClass, model: SpectralModel):
-    report = class_constraint_report(cls, model)
-    worst = max(report.values(), default=0.0)
-    if worst > _CONSTRAINT_TOL:
-        name = max(report, key=report.get)
+    report = class_constraint_report(cls, model)   # a NaN violation is the worst
+    name, worst = max(report.items(), key=lambda kv: math.inf if math.isnan(kv[1]) else kv[1],
+                      default=("", 0.0))
+    if not worst <= _CONSTRAINT_TOL:
         raise InfeasibleClassError(
             f"family point violates {name} by {worst:.3e} (tol {_CONSTRAINT_TOL:.1e})"
         )

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateObservationsError, InvalidParameterError, SimulationMethodError
+from .errors import (
+    DataShapeError,
+    DegenerateObservationsError,
+    InvalidParameterError,
+    SimulationMethodError,
+)
 from .extrapolate import FunctionalSpec, filter_error
 from .operators import MissingPattern, assemble, cholesky_solver
 from .spectral import SpectralModel, coeffs_from_samples, trig_poly_on_grid
@@ -124,14 +129,25 @@ def _resolving_grid(model: SpectralModel, path_length: int,
     rho^margin <= 1e-12 for the largest pole modulus rho (64..1024 lags), or
     256 lags when rho is unknown.  m is the power of two of at least
     2 (path_length + margin), so a grid of 2m nodes aliases no covariance
-    that a path of ``path_length`` sees.
+    that a path of ``path_length`` sees.  A model known only on its own
+    coarser grid (per-node density data) raises SimulationMethodError.
     """
     if margin is None:
         rho = model.pole_modulus or 0.0
         margin = (int(min(max(math.ceil(math.log(1e-12) / math.log(rho)), 64), 1024))
                   if 0.0 < rho < 1.0 else 256)
     m = 1 << max(int(math.ceil(math.log2(2 * (path_length + margin)))), 3)
-    return m, model if model.grid_size >= 2 * m else model.with_grid(2 * m)
+    if model.grid_size >= 2 * m:
+        return m, model
+    try:
+        return m, model.with_grid(2 * m)
+    except DataShapeError as exc:
+        raise SimulationMethodError(
+            f"the time-domain quadrature needs {2 * m} grid nodes to resolve the "
+            f"covariances from the deepest tap to the horizon ({path_length} lags) plus "
+            f"a margin of {margin}, but the density data gives {model.grid_size}; supply "
+            f"the density on at least {2 * m} nodes and raise numerics.grid_size to match"
+        ) from exc
 
 
 class CirculantEmbedding:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from .errors import (
 
 # A density function maps an array of frequencies (n,) to samples (n, T, T).
 DensityFn = Callable[[np.ndarray], np.ndarray]
+# Density data, read by ``density_data``: a number, a T x T matrix, per-node
+# (n, T, T) values, or a function of the grid nodes returning one of these.
+Density = Union[complex, np.ndarray, DensityFn]
 
 _HERMITIAN_TOL = 1e-10
 _PSD_TOL = 1e-10
@@ -89,21 +92,6 @@ def _eigvalsh(samples: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(samples)
 
 
-def _as_matrix_samples(values: np.ndarray, n: int, dim: int, name: str) -> np.ndarray:
-    values = np.asarray(values)
-    if values.shape != (n, dim, dim):
-        raise InvalidParameterError(
-            f"density '{name}' returned shape {values.shape}, expected {(n, dim, dim)}"
-        )
-    if not np.all(np.isfinite(values)):
-        bad = np.argwhere(~np.isfinite(values))[0][0]
-        lam = grid_points(n)[bad]
-        raise SingularDensityError(
-            f"density '{name}' is non-finite at grid node lambda={lam:.6f}"
-        )
-    return values.astype(complex)
-
-
 @dataclass(eq=False)
 class SpectralModel:
     """Signal/noise spectral model on a fixed frequency grid.
@@ -111,7 +99,7 @@ class SpectralModel:
     Parameters
     ----------
     dim : dimension T of the sequences.
-    F : spectral density of the signal.
+    F : spectral density of the signal, as density data (``density_data``).
     G : spectral density of the noise, or None for noiseless observation.
     F_xe : cross density (signal vs noise); None means uncorrelated.  The
         adjoint cross density F_ex is its conjugate transpose.
@@ -119,17 +107,18 @@ class SpectralModel:
     pole_modulus : largest pole modulus of the underlying rational model,
         when known; used by default truncation rules.
 
-    Construction samples each given density on the grid and validates what
+    Construction reads each given density onto the grid and validates what
     exists: F and G (when given) must be Hermitian and positive semidefinite,
     and so must the joint density [[F, F_xe], [F_ex, G]] when F_xe is nonzero.
+    Per-node density data pins the model to its grid size.
     The grid nodes ``lam`` are read-only and shared by every model of the
     same grid size.
     """
 
     dim: int
-    F: DensityFn
-    G: DensityFn | None = None
-    F_xe: DensityFn | None = None
+    F: Density
+    G: Density | None = None
+    F_xe: Density | None = None
     grid_size: int = 4096
     pole_modulus: float | None = None
     _samples: dict = field(default_factory=dict, repr=False)
@@ -161,13 +150,13 @@ class SpectralModel:
                 + self.samples("Fex")
             )
         else:
-            fn = {"F": self.F, "G": self.G, "Fxe": self.F_xe, "Fex": self.F_xe}[which]
-            if fn is None:
+            data = {"F": self.F, "G": self.G, "Fxe": self.F_xe, "Fex": self.F_xe}[which]
+            if data is None:
                 out = np.zeros((n, d, d), dtype=complex)
             elif which == "Fex":
                 out = np.conj(np.swapaxes(self.samples("Fxe"), -1, -2))
             else:
-                out = _as_matrix_samples(fn(self.lam), n, d, which)
+                out = density_data(data, n, d, which)
         self._samples[which] = out
         return out
 
@@ -180,7 +169,7 @@ class SpectralModel:
         return self.F_xe is None or not np.any(np.abs(self.samples("Fxe")) > 0)
 
     def with_grid(self, grid_size: int) -> "SpectralModel":
-        """Same model evaluated on a different grid."""
+        """Same model evaluated on a different grid; per-node data refuses."""
         if grid_size == self.grid_size:
             return self
         return SpectralModel(
@@ -196,8 +185,8 @@ class SpectralModel:
 
     def _validate(self):
         """Check the densities that exist; an absent one samples as zero."""
-        for which, fn in (("F", self.F), ("G", self.G)):
-            if fn is None:
+        for which, data in (("F", self.F), ("G", self.G)):
+            if data is None:
                 continue
             s = self.samples(which)
             scale = max(np.abs(s).max(), 1.0)
@@ -234,62 +223,17 @@ class SpectralModel:
 # ---------------------------------------------------------------------------
 
 
-def _check_pole(b: float, name: str):
-    if not np.isfinite(b) or abs(b) >= 1.0:
-        raise InvalidParameterError(f"{name} must satisfy |b| < 1, got {b!r}")
-
-
 def ar1_scalar(lam: np.ndarray, b: float, scale: float = 1.0) -> np.ndarray:
     """scale / |1 - b e^{i lambda}|^2 evaluated on ``lam``."""
     z = np.exp(1j * lam)
     return scale / np.abs(1.0 - b * z) ** 2
 
 
-def make_ar1_pair(b1: float, b2: float, grid_size: int = 4096) -> SpectralModel:
-    """Two-dimensional noiseless model built from two independent AR(1) factors.
-
-    Component 1 is the first factor; component 2 is the sum of both.  The
-    density is
-        F = [[f, f], [f, f + g]],
-    with f = |1 - b1 e^{i lambda}|^{-2} and g = |1 - b2 e^{i lambda}|^{-2}.
-    """
-    _check_pole(b1, "b1")
-    _check_pole(b2, "b2")
-
-    def F(lam):
-        f = ar1_scalar(lam, b1)
-        g = ar1_scalar(lam, b2)
-        out = np.empty((lam.size, 2, 2), dtype=complex)
-        out[:, 0, 0] = f
-        out[:, 0, 1] = f
-        out[:, 1, 0] = f
-        out[:, 1, 1] = f + g
-        return out
-
-    return SpectralModel(
-        dim=2, F=F, grid_size=grid_size, pole_modulus=max(abs(b1), abs(b2))
-    )
-
-
-def white_density(dim: int, scale=1.0) -> DensityFn:
-    """Constant density scale * I (or a fixed PSD matrix)."""
-    mat = np.asarray(scale, dtype=complex)
-    if mat.ndim == 0:
-        mat = mat * np.eye(dim)
-    elif mat.ndim == 1:
-        mat = np.diag(mat)
-    if mat.shape != (dim, dim):
-        raise InvalidParameterError(f"white scale has shape {mat.shape}, need {dim}x{dim}")
-
-    def fn(lam):
-        return np.broadcast_to(mat, (lam.size, dim, dim)).copy()
-
-    return fn
-
-
 def white_model(dim: int, scale=1.0, grid_size: int = 4096) -> SpectralModel:
-    return SpectralModel(dim=dim, F=white_density(dim, scale), grid_size=grid_size,
-                         pole_modulus=0.0)
+    """Noiseless white model: F = scale * I, diag(scale) or a fixed PSD matrix."""
+    scale = np.asarray(scale)
+    return SpectralModel(dim=dim, F=np.diag(scale) if scale.ndim == 1 else scale,
+                         grid_size=grid_size, pole_modulus=0.0)
 
 
 def diagonal_ar1_density(poles: Sequence[float], scales: Sequence[float] | None = None,
@@ -301,7 +245,8 @@ def diagonal_ar1_density(poles: Sequence[float], scales: Sequence[float] | None 
     """
     poles = [float(b) for b in poles]
     for b in poles:
-        _check_pole(b, "pole")
+        if not np.isfinite(b) or abs(b) >= 1.0:
+            raise InvalidParameterError(f"pole must satisfy |b| < 1, got {b!r}")
     d = len(poles)
     scales = [1.0] * d if scales is None else [float(s) for s in scales]
     if len(scales) != d:
@@ -334,6 +279,18 @@ def ar1_model(poles, scales=None, mix=None, noise_poles=None, noise_scales=None,
         rho = max(rho, max(abs(b) for b in noise_poles))
     return SpectralModel(dim=len(list(poles)), F=F, G=G, grid_size=grid_size,
                          pole_modulus=rho)
+
+
+def make_ar1_pair(b1: float, b2: float, grid_size: int = 4096) -> SpectralModel:
+    """Two-dimensional noiseless model built from two independent AR(1) factors.
+
+    Component 1 is the first factor; component 2 is the sum of both.  The
+    density is
+        F = [[f, f], [f, f + g]],
+    with f = |1 - b1 e^{i lambda}|^{-2} and g = |1 - b2 e^{i lambda}|^{-2}: the
+    AR(1) pair mixed by L = [[1, 0], [1, 1]].
+    """
+    return ar1_model((b1, b2), mix=[[1, 0], [1, 1]], grid_size=grid_size)
 
 
 def moving_average_transfer(coeffs: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
@@ -438,40 +395,28 @@ def laurent_density(dim: int, entries: dict) -> DensityFn:
     return fn
 
 
-def density_from_samples(samples: np.ndarray) -> DensityFn:
-    """Density given by its values on the grid nodes (no interpolation).
-
-    ``samples`` has shape (n, T, T).  The callable answers only for a grid of
-    exactly n nodes, so a model built from it pins its own grid size.
-    """
-    samples = np.asarray(samples, dtype=complex)
-
-    def fn(lam):
-        if len(lam) != samples.shape[0]:
-            raise InvalidParameterError(
-                f"density sampled on {samples.shape[0]} nodes, asked for {len(lam)}")
-        return samples
-
-    return fn
-
-
 def density_data(value, n: int, dim: int, key: str) -> np.ndarray:
-    """Density data as (n, dim, dim) grid samples.
+    """Density data as (n, dim, dim) grid samples, the one reader of densities.
 
     ``value`` is a number c (c times the identity), a dim x dim matrix (the
     same at every node), per-node (n, dim, dim) values, or a function of the
-    grid nodes returning one of these.  Any other shape raises DataShapeError
-    naming ``key``.
+    shared grid nodes returning one of these.  Any other shape raises
+    DataShapeError naming ``key``; a non-finite value raises
+    SingularDensityError naming ``key`` and the first node where it occurs.
     """
-    arr = np.asarray(value(grid_points(n)) if callable(value) else value)
-    if arr.ndim == 0:
-        return np.broadcast_to(complex(arr) * np.eye(dim), (n, dim, dim)).copy()
-    if arr.shape == (dim, dim):
-        return np.broadcast_to(arr.astype(complex), (n, dim, dim)).copy()
-    if arr.shape == (n, dim, dim):
+    lam = _shared_nodes(n)
+    arr = np.asarray(value(lam) if callable(value) else value)
+    if arr.shape not in ((), (dim, dim), (n, dim, dim)):
+        raise DataShapeError(key, f"expected a number, a {dim}x{dim} matrix or a "
+                                  f"{n}x{dim}x{dim} per-node array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        node = np.argwhere(~np.isfinite(arr))[0][0] if arr.ndim == 3 else 0
+        raise SingularDensityError(
+            f"density '{key}' is non-finite at grid node lambda={lam[node]:.6f}", key)
+    if arr.ndim == 3:
         return arr.astype(complex)
-    raise DataShapeError(key, f"expected a number, a {dim}x{dim} matrix or a "
-                              f"{n}x{dim}x{dim} per-node array, got shape {arr.shape}")
+    mat = complex(arr) * np.eye(dim) if arr.ndim == 0 else arr.astype(complex)
+    return np.broadcast_to(mat, (n, dim, dim)).copy()
 
 
 # ---------------------------------------------------------------------------

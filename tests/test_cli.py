@@ -225,6 +225,25 @@ numerics:
     assert run_cli(["estimate", "--config", cfg_bad, "--out", tmp_path / "o2"]) == 2
 
 
+def test_simulate_on_a_grid_file_too_coarse_to_resolve_names_the_remedy(tmp_path, capsys):
+    # a flat 256-node density: the quadrature of the taps needs 2048 nodes, and
+    # per-node data cannot be read on more nodes than it has
+    npz = tmp_path / "flat.npz"
+    np.savez(npz, lam=grid_points(256), F=np.full((256, 1, 1), 1.3))
+    cfg = write_config(tmp_path, f"""
+model: {{kind: grid_file, path: {npz}}}
+pattern: {{intervals: []}}
+functional: {{coeffs: [[1.0]]}}
+numerics: {{grid_size: 256, truncation: 16}}
+""")
+    assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 3
+    assert capsys.readouterr().err == (
+        "error: the time-domain quadrature needs 2048 grid nodes to resolve the covariances "
+        "from the deepest tap to the horizon (65 lags) plus a margin of 256, but the density "
+        "data gives 256; supply the density on at least 2048 nodes and raise "
+        "numerics.grid_size to match\n")
+
+
 def test_grid_file_with_a_non_psd_joint_density_is_a_config_error(tmp_path, capsys):
     # F = G = 1 and F_xe = 1.5: each density is PSD, the joint one is not
     n = 512
@@ -638,6 +657,24 @@ def test_density_data_of_an_unreadable_shape_exits_2(tmp_path, capsys, upper, co
     if code:
         assert ("config error: minimax.data.upper: expected a number, a 1x1 matrix or "
                 "a 512x1x1 per-node array, got shape") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("upper", np.nan, "density 'data.upper' is non-finite at grid node lambda=-3.141593"),
+    ("upper", np.inf, "density 'data.upper' is non-finite at grid node lambda=-3.141593"),
+    ("lower", np.nan, "density 'data.lower' is non-finite at grid node lambda=-3.141593"),
+    ("anchor_f", np.nan, "density 'data.anchor_f' is non-finite at grid node lambda=-3.141593"),
+    ("power", np.nan, "expected finite values, got nan"),
+    ("noise_power", np.inf, "expected finite values, got inf"),
+], ids=["upper-nan", "upper-inf", "lower-nan", "anchor_f-nan", "power-nan", "noise_power-inf"])
+def test_non_finite_class_data_exits_2(tmp_path, capsys, key, value, message):
+    # each used to run the whole search and exit 0, writing fw_gap = nan
+    doc = yaml.safe_load(ROBUST.with_name("robust_banded_noise.yaml").read_text())
+    doc["minimax"]["data"][key] = float(value)
+    cfg = write_config(tmp_path, yaml.safe_dump(doc))
+    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert f"config error: minimax.data.{key}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind,data,key", [

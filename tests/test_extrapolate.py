@@ -35,7 +35,6 @@ from gapcast.config import build_functional, build_model, build_pattern, load_co
 from gapcast.oracle import functional_variance
 from gapcast.spectral import (
     coeffs_from_samples,
-    density_from_samples,
     diagonal_ar1_density,
     grid_points,
     trig_poly_on_grid,
@@ -221,7 +220,7 @@ def test_optimal_delta_is_the_estimate_delta(seed):
 def _change_coordinates(model, M):
     """The model of (M xi, M eta): every density D becomes M D M^T."""
     def moved(which):
-        return density_from_samples(M @ model.samples(which) @ M.T)
+        return M @ model.samples(which) @ M.T
 
     return SpectralModel(dim=model.dim, F=moved("F"), G=moved("G"),
                          F_xe=None if model.is_uncorrelated else moved("Fxe"),

@@ -31,7 +31,6 @@ from gapcast import (
     contamination_family,
     convex_combination_family,
     delta_of_characteristic,
-    density_from_samples,
     estimate,
     evaluate_candidate,
     grid_points,
@@ -45,6 +44,7 @@ from gapcast import (
 import gapcast.minimax as minimax_module
 from gapcast.config import build_class, build_functional, build_pattern, load_config
 from gapcast.errors import (
+    DataShapeError,
     InfeasibleClassError,
     InternalConsistencyError,
     InvalidParameterError,
@@ -73,13 +73,8 @@ def _diag_mixture_family(powers, noise_powers=None, b_max=0.7,
             w, b = theta[2 * k], theta[2 * k + 1]
             out[:, k, k] = powers[k] * ((1 - w) + w * _unit_ar1(lam, b))
         rho = max(abs(theta[1]), abs(theta[3]))
-        G = None
-        if noise_powers is not None:
-            gs = np.zeros((grid_size, 2, 2), dtype=complex)
-            gs[:, 0, 0] = noise_powers[0]
-            gs[:, 1, 1] = noise_powers[1]
-            G = density_from_samples(gs)
-        return SpectralModel(dim=2, F=density_from_samples(out), G=G,
+        G = None if noise_powers is None else np.diag(noise_powers)
+        return SpectralModel(dim=2, F=out, G=G,
                              grid_size=grid_size,
                              pole_modulus=rho if rho > 0 else None)
 
@@ -154,7 +149,7 @@ def _stock_families():
         "contamination": contamination_family(anchor_power=2.0, anchor_pole=0.5, eps=0.3,
                                               power=2.5, grid_size=GRID),
         "convex": convex_combination_family(
-            [SpectralModel(dim=1, F=density_from_samples((1.0 + c * np.cos(lam))[:, None, None]),
+            [SpectralModel(dim=1, F=(1.0 + c * np.cos(lam))[:, None, None],
                            grid_size=GRID) for c in (0.0, 0.3, 0.6)]),
         "singleton": singleton_family(white_model(1, 1.0, GRID)),
     }
@@ -273,6 +268,30 @@ def test_search_rejects_wide_families_and_infeasible_members():
         maximize_delta(mismatched, NO_GAP, PRED, FAST, K=16)
     with pytest.raises(InfeasibleClassError):
         evaluate_candidate(mismatched, (0.5, 0.2), NO_GAP, PRED, K=16)
+
+
+@pytest.mark.parametrize("report", [{"D0_1:power": np.nan},
+                                    {"D0_1:power": 0.0, "DVU_1:upper": np.nan},
+                                    {"DVU_1:upper": np.nan, "D0_1:power": 1e-3}])
+def test_a_nan_constraint_violation_is_infeasible(monkeypatch, report):
+    # NaN > tol is False: the check must read a NaN as a violation, the worst one
+    monkeypatch.setattr(minimax_module, "class_constraint_report", lambda cls, model: report)
+    cls = DensityClass(kind="D0_1", data=ClassData(power=1.0),
+                       family=singleton_family(white_model(1, 1.0, GRID)))
+    with pytest.raises(InfeasibleClassError, match="violates .* by nan"):
+        _check_in_class(cls, white_model(1, 1.0, GRID))
+
+
+@pytest.mark.parametrize("field", ["power", "noise_power", "weight_f", "weight_g", "eps",
+                                   "radius"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_class_constants_must_be_finite(field, bad):
+    data = dict(power=1.5, noise_power=0.8, upper=8.0, weight_f=[[1.0]], weight_g=[[1.0]],
+                anchor_f=1.5, eps=0.3, radius=0.5)
+    data[field] = bad if field in ("power", "noise_power", "eps", "radius") else [[bad]]
+    with pytest.raises(DataShapeError, match=f"data.{field}: expected finite values"):
+        DensityClass(kind="D0_1", g_kind="DVU_1", data=ClassData(**data),
+                     family=singleton_family(white_model(1, 1.5, GRID)))
 
 
 def _reference_search(cls, pattern, functional, opt, K):
@@ -664,7 +683,7 @@ def _sandwich_cases():
         power=2.5, anchor_f=anchor[:, None, None], eps=0.3), family=fam), fam)
 
     base = _unit_ar1(lam, 0.3)
-    models = [SpectralModel(dim=1, F=density_from_samples((base * bump)[:, None, None]),
+    models = [SpectralModel(dim=1, F=(base * bump)[:, None, None],
                             grid_size=GRID, pole_modulus=0.3)
               for bump in (1.0, 1.0 + 0.2 * np.sin(lam), 1.0 + 0.3 * np.cos(2 * lam))]
     radius = max(float(np.mean(np.abs(m.samples("F")[:, 0, 0] - base))) for m in models)
@@ -714,7 +733,7 @@ def test_first_order_lp_closed_forms_match_a_solver(base):
     data = ClassData(power=power, lower=0.2 * anchor[:, None, None],
                      upper=2.0 * anchor[:, None, None], anchor_f=anchor[:, None, None],
                      eps=eps, radius=radius)
-    model = SpectralModel(dim=1, F=density_from_samples(anchor[:, None, None]),
+    model = SpectralModel(dim=1, F=anchor[:, None, None],
                           grid_size=n)
     cls = DensityClass(kind=f"{base}_1", data=data, family=singleton_family(model))
     closed = minimax_module._BASES[base].lp(minimax_module._Side(cls, model, "F"), g)

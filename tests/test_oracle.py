@@ -26,7 +26,6 @@ from gapcast import (
     ar1_scalar,
     coeffs_from_samples,
     covariance,
-    density_from_samples,
     estimate,
     functional_variance,
     make_ar1_pair,
@@ -148,7 +147,7 @@ def test_projection_with_everything_missing():
 
 
 def test_projection_rejects_degenerate_observations():
-    zero = density_from_samples(np.zeros((256, 1, 1), dtype=complex))
+    zero = np.zeros((256, 1, 1), dtype=complex)
     model = SpectralModel(dim=1, F=zero, grid_size=256, pole_modulus=None)
     with pytest.raises(DegenerateObservationsError):
         projection_oracle(model, MissingPattern(intervals=()),
@@ -485,15 +484,18 @@ def test_monte_carlo_draws_one_normal_per_replication():
 def test_exact_error_matches_quadrature_of_the_taps(example):
     # Third route to delta: the time-domain error variance of the written
     # taps equals the quadrature of those taps put on the grid, h = sum_j
-    # tap_j e^{i j lambda}, with no operator solve in between.
+    # tap_j e^{i j lambda}, with no operator solve in between.  The check
+    # runs it on four times the model's grid, one monte_carlo_mse does not use
+    # (2048 nodes on both examples), so it compares two quadratures.
     cfg = load_config(Path(__file__).parents[1] / "docs" / "examples" / f"{example}.yaml")
     model, pattern, fun = build_model(cfg), build_pattern(cfg), build_functional(cfg)
     res = estimate(model, pattern, fun, K=cfg.truncation)
     sim = dataclasses.replace(build_simulation(cfg), replications=2)
     exact = monte_carlo_mse(model, pattern, fun, res.taps, sim).mse_exact
     lags = sorted(res.taps)
-    h = trig_poly_on_grid(lags, [res.taps[j] for j in lags], model.grid_size)
-    quad = filter_error(model, fun.a_on_grid(model.grid_size) - h, h)
+    fine = model.with_grid(4 * model.grid_size)
+    h = trig_poly_on_grid(lags, [res.taps[j] for j in lags], fine.grid_size)
+    quad = filter_error(fine, fun.a_on_grid(fine.grid_size) - h, h)
     assert exact == pytest.approx(quad, rel=1e-13)
     assert exact == pytest.approx(res.delta, rel=1e-12)
 

@@ -17,21 +17,20 @@ from gapcast import (
     check_minimality,
     coeffs_from_samples,
     covariance,
-    density_from_samples,
     grid_points,
     laurent_density,
     laurent_entry,
     ma_pair_model,
     make_ar1_pair,
-    white_density,
     white_model,
 )
 from gapcast.errors import (
+    DataShapeError,
     InsufficientLagError,
     InvalidParameterError,
     SingularDensityError,
 )
-from gapcast.spectral import _eigvalsh
+from gapcast.spectral import _eigvalsh, density_data
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +53,7 @@ def test_model_rejects_bad_grid_sizes():
 
 
 def test_white_coefficients_vanish_off_zero():
-    table = coeffs_from_samples(white_density(2, 1.7)(grid_points(64)), max_lag=6)
+    table = coeffs_from_samples(density_data(1.7, 64, 2, "F"), max_lag=6)
     assert np.allclose(table.coeff(0), 1.7 * np.eye(2), atol=1e-14)
     for k in range(1, 7):
         assert np.abs(table.coeff(k)).max() < 1e-14
@@ -75,7 +74,7 @@ def test_trig_polynomial_coefficients_exact():
 
 
 def test_table_lag_bounds():
-    table = coeffs_from_samples(white_density(1)(grid_points(64)), max_lag=3)
+    table = coeffs_from_samples(density_data(1.0, 64, 1, "F"), max_lag=3)
     with pytest.raises(InsufficientLagError):
         table.coeff(4)
     with pytest.raises(InsufficientLagError):
@@ -84,9 +83,9 @@ def test_table_lag_bounds():
 
 def test_grid_too_small_for_lag():
     with pytest.raises(InvalidParameterError):
-        coeffs_from_samples(white_density(1)(grid_points(64)), max_lag=20)
+        coeffs_from_samples(density_data(1.0, 64, 1, "F"), max_lag=20)
     with pytest.raises(InvalidParameterError):
-        coeffs_from_samples(white_density(1)(grid_points(64)), max_lag=-1)
+        coeffs_from_samples(density_data(1.0, 64, 1, "F"), max_lag=-1)
 
 
 def test_hermitian_defect_zero_for_hermitian_integrand():
@@ -178,17 +177,15 @@ def test_ma_pair_cross_covariance():
 # ---------------------------------------------------------------------------
 
 
-def test_make_ar1_pair_entries():
-    b1, b2 = 0.5, 0.3
+@pytest.mark.parametrize("b1,b2", [(0.5, 0.3), (-0.7, 0.2), (0.9, -0.95)])
+def test_make_ar1_pair_entries(b1, b2):
+    # the mixed AR(1) model is the hand-built F = [[f, f], [f, f + g]] bit for bit
     model = make_ar1_pair(b1, b2, grid_size=256)
-    lam = model.lam
-    f = ar1_scalar(lam, b1)
-    g = ar1_scalar(lam, b2)
-    F = model.samples("F")
-    assert np.allclose(F[:, 0, 0], f, atol=1e-12)
-    assert np.allclose(F[:, 0, 1], f, atol=1e-12)
-    assert np.allclose(F[:, 1, 0], f, atol=1e-12)
-    assert np.allclose(F[:, 1, 1], f + g, atol=1e-12)
+    f, g = ar1_scalar(model.lam, b1), ar1_scalar(model.lam, b2)
+    hand = np.empty((256, 2, 2), dtype=complex)
+    hand[:, 0, 0] = hand[:, 0, 1] = hand[:, 1, 0] = f
+    hand[:, 1, 1] = f + g
+    assert np.array_equal(model.samples("F"), hand)
     assert model.is_noiseless
     assert model.pole_modulus == pytest.approx(max(abs(b1), abs(b2)))
 
@@ -233,15 +230,66 @@ def test_laurent_density_assembles_matrix():
     assert np.allclose(vals[:, 1, 0], np.conj(vals[:, 0, 1]))
 
 
-def test_density_from_samples_pins_grid():
-    lam = grid_points(64)
+def test_per_node_density_data_pins_grid():
     samples = np.ones((64, 1, 1), dtype=complex)
-    fn = density_from_samples(samples)
-    assert np.allclose(fn(lam), samples)
+    model = SpectralModel(dim=1, F=samples, grid_size=64)
+    assert np.array_equal(model.samples("F"), samples)
+    with pytest.raises(DataShapeError, match="F: expected a number, a 1x1 matrix or a "
+                                             "128x1x1 per-node array, got shape"):
+        model.with_grid(128)
     with pytest.raises(InvalidParameterError):
-        fn(grid_points(128))
-    with pytest.raises(InvalidParameterError):
-        SpectralModel(dim=1, F=fn, grid_size=128)
+        SpectralModel(dim=1, F=samples, grid_size=128)
+
+
+def _constant(value):
+    """The function form of a constant: ``value`` times the identity, or the matrix."""
+    mat = value * np.eye(2) if np.ndim(value) == 0 else np.asarray(value)
+    return lambda lam: np.broadcast_to(mat, (lam.size, 2, 2))
+
+
+@pytest.mark.parametrize("form", ["number", "matrix", "per-node", "function"])
+def test_model_densities_read_every_form_of_density_data(form):
+    # F, G and F_xe in one form sample exactly as their function form does
+    n = 64
+    pair = ma_pair_model([np.eye(2), [[0.5, 0.2], [0.0, 0.3]]], [np.eye(2)],
+                         innovation_cov=np.eye(4) + 0.3 * np.eye(4, k=2) + 0.3 * np.eye(4, k=-2),
+                         grid_size=n)
+    data = {
+        "number": {"F": 2.0, "G": 1.5, "F_xe": 0.3},
+        "matrix": {"F": [[2.0, 0.5], [0.5, 1.0]], "G": [[1.5, 0.2j], [-0.2j, 1.0]],
+                   "F_xe": [[0.3, 0.1], [0.0, 0.2]]},
+        "per-node": {key: getattr(pair, key)(grid_points(n)) for key in ("F", "G", "F_xe")},
+        "function": {key: getattr(pair, key) for key in ("F", "G", "F_xe")},
+    }[form]
+    functions = ({key: getattr(pair, key) for key in data} if form in ("per-node", "function")
+                 else {key: _constant(value) for key, value in data.items()})
+    model = SpectralModel(dim=2, grid_size=n, **data)
+    reference = SpectralModel(dim=2, grid_size=n, **functions)
+    assert not model.is_uncorrelated
+    for which in ("F", "G", "Fxe", "Fex", "Fz"):
+        assert np.array_equal(model.samples(which), reference.samples(which))
+    if form == "per-node":   # per-node data is known on its own grid only
+        with pytest.raises(DataShapeError, match="F: expected a number"):
+            model.with_grid(2 * n)
+    else:
+        assert np.array_equal(model.with_grid(2 * n).samples("Fz"),
+                              reference.with_grid(2 * n).samples("Fz"))
+
+
+def test_density_functions_read_the_shared_nodes():
+    seen = []
+    model = SpectralModel(dim=1, F=lambda lam: seen.append(lam) or np.ones((lam.size, 1, 1)),
+                          grid_size=64)
+    assert len(seen) == 1 and seen[0] is model.lam and not seen[0].flags.writeable
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, [[1.0, 0.0], [0.0, np.nan]]])
+def test_density_data_refuses_non_finite_values(value):
+    with pytest.raises(SingularDensityError,
+                       match=r"density 'data.upper' is non-finite at grid node lambda=-3\.14") \
+            as info:
+        density_data(value, 64, 2, "data.upper")
+    assert info.value.key == "data.upper"
 
 
 def test_with_grid_regrids_callable_models():
@@ -254,28 +302,27 @@ def test_with_grid_regrids_callable_models():
 def test_psd_validation_at_construction():
     bad = -np.ones((64, 1, 1), dtype=complex)
     with pytest.raises(InvalidParameterError):
-        SpectralModel(dim=1, F=density_from_samples(bad), grid_size=64,
+        SpectralModel(dim=1, F=bad, grid_size=64,
                       pole_modulus=None)
     skew = np.zeros((64, 2, 2), dtype=complex)
     skew[:, 0, 1] = 1.0
     skew[:, 1, 0] = -1.0
     with pytest.raises(InvalidParameterError):
-        SpectralModel(dim=2, F=density_from_samples(skew), grid_size=64,
+        SpectralModel(dim=2, F=skew, grid_size=64,
                       pole_modulus=None)
 
 
 def _flat(dim, value=1.0):
-    return density_from_samples(np.broadcast_to(value * np.eye(dim, dtype=complex),
-                                                (64, dim, dim)))
+    return np.broadcast_to(value * np.eye(dim, dtype=complex), (64, dim, dim))
 
 
 def test_validation_checks_the_noise_and_cross_densities():
     skew = np.zeros((64, 2, 2), dtype=complex)
     skew[:, 0, 1], skew[:, 1, 0] = 1.0, -1.0
-    cross = density_from_samples(np.full((64, 1, 1), 0.1 + 0.1j))
+    cross = np.full((64, 1, 1), 0.1 + 0.1j)
     for kwargs, message in [
         (dict(dim=1, G=_flat(1, -1.0)), "density G has a negative eigenvalue"),
-        (dict(dim=2, G=density_from_samples(skew)), "density G is not Hermitian"),
+        (dict(dim=2, G=skew), "density G is not Hermitian"),
         (dict(dim=1, F_xe=cross), "noiseless model cannot carry"),
     ]:
         with pytest.raises(InvalidParameterError, match=message):
@@ -301,7 +348,7 @@ def test_validation_checks_the_joint_density():
 def test_adjoint_cross_density_is_derived_from_the_cross_density():
     values = np.random.default_rng(3).normal(size=(64, 2, 2, 2)) @ [1.0, 1.0j]
     model = SpectralModel(dim=2, F=_flat(2, 4.0), G=_flat(2, 4.0),
-                          F_xe=density_from_samples(values), grid_size=64)
+                          F_xe=values, grid_size=64)
     assert np.array_equal(model.samples("Fex"), np.conj(np.swapaxes(values, -1, -2)))
     noisy = SpectralModel(dim=2, F=_flat(2), G=_flat(2), grid_size=64)
     assert np.array_equal(noisy.samples("Fex"), np.zeros((64, 2, 2)))
