@@ -36,7 +36,6 @@ from .errors import ConfigError, GapcastError, UnsupportedClassError
 from .extrapolate import estimate
 from .minimax import (
     characterization_residuals,
-    evaluate_candidate,
     maximize_delta,
     verify_saddle_point,
 )
@@ -125,8 +124,9 @@ def cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> int:
     model = build_model(cfg)
     pattern = build_pattern(cfg)
     functional = build_functional(cfg)
+    K = cfg.truncation   # a numerics error is reported before an oracle_check one
     windows, tol = build_oracle_check(cfg)
-    res = estimate(model, pattern, functional, K=cfg.truncation)
+    res = estimate(model, pattern, functional, K=K)
 
     rows = _header(config_hash(cfg)) + [
         "window,delta_spectral,delta_oracle,abs_diff,rel_diff,within_tol"]
@@ -165,11 +165,8 @@ def cmd_minimax(cfg: RunConfig, out_dir: Path) -> int:
     cls, opt, extras = build_class(cfg)
     pattern = build_pattern(cfg)
     functional = build_functional(cfg)
-    if extras["theta"] is not None:
-        result = evaluate_candidate(cls, extras["theta"], pattern, functional,
-                                    K=cfg.truncation)
-    else:
-        result = maximize_delta(cls, pattern, functional, opt, K=cfg.truncation)
+    result = maximize_delta(cls, pattern, functional, opt, K=cfg.truncation,
+                            theta=extras["theta"])
     saddle = verify_saddle_point(result, n_samples=extras["saddle_samples"],
                                  seed=extras["saddle_seed"], tol=extras["saddle_tol"])
 

@@ -289,30 +289,31 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def build_model(cfg: RunConfig) -> SpectralModel:
+    """The model section; its dimension must be the width of ``functional.coeffs``."""
     kind = _require(cfg.model, "kind", "model")
     if not isinstance(kind, str) or kind not in _MODELS:
         raise ConfigError(f"unknown model kind {kind!r}", location="model.kind")
     sec = _read(cfg.model, {"kind": str, **_MODELS[kind]}, "model")
-    n = cfg.grid_size
+    n, T = cfg.grid_size, build_functional(cfg).dim
     with _at("model"):
         if kind == "example1":
-            return make_ar1_pair(_require(sec, "b1", "model"), _require(sec, "b2", "model"),
-                                 grid_size=n)
-        if kind == "white":
-            return white_model(sec.get("dim", 1), scale=sec.get("scale", 1.0), grid_size=n)
-        if kind == "ar1":
+            model = make_ar1_pair(_require(sec, "b1", "model"), _require(sec, "b2", "model"),
+                                  grid_size=n)
+        elif kind == "white":
+            model = white_model(sec.get("dim", 1), scale=sec.get("scale", 1.0), grid_size=n)
+        elif kind == "ar1":
             noise = sec.get("noise", {})
-            return ar1_model(
+            model = ar1_model(
                 poles=_require(sec, "poles", "model"),
                 scales=sec.get("scales"), mix=sec.get("mix"),
                 noise_poles=noise.get("poles"), noise_scales=noise.get("scales"),
                 noise_mix=noise.get("mix"), grid_size=n)
-        if kind == "ma_pair":
-            return ma_pair_model(
+        elif kind == "ma_pair":
+            model = ma_pair_model(
                 signal_coeffs=_require(sec, "signal_coeffs", "model"),
                 noise_coeffs=sec.get("noise_coeffs"),
                 innovation_cov=sec.get("innovation_cov"), grid_size=n)
-        if kind == "laurent":
+        elif kind == "laurent":
             dim = _require(sec, "dim", "model")
             entries = {}
             for i, ent in enumerate(_require(sec, "entries", "model")):
@@ -320,9 +321,9 @@ def build_model(cfg: RunConfig) -> SpectralModel:
                 entries[(r, c)] = laurent_entry(
                     ent.get("num_offset", 0), ent.get("num_coeffs", (1.0,)),
                     ent.get("den_offset", 0), ent.get("den_coeffs", (1.0,)))
-            return SpectralModel(dim=dim, F=laurent_density(dim, entries), grid_size=n,
-                                 pole_modulus=sec.get("pole_modulus"))
-        if kind == "grid_file":
+            model = SpectralModel(dim=dim, F=laurent_density(dim, entries), grid_size=n,
+                                  pole_modulus=sec.get("pole_modulus"))
+        else:   # grid_file: the densities are density data of the functional's dimension
             path = Path(_require(sec, "path", "model"))
             try:
                 data = np.load(path)
@@ -334,10 +335,13 @@ def build_model(cfg: RunConfig) -> SpectralModel:
                 raise ConfigError(
                     f"grid file nodes do not match grid_size {n}",
                     location="model.path")
-            F = data["F"]
-            return SpectralModel(dim=np.shape(F)[-1], F=F, G=data.get("G"),
-                                 F_xe=data.get("Fxe"), grid_size=n,
-                                 pole_modulus=sec.get("pole_modulus"))
+            model = SpectralModel(dim=T, F=data["F"], G=data.get("G"),
+                                  F_xe=data.get("Fxe"), grid_size=n,
+                                  pole_modulus=sec.get("pole_modulus"))
+    if model.dim != T:
+        raise ConfigError(f"expected {model.dim} column(s), one per model component, "
+                          f"got {T}", location="functional.coeffs")
+    return model
 
 
 def build_pattern(cfg: RunConfig) -> MissingPattern:
@@ -364,6 +368,15 @@ def build_oracle_check(cfg: RunConfig) -> tuple[list[int], float]:
     if not windows or min(windows) < 1:
         raise ConfigError("expected a non-empty list of window lengths, each >= 1",
                           location="oracle_check.windows")
+    # the covariances of a window reach lag window + N, which a grid of n
+    # nodes resolves up to n/4
+    n = cfg.grid_size
+    largest = n // 4 - build_functional(cfg).horizon
+    if max(windows) > largest:
+        raise ConfigError(f"window {max(windows)} is too long for numerics.grid_size {n}: "
+                          f"the largest window allowed is {largest} (grid_size / 4 less the "
+                          f"functional's horizon); shorten the windows or raise "
+                          f"numerics.grid_size", location="oracle_check.windows")
     return windows, sec.get("tolerance", 1e-4)
 
 
@@ -405,9 +418,9 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
     theta = sec.get("theta")
     if theta is not None:
         theta = np.atleast_1d(theta)
-        if theta.shape != (fam.dim,):
-            raise ConfigError(f"expected {fam.dim} value(s), one per family parameter",
-                              location="minimax.theta")
+        if theta.shape != (fam.dim,) or not np.all(np.isfinite(theta)):
+            raise ConfigError(f"expected {fam.dim} finite value(s), one per family "
+                              f"parameter, got {theta.tolist()}", location="minimax.theta")
     extras = {
         "saddle_samples": sec.get("saddle_samples", 100),
         "saddle_seed": sec.get("saddle_seed", 1),

@@ -351,27 +351,15 @@ def class_constraint_report(cls: DensityClass, model: SpectralModel) -> dict[str
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Budgeted multi-start coordinate-ascent settings.
-
-    The steps are fractions of each parameter's range: a start halves its step
-    from ``initial_step`` until it falls below ``min_step``.  Both must be
-    finite and positive (a zero ``min_step`` would never end the halving), and
-    ``seed`` nonnegative.
-    """
+    """Budgeted multi-start coordinate-ascent settings; ``seed`` nonnegative."""
 
     starts: int = 16
     budget: int = 2000
-    initial_step: float = 0.25
-    min_step: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         if self.starts < 1 or self.budget < 1:
             raise InvalidParameterError("starts and budget must be positive")
-        for name in ("initial_step", "min_step"):
-            step = getattr(self, name)
-            if not (math.isfinite(step) and step > 0):
-                raise InvalidParameterError(f"{name} must be finite and positive, got {step!r}")
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be nonnegative, got {self.seed}")
 
@@ -459,23 +447,14 @@ class LeastFavorableResult:
         return self.delta_upper - self.delta_star
 
 
-def _result(cls: DensityClass, theta: np.ndarray, model: SpectralModel,
-            est: EstimateResult, upper: float, stopped: str, trace: list[Evaluation],
-            pattern: MissingPattern, functional: FunctionalSpec) -> LeastFavorableResult:
-    fam = cls.family
-    width = np.where(fam.upper > fam.lower, fam.upper - fam.lower, 1.0)
-    edge = (np.abs(theta - fam.lower) <= 1e-9 * width) \
-        | (np.abs(theta - fam.upper) <= 1e-9 * width)
-    return LeastFavorableResult(
-        theta_star=theta, model_star=model, delta_star=est.delta, estimate_star=est,
-        evaluations=trace, boundary=bool(np.any(edge)), cls=cls, pattern=pattern,
-        functional=functional, delta_upper=upper, stopped=stopped)
-
-
 # largest class-constraint violation of a family point that still counts as in class
 _CONSTRAINT_TOL = 1e-8
 # duality gap, relative to the incumbent's error, at which the search stops
 _GAP_TOL = 1e-12
+# coordinate-ascent steps, as fractions of each parameter's range: a start
+# halves its step from _INITIAL_STEP until it falls below _MIN_STEP
+_INITIAL_STEP = 0.25
+_MIN_STEP = 1e-6
 
 
 def _gap_met(upper: float, delta: float) -> bool:
@@ -532,7 +511,7 @@ def _check_in_class(cls: DensityClass, model: SpectralModel):
 
 def maximize_delta(cls: DensityClass, pattern: MissingPattern,
                    functional: FunctionalSpec, opt: OptConfig = OptConfig(),
-                   K: int | None = None) -> LeastFavorableResult:
+                   K: int | None = None, theta=None) -> LeastFavorableResult:
     """Search the family for the density pair with the largest optimal error.
 
     Multi-start coordinate ascent with step halving; every evaluation first
@@ -548,10 +527,26 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
     estimate per new incumbent; the search stops once its duality gap is at
     most ``_GAP_TOL`` times its error, and the last certificate's estimate is
     the maximizer's.  ``opt.budget`` is then an upper bound.
+
+    A given ``theta``, one finite value per family parameter, is the only
+    start and the budget is one evaluation: the search at that point, which
+    stops ``certified`` when its gap meets the rule and ``budget`` otherwise.
     """
     fam = cls.family
     if fam.dim > 8:
         raise InvalidParameterError("family dimension must be at most 8")
+    if theta is None:   # the starts as rows: no bytes for a family without parameters
+        starts = np.vstack([fam.center, fam.sample(np.random.default_rng(opt.seed),
+                                                   opt.starts - 1)])
+        budget = opt.budget
+    else:
+        theta = np.asarray(theta, dtype=float).reshape(-1)
+        if theta.size != fam.dim:
+            raise InvalidParameterError(
+                f"theta has {theta.size} values, the family has {fam.dim} parameters")
+        if not np.all(np.isfinite(theta)):
+            raise InvalidParameterError(f"theta must be finite, got {theta.tolist()}")
+        starts, budget = theta[None], 1
     width = np.where(fam.upper > fam.lower, fam.upper - fam.lower, 1.0)
 
     cache: dict[tuple, float] = {}
@@ -579,7 +574,7 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
         key = tuple(np.round(theta, 12))
         if key in cache:
             return cache[key]
-        if len(trace) >= opt.budget:
+        if len(trace) >= budget:
             return -np.inf
         model = fam.build(theta)
         _check_in_class(cls, model)
@@ -592,74 +587,59 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
         return val
 
     done = False
-    if fam.dim == 0:
-        evaluate(np.zeros(0))
-        done = certified()
-    else:
-        rng = np.random.default_rng(opt.seed)
-        starts = [fam.center, *fam.sample(rng, opt.starts - 1)]
-        for theta0 in starts:
-            if len(trace) >= opt.budget:
-                break
-            theta = fam.clip(theta0)
-            evaluate(theta)
-            if len(trace) == 1 and certified():
-                done = True
-                break
-            step = opt.initial_step
-            while step >= opt.min_step and len(trace) < opt.budget:
-                moved = False
-                for i in range(fam.dim):
-                    for sign in (+1.0, -1.0):
-                        cand = theta.copy()
-                        cand[i] += sign * step * width[i]
-                        cand = fam.clip(cand)
-                        # np.allclose(cand, theta) written out, at a fraction of
-                        # its cost; the same test for the finite, clipped theta
-                        if np.all(np.abs(cand - theta) <= 1e-8 + 1e-5 * np.abs(theta)):
-                            continue
-                        if evaluate(cand) > cache[tuple(np.round(theta, 12))]:
-                            theta = cand
-                            moved = True
-                            break
-                if not moved:
-                    step *= 0.5
-            if certified():
-                done = True
-                break
+    for theta0 in starts:
+        if len(trace) >= budget:
+            break
+        theta = fam.clip(theta0)
+        evaluate(theta)
+        if len(trace) == 1 and certified():
+            done = True
+            break
+        step = _INITIAL_STEP
+        while step >= _MIN_STEP and len(trace) < budget:
+            moved = False
+            for i in range(fam.dim):
+                for sign in (+1.0, -1.0):
+                    cand = theta.copy()
+                    cand[i] += sign * step * width[i]
+                    cand = fam.clip(cand)
+                    # np.allclose(cand, theta) written out, at a fraction of
+                    # its cost; the same test for the finite, clipped theta
+                    if np.all(np.abs(cand - theta) <= 1e-8 + 1e-5 * np.abs(theta)):
+                        continue
+                    if evaluate(cand) > cache[tuple(np.round(theta, 12))]:
+                        theta = cand
+                        moved = True
+                        break
+            if not moved:
+                step *= 0.5
+        if certified():
+            done = True
+            break
+        if np.all(fam.lower == fam.upper):   # a box of one point: every start is this one
+            break
 
     if best["theta"] is None:
         raise InfeasibleClassError("no feasible family point was evaluated")
-    final = certificate()
-    stopped = "certified" if done else "budget" if len(trace) >= opt.budget else "converged"
-    return _result(cls, best["theta"], best["model"], final["est"], final["upper"], stopped,
-                   trace, pattern, functional)
+    final, theta = certificate(), best["theta"]
+    edge = (np.abs(theta - fam.lower) <= 1e-9 * width) \
+        | (np.abs(theta - fam.upper) <= 1e-9 * width)
+    return LeastFavorableResult(
+        theta_star=theta, model_star=best["model"], delta_star=final["est"].delta,
+        estimate_star=final["est"], evaluations=trace, boundary=bool(np.any(edge)), cls=cls,
+        pattern=pattern, functional=functional, delta_upper=final["upper"],
+        stopped="certified" if done else "budget" if len(trace) >= budget else "converged")
 
 
 def evaluate_candidate(cls: DensityClass, theta, pattern: MissingPattern,
                        functional: FunctionalSpec,
                        K: int | None = None) -> LeastFavorableResult:
-    """Package a fixed family point as if it were the search result.
+    """A fixed family point as a search result: ``maximize_delta`` at that point.
 
-    Useful for negative controls: saddle/residual checks applied to a point
-    that is not the maximizer should fail or show large residuals, and its
-    duality gap is large.  It is a search with a budget of one evaluation:
-    ``stopped`` is ``certified`` when the gap meets ``_GAP_TOL``, else
-    ``budget``.  ``theta`` must hold one value per family parameter.
+    Negative controls use it: off the maximizer the saddle check fails, the
+    residuals are large and so is the duality gap.
     """
-    fam = cls.family
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.size != fam.dim:
-        raise InvalidParameterError(
-            f"theta has {theta.size} values, the family has {fam.dim} parameters")
-    theta = fam.clip(theta)
-    model = fam.build(theta)
-    _check_in_class(cls, model)
-    est = estimate(model, pattern, functional, K=K)
-    upper = _delta_upper(cls, model, est, functional)
-    stopped = "certified" if _gap_met(upper, est.delta) else "budget"
-    return _result(cls, theta, model, est, upper, stopped,
-                   [Evaluation(tuple(theta), est.delta)], pattern, functional)
+    return maximize_delta(cls, pattern, functional, K=K, theta=theta)
 
 
 def verify_saddle_point(result: LeastFavorableResult, n_samples: int = 100,

@@ -273,9 +273,65 @@ simulation:
         assert not out.exists()
 
 
+def _grid_file_run(tmp_path, F, coeffs="[[1.0]]", n=256):
+    npz = tmp_path / "density.npz"
+    np.savez(npz, lam=grid_points(n), F=F)
+    return write_config(tmp_path, f"""
+model: {{kind: grid_file, path: {npz}}}
+pattern: {{intervals: [[2, 1]]}}
+functional: {{coeffs: {coeffs}}}
+numerics: {{grid_size: {n}, truncation: 16}}
+""")
+
+
+def test_grid_file_densities_take_the_functional_dimension(tmp_path, capsys):
+    # T used to be the last axis of F: a number exited 2 with "tuple index out
+    # of range", and a flat F of 256 values was read as T = 256
+    cfg = _grid_file_run(tmp_path, np.float64(1.3))
+    assert run_cli(["estimate", "--config", cfg, "--out", tmp_path / "number"]) == 0
+    assert read_summary(tmp_path / "number" / "result.summary")["delta"] == _fmt(1.3)
+
+    cfg = _grid_file_run(tmp_path, np.array([[2.0, 0.5], [0.5, 1.0]]), "[[1.0, 1.0]]")
+    assert run_cli(["estimate", "--config", cfg, "--out", tmp_path / "matrix"]) == 0
+
+    cfg = _grid_file_run(tmp_path, np.full(256, 1.3))
+    assert run_cli(["estimate", "--config", cfg, "--out", tmp_path / "flat"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: model: F: expected a number, a 1x1 matrix or a 256x1x1 per-node "
+        "array, got shape (256,)\n")
+
+
+@pytest.mark.parametrize("command", ["estimate", "oracle-check", "simulate", "minimax"])
+def test_a_functional_of_another_width_than_the_model_exits_2(tmp_path, capsys, command):
+    # used to exit 3 from the estimate: "functional dimension 1 does not match model dim 2"
+    cfg = write_config(tmp_path, MINIMAX_DATA_YAML.format(kind="D0_1", data="{power: 1.5}")
+                       .replace("dim: 1", "dim: 2"))
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == ("config error: functional.coeffs: expected 2 "
+                                       "column(s), one per model component, got 1\n")
+
+
 # ---------------------------------------------------------------------------
 # oracle-check
 # ---------------------------------------------------------------------------
+
+
+def test_an_oracle_window_beyond_the_grid_exits_2(tmp_path, capsys):
+    # n = 1024 nodes and horizon N = 1 resolve windows up to 1024 / 4 - 1; a
+    # longer one used to exit 3 naming only a lag ("too small for max_lag 256")
+    cfg = write_config(tmp_path, BENCH_YAML + "oracle_check: {windows: [50, 256]}\n")
+    assert run_cli(["oracle-check", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: oracle_check.windows: window 256 is too long for numerics.grid_size "
+        "1024: the largest window allowed is 255 (grid_size / 4 less the functional's "
+        "horizon); shorten the windows or raise numerics.grid_size\n")
+    assert not (tmp_path / "out").exists()
+    cfg = write_config(tmp_path, BENCH_YAML + "oracle_check: {windows: [255]}\n")
+    assert run_cli(["oracle-check", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    # --grid is checked by the same rule
+    assert run_cli(["oracle-check", "--config", cfg, "--out", tmp_path / "out2",
+                    "--grid", 512]) == 2
+    assert "the largest window allowed is 127" in capsys.readouterr().err
 
 def test_oracle_check_converges_and_is_monotone(tmp_path):
     text = BENCH_YAML + """
@@ -462,8 +518,8 @@ index,theta1,delta_fixed_filter,reference,passed
 """
 
 
-def test_minimax_fixed_candidate_fails_saddle(tmp_path):
-    text = """
+# a detuned point of the mixture family, evaluated in place of a search
+FIXED_THETA_MINIMAX = """
 model:
   kind: white
   dim: 1
@@ -487,7 +543,10 @@ minimax:
   saddle_samples: 40
   skip_residuals: true
 """
-    cfg = write_config(tmp_path, text)
+
+
+def test_minimax_fixed_candidate_fails_saddle(tmp_path):
+    cfg = write_config(tmp_path, FIXED_THETA_MINIMAX)
     out = tmp_path / "out"
     assert run_cli(["minimax", "--config", cfg, "--out", out]) == 0
 
@@ -507,6 +566,17 @@ minimax:
     # residuals were skipped: header only
     _, rrows, _ = read_csv_rows(out / "residuals.csv")
     assert rrows == []
+
+
+@pytest.mark.parametrize("theta", [".nan", ".inf"])
+def test_a_non_finite_theta_exits_2(tmp_path, capsys, theta):
+    # NaN used to exit 3 from the density reader, inf to be clipped to w_max (exit 0)
+    cfg = write_config(tmp_path, FIXED_THETA_MINIMAX.replace("[0.85, 0.7]", f"[{theta}, 0.5]"))
+    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    value = float(theta[1:])
+    assert capsys.readouterr().err == ("config error: minimax.theta: expected 2 finite "
+                                       f"value(s), one per family parameter, got {[value, 0.5]}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["estimate", "oracle-check", "simulate", "minimax"])
@@ -709,8 +779,8 @@ VALID_MINIMAX = MINIMAX_DATA_YAML.format(kind="D0_1", data="{power: 1.5}")
     ("estimate", BENCH_YAML.replace("truncation: 48", "truncation: '48'"),
      "numerics.truncation"),
     ("estimate", BENCH_YAML.replace("[[2, 1]]", "[['2', 1]]"), "pattern.intervals[0]"),
+    ("minimax", VALID_MINIMAX + "  opt: {budget: '40'}\n", "minimax.opt.budget"),
     # and not floats either
-    ("minimax", VALID_MINIMAX + "  opt: {min_step: '0.001'}\n", "minimax.opt.min_step"),
     ("minimax", VALID_MINIMAX.replace("data: {power: 1.5}", "data: {power: '2.0'}"),
      "minimax.data.power"),
     ("minimax", VALID_MINIMAX.replace("data: {power: 1.5}", "data: {power: [1.5, '2']}"),
@@ -724,7 +794,7 @@ VALID_MINIMAX = MINIMAX_DATA_YAML.format(kind="D0_1", data="{power: 1.5}")
      "oracle_check.tolerance"),
 ], ids=["grid_size", "truncation", "windows_x", "windows_5", "windows_0", "tolerance",
         "saddle_samples", "theta_length", "quoted_truncation", "quoted_interval",
-        "quoted_min_step", "quoted_power", "quoted_power_entry", "quoted_b1",
+        "quoted_budget", "quoted_power", "quoted_power_entry", "quoted_b1",
         "quoted_tolerance", "tolerance_1e-4", "boolean_tolerance"])
 def test_malformed_numbers_exit_2(tmp_path, capsys, command, text, key):
     cfg = write_config(tmp_path, text)
@@ -884,21 +954,22 @@ def test_non_boolean_flags_exit_2(tmp_path, capsys, command, text, key):
     ("minimax", VALID_MINIMAX + "  opt: {truncation: 8}\n", "minimax.opt"),
     ("estimate", BENCH_YAML.replace("[1.0, 1.0]]", "[1.0, 1.0]]\n  truncated: true"),
      "functional"),
+    # retired: the step schedule is fixed (0.25 of each range, halved below 1e-6)
+    ("minimax", VALID_MINIMAX + "  opt: {initial_step: 0.25}\n", "minimax.opt"),
+    ("minimax", VALID_MINIMAX + "  opt: {min_step: 1.0e-6}\n", "minimax.opt"),
 ], ids=["simulation", "path_length", "oracle_check", "minimax_opt", "minimax",
         "pattern", "model_white", "model_example1", "model_noise", "model_entry",
         "functional", "output", "minimax_family", "window", "embedding_margin", "psd_tol",
-        "opt_truncation", "functional_truncated"])
+        "opt_truncation", "functional_truncated", "opt_initial_step", "opt_min_step"])
 def test_unknown_keys_exit_2(tmp_path, capsys, command, text, key):
     _assert_config_error(tmp_path, capsys, command, text, key)
 
 
 @pytest.mark.parametrize("extra,key", [
-    # a step that halves to zero never ends the search; these used to hang
-    ("  opt: {min_step: 0}\n", "minimax.opt"),
-    ("  opt: {min_step: -1.0e-6}\n", "minimax.opt"),
-    ("  opt: {initial_step: 0}\n", "minimax.opt"),
-    ("  opt: {initial_step: .inf}\n", "minimax.opt"),
-    ("  opt: {min_step: .nan}\n", "minimax.opt"),
+    ("  opt: {starts: 0}\n", "minimax.opt"),
+    ("  opt: {starts: -2}\n", "minimax.opt"),
+    ("  opt: {budget: 0}\n", "minimax.opt"),
+    ("  opt: {budget: -1}\n", "minimax.opt"),
     # negative seeds used to escape as a raw NumPy ValueError
     ("  opt: {seed: -1}\n", "minimax.opt"),
     ("  saddle_seed: -1\n", "minimax.saddle_seed"),
@@ -906,9 +977,8 @@ def test_unknown_keys_exit_2(tmp_path, capsys, command, text, key):
     ("  saddle_tol: .nan\n", "minimax.saddle_tol"),
     ("  saddle_tol: -1.0\n", "minimax.saddle_tol"),
     ("  saddle_tol: .inf\n", "minimax.saddle_tol"),
-], ids=["min_step_0", "min_step_negative", "initial_step_0", "initial_step_inf",
-        "min_step_nan", "opt_seed", "saddle_seed", "saddle_tol_nan", "saddle_tol_negative",
-        "saddle_tol_inf"])
+], ids=["starts_0", "starts_negative", "budget_0", "budget_negative", "opt_seed",
+        "saddle_seed", "saddle_tol_nan", "saddle_tol_negative", "saddle_tol_inf"])
 def test_out_of_range_minimax_options_exit_2(tmp_path, capsys, extra, key):
     _assert_config_error(tmp_path, capsys, "minimax", MIXTURE_MINIMAX + extra, key)
 

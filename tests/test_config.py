@@ -304,7 +304,7 @@ output: {directory: null}
                "long-flow-list": test_cli.BENCH_YAML + "oracle_check: {windows: ["
                + ", ".join(str(w) for w in range(100, 160)) + "]}\n",
                "nested-minimax": test_cli.VALID_MINIMAX + """\
-  opt: {starts: 2, budget: 40, seed: 0, min_step: 1.0e-6}
+  opt: {starts: 2, budget: 40, seed: 0}
   saddle_tol: 1.0e-9
   skip_residuals: false
 """,

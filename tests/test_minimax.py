@@ -10,7 +10,7 @@ must be large.
 """
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,19 @@ GRID = 512
 PRED = FunctionalSpec(coeffs=np.array([[1.0]]))
 NO_GAP = MissingPattern(intervals=())
 FAST = OptConfig(starts=4, budget=200, seed=0)
+
+
+def _candidate(cls, theta, pattern, functional, K=16):
+    """evaluate_candidate, checked to be the search at one point: one
+    evaluation, the estimate at the clipped point bit for bit, and a stop by
+    the certificate or the budget of one."""
+    out = evaluate_candidate(cls, theta, pattern, functional, K=K)
+    fam = cls.family
+    model = fam.build(fam.clip(np.asarray(theta, dtype=float)))
+    assert out.delta_star == estimate(model, pattern, functional, K=K).delta
+    assert len(out.evaluations) == 1
+    assert out.stopped in ("certified", "budget")
+    return out
 
 
 def _unit_ar1(lam, b):
@@ -345,8 +358,8 @@ def _reference_search(cls, pattern, functional, opt, K):
         if len(trace) == 1 and certify():
             done = True
             break
-        step = opt.initial_step
-        while step >= opt.min_step and len(trace) < opt.budget:
+        step = minimax_module._INITIAL_STEP
+        while step >= minimax_module._MIN_STEP and len(trace) < opt.budget:
             moved = False
             for i in range(fam.dim):
                 for sign in (+1.0, -1.0):
@@ -457,11 +470,59 @@ def test_candidate_refuses_a_theta_of_the_wrong_length(theta):
         evaluate_candidate(cls, theta, NO_GAP, PRED, K=16)
 
 
+@pytest.mark.parametrize("theta", [(np.nan, 0.5), (np.inf, 0.5), (0.5, -np.inf)])
+def test_a_fixed_theta_must_be_finite(theta):
+    # an infinite theta used to be clipped to the box edge, a NaN to fail in the
+    # density reader
+    cls = DensityClass(kind="D0_1", data=ClassData(power=2.0),
+                       family=scalar_mixture_family(power=2.0, grid_size=GRID))
+    with pytest.raises(InvalidParameterError, match="theta must be finite"):
+        maximize_delta(cls, NO_GAP, PRED, K=16, theta=theta)
+    with pytest.raises(InvalidParameterError, match="theta must be finite"):
+        evaluate_candidate(cls, theta, NO_GAP, PRED, K=16)
+
+
+def test_a_fixed_theta_is_the_search_at_that_point():
+    # the only start, with a budget of one: the starts, budget and seed play no part
+    cls = DensityClass(kind="D0_1", data=ClassData(power=2.0),
+                       family=scalar_mixture_family(power=2.0, grid_size=GRID))
+    out = maximize_delta(cls, GAP_2, PRED, OptConfig(starts=5, budget=300, seed=4), K=16,
+                         theta=(0.85, 0.7))
+    control = _candidate(cls, (0.85, 0.7), GAP_2, PRED)
+    assert out.evaluations == control.evaluations
+    assert out.delta_star == control.delta_star and out.stopped == control.stopped == "budget"
+    assert np.array_equal(out.theta_star, [0.85, 0.7])
+
+
+def test_a_singleton_search_without_a_bound_evaluates_once_and_converges(monkeypatch):
+    # T = 2 has no closed-form bound: the one member is scored once, and the
+    # search ends with the first start, whatever opt.starts says
+    model = white_model(2, 1.5, GRID)
+    cls = DensityClass(kind="D0_2", data=ClassData(power=np.array([1.5, 1.5])),
+                       family=singleton_family(model))
+    fun = FunctionalSpec(coeffs=np.array([[1.0, 0.5]]))
+    calls = []
+    covered = minimax_module._covered
+    monkeypatch.setattr(minimax_module, "_covered",
+                        lambda *args: calls.append(args) or covered(*args))
+    out = maximize_delta(cls, GAP_2, fun, OptConfig(starts=1000), K=16)
+    # after the first evaluation, at the end of the one start, and in the
+    # bound of the final estimate; each further start would add two
+    assert len(calls) == 3
+    assert len(out.evaluations) == 1
+    assert out.stopped == "converged"
+    assert np.isnan(out.fw_gap)
+    assert out.delta_star == estimate(model, GAP_2, fun, K=16).delta
+
+
 def test_opt_config_validation():
+    assert [f.name for f in fields(OptConfig)] == ["starts", "budget", "seed"]
     with pytest.raises(InvalidParameterError):
         OptConfig(starts=0)
     with pytest.raises(InvalidParameterError):
         OptConfig(budget=0)
+    with pytest.raises(InvalidParameterError):
+        OptConfig(seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +539,7 @@ def test_saddle_holds_at_maximizer_and_fails_off_it():
     assert rep.all_pass
     assert rep.max_violation <= 1e-6
 
-    control = evaluate_candidate(cls, (0.85, 0.7), pattern, PRED, K=16)
+    control = _candidate(cls, (0.85, 0.7), pattern, PRED)
     rep_bad = verify_saddle_point(control, n_samples=40, seed=2, tol=1e-6)
     assert not rep_bad.all_pass
     assert rep_bad.max_violation > 1e-3
@@ -568,7 +629,7 @@ def _example_result(name):
 
 
 def _at(cls, theta, samples=40, seed=3):
-    return evaluate_candidate(cls, theta, GAP_2, TWO_STEP, K=16), samples, seed
+    return _candidate(cls, theta, GAP_2, TWO_STEP), samples, seed
 
 
 def _per_node_band():
@@ -618,7 +679,7 @@ def test_saddle_checks_the_grid_size_before_the_class():
         1, 1.5, GRID if theta[0] == 0.5 else GRID // 2))
     cls = DensityClass(kind="DVU_1", data=ClassData(
         power=1.5, upper=np.full((GRID, 1, 1), 8.0)), family=fam)
-    result = evaluate_candidate(cls, (0.5,), NO_GAP, PRED, K=16)
+    result = _candidate(cls, (0.5,), NO_GAP, PRED)
     with pytest.raises(InvalidParameterError, match="family members must share one grid size"):
         verify_saddle_point(result, n_samples=3)
 
@@ -701,7 +762,7 @@ def test_delta_upper_caps_every_member_of_the_class(case):
     pattern = MissingPattern(intervals=((2, 0),))
     fun = FunctionalSpec(coeffs=np.array([[1.0], [1.0]]))
     rng = np.random.default_rng(11)
-    members = [evaluate_candidate(cls, fam.sample(rng), pattern, fun, K=16)
+    members = [_candidate(cls, fam.sample(rng), pattern, fun)
                for _ in range(6)]
     for out in members:
         assert out.fw_gap >= -1e-8
@@ -717,8 +778,8 @@ def test_delta_upper_is_the_same_for_every_flavor_at_t1():
     cases = _sandwich_cases()
     pattern = MissingPattern(intervals=((2, 0),))
     fun = FunctionalSpec(coeffs=np.array([[1.0], [1.0]]))
-    uppers = [evaluate_candidate(cases[f"D0_{k}xDVU_{k}"][0], (0.6, 0.5, 0.3, -0.4),
-                                 pattern, fun, K=16).delta_upper for k in range(1, 5)]
+    uppers = [_candidate(cases[f"D0_{k}xDVU_{k}"][0], (0.6, 0.5, 0.3, -0.4),
+                         pattern, fun).delta_upper for k in range(1, 5)]
     assert uppers == pytest.approx([uppers[0]] * 4, rel=1e-12)
 
 
@@ -835,7 +896,7 @@ def test_residuals_vanish_at_least_favorable_member(kind):
     report = characterization_residuals(out)
     assert report.max_relative < 1e-8
 
-    control = evaluate_candidate(cls, control_theta, pattern, fun, K=16)
+    control = _candidate(cls, control_theta, pattern, fun)
     report_bad = characterization_residuals(control)
     assert report_bad.max_relative > 20 * max(report.max_relative, 1e-6)
 
@@ -896,7 +957,7 @@ def test_paired_noise_classes_exact_at_flat_pair(flavor):
     assert {e.name.split()[0] for e in report.entries} == {"signal-side",
                                                            "noise-side"}
 
-    control = evaluate_candidate(cls, control_theta, NO_GAP, fun, K=16)
+    control = _candidate(cls, control_theta, NO_GAP, fun)
     bad = characterization_residuals(control)
     assert bad.max_relative > 20 * max(report.max_relative, 1e-6)
 
