@@ -92,24 +92,10 @@ def cmd_estimate(cfg: RunConfig, out_dir: Path) -> int:
     pattern = build_pattern(cfg)
     functional = build_functional(cfg)
     res = estimate(model, pattern, functional, K=cfg.truncation)
-    d = res.diagnostics
 
     digest = config_hash(cfg)
-    lines = _header(digest)
-    for key, val in [
-        ("delta", res.delta),
-        ("delta_operator", d.delta_operator),
-        ("delta_quadrature", d.delta_quadrature),
-        ("two_form_rel_diff", d.two_form_rel_diff),
-        ("truncation", d.truncation), ("grid_size", d.grid_size),
-        ("max_lag", d.max_lag), ("cond_B", d.cond_B),
-        ("solve_residual", d.solve_residual),
-        ("gap_coeff_max", d.gap_coeff_max),
-        ("orthogonality_max", d.orthogonality_max),
-        ("tap_tail_mass", d.tap_tail_mass),
-        ("minimality_value", d.minimality_value),
-    ]:
-        lines.append(f"{key} = {_fmt(val)}")
+    lines = _header(digest) + [f"{key} = {_fmt(val)}" for key, val in
+                               [("delta", res.delta), *vars(res.diagnostics).items()]]
     _write(out_dir / "result.summary", lines)
 
     lags = sorted(res.taps)

@@ -263,6 +263,7 @@ def loads_config(text: str) -> RunConfig:
     build_pattern(cfg)
     build_functional(cfg)
     cfg.grid_size, cfg.truncation, cfg.out_dir   # the accessors read their sections too
+    _model_section(cfg)   # every command reads the model section, minimax included
     return cfg
 
 
@@ -288,12 +289,17 @@ def config_hash(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def build_model(cfg: RunConfig) -> SpectralModel:
-    """The model section; its dimension must be the width of ``functional.coeffs``."""
+def _model_section(cfg: RunConfig) -> tuple[str, dict]:
+    """The model kind and the model section read by that kind's table."""
     kind = _require(cfg.model, "kind", "model")
     if not isinstance(kind, str) or kind not in _MODELS:
         raise ConfigError(f"unknown model kind {kind!r}", location="model.kind")
-    sec = _read(cfg.model, {"kind": str, **_MODELS[kind]}, "model")
+    return kind, _read(cfg.model, {"kind": str, **_MODELS[kind]}, "model")
+
+
+def build_model(cfg: RunConfig) -> SpectralModel:
+    """The model section; its dimension must be the width of ``functional.coeffs``."""
+    kind, sec = _model_section(cfg)
     n, T = cfg.grid_size, build_functional(cfg).dim
     with _at("model"):
         if kind == "example1":
@@ -393,18 +399,23 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
     sec = _read(cfg.minimax, {**_SCHEMA["minimax"],
                               "family": {"kind": str, "params": params}}, "minimax")
     kind = _require(sec, "kind", "minimax")
+    T = build_functional(cfg).dim
 
     if fam_kind == "singleton":
         fam = builder(build_model(cfg))
     else:
-        grid_size = cfg.grid_size   # a bad grid is an error at numerics.grid_size
         with _at("minimax.family.params", (TypeError, ValueError, GapcastError)):
-            fam = builder(**sec["family"].get("params", {}), grid_size=grid_size)
+            # a bad grid stays a ConfigError at numerics.grid_size
+            fam = builder(**sec["family"].get("params", {}), grid_size=cfg.grid_size)
+            width = fam.build(fam.center).dim
+        if width != T:
+            raise ConfigError(f"expected {width} column(s), one per component of the "
+                              f"family's densities, got {T}", location="functional.coeffs")
 
     try:   # the class, and the constants the search and the saddle check read, once
         cls = DensityClass(kind=kind, g_kind=sec.get("g_kind"),
                            data=ClassData(**sec.get("data", {})), family=fam)
-        cls.constants(cfg.grid_size, build_functional(cfg).dim)
+        cls.constants(cfg.grid_size, T)
     except DataShapeError as exc:
         raise ConfigError(exc.detail, location=f"minimax.{exc.key}") from exc
     except SingularDensityError as exc:   # non-finite density data
@@ -417,10 +428,8 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
 
     theta = sec.get("theta")
     if theta is not None:
-        theta = np.atleast_1d(theta)
-        if theta.shape != (fam.dim,) or not np.all(np.isfinite(theta)):
-            raise ConfigError(f"expected {fam.dim} finite value(s), one per family "
-                              f"parameter, got {theta.tolist()}", location="minimax.theta")
+        with _at("minimax.theta", InvalidParameterError):
+            theta = fam.point(theta)
     extras = {
         "saddle_samples": sec.get("saddle_samples", 100),
         "saddle_seed": sec.get("saddle_seed", 1),

@@ -68,16 +68,16 @@ class FunctionalSpec:
 
 @dataclass
 class EstimateDiagnostics:
-    """Numerical health report attached to every estimate."""
+    """Numerical health report attached to every estimate, in the summary's order."""
 
+    delta_operator: float
+    delta_quadrature: float
+    two_form_rel_diff: float
     truncation: int
     grid_size: int
     max_lag: int
     cond_B: float
     solve_residual: float
-    delta_operator: float
-    delta_quadrature: float
-    two_form_rel_diff: float
     gap_coeff_max: float
     orthogonality_max: float
     tap_tail_mass: float
@@ -159,11 +159,11 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     """Full optimal-extrapolation pipeline; see module docstring.
 
     The filter taps are read off the spectral characteristic over the observed
-    past of length 4K (at most half the grid); the tail mass beyond it is
+    past of length 4K (at most a quarter of the grid); the tail mass beyond it is
     reported in the diagnostics.
     """
     K, system, sol, delta_op = _operator_route(model, pattern, functional, K)
-    taps_window = min(4 * max(K, 1), model.grid_size // 2 - 1)
+    taps_window = 4 * max(K, 1)
     entries = system.entries
     n, d = model.grid_size, model.dim
 

@@ -26,10 +26,9 @@ class DensityFamily:
     ``build(theta)`` returns the model for a parameter vector inside
     [lower, upper]; the family designer is responsible for the image lying in
     the admissible class (this is re-checked numerically at every evaluated
-    point).
+    point).  The box fixes the number of parameters, ``dim``.
     """
 
-    dim: int
     lower: np.ndarray
     upper: np.ndarray
     build: Callable[[np.ndarray], SpectralModel]
@@ -38,16 +37,29 @@ class DensityFamily:
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float).reshape(-1)
         hi = np.asarray(self.upper, dtype=float).reshape(-1)
-        if len(lo) != self.dim or len(hi) != self.dim:
-            raise InvalidParameterError("family bounds must have length dim")
+        if lo.size != hi.size:
+            raise InvalidParameterError(f"family bounds of lengths {lo.size} and {hi.size}")
         if np.any(hi < lo):
             raise InvalidParameterError("family upper bound below lower bound")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
     @property
+    def dim(self) -> int:
+        return self.lower.size
+
+    @property
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
+
+    def point(self, theta) -> np.ndarray:
+        """``theta`` as a float vector of ``dim`` finite values, else InvalidParameterError."""
+        arr = np.atleast_1d(np.asarray(theta, dtype=float))
+        if arr.shape != (self.dim,) or not np.all(np.isfinite(arr)):
+            raise InvalidParameterError(
+                f"expected {self.dim} finite value(s), one per family parameter, "
+                f"got {arr.tolist()}")
+        return arr
 
     def clip(self, theta: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(theta, dtype=float), self.lower, self.upper)
@@ -59,8 +71,6 @@ class DensityFamily:
         ``count`` single draws; a family without parameters draws nothing.
         """
         shape = (self.dim,) if count is None else (count, self.dim)
-        if self.dim == 0:
-            return np.zeros(shape)
         return rng.uniform(self.lower, self.upper, size=shape)
 
 
@@ -105,7 +115,7 @@ def scalar_mixture_family(power: float, w_max: float = 0.9, b_max: float = 0.8,
                                           for p, (w, b) in zip(powers, pairs)),
                              poles=[b if w > 0 else 0.0 for w, b in pairs])
 
-    return DensityFamily(dim=2 * len(powers), lower=[0.0, -b_max] * len(powers),
+    return DensityFamily(lower=[0.0, -b_max] * len(powers),
                          upper=[w_max, b_max] * len(powers), build=build,
                          label=label if noise_power is None else label + " + noise")
 
@@ -118,14 +128,13 @@ def ar1_fixed_power_family(power: float, b_max: float = 0.8,
     def build(theta):
         return _scalar_model(grid_size, _mixture(z, power, 1.0, theta[0]), poles=theta)
 
-    return DensityFamily(dim=1, lower=[-b_max], upper=[b_max], build=build,
+    return DensityFamily(lower=[-b_max], upper=[b_max], build=build,
                          label="AR(1), fixed power")
 
 
 def singleton_family(model: SpectralModel) -> DensityFamily:
     """A family with exactly one member."""
-    return DensityFamily(dim=0, lower=[], upper=[],
-                         build=lambda theta: model, label="singleton")
+    return DensityFamily(lower=[], upper=[], build=lambda theta: model, label="singleton")
 
 
 def convex_combination_family(models: Sequence[SpectralModel],
@@ -158,8 +167,7 @@ def convex_combination_family(models: Sequence[SpectralModel],
                              grid_size=n, pole_modulus=rho)
 
     k = len(models)
-    return DensityFamily(dim=k - 1, lower=np.zeros(k - 1), upper=np.ones(k - 1),
-                         build=build, label=label)
+    return DensityFamily(lower=np.zeros(k - 1), upper=np.ones(k - 1), build=build, label=label)
 
 
 def contamination_family(anchor_power: float, anchor_pole: float, eps: float,
@@ -185,5 +193,5 @@ def contamination_family(anchor_power: float, anchor_pole: float, eps: float,
         return _scalar_model(grid_size, anchor + eps * _mixture(z, w_pow, u, b),
                              poles=(anchor_pole, b if u > 0 else 0.0))
 
-    return DensityFamily(dim=2, lower=[0.0, -b_max], upper=[0.9, b_max],
+    return DensityFamily(lower=[0.0, -b_max], upper=[0.9, b_max],
                          build=build, label="contaminated AR(1)")

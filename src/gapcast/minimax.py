@@ -520,7 +520,8 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
     ``estimate``).  The returned maximizer is the best point seen anywhere in
     the search; the full estimation pipeline runs on it and must reproduce
     the searched error bit for bit.  The complete evaluation trace is kept
-    for audit.
+    for audit.  The starts are the box's centre, then draws from ``opt.seed``
+    each taken when reached, so ``opt.budget``, not ``opt.starts``, bounds the work.
 
     Where the class has a closed-form bound (``_covered``), the incumbent is
     certified after the first evaluation and at the end of every start, one
@@ -535,22 +536,15 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
     fam = cls.family
     if fam.dim > 8:
         raise InvalidParameterError("family dimension must be at most 8")
-    if theta is None:   # the starts as rows: no bytes for a family without parameters
-        starts = np.vstack([fam.center, fam.sample(np.random.default_rng(opt.seed),
-                                                   opt.starts - 1)])
+    if theta is None:   # the centre, then each further start drawn when it is reached
+        rng = np.random.default_rng(opt.seed)
+        starts = (fam.sample(rng) if i else fam.center for i in range(opt.starts))
         budget = opt.budget
     else:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        if theta.size != fam.dim:
-            raise InvalidParameterError(
-                f"theta has {theta.size} values, the family has {fam.dim} parameters")
-        if not np.all(np.isfinite(theta)):
-            raise InvalidParameterError(f"theta must be finite, got {theta.tolist()}")
-        starts, budget = theta[None], 1
+        starts, budget = [fam.point(theta)], 1
     width = np.where(fam.upper > fam.lower, fam.upper - fam.lower, 1.0)
 
-    cache: dict[tuple, float] = {}
-    trace: list[Evaluation] = []
+    scores: dict[tuple, float] = {}   # each evaluated point's error, in evaluation order
     best: dict = {"key": None, "theta": None, "delta": -np.inf}
     cert: dict = {"key": None}
 
@@ -572,15 +566,14 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
 
     def evaluate(theta: np.ndarray) -> float:
         key = tuple(np.round(theta, 12))
-        if key in cache:
-            return cache[key]
-        if len(trace) >= budget:
+        if key in scores:
+            return scores[key]
+        if len(scores) >= budget:
             return -np.inf
         model = fam.build(theta)
         _check_in_class(cls, model)
         val = optimal_delta(model, pattern, functional, K=K)
-        cache[key] = val
-        trace.append(Evaluation(theta=key, delta=val))
+        scores[key] = val
         if val > best["delta"]:
             best.update(key=key, theta=np.asarray(theta, dtype=float), delta=val,
                         model=model)
@@ -588,15 +581,15 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
 
     done = False
     for theta0 in starts:
-        if len(trace) >= budget:
+        if len(scores) >= budget:
             break
         theta = fam.clip(theta0)
         evaluate(theta)
-        if len(trace) == 1 and certified():
+        if len(scores) == 1 and certified():
             done = True
             break
         step = _INITIAL_STEP
-        while step >= _MIN_STEP and len(trace) < budget:
+        while step >= _MIN_STEP and len(scores) < budget:
             moved = False
             for i in range(fam.dim):
                 for sign in (+1.0, -1.0):
@@ -607,7 +600,7 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
                     # its cost; the same test for the finite, clipped theta
                     if np.all(np.abs(cand - theta) <= 1e-8 + 1e-5 * np.abs(theta)):
                         continue
-                    if evaluate(cand) > cache[tuple(np.round(theta, 12))]:
+                    if evaluate(cand) > scores[tuple(np.round(theta, 12))]:
                         theta = cand
                         moved = True
                         break
@@ -626,9 +619,10 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
         | (np.abs(theta - fam.upper) <= 1e-9 * width)
     return LeastFavorableResult(
         theta_star=theta, model_star=best["model"], delta_star=final["est"].delta,
-        estimate_star=final["est"], evaluations=trace, boundary=bool(np.any(edge)), cls=cls,
-        pattern=pattern, functional=functional, delta_upper=final["upper"],
-        stopped="certified" if done else "budget" if len(trace) >= budget else "converged")
+        estimate_star=final["est"], evaluations=[Evaluation(*kv) for kv in scores.items()],
+        boundary=bool(np.any(edge)), cls=cls, pattern=pattern, functional=functional,
+        delta_upper=final["upper"],
+        stopped="certified" if done else "budget" if len(scores) >= budget else "converged")
 
 
 def evaluate_candidate(cls: DensityClass, theta, pattern: MissingPattern,
@@ -650,12 +644,14 @@ def verify_saddle_point(result: LeastFavorableResult, n_samples: int = 100,
     error against random members of ``result.cls``; each must stay below the
     error at the maximizer (up to ``tol``, finite and nonnegative).  Failures
     are recorded, not raised; at least one sample is required, since an empty
-    check would pass vacuously.
+    check would pass vacuously, and the ``seed`` must be nonnegative.
     """
     if n_samples < 1:
         raise InvalidParameterError(f"need at least one saddle sample, got {n_samples}")
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidParameterError(f"tol must be finite and nonnegative, got {tol!r}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be nonnegative, got {seed}")
     cls, star, h0 = result.cls, result.model_star, result.estimate_star.h_grid
     ref = delta_of_characteristic(star, result.functional, h0)
     r = result.functional.a_on_grid(star.grid_size) - h0   # the filter is fixed

@@ -104,6 +104,10 @@ def test_estimate_benchmark_outputs(tmp_path):
     assert float(summary["two_form_rel_diff"]) < 1e-8
     assert summary["truncation"] == "48"
     assert summary["grid_size"] == "1024"
+    assert list(summary) == [
+        "delta", "delta_operator", "delta_quadrature", "two_form_rel_diff", "truncation",
+        "grid_size", "max_lag", "cond_B", "solve_residual", "gap_coeff_max",
+        "orthogonality_max", "tap_tail_mass", "minimality_value"]
 
     header, rows, _ = read_csv_rows(out / "taps.csv")
     assert header == ["lag", "tap1_re", "tap1_im", "tap2_re", "tap2_im"]
@@ -577,6 +581,39 @@ def test_a_non_finite_theta_exits_2(tmp_path, capsys, theta):
     assert capsys.readouterr().err == ("config error: minimax.theta: expected 2 finite "
                                        f"value(s), one per family parameter, got {[value, 0.5]}\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("kind: white", "kind: whte", "model.kind: unknown model kind 'whte'"),
+    ("scale: 1.5", "sclae: 1.5", "model: unknown key(s) ['sclae']"),
+    ("scale: 1.5", "scale: '1.5'", "model.scale: expected a numeric value, got '1.5'"),
+])
+def test_minimax_reads_the_model_section(tmp_path, capsys, old, new, message):
+    # a stock family never builds the model; a misspelled kind used to exit 0
+    text = (ROBUST.parent / "robust_banded_noise.yaml").read_text()
+    assert old in text
+    cfg = write_config(tmp_path, text.replace(old, new))
+    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_scalar_family_under_a_wider_functional_exits_2(tmp_path, capsys):
+    # used to exit 3 from the search: "functional dimension 2 does not match model dim 1"
+    cfg = write_config(tmp_path, """
+model: {kind: white, dim: 2}
+pattern: {intervals: []}
+functional: {coeffs: [[1.0, 0.5]]}
+numerics: {grid_size: 512, truncation: 16}
+minimax:
+  kind: D0_1
+  data: {power: 2.0}
+  family: {kind: mixture, params: {power: 2.0}}
+""")
+    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: functional.coeffs: expected 1 column(s), one per component of "
+        "the family's densities, got 2\n")
 
 
 @pytest.mark.parametrize("command", ["estimate", "oracle-check", "simulate", "minimax"])

@@ -10,6 +10,7 @@ must be large.
 """
 
 import json
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -91,7 +92,7 @@ def _diag_mixture_family(powers, noise_powers=None, b_max=0.7,
                              grid_size=grid_size,
                              pole_modulus=rho if rho > 0 else None)
 
-    return DensityFamily(dim=4, lower=[0, -b_max, 0, -b_max],
+    return DensityFamily(lower=[0, -b_max, 0, -b_max],
                          upper=[0.9, b_max, 0.9, b_max], build=build,
                          label="diagonal mixtures")
 
@@ -179,6 +180,32 @@ def test_sample_rows_are_single_draws(name):
     assert one.random() == many.random()   # the streams stand at the same place
 
 
+def test_family_dimension_is_the_box():
+    fam = DensityFamily(lower=[0.0, -1.0, 2.0], upper=[1.0, 1.0, 2.0], build=None)
+    assert fam.dim == 3 and fam.lower.dtype == float
+    assert {name: fam.dim for name, fam in _stock_families().items()} == {
+        "mixture": 2, "mixture+noise": 4, "ar1": 1, "contamination": 2, "convex": 2,
+        "singleton": 0}
+    with pytest.raises(TypeError):
+        DensityFamily(dim=1, lower=[0.0], upper=[1.0], build=None)
+    with pytest.raises(InvalidParameterError, match="family bounds of lengths 2 and 1"):
+        DensityFamily(lower=[0.0, 0.0], upper=[1.0], build=None)
+
+
+def test_point_is_a_float_vector_of_dim_finite_values():
+    fam = scalar_mixture_family(power=2.0, grid_size=GRID)
+    point = fam.point([1, 0.5])
+    assert point.dtype == float and point.tolist() == [1.0, 0.5]
+    assert singleton_family(white_model(1, 1.0, GRID)).point([]).shape == (0,)
+    for theta, shown in [(0.5, [0.5]), ((0.5, 0.2, 0.1), [0.5, 0.2, 0.1]),
+                         ([[0.5, 0.2]], [[0.5, 0.2]]), ((np.nan, 0.5), [np.nan, 0.5]),
+                         ((0.5, -np.inf), [0.5, -np.inf])]:
+        with pytest.raises(InvalidParameterError) as err:
+            fam.point(theta)
+        assert str(err.value) == ("expected 2 finite value(s), one per family parameter, "
+                                  f"got {shown}")
+
+
 def test_contamination_family_respects_both_constraints():
     fam = contamination_family(anchor_power=2.0, anchor_pole=0.0, eps=0.2,
                                power=2.0, grid_size=GRID)
@@ -248,7 +275,7 @@ def test_search_matches_dense_scan_and_reparameterization():
     assert out.delta_star >= scan - 1e-6
 
     # a smooth reparameterization with the same image finds the same value
-    cubic = DensityFamily(dim=1, lower=[-1.0], upper=[1.0],
+    cubic = DensityFamily(lower=[-1.0], upper=[1.0],
                           build=lambda u: fam.build(0.8 * u ** 3),
                           label="cubic")
     cls2 = DensityClass(kind="D0_1", data=ClassData(power=1.0), family=cubic)
@@ -267,8 +294,25 @@ def test_search_respects_budget_and_reports_trace():
     assert max(e.delta for e in out.evaluations) == out.delta_star
 
 
+def test_starts_are_drawn_as_the_search_reaches_them():
+    # two million starts at a budget of 20: the search holds no array of starts
+    # (drawing them all before the first evaluation peaks at about 64 MB)
+    fam = scalar_mixture_family(power=1.0, grid_size=GRID // 2)
+    cls = DensityClass(kind="D0_1", data=ClassData(power=1.0), family=fam)
+    fun = FunctionalSpec(coeffs=np.array([[1.0], [1.0]]))
+    maximize_delta(cls, GAP_2, fun, OptConfig(starts=2, budget=2), K=16)   # warm-up
+    tracemalloc.start()
+    try:
+        out = maximize_delta(cls, GAP_2, fun, OptConfig(starts=2_000_001, budget=20), K=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out.evaluations) == 20 and out.stopped == "budget"
+    assert peak < 1e6
+
+
 def test_search_rejects_wide_families_and_infeasible_members():
-    big = DensityFamily(dim=9, lower=np.zeros(9), upper=np.ones(9),
+    big = DensityFamily(lower=np.zeros(9), upper=np.ones(9),
                         build=lambda t: white_model(1, 1.0, GRID))
     cls = DensityClass(kind="D0_1", data=ClassData(power=1.0), family=big)
     with pytest.raises(InvalidParameterError):
@@ -466,7 +510,8 @@ def test_candidate_refuses_a_theta_of_the_wrong_length(theta):
     # raw NumPy ValueError
     cls = DensityClass(kind="D0_1", data=ClassData(power=2.0),
                        family=scalar_mixture_family(power=2.0, grid_size=GRID))
-    with pytest.raises(InvalidParameterError, match="theta has"):
+    with pytest.raises(InvalidParameterError,
+                       match=r"expected 2 finite value\(s\), one per family parameter"):
         evaluate_candidate(cls, theta, NO_GAP, PRED, K=16)
 
 
@@ -476,9 +521,10 @@ def test_a_fixed_theta_must_be_finite(theta):
     # density reader
     cls = DensityClass(kind="D0_1", data=ClassData(power=2.0),
                        family=scalar_mixture_family(power=2.0, grid_size=GRID))
-    with pytest.raises(InvalidParameterError, match="theta must be finite"):
+    message = r"expected 2 finite value\(s\), one per family parameter"
+    with pytest.raises(InvalidParameterError, match=message):
         maximize_delta(cls, NO_GAP, PRED, K=16, theta=theta)
-    with pytest.raises(InvalidParameterError, match="theta must be finite"):
+    with pytest.raises(InvalidParameterError, match=message):
         evaluate_candidate(cls, theta, NO_GAP, PRED, K=16)
 
 
@@ -675,7 +721,7 @@ def test_saddle_check_matches_the_per_sample_reference(case):
 def test_saddle_checks_the_grid_size_before_the_class():
     # per-node band edges of 512 nodes; the saddle members sit on 256 nodes.  The
     # class used to report the shape of its edges instead of the grid mismatch.
-    fam = DensityFamily(dim=1, lower=[0.0], upper=[1.0], build=lambda theta: white_model(
+    fam = DensityFamily(lower=[0.0], upper=[1.0], build=lambda theta: white_model(
         1, 1.5, GRID if theta[0] == 0.5 else GRID // 2))
     cls = DensityClass(kind="DVU_1", data=ClassData(
         power=1.5, upper=np.full((GRID, 1, 1), 8.0)), family=fam)
@@ -704,6 +750,16 @@ def test_class_constants_are_read_once_per_grid():
     assert calls == [GRID, GRID]
     assert reports == [[_reference_constraint_report(cls, m) for m in models]
                        for cls in classes]
+
+
+def test_saddle_check_refuses_a_negative_seed():
+    # used to escape as NumPy's "expected non-negative integer" ValueError
+    cls = DensityClass(kind="D0_1", data=ClassData(power=1.5),
+                       family=singleton_family(white_model(1, 1.5, GRID)))
+    out = maximize_delta(cls, NO_GAP, PRED, FAST, K=16)
+    with pytest.raises(InvalidParameterError, match="seed must be nonnegative, got -1"):
+        verify_saddle_point(out, n_samples=3, seed=-1)
+    assert verify_saddle_point(out, n_samples=3, seed=0).all_pass
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
