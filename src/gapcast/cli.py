@@ -179,7 +179,7 @@ def cmd_minimax(cfg: RunConfig, out_dir: Path) -> int:
     _write(out_dir / "lfd.summary", lines)
 
     dim = len(result.theta_star)
-    srows = _header(digest, seed=extras["saddle_seed"]) + [
+    srows = _header(digest, seed=extras["saddle_seed"] if saddle.samples else None) + [
         ",".join(["index"] + [f"theta{i + 1}" for i in range(max(dim, 1))]
                  + ["delta_fixed_filter", "reference", "passed"])]
     for i, s in enumerate(saddle.samples):

@@ -125,10 +125,6 @@ def _operator_route(model: SpectralModel, pattern: MissingPattern,
         )
     if K is None:
         K = default_truncation(model, functional)
-    if K < functional.horizon:
-        raise InvalidParameterError(
-            f"truncation K={K} smaller than functional horizon {functional.horizon}"
-        )
     system = build_operator_system(model, pattern, K, horizon=functional.horizon)
     a_vec = functional.coeffs.ravel()
     sol = solve_coefficients(system, a_vec)

@@ -54,12 +54,16 @@ class DensityFamily:
 
     def point(self, theta) -> np.ndarray:
         """``theta`` as a float vector of ``dim`` finite values, else InvalidParameterError."""
-        arr = np.atleast_1d(np.asarray(theta, dtype=float))
-        if arr.shape != (self.dim,) or not np.all(np.isfinite(arr)):
+        try:
+            arr = np.atleast_1d(np.asarray(theta))
+            real = arr.dtype.kind in "iuf"   # not a string, a complex value or an object
+        except ValueError:   # a ragged sequence
+            real = False
+        if not real or arr.shape != (self.dim,) or not np.all(np.isfinite(arr)):
             raise InvalidParameterError(
                 f"expected {self.dim} finite value(s), one per family parameter, "
-                f"got {arr.tolist()}")
-        return arr
+                f"got {arr.astype(float).tolist() if real else repr(theta)}")
+        return arr.astype(float)
 
     def clip(self, theta: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(theta, dtype=float), self.lower, self.upper)

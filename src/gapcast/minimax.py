@@ -3,8 +3,8 @@
 Instead of a single known pair of signal/noise densities, an admissible set is
 given and the goal is the density pair that maximizes the optimal-estimate
 error ("least favorable"), together with checks that the estimate built from
-that pair is minimax: the saddle inequality over sampled class members, and
-the pointwise multiplier equations that characterize interior maximizers.
+that pair is minimax: the saddle inequality (by the class bound, else over
+sampled class members) and the multiplier equations of interior maximizers.
 
 Supported admissible sets (``kind`` = ``base_k``) constrain the signal density
 F or the noise density G.  The bases are ``D0`` (fixed power), ``DVU``
@@ -383,10 +383,7 @@ class SaddleReport:
     tol: float
     samples: list[SaddleSample]
     max_violation: float
-
-    @property
-    def all_pass(self) -> bool:
-        return all(s.passed for s in self.samples)
+    all_pass: bool
 
 
 @dataclass
@@ -640,11 +637,13 @@ def verify_saddle_point(result: LeastFavorableResult, n_samples: int = 100,
                         seed: int = 1, tol: float = 1e-6) -> SaddleReport:
     """Check that the fixed minimax filter does not do worse inside the class.
 
-    Holds the spectral characteristic of the maximizer fixed and evaluates its
-    error against random members of ``result.cls``; each must stay below the
-    error at the maximizer (up to ``tol``, finite and nonnegative).  Failures
-    are recorded, not raised; at least one sample is required, since an empty
-    check would pass vacuously, and the ``seed`` must be nonnegative.
+    Holds the spectral characteristic of the maximizer fixed; its error at any
+    class member must stay below the error at the maximizer (up to ``tol``,
+    finite and nonnegative).  A finite ``result.delta_upper`` is the class's
+    worst member and decides alone, with no sample; else ``n_samples`` random
+    members drawn from ``seed`` are scored.  Failures are recorded, not raised;
+    at least one sample is required, since an empty check would pass
+    vacuously, and the ``seed`` must be nonnegative.
     """
     if n_samples < 1:
         raise InvalidParameterError(f"need at least one saddle sample, got {n_samples}")
@@ -654,6 +653,10 @@ def verify_saddle_point(result: LeastFavorableResult, n_samples: int = 100,
         raise InvalidParameterError(f"seed must be nonnegative, got {seed}")
     cls, star, h0 = result.cls, result.model_star, result.estimate_star.h_grid
     ref = delta_of_characteristic(star, result.functional, h0)
+    if math.isfinite(result.delta_upper):
+        return SaddleReport(reference=ref, tol=tol, samples=[],
+                            max_violation=max(result.delta_upper - ref, 0.0),
+                            all_pass=result.delta_upper <= ref + tol)
     r = result.functional.a_on_grid(star.grid_size) - h0   # the filter is fixed
     samples: list[SaddleSample] = []
     worst = 0.0
@@ -670,7 +673,8 @@ def verify_saddle_point(result: LeastFavorableResult, n_samples: int = 100,
         val = scores[key]
         worst = max(worst, val - ref)
         samples.append(SaddleSample(theta=key, delta_fixed_filter=val, passed=val <= ref + tol))
-    return SaddleReport(reference=ref, tol=tol, samples=samples, max_violation=worst)
+    return SaddleReport(reference=ref, tol=tol, samples=samples, max_violation=worst,
+                        all_pass=all(s.passed for s in samples))
 
 
 # ---------------------------------------------------------------------------

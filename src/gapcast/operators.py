@@ -178,8 +178,6 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
     of U_K distinct modulo the grid size, which the eigenvalue bound on Bmat
     relies on.
     """
-    if K < 0:
-        raise InvalidParameterError(f"truncation K must be >= 0, got {K}")
     if not 0 <= horizon <= K:
         raise InvalidParameterError(
             f"functional horizon must lie in 0..K={K}, got {horizon}"

@@ -486,11 +486,14 @@ def test_minimax_singleton_matches_estimate(tmp_path):
     assert float(summary["delta_star"]) == pytest.approx(1.5, rel=1e-9)
     assert summary["evaluations"] == "1"
     assert summary["stopped"] == "certified"
+    # the class bound decides the saddle check: no violation and no sample
+    assert summary["delta_upper"] == summary["delta_star"]
     assert summary["saddle_all_pass"] == "true"
+    assert summary["saddle_max_violation"] == "0"
 
-    header, rows, _ = read_csv_rows(out / "saddle.csv")
+    header, rows, trailer = read_csv_rows(out / "saddle.csv")
     assert header[-1] == "passed"
-    assert rows and all(r[-1] == "true" for r in rows)
+    assert rows == [] and not any(line.startswith("# seed=") for line in trailer)
 
     rheader, rrows, _ = read_csv_rows(out / "residuals.csv")
     assert rheader == ["name", "structure", "residual", "scale",
@@ -500,25 +503,33 @@ def test_minimax_singleton_matches_estimate(tmp_path):
         json.loads(json.loads(",".join(row[5:])))  # params field round-trips
 
 
+# a two-dimensional singleton: the class has no closed-form bound, so the
+# saddle check samples the family
+SINGLETON_2D_MINIMAX = SINGLETON_MINIMAX.replace("dim: 1", "dim: 2").replace(
+    "coeffs: [[1.0]]", "coeffs: [[1.0, 0.5]]").replace("kind: D0_1", "kind: D0_2").replace(
+    "power: 1.5", "power: [1.5, 1.5]")
+
+
 def test_singleton_saddle_check_scores_its_one_member_once(tmp_path, monkeypatch):
     # every saddle sample of a one-member family is the same model: it is
     # built and scored once, and each of the five rows still written
-    cfg = write_config(tmp_path, SINGLETON_MINIMAX)
+    cfg = write_config(tmp_path, SINGLETON_2D_MINIMAX)
     checked = []
     real = minimax_module._check_in_class
     monkeypatch.setattr(minimax_module, "_check_in_class",
                         lambda cls, model: checked.append(model) or real(cls, model))
     assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 0
     assert len(checked) == 2   # the search's one evaluation, then the saddle check
+    assert read_summary(tmp_path / "out" / "lfd.summary")["fw_gap"] == "nan"
     assert (tmp_path / "out" / "saddle.csv").read_text() == f"""\
 # config_sha256={config_hash(load_config(cfg))}
 # seed=1
 index,theta1,delta_fixed_filter,reference,passed
-0,0,1.5,1.5,true
-1,0,1.5,1.5,true
-2,0,1.5,1.5,true
-3,0,1.5,1.5,true
-4,0,1.5,1.5,true
+0,0,1.875,1.875,true
+1,0,1.875,1.875,true
+2,0,1.875,1.875,true
+3,0,1.875,1.875,true
+4,0,1.875,1.875,true
 """
 
 
@@ -557,16 +568,14 @@ def test_minimax_fixed_candidate_fails_saddle(tmp_path):
     summary = read_summary(out / "lfd.summary")
     assert summary["evaluations"] == "1"
     assert summary["saddle_all_pass"] == "false"
-    assert float(summary["saddle_max_violation"]) > 1e-3
-    # the deterministic certificate agrees with the sampled check: a large
-    # gap, and a bound no sampled member's error under the fixed filter beats
+    # the saddle check reads the class bound: its violation is the duality gap
     assert float(summary["fw_gap"]) > 1e-3
+    assert float(summary["saddle_max_violation"]) == pytest.approx(
+        float(summary["fw_gap"]), rel=1e-12)
     assert summary["stopped"] == "budget"
 
-    header, rows, _ = read_csv_rows(out / "saddle.csv")
-    assert any(r[-1] == "false" for r in rows)
-    column = header.index("delta_fixed_filter")
-    assert all(float(r[column]) <= float(summary["delta_upper"]) for r in rows)
+    _, rows, _ = read_csv_rows(out / "saddle.csv")
+    assert rows == []
     # residuals were skipped: header only
     _, rrows, _ = read_csv_rows(out / "residuals.csv")
     assert rrows == []
@@ -672,6 +681,23 @@ def test_minimax_search_follows_the_truncation_flag(tmp_path):
         assert [line.split("delta = ")[1] for line in traces[K]] == \
             [_fmt(ev.delta) for ev in want]
     assert traces[cfg.truncation] != traces[40]
+
+
+def test_saddle_check_fails_where_the_class_bound_beats_the_family(tmp_path):
+    # the family optimum is far below the class bound: the sampled check of
+    # five family members used to pass with saddle_all_pass = true
+    for name, flags in [("512", []), ("1024", ["--grid", 1024, "--truncation", 64])]:
+        out = tmp_path / name
+        assert run_cli(["minimax", "--config", write_config(tmp_path, TWO_STEP_MINIMAX),
+                        "--out", out] + flags) == 0
+        summary = read_summary(out / "lfd.summary")
+        assert summary["saddle_all_pass"] == "false"
+        assert float(summary["saddle_max_violation"]) > 1
+        assert float(summary["saddle_max_violation"]) == pytest.approx(
+            float(summary["fw_gap"]), rel=1e-12)
+        header, rows, trailer = read_csv_rows(out / "saddle.csv")
+        assert header[-1] == "passed" and rows == []
+        assert not any(line.startswith("# seed=") for line in trailer)
 
 
 def test_minimax_mismatched_pair_exits_4(tmp_path, capsys):

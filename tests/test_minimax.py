@@ -199,7 +199,11 @@ def test_point_is_a_float_vector_of_dim_finite_values():
     assert singleton_family(white_model(1, 1.0, GRID)).point([]).shape == (0,)
     for theta, shown in [(0.5, [0.5]), ((0.5, 0.2, 0.1), [0.5, 0.2, 0.1]),
                          ([[0.5, 0.2]], [[0.5, 0.2]]), ((np.nan, 0.5), [np.nan, 0.5]),
-                         ((0.5, -np.inf), [0.5, -np.inf])]:
+                         ((0.5, -np.inf), [0.5, -np.inf]),
+                         # values that are not real numbers are named as given; they
+                         # used to escape as NumPy's ValueError or TypeError
+                         ("abc", "'abc'"), ([1, [2, 3]], [1, [2, 3]]), (1j, "1j"),
+                         ({"a": 1}, {"a": 1}), (np.array([1j, 2.0]), "array([0.+1.j, 2.+0.j])")]:
         with pytest.raises(InvalidParameterError) as err:
             fam.point(theta)
         assert str(err.value) == ("expected 2 finite value(s), one per family parameter, "
@@ -708,14 +712,42 @@ SADDLE_CASES = {   # each builds (result, n_samples, seed)
 
 @pytest.mark.parametrize("case", sorted(SADDLE_CASES))
 def test_saddle_check_matches_the_per_sample_reference(case):
+    # the sampled path, taken here with the class bound withheld; where the
+    # class has a bound, no sampled member beats it, so reading the bound
+    # instead of the sample loses nothing
     result, n_samples, seed = SADDLE_CASES[case]()
     if case == "correlated_ma_pairs":
         assert not result.model_star.is_uncorrelated   # the cross terms run
-    rep = verify_saddle_point(result, n_samples=n_samples, seed=seed, tol=1e-6)
+        assert np.isnan(result.delta_upper)
+    else:
+        assert np.isfinite(result.delta_upper)
+    rep = verify_saddle_point(replace(result, delta_upper=np.nan), n_samples=n_samples,
+                              seed=seed, tol=1e-6)
     ref, rows, worst = _reference_saddle(result, n_samples, seed, 1e-6)
     assert rep.reference == ref
     assert rep.max_violation == worst
+    assert rep.all_pass == all(row[2] for row in rows)
     assert [(s.theta, s.delta_fixed_filter, s.passed) for s in rep.samples] == rows
+    if np.isfinite(result.delta_upper):
+        assert max(row[1] for row in rows) <= result.delta_upper * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(set(SADDLE_CASES) - {"correlated_ma_pairs"}))
+def test_saddle_check_reads_the_class_bound_where_there_is_one(case, monkeypatch):
+    result, n_samples, seed = SADDLE_CASES[case]()
+
+    def refuse(*args):
+        raise AssertionError("the saddle check built or checked a family member")
+
+    monkeypatch.setattr(minimax_module, "_check_in_class", refuse)
+    cls = replace(result.cls, family=replace(result.cls.family, build=refuse))
+    rep = verify_saddle_point(replace(result, cls=cls), n_samples=n_samples, seed=seed,
+                              tol=1e-6)
+    ref = delta_of_characteristic(result.model_star, result.functional,
+                                  result.estimate_star.h_grid)
+    assert rep.reference == ref and rep.samples == []
+    assert rep.all_pass == (result.delta_upper <= ref + 1e-6)
+    assert rep.max_violation == max(result.delta_upper - ref, 0.0)
 
 
 def test_saddle_checks_the_grid_size_before_the_class():
@@ -725,7 +757,7 @@ def test_saddle_checks_the_grid_size_before_the_class():
         1, 1.5, GRID if theta[0] == 0.5 else GRID // 2))
     cls = DensityClass(kind="DVU_1", data=ClassData(
         power=1.5, upper=np.full((GRID, 1, 1), 8.0)), family=fam)
-    result = _candidate(cls, (0.5,), NO_GAP, PRED)
+    result = replace(_candidate(cls, (0.5,), NO_GAP, PRED), delta_upper=np.nan)
     with pytest.raises(InvalidParameterError, match="family members must share one grid size"):
         verify_saddle_point(result, n_samples=3)
 
