@@ -153,8 +153,7 @@ def cmd_minimax(cfg: RunConfig, out_dir: Path) -> int:
     functional = build_functional(cfg)
     result = maximize_delta(cls, pattern, functional, opt, K=cfg.truncation,
                             theta=extras["theta"])
-    saddle = verify_saddle_point(result, n_samples=extras["saddle_samples"],
-                                 seed=extras["saddle_seed"], tol=extras["saddle_tol"])
+    saddle = verify_saddle_point(result)
 
     digest = config_hash(cfg)
     lines = _header(digest, seed=opt.seed)
@@ -179,7 +178,7 @@ def cmd_minimax(cfg: RunConfig, out_dir: Path) -> int:
     _write(out_dir / "lfd.summary", lines)
 
     dim = len(result.theta_star)
-    srows = _header(digest, seed=extras["saddle_seed"] if saddle.samples else None) + [
+    srows = _header(digest) + [
         ",".join(["index"] + [f"theta{i + 1}" for i in range(max(dim, 1))]
                  + ["delta_fixed_filter", "reference", "passed"])]
     for i, s in enumerate(saddle.samples):

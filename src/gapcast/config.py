@@ -136,8 +136,7 @@ _SCHEMA = {   # every section but model; minimax.family is read by its kind
     "minimax": {"kind": str, "g_kind": str,
                 "data": {**{f.name: _float_array for f in fields(ClassData)}, "eps": _real},
                 "opt": _fields(OptConfig), "theta": _float_array,
-                "saddle_samples": _integer, "saddle_seed": _integer,
-                "saddle_tol": _real, "skip_residuals": _boolean},
+                "skip_residuals": _boolean},
     "output": {"directory": str},
 }
 
@@ -383,7 +382,12 @@ def build_oracle_check(cfg: RunConfig) -> tuple[list[int], float]:
                           f"the largest window allowed is {largest} (grid_size / 4 less the "
                           f"functional's horizon); shorten the windows or raise "
                           f"numerics.grid_size", location="oracle_check.windows")
-    return windows, sec.get("tolerance", 1e-4)
+    tol = sec.get("tolerance", 1e-4)
+    # a NaN or negative tolerance fails every window, an infinite one passes them all
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"expected a finite number >= 0, got {tol}",
+                          location="oracle_check.tolerance")
+    return windows, tol
 
 
 def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
@@ -430,18 +434,5 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
     if theta is not None:
         with _at("minimax.theta", InvalidParameterError):
             theta = fam.point(theta)
-    extras = {
-        "saddle_samples": sec.get("saddle_samples", 100),
-        "saddle_seed": sec.get("saddle_seed", 1),
-        "saddle_tol": sec.get("saddle_tol", 1e-6),
-        "theta": theta,
-        "skip_residuals": sec.get("skip_residuals", False),
-    }
-    for key, least in (("saddle_samples", 1), ("saddle_seed", 0)):
-        if extras[key] < least:
-            raise ConfigError(f"expected an integer >= {least}, got {extras[key]}",
-                              location=f"minimax.{key}")
-    if not (math.isfinite(extras["saddle_tol"]) and extras["saddle_tol"] >= 0):
-        raise ConfigError(f"expected a finite number >= 0, got {extras['saddle_tol']}",
-                          location="minimax.saddle_tol")
+    extras = {"theta": theta, "skip_residuals": sec.get("skip_residuals", False)}
     return cls, opt, extras

@@ -3,8 +3,9 @@
 Instead of a single known pair of signal/noise densities, an admissible set is
 given and the goal is the density pair that maximizes the optimal-estimate
 error ("least favorable"), together with checks that the estimate built from
-that pair is minimax: the saddle inequality (by the class bound, else over
-sampled class members) and the multiplier equations of interior maximizers.
+that pair is minimax: the saddle inequality (by the class bound, else over a
+fixed draw of class members, with a slack relative to the maximizer's error)
+and the multiplier equations of interior maximizers.
 
 Supported admissible sets (``kind`` = ``base_k``) constrain the signal density
 F or the noise density G.  The bases are ``D0`` (fixed power), ``DVU``
@@ -45,7 +46,6 @@ from .errors import (
 from .extrapolate import (
     EstimateResult,
     FunctionalSpec,
-    delta_of_characteristic,
     estimate,
     filter_error,
     optimal_delta,
@@ -380,7 +380,6 @@ class SaddleSample:
 @dataclass
 class SaddleReport:
     reference: float
-    tol: float
     samples: list[SaddleSample]
     max_violation: float
     all_pass: bool
@@ -444,7 +443,8 @@ class LeastFavorableResult:
         return self.delta_upper - self.delta_star
 
 
-# largest class-constraint violation of a family point that still counts as in class
+# largest class-constraint violation of a family point that still counts as in
+# class, relative to the size of the side the constraint reads
 _CONSTRAINT_TOL = 1e-8
 # duality gap, relative to the incumbent's error, at which the search stops
 _GAP_TOL = 1e-12
@@ -452,6 +452,11 @@ _GAP_TOL = 1e-12
 # halves its step from _INITIAL_STEP until it falls below _MIN_STEP
 _INITIAL_STEP = 0.25
 _MIN_STEP = 1e-6
+# the saddle check: its slack relative to the maximizer's error, and where the
+# class has no closed-form bound, the members it scores and their seed
+_SADDLE_RTOL = 1e-6
+_SADDLE_SAMPLES = 100
+_SADDLE_SEED = 1
 
 
 def _gap_met(upper: float, delta: float) -> bool:
@@ -497,13 +502,18 @@ def _delta_upper(cls: DensityClass, model: SpectralModel, est: EstimateResult,
 
 
 def _check_in_class(cls: DensityClass, model: SpectralModel):
-    report = class_constraint_report(cls, model)   # a NaN violation is the worst
-    name, worst = max(report.items(), key=lambda kv: math.inf if math.isnan(kv[1]) else kv[1],
-                      default=("", 0.0))
-    if not worst <= _CONSTRAINT_TOL:
+    """Refuse a model that violates a constraint by more than ``_CONSTRAINT_TOL``
+    times the size of the side it reads (the largest value of the side's
+    projected density), so membership does not depend on units.  The worst
+    violation is the one furthest over its tolerance, a NaN first."""
+    report = class_constraint_report(cls, model)
+    size = {kind: _slack(_Side(cls, model, which).value, int(kind[-1]))[1]
+            for which, kind in (("F", cls.kind), ("G", cls.g_kind)) if kind}
+    tol = {name: _CONSTRAINT_TOL * size[name.split(":")[0]] for name in report}
+    name = max(report, key=lambda k: math.inf if math.isnan(report[k]) else report[k] - tol[k])
+    if not report[name] <= tol[name]:
         raise InfeasibleClassError(
-            f"family point violates {name} by {worst:.3e} (tol {_CONSTRAINT_TOL:.1e})"
-        )
+            f"family point violates {name} by {report[name]:.3e} (tol {tol[name]:.1e})")
 
 
 def maximize_delta(cls: DensityClass, pattern: MissingPattern,
@@ -633,35 +643,29 @@ def evaluate_candidate(cls: DensityClass, theta, pattern: MissingPattern,
     return maximize_delta(cls, pattern, functional, K=K, theta=theta)
 
 
-def verify_saddle_point(result: LeastFavorableResult, n_samples: int = 100,
-                        seed: int = 1, tol: float = 1e-6) -> SaddleReport:
+def verify_saddle_point(result: LeastFavorableResult) -> SaddleReport:
     """Check that the fixed minimax filter does not do worse inside the class.
 
     Holds the spectral characteristic of the maximizer fixed; its error at any
-    class member must stay below the error at the maximizer (up to ``tol``,
-    finite and nonnegative).  A finite ``result.delta_upper`` is the class's
-    worst member and decides alone, with no sample; else ``n_samples`` random
-    members drawn from ``seed`` are scored.  Failures are recorded, not raised;
-    at least one sample is required, since an empty check would pass
-    vacuously, and the ``seed`` must be nonnegative.
+    class member must stay below ``result.delta_star``, the error at the
+    maximizer, up to ``_SADDLE_RTOL`` times that error.  A finite
+    ``result.delta_upper`` is the class's worst member and decides alone, with
+    no sample: the violation is ``max(fw_gap, 0)``.  Else ``_SADDLE_SAMPLES``
+    random members drawn from ``_SADDLE_SEED`` are scored.  Failures are
+    recorded, not raised.
     """
-    if n_samples < 1:
-        raise InvalidParameterError(f"need at least one saddle sample, got {n_samples}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InvalidParameterError(f"tol must be finite and nonnegative, got {tol!r}")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be nonnegative, got {seed}")
     cls, star, h0 = result.cls, result.model_star, result.estimate_star.h_grid
-    ref = delta_of_characteristic(star, result.functional, h0)
+    ref = result.delta_star
     if math.isfinite(result.delta_upper):
-        return SaddleReport(reference=ref, tol=tol, samples=[],
-                            max_violation=max(result.delta_upper - ref, 0.0),
-                            all_pass=result.delta_upper <= ref + tol)
+        gap = result.fw_gap
+        return SaddleReport(reference=ref, samples=[], max_violation=max(gap, 0.0),
+                            all_pass=gap <= _SADDLE_RTOL * ref)
+    bound = ref + _SADDLE_RTOL * ref
     r = result.functional.a_on_grid(star.grid_size) - h0   # the filter is fixed
     samples: list[SaddleSample] = []
     worst = 0.0
     scores: dict[tuple, float] = {}   # each member once: a dim-0 family has one
-    for theta in cls.family.sample(np.random.default_rng(seed), n_samples):
+    for theta in cls.family.sample(np.random.default_rng(_SADDLE_SEED), _SADDLE_SAMPLES):
         key = tuple(np.atleast_1d(theta))
         if key not in scores:
             model = cls.family.build(theta)
@@ -672,8 +676,8 @@ def verify_saddle_point(result: LeastFavorableResult, n_samples: int = 100,
             scores[key] = filter_error(model, r, h0)
         val = scores[key]
         worst = max(worst, val - ref)
-        samples.append(SaddleSample(theta=key, delta_fixed_filter=val, passed=val <= ref + tol))
-    return SaddleReport(reference=ref, tol=tol, samples=samples, max_violation=worst,
+        samples.append(SaddleSample(theta=key, delta_fixed_filter=val, passed=val <= bound))
+    return SaddleReport(reference=ref, samples=samples, max_violation=worst,
                         all_pass=all(s.passed for s in samples))
 
 

@@ -184,12 +184,13 @@ class SpectralModel:
     # -- validation ------------------------------------------------------
 
     def _validate(self):
-        """Check the densities that exist; an absent one samples as zero."""
+        """Check the densities that exist, each relative to its largest sample
+        so that no unit is special; an absent one samples as zero."""
         for which, data in (("F", self.F), ("G", self.G)):
             if data is None:
                 continue
             s = self.samples(which)
-            scale = max(np.abs(s).max(), 1.0)
+            scale = np.abs(s).max()
             herm = np.abs(s - np.conj(np.swapaxes(s, -1, -2))).max()
             if herm > _HERMITIAN_TOL * scale:
                 raise InvalidParameterError(
@@ -209,9 +210,8 @@ class SpectralModel:
         # the joint density [[F, F_xe], [F_ex, G]] of (xi, eta) must be PSD too
         joint = np.block([[self.samples("F"), self.samples("Fxe")],
                           [self.samples("Fex"), self.samples("G")]])
-        scale = max(np.abs(joint).max(), 1.0)
         mineig = _eigvalsh(joint).min()
-        if mineig < -_PSD_TOL * scale:
+        if mineig < -_PSD_TOL * np.abs(joint).max():
             raise InvalidParameterError(
                 f"joint signal-noise density is not positive semidefinite "
                 f"(eigenvalue {mineig:.2e})"

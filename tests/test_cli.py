@@ -471,7 +471,6 @@ minimax:
     power: 1.5
   family:
     kind: singleton
-  saddle_samples: 5
 """
 
 
@@ -512,7 +511,7 @@ SINGLETON_2D_MINIMAX = SINGLETON_MINIMAX.replace("dim: 1", "dim: 2").replace(
 
 def test_singleton_saddle_check_scores_its_one_member_once(tmp_path, monkeypatch):
     # every saddle sample of a one-member family is the same model: it is
-    # built and scored once, and each of the five rows still written
+    # built and scored once, and each of the 100 rows still written
     cfg = write_config(tmp_path, SINGLETON_2D_MINIMAX)
     checked = []
     real = minimax_module._check_in_class
@@ -521,16 +520,10 @@ def test_singleton_saddle_check_scores_its_one_member_once(tmp_path, monkeypatch
     assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 0
     assert len(checked) == 2   # the search's one evaluation, then the saddle check
     assert read_summary(tmp_path / "out" / "lfd.summary")["fw_gap"] == "nan"
-    assert (tmp_path / "out" / "saddle.csv").read_text() == f"""\
-# config_sha256={config_hash(load_config(cfg))}
-# seed=1
-index,theta1,delta_fixed_filter,reference,passed
-0,0,1.875,1.875,true
-1,0,1.875,1.875,true
-2,0,1.875,1.875,true
-3,0,1.875,1.875,true
-4,0,1.875,1.875,true
-"""
+    assert (tmp_path / "out" / "saddle.csv").read_text() == "".join(
+        [f"# config_sha256={config_hash(load_config(cfg))}\n",
+         "index,theta1,delta_fixed_filter,reference,passed\n"]
+        + [f"{i},0,1.875,1.875,true\n" for i in range(100)])
 
 
 # a detuned point of the mixture family, evaluated in place of a search
@@ -555,7 +548,6 @@ minimax:
     params:
       power: 2.0
   theta: [0.85, 0.7]
-  saddle_samples: 40
   skip_residuals: true
 """
 
@@ -570,8 +562,7 @@ def test_minimax_fixed_candidate_fails_saddle(tmp_path):
     assert summary["saddle_all_pass"] == "false"
     # the saddle check reads the class bound: its violation is the duality gap
     assert float(summary["fw_gap"]) > 1e-3
-    assert float(summary["saddle_max_violation"]) == pytest.approx(
-        float(summary["fw_gap"]), rel=1e-12)
+    assert summary["saddle_max_violation"] == summary["fw_gap"]
     assert summary["stopped"] == "budget"
 
     _, rows, _ = read_csv_rows(out / "saddle.csv")
@@ -660,7 +651,6 @@ minimax:
   data: {power: 2.0}
   family: {kind: mixture, params: {power: 2.0}}
   opt: {starts: 2, budget: 150, seed: 0}
-  saddle_samples: 5
   skip_residuals: true
 """
 
@@ -693,11 +683,75 @@ def test_saddle_check_fails_where_the_class_bound_beats_the_family(tmp_path):
         summary = read_summary(out / "lfd.summary")
         assert summary["saddle_all_pass"] == "false"
         assert float(summary["saddle_max_violation"]) > 1
-        assert float(summary["saddle_max_violation"]) == pytest.approx(
-            float(summary["fw_gap"]), rel=1e-12)
+        # the reference is the search's own delta_star: one quantity, bit for bit
+        assert summary["saddle_max_violation"] == summary["fw_gap"]
         header, rows, trailer = read_csv_rows(out / "saddle.csv")
         assert header[-1] == "passed" and rows == []
         assert not any(line.startswith("# seed=") for line in trailer)
+
+
+def _scaled(text, c):
+    """A minimax run file whose model scale, class power and family power are c times."""
+    doc = yaml.safe_load(text)
+    doc["model"]["scale"] *= c
+    doc["minimax"]["data"]["power"] *= c
+    doc["minimax"]["family"]["params"]["power"] *= c
+    return yaml.safe_dump(doc)
+
+
+@pytest.mark.parametrize("name", ["two_step", "robust_fixed_power"])
+def test_minimax_does_not_depend_on_units(tmp_path, name):
+    # the same class written in units 1e7 times smaller or 1e9 times larger:
+    # the search, its certificate and the saddle verdict must not move.  The
+    # two-step class used to pass its saddle check at 2e-7 and to leave the
+    # class at 2e9 (a power off by 1.2e-16 of itself read as a violation)
+    text = TWO_STEP_MINIMAX if name == "two_step" else ROBUST.read_text()
+    runs = {}
+    for c in (1e-7, 1.0, 1e9):
+        out = tmp_path / repr(c)
+        assert run_cli(["minimax", "--config", write_config(tmp_path, _scaled(text, c)),
+                        "--out", out]) == 0
+        runs[c] = read_summary(out / "lfd.summary")
+    unit = runs[1.0]
+    assert unit["saddle_all_pass"] == ("false" if name == "two_step" else "true")
+    assert float(unit["saddle_max_violation"]) == max(float(unit["fw_gap"]), 0.0)
+    delta = float(unit["delta_star"])
+    for c, summary in runs.items():
+        for key in ("saddle_all_pass", "stopped", "evaluations", "theta_star"):
+            assert summary[key] == unit[key], (c, key)
+        for key in ("delta_star", "saddle_max_violation"):
+            assert abs(float(summary[key]) / c - float(unit[key])) <= 1e-12 * delta, (c, key)
+
+
+@pytest.mark.parametrize("c", [2e-7, 2.0, 2e9])
+def test_a_family_above_the_class_power_is_refused_at_any_scale(tmp_path, capsys, c):
+    # family power 1% above the class's: a violation of 1e-2 of the power,
+    # refused whatever the units (the tolerance is relative to the side)
+    doc = yaml.safe_load(TWO_STEP_MINIMAX)
+    doc["model"]["scale"] = doc["minimax"]["data"]["power"] = c
+    doc["minimax"]["family"]["params"]["power"] = 1.01 * c
+    cfg = write_config(tmp_path, yaml.safe_dump(doc))
+    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 3
+    assert "family point violates D0_1:power by" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-7, 1.0, 1e9])
+def test_a_negative_density_is_refused_at_any_scale(tmp_path, capsys, c):
+    # F = -0.5c with G = c: at c = 1e-12 it used to run and write delta = 0
+    n = 512
+    ones = np.ones((n, 1, 1))
+    npz = tmp_path / "negative.npz"
+    np.savez(npz, lam=grid_points(n), F=-0.5 * c * ones, G=c * ones)
+    cfg = write_config(tmp_path, f"""
+model: {{kind: grid_file, path: {npz}}}
+pattern: {{intervals: [[2, 0]]}}
+functional: {{coeffs: [[1.0]]}}
+numerics: {{grid_size: {n}, truncation: 16}}
+""")
+    assert run_cli(["estimate", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert "config error: model: density F has a negative eigenvalue" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_minimax_mismatched_pair_exits_4(tmp_path, capsys):
@@ -729,7 +783,6 @@ minimax:
   opt:
     starts: 2
     budget: 60
-  saddle_samples: 3
 """
     cfg = write_config(tmp_path, text)
     rc = run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"])
@@ -758,7 +811,6 @@ minimax:
   data: {data}
   family:
     kind: singleton
-  saddle_samples: 2
 """
 
 
@@ -835,8 +887,6 @@ VALID_MINIMAX = MINIMAX_DATA_YAML.format(kind="D0_1", data="{power: 1.5}")
     ("oracle-check", BENCH_YAML + "oracle_check: {windows: [0]}", "oracle_check.windows"),
     ("oracle-check", BENCH_YAML + "oracle_check: {tolerance: x}",
      "oracle_check.tolerance"),
-    ("minimax", VALID_MINIMAX.replace("saddle_samples: 2", "saddle_samples: x"),
-     "minimax.saddle_samples"),
     ("minimax", VALID_MINIMAX + "  theta: [0.5]\n", "minimax.theta"),  # singleton: no params
     # quoted numbers are strings, not integers
     ("estimate", BENCH_YAML.replace("truncation: 48", "truncation: '48'"),
@@ -855,10 +905,19 @@ VALID_MINIMAX = MINIMAX_DATA_YAML.format(kind="D0_1", data="{power: 1.5}")
      "oracle_check.tolerance"),
     ("oracle-check", BENCH_YAML + "oracle_check: {tolerance: true}",
      "oracle_check.tolerance"),
+    # out of range: NaN and -1 used to exit 0 with converged=false, inf with a
+    # vacuous converged=true
+    ("oracle-check", BENCH_YAML + "oracle_check: {tolerance: .nan}",
+     "oracle_check.tolerance"),
+    ("oracle-check", BENCH_YAML + "oracle_check: {tolerance: -1.0}",
+     "oracle_check.tolerance"),
+    ("oracle-check", BENCH_YAML + "oracle_check: {tolerance: .inf}",
+     "oracle_check.tolerance"),
 ], ids=["grid_size", "truncation", "windows_x", "windows_5", "windows_0", "tolerance",
-        "saddle_samples", "theta_length", "quoted_truncation", "quoted_interval",
+        "theta_length", "quoted_truncation", "quoted_interval",
         "quoted_budget", "quoted_power", "quoted_power_entry", "quoted_b1",
-        "quoted_tolerance", "tolerance_1e-4", "boolean_tolerance"])
+        "quoted_tolerance", "tolerance_1e-4", "boolean_tolerance", "tolerance_nan",
+        "tolerance_negative", "tolerance_inf"])
 def test_malformed_numbers_exit_2(tmp_path, capsys, command, text, key):
     cfg = write_config(tmp_path, text)
     assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
@@ -920,9 +979,6 @@ def _assert_config_error(tmp_path, capsys, command, text, key):
     ("simulate", BENCH_YAML + "simulation: {replications: 10.5}",
      "simulation.replications"),
     ("minimax", VALID_MINIMAX + "  opt: {starts: 2.5}\n", "minimax.opt.starts"),
-    ("minimax", VALID_MINIMAX.replace("saddle_samples: 2", "saddle_samples: 2.5"),
-     "minimax.saddle_samples"),
-    ("minimax", VALID_MINIMAX + "  saddle_seed: 1.5\n", "minimax.saddle_seed"),
     # a stock family is built on numerics.grid_size
     ("minimax", MIXTURE_MINIMAX.replace("grid_size: 256\n", "grid_size: 256.5\n"),
      "numerics.grid_size"),
@@ -932,8 +988,7 @@ def _assert_config_error(tmp_path, capsys, command, text, key):
     ("estimate", LAURENT_YAML.replace("num_offset: 0", "num_offset: 0.5"),
      "model.entries[0].num_offset"),
 ], ids=["truncation", "truncation_bool", "grid_size", "interval", "second_interval",
-        "windows", "replications", "opt_starts", "saddle_samples", "saddle_seed",
-        "family_grid_size", "white_dim", "laurent_dim", "laurent_row", "laurent_offset"])
+        "windows", "replications", "opt_starts", "family_grid_size", "white_dim", "laurent_dim", "laurent_row", "laurent_offset"])
 def test_fractional_integers_exit_2(tmp_path, capsys, command, text, key):
     _assert_config_error(tmp_path, capsys, command, text, key)
 
@@ -1035,22 +1090,19 @@ def test_unknown_keys_exit_2(tmp_path, capsys, command, text, key):
     ("  opt: {budget: -1}\n", "minimax.opt"),
     # negative seeds used to escape as a raw NumPy ValueError
     ("  opt: {seed: -1}\n", "minimax.opt"),
-    ("  saddle_seed: -1\n", "minimax.saddle_seed"),
-    # a tolerance no sample can meet used to exit 0 with saddle_all_pass = false
-    ("  saddle_tol: .nan\n", "minimax.saddle_tol"),
-    ("  saddle_tol: -1.0\n", "minimax.saddle_tol"),
-    ("  saddle_tol: .inf\n", "minimax.saddle_tol"),
-], ids=["starts_0", "starts_negative", "budget_0", "budget_negative", "opt_seed",
-        "saddle_seed", "saddle_tol_nan", "saddle_tol_negative", "saddle_tol_inf"])
+], ids=["starts_0", "starts_negative", "budget_0", "budget_negative", "opt_seed"])
 def test_out_of_range_minimax_options_exit_2(tmp_path, capsys, extra, key):
     _assert_config_error(tmp_path, capsys, "minimax", MIXTURE_MINIMAX + extra, key)
 
 
-@pytest.mark.parametrize("samples", [0, -5])
-def test_saddle_check_needs_a_sample(tmp_path, capsys, samples):
-    # zero samples used to exit 0 with saddle_all_pass = true
-    text = MIXTURE_MINIMAX.replace("saddle_samples: 2", f"saddle_samples: {samples}")
-    _assert_config_error(tmp_path, capsys, "minimax", text, "minimax.saddle_samples")
+@pytest.mark.parametrize("key,value", [("saddle_samples", "100"), ("saddle_seed", "1"),
+                                       ("saddle_tol", "1.0e-6")])
+def test_saddle_settings_are_unknown_keys(tmp_path, capsys, key, value):
+    # the saddle check has no settings: its draw and its slack are fixed
+    cfg = write_config(tmp_path, MIXTURE_MINIMAX + f"  {key}: {value}\n")
+    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"config error: minimax: unknown key(s) ['{key}']\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_seed_flag_exits_2(tmp_path, capsys):

@@ -190,8 +190,7 @@ _MINIMAX = _perturbed(
                       _FIELD_VALUES, max_size=4)
     | st.dictionaries(st.sampled_from([f.name for f in fields(OptConfig)]),
                       _NUMBERS | st.none(), max_size=3),
-    extra_keys=["g_kind", "theta", "saddle_samples", "saddle_seed", "saddle_tol",
-                "skip_residuals"])
+    extra_keys=["g_kind", "theta", "skip_residuals"])
 _SECTION_FILES = st.fixed_dictionaries(
     {"model": _MODELS,
      "pattern": st.just({"intervals": [[2, 1]]}),
@@ -303,9 +302,9 @@ output: {directory: null}
 """,
                "long-flow-list": test_cli.BENCH_YAML + "oracle_check: {windows: ["
                + ", ".join(str(w) for w in range(100, 160)) + "]}\n",
-               "nested-minimax": test_cli.VALID_MINIMAX + """\
+               "nested-minimax": test_cli.VALID_MINIMAX.replace(
+                   "data: {power: 1.5}", "data: {power: 1.5, eps: 1.0e-9}") + """\
   opt: {starts: 2, budget: 40, seed: 0}
-  saddle_tol: 1.0e-9
   skip_residuals: false
 """,
                "per-node-band": _RUN_TEXTS["robust_banded_noise.yaml"].replace(
@@ -329,7 +328,7 @@ def test_dumped_text_covers_the_forms_it_must_keep():
     text = {name: config_module.dumps_config(loads_config(t)) for name, t in _DUMP_TEXTS.items()}
     assert "seed: null" in text["nulls-and-exponents"]
     assert "tolerance: 0.0001" in text["nulls-and-exponents"]
-    assert "saddle_tol: 1.0e-09" in text["nested-minimax"]
+    assert "eps: 1.0e-09" in text["nested-minimax"]
     assert "intervals:\n  - [2, 1]\n" in text["test_cli:BENCH_YAML"]
     assert "\n    146, 147," in text["long-flow-list"]   # wrapped at the line width
     assert text["per-node-band"].count("[8.0]") == 512
@@ -375,7 +374,7 @@ def _run_file(model="white", family="singleton") -> dict:
                         "data": {"power": 1.5, "noise_power": 0.8, "lower": 0.0,
                                  "upper": 8.0},
                         "family": {"kind": family, "params": dict(_FAMILY_PARAMS[family])},
-                        "opt": {"starts": 1, "budget": 5}, "saddle_samples": 2},
+                        "opt": {"starts": 1, "budget": 5}},
             "output": {"directory": "out"}}
 
 

@@ -345,6 +345,32 @@ def test_validation_checks_the_joint_density():
         assert not model.is_uncorrelated
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e-7, 1.0, 1e9])
+def test_validation_does_not_depend_on_units(c):
+    # the tolerances are relative to the density: below unit scale they used
+    # to act as absolute ones, and F = -0.5e-12 passed as a density
+    for kwargs, message in [
+        (dict(F=_flat(1, -0.5 * c), G=_flat(1, c)), "density F has a negative eigenvalue"),
+        (dict(F=_flat(1, c), G=_flat(1, -0.5 * c)), "density G has a negative eigenvalue"),
+        (dict(F=_flat(1, c), G=_flat(1, c), F_xe=_flat(1, 1.5 * c)),
+         "joint signal-noise density is not positive semidefinite"),
+    ]:
+        with pytest.raises(InvalidParameterError, match=message):
+            SpectralModel(dim=1, grid_size=64, **kwargs)
+    skew = np.zeros((64, 2, 2), dtype=complex)
+    skew[:, 0, 0], skew[:, 1, 1] = c, c
+    skew[:, 0, 1] = 1e-6 * c
+    with pytest.raises(InvalidParameterError, match="density F is not Hermitian"):
+        SpectralModel(dim=2, F=skew, grid_size=64)
+    SpectralModel(dim=1, F=_flat(1, c), G=_flat(1, c), F_xe=_flat(1, c), grid_size=64)
+
+
+def test_an_all_zero_density_is_accepted():
+    model = SpectralModel(dim=2, F=_flat(2), G=_flat(2, 0.0), grid_size=64)
+    assert model.is_noiseless
+    SpectralModel(dim=2, F=_flat(2, 0.0), G=_flat(2), grid_size=64)
+
+
 def test_adjoint_cross_density_is_derived_from_the_cross_density():
     values = np.random.default_rng(3).normal(size=(64, 2, 2, 2)) @ [1.0, 1.0j]
     model = SpectralModel(dim=2, F=_flat(2, 4.0), G=_flat(2, 4.0),
