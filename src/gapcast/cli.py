@@ -154,6 +154,8 @@ def cmd_minimax(cfg: RunConfig, out_dir: Path) -> int:
     result = maximize_delta(cls, pattern, functional, opt, K=cfg.truncation,
                             theta=extras["theta"])
     saddle = verify_saddle_point(result)
+    # every check runs before the first artifact: a refused run writes none
+    residuals = [] if extras["skip_residuals"] else characterization_residuals(result).entries
 
     digest = config_hash(cfg)
     lines = _header(digest, seed=opt.seed)
@@ -189,13 +191,11 @@ def cmd_minimax(cfg: RunConfig, out_dir: Path) -> int:
     _write(out_dir / "saddle.csv", srows)
 
     rrows = _header(digest) + ["name,structure,residual,scale,relative,params"]
-    if not extras["skip_residuals"]:
-        resid = characterization_residuals(result)
-        for e in resid.entries:
-            params = json.dumps(e.params, sort_keys=True, default=_fmt)
-            rrows.append(",".join([
-                e.name, e.structure, _fmt(e.residual), _fmt(e.scale),
-                _fmt(e.relative), json.dumps(params)]))
+    for e in residuals:
+        params = json.dumps(e.params, sort_keys=True, default=_fmt)
+        rrows.append(",".join([
+            e.name, e.structure, _fmt(e.residual), _fmt(e.scale),
+            _fmt(e.relative), json.dumps(params)]))
     _write(out_dir / "residuals.csv", rrows)
     return EXIT_OK
 

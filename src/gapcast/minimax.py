@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -106,9 +107,6 @@ def _project(x: np.ndarray, flavor: int, weight: np.ndarray | None) -> np.ndarra
     return x
 
 
-_FLAVOR_FIELDS = {3: ("weight",)}   # ClassData a projection reads, per side
-
-
 def _slack(x: np.ndarray, flavor: int) -> tuple[np.ndarray, float]:
     """Per-node slack of the inequality ``x >= 0``, and the size of ``x``.
 
@@ -155,17 +153,32 @@ _SIDE_FIELDS = {"F": {"power": "power", "weight": "weight_f", "anchor": "anchor_
 
 
 class _Side:
-    """One constrained density, F or G, with the data its kind reads: the
-    model's ``samples`` and their projection ``value``, and the class's part
-    kept per grid by ``DensityClass.constants`` (``_side_constants``)."""
+    """One constrained density, ``which`` is F or G, labeled ``which:kind``: the
+    model's ``samples``, their projection ``value`` and its ``size`` (largest
+    absolute value or eigenvalue), and the class's part kept per grid by
+    ``DensityClass.constants`` (``_side_constants``)."""
 
     def __init__(self, cls: "DensityClass", model: SpectralModel, which: str):
         vars(self).update(cls.constants(model.grid_size, model.dim)[which])
         self.samples = model.samples(which)
         self.value = self.project(self.samples)
+        self.size = _slack(self.value, self.flavor)[1]
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return _project(x, self.flavor, self.weight)
+
+    @cached_property
+    def violations(self) -> dict[str, float]:
+        """How far the density violates each constraint of its kind; all >= 0."""
+        spec, val, out = self.spec, self.value, {}
+        if "power" in spec.fields:
+            out["power"] = float(np.max(np.abs(val.mean(axis=0) - np.asarray(self.power))))
+        for key, x in zip(spec.names, spec.bounds(self) if spec.bounds else ()):
+            out[key] = float(max(-np.min(_slack(x, self.flavor)[0]), 0.0))
+        if "radius" in spec.fields:
+            dist = np.abs(self.project(self.samples - self.anchor)).mean(axis=0)
+            out["distance"] = max(float(np.max(dist - np.asarray(self.data.radius))), 0.0)
+        return out
 
 
 def _edge_bounds(side: _Side):
@@ -180,13 +193,14 @@ def _side_constants(cls: "DensityClass", which: str, n: int, d: int) -> dict:
     """The class's part of a ``_Side``: its kind and data, the ``anchor``
     samples, and the ``edges`` its pointwise bounds measure from, the projected
     band (DVU) or the kept share of the anchor and no upper edge (Deps)."""
-    kind, names, data = cls.kind if which == "F" else cls.g_kind, _SIDE_FIELDS[which], cls.data
+    kind, names, data = dict(cls.sides)[which], _SIDE_FIELDS[which], cls.data
     flavor, weight = int(kind[-1]), getattr(data, names["weight"])
     raw = getattr(data, names["anchor"])
     if flavor == 3 and np.shape(weight) != (d, d):
         raise DataShapeError(f"data.{names['weight']}", f"expected a {d}x{d} matrix, "
                                                          f"got shape {np.shape(weight)}")
-    side = {"kind": kind, "spec": _BASES[kind[:-2]], "flavor": flavor, "data": data,
+    side = {"which": which, "label": f"{which}:{kind}", "kind": kind,
+            "spec": _BASES[kind[:-2]], "flavor": flavor, "data": data,
             "power": getattr(data, names["power"]), "weight": weight, "edges": None,
             "anchor": None if raw is None else density_data(raw, n, d, f"data.{names['anchor']}")}
     if kind.startswith("DVU"):
@@ -270,10 +284,9 @@ G_KINDS = tuple(kind for kind in F_KINDS if kind[:-2] in ("DVU", "D1delta"))
 def _binding(side: _Side):
     """Nodes where the lower and the upper pointwise constraint bind."""
     lower, upper, ref = side.spec.bounds(side) if side.spec.bounds else (None, None, side.value)
-    slack, size = _slack(ref, side.flavor)
-    tol = _BTOL * max(size, 1.0)
+    slack, size = _slack(ref, side.flavor)   # binding is relative to the reference's size
     return tuple(np.zeros(slack.shape, dtype=bool) if x is None
-                 else _slack(x, side.flavor)[0] <= tol for x in (lower, upper))
+                 else _slack(x, side.flavor)[0] <= _BTOL * size for x in (lower, upper))
 
 
 # the ClassData constants no density reader sees; the densities are checked
@@ -290,58 +303,58 @@ class DensityClass:
     family: DensityFamily
     g_kind: str | None = None
     _constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in F_KINDS:
             raise InvalidParameterError(f"unknown class kind {self.kind!r}")
         if self.g_kind is not None and self.g_kind not in G_KINDS:
             raise InvalidParameterError(f"unknown noise-side kind {self.g_kind!r}")
-        for kind, which in ((self.kind, "F"), (self.g_kind, "G")):
-            if kind is None:
-                continue
-            needed = _BASES[kind[:-2]].fields + _FLAVOR_FIELDS.get(int(kind[-1]), ())
-            names = [_SIDE_FIELDS[which].get(key, key) for key in needed]
-            missing = [name for name in names if getattr(self.data, name) is None]
+        for which, kind in self.sides:
+            needed = _BASES[kind[:-2]].fields + (("weight",) if kind.endswith("3") else ())
+            names = (_SIDE_FIELDS[which].get(key, key) for key in needed)
+            missing = [f"data.{name}" for name in names if getattr(self.data, name) is None]
             if missing:
-                raise InvalidParameterError(
-                    f"{kind} requires " + ", ".join(f"data.{m}" for m in missing))
+                raise InvalidParameterError(f"{kind} requires " + ", ".join(missing))
         for name in _CONSTANT_FIELDS:
             value = getattr(self.data, name)
             if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=complex))):
                 raise DataShapeError(f"data.{name}", f"expected finite values, got {value!r}")
 
+    @property
+    def sides(self) -> tuple[tuple[str, str], ...]:
+        """The constrained densities, as (which, kind): F, then G if ``g_kind`` is set."""
+        return (("F", self.kind),) + ((("G", self.g_kind),) if self.g_kind else ())
+
     def constants(self, n: int, d: int) -> dict:
         """Per side, the class's part of a ``_Side`` on n nodes of dimension d,
         computed once per grid; data the grid cannot read raises DataShapeError."""
         if (n, d) not in self._constants:
-            self._constants[n, d] = {which: _side_constants(self, which, n, d) for which, kind
-                                     in (("F", self.kind), ("G", self.g_kind)) if kind}
+            self._constants[n, d] = {which: _side_constants(self, which, n, d)
+                                     for which, _ in self.sides}
         return self._constants[n, d]
 
 
+def _sides_at(cls: DensityClass, model: SpectralModel) -> tuple[_Side, ...]:
+    """One ``_Side`` per side of the class at ``model``, F first; the last
+    model's are kept, so a membership check builds them once."""
+    if cls._last.get("model") is not model:
+        if model.is_noiseless and "G" in dict(cls.sides):
+            raise InvalidParameterError(
+                "class constrains the noise density but the model has none")
+        cls._last.update(model=model, sides=tuple(_Side(cls, model, w) for w, _ in cls.sides))
+    return cls._last["sides"]
+
+
 def class_constraint_report(cls: DensityClass, model: SpectralModel) -> dict[str, float]:
-    """Constraint violations of a candidate model, keyed by constraint name.
+    """Constraint violations of a candidate model, keyed ``which:kind:constraint``
+    (``F:DVU_1:upper``), so the two sides of a class never share a key.
 
     All entries are nonnegative; an in-class model reports values at numerical
     noise level.
     """
-    if cls.g_kind is not None and model.is_noiseless:
-        raise InvalidParameterError(
-            "class constrains the noise density but the model has none")
-    out: dict[str, float] = {}
-    for which in ("F", "G") if cls.g_kind is not None else ("F",):
-        side = _Side(cls, model, which)
-        kind, fields, val = side.kind, side.spec.fields, side.value
-        if "power" in fields:
-            out[f"{kind}:power"] = float(np.max(np.abs(val.mean(axis=0) - np.asarray(side.power))))
-        if side.spec.bounds:
-            for key, x in zip(side.spec.names, side.spec.bounds(side)):
-                out[f"{kind}:{key}"] = float(max(-np.min(_slack(x, side.flavor)[0]), 0.0))
-        if "radius" in fields:
-            dist = np.abs(side.project(side.samples - side.anchor)).mean(axis=0)
-            out[f"{kind}:distance"] = max(
-                float(np.max(dist - np.asarray(side.data.radius))), 0.0)
-    return out
+    return {f"{side.label}:{key}": value for side in _sides_at(cls, model)
+            for key, value in side.violations.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +485,9 @@ def _covered(cls: DensityClass, model: SpectralModel) -> bool:
     """
     if model.dim != 1 or not model.is_uncorrelated:
         return False
-    if cls.g_kind is None and not model.is_noiseless:
-        return False
-    return all(int(kind[-1]) != 3 or np.real(weight).item() > 0
-               for kind, weight in ((cls.kind, cls.data.weight_f),
-                                    (cls.g_kind, cls.data.weight_g)) if kind)
+    sides = cls.constants(model.grid_size, model.dim)
+    return (model.is_noiseless or "G" in sides) and all(
+        side["flavor"] != 3 or np.real(side["weight"]).item() > 0 for side in sides.values())
 
 
 def _delta_upper(cls: DensityClass, model: SpectralModel, est: EstimateResult,
@@ -491,25 +502,19 @@ def _delta_upper(cls: DensityClass, model: SpectralModel, est: EstimateResult,
     if not _covered(cls, model):
         return math.nan
     upper = 0.0
-    sides = [("F", "signal")] + ([("G", "noise")] if cls.g_kind else [])
-    for which, name in sides:
-        side = _Side(cls, model, which)
-        g = _coupling_field(model, est, functional, name)[:, 0, 0].real
-        if side.flavor == 3:
-            g = g / np.real(side.weight).item()
-        upper += side.spec.lp(side, g)
+    for side in _sides_at(cls, model):   # a flavor 3 side reads w*F: g in units of w
+        g = _coupling_field(model, est, functional, side)[:, 0, 0].real
+        upper += side.spec.lp(side, g / np.real(side.weight).item() if side.flavor == 3 else g)
     return upper
 
 
 def _check_in_class(cls: DensityClass, model: SpectralModel):
     """Refuse a model that violates a constraint by more than ``_CONSTRAINT_TOL``
-    times the size of the side it reads (the largest value of the side's
-    projected density), so membership does not depend on units.  The worst
-    violation is the one furthest over its tolerance, a NaN first."""
+    times the ``size`` of its side, so membership does not depend on units.
+    The worst violation is the one furthest over its tolerance, a NaN first."""
     report = class_constraint_report(cls, model)
-    size = {kind: _slack(_Side(cls, model, which).value, int(kind[-1]))[1]
-            for which, kind in (("F", cls.kind), ("G", cls.g_kind)) if kind}
-    tol = {name: _CONSTRAINT_TOL * size[name.split(":")[0]] for name in report}
+    tol = {f"{side.label}:{key}": _CONSTRAINT_TOL * side.size
+           for side in _sides_at(cls, model) for key in side.violations}
     name = max(report, key=lambda k: math.inf if math.isnan(report[k]) else report[k] - tol[k])
     if not report[name] <= tol[name]:
         raise InfeasibleClassError(
@@ -687,19 +692,19 @@ def verify_saddle_point(result: LeastFavorableResult) -> SaddleReport:
 
 
 def _coupling_field(model: SpectralModel, est: EstimateResult,
-                    functional: FunctionalSpec, side: str) -> np.ndarray:
+                    functional: FunctionalSpec, side: _Side) -> np.ndarray:
     """Pointwise rank-one field that the multiplier structure must match.
 
     The error of a fixed filter is linear in the densities, with matrix-valued
-    gradient conj(r) r^T at each node, where r is A - h0 on the signal side
-    and h0 itself on the noise side.  At an interior least-favorable pair this
+    gradient conj(r) r^T at each node, where r is A - h0 on the signal side F
+    and h0 itself on the noise side G.  At an interior least-favorable pair this
     gradient equals the class-specific multiplier structure.
     """
     if not model.is_uncorrelated and not model.is_noiseless:
         raise UnsupportedClassError(
             "characterization residuals require uncorrelated signal and noise")
     A = functional.a_on_grid(est.lam.size)
-    r = (A - est.h_grid) if side == "signal" else est.h_grid
+    r = (A - est.h_grid) if side.which == "F" else est.h_grid
     return np.einsum("nt,nu->ntu", np.conj(r), r)
 
 
@@ -747,20 +752,22 @@ def _l2(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(values) ** 2)))
 
 
-def _side_residuals(side: _Side, field: np.ndarray, name: str) -> list[ResidualEntry]:
+_EQUATIONS = {"F": "signal-side equation", "G": "noise-side equation"}
+
+
+def _side_residuals(side: _Side, field: np.ndarray) -> list[ResidualEntry]:
     """Fit the multiplier structure of one equation and report the misfit.
 
     ``field`` is the whitened rank-one field of the density ``side``
     constrains; the pointwise multipliers are supported where that density's
     constraints bind.
     """
-    n = field.shape[0]
+    n, name = field.shape[0], _EQUATIONS[side.which]
     spec, flavor, base = side.spec, side.flavor, side.kind[:-2]
     scale = _l2(np.linalg.norm(field, axis=(1, 2)))
-    ball = "radius" in spec.fields
+    ball, (lower, upper) = "radius" in spec.fields, _binding(side)
 
     if flavor == 4 and not ball:
-        lower, upper = _binding(side)
         free = ~(lower | upper)
         fitted, vec = _rank_one_fit((field[free] if free.any() else field).mean(axis=0))
         viol = _misfit(field - fitted, lower, upper)
@@ -776,7 +783,6 @@ def _side_residuals(side: _Side, field: np.ndarray, name: str) -> list[ResidualE
         fits = [_phase_fit(c, dd, span)
                 for c, dd in zip(coords.T, diff.reshape(n, -1).T)]
     else:
-        lower, upper = _binding(side)
         fits = [_fit(c, lo, hi, spec.fallback) for c, lo, hi in
                 zip(coords.T, lower.reshape(n, -1).T, upper.reshape(n, -1).T)]
     total = aniso ** 2 + sum((viol * norm) ** 2 for (_, viol), norm in zip(fits, norms))
@@ -809,21 +815,14 @@ def characterization_residuals(result: LeastFavorableResult) -> ResidualReport:
     if model.dim > 2:
         raise UnsupportedClassError(
             "characterization residuals are implemented for dimension <= 2")
-    paired = cls.g_kind is not None
-    if paired:
-        if (cls.kind[:-2], cls.g_kind[:-2]) not in {("D0", "DVU"), ("Deps", "D1delta")} \
-                or cls.kind[-1] != cls.g_kind[-1]:
-            raise UnsupportedClassError(
-                f"unsupported class pair ({cls.kind}, {cls.g_kind})")
-    elif not model.is_noiseless:
+    if cls.g_kind is None and not model.is_noiseless:
         raise UnsupportedClassError(
             "a noisy model needs both a signal-side and a noise-side class")
+    if cls.g_kind and ((cls.kind[:-2], cls.g_kind[:-2]) not in {("D0", "DVU"), ("Deps", "D1delta")}
+                       or cls.kind[-1] != cls.g_kind[-1]):
+        raise UnsupportedClassError(f"unsupported class pair ({cls.kind}, {cls.g_kind})")
 
     est, fun = result.estimate_star, result.functional
-    entries = _side_residuals(_Side(cls, model, "F"), _coupling_field(model, est, fun, "signal"),
-                              "signal-side equation")
-    if paired:
-        entries += _side_residuals(_Side(cls, model, "G"),
-                                   _coupling_field(model, est, fun, "noise"),
-                                   "noise-side equation")
-    return ResidualReport(entries=entries)
+    return ResidualReport(entries=[
+        entry for side in _sides_at(cls, model)
+        for entry in _side_residuals(side, _coupling_field(model, est, fun, side))])

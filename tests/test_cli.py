@@ -691,29 +691,55 @@ def test_saddle_check_fails_where_the_class_bound_beats_the_family(tmp_path):
 
 
 def _scaled(text, c):
-    """A minimax run file whose model scale, class power and family power are c times."""
+    """A minimax run file whose model scale, class power (and band edge) and
+    family power are c times."""
     doc = yaml.safe_load(text)
     doc["model"]["scale"] *= c
-    doc["minimax"]["data"]["power"] *= c
+    for key in ("power", "upper"):
+        if key in doc["minimax"]["data"]:
+            doc["minimax"]["data"][key] *= c
     doc["minimax"]["family"]["params"]["power"] *= c
     return yaml.safe_dump(doc)
 
 
-@pytest.mark.parametrize("name", ["two_step", "robust_fixed_power"])
+# a band class at a fixed point whose residuals are written: at unit scale no
+# node binds; in units 1e7 times smaller every node used to count as binding
+# at the lower edge (an absolute floor), and the relative residual read 0.234
+DVU_BAND_MINIMAX = """
+model: {kind: white, dim: 1, scale: 2.0}
+pattern: {intervals: [[2, 0]]}
+functional: {coeffs: [[1.0], [1.0]]}
+numerics: {grid_size: 512, truncation: 16}
+minimax:
+  kind: DVU_1
+  data: {power: 2.0, upper: 100.0}
+  family: {kind: mixture, params: {power: 2.0}}
+  theta: [0.85, 0.7]
+"""
+
+
+@pytest.mark.parametrize("name", ["two_step", "robust_fixed_power", "dvu_band"])
 def test_minimax_does_not_depend_on_units(tmp_path, name):
     # the same class written in units 1e7 times smaller or 1e9 times larger:
-    # the search, its certificate and the saddle verdict must not move.  The
-    # two-step class used to pass its saddle check at 2e-7 and to leave the
-    # class at 2e9 (a power off by 1.2e-16 of itself read as a violation)
-    text = TWO_STEP_MINIMAX if name == "two_step" else ROBUST.read_text()
-    runs = {}
+    # the search, its certificate, the saddle verdict and the relative
+    # residuals (dimensionless, to 1e-12) must not move.  The two-step class used to pass its saddle
+    # check at 2e-7 and to leave the class at 2e9 (a power off by 1.2e-16 of
+    # itself read as a violation)
+    text = {"two_step": TWO_STEP_MINIMAX, "robust_fixed_power": ROBUST.read_text(),
+            "dvu_band": DVU_BAND_MINIMAX}[name]
+    runs, relative = {}, {}
     for c in (1e-7, 1.0, 1e9):
         out = tmp_path / repr(c)
         assert run_cli(["minimax", "--config", write_config(tmp_path, _scaled(text, c)),
                         "--out", out]) == 0
         runs[c] = read_summary(out / "lfd.summary")
+        relative[c] = [float(row[4]) for row in read_csv_rows(out / "residuals.csv")[1]]
     unit = runs[1.0]
-    assert unit["saddle_all_pass"] == ("false" if name == "two_step" else "true")
+    assert unit["saddle_all_pass"] == ("true" if name == "robust_fixed_power" else "false")
+    if name == "dvu_band":
+        assert relative[1.0] == [pytest.approx(0.396, abs=5e-4)]
+    for c in runs:
+        assert relative[c] == pytest.approx(relative[1.0], rel=0.0, abs=1e-12), c
     assert float(unit["saddle_max_violation"]) == max(float(unit["fw_gap"]), 0.0)
     delta = float(unit["delta_star"])
     for c, summary in runs.items():
@@ -732,7 +758,7 @@ def test_a_family_above_the_class_power_is_refused_at_any_scale(tmp_path, capsys
     doc["minimax"]["family"]["params"]["power"] = 1.01 * c
     cfg = write_config(tmp_path, yaml.safe_dump(doc))
     assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 3
-    assert "family point violates D0_1:power by" in capsys.readouterr().err
+    assert "family point violates F:D0_1:power by" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("c", [1e-12, 1e-7, 1.0, 1e9])
@@ -788,6 +814,30 @@ minimax:
     rc = run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"])
     assert rc == 4
     assert "unsupported class:" in capsys.readouterr().err
+    # the residuals run before the first artifact: this run used to leave an
+    # lfd.summary reading stopped = certified, and a saddle.csv
+    assert not (tmp_path / "out").exists()
+
+
+def test_minimax_one_kind_on_both_sides_is_refused_per_side(tmp_path, capsys):
+    # the signal side is over its power (1.5 against 1.0); under one key per
+    # kind the noise side's entry hid it, and the run wrote stopped = certified
+    cfg = write_config(tmp_path, """
+model: {kind: white, dim: 1, scale: 1.5}
+pattern: {intervals: [[2, 0]]}
+functional: {coeffs: [[1.0]]}
+numerics: {grid_size: 512, truncation: 16}
+minimax:
+  kind: DVU_1
+  g_kind: DVU_1
+  data: {power: 1.0, noise_power: 0.8, upper: 8.0}
+  family: {kind: mixture, params: {power: 1.5, noise_power: 0.8}}
+  opt: {starts: 2, budget: 60, seed: 0}
+""")
+    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 3
+    assert "error: family point violates F:DVU_1:power by 5.000e-01" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -109,21 +109,21 @@ def test_mixture_family_has_fixed_power():
     for _ in range(10):
         model = fam.build(fam.sample(rng))
         report = class_constraint_report(cls, model)
-        assert report["D0_1:power"] < 1e-10
+        assert report["F:D0_1:power"] < 1e-10
 
 
 def test_constraint_report_flags_violations():
     cls = DensityClass(kind="D0_1", data=ClassData(power=3.0),
                        family=singleton_family(white_model(1, 2.0, GRID)))
     report = class_constraint_report(cls, white_model(1, 2.0, GRID))
-    assert report["D0_1:power"] == pytest.approx(1.0)
+    assert report["F:D0_1:power"] == pytest.approx(1.0)
 
     band = DensityClass(kind="DVU_1",
                         data=ClassData(power=2.0, lower=0.0, upper=1.5),
                         family=singleton_family(white_model(1, 2.0, GRID)))
     report = class_constraint_report(band, white_model(1, 2.0, GRID))
-    assert report["DVU_1:upper"] == pytest.approx(0.5)
-    assert report["DVU_1:lower"] == 0.0
+    assert report["F:DVU_1:upper"] == pytest.approx(0.5)
+    assert report["F:DVU_1:lower"] == 0.0
 
 
 def test_convex_family_interpolates_anchors():
@@ -331,9 +331,9 @@ def test_search_rejects_wide_families_and_infeasible_members():
         evaluate_candidate(mismatched, (0.5, 0.2), NO_GAP, PRED, K=16)
 
 
-@pytest.mark.parametrize("report", [{"D0_1:power": np.nan},
-                                    {"D0_1:power": 0.0, "DVU_1:upper": np.nan},
-                                    {"DVU_1:upper": np.nan, "D0_1:power": 1e-3}])
+@pytest.mark.parametrize("report", [{"F:D0_1:power": np.nan},
+                                    {"F:D0_1:power": 0.0, "G:DVU_1:upper": np.nan},
+                                    {"G:DVU_1:upper": np.nan, "F:D0_1:power": 1e-3}])
 def test_a_nan_constraint_violation_is_infeasible(monkeypatch, report):
     # NaN > tol is False: the check must read a NaN as a violation, the worst one
     monkeypatch.setattr(minimax_module, "class_constraint_report", lambda cls, model: report)
@@ -343,6 +343,22 @@ def test_a_nan_constraint_violation_is_infeasible(monkeypatch, report):
                        family=singleton_family(model))
     with pytest.raises(InfeasibleClassError, match="violates .* by nan"):
         _check_in_class(cls, model)
+
+
+def test_a_class_with_one_kind_on_both_sides_reports_each_side():
+    # DVU_1 on F and on G: the signal's power violation (1.5 against 1.0) used
+    # to be overwritten by the noise side's entry under one key, and the
+    # search certified members outside the class
+    fam = scalar_mixture_family(power=1.5, noise_power=0.8, grid_size=GRID)
+    cls = DensityClass(kind="DVU_1", g_kind="DVU_1",
+                       data=ClassData(power=1.0, noise_power=0.8, upper=8.0), family=fam)
+    report = class_constraint_report(cls, fam.build(fam.center))
+    assert sorted(report) == [f"{which}:DVU_1:{key}" for which in "FG"
+                              for key in ("lower", "power", "upper")]
+    assert report["F:DVU_1:power"] == pytest.approx(0.5)
+    assert report["G:DVU_1:power"] < 1e-12
+    with pytest.raises(InfeasibleClassError, match="violates F:DVU_1:power by 5.000e-01"):
+        maximize_delta(cls, NO_GAP, PRED, FAST, K=16)
 
 
 @pytest.mark.parametrize("field", ["power", "noise_power", "weight_f", "weight_g", "eps",
@@ -629,7 +645,7 @@ def _reference_constraint_report(cls, model):
         anchor = _reference_samples(getattr(cls.data, names["anchor"]), n, d)
         if "power" in spec.fields:
             power = np.asarray(getattr(cls.data, names["power"]))
-            out[f"{kind}:power"] = float(np.max(np.abs(val.mean(axis=0) - power)))
+            out[f"{which}:{kind}:power"] = float(np.max(np.abs(val.mean(axis=0) - power)))
         bounds = {}
         if kind.startswith("DVU"):
             lower = cls.data.lower if cls.data.lower is not None else 0.0
@@ -639,10 +655,10 @@ def _reference_constraint_report(cls, model):
             bounds = {"mixture": val - (1.0 - cls.data.eps) * project(anchor)}
         for key, x in bounds.items():
             slack = minimax_module._slack(x, flavor)[0]
-            out[f"{kind}:{key}"] = float(max(-np.min(slack), 0.0))
+            out[f"{which}:{kind}:{key}"] = float(max(-np.min(slack), 0.0))
         if "radius" in spec.fields:
             dist = np.abs(project(samples - anchor)).mean(axis=0)
-            out[f"{kind}:distance"] = max(
+            out[f"{which}:{kind}:distance"] = max(
                 float(np.max(dist - np.asarray(cls.data.radius))), 0.0)
     return out
 
