@@ -78,6 +78,7 @@ class EstimateDiagnostics:
     max_lag: int
     cond_B: float
     solve_residual: float
+    cg_iterations: int
     gap_coeff_max: float
     orthogonality_max: float
     tap_tail_mass: float
@@ -205,7 +206,7 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
 
     diags = EstimateDiagnostics(
         truncation=K, grid_size=n, max_lag=h_table.max_lag,
-        cond_B=sol.cond_B, solve_residual=sol.residual,
+        cond_B=sol.cond_B, solve_residual=sol.residual, cg_iterations=sol.cg_iterations,
         delta_operator=delta_op, delta_quadrature=delta_quad,
         two_form_rel_diff=two_form, gap_coeff_max=gap_max,
         orthogonality_max=ort_max, tap_tail_mass=tail_rel,

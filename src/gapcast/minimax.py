@@ -407,17 +407,22 @@ class ResidualEntry:
     params: dict
     residual: float
     scale: float
+    floor: float
 
     @property
     def relative(self) -> float:
-        """Residual relative to the field size.
+        """Residual relative to ``scale``, the size of what the entry fits.
 
-        Fields below 1e-12 belong to identically-zero multipliers (for
-        example a silent filter on the noise side); their equations hold
-        trivially, so the ratio is floored rather than amplifying rounding
-        dust.
+        Below ``floor``, ``_FLOOR`` of the entry's own unit (the zero filter's
+        field for an equation, the side's size for a distance), the ratio
+        takes the floor instead: a field that small belongs to an
+        identically-zero multiplier (for example a silent filter on the noise
+        side), whose equation holds trivially, and dividing by it would
+        amplify rounding dust.  Only a zero functional leaves both zero, and
+        a zero residual with them.
         """
-        return self.residual / max(self.scale, 1e-12)
+        bound = max(self.scale, self.floor)
+        return self.residual / bound if bound else 0.0
 
 
 @dataclass
@@ -753,18 +758,22 @@ def _l2(values: np.ndarray) -> float:
 
 
 _EQUATIONS = {"F": "signal-side equation", "G": "noise-side equation"}
+# fraction of its own unit below which a field, a distance to the anchor or a
+# radius counts as zero
+_FLOOR = 1e-12
 
 
-def _side_residuals(side: _Side, field: np.ndarray) -> list[ResidualEntry]:
+def _side_residuals(side: _Side, field: np.ndarray, unit: float) -> list[ResidualEntry]:
     """Fit the multiplier structure of one equation and report the misfit.
 
     ``field`` is the whitened rank-one field of the density ``side``
-    constrains; the pointwise multipliers are supported where that density's
-    constraints bind.
+    constrains, and ``unit`` the size of the zero filter's field; the
+    pointwise multipliers are supported where that density's constraints
+    bind.
     """
     n, name = field.shape[0], _EQUATIONS[side.which]
     spec, flavor, base = side.spec, side.flavor, side.kind[:-2]
-    scale = _l2(np.linalg.norm(field, axis=(1, 2)))
+    scale, floor = _l2(np.linalg.norm(field, axis=(1, 2))), _FLOOR * unit
     ball, (lower, upper) = "radius" in spec.fields, _binding(side)
 
     if flavor == 4 and not ball:
@@ -774,12 +783,13 @@ def _side_residuals(side: _Side, field: np.ndarray) -> list[ResidualEntry]:
         label = "(rank one + matrix slack)" if spec.bounds else "(constant rank one)"
         return [ResidualEntry(
             name=name, structure=f"{base} flavor 4 {label}",
-            params={f"{spec.mult}_vec": vec.tolist()}, residual=_l2(viol), scale=scale)]
+            params={f"{spec.mult}_vec": vec.tolist()}, residual=_l2(viol), scale=scale,
+            floor=floor)]
 
     coords, norms, aniso, names, suffix = _bases(field, flavor, side.weight, spec.mult)
     if ball:
         diff = side.project(side.samples - side.anchor)
-        span = max(float(np.max(np.abs(diff))), 1e-12)
+        span = max(float(np.max(np.abs(diff))), _FLOOR * side.size)
         fits = [_phase_fit(c, dd, span)
                 for c, dd in zip(coords.T, diff.reshape(n, -1).T)]
     else:
@@ -789,7 +799,7 @@ def _side_residuals(side: _Side, field: np.ndarray) -> list[ResidualEntry]:
     entries = [ResidualEntry(
         name=name, structure=f"{base} flavor {flavor}{suffix}",
         params={key: m for key, (m, _) in zip(names, fits)},
-        residual=_l2(np.sqrt(total)), scale=scale)]
+        residual=_l2(np.sqrt(total)), scale=scale, floor=floor)]
 
     if ball:
         dist = np.abs(diff).mean(axis=0)
@@ -798,7 +808,7 @@ def _side_residuals(side: _Side, field: np.ndarray) -> list[ResidualEntry]:
             name=f"{name} distance", structure="L1 ball saturation",
             params={"distance": dist.tolist()},
             residual=float(np.max(np.abs(dist - rad))),
-            scale=max(float(rad.max()), 1e-12)))
+            scale=float(rad.max()), floor=_FLOOR * side.size))
     return entries
 
 
@@ -823,6 +833,8 @@ def characterization_residuals(result: LeastFavorableResult) -> ResidualReport:
         raise UnsupportedClassError(f"unsupported class pair ({cls.kind}, {cls.g_kind})")
 
     est, fun = result.estimate_star, result.functional
+    # |A|^2, the size of the zero filter's field
+    unit = _l2(np.sum(np.abs(fun.a_on_grid(est.lam.size)) ** 2, axis=1))
     return ResidualReport(entries=[
         entry for side in _sides_at(cls, model)
-        for entry in _side_residuals(side, _coupling_field(model, est, fun, side))])
+        for entry in _side_residuals(side, _coupling_field(model, est, fun, side), unit)])

@@ -10,6 +10,13 @@ Block convention: the matrix block at (row p, col q) is table.coeff(j_p - j_q).
 The system builder feeds tables of the *transposed* integrands, which makes
 the solved system exactly the coefficient-space form of the orthogonality
 conditions (column layout; see extrapolate.py).
+
+Two solves share one interface.  Up to ``DENSE_MAX_ORDER`` unknowns B is
+assembled and factored by Cholesky.  Above it B is never formed
+(``SplitOperator``): its future block over {0..K} is block Toeplitz, so
+B_FF [u V] = [r_F B_FS] is solved by conjugate gradients with FFT products,
+preconditioned by the Toeplitz matrix of the inverse symbol F_zeta^T, and the
+gap unknowns follow from the |S| T square Schur complement.
 """
 
 from __future__ import annotations
@@ -40,6 +47,16 @@ from .spectral import (
 # with more points could not even be stored; refusing it early also keeps
 # ``points`` from being enumerated.
 MAX_GAP_POINTS = 100_000
+
+# Order P of B above which the solve splits over the gap and the future and B
+# is never formed; at or below it B is assembled and factored.  Every shipped
+# example stays dense (P <= 198); the benchmark's estimates (P = 1030) split.
+DENSE_MAX_ORDER = 512
+
+# Conjugate gradients stop when every column's residual is at most
+# ``CG_TOL`` of its right-hand side, and refuse after ``CG_MAX_ITERATIONS``.
+CG_TOL = 1e-15
+CG_MAX_ITERATIONS = 100
 
 
 def _whole(value, pair) -> int:
@@ -127,23 +144,174 @@ def assemble(table: FourierTable, rows: Sequence[int],
     return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * T, len(cols) * T)
 
 
+def _fast_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: an FFT length without a large prime factor."""
+    best, five = 1 << (n - 1).bit_length(), 1
+    while five < best:
+        odd = five
+        while odd < best:
+            length = odd
+            while length < n:
+                length *= 2
+            best, odd = min(best, length), odd * 3
+        five *= 5
+    return best
+
+
+class _ToeplitzProduct:
+    """x -> ``assemble(table, range(size)) @ x`` without forming the matrix.
+
+    One FFT convolution per call, at length ``_fast_length(2 size - 1)``:
+    long enough that the lags p - q stay distinct, and never a slow prime
+    length.  A real table keeps real FFTs; complex x then travels as its real
+    and imaginary parts side by side.
+    """
+
+    def __init__(self, table: FourierTable, size: int):
+        lags = np.arange(1 - size, size)
+        self.size, self.dim = size, table.dim
+        self.length = _fast_length(2 * size - 1)
+        kernel = np.zeros((self.length, self.dim, self.dim), dtype=table.data.dtype)
+        kernel[lags % self.length] = table.data[lags + table.max_lag]
+        self.real = not np.iscomplexobj(kernel)
+        self.symbol = (np.fft.rfft if self.real else np.fft.fft)(kernel, axis=0)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The product with x of shape (size T, k)."""
+        k = x.shape[1]
+        if self.real and np.iscomplexobj(x):
+            y = self(np.hstack((x.real, x.imag)))
+            return y[:, :k] + 1j * y[:, k:]
+        blocks = x.reshape(self.size, self.dim, k)
+        if self.real:
+            spectrum = np.fft.rfft(blocks, n=self.length, axis=0)
+            y = np.fft.irfft(self.symbol @ spectrum, n=self.length, axis=0)
+        else:
+            spectrum = np.fft.fft(blocks, n=self.length, axis=0)
+            y = np.fft.ifft(self.symbol @ spectrum, axis=0)
+        return y[:self.size].reshape(self.size * self.dim, k)
+
+
+def _column_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->j", x.conj(), y).real
+
+
+def _pcg(apply, precondition, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Preconditioned conjugate gradients, one system per column of b.
+
+    A column stops, and keeps its solution, once its residual is at most
+    ``CG_TOL`` of its right-hand side.  Returns the solutions and the number
+    of iterations the slowest column took; more than ``CG_MAX_ITERATIONS``
+    raises ``NonInvertibleOperatorError``.
+    """
+    scale = np.linalg.norm(b, axis=0)
+    target = CG_TOL * scale
+    x, r = np.zeros_like(b), b.copy()
+    active = scale > target   # a zero column is solved by zero
+    if not active.any():
+        return x, 0
+    z = precondition(r)
+    p, rz = z, _column_dot(r, z)
+    for iteration in range(1, CG_MAX_ITERATIONS + 1):
+        q = apply(p)
+        alpha = np.divide(rz, _column_dot(p, q), out=np.zeros_like(rz), where=active)
+        x = x + alpha * p
+        r = r - alpha * q
+        norms = np.linalg.norm(r, axis=0)
+        active &= ~(norms <= target)   # a NaN residual never converges
+        if not active.any():
+            return x, iteration
+        z = precondition(r)
+        rz_next = _column_dot(r, z)
+        p = z + np.divide(rz_next, rz, out=np.zeros_like(rz), where=active) * p
+        rz = rz_next
+    worst = float((norms[active] / scale[active]).max())
+    raise NonInvertibleOperatorError(
+        f"conjugate gradients not converged after {CG_MAX_ITERATIONS} iteration(s): "
+        f"relative residual {worst:.3e}"
+    )
+
+
+class SplitOperator:
+    """Bmat over U_K = S union {0..K}, above ``DENSE_MAX_ORDER``, never formed.
+
+    It has the ``shape`` and ``dtype`` of B, and ``B @ x`` is B's product.
+    The gap blocks B_SS and B_FS (|S| T columns) are assembled; the future
+    block B_FF is block Toeplitz and applied by an FFT product.  ``solve``
+    runs preconditioned conjugate gradients on B_FF [u V] = [r_F B_FS], the
+    preconditioner being the Toeplitz matrix of ``inverse_table`` (the
+    coefficients of the inverse symbol), then factors the Schur complement
+    B_SS - B_FS^H V and sets c_S from it and c_F = u - V c_S.
+    """
+
+    def __init__(self, table: FourierTable, inverse_table: FourierTable,
+                 gap: Sequence[int], K: int):
+        future = np.arange(K + 1)
+        self.table, self.gap = table, np.asarray(gap, dtype=int)
+        self.B_SS = assemble(table, self.gap)
+        self.B_FS = assemble(table, future, self.gap)
+        self.future = _ToeplitzProduct(table, K + 1)
+        self.precondition = _ToeplitzProduct(inverse_table, K + 1)
+        order = (self.gap.size + K + 1) * table.dim
+        self.shape, self.dtype = (order, order), table.data.dtype
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """B x for x of shape (P,) or (P, k)."""
+        x = np.asarray(x)
+        cols = x.reshape(x.shape[0], -1)
+        s = self.B_SS.shape[0]
+        x_S, x_F = cols[:s], cols[s:]
+        y = np.concatenate((self.B_SS @ x_S + self.B_FS.conj().T @ x_F,
+                            self.B_FS @ x_S + self.future(x_F)))
+        return y.reshape(x.shape)
+
+    def norm1(self) -> float:
+        """||B||_1, the largest column sum of |B|, from per-lag column sums.
+
+        Column (q, b) of B sums |table.coeff(j_p - j_q)[:, b]| over the rows
+        j_p: a window of consecutive lags for the future rows, read off a
+        running sum, plus one lag per gap row.
+        """
+        sums = np.abs(self.table.data).sum(axis=1)          # (lags, T)
+        running = np.concatenate((np.zeros((1, sums.shape[1])), np.cumsum(sums, axis=0)))
+        size, lag0 = self.future.size, self.table.max_lag
+        cols = np.concatenate((self.gap, np.arange(size)))
+        column = (running[lag0 + size - cols] - running[lag0 - cols]
+                  + sums[self.gap[:, None] - cols[None, :] + lag0].sum(axis=0))
+        return float(column.max())
+
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+        """B^{-1} rhs and the conjugate-gradient iterations it took."""
+        s = self.B_SS.shape[0]
+        uv, iterations = _pcg(self.future, self.precondition,
+                              np.column_stack((rhs[s:], self.B_FS)))
+        u, V = uv[:, 0], uv[:, 1:]
+        if not s:
+            return u, iterations
+        schur = cholesky_solver(self.B_SS - self.B_FS.conj().T @ V,
+                                NonInvertibleOperatorError, "gap Schur complement")
+        c_S = schur(rhs[:s] - self.B_FS.conj().T @ u)
+        return np.concatenate((c_S, u - V @ c_S)), iterations
+
+
 @dataclass
 class OperatorSystem:
     """Assembled operator matrices over U_K, P = |U_K| T unknowns.
 
     Bmat (P x P) is Hermitian positive definite whenever the minimality check
-    passes.  Rmat (P x (N+1) T) carries the signal-vs-observation coupling and
-    Qmat ((N+1) T square) the quadratic remainder of the mean-square error;
-    their columns cover only the functional's indices 0..N.  Each matrix takes
-    the dtype of the Fourier table it is assembled from (the noiseless
-    identity Rmat and zero Qmat take Bmat's): real for a real process, complex
-    otherwise.  entries lists U_K in block order (gap points ascending, then
+    passes; above ``DENSE_MAX_ORDER`` it is a ``SplitOperator``, which applies
+    B without forming it.  Rmat (P x (N+1) T) carries the signal-vs-observation
+    coupling and Qmat ((N+1) T square) the quadratic remainder of the
+    mean-square error; their columns cover only the functional's indices
+    0..N.  Each matrix takes the dtype of the Fourier table it is assembled
+    from (the noiseless identity Rmat and zero Qmat take Bmat's): real for a
+    real process, complex otherwise.  entries lists U_K in block order (gap points ascending, then
     0..K).  Zinv (F_zeta^{-1}) and X (F + F_xe) are the grid samples the
     matrices were built from; eig_max is the largest eigenvalue of F_zeta over
     the grid.
     """
 
-    Bmat: np.ndarray
+    Bmat: np.ndarray | SplitOperator
     Rmat: np.ndarray
     Qmat: np.ndarray
     entries: np.ndarray
@@ -203,10 +371,16 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
         raise SingularDensityError(f"observation density not invertible: {exc}") from exc
     X = model.samples("F") + model.samples("Fxe")
 
-    def block(samples: np.ndarray, rows, cols=None) -> np.ndarray:
-        return assemble(coeffs_from_samples(_transposed(samples), max_lag), rows, cols)
+    def table(samples: np.ndarray) -> FourierTable:
+        return coeffs_from_samples(_transposed(samples), max_lag)
 
-    Bmat = block(Zinv, entries)
+    def block(samples: np.ndarray, rows, cols=None) -> np.ndarray:
+        return assemble(table(samples), rows, cols)
+
+    if entries.size * model.dim > DENSE_MAX_ORDER:
+        Bmat = SplitOperator(table(Zinv), table(model.samples("Fz")), pattern.points, K)
+    else:
+        Bmat = block(Zinv, entries)
     if model.is_noiseless:
         T = model.dim
         # the identity's columns of 0..N, which follow the |S| gap blocks
@@ -257,20 +431,25 @@ class CoefficientSolution:
     eigenvalues are those of F_zeta^{-1} at the grid nodes, so
     ||B^{-1}||_1 <= sqrt(P) ||B^{-1}||_2 <= sqrt(P) eig_max: U is never below
     the 1-norm condition number ||B||_1 ||B^{-1}||_1, nor below the 2-norm one.
+    ``cg_iterations`` counts the conjugate-gradient iterations of a
+    ``SplitOperator`` solve, 0 for a dense one.
     """
 
     c: np.ndarray
     residual: float
     cond_B: float
+    cg_iterations: int = 0
 
 
 def solve_coefficients(system: OperatorSystem, a_vec: np.ndarray) -> CoefficientSolution:
-    """Solve Bmat c = Rmat a by Cholesky factorization with one refinement step.
+    """Solve Bmat c = Rmat a and report the relative residual of the full system.
 
     ``a_vec`` holds a(0..N) flattened, (N+1) T values, one per column of Rmat.
-    The conditioning bound ``cond_B`` (see ``CoefficientSolution``) must not
-    exceed ``COND_CEILING``; it is checked before the factorization by
-    ``cholesky_solver``, and refuses a non-finite Bmat.
+    A dense Bmat is factored by Cholesky, with one refinement step; a
+    ``SplitOperator`` is solved by its own ``solve``.  The conditioning bound
+    ``cond_B`` (see ``CoefficientSolution``) must not exceed ``COND_CEILING``;
+    it is checked before either solve.  ``cholesky_solver`` refuses a
+    non-finite Bmat.
     """
     a_vec = np.asarray(a_vec)
     B = system.Bmat
@@ -278,19 +457,23 @@ def solve_coefficients(system: OperatorSystem, a_vec: np.ndarray) -> Coefficient
         raise InvalidParameterError(
             f"functional vector has shape {a_vec.shape}, expected {system.Rmat.shape[1:]}"
         )
-    cond = float(np.linalg.norm(B, 1) * np.sqrt(B.shape[0]) * system.eig_max)
+    split = isinstance(B, SplitOperator)
+    norm1 = B.norm1() if split else np.linalg.norm(B, 1)
+    cond = float(norm1 * np.sqrt(B.shape[0]) * system.eig_max)
     if not np.isfinite(cond) or cond > COND_CEILING:
         raise NonInvertibleOperatorError(
             f"operator condition number bound {cond:.3e} exceeds ceiling {COND_CEILING:.1e}"
         )
-    solve = cholesky_solver(B, NonInvertibleOperatorError, "operator matrix")
     rhs = system.Rmat @ a_vec
-    c = solve(rhs)
-    # one step of iterative refinement
-    resid = rhs - B @ c
-    c = c + solve(resid)
+    if split:
+        c, iterations = B.solve(rhs)
+    else:
+        solve = cholesky_solver(B, NonInvertibleOperatorError, "operator matrix")
+        c = solve(rhs)
+        # one step of iterative refinement
+        c = c + solve(rhs - B @ c)
+        iterations = 0
     resid = rhs - B @ c
     denom = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
     return CoefficientSolution(c=c, residual=float(np.linalg.norm(resid)) / denom,
-                               cond_B=cond)
-
+                               cond_B=cond, cg_iterations=iterations)

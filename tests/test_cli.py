@@ -22,11 +22,13 @@ from gapcast.config import (
     loads_config,
 )
 import gapcast.minimax as minimax_module
+import gapcast.operators as operators_module
 from gapcast.minimax import maximize_delta
 from gapcast.oracle import CirculantEmbedding
 from gapcast.spectral import grid_points
 
-ROBUST = Path(__file__).resolve().parent.parent / "docs" / "examples" / "robust_fixed_power.yaml"
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+ROBUST = EXAMPLES / "robust_fixed_power.yaml"
 
 BENCH_YAML = """
 model:
@@ -106,7 +108,7 @@ def test_estimate_benchmark_outputs(tmp_path):
     assert summary["grid_size"] == "1024"
     assert list(summary) == [
         "delta", "delta_operator", "delta_quadrature", "two_form_rel_diff", "truncation",
-        "grid_size", "max_lag", "cond_B", "solve_residual", "gap_coeff_max",
+        "grid_size", "max_lag", "cond_B", "solve_residual", "cg_iterations", "gap_coeff_max",
         "orthogonality_max", "tap_tail_mass", "minimality_value"]
 
     header, rows, _ = read_csv_rows(out / "taps.csv")
@@ -1229,6 +1231,28 @@ numerics:
     cfg = write_config(tmp_path, text)
     assert run_cli(["estimate", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_large_estimate_is_solved_by_conjugate_gradients(tmp_path):
+    # 2 (2 + 513) = 1030 unknowns: above the crossover, and still 15.69
+    out = tmp_path / "o"
+    assert run_cli(["estimate", "--config", EXAMPLES / "benchmark.yaml", "--grid", 8192,
+                    "--truncation", 512, "--out", out]) == 0
+    summary = read_summary(out / "result.summary")
+    assert abs(float(summary["delta"]) - BENCH_DELTA) <= 1e-12 * BENCH_DELTA
+    assert int(summary["cg_iterations"]) > 0
+    assert float(summary["solve_residual"]) <= 1e-13
+
+
+def test_unconverged_conjugate_gradients_exit_3(tmp_path, capsys, monkeypatch):
+    # with the iteration cap at 1 they cannot converge on a non-white model
+    monkeypatch.setattr(operators_module, "CG_MAX_ITERATIONS", 1)
+    out = tmp_path / "o"
+    assert run_cli(["estimate", "--config", EXAMPLES / "noisy_ar1.yaml", "--grid", 4096,
+                    "--truncation", 600, "--out", out]) == 3
+    assert ("error: conjugate gradients not converged after 1 iteration(s): relative residual"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_bad_command_rejected():

@@ -826,15 +826,22 @@ def _sandwich_cases():
     cases["Deps_1"] = (DensityClass(kind="Deps_1", data=ClassData(
         power=2.5, anchor_f=anchor[:, None, None], eps=0.3), family=fam), fam)
 
-    base = _unit_ar1(lam, 0.3)
+    cases["D1delta_1"] = _d1delta_case()
+    return cases
+
+
+def _d1delta_case(unit=1.0):
+    """(class, family): an L1 ball around a unit AR(0.3) anchor, and three
+    bumped anchors inside it; every density and the radius in ``unit``."""
+    lam = grid_points(GRID)
+    base = unit * _unit_ar1(lam, 0.3)
     models = [SpectralModel(dim=1, F=(base * bump)[:, None, None],
                             grid_size=GRID, pole_modulus=0.3)
               for bump in (1.0, 1.0 + 0.2 * np.sin(lam), 1.0 + 0.3 * np.cos(2 * lam))]
     radius = max(float(np.mean(np.abs(m.samples("F")[:, 0, 0] - base))) for m in models)
     fam = convex_combination_family(models)
-    cases["D1delta_1"] = (DensityClass(kind="D1delta_1", data=ClassData(
-        anchor_f=base[:, None, None], radius=radius), family=fam), fam)
-    return cases
+    return DensityClass(kind="D1delta_1", data=ClassData(
+        anchor_f=base[:, None, None], radius=radius), family=fam), fam
 
 
 @pytest.mark.parametrize("case", sorted(_sandwich_cases()))
@@ -1064,6 +1071,19 @@ def test_paired_contamination_distance_classes_run_end_to_end():
     assert max(e.relative for e in structural) < 1e-8
     sat = [e for e in report.entries if e.structure == "L1 ball saturation"]
     assert len(sat) == 1 and np.isfinite(sat[0].residual)
+
+
+def test_l1_ball_residuals_do_not_depend_on_units():
+    # every density and the radius 1e-14 times smaller: the off-anchor span,
+    # the distance's scale and the relative floor all scale with the side
+    def relative(unit):
+        entries = characterization_residuals(_at(_d1delta_case(unit)[0], (0.3, 0.6))).entries
+        return [(e.name, e.relative) for e in entries]
+
+    unit, small = relative(1.0), relative(1e-14)
+    assert [name for name, _ in unit] == [name for name, _ in small] == [
+        "signal-side equation", "signal-side equation distance"]
+    assert [r for _, r in small] == pytest.approx([r for _, r in unit], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

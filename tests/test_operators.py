@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 
 import gapcast.operators as operators_module
@@ -25,8 +26,11 @@ from gapcast import (
 )
 from gapcast.config import build_functional, build_model, build_pattern, load_config
 from gapcast.operators import (
+    DENSE_MAX_ORDER,
     MAX_GAP_POINTS,
     OperatorSystem,
+    SplitOperator,
+    _fast_length,
     _inverse,
     assemble,
     cholesky_solver,
@@ -635,3 +639,116 @@ def test_estimate_matches_complex_reference(seed, dim):
     assert res.delta == pytest.approx(delta, rel=1e-12)
     assert _close([res.c[j] for j in res.system.entries], c, np.abs(c).max())
     assert _close([res.taps[j] for j in lags], taps, tap_scale)
+
+
+# ---------------------------------------------------------------------------
+# above the crossover: a Schur complement over the gap, and preconditioned
+# conjugate gradients over the future, without forming B
+# ---------------------------------------------------------------------------
+
+SPLIT_GRID = 4096
+
+
+def _split_instance(seed):
+    """A model, pattern, functional and K whose B has more than DENSE_MAX_ORDER rows.
+
+    T in {1, 2}, noisy or noiseless, real or complex, 0-3 gap intervals.  A
+    noisy model reads F, G and F_xe off one 2T-dimensional AR density, so its
+    cross density is not zero; a complex one rolls that density along the
+    grid, which turns each Fourier coefficient by a phase.
+    """
+    rng = np.random.default_rng(300 + seed)
+    dim, noisy, turned = 1 + seed % 2, seed // 2 % 2 == 0, seed // 4 % 2 == 1
+    size = 2 * dim if noisy else dim
+    joint = ar1_model(poles=rng.uniform(-0.8, 0.8, size=size),
+                      scales=rng.uniform(0.5, 2.0, size=size),
+                      mix=np.eye(size) + 0.4 * rng.normal(size=(size, size)),
+                      grid_size=SPLIT_GRID).samples("F")
+    if turned:
+        joint = np.roll(joint, int(rng.integers(1, 50)), axis=0)
+    signal, noise = slice(0, dim), slice(dim, size)
+    model = SpectralModel(dim=dim, F=joint[:, signal, signal],
+                          G=joint[:, noise, noise] if noisy else None,
+                          F_xe=joint[:, signal, noise] if noisy else None,
+                          grid_size=SPLIT_GRID)
+    intervals, start = [], 1
+    for _ in range((seed + seed // 8) % 4):
+        m, n = start + int(rng.integers(0, 3)), int(rng.integers(0, 4))
+        intervals.append((m, n))
+        start = m + n + 2
+    functional = FunctionalSpec(coeffs=rng.normal(size=(int(rng.integers(1, 4)), dim)))
+    K = DENSE_MAX_ORDER // dim + int(rng.integers(0, 40))
+    return model, MissingPattern(intervals=tuple(intervals)), functional, K
+
+
+def test_fft_length_is_the_next_five_smooth_number():
+    # 2M - 1 = 193 at M = 97 is prime; 200 = 2^3 5^2 is the length taken
+    assert _fast_length(193) == 200
+    lengths = range(1, 5000)
+    assert [_fast_length(n) for n in lengths] == [
+        scipy.fft.next_fast_len(n, real=True) for n in lengths]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_split_solve_matches_the_dense_reference(seed):
+    # the reference assembles all of B and factors it
+    model, pattern, functional, K = _split_instance(seed)
+    assert model.is_noiseless == (seed // 2 % 2 == 1)
+    system = build_operator_system(model, pattern, K=K, horizon=functional.horizon)
+    B = system.Bmat
+    assert isinstance(B, SplitOperator) and B.shape[0] > DENSE_MAX_ORDER
+    assert np.iscomplexobj(B.table.data) == (seed // 4 % 2 == 1)
+    a = functional.coeffs.ravel()
+    sol = solve_coefficients(system, a)
+
+    dense = assemble(B.table, system.entries)
+    rhs = system.Rmat @ a
+    c = scipy.linalg.cho_solve(scipy.linalg.cho_factor(dense), rhs)
+
+    def delta(coeffs):
+        return float((np.vdot(coeffs, rhs) + np.vdot(a, system.Qmat @ a)).real)
+
+    assert np.abs(sol.c - c).max() <= 1e-12 * np.abs(c).max()
+    assert delta(sol.c) == pytest.approx(delta(c), rel=1e-13)
+    assert sol.residual <= 1e-13
+    assert sol.cond_B == pytest.approx(
+        np.linalg.norm(dense, 1) * np.sqrt(dense.shape[0]) * system.eig_max, rel=1e-13)
+    assert 0 < sol.cg_iterations <= 20
+    # the product B c of the residual is the dense one
+    assert np.abs(B @ c - dense @ c).max() <= 1e-13 * np.abs(dense @ c).max()
+
+
+def test_either_branch_solves_a_small_instance(monkeypatch):
+    model, pattern, functional = _random_instance(3, dim=2)
+    dense = estimate(model, pattern, functional, K=24)
+    monkeypatch.setattr(operators_module, "DENSE_MAX_ORDER", 0)
+    split = estimate(model, pattern, functional, K=24)
+    assert isinstance(dense.system.Bmat, np.ndarray)
+    assert isinstance(split.system.Bmat, SplitOperator)
+    assert dense.diagnostics.cg_iterations == 0 < split.diagnostics.cg_iterations
+    assert split.delta == pytest.approx(dense.delta, rel=1e-13)
+    c_dense, c_split = (np.array([res.c[j] for j in res.system.entries])
+                        for res in (dense, split))
+    assert np.abs(c_split - c_dense).max() <= 1e-12 * np.abs(c_dense).max()
+    assert split.diagnostics.cond_B == pytest.approx(dense.diagnostics.cond_B, rel=1e-13)
+
+
+def test_near_unit_pole_reaches_the_innovation_variance():
+    # noiseless AR(0.99) and AR(-0.5) components, each of unit innovation
+    # variance: the gap {-3, -2} leaves the one-step predictor alone, so the
+    # error of xi_1(0) + xi_2(0) is 1 + 1
+    model = ar1_model(poles=[0.99, -0.5], grid_size=4096)
+    res = estimate(model, MissingPattern(intervals=((2, 1),)),
+                   FunctionalSpec(coeffs=[[1.0, 1.0]]), K=800)
+    assert isinstance(res.system.Bmat, SplitOperator)
+    assert abs(res.delta - 2.0) <= 1e-8
+    assert 0 < res.diagnostics.cg_iterations <= 10
+
+
+def test_unconverged_conjugate_gradients_are_refused(monkeypatch):
+    model, pattern, functional, K = _split_instance(1)
+    assert estimate(model, pattern, functional, K=K).diagnostics.cg_iterations > 1
+    monkeypatch.setattr(operators_module, "CG_MAX_ITERATIONS", 1)
+    with pytest.raises(NonInvertibleOperatorError,
+                       match=r"not converged after 1 iteration\(s\): relative residual \d"):
+        estimate(model, pattern, functional, K=K)
