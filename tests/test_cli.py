@@ -4,7 +4,10 @@ Every test goes through ``gapcast.cli.main`` with a config written to a
 temp directory, then parses the emitted artifacts the way a user would.
 """
 
+import itertools
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +24,10 @@ from gapcast.config import (
     load_config,
     loads_config,
 )
+import gapcast.cli as cli_module
 import gapcast.minimax as minimax_module
 import gapcast.operators as operators_module
+from gapcast.extrapolate import estimate
 from gapcast.minimax import maximize_delta
 from gapcast.oracle import CirculantEmbedding
 from gapcast.spectral import grid_points
@@ -144,27 +149,103 @@ def _per_float_rows(keys, values):
             for key, row in zip(keys, values)]
 
 
+def _near_ties(exponents):
+    """Doubles x = M 2^E whose x 10^e lies within 2^-46 of a half-integer, not on it.
+
+    Per decimal exponent e and binary exponent E, a Lagrange-Gauss reduced
+    basis of the lattice {(M, W (M 2^E 10^e - N))} gives the points nearest
+    (M in the middle of its range, W / 2): the M for which x 10^e comes
+    closest to N + 1/2. Where x 10^e has 17 digits before the point, these are
+    the inputs on which a rounded product is most likely to round the wrong way.
+    """
+    weight = 2 ** 103   # |M - M_mid| up to 2^51 against a distance of about 2^-52
+    found = []
+    for e in exponents:
+        top = math.floor(math.log2(10) * (16 - e)) - 52
+        for E in range(top - 1, top + 3):
+            alpha = Fraction(2) ** E * Fraction(10) ** e
+            lo_m = max(2 ** 52, math.ceil(10 ** 16 / alpha))
+            hi_m = min(2 ** 53 - 1, math.floor(10 ** 17 / alpha))
+            if lo_m > hi_m:
+                continue
+            a, b = alpha.numerator, alpha.denominator
+            u, v = (2 * b, 2 * a * weight), (0, 2 * b * weight)
+            while True:   # Lagrange-Gauss reduction
+                if u[0] ** 2 + u[1] ** 2 > v[0] ** 2 + v[1] ** 2:
+                    u, v = v, u
+                dot, norm = u[0] * v[0] + u[1] * v[1], u[0] ** 2 + u[1] ** 2
+                mu = (2 * dot + norm) // (2 * norm)
+                if mu == 0:
+                    break
+                v = (v[0] - mu * u[0], v[1] - mu * u[1])
+            target = (b * (lo_m + hi_m), b * weight)
+            det = u[0] * v[1] - u[1] * v[0]
+            cu = round(Fraction(target[0] * v[1] - target[1] * v[0], det))
+            cv = round(Fraction(u[0] * target[1] - u[1] * target[0], det))
+            for du, dv in itertools.product(range(-2, 3), repeat=2):
+                M, rest = divmod((cu + du) * u[0] + (cv + dv) * v[0], 2 * b)
+                distance = abs(M * alpha - math.floor(M * alpha) - Fraction(1, 2))
+                if not rest and lo_m <= M <= hi_m and 0 < distance < Fraction(1, 2 ** 46):
+                    found.append(math.ldexp(M, E))
+    return np.array(found)
+
+
+def _assert_formats_as_python(numbers):
+    """``_complex_table`` writes every number of ``numbers`` as ``'%.17g' %`` does."""
+    for start in range(0, len(numbers), 100_000):
+        chunk = numbers[start:start + 100_000]
+        table = np.resize(chunk, (-(-len(chunk) // 5), 5))
+        head, body = _complex_table("lambda", "h", table[:, 0], table[:, 1:].copy().view(complex), 2)
+        assert head == "lambda,h1_re,h1_im,h2_re,h2_im"
+        want = ["%.17g" % v for v in table.ravel().tolist()]
+        got = body.decode().replace("\n", ",").split(",")
+        assert got.pop() == ""
+        assert got == want, [(x.hex(), g, w) for x, g, w in
+                             zip(table.ravel().tolist(), got, want) if g != w][:5]
+
+
 def test_complex_table_matches_per_float_formatting():
-    n = 8192
     rng = np.random.default_rng(3)
-    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300,
-               5e-324, 1.0, -2.5]
-    re, im = rng.normal(size=(n, 2)), 1e-17 * rng.normal(size=(n, 2))
-    re[:len(special), 0] = special
-    im[len(special):2 * len(special), 1] = special
-    values = np.empty((n, 2), dtype=complex)
-    values.real, values.imag = re, im
-    lam = grid_points(n).tolist()
+    tens = np.array([float(f"1e{e}") for e in range(-300, 301)])
+    edges = np.array([1e-280, 1e280, 2.2250738585072014e-308])
+    _assert_formats_as_python(rng.integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64).view(float))
+    cases = {
+        "normals": rng.normal(size=20000) * 10.0 ** rng.integers(-30, 30, size=20000),
+        "powers of ten": np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)]),
+        # fixed notation from k = -4 to 16, exponent notation outside
+        "switch points": np.array([9.9999999999999991e-05, 1e-4, 1.0000000000000001e-4,
+                                   9.9999999999999991e-06, 1e-5, 9999999999999998.0, 1e16,
+                                   1.0000000000000002e16, 99999999999999984.0, 1e17]),
+        "integers": np.array([2.0 ** 53, 2.0 ** 53 - 1, 2.0 ** 53 + 2, 120000.0, 1e6, 3e22,
+                              12345678901234567000.0, 40.0, 7.0, 100.0]),
+        # x 10^(16-k) is exactly a half-integer: round half to even
+        "ties": np.array([1234567890123456.25, 1234567890123456.75, 3 * 2.0 ** -24, 2.0 ** -25]),
+        "near ties": _near_ties(range(-264, 297, 11)),
+        "edges": np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+                                 [5e-324, 1e-300, 4.9406564584124654e-320, 1e300]]),
+        "non-finite and zero": np.array([np.nan, np.copysign(np.nan, -1.0), np.inf, 0.0]),
+    }
+    assert len(cases["near ties"]) > 100
+    for numbers in cases.values():
+        _assert_formats_as_python(np.concatenate([numbers, -numbers]))
 
-    got = _complex_table("lambda", "h", lam, "%.17g", values, 2)
-    assert got[0] == "lambda,h1_re,h1_im,h2_re,h2_im"
-    assert "\n".join(got[1:]).encode() == "\n".join(_per_float_rows(lam, values)).encode()
+    # integer keys: '%.17g' of an integer below 2^53 is its '%d'
+    values = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    head, body = _complex_table("lag", "tap", [-40, -7, -1], values, 2)
+    assert head == "lag,tap1_re,tap1_im,tap2_re,tap2_im"
+    assert body == "".join(row + "\n" for row in _per_float_rows([-40, -7, -1], values)).encode()
+    assert _complex_table("lag", "tap", [], [], 2) == ("lag,tap1_re,tap1_im,tap2_re,tap2_im", b"")
 
-    lags = [-40, -7, -1]
-    taps = [values[i] for i in range(3)]
-    got = _complex_table("lag", "tap", lags, "%d", taps, 2)
-    assert got[1:] == _per_float_rows(lags, taps)
-    assert _complex_table("lag", "tap", [], "%d", [], 2) == ["lag,tap1_re,tap1_im,tap2_re,tap2_im"]
+
+@pytest.mark.parametrize("direction", [-np.inf, np.inf])
+def test_complex_table_does_not_trust_log10(monkeypatch, direction):
+    # a log10 one ulp off puts k one off next to every power of ten: the
+    # formatter must notice and fall back, not write 16 or 18 digits
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), direction))
+    tens = np.array([float(f"1e{e}") for e in range(-280, 281)])
+    _assert_formats_as_python(np.concatenate([tens, np.nextafter(tens, 0),
+                                              np.nextafter(tens, np.inf)]))
 
 
 def test_estimate_white_no_gaps(tmp_path):
@@ -1233,8 +1314,15 @@ numerics:
     assert "error:" in capsys.readouterr().err
 
 
-def test_large_estimate_is_solved_by_conjugate_gradients(tmp_path):
+def test_large_estimate_is_solved_by_conjugate_gradients(tmp_path, monkeypatch):
     # 2 (2 + 513) = 1030 unknowns: above the crossover, and still 15.69
+    results = []
+
+    def recording_estimate(*args, **kwargs):
+        results.append(estimate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli_module, "estimate", recording_estimate)
     out = tmp_path / "o"
     assert run_cli(["estimate", "--config", EXAMPLES / "benchmark.yaml", "--grid", 8192,
                     "--truncation", 512, "--out", out]) == 0
@@ -1242,6 +1330,15 @@ def test_large_estimate_is_solved_by_conjugate_gradients(tmp_path):
     assert abs(float(summary["delta"]) - BENCH_DELTA) <= 1e-12 * BENCH_DELTA
     assert int(summary["cg_iterations"]) > 0
     assert float(summary["solve_residual"]) <= 1e-13
+
+    # both tables as one _fmt call per number would write them
+    (res,) = results
+    lags = sorted(res.taps)
+    for name, keys, values in [("taps.csv", lags, [res.taps[lag] for lag in lags]),
+                               ("h_grid.csv", res.lam, res.h_grid)]:
+        lines = (out / name).read_bytes().split(b"\n")
+        assert lines[2:] == [row.encode() for row in _per_float_rows(keys, values)] + [b""]
+    assert len(res.lam) == 8192
 
 
 def test_unconverged_conjugate_gradients_exit_3(tmp_path, capsys, monkeypatch):
