@@ -122,7 +122,7 @@ _MODELS = {   # the keys of the model section besides ``kind``
 _FAMILIES = {   # each family kind's builder and the table of its params
     "singleton": (singleton_family, {}),
     "mixture": (scalar_mixture_family, {"power": _real, "w_max": _real, "b_max": _real,
-                                        "noise_power": _real, "label": str}),
+                                        "noise_power": _real}),
     "ar1_fixed_power": (ar1_fixed_power_family, {"power": _real, "b_max": _real}),
     "contamination": (contamination_family, {"anchor_power": _real, "anchor_pole": _real,
                                              "eps": _real, "power": _real, "b_max": _real}),

@@ -30,7 +30,12 @@ from .operators import (
     build_operator_system,
     solve_coefficients,
 )
-from .spectral import SpectralModel, coeffs_from_samples, trig_poly_on_grid
+from .spectral import (
+    SpectralModel,
+    check_minimality,
+    coeffs_from_samples,
+    trig_poly_on_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -200,17 +205,13 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     tail_mass = float(np.sum(coeff_norms[unused] ** 2))
     tail_rel = tail_mass / max(total_mass, np.finfo(float).tiny)
 
-    # looked up at call time so that spectral.check_minimality stays patchable
-    from .spectral import check_minimality
-    minim = check_minimality(model)
-
     diags = EstimateDiagnostics(
         truncation=K, grid_size=n, max_lag=h_table.max_lag,
         cond_B=sol.cond_B, solve_residual=sol.residual, cg_iterations=sol.cg_iterations,
         delta_operator=delta_op, delta_quadrature=delta_quad,
         two_form_rel_diff=two_form, gap_coeff_max=gap_max,
         orthogonality_max=ort_max, tap_tail_mass=tail_rel,
-        minimality_value=minim.value,
+        minimality_value=check_minimality(model).value,
     )
 
     return EstimateResult(

@@ -99,8 +99,7 @@ def _scalar_model(grid_size: int, f: np.ndarray, g: np.ndarray | None = None,
 
 def scalar_mixture_family(power: float, w_max: float = 0.9, b_max: float = 0.8,
                           grid_size: int = 4096,
-                          noise_power: float | None = None,
-                          label: str = "white/AR(1) mixture") -> DensityFamily:
+                          noise_power: float | None = None) -> DensityFamily:
     """Scalar density of fixed total power: (1-w) flat + w unit-power AR(1).
 
     Parameters are the mixture weight and the AR pole; every member has power
@@ -121,7 +120,7 @@ def scalar_mixture_family(power: float, w_max: float = 0.9, b_max: float = 0.8,
 
     return DensityFamily(lower=[0.0, -b_max] * len(powers),
                          upper=[w_max, b_max] * len(powers), build=build,
-                         label=label if noise_power is None else label + " + noise")
+                         label="white/AR(1) mixture" + ("" if noise_power is None else " + noise"))
 
 
 def ar1_fixed_power_family(power: float, b_max: float = 0.8,

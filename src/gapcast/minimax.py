@@ -51,14 +51,7 @@ from .extrapolate import (
     filter_error,
     optimal_delta,
 )
-from .families import (   # the stock families are re-exported here
-    DensityFamily,
-    ar1_fixed_power_family,
-    contamination_family,
-    convex_combination_family,
-    scalar_mixture_family,
-    singleton_family,
-)
+from .families import DensityFamily
 from .operators import MissingPattern
 from .spectral import SpectralModel, density_data
 

@@ -32,7 +32,6 @@ from .errors import (
     InvalidParameterError,
     InvalidPatternError,
     NonInvertibleOperatorError,
-    SingularDensityError,
 )
 from .spectral import (
     COND_CEILING,
@@ -306,9 +305,9 @@ class OperatorSystem:
     0..N.  Each matrix takes the dtype of the Fourier table it is assembled
     from (the noiseless identity Rmat and zero Qmat take Bmat's): real for a
     real process, complex otherwise.  entries lists U_K in block order (gap points ascending, then
-    0..K).  Zinv (F_zeta^{-1}) and X (F + F_xe) are the grid samples the
-    matrices were built from; eig_max is the largest eigenvalue of F_zeta over
-    the grid.
+    0..K).  Zinv (the model's ``samples("Fzinv")``, F_zeta^{-1}) and X
+    (F + F_xe) are the grid samples the matrices were built from; eig_max is
+    the largest eigenvalue of F_zeta over the grid.
     """
 
     Bmat: np.ndarray | SplitOperator
@@ -322,17 +321,6 @@ class OperatorSystem:
 
 def _transposed(samples: np.ndarray) -> np.ndarray:
     return np.swapaxes(samples, -1, -2)
-
-
-def _inverse(samples: np.ndarray) -> np.ndarray:
-    """Per-node inverse of (n, T, T) samples; 1 x 1 blocks take a reciprocal.
-
-    On real-valued 1 x 1 samples the reciprocal is bit-equal to
-    ``np.linalg.inv``, at a fraction of its per-call cost.
-    """
-    if samples.shape[-1] == 1:
-        return 1.0 / samples
-    return np.linalg.inv(samples)
 
 
 def build_operator_system(model: SpectralModel, pattern: MissingPattern,
@@ -351,10 +339,6 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
             f"functional horizon must lie in 0..K={K}, got {horizon}"
         )
     report = check_minimality(model)
-    if not report.passed:
-        raise SingularDensityError(
-            f"minimality check failed: {report.note or 'non-finite integral'}"
-        )
     need = K + pattern.max_depth
     max_lag = min(4 * max(need, 1), model.grid_size // 4)
     if max_lag < need:
@@ -365,10 +349,7 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
 
     entries = np.concatenate((np.asarray(pattern.points, dtype=int), np.arange(K + 1)))
     future = np.arange(horizon + 1)
-    try:
-        Zinv = _inverse(model.samples("Fz"))
-    except np.linalg.LinAlgError as exc:
-        raise SingularDensityError(f"observation density not invertible: {exc}") from exc
+    Zinv = model.samples("Fzinv")
     X = model.samples("F") + model.samples("Fxe")
 
     def table(samples: np.ndarray) -> FourierTable:

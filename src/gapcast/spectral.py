@@ -112,7 +112,8 @@ class SpectralModel:
     and so must the joint density [[F, F_xe], [F_ex, G]] when F_xe is nonzero.
     Per-node density data pins the model to its grid size.
     The grid nodes ``lam`` are read-only and shared by every model of the
-    same grid size.
+    same grid size.  Samples and the minimality report are computed once
+    per model and cached on it.
     """
 
     dim: int
@@ -123,6 +124,7 @@ class SpectralModel:
     pole_modulus: float | None = None
     _samples: dict = field(default_factory=dict, repr=False)
     lam: np.ndarray = field(init=False, repr=False)
+    _minimality: MinimalityReport | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = check_grid_size(self.grid_size)
@@ -137,7 +139,8 @@ class SpectralModel:
         """Density samples on the model grid, shape (n, T, T).
 
         ``which`` is one of F, G, Fxe, Fex (the conjugate transpose of Fxe),
-        Fz (observation density F + F_xe + F_ex + G).
+        Fz (observation density F + F_xe + F_ex + G), Fzinv (its per-node
+        inverse; ``check_minimality`` judges whether it exists).
         """
         if which in self._samples:
             return self._samples[which]
@@ -149,6 +152,11 @@ class SpectralModel:
                 + self.samples("Fxe")
                 + self.samples("Fex")
             )
+        elif which == "Fzinv":
+            # on real 1 x 1 samples the reciprocal is bit-equal to np.linalg.inv,
+            # at a fraction of its per-call cost
+            fz = self.samples("Fz")
+            out = 1.0 / fz if d == 1 else np.linalg.inv(fz)
         else:
             data = {"F": self.F, "G": self.G, "Fxe": self.F_xe, "Fex": self.F_xe}[which]
             if data is None:
@@ -491,26 +499,26 @@ def covariance(model: SpectralModel, n: int, which: str = "F") -> np.ndarray:
 
 @dataclass(frozen=True)
 class MinimalityReport:
-    """Outcome of the minimality check for an observation density."""
+    """A passed minimality check of an observation density."""
 
     value: float          # (1/2pi) int trace(F_zeta^{-1})
-    passed: bool
-    max_cond: float
-    worst_lambda: float
     eig_max: float        # largest eigenvalue of F_zeta over all grid nodes
     eig_min: float        # smallest eigenvalue of F_zeta over all grid nodes
-    note: str = ""
 
 
 def check_minimality(model: SpectralModel) -> MinimalityReport:
     """Check that the observation density is invertible enough to estimate.
 
     The truth condition is integrability of trace(F_zeta^{-1}); numerically we
-    require the quadrature value to be finite and the condition number of
-    F_zeta to stay below ``COND_CEILING`` at every grid node.  The report also
+    require the condition number of F_zeta to stay below ``COND_CEILING`` at
+    every grid node and the quadrature value to be finite, and raise
+    SingularDensityError naming the first node that fails.  The report
     carries the extreme eigenvalues of F_zeta over the grid, which bound the
-    spectrum of every operator matrix built from F_zeta^{-1}.
+    spectrum of every operator matrix built from F_zeta^{-1}.  It is computed
+    once per model; later calls return the same report.
     """
+    if model._minimality is not None:
+        return model._minimality
     eig = _eigvalsh(model.samples("Fz"))
     lam = model.lam
     # eigenvalues come in ascending order: the per-node extremes are the ends
@@ -519,20 +527,16 @@ def check_minimality(model: SpectralModel) -> MinimalityReport:
     floor = np.finfo(float).tiny * max(eig_max, 1.0)
     if eig_min <= floor:
         bad = int(np.argmax(mineig <= floor))
-        return MinimalityReport(
-            value=float("inf"), passed=False, max_cond=float("inf"),
-            worst_lambda=float(lam[bad]), eig_max=eig_max, eig_min=eig_min,
-            note=f"observation density singular at lambda={lam[bad]:.6f}",
-        )
+        raise SingularDensityError("minimality check failed: observation density "
+                                   f"singular at lambda={lam[bad]:.6f}")
     conds = maxeig / mineig
     worst = int(np.argmax(conds))
-    max_cond = float(conds[worst])
+    if conds[worst] > COND_CEILING:
+        raise SingularDensityError(
+            f"minimality check failed: condition number {conds[worst]:.3e} exceeds "
+            f"ceiling {COND_CEILING:.1e} at lambda={lam[worst]:.6f}")
     value = float(np.mean(np.sum(1.0 / eig, axis=1)))
-    passed = bool(np.isfinite(value) and max_cond <= COND_CEILING)
-    note = "" if passed else (
-        f"condition number {max_cond:.3e} exceeds ceiling {COND_CEILING:.1e} "
-        f"at lambda={lam[worst]:.6f}"
-    )
-    return MinimalityReport(value=value, passed=passed, max_cond=max_cond,
-                            worst_lambda=float(lam[worst]), eig_max=eig_max,
-                            eig_min=eig_min, note=note)
+    if not np.isfinite(value):
+        raise SingularDensityError("minimality check failed: non-finite integral")
+    model._minimality = MinimalityReport(value=value, eig_max=eig_max, eig_min=eig_min)
+    return model._minimality

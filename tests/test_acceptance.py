@@ -12,10 +12,10 @@ import pytest
 
 from gapcast.cli import main
 from gapcast.extrapolate import FunctionalSpec, estimate
+from gapcast.families import scalar_mixture_family
 from gapcast.minimax import (ClassData, DensityClass, OptConfig,
                              characterization_residuals, evaluate_candidate,
-                             maximize_delta, scalar_mixture_family,
-                             verify_saddle_point)
+                             maximize_delta, verify_saddle_point)
 from gapcast.operators import MissingPattern, build_operator_system
 from gapcast.oracle import projection_oracle
 from gapcast.spectral import ar1_model, ma_pair_model, make_ar1_pair

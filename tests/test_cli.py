@@ -1238,6 +1238,16 @@ def test_saddle_settings_are_unknown_keys(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_the_mixture_label_is_an_unknown_key(tmp_path, capsys):
+    # the family's name in lfd.summary is fixed by its kind
+    cfg = write_config(tmp_path, MIXTURE_MINIMAX.replace(
+        "params: {power: 1.5}", "params: {power: 1.5, label: mine}"))
+    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: minimax.family.params: unknown key(s) ['label']\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_flag_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, MIXTURE_MINIMAX)
     assert run_cli(["minimax", "--config", cfg, "--seed", "-1",
@@ -1311,7 +1321,32 @@ numerics:
 """
     cfg = write_config(tmp_path, text)
     assert run_cli(["estimate", "--config", cfg, "--out", tmp_path / "o"]) == 3
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: minimality check failed: observation "
+                                       "density singular at lambda=0.000000\n")
+    assert not (tmp_path / "o" / "result.summary").exists()
+
+
+def test_an_ill_conditioned_observation_density_exits_3(tmp_path, capsys):
+    # two equal AR(0.9) components, one at 1e-13 of the other's power
+    text = """
+model:
+  kind: ar1
+  poles: [0.9, 0.9]
+  scales: [1.0, 1.0e-13]
+pattern:
+  intervals: []
+functional:
+  coeffs: [[1.0, 1.0]]
+numerics:
+  grid_size: 256
+  truncation: 8
+"""
+    cfg = write_config(tmp_path, text)
+    assert run_cli(["estimate", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert capsys.readouterr().err == (
+        "error: minimality check failed: condition number 1.000e+13 exceeds ceiling "
+        "1.0e+12 at lambda=-2.945243\n")
+    assert not (tmp_path / "o" / "result.summary").exists()
 
 
 def test_large_estimate_is_solved_by_conjugate_gradients(tmp_path, monkeypatch):

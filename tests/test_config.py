@@ -174,7 +174,7 @@ _FAMILIES = [
     {"kind": ["mixture"]},
 ]
 _PARAMS = st.dictionaries(
-    st.sampled_from(["power", "w_max", "b_max", "noise_power", "label", "anchor_power",
+    st.sampled_from(["power", "w_max", "b_max", "noise_power", "anchor_power",
                      "anchor_pole", "eps"]) | _KEYS, _NUMBERS | st.none() | _LISTS,
     max_size=2)
 _FAMILY = st.tuples(st.sampled_from(_FAMILIES), _PARAMS).map(
@@ -353,8 +353,7 @@ _MODEL_BASES = {
 }
 _FAMILY_PARAMS = {
     "singleton": {},
-    "mixture": {"power": 1.5, "w_max": 0.9, "b_max": 0.8, "noise_power": 0.8,
-                "label": "mixture"},
+    "mixture": {"power": 1.5, "w_max": 0.9, "b_max": 0.8, "noise_power": 0.8},
     "ar1_fixed_power": {"power": 1.5, "b_max": 0.7},
     "contamination": {"anchor_power": 1.5, "anchor_pole": 0.3, "eps": 0.2, "power": 1.5,
                       "b_max": 0.8},

@@ -409,18 +409,39 @@ def test_node_eigenvalues_match_eigvalsh(dim):
 
 
 def test_minimality_passes_for_regular_models():
-    rep = check_minimality(make_ar1_pair(0.5, 0.3, grid_size=256))
-    assert rep.passed
+    m = make_ar1_pair(0.5, 0.3, grid_size=256)
+    rep = check_minimality(m)
     assert np.isfinite(rep.value)
     assert rep.value > 0
+    assert check_minimality(m) is rep   # judged once per model
 
 
 def test_minimality_fails_on_spectral_zero():
     # |1 - e^{i lam}|^2 vanishes at lam = 0, so the inverse density is not
     # integrable and the sequence cannot be minimal.
     m = ma_pair_model([np.array([[1.0]]), np.array([[-1.0]])], grid_size=256)
-    rep = check_minimality(m)
-    assert not rep.passed
+    with pytest.raises(SingularDensityError) as err:
+        check_minimality(m)
+    assert str(err.value) == ("minimality check failed: observation density "
+                              "singular at lambda=0.000000")
+
+
+def test_minimality_fails_above_the_condition_ceiling():
+    # two equal AR(0.9) components, one at 1e-13 of the other's power: the
+    # density's condition number is 1e13 at every node
+    m = ar1_model(poles=[0.9, 0.9], scales=[1.0, 1e-13], grid_size=256)
+    with pytest.raises(SingularDensityError) as err:
+        check_minimality(m)
+    assert str(err.value) == ("minimality check failed: condition number 1.000e+13 "
+                              "exceeds ceiling 1.0e+12 at lambda=-2.945243")
+
+
+def test_minimality_fails_on_a_non_finite_integral():
+    # 3e-308 I is well conditioned, but six reciprocals of it overflow
+    m = SpectralModel(dim=6, F=3e-308, grid_size=64)
+    with np.errstate(over="ignore"), pytest.raises(SingularDensityError) as err:
+        check_minimality(m)
+    assert str(err.value) == "minimality check failed: non-finite integral"
 
 
 def test_minimality_value_matches_quadrature():
