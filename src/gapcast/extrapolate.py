@@ -180,8 +180,8 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
 
     # --- mean-square error: second route by quadrature ------------------
     delta_quad = float(delta_of_characteristic(model, functional, h_row))
-    scale = max(abs(delta_op), abs(delta_quad), 1e-12)
-    two_form = abs(delta_op - delta_quad) / scale
+    scale = max(abs(delta_op), abs(delta_quad))
+    two_form = abs(delta_op - delta_quad) / scale if scale else 0.0
     delta = max(delta_op, 0.0)
 
     # --- diagnostics ---------------------------------------------------

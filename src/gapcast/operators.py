@@ -328,11 +328,11 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
     """Build the operator system for ``model`` truncated at future order K.
 
     ``horizon`` is the last index N of the functional, 0 <= N <= K.  The
-    Fourier tables are computed from the model's grid samples; their lag
-    range is 4 * (K + max interval depth), clamped to what the grid supports
-    (at least the assembly requirement K + max depth).  That keeps every lag
-    of U_K distinct modulo the grid size, which the eigenvalue bound on Bmat
-    relies on.
+    Fourier tables are computed from the model's grid samples at the lags
+    U_K couples, up to K + max interval depth.  ``coeffs_from_samples``
+    refuses a grid of fewer than 4 (K + depth) nodes before any table is
+    read; a grid that passes also keeps the lags of U_K distinct modulo its
+    size, which the eigenvalue bound on Bmat relies on.
     """
     if not 0 <= horizon <= K:
         raise InvalidParameterError(
@@ -340,12 +340,6 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
         )
     report = check_minimality(model)
     need = K + pattern.max_depth
-    max_lag = min(4 * max(need, 1), model.grid_size // 4)
-    if max_lag < need:
-        raise InsufficientLagError(
-            f"max_lag {max_lag} cannot cover assembly lag {need}; "
-            f"enlarge the grid or reduce K"
-        )
 
     entries = np.concatenate((np.asarray(pattern.points, dtype=int), np.arange(K + 1)))
     future = np.arange(horizon + 1)
@@ -353,7 +347,7 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
     X = model.samples("F") + model.samples("Fxe")
 
     def table(samples: np.ndarray) -> FourierTable:
-        return coeffs_from_samples(_transposed(samples), max_lag)
+        return coeffs_from_samples(_transposed(samples), need)
 
     def block(samples: np.ndarray, rows, cols=None) -> np.ndarray:
         return assemble(table(samples), rows, cols)

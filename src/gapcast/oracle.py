@@ -59,7 +59,7 @@ class OracleResult:
 def functional_variance(model: SpectralModel, functional: FunctionalSpec) -> float:
     """E |sum a(j)^T xi(j)|^2 from quadrature covariances."""
     N = functional.horizon
-    table = coeffs_from_samples(model.samples("F"), max(N, 1))
+    table = coeffs_from_samples(model.samples("F"), N)
     a = functional.coeffs.ravel()
     return float((a @ assemble(table, -np.arange(N + 1)) @ np.conj(a)).real)
 
@@ -84,11 +84,11 @@ def projection_oracle(model: SpectralModel, pattern: MissingPattern,
         return OracleResult(delta_oracle=e_s2, taps_oracle={}, window=window)
 
     # Covariances R(n) = table.coeff(-n): Gamma has blocks R_z(u - v) over
-    # observed u, v; m has blocks sum_k R_zx(u - k) conj(a(k)).
-    L = window + N
-    cov_z = coeffs_from_samples(model.samples("Fz"), L)
+    # observed u, v (lags below the window); m has blocks
+    # sum_k R_zx(u - k) conj(a(k)) (lags up to window + N).
+    cov_z = coeffs_from_samples(model.samples("Fz"), window - 1)
     cross = model.samples("F") + model.samples("Fex")   # density of (zeta, xi)
-    cov_zx = coeffs_from_samples(cross, L)
+    cov_zx = coeffs_from_samples(cross, window + N)
     rows = -np.asarray(observed)
     gamma = assemble(cov_z, rows)
     m = assemble(cov_zx, rows, -np.arange(N + 1)) @ np.conj(functional.coeffs).ravel()
@@ -238,7 +238,8 @@ def monte_carlo_mse(model: SpectralModel, pattern: MissingPattern,
     that grid would alias the covariances the filter spans (deepest tap to
     N), on the finer grid ``_resolving_grid`` gives.  Replication r's squared
     error is mse_exact eps_r^2, eps_r the r-th normal of ``_stream(seed, 0)``.
-    A complex-valued process is refused (``_require_real``).
+    A complex-valued process is refused (``_require_real``), and so are taps
+    or coefficients whose imaginary parts exceed 1e-9 of their largest magnitude.
     """
     bad = [j for j in taps if j >= 0 or j in pattern.points]
     if bad:
@@ -248,10 +249,10 @@ def monte_carlo_mse(model: SpectralModel, pattern: MissingPattern,
         )
     tap_idx = sorted(taps)
     tap_mat = np.array([taps[j] for j in tap_idx], dtype=complex).reshape(len(taps), model.dim)
-    if np.abs(tap_mat.imag).max(initial=0.0) > 1e-9:
-        raise InvalidParameterError("simulation requires real-valued taps")
-    if np.abs(np.imag(functional.coeffs)).max() > 1e-9:
-        raise InvalidParameterError("simulation requires real functional coefficients")
+    for values, what in ((tap_mat, "real-valued taps"),
+                         (functional.coeffs, "real functional coefficients")):
+        if np.abs(np.imag(values)).max(initial=0.0) > 1e-9 * np.abs(values).max(initial=0.0):
+            raise InvalidParameterError(f"simulation requires {what}")
     _require_real(model)
     _, work = _resolving_grid(model, functional.horizon + 1 - min([0] + tap_idx))
     n = work.grid_size

@@ -105,7 +105,8 @@ class SpectralModel:
         adjoint cross density F_ex is its conjugate transpose.
     grid_size : number of frequency nodes (power of two, >= 64).
     pole_modulus : largest pole modulus of the underlying rational model,
-        when known; used by default truncation rules.
+        when known; it sets the default truncation and the covariance
+        margin of ``simulate``'s quadrature grid.
 
     Construction reads each given density onto the grid and validates what
     exists: F and G (when given) must be Hermitian and positive semidefinite,
@@ -466,13 +467,16 @@ def coeffs_from_samples(samples: np.ndarray, max_lag: int) -> FourierTable:
     relative.  Dropping them lets every matrix built from the table, and every
     factorization of it, run in real arithmetic.  A complex process keeps its
     complex table.  The test reduces over the table, not over the grid.
+    A grid of n nodes resolves lags up to n/4: this is the one refusal of a
+    longer table (``InsufficientLagError``), which names the grid it needs.
     """
     n = samples.shape[0]
     if max_lag < 0:
         raise InvalidParameterError(f"max_lag must be >= 0, got {max_lag}")
-    if n < 4 * max_lag:
-        raise InvalidParameterError(
-            f"grid size {n} too small for max_lag {max_lag} (need >= {4 * max_lag})"
+    if 4 * max_lag > n:
+        raise InsufficientLagError(
+            f"a grid of {n} nodes resolves lags up to {n // 4}, not {max_lag}; "
+            f"lag {max_lag} needs at least {max(64, 1 << (4 * max_lag - 1).bit_length())} nodes"
         )
     ks = np.arange(-max_lag, max_lag + 1)
     coeffs = np.fft.fft(samples, axis=0)[ks % n]

@@ -699,6 +699,16 @@ minimax:
         "the family's densities, got 2\n")
 
 
+def test_a_grid_that_cannot_resolve_the_lags_exits_3(tmp_path, capsys):
+    # K = 96 and the gap's depth 3 couple lags up to 99; 256 nodes resolve 64
+    out = tmp_path / "out"
+    assert run_cli(["estimate", "--config", EXAMPLES / "benchmark.yaml", "--grid", 256,
+                    "--out", out]) == 3
+    assert capsys.readouterr().err == ("error: a grid of 256 nodes resolves lags up to 64, "
+                                       "not 99; lag 99 needs at least 512 nodes\n")
+    assert not (out / "result.summary").exists()
+
+
 @pytest.mark.parametrize("command", ["estimate", "oracle-check", "simulate", "minimax"])
 def test_grid_flag_is_checked_for_every_command(tmp_path, capsys, command):
     # minimax used to build its family on a grid of its own and exit 0

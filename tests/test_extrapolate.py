@@ -154,6 +154,25 @@ def test_two_error_routes_agree(seed):
     assert d.gap_coeff_max < 1e-8
 
 
+@pytest.mark.parametrize("scale", [1e-15, 1.0, 1e9])
+def test_two_form_rel_diff_is_unit_free(scale):
+    # AR(0.9) signal in AR(0.3) noise: the difference is relative to the two
+    # errors alone, so no unit is special
+    model = ar1_model([0.9], scales=[scale], noise_poles=[0.3], noise_scales=[0.5 * scale],
+                      grid_size=1024)
+    d = estimate(model, MissingPattern(intervals=((2, 0),)),
+                 FunctionalSpec(coeffs=[[1.0], [1.0]]), K=64).diagnostics
+    op, quad = d.delta_operator, d.delta_quadrature
+    assert d.two_form_rel_diff == abs(op - quad) / max(abs(op), abs(quad))
+
+
+def test_two_form_rel_diff_of_two_zero_errors_is_zero():
+    model = ar1_model([0.9], noise_poles=[0.3], grid_size=256)
+    d = estimate(model, MissingPattern(intervals=((2, 0),)),
+                 FunctionalSpec(coeffs=[[0.0]]), K=16).diagnostics
+    assert d.delta_operator == d.delta_quadrature == d.two_form_rel_diff == 0.0
+
+
 # ---------------------------------------------------------------------------
 # properties over seeded random instances
 # ---------------------------------------------------------------------------

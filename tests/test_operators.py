@@ -591,7 +591,7 @@ def _complex_reference(model, pattern, functional, K, tap_lags):
     """
     n, d = model.grid_size, model.dim
     lam = model.lam
-    max_lag = min(4 * (K + pattern.max_depth), n // 4)
+    max_lag = K + pattern.max_depth
     ks = np.arange(-max_lag, max_lag + 1)
     entries = np.concatenate((np.asarray(pattern.points, dtype=int), np.arange(K + 1)))
     future = np.arange(functional.horizon + 1)
@@ -758,3 +758,65 @@ def test_unconverged_conjugate_gradients_are_refused(monkeypatch):
     with pytest.raises(NonInvertibleOperatorError,
                        match=r"not converged after 1 iteration\(s\): relative residual \d"):
         estimate(model, pattern, functional, K=K)
+
+
+# ---------------------------------------------------------------------------
+# Fourier tables at the lags that read them
+# ---------------------------------------------------------------------------
+
+
+def _asked_lags(monkeypatch, module):
+    """The lags of every table ``module`` asks ``coeffs_from_samples`` for, in order."""
+    asked = []
+
+    def spy(samples, max_lag):
+        asked.append(max_lag)
+        return coeffs_from_samples(samples, max_lag)
+
+    monkeypatch.setattr(module, "coeffs_from_samples", spy)
+    return asked
+
+
+@pytest.mark.parametrize("name", ["benchmark", "noisy_ar1", "split0", "split1", "split2"])
+def test_operator_tables_span_the_lags_of_U_K(monkeypatch, name):
+    # U_K couples lags up to K + the deepest gap point, read by B, R and Q on
+    # the dense route and by the gap blocks, both Toeplitz products and the
+    # column sums of norm1 on the split one
+    if name.startswith("split"):
+        model, pattern, functional, K = _split_instance(int(name[-1]))
+    else:
+        model, pattern, functional, K = _example(name)
+    asked = _asked_lags(monkeypatch, operators_module)
+    system = build_operator_system(model, pattern, K=K, horizon=functional.horizon)
+    split = isinstance(system.Bmat, SplitOperator)
+    assert split == name.startswith("split")
+    tables = (2 if split else 1) + (0 if model.is_noiseless else 2)
+    assert asked == [K + pattern.max_depth] * tables
+    solve_coefficients(system, functional.coeffs.ravel())
+
+
+@pytest.mark.parametrize("window", [3, 20, 100])
+def test_oracle_tables_span_the_lags_they_read(monkeypatch, window):
+    # E|A xi|^2 reads lags up to N, Gamma those below the window, m up to window + N
+    model, pattern, functional, _ = _example("noisy_ar1")
+    asked = _asked_lags(monkeypatch, oracle_module)
+    projection_oracle(model, pattern, functional, window=window)
+    N = functional.horizon
+    assert asked == [N, window - 1, window + N]
+
+
+@pytest.mark.parametrize("intervals", [(), ((2, 1),)])
+def test_a_lag_beyond_the_grid_is_refused_before_any_table(monkeypatch, intervals):
+    # K = 600 is the split route; without a gap its Toeplitz products would
+    # index a table past its end and wrap round, so the table is never built
+    model = ar1_model([0.5], grid_size=1024)
+    pattern = MissingPattern(intervals=intervals)
+    assert pattern.size + 601 > DENSE_MAX_ORDER
+    need = 600 + pattern.max_depth
+    asked = _asked_lags(monkeypatch, operators_module)
+    with pytest.raises(InsufficientLagError, match=(
+            f"^a grid of 1024 nodes resolves lags up to 256, not {need}; "
+            f"lag {need} needs at least 4096 nodes$")):
+        build_operator_system(model, pattern, K=600)
+    # the first table asked for is refused, so none is built
+    assert asked == [need]

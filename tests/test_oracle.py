@@ -511,6 +511,26 @@ def test_monte_carlo_rejects_unobservable_taps():
         monte_carlo_mse(model, pattern, fun, {-2: np.array([1.0])}, cfg)
 
 
+def test_monte_carlo_judges_realness_relative_to_each_array():
+    # 10% imaginary at scale 1e-12 is complex; 1e-16 relative at scale 1e8 is rounding
+    model = ar1_model([0.5], noise_poles=[0.2], grid_size=512)
+    pattern = MissingPattern(intervals=((2, 0),))
+    taps = estimate(model, pattern, FunctionalSpec(coeffs=[[1.0]]), K=16).taps
+    cfg = SimulationConfig(replications=4)
+
+    def exact(coeffs, scale=1.0, phase=1.0):
+        turned = {j: scale * phase * v for j, v in taps.items()}
+        return monte_carlo_mse(model, pattern, FunctionalSpec(coeffs=coeffs), turned,
+                               cfg).mse_exact
+
+    with pytest.raises(InvalidParameterError, match="real functional coefficients"):
+        exact([[1e-12 + 1e-13j]])
+    with pytest.raises(InvalidParameterError, match="real-valued taps"):
+        exact([[1.0]], 1e-12, 1 + 0.1j)
+    assert exact([[1e8 + 1e-8j]]) == pytest.approx(exact([[1e8]]), rel=1e-14)
+    assert exact([[1.0]], 1e8, 1 + 1e-16j) == exact([[1.0]], 1e8)
+
+
 @pytest.mark.parametrize("name", sorted(COMPLEX_MODELS))
 def test_monte_carlo_refuses_a_complex_process(name):
     # complex covariances: no real path has this law

@@ -82,10 +82,19 @@ def test_table_lag_bounds():
 
 
 def test_grid_too_small_for_lag():
+    # n nodes resolve lags up to n/4; the refusal names the smallest grid, a
+    # power of two of at least 64 nodes, that resolves the lag asked for
+    samples = density_data(1.0, 64, 1, "F")
+    assert coeffs_from_samples(samples, max_lag=16).max_lag == 16
+    with pytest.raises(InsufficientLagError, match=r"^a grid of 64 nodes resolves lags "
+                       r"up to 16, not 17; lag 17 needs at least 128 nodes$"):
+        coeffs_from_samples(samples, max_lag=17)
+    with pytest.raises(InsufficientLagError, match="lag 33 needs at least 256 nodes$"):
+        coeffs_from_samples(samples, max_lag=33)
+    with pytest.raises(InsufficientLagError, match="lag 3 needs at least 64 nodes$"):
+        coeffs_from_samples(density_data(1.0, 8, 1, "F"), max_lag=3)
     with pytest.raises(InvalidParameterError):
-        coeffs_from_samples(density_data(1.0, 64, 1, "F"), max_lag=20)
-    with pytest.raises(InvalidParameterError):
-        coeffs_from_samples(density_data(1.0, 64, 1, "F"), max_lag=-1)
+        coeffs_from_samples(samples, max_lag=-1)
 
 
 def test_hermitian_defect_zero_for_hermitian_integrand():
