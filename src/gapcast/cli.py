@@ -83,8 +83,8 @@ def _header(digest: str, seed: int | None = None) -> list[str]:
 # by 10^(16-k) in double-double arithmetic (Dekker's two-product, error below
 # 2^-46) and rounded to the nearest integer. A number whose digits this cannot
 # certify -- not finite, outside [1e-280, 1e280], within 2^-20 of a rounding
-# tie, with k = floor(log10|x|) off by one, or rounding up to 10^17 -- is
-# written by Python instead.
+# tie, with k = floor(log10|x|) one too small or, after one retry at k - 1,
+# too large, or rounding up to 10^17 -- is written by Python instead.
 _BLOCK_ROWS = 1024          # rows per pass: keeps every temporary small
 _K_MIN, _K_MAX = -280, 280  # decimal exponents certified: no product overflows or underflows
 _SPLIT = 134217729.0        # 2^27 + 1, Dekker's splitting constant
@@ -158,15 +158,9 @@ def _layouts() -> np.ndarray:
 _LAYOUTS = _layouts()
 
 
-def _significand(x: np.ndarray):
-    """17 digits n and exponent k with |x| = n 10^(k-16) after rounding, and the
-    mask of the numbers whose n and k are certified (zeros: n = k = 0)."""
-    ax = np.abs(x)
-    ok = (ax >= 1e-280) & (ax <= 1e280)
-    ax = np.where(ok, ax, 1.0)
-    k = np.clip(np.floor(np.log10(ax)), _K_MIN, _K_MAX).astype(np.int64)
+def _scaled(ax: np.ndarray, k: np.ndarray):
+    """ax 10^(16-k) as hi + lo: Dekker's exact product ax b, plus ax b_lo."""
     b, b_upper, b_lower, b_lo = (np.take(table, k - _K_MIN) for table in _powers_of_ten())
-    # ax (b + b_lo) = hi + lo: Dekker's exact product ax b, plus ax b_lo
     t = _SPLIT * ax
     a_upper = t - (t - ax)
     a_lower = ax - a_upper
@@ -174,11 +168,27 @@ def _significand(x: np.ndarray):
     q = ((((a_upper * b_upper - p) + a_upper * b_lower) + a_lower * b_upper)
          + a_lower * b_lower) + ax * b_lo
     hi = p + q
-    lo = q - (hi - p)
+    return hi, q - (hi - p)
+
+
+def _significand(x: np.ndarray):
+    """17 digits n and exponent k with |x| = n 10^(k-16) after rounding, and the
+    mask of the numbers whose n and k are certified (zeros: n = k = 0)."""
+    ax = np.abs(x)
+    ok = (ax >= 1e-280) & (ax <= 1e280)
+    ax = np.where(ok, ax, 1.0)
+    k = np.clip(np.floor(np.log10(ax)), _K_MIN, _K_MAX).astype(np.int64)
+    hi, lo = _scaled(ax, k)
+    # log10 rounds a number just below a power of ten up to it, and k comes out
+    # one too large: those are scaled again at k - 1
+    high = np.flatnonzero((hi < 1e16) | ((hi == 1e16) & (lo < 0)))
+    if high.size:
+        k[high] = np.maximum(k[high] - 1, _K_MIN)
+        hi[high], lo[high] = _scaled(ax[high], k[high])
     # hi >= 10^16 > 2^53 is an even integer: rounding lo rounds hi + lo, ties to even
     r = np.rint(lo)
     n = hi.astype(np.int64) + r.astype(np.int64)
-    ok &= (hi > 1e16) | ((hi == 1e16) & (lo >= 0))   # else k is one too large
+    ok &= (hi > 1e16) | ((hi == 1e16) & (lo >= 0))   # else k is still too large
     ok &= n < 10 ** 17                  # else k is one too small, or n rounded up to 10^17
     ok &= np.abs(np.abs(lo - r) - 0.5) > 2.0 ** -20   # else too near a tie
     zero = x == 0

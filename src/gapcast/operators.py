@@ -16,7 +16,9 @@ assembled and factored by Cholesky.  Above it B is never formed
 (``SplitOperator``): its future block over {0..K} is block Toeplitz, so
 B_FF [u V] = [r_F B_FS] is solved by conjugate gradients with FFT products,
 preconditioned by the Toeplitz matrix of the inverse symbol F_zeta^T, and the
-gap unknowns follow from the |S| T square Schur complement.
+gap unknowns follow from the |S| T square Schur complement.  That block
+Toeplitz solve, ``toeplitz_solve``, also serves the projection oracle's long
+windows.
 """
 
 from __future__ import annotations
@@ -47,9 +49,13 @@ from .spectral import (
 # ``points`` from being enumerated.
 MAX_GAP_POINTS = 100_000
 
-# Order P of B above which the solve splits over the gap and the future and B
-# is never formed; at or below it B is assembled and factored.  Every shipped
-# example stays dense (P <= 198); the benchmark's estimates (P = 1030) split.
+# The crossover of both Toeplitz solvers.  Above this many unknowns the
+# operator solve splits over the gap and the future and B is never formed, and
+# ``oracle.projection_oracle`` solves the whole window by conjugate gradients
+# and never forms its covariance Gamma; at or below it B and Gamma are
+# assembled and factored.  Every shipped example stays dense (P <= 198, at
+# most 396 observed unknowns on its default oracle ladder); the benchmark's
+# estimates (P = 1030) and its oracle window 400 (794 unknowns) split.
 DENSE_MAX_ORDER = 512
 
 # Conjugate gradients stop when every column's residual is at most
@@ -231,26 +237,39 @@ def _pcg(apply, precondition, b: np.ndarray) -> tuple[np.ndarray, int]:
     )
 
 
+def toeplitz_solve(table: FourierTable, inverse_table: FourierTable, size: int,
+                   rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    """``assemble(table, range(size))^{-1} rhs`` and the CG iterations it took.
+
+    Preconditioned conjugate gradients with FFT products (``_pcg``), one
+    system per column of ``rhs``; the preconditioner is the block Toeplitz
+    matrix of ``inverse_table``, the coefficients of the inverse symbol.  It
+    moves the iteration count only: every column stops at the same relative
+    residual ``CG_TOL`` whatever the preconditioner.
+    """
+    return _pcg(_ToeplitzProduct(table, size), _ToeplitzProduct(inverse_table, size), rhs)
+
+
 class SplitOperator:
     """Bmat over U_K = S union {0..K}, above ``DENSE_MAX_ORDER``, never formed.
 
     It has the ``shape`` and ``dtype`` of B, and ``B @ x`` is B's product.
     The gap blocks B_SS and B_FS (|S| T columns) are assembled; the future
     block B_FF is block Toeplitz and applied by an FFT product.  ``solve``
-    runs preconditioned conjugate gradients on B_FF [u V] = [r_F B_FS], the
-    preconditioner being the Toeplitz matrix of ``inverse_table`` (the
-    coefficients of the inverse symbol), then factors the Schur complement
-    B_SS - B_FS^H V and sets c_S from it and c_F = u - V c_S.
+    runs ``toeplitz_solve`` on B_FF [u V] = [r_F B_FS], the preconditioner
+    being the Toeplitz matrix of ``inverse_table`` (the coefficients of the
+    inverse symbol), then factors the Schur complement B_SS - B_FS^H V and
+    sets c_S from it and c_F = u - V c_S.
     """
 
     def __init__(self, table: FourierTable, inverse_table: FourierTable,
                  gap: Sequence[int], K: int):
         future = np.arange(K + 1)
-        self.table, self.gap = table, np.asarray(gap, dtype=int)
+        self.table, self.inverse_table = table, inverse_table
+        self.gap = np.asarray(gap, dtype=int)
         self.B_SS = assemble(table, self.gap)
         self.B_FS = assemble(table, future, self.gap)
         self.future = _ToeplitzProduct(table, K + 1)
-        self.precondition = _ToeplitzProduct(inverse_table, K + 1)
         order = (self.gap.size + K + 1) * table.dim
         self.shape, self.dtype = (order, order), table.data.dtype
 
@@ -282,8 +301,8 @@ class SplitOperator:
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
         """B^{-1} rhs and the conjugate-gradient iterations it took."""
         s = self.B_SS.shape[0]
-        uv, iterations = _pcg(self.future, self.precondition,
-                              np.column_stack((rhs[s:], self.B_FS)))
+        uv, iterations = toeplitz_solve(self.table, self.inverse_table, self.future.size,
+                                        np.column_stack((rhs[s:], self.B_FS)))
         u, V = uv[:, 0], uv[:, 1:]
         if not s:
             return u, iterations

@@ -3,11 +3,15 @@
 The projection oracle solves the finite-window normal equations built from
 quadrature covariances of the observed process; it is an independent route to
 the optimal estimate that never touches the operator system, so it serves as
-ground truth for the spectral pipeline.  A fixed filter's error is a
-Gaussian linear functional of the path, so its variance is the quadrature of
-the written taps and the Monte-Carlo errors are drawn from that law, one
-normal per replication.  ``CirculantEmbedding`` is the exact path sampler
-that law is checked against.
+ground truth for the spectral pipeline.  Up to ``operators.DENSE_MAX_ORDER``
+observed unknowns it assembles the window's covariance and factors it; above
+that it solves the whole window, a block Toeplitz system, by preconditioned
+conjugate gradients (``operators.toeplitz_solve``) and removes the gap by a
+Schur step, so a long window costs about one estimate.  A fixed filter's
+error is a Gaussian linear functional of the path, so its variance is the
+quadrature of the written taps and the Monte-Carlo errors are drawn from that
+law, one normal per replication.  ``CirculantEmbedding`` is the exact path
+sampler that law is checked against.
 """
 
 from __future__ import annotations
@@ -17,15 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import operators
 from .errors import (
     DataShapeError,
     DegenerateObservationsError,
     InvalidParameterError,
+    NonInvertibleOperatorError,
     SimulationMethodError,
+    SingularDensityError,
 )
 from .extrapolate import FunctionalSpec, filter_error
-from .operators import MissingPattern, assemble, cholesky_solver
-from .spectral import SpectralModel, coeffs_from_samples, trig_poly_on_grid
+from .operators import MissingPattern, assemble, cholesky_solver, toeplitz_solve
+from .spectral import SpectralModel, check_minimality, coeffs_from_samples, trig_poly_on_grid
 
 
 @dataclass(frozen=True)
@@ -49,11 +56,16 @@ class SimulationConfig:
 
 @dataclass
 class OracleResult:
-    """Finite-window projection estimate: its error and taps."""
+    """Finite-window projection estimate: its error and taps.
+
+    ``cg_iterations`` counts the conjugate-gradient iterations of a window
+    solved above the crossover, 0 for a dense one.
+    """
 
     delta_oracle: float
     taps_oracle: dict[int, np.ndarray]
     window: int
+    cg_iterations: int = 0
 
 
 def functional_variance(model: SpectralModel, functional: FunctionalSpec) -> float:
@@ -68,9 +80,21 @@ def projection_oracle(model: SpectralModel, pattern: MissingPattern,
                       functional: FunctionalSpec, window: int) -> OracleResult:
     """Best linear estimate from the finite observed window {-window..-1} \\ S.
 
-    Solves the normal equations with exact (quadrature) covariances of the
-    observed sequence.  The reported error is an upper bound for the
-    infinite-past optimum and decreases as the window grows.
+    Solves the normal equations Gamma g = m with exact (quadrature)
+    covariances of the observed sequence.  The reported error is an upper
+    bound for the infinite-past optimum and decreases as the window grows.
+
+    Two routes solve for g.  Up to ``operators.DENSE_MAX_ORDER`` observed
+    unknowns (read at call time) Gamma is assembled and factored by Cholesky.
+    Above it Gamma is never formed: over the full window {-window..-1} the
+    covariance is block Toeplitz with symbol F_zeta, and ``toeplitz_solve``
+    applies its inverse H to m (zero on the gap) and to the gap's unit
+    vectors, preconditioned by the Toeplitz matrix of F_zeta^{-1}; then
+    g = (H m)_O - H_OS H_SS^{-1} (H m)_S, the inverse of the observed block
+    read from the inverse of the whole.  The preconditioner moves only the
+    iteration count, never the answer.  Both routes refuse a singular
+    observation covariance with DegenerateObservationsError naming the
+    window (above the crossover, a density that fails ``check_minimality``).
     """
     if window < 1:
         raise InvalidParameterError("window must be >= 1")
@@ -83,22 +107,53 @@ def projection_oracle(model: SpectralModel, pattern: MissingPattern,
     if not observed:
         return OracleResult(delta_oracle=e_s2, taps_oracle={}, window=window)
 
+    name = f"observation covariance over window {window}"
+    split = len(observed) * d > operators.DENSE_MAX_ORDER
+    if split:
+        # the preconditioner's F_zeta^{-1}, which only a minimal density has
+        try:
+            check_minimality(model)
+        except SingularDensityError as exc:
+            raise DegenerateObservationsError(f"{name} is singular: {exc}") from exc
+        inverse = coeffs_from_samples(model.samples("Fzinv"), window - 1)
     # Covariances R(n) = table.coeff(-n): Gamma has blocks R_z(u - v) over
     # observed u, v (lags below the window); m has blocks
     # sum_k R_zx(u - k) conj(a(k)) (lags up to window + N).
     cov_z = coeffs_from_samples(model.samples("Fz"), window - 1)
     cross = model.samples("F") + model.samples("Fex")   # density of (zeta, xi)
     cov_zx = coeffs_from_samples(cross, window + N)
-    rows = -np.asarray(observed)
-    gamma = assemble(cov_z, rows)
-    m = assemble(cov_zx, rows, -np.arange(N + 1)) @ np.conj(functional.coeffs).ravel()
-
-    gm = cholesky_solver(gamma, DegenerateObservationsError,
-                         f"observation covariance over window {window}")(m)
+    a = np.conj(functional.coeffs).ravel()
+    if not split:
+        rows = -np.asarray(observed)
+        m = assemble(cov_zx, rows, -np.arange(N + 1)) @ a
+        gm = cholesky_solver(assemble(cov_z, rows), DegenerateObservationsError, name)(m)
+        iterations = 0
+    else:
+        # the full window indexed by r = -u = 1..window: block (p, q) of its
+        # covariance is cov_z.coeff(r_p - r_q), a Toeplitz product
+        gap = np.repeat(np.isin(np.arange(1, window + 1), -np.asarray(pattern.points)), d)
+        S, O = np.flatnonzero(gap), np.flatnonzero(~gap)
+        m_full = assemble(cov_zx, np.arange(1, window + 1), -np.arange(N + 1)) @ a
+        rhs = np.zeros((window * d, 1 + S.size), dtype=np.result_type(m_full, cov_z.data))
+        rhs[O, 0] = m_full[O]
+        rhs[S, 1 + np.arange(S.size)] = 1.0
+        try:
+            H, iterations = toeplitz_solve(cov_z, inverse, window, rhs)
+        except NonInvertibleOperatorError as exc:
+            raise DegenerateObservationsError(f"{name}: {exc}") from exc
+        Hm, H_S = H[:, 0], H[:, 1:]
+        g = Hm[O]
+        if S.size:
+            solve = cholesky_solver(H_S[S], DegenerateObservationsError,
+                                    f"inverse {name}, over the gap")
+            g = g - H_S[O] @ solve(Hm[S])
+        # observed u ascend, so r descends: reverse the blocks
+        m, gm = (v.reshape(-1, d)[::-1].ravel() for v in (m_full[O], g))
     delta = e_s2 - float(np.vdot(m, gm).real)
     taps_vec = np.conj(gm)
     taps = {u: taps_vec[i * d:(i + 1) * d].copy() for i, u in enumerate(observed)}
-    return OracleResult(delta_oracle=max(delta, 0.0), taps_oracle=taps, window=window)
+    return OracleResult(delta_oracle=max(delta, 0.0), taps_oracle=taps, window=window,
+                        cg_iterations=iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from gapcast.cli import _complex_table, _fmt, main
+from gapcast.cli import _complex_table, _fmt, _significand, main
 from gapcast.config import (
     build_class,
     build_functional,
@@ -246,6 +246,25 @@ def test_complex_table_does_not_trust_log10(monkeypatch, direction):
     tens = np.array([float(f"1e{e}") for e in range(-280, 281)])
     _assert_formats_as_python(np.concatenate([tens, np.nextafter(tens, 0),
                                               np.nextafter(tens, np.inf)]))
+
+
+def test_numbers_just_below_a_power_of_ten_are_certified():
+    # log10 rounds most doubles just below a power of ten up to it, so k comes
+    # out one too large: they are scaled again at k - 1, not handed to Python
+    tens = np.array([float(f"1e{e}") for e in range(-280, 281)])
+    steps = [tens]
+    for direction in (0.0, np.inf):
+        x = tens
+        for _ in range(30):
+            x = np.nextafter(x, direction)
+            steps.append(x)
+    numbers = np.concatenate(steps)
+    assert len(numbers) == 34221
+    _assert_formats_as_python(np.concatenate([numbers, -numbers]))
+    _, _, ok = _significand(numbers)
+    # 16,302 fell back without the retry; those left lie outside
+    # [1e-280, 1e280], are exact ties, or round up to the power itself
+    assert np.count_nonzero(~ok) <= 105
 
 
 def test_estimate_white_no_gaps(tmp_path):

@@ -795,14 +795,18 @@ def test_operator_tables_span_the_lags_of_U_K(monkeypatch, name):
     solve_coefficients(system, functional.coeffs.ravel())
 
 
-@pytest.mark.parametrize("window", [3, 20, 100])
+@pytest.mark.parametrize("window", [3, 20, 100, 400])
 def test_oracle_tables_span_the_lags_they_read(monkeypatch, window):
-    # E|A xi|^2 reads lags up to N, Gamma those below the window, m up to window + N
+    # E|A xi|^2 reads lags up to N, Gamma those below the window, m up to
+    # window + N; above the crossover (window 400: 794 observed unknowns) the
+    # preconditioner's table of F_zeta^{-1}, asked for first, spans Gamma's too
     model, pattern, functional, _ = _example("noisy_ar1")
     asked = _asked_lags(monkeypatch, oracle_module)
-    projection_oracle(model, pattern, functional, window=window)
+    res = projection_oracle(model, pattern, functional, window=window)
     N = functional.horizon
-    assert asked == [N, window - 1, window + N]
+    split = len(pattern.observed_window(window)) * model.dim > DENSE_MAX_ORDER
+    assert split == (window == 400) == (res.cg_iterations > 0)
+    assert asked == [N] + [window - 1] * (2 if split else 1) + [window + N]
 
 
 @pytest.mark.parametrize("intervals", [(), ((2, 1),)])

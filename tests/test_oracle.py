@@ -10,6 +10,7 @@ quadrature of the taps and which draws one normal per replication.
 """
 
 import dataclasses
+import warnings
 from math import comb
 from pathlib import Path
 
@@ -17,6 +18,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import gapcast.operators as operators_module
+import gapcast.oracle as oracle_module
 from gapcast import (
     FunctionalSpec,
     MissingPattern,
@@ -47,9 +50,11 @@ from gapcast.spectral import trig_poly_on_grid
 from gapcast.errors import (
     DegenerateObservationsError,
     InvalidParameterError,
+    NonInvertibleOperatorError,
     SimulationMethodError,
+    SingularDensityError,
 )
-from test_operators import COMPLEX_MODELS
+from test_operators import COMPLEX_MODELS, _example
 
 
 def _scalar_ar1(b, scale=1.0, grid_size=512):
@@ -146,12 +151,73 @@ def test_projection_with_everything_missing():
     assert res.taps_oracle == {}
 
 
-def test_projection_rejects_degenerate_observations():
-    zero = np.zeros((256, 1, 1), dtype=complex)
-    model = SpectralModel(dim=1, F=zero, grid_size=256, pole_modulus=None)
-    with pytest.raises(DegenerateObservationsError):
-        projection_oracle(model, MissingPattern(intervals=()),
-                          FunctionalSpec(coeffs=np.array([[1.0]])), window=5)
+@pytest.mark.parametrize("window", [5, 600])
+def test_projection_rejects_degenerate_observations(window):
+    # a zero density: below the crossover Gamma fails its Cholesky factor;
+    # above it (600 unknowns) F_zeta fails the minimality check before its
+    # inverse is taken.  Both refuse the same way, naming the window, and
+    # neither divides by zero
+    zero = np.zeros((4096, 1, 1), dtype=complex)
+    model = SpectralModel(dim=1, F=zero, grid_size=4096, pole_modulus=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateObservationsError,
+                           match=f"^observation covariance over window {window} ") as info:
+            projection_oracle(model, MissingPattern(intervals=()),
+                              FunctionalSpec(coeffs=np.array([[1.0]])), window=window)
+    assert isinstance(info.value.__cause__, SingularDensityError) == (window == 600)
+    assert "Fzinv" not in model._samples
+
+
+def test_unconverged_window_solve_is_refused_as_degenerate(monkeypatch):
+    model, pattern, functional, _ = _example("noisy_ar1")
+    monkeypatch.setattr(operators_module, "CG_MAX_ITERATIONS", 1)
+    with pytest.raises(DegenerateObservationsError, match=(
+            r"^observation covariance over window 400: conjugate gradients not converged")) as info:
+        projection_oracle(model, pattern, functional, window=400)
+    assert isinstance(info.value.__cause__, NonInvertibleOperatorError)
+
+
+def test_long_window_matches_the_dense_route_without_forming_gamma(monkeypatch):
+    # 2 (400 - 3) = 794 observed unknowns: above the crossover, unpatched
+    model, pattern, functional, _ = _example("noisy_ar1")
+    window, T, N = 400, model.dim, functional.horizon
+    shapes, assemble = [], oracle_module.assemble
+
+    def spy(table, rows, cols=None):
+        out = assemble(table, rows, cols)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(oracle_module, "assemble", spy)
+    split = projection_oracle(model, pattern, functional, window=window)
+    assert split.cg_iterations > 0
+    assert max(min(shape) for shape in shapes) == (N + 1) * T
+    shapes.clear()
+    monkeypatch.setattr(operators_module, "DENSE_MAX_ORDER", 10 ** 9)
+    dense = projection_oracle(model, pattern, functional, window=window)
+    assert dense.cg_iterations == 0 and (794, 794) in shapes
+    assert split.delta_oracle == pytest.approx(dense.delta_oracle, rel=1e-13)
+    assert set(split.taps_oracle) == set(dense.taps_oracle)
+    largest = max(np.abs(tap).max() for tap in dense.taps_oracle.values())
+    for j, tap in dense.taps_oracle.items():
+        assert np.abs(split.taps_oracle[j] - tap).max() <= 1e-13 * largest
+
+
+def test_near_unit_window_agrees_with_the_dense_route(monkeypatch):
+    # AR(0.99) in AR(0.2) noise of scale 0.5, gap {-3, -2}, xi(0), and the
+    # longest window the grid resolves, n/4
+    model = ar1_model(poles=[0.99], noise_poles=[0.2], noise_scales=[0.5], grid_size=4096)
+    pattern = MissingPattern(intervals=((2, 1),))
+    functional = FunctionalSpec(coeffs=[[1.0]])
+    split = projection_oracle(model, pattern, functional, window=1024)
+    assert 0 < split.cg_iterations <= 20
+    monkeypatch.setattr(operators_module, "DENSE_MAX_ORDER", 10 ** 9)
+    dense = projection_oracle(model, pattern, functional, window=1024)
+    assert split.delta_oracle == pytest.approx(dense.delta_oracle, rel=1e-9)
+    largest = max(np.abs(tap).max() for tap in dense.taps_oracle.values())
+    for j, tap in dense.taps_oracle.items():
+        assert np.abs(split.taps_oracle[j] - tap).max() <= 1e-9 * largest
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +259,10 @@ def _reference_projection(model, pattern, functional, window):
     return max(e_s2 - float(np.vdot(m, gm).real), 0.0), taps
 
 
+# the deepest stretch of both gapped patterns reaches past the start of window 7
+GAPS = {"none": (), "two": ((1, 1), (6, 2)), "past_start": ((3, 5),)}
+
+
 def _oracle_instance(dim, kind, gaps, seed):
     rng = np.random.default_rng(seed)
     if kind == "ar1":
@@ -205,15 +275,18 @@ def _oracle_instance(dim, kind, gaps, seed):
         model = ma_pair_model([rng.normal(size=(dim, dim)) for _ in range(3)],
                               [rng.normal(size=(dim, dim)) for _ in range(2)],
                               innovation_cov=root @ root.T, grid_size=256)
-    pattern = MissingPattern(intervals=((1, 1), (6, 2)) if gaps else ())
+    pattern = MissingPattern(intervals=GAPS[gaps])
     N = int(rng.integers(0, 3))
     return model, pattern, FunctionalSpec(coeffs=rng.normal(size=(N + 1, dim)))
 
 
+@pytest.mark.parametrize("route", ("dense", "split"))
 @pytest.mark.parametrize("dim", (1, 2))
 @pytest.mark.parametrize("kind", ("ar1", "ma_pair"))
-@pytest.mark.parametrize("gaps", (False, True))
-def test_projection_matches_block_reference(dim, kind, gaps):
+@pytest.mark.parametrize("gaps", GAPS)
+def test_projection_matches_block_reference(monkeypatch, route, dim, kind, gaps):
+    if route == "split":   # every window above the crossover
+        monkeypatch.setattr(operators_module, "DENSE_MAX_ORDER", 0)
     model, pattern, fun = _oracle_instance(dim, kind, gaps, seed=10 * dim + len(kind))
     if kind == "ma_pair":
         assert not model.is_uncorrelated
@@ -222,6 +295,7 @@ def test_projection_matches_block_reference(dim, kind, gaps):
     for window in (1, 7, 40):
         got = projection_oracle(model, pattern, fun, window=window)
         want, taps = _reference_projection(model, pattern, fun, window)
+        assert (got.cg_iterations > 0) == (route == "split" and bool(taps))
         assert got.delta_oracle == pytest.approx(want, rel=1e-12)
         assert set(got.taps_oracle) == set(taps)
         for j, tap in taps.items():
@@ -422,8 +496,8 @@ def test_monte_carlo_matches_path_reference(dim, kind, gaps):
     # the error is N(0, w . w), and monte_carlo_mse's quadrature of the taps
     # is that variance.
     noiseless = kind == "noiseless"
-    model, pattern, fun = _oracle_instance(dim, "ar1" if noiseless else kind, gaps,
-                                           seed=dim + 7)
+    model, pattern, fun = _oracle_instance(dim, "ar1" if noiseless else kind,
+                                           "two" if gaps else "none", seed=dim + 7)
     if noiseless:
         model = ar1_model(poles=(0.6, -0.3)[:dim], grid_size=256)
     window = 6
@@ -467,7 +541,7 @@ def test_monte_carlo_resolves_a_coarse_grid():
 
 
 def test_monte_carlo_draws_one_normal_per_replication():
-    model, pattern, fun = _oracle_instance(2, "ma_pair", True, seed=3)
+    model, pattern, fun = _oracle_instance(2, "ma_pair", "two", seed=3)
     taps = {-3: np.array([0.4, -0.2]), -10: np.array([0.1, 0.3])}
     runs = [monte_carlo_mse(model, pattern, fun, taps,
                             SimulationConfig(replications=R, seed=11))
