@@ -53,7 +53,7 @@ from .extrapolate import (
 )
 from .families import DensityFamily
 from .operators import MissingPattern
-from .spectral import SpectralModel, density_data
+from .spectral import SpectralModel, _eigvalsh, density_data
 
 # ---------------------------------------------------------------------------
 # Classes
@@ -106,7 +106,7 @@ def _slack(x: np.ndarray, flavor: int) -> tuple[np.ndarray, float]:
     The slack is the value itself, or the smallest eigenvalue of a flavor 4
     matrix; the size is the largest absolute value (eigenvalue) over all nodes.
     """
-    values = np.linalg.eigvalsh(x) if flavor == 4 else x
+    values = _eigvalsh(x) if flavor == 4 else x
     slack = values.min(axis=-1) if flavor == 4 else values
     return slack, float(np.max(np.abs(values)))
 
@@ -713,7 +713,7 @@ def _misfit(dev: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray
     binds, its pointwise slack multiplier absorbs the negative (positive)
     eigenvalue part; where both bind, anything goes.
     """
-    w = np.linalg.eigvalsh(0.5 * (dev + np.conj(np.swapaxes(dev, -1, -2))))
+    w = _eigvalsh(0.5 * (dev + np.conj(np.swapaxes(dev, -1, -2))))
     part = np.where(lower[:, None], np.maximum(w, 0.0), np.maximum(-w, 0.0))
     return np.where(~(lower | upper), np.linalg.norm(dev, axis=(1, 2)),
                     np.where(lower & upper, 0.0, np.linalg.norm(part, axis=-1)))

@@ -84,12 +84,49 @@ def trig_poly_on_grid(lags: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarra
 def _eigvalsh(samples: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of Hermitian (n, T, T) samples, shape (n, T).
 
-    For 1 x 1 blocks these are the real parts, which is what LAPACK's ?heevd
-    returns for an order-1 matrix, so the shortcut is bit for bit.
+    Like LAPACK's ?heevd this reads the diagonal's real parts and the lower
+    triangle.  Order 1: the real parts, bit for bit what ?heevd returns.
+    Order 2: the closed form of ?laev2, vectorized over the nodes.  With
+    lo, hi the smaller and larger diagonal entry, h = (hi - lo)/2 and
+    b = |s_10|, the eigenvalues are lo - t and hi + t for
+    t = b (b / (hypot(h, b) + h)), 0 where b = h = 0: nothing cancels beyond
+    what the determinant does, and a diagonal block is exact.  Order 3 and
+    up: ``np.linalg.eigvalsh``.
     """
-    if samples.shape[-1] == 1:
+    d = samples.shape[-1]
+    if d == 1:
         return samples[..., 0].real
-    return np.linalg.eigvalsh(samples)
+    if d > 2:
+        return np.linalg.eigvalsh(samples)
+    a, c = samples[..., 0, 0].real, samples[..., 1, 1].real
+    b = np.abs(samples[..., 1, 0])
+    lo, hi = np.minimum(a, c), np.maximum(a, c)
+    h = 0.5 * (hi - lo)
+    den = np.hypot(h, b) + h
+    t = b * np.divide(b, den, out=np.zeros_like(den), where=den > 0)
+    return np.stack((lo - t, hi + t), axis=-1)
+
+
+def _inv(samples: np.ndarray) -> np.ndarray:
+    """Per-node inverse of (n, T, T) samples.
+
+    Order 1: the reciprocal, bit for bit what ``np.linalg.inv`` returns on
+    real samples.  Order 2: the adjugate over the determinant a d - b c.
+    Order 3 and up: ``np.linalg.inv``.  Whether the inverse exists is
+    ``check_minimality``'s to judge.
+    """
+    d = samples.shape[-1]
+    if d == 1:
+        return 1.0 / samples
+    if d > 2:
+        return np.linalg.inv(samples)
+    a, b = samples[..., 0, 0], samples[..., 0, 1]
+    c, e = samples[..., 1, 0], samples[..., 1, 1]
+    det = a * e - b * c
+    out = np.empty_like(samples)
+    out[..., 0, 0], out[..., 0, 1] = e / det, -b / det
+    out[..., 1, 0], out[..., 1, 1] = -c / det, a / det
+    return out
 
 
 @dataclass(eq=False)
@@ -141,7 +178,8 @@ class SpectralModel:
 
         ``which`` is one of F, G, Fxe, Fex (the conjugate transpose of Fxe),
         Fz (observation density F + F_xe + F_ex + G), Fzinv (its per-node
-        inverse; ``check_minimality`` judges whether it exists).
+        inverse by ``_inv``: closed forms for T <= 2, LAPACK above;
+        ``check_minimality`` judges whether it exists).
         """
         if which in self._samples:
             return self._samples[which]
@@ -154,10 +192,7 @@ class SpectralModel:
                 + self.samples("Fex")
             )
         elif which == "Fzinv":
-            # on real 1 x 1 samples the reciprocal is bit-equal to np.linalg.inv,
-            # at a fraction of its per-call cost
-            fz = self.samples("Fz")
-            out = 1.0 / fz if d == 1 else np.linalg.inv(fz)
+            out = _inv(self.samples("Fz"))
         else:
             data = {"F": self.F, "G": self.G, "Fxe": self.F_xe, "Fex": self.F_xe}[which]
             if data is None:

@@ -142,6 +142,29 @@ def test_estimate_rerun_is_byte_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+@pytest.mark.parametrize("example,flags", [
+    ("benchmark", []), ("noisy_ar1", []),
+    ("benchmark", ["--grid", "2048", "--truncation", "300"]),   # the split route
+])
+def test_a_two_component_estimate_makes_no_lapack_eigen_or_inverse_call(
+        tmp_path, monkeypatch, example, flags):
+    # F's and G's PSD checks, F_zeta's eigenvalues and F_zeta^{-1} take the
+    # closed 2 x 2 forms at every node
+    calls = []
+    for name in ("eigvalsh", "inv"):
+        def spy(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    out = tmp_path / "out"
+    assert run_cli(["estimate", "--config", EXAMPLES / f"{example}.yaml", *flags,
+                    "--out", out]) == 0
+    summary = read_summary(out / "result.summary")
+    assert float(summary["minimality_value"]) > 0
+    assert (int(summary["cg_iterations"]) > 0) == bool(flags)
+    assert calls == []
+
+
 def _per_float_rows(keys, values):
     """Rows as written one ``_fmt`` call per number, the reference layout."""
     return [",".join([_fmt(key)] + [_fmt(part) for z in row

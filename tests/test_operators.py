@@ -413,7 +413,8 @@ def test_scalar_observation_inverse_is_the_reciprocal(seed):
 
 def test_inverse_of_complex_blocks():
     # a scalar density is Hermitian only up to a phase of about 1e-11, which
-    # the reciprocal keeps; complex 2 x 2 blocks go through np.linalg.inv
+    # the reciprocal keeps; complex 2 x 2 blocks take the adjugate over the
+    # determinant, within rounding of np.linalg.inv
     rng = np.random.default_rng(5)
     z = rng.uniform(0.1, 10.0, 4096) * np.exp(1j * rng.uniform(-1e-11, 1e-11, 4096))
     scalar = SpectralModel(dim=1, F=z[:, None, None], grid_size=4096)
@@ -422,6 +423,16 @@ def test_inverse_of_complex_blocks():
     assert np.max(np.abs(scalar.samples("Fzinv") - ref) / np.abs(ref)) <= 4e-16
     x = rng.normal(size=(64, 2, 2)) + 1j * rng.normal(size=(64, 2, 2))
     blocks = SpectralModel(dim=2, F=x @ np.conj(np.swapaxes(x, -1, -2)) + np.eye(2),
+                           grid_size=64)
+    fz = blocks.samples("Fz")
+    ref = np.linalg.inv(fz)
+    eig = np.linalg.eigvalsh(fz)
+    err = np.linalg.norm(blocks.samples("Fzinv") - ref, ord=2, axis=(1, 2))
+    scale = np.linalg.norm(ref, ord=2, axis=(1, 2))
+    assert np.all(err <= 8 * np.finfo(float).eps * eig[:, 1] / eig[:, 0] * scale)
+    # 3 x 3 blocks still go through np.linalg.inv, bit for bit
+    x = rng.normal(size=(64, 3, 3)) + 1j * rng.normal(size=(64, 3, 3))
+    blocks = SpectralModel(dim=3, F=x @ np.conj(np.swapaxes(x, -1, -2)) + np.eye(3),
                            grid_size=64)
     assert np.array_equal(blocks.samples("Fzinv"), np.linalg.inv(blocks.samples("Fz")))
 

@@ -272,7 +272,7 @@ def _oracle_instance(dim, kind, gaps, seed):
                           noise_scales=rng.uniform(0.2, 1.0, size=dim), grid_size=256)
     else:   # moving-average signal and noise with correlated innovations
         root = np.eye(2 * dim) + 0.5 * rng.normal(size=(2 * dim, 2 * dim))
-        model = ma_pair_model([rng.normal(size=(dim, dim)) for _ in range(3)],
+        model = ma_pair_model([rng.normal(size=(dim, dim)) for _ in range(5)],
                               [rng.normal(size=(dim, dim)) for _ in range(2)],
                               innovation_cov=root @ root.T, grid_size=256)
     pattern = MissingPattern(intervals=GAPS[gaps])
@@ -290,8 +290,8 @@ def test_projection_matches_block_reference(monkeypatch, route, dim, kind, gaps)
     model, pattern, fun = _oracle_instance(dim, kind, gaps, seed=10 * dim + len(kind))
     if kind == "ma_pair":
         assert not model.is_uncorrelated
-    assert functional_variance(model, fun) == pytest.approx(
-        _reference_variance(model, fun), rel=1e-13)
+    variance = functional_variance(model, fun)
+    assert variance == pytest.approx(_reference_variance(model, fun), rel=1e-13)
     for window in (1, 7, 40):
         got = projection_oracle(model, pattern, fun, window=window)
         want, taps = _reference_projection(model, pattern, fun, window)
@@ -300,6 +300,9 @@ def test_projection_matches_block_reference(monkeypatch, route, dim, kind, gaps)
         assert set(got.taps_oracle) == set(taps)
         for j, tap in taps.items():
             np.testing.assert_allclose(got.taps_oracle[j], tap, rtol=1e-12, atol=1e-14)
+    # the observations explain part of the functional in every case, so the
+    # projection (and on the split route its Schur step over the gap) is tested
+    assert variance - got.delta_oracle > 1e-6 * variance
 
 
 # ---------------------------------------------------------------------------

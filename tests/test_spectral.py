@@ -6,6 +6,8 @@ covariances computed by direct convolution, and hand-integrated trig
 polynomials.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,9 @@ from gapcast.errors import (
     InvalidParameterError,
     SingularDensityError,
 )
-from gapcast.spectral import _eigvalsh, density_data
+from gapcast.spectral import _eigvalsh, _inv, density_data
+
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +407,70 @@ def test_grid_nodes_are_computed_once_and_read_only():
     assert np.array_equal(model.lam, grid_points(128))
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_node_eigenvalues_match_eigvalsh(dim):
-    # 1 x 1 blocks take the real part, which is what ?heevd returns
+    # 1 x 1 blocks take the real part, which is what ?heevd returns; 2 x 2
+    # blocks take the closed form, within rounding of ?heevd; larger ones ?heevd
     rng = np.random.default_rng(dim)
     x = rng.normal(size=(256, dim, dim)) + 1j * rng.normal(size=(256, dim, dim))
     x = x @ np.conj(np.swapaxes(x, -1, -2))
-    assert np.array_equal(_eigvalsh(x), np.linalg.eigvalsh(x))
+    got, want = _eigvalsh(x), np.linalg.eigvalsh(x)
+    if dim == 2:
+        assert np.all(np.abs(got - want) <= 8 * EPS * want[:, -1:])
+    else:
+        assert np.array_equal(got, want)
+
+
+def _hermitian_blocks(seed, n=4096, max_cond=1e12):
+    """Random complex Hermitian positive definite 2 x 2 blocks, of largest
+    eigenvalue 1e-8..1e8 and condition number 1..max_cond."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))[0]
+    top = 10.0 ** rng.uniform(-8, 8, n)
+    eig = np.stack((top / 10.0 ** rng.uniform(0, np.log10(max_cond), n), top), axis=-1)
+    x = (q * eig[:, None, :]) @ np.conj(np.swapaxes(q, -1, -2))
+    return 0.5 * (x + np.conj(np.swapaxes(x, -1, -2)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_node_kernels_on_hermitian_blocks_up_to_the_condition_ceiling(seed):
+    x = _hermitian_blocks(seed)
+    want = np.linalg.eigvalsh(x)
+    got = _eigvalsh(x)
+    assert np.all(np.abs(got - want) <= 8 * EPS * want[:, -1:])
+    cond = want[:, 1] / want[:, 0]
+    assert cond.max() > 1e11
+    defect = np.linalg.norm(x @ _inv(x) - np.eye(2), ord=2, axis=(1, 2))
+    assert np.all(defect <= 16 * EPS * cond)
+
+
+def test_node_kernels_are_exact_on_diagonal_blocks():
+    rng = np.random.default_rng(4)
+    diag = rng.normal(size=(512, 2)) * 10.0 ** rng.uniform(-8, 8, size=(512, 2))
+    diag[:8, 1] = diag[:8, 0]   # equal entries: a double eigenvalue
+    x = np.zeros((512, 2, 2), dtype=complex)
+    x[:, 0, 0], x[:, 1, 1] = diag[:, 0], diag[:, 1]
+    assert np.array_equal(_eigvalsh(x), np.sort(diag, axis=1))
+
+
+def test_node_kernels_on_a_double_eigenvalue_without_coupling():
+    # a = d and b = 0: h = |b| = 0, where t must be 0 and not 0 / 0
+    x = np.broadcast_to(np.diag([2.5, 2.5]).astype(complex), (64, 2, 2))
+    with np.errstate(all="raise"):
+        eig, inv = _eigvalsh(x), _inv(x)
+    assert np.array_equal(eig, np.full((64, 2), 2.5))
+    assert np.array_equal(inv, np.broadcast_to(np.diag([0.4, 0.4]), (64, 2, 2)))
+
+
+def test_an_indefinite_2x2_density_is_refused_with_its_eigenvalue():
+    # [[1, 2], [2, 1]] has the eigenvalues -1 and 3
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape("density F has a negative eigenvalue (-1.00e+00)")):
+        SpectralModel(dim=2, F=np.array([[1.0, 2.0], [2.0, 1.0]]), grid_size=64)
+    # the 2 x 2 joint density of a correlated scalar model, [[1, 1.5], [1.5, 1]]
+    with pytest.raises(InvalidParameterError, match=re.escape(
+            "joint signal-noise density is not positive semidefinite (eigenvalue -5.00e-01)")):
+        SpectralModel(dim=1, F=_flat(1), G=_flat(1), F_xe=_flat(1, 1.5), grid_size=64)
 
 
 # ---------------------------------------------------------------------------
