@@ -194,7 +194,10 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     ort_table = coeffs_from_samples(ort_row[:, :, None], check_lag)
     ort_norms = np.linalg.norm(ort_table.data[:, :, 0], axis=1)
     observed = np.asarray(pattern.observed_window(check_lag), dtype=int)
+    # relative to the residual's largest coefficient, so free of the units
+    ort_scale = float(ort_norms.max())
     ort_max = float(ort_norms[observed + check_lag].max(initial=0.0))
+    ort_max = ort_max / ort_scale if ort_scale else 0.0
 
     tap_lags = observed[observed >= -taps_window]
     taps = dict(zip(tap_lags.tolist(), h_table.data[tap_lags + check_lag, :, 0]))

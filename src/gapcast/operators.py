@@ -16,9 +16,9 @@ assembled and factored by Cholesky.  Above it B is never formed
 (``SplitOperator``): its future block over {0..K} is block Toeplitz, so
 B_FF [u V] = [r_F B_FS] is solved by conjugate gradients with FFT products,
 preconditioned by the Toeplitz matrix of the inverse symbol F_zeta^T, and the
-gap unknowns follow from the |S| T square Schur complement.  That block
-Toeplitz solve, ``toeplitz_solve``, also serves the projection oracle's long
-windows.
+gap unknowns follow from the |S| T square Schur complement.  The projection
+oracle solves its window covariance with the same ``ToeplitzProduct`` and
+``pcg``.
 """
 
 from __future__ import annotations
@@ -49,13 +49,10 @@ from .spectral import (
 # ``points`` from being enumerated.
 MAX_GAP_POINTS = 100_000
 
-# The crossover of both Toeplitz solvers.  Above this many unknowns the
-# operator solve splits over the gap and the future and B is never formed, and
-# ``oracle.projection_oracle`` solves the whole window by conjugate gradients
-# and never forms its covariance Gamma; at or below it B and Gamma are
-# assembled and factored.  Every shipped example stays dense (P <= 198, at
-# most 396 observed unknowns on its default oracle ladder); the benchmark's
-# estimates (P = 1030) and its oracle window 400 (794 unknowns) split.
+# The crossover of the operator solve.  Above this many unknowns it splits over
+# the gap and the future and B is never formed; at or below it B is assembled
+# and factored.  Every shipped example stays dense (P <= 198); the benchmark's
+# estimates (P = 1030) split.
 DENSE_MAX_ORDER = 512
 
 # Conjugate gradients stop when every column's residual is at most
@@ -163,7 +160,7 @@ def _fast_length(n: int) -> int:
     return best
 
 
-class _ToeplitzProduct:
+class ToeplitzProduct:
     """x -> ``assemble(table, range(size)) @ x`` without forming the matrix.
 
     One FFT convolution per call, at length ``_fast_length(2 size - 1)``:
@@ -201,12 +198,15 @@ def _column_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", x.conj(), y).real
 
 
-def _pcg(apply, precondition, b: np.ndarray) -> tuple[np.ndarray, int]:
+def pcg(apply, precondition, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Preconditioned conjugate gradients, one system per column of b.
 
-    A column stops, and keeps its solution, once its residual is at most
-    ``CG_TOL`` of its right-hand side.  Returns the solutions and the number
-    of iterations the slowest column took; more than ``CG_MAX_ITERATIONS``
+    ``apply`` and ``precondition`` map a (size, k) array to its product, such
+    as a ``ToeplitzProduct`` of the matrix and of its inverse symbol's
+    coefficients.  A column stops, and keeps its solution, once its residual
+    is at most ``CG_TOL`` of its right-hand side, so the preconditioner moves
+    the iteration count only.  Returns the solutions and the number of
+    iterations the slowest column took; more than ``CG_MAX_ITERATIONS``
     raises ``NonInvertibleOperatorError``.
     """
     scale = np.linalg.norm(b, axis=0)
@@ -237,29 +237,16 @@ def _pcg(apply, precondition, b: np.ndarray) -> tuple[np.ndarray, int]:
     )
 
 
-def toeplitz_solve(table: FourierTable, inverse_table: FourierTable, size: int,
-                   rhs: np.ndarray) -> tuple[np.ndarray, int]:
-    """``assemble(table, range(size))^{-1} rhs`` and the CG iterations it took.
-
-    Preconditioned conjugate gradients with FFT products (``_pcg``), one
-    system per column of ``rhs``; the preconditioner is the block Toeplitz
-    matrix of ``inverse_table``, the coefficients of the inverse symbol.  It
-    moves the iteration count only: every column stops at the same relative
-    residual ``CG_TOL`` whatever the preconditioner.
-    """
-    return _pcg(_ToeplitzProduct(table, size), _ToeplitzProduct(inverse_table, size), rhs)
-
-
 class SplitOperator:
     """Bmat over U_K = S union {0..K}, above ``DENSE_MAX_ORDER``, never formed.
 
     It has the ``shape`` and ``dtype`` of B, and ``B @ x`` is B's product.
     The gap blocks B_SS and B_FS (|S| T columns) are assembled; the future
     block B_FF is block Toeplitz and applied by an FFT product.  ``solve``
-    runs ``toeplitz_solve`` on B_FF [u V] = [r_F B_FS], the preconditioner
-    being the Toeplitz matrix of ``inverse_table`` (the coefficients of the
-    inverse symbol), then factors the Schur complement B_SS - B_FS^H V and
-    sets c_S from it and c_F = u - V c_S.
+    runs ``pcg`` on B_FF [u V] = [r_F B_FS], the preconditioner being the
+    Toeplitz matrix of ``inverse_table`` (the coefficients of the inverse
+    symbol), then factors the Schur complement B_SS - B_FS^H V and sets c_S
+    from it and c_F = u - V c_S.
     """
 
     def __init__(self, table: FourierTable, inverse_table: FourierTable,
@@ -269,7 +256,7 @@ class SplitOperator:
         self.gap = np.asarray(gap, dtype=int)
         self.B_SS = assemble(table, self.gap)
         self.B_FS = assemble(table, future, self.gap)
-        self.future = _ToeplitzProduct(table, K + 1)
+        self.future = ToeplitzProduct(table, K + 1)
         order = (self.gap.size + K + 1) * table.dim
         self.shape, self.dtype = (order, order), table.data.dtype
 
@@ -301,8 +288,8 @@ class SplitOperator:
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
         """B^{-1} rhs and the conjugate-gradient iterations it took."""
         s = self.B_SS.shape[0]
-        uv, iterations = toeplitz_solve(self.table, self.inverse_table, self.future.size,
-                                        np.column_stack((rhs[s:], self.B_FS)))
+        uv, iterations = pcg(self.future, ToeplitzProduct(self.inverse_table, self.future.size),
+                             np.column_stack((rhs[s:], self.B_FS)))
         u, V = uv[:, 0], uv[:, 1:]
         if not s:
             return u, iterations

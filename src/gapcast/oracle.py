@@ -3,15 +3,15 @@
 The projection oracle solves the finite-window normal equations built from
 quadrature covariances of the observed process; it is an independent route to
 the optimal estimate that never touches the operator system, so it serves as
-ground truth for the spectral pipeline.  Up to ``operators.DENSE_MAX_ORDER``
-observed unknowns it assembles the window's covariance and factors it; above
-that it solves the whole window, a block Toeplitz system, by preconditioned
-conjugate gradients (``operators.toeplitz_solve``) and removes the gap by a
-Schur step, so a long window costs about one estimate.  A fixed filter's
-error is a Gaussian linear functional of the path, so its variance is the
-quadrature of the written taps and the Monte-Carlo errors are drawn from that
-law, one normal per replication.  ``CirculantEmbedding`` is the exact path
-sampler that law is checked against.
+ground truth for the spectral pipeline.  It solves the whole window, a block
+Toeplitz system, by preconditioned conjugate gradients with FFT products and
+removes the gap by a Schur step, so a window of any length up to the grid's
+reach costs about one estimate; its error is in the stationary form, which
+the solve error enters only squared.  A fixed filter's error is a Gaussian
+linear functional of the path, so its variance is the quadrature of the
+written taps and the Monte-Carlo errors are drawn from that law, one normal
+per replication.  ``CirculantEmbedding`` is the exact path sampler that law
+is checked against.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import operators
 from .errors import (
     DataShapeError,
     DegenerateObservationsError,
@@ -31,7 +30,7 @@ from .errors import (
     SingularDensityError,
 )
 from .extrapolate import FunctionalSpec, filter_error
-from .operators import MissingPattern, assemble, cholesky_solver, toeplitz_solve
+from .operators import MissingPattern, ToeplitzProduct, assemble, cholesky_solver, pcg
 from .spectral import SpectralModel, check_minimality, coeffs_from_samples, trig_poly_on_grid
 
 
@@ -58,8 +57,8 @@ class SimulationConfig:
 class OracleResult:
     """Finite-window projection estimate: its error and taps.
 
-    ``cg_iterations`` counts the conjugate-gradient iterations of a window
-    solved above the crossover, 0 for a dense one.
+    ``cg_iterations`` counts the conjugate-gradient iterations of the window
+    solve, 0 when the window holds no observation.
     """
 
     delta_oracle: float
@@ -84,17 +83,22 @@ def projection_oracle(model: SpectralModel, pattern: MissingPattern,
     covariances of the observed sequence.  The reported error is an upper
     bound for the infinite-past optimum and decreases as the window grows.
 
-    Two routes solve for g.  Up to ``operators.DENSE_MAX_ORDER`` observed
-    unknowns (read at call time) Gamma is assembled and factored by Cholesky.
-    Above it Gamma is never formed: over the full window {-window..-1} the
-    covariance is block Toeplitz with symbol F_zeta, and ``toeplitz_solve``
-    applies its inverse H to m (zero on the gap) and to the gap's unit
-    vectors, preconditioned by the Toeplitz matrix of F_zeta^{-1}; then
+    Gamma is never formed.  Over the full window {-window..-1} the covariance
+    is block Toeplitz with symbol F_zeta; conjugate gradients (``pcg``) apply
+    its inverse H to m (zero on the gap) and to the gap's unit vectors,
+    preconditioned by the Toeplitz matrix of F_zeta^{-1}, and then
     g = (H m)_O - H_OS H_SS^{-1} (H m)_S, the inverse of the observed block
     read from the inverse of the whole.  The preconditioner moves only the
-    iteration count, never the answer.  Both routes refuse a singular
-    observation covariance with DegenerateObservationsError naming the
-    window (above the crossover, a density that fails ``check_minimality``).
+    iteration count, never the answer.  The error is taken in its stationary
+    form E|A|^2 - 2 Re(m^H g) + g^H Gamma g, one more Toeplitz product, so the
+    solve error enters it only squared.
+
+    A singular observation covariance raises DegenerateObservationsError
+    naming the window: a density that fails ``check_minimality`` (whose
+    inverse the preconditioner needs), conjugate gradients that do not
+    converge, or a failed factor of H over the gap.  So a non-minimal density
+    is refused at every window, even where its Gamma over a short window
+    could still be factored.
     """
     if window < 1:
         raise InvalidParameterError("window must be >= 1")
@@ -108,50 +112,45 @@ def projection_oracle(model: SpectralModel, pattern: MissingPattern,
         return OracleResult(delta_oracle=e_s2, taps_oracle={}, window=window)
 
     name = f"observation covariance over window {window}"
-    split = len(observed) * d > operators.DENSE_MAX_ORDER
-    if split:
-        # the preconditioner's F_zeta^{-1}, which only a minimal density has
-        try:
-            check_minimality(model)
-        except SingularDensityError as exc:
-            raise DegenerateObservationsError(f"{name} is singular: {exc}") from exc
-        inverse = coeffs_from_samples(model.samples("Fzinv"), window - 1)
-    # Covariances R(n) = table.coeff(-n): Gamma has blocks R_z(u - v) over
-    # observed u, v (lags below the window); m has blocks
-    # sum_k R_zx(u - k) conj(a(k)) (lags up to window + N).
+    try:
+        check_minimality(model)
+    except SingularDensityError as exc:
+        raise DegenerateObservationsError(f"{name} is singular: {exc}") from exc
+    # Covariances R(n) = table.coeff(-n).  Over the full window, indexed by
+    # r = -u = 1..window, block (p, q) of Gamma is cov_z.coeff(r_p - r_q) (lags
+    # below the window) and m has blocks sum_k R_zx(u - k) conj(a(k)) (lags
+    # up to window + N).
+    inverse = coeffs_from_samples(model.samples("Fzinv"), window - 1)
     cov_z = coeffs_from_samples(model.samples("Fz"), window - 1)
     cross = model.samples("F") + model.samples("Fex")   # density of (zeta, xi)
     cov_zx = coeffs_from_samples(cross, window + N)
     a = np.conj(functional.coeffs).ravel()
-    if not split:
-        rows = -np.asarray(observed)
-        m = assemble(cov_zx, rows, -np.arange(N + 1)) @ a
-        gm = cholesky_solver(assemble(cov_z, rows), DegenerateObservationsError, name)(m)
-        iterations = 0
-    else:
-        # the full window indexed by r = -u = 1..window: block (p, q) of its
-        # covariance is cov_z.coeff(r_p - r_q), a Toeplitz product
-        gap = np.repeat(np.isin(np.arange(1, window + 1), -np.asarray(pattern.points)), d)
-        S, O = np.flatnonzero(gap), np.flatnonzero(~gap)
-        m_full = assemble(cov_zx, np.arange(1, window + 1), -np.arange(N + 1)) @ a
-        rhs = np.zeros((window * d, 1 + S.size), dtype=np.result_type(m_full, cov_z.data))
-        rhs[O, 0] = m_full[O]
-        rhs[S, 1 + np.arange(S.size)] = 1.0
-        try:
-            H, iterations = toeplitz_solve(cov_z, inverse, window, rhs)
-        except NonInvertibleOperatorError as exc:
-            raise DegenerateObservationsError(f"{name}: {exc}") from exc
-        Hm, H_S = H[:, 0], H[:, 1:]
-        g = Hm[O]
-        if S.size:
-            solve = cholesky_solver(H_S[S], DegenerateObservationsError,
-                                    f"inverse {name}, over the gap")
-            g = g - H_S[O] @ solve(Hm[S])
-        # observed u ascend, so r descends: reverse the blocks
-        m, gm = (v.reshape(-1, d)[::-1].ravel() for v in (m_full[O], g))
-    delta = e_s2 - float(np.vdot(m, gm).real)
-    taps_vec = np.conj(gm)
-    taps = {u: taps_vec[i * d:(i + 1) * d].copy() for i, u in enumerate(observed)}
+    gap = np.repeat(np.isin(np.arange(1, window + 1), -np.asarray(pattern.points)), d)
+    S, O = np.flatnonzero(gap), np.flatnonzero(~gap)
+    m = assemble(cov_zx, np.arange(1, window + 1), -np.arange(N + 1)) @ a
+    m[S] = 0.0
+    rhs = np.zeros((window * d, 1 + S.size), dtype=np.result_type(m, cov_z.data))
+    rhs[:, 0] = m
+    rhs[S, 1 + np.arange(S.size)] = 1.0
+    gamma = ToeplitzProduct(cov_z, window)
+    try:
+        H, iterations = pcg(gamma, ToeplitzProduct(inverse, window), rhs)
+    except NonInvertibleOperatorError as exc:
+        raise DegenerateObservationsError(f"{name}: {exc}") from exc
+    g = H[:, 0]
+    if S.size:
+        H_S = H[:, 1:]
+        solve = cholesky_solver(H_S[S], DegenerateObservationsError,
+                                f"inverse {name}, over the gap")
+        g = g - H_S @ solve(g[S])
+        g[S] = 0.0
+    # the explained variance in stationary form, 2 Re(m^H g) - g^H Gamma g,
+    # over the observed rows (g is zero on the gap)
+    m, g, gamma_g = m[O], g[O], gamma(g[:, None])[O, 0]
+    delta = e_s2 - (2.0 * float(np.vdot(m, g).real) - float(np.vdot(g, gamma_g).real))
+    # observed u ascend, so r descends: reverse the blocks
+    taps_vec = np.conj(g).reshape(-1, d)[::-1]
+    taps = {u: taps_vec[i].copy() for i, u in enumerate(observed)}
     return OracleResult(delta_oracle=max(delta, 0.0), taps_oracle=taps, window=window,
                         cg_iterations=iterations)
 

@@ -171,6 +171,21 @@ def test_two_form_rel_diff_of_two_zero_errors_is_zero():
     d = estimate(model, MissingPattern(intervals=((2, 0),)),
                  FunctionalSpec(coeffs=[[0.0]]), K=16).diagnostics
     assert d.delta_operator == d.delta_quadrature == d.two_form_rel_diff == 0.0
+    assert d.orthogonality_max == 0.0
+
+
+def test_orthogonality_max_is_unit_free():
+    # the same instance in three units: the residual's coefficients on the
+    # observed past are read against its largest, so the units cancel
+    values = []
+    for scale in (1e-15, 1.0, 1e9):
+        model = ar1_model([0.9], scales=[scale], noise_poles=[0.3],
+                          noise_scales=[0.5 * scale], grid_size=1024)
+        values.append(estimate(model, MissingPattern(intervals=((2, 0),)),
+                               FunctionalSpec(coeffs=[[1.0], [1.0]]), K=64)
+                      .diagnostics.orthogonality_max)
+    assert max(values) <= 1e-15
+    assert max(values) <= 2 * min(values)
 
 
 # ---------------------------------------------------------------------------

@@ -545,27 +545,27 @@ COMPLEX_MODELS = {
 
 
 def _dtypes(monkeypatch, model, pattern, functional, K):
-    """dtypes of the operator tables, Bmat, Rmat, Qmat and the oracle's Gamma."""
-    seen = {"tables": [], "gamma": []}
+    """dtypes of the operator tables, Bmat, Rmat, Qmat and the oracle's H over the gap."""
+    seen = {"tables": [], "H_SS": []}
 
     def table_spy(samples, max_lag):
         table = coeffs_from_samples(samples, max_lag)
         seen["tables"].append(table.data.dtype)
         return table
 
-    def gamma_spy(matrix, *args):
-        seen["gamma"].append(matrix.dtype)
+    def factor_spy(matrix, *args):
+        seen["H_SS"].append(matrix.dtype)
         return cholesky_solver(matrix, *args)
 
     monkeypatch.setattr(operators_module, "coeffs_from_samples", table_spy)
     monkeypatch.setattr(oracle_module, "coeffs_from_samples", table_spy)
-    monkeypatch.setattr(oracle_module, "cholesky_solver", gamma_spy)
+    monkeypatch.setattr(oracle_module, "cholesky_solver", factor_spy)
     system = build_operator_system(model, pattern, K=K, horizon=functional.horizon)
     projection_oracle(model, pattern, functional, window=20)
-    assert len(seen["gamma"]) == 1
+    assert len(seen["H_SS"]) == 1
     return {"tables": set(seen["tables"]), "Bmat": system.Bmat.dtype,
             "Rmat": system.Rmat.dtype, "Qmat": system.Qmat.dtype,
-            "gamma": seen["gamma"][0]}
+            "H_SS": seen["H_SS"][0]}
 
 
 @pytest.mark.parametrize("name,noiseless", [("benchmark", True), ("noisy_ar1", False),
@@ -581,7 +581,7 @@ def test_real_process_is_solved_in_real_arithmetic(monkeypatch, name, noiseless)
     assert functional.coeffs.dtype == np.float64
     real = np.dtype(np.float64)
     assert _dtypes(monkeypatch, model, pattern, functional, K) == {
-        "tables": {real}, "Bmat": real, "Rmat": real, "Qmat": real, "gamma": real}
+        "tables": {real}, "Bmat": real, "Rmat": real, "Qmat": real, "H_SS": real}
 
 
 @pytest.mark.parametrize("name", sorted(COMPLEX_MODELS))
@@ -591,7 +591,7 @@ def test_complex_process_keeps_complex_arithmetic(monkeypatch, name):
     pattern = MissingPattern(intervals=((2, 1),))
     cplx = np.dtype(np.complex128)
     assert _dtypes(monkeypatch, model, pattern, functional, K=12) == {
-        "tables": {cplx}, "Bmat": cplx, "Rmat": cplx, "Qmat": cplx, "gamma": cplx}
+        "tables": {cplx}, "Bmat": cplx, "Rmat": cplx, "Qmat": cplx, "H_SS": cplx}
 
 
 def _complex_reference(model, pattern, functional, K, tap_lags):
@@ -808,16 +808,15 @@ def test_operator_tables_span_the_lags_of_U_K(monkeypatch, name):
 
 @pytest.mark.parametrize("window", [3, 20, 100, 400])
 def test_oracle_tables_span_the_lags_they_read(monkeypatch, window):
-    # E|A xi|^2 reads lags up to N, Gamma those below the window, m up to
-    # window + N; above the crossover (window 400: 794 observed unknowns) the
-    # preconditioner's table of F_zeta^{-1}, asked for first, spans Gamma's too
+    # E|A xi|^2 reads lags up to N; the preconditioner's table of
+    # F_zeta^{-1}, asked for first, and Gamma's read those below the window;
+    # m's reads up to window + N
     model, pattern, functional, _ = _example("noisy_ar1")
     asked = _asked_lags(monkeypatch, oracle_module)
     res = projection_oracle(model, pattern, functional, window=window)
     N = functional.horizon
-    split = len(pattern.observed_window(window)) * model.dim > DENSE_MAX_ORDER
-    assert split == (window == 400) == (res.cg_iterations > 0)
-    assert asked == [N] + [window - 1] * (2 if split else 1) + [window + N]
+    assert res.cg_iterations > 0
+    assert asked == [N, window - 1, window - 1, window + N]
 
 
 @pytest.mark.parametrize("intervals", [(), ((2, 1),)])

@@ -54,6 +54,7 @@ from gapcast.errors import (
     SimulationMethodError,
     SingularDensityError,
 )
+from exact_reference import ar1_window_projection
 from test_operators import COMPLEX_MODELS, _example
 
 
@@ -153,10 +154,9 @@ def test_projection_with_everything_missing():
 
 @pytest.mark.parametrize("window", [5, 600])
 def test_projection_rejects_degenerate_observations(window):
-    # a zero density: below the crossover Gamma fails its Cholesky factor;
-    # above it (600 unknowns) F_zeta fails the minimality check before its
-    # inverse is taken.  Both refuse the same way, naming the window, and
-    # neither divides by zero
+    # a zero density fails the minimality check before its inverse, the
+    # preconditioner's symbol, is taken: refused at every window, naming it,
+    # and without a division by zero
     zero = np.zeros((4096, 1, 1), dtype=complex)
     model = SpectralModel(dim=1, F=zero, grid_size=4096, pole_modulus=None)
     with warnings.catch_warnings():
@@ -165,8 +165,22 @@ def test_projection_rejects_degenerate_observations(window):
                            match=f"^observation covariance over window {window} ") as info:
             projection_oracle(model, MissingPattern(intervals=()),
                               FunctionalSpec(coeffs=np.array([[1.0]])), window=window)
-    assert isinstance(info.value.__cause__, SingularDensityError) == (window == 600)
+    assert isinstance(info.value.__cause__, SingularDensityError)
     assert "Fzinv" not in model._samples
+
+
+@pytest.mark.parametrize("window", [20, 600])
+def test_a_unit_root_moving_average_is_refused_at_every_window(window):
+    # noiseless xi(t) = e(t) + e(t - 1): F = |1 + e^{i lambda}|^2 vanishes at
+    # pi.  A scalar density passes the minimality check (its condition number
+    # is 1), so conjugate gradients refuse it, at a short window as at a long one
+    model = ma_pair_model([[[1.0]], [[1.0]]], grid_size=4096)
+    with pytest.raises(DegenerateObservationsError,
+                       match=f"^observation covariance over window {window}: "
+                             f"conjugate gradients not converged") as info:
+        projection_oracle(model, MissingPattern(intervals=((2, 0),)),
+                          FunctionalSpec(coeffs=[[1.0]]), window=window)
+    assert isinstance(info.value.__cause__, NonInvertibleOperatorError)
 
 
 def test_unconverged_window_solve_is_refused_as_degenerate(monkeypatch):
@@ -179,45 +193,71 @@ def test_unconverged_window_solve_is_refused_as_degenerate(monkeypatch):
 
 
 def test_long_window_matches_the_dense_route_without_forming_gamma(monkeypatch):
-    # 2 (400 - 3) = 794 observed unknowns: above the crossover, unpatched
+    # the dense route is the block reference below, which factors Gamma.
+    # Window 400 holds 2 (400 - 3) = 794 observed unknowns.  At every window
+    # the only matrices assembled are E|A xi|^2's and m's, and the only one
+    # factored is H over the gap, |S| T square
     model, pattern, functional, _ = _example("noisy_ar1")
-    window, T, N = 400, model.dim, functional.horizon
-    shapes, assemble = [], oracle_module.assemble
+    T, N = model.dim, functional.horizon
+    shapes, assemble, cholesky_solver = [], oracle_module.assemble, oracle_module.cholesky_solver
 
     def spy(table, rows, cols=None):
         out = assemble(table, rows, cols)
         shapes.append(out.shape)
         return out
 
+    def factor_spy(matrix, *args):
+        shapes.append(matrix.shape)
+        return cholesky_solver(matrix, *args)
+
     monkeypatch.setattr(oracle_module, "assemble", spy)
-    split = projection_oracle(model, pattern, functional, window=window)
-    assert split.cg_iterations > 0
-    assert max(min(shape) for shape in shapes) == (N + 1) * T
-    shapes.clear()
-    monkeypatch.setattr(operators_module, "DENSE_MAX_ORDER", 10 ** 9)
-    dense = projection_oracle(model, pattern, functional, window=window)
-    assert dense.cg_iterations == 0 and (794, 794) in shapes
-    assert split.delta_oracle == pytest.approx(dense.delta_oracle, rel=1e-13)
-    assert set(split.taps_oracle) == set(dense.taps_oracle)
-    largest = max(np.abs(tap).max() for tap in dense.taps_oracle.values())
-    for j, tap in dense.taps_oracle.items():
-        assert np.abs(split.taps_oracle[j] - tap).max() <= 1e-13 * largest
+    monkeypatch.setattr(oracle_module, "cholesky_solver", factor_spy)
+    for window in (3, 20, 100, 400):
+        shapes.clear()
+        got = projection_oracle(model, pattern, functional, window=window)
+        assert got.cg_iterations > 0
+        gap = sum(j >= -window for j in pattern.points)
+        assert shapes == [((N + 1) * T,) * 2, (window * T, (N + 1) * T), (gap * T,) * 2]
+        want, taps = _reference_projection(model, pattern, functional, window)
+        assert got.delta_oracle == pytest.approx(want, rel=1e-13)
+        assert set(got.taps_oracle) == set(taps)
+        largest = max(np.abs(tap).max() for tap in taps.values())
+        for j, tap in taps.items():
+            assert np.abs(got.taps_oracle[j] - tap).max() <= 1e-13 * largest
 
 
-def test_near_unit_window_agrees_with_the_dense_route(monkeypatch):
-    # AR(0.99) in AR(0.2) noise of scale 0.5, gap {-3, -2}, xi(0), and the
-    # longest window the grid resolves, n/4
-    model = ar1_model(poles=[0.99], noise_poles=[0.2], noise_scales=[0.5], grid_size=4096)
+# AR(rho) in AR(0.2) noise of scale 0.5, gap {-3, -2}, xi(0), on grids whose
+# aliasing rho^n is below 2e-18; windows 25, n/32 and 1024 (n/4 on 4096 nodes)
+NEAR_UNIT = {0.6: 4096, 0.9: 4096, 0.99: 4096, 0.995: 8192}
+
+
+def _near_unit_ladder(rho):
+    n = NEAR_UNIT[rho]
+    model = ar1_model(poles=[rho], noise_poles=[0.2], noise_scales=[0.5], grid_size=n)
     pattern = MissingPattern(intervals=((2, 1),))
     functional = FunctionalSpec(coeffs=[[1.0]])
-    split = projection_oracle(model, pattern, functional, window=1024)
-    assert 0 < split.cg_iterations <= 20
-    monkeypatch.setattr(operators_module, "DENSE_MAX_ORDER", 10 ** 9)
-    dense = projection_oracle(model, pattern, functional, window=1024)
-    assert split.delta_oracle == pytest.approx(dense.delta_oracle, rel=1e-9)
-    largest = max(np.abs(tap).max() for tap in dense.taps_oracle.values())
-    for j, tap in dense.taps_oracle.items():
-        assert np.abs(split.taps_oracle[j] - tap).max() <= 1e-9 * largest
+    return [(w, projection_oracle(model, pattern, functional, window=w))
+            for w in (25, n // 32, 1024)]
+
+
+@pytest.mark.parametrize("rho", sorted(NEAR_UNIT))
+def test_projection_matches_the_exact_ar1_reference(rho):
+    for window, got in _near_unit_ladder(rho):
+        want, taps = ar1_window_projection(rho, 0.2, 0.5, [-3, -2], [[1.0]], window)
+        assert 0 < got.cg_iterations <= 20
+        assert got.delta_oracle == pytest.approx(want, rel=1e-12)
+        assert set(got.taps_oracle) == set(taps)
+        largest = max(abs(tap) for tap in taps.values())
+        for j, tap in taps.items():
+            assert abs(got.taps_oracle[j][0] - tap) <= 1e-11 * largest
+
+
+@pytest.mark.parametrize("rho", sorted(NEAR_UNIT))
+def test_near_unit_ladder_never_rises(rho):
+    # a longer window projects on more, so its error is no larger
+    deltas = [got.delta_oracle for _, got in _near_unit_ladder(rho)]
+    for shorter, longer in zip(deltas, deltas[1:]):
+        assert longer <= shorter * (1 + 1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +320,10 @@ def _oracle_instance(dim, kind, gaps, seed):
     return model, pattern, FunctionalSpec(coeffs=rng.normal(size=(N + 1, dim)))
 
 
-@pytest.mark.parametrize("route", ("dense", "split"))
 @pytest.mark.parametrize("dim", (1, 2))
 @pytest.mark.parametrize("kind", ("ar1", "ma_pair"))
 @pytest.mark.parametrize("gaps", GAPS)
-def test_projection_matches_block_reference(monkeypatch, route, dim, kind, gaps):
-    if route == "split":   # every window above the crossover
-        monkeypatch.setattr(operators_module, "DENSE_MAX_ORDER", 0)
+def test_projection_matches_block_reference(dim, kind, gaps):
     model, pattern, fun = _oracle_instance(dim, kind, gaps, seed=10 * dim + len(kind))
     if kind == "ma_pair":
         assert not model.is_uncorrelated
@@ -295,13 +332,13 @@ def test_projection_matches_block_reference(monkeypatch, route, dim, kind, gaps)
     for window in (1, 7, 40):
         got = projection_oracle(model, pattern, fun, window=window)
         want, taps = _reference_projection(model, pattern, fun, window)
-        assert (got.cg_iterations > 0) == (route == "split" and bool(taps))
+        assert (got.cg_iterations > 0) == bool(taps)
         assert got.delta_oracle == pytest.approx(want, rel=1e-12)
         assert set(got.taps_oracle) == set(taps)
         for j, tap in taps.items():
             np.testing.assert_allclose(got.taps_oracle[j], tap, rtol=1e-12, atol=1e-14)
     # the observations explain part of the functional in every case, so the
-    # projection (and on the split route its Schur step over the gap) is tested
+    # projection, and its Schur step over the gap, is tested
     assert variance - got.delta_oracle > 1e-6 * variance
 
 
