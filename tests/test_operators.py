@@ -735,6 +735,25 @@ def test_split_solve_matches_the_dense_reference(seed):
     assert np.abs(B @ c - dense @ c).max() <= 1e-13 * np.abs(dense @ c).max()
 
 
+def test_split_solve_builds_one_product_per_toeplitz_matrix(monkeypatch):
+    # B_FF's product is built once, with the operator, and every solve reuses
+    # it; a solve builds only the preconditioner's, from the inverse table
+    model, pattern, functional, K = _split_instance(0)
+    built, product = [], operators_module.ToeplitzProduct
+
+    def spy(table, size):
+        built.append((table, size))
+        return product(table, size)
+
+    monkeypatch.setattr(operators_module, "ToeplitzProduct", spy)
+    system = build_operator_system(model, pattern, K=K, horizon=functional.horizon)
+    B = system.Bmat
+    assert isinstance(B, SplitOperator) and built == [(B.table, K + 1)]
+    built.clear()
+    solve_coefficients(system, functional.coeffs.ravel())
+    assert built and all(entry == (B.inverse_table, K + 1) for entry in built)
+
+
 def test_either_branch_solves_a_small_instance(monkeypatch):
     model, pattern, functional = _random_instance(3, dim=2)
     dense = estimate(model, pattern, functional, K=24)

@@ -226,6 +226,34 @@ def test_long_window_matches_the_dense_route_without_forming_gamma(monkeypatch):
             assert np.abs(got.taps_oracle[j] - tap).max() <= 1e-13 * largest
 
 
+def test_projection_builds_one_product_per_toeplitz_matrix(monkeypatch):
+    # Gamma's product serves both the solve and the stationary error; the
+    # other is the preconditioner's, of F_zeta^{-1}'s coefficients
+    model, pattern, functional, _ = _example("noisy_ar1")
+    built, product = [], oracle_module.ToeplitzProduct
+
+    def spy(table, size):
+        built.append((table, size))
+        return product(table, size)
+
+    monkeypatch.setattr(oracle_module, "ToeplitzProduct", spy)
+    window = 100
+    projection_oracle(model, pattern, functional, window=window)
+    assert len(built) == 2 and all(size == window for _, size in built)
+    assert built[0][0] is not built[1][0]
+
+
+@pytest.mark.parametrize("gap,delta,taps", [([], 1.0, {-1: 0.7}),
+                                            ([-1], 1.0 + 0.7 ** 2, {-2: 0.7 ** 2})])
+def test_exact_reference_solves_the_noiseless_ar1_by_hand(gap, delta, taps):
+    # without noise, xi(0) = 0.7 xi(-1) + e(0): the last observation alone
+    # predicts, with the innovation variance 1, or 1 + 0.7^2 two steps ahead
+    got, got_taps = ar1_window_projection(0.7, 0.2, 0.0, gap, [[1.0]], 12)
+    assert got == pytest.approx(delta, rel=1e-14)
+    for j, tap in got_taps.items():
+        assert tap == pytest.approx(taps.get(j, 0.0), abs=1e-14)
+
+
 # AR(rho) in AR(0.2) noise of scale 0.5, gap {-3, -2}, xi(0), on grids whose
 # aliasing rho^n is below 2e-18; windows 25, n/32 and 1024 (n/4 on 4096 nodes)
 NEAR_UNIT = {0.6: 4096, 0.9: 4096, 0.99: 4096, 0.995: 8192}
