@@ -35,13 +35,7 @@ from .errors import (
     InvalidPatternError,
     NonInvertibleOperatorError,
 )
-from .spectral import (
-    COND_CEILING,
-    FourierTable,
-    SpectralModel,
-    check_minimality,
-    coeffs_from_samples,
-)
+from .spectral import FourierTable, SpectralModel, check_minimality, coeffs_from_samples
 
 
 # The operator system holds a dense block row per missing point, so a pattern
@@ -147,7 +141,11 @@ def assemble(table: FourierTable, rows: Sequence[int],
 
 
 def _fast_length(n: int) -> int:
-    """The smallest 2^a 3^b 5^c >= n: an FFT length without a large prime factor."""
+    """The smallest 2^a 3^b 5^c >= n: an FFT length without a large prime factor.
+
+    ``scipy.fft.next_fast_len(n, real=True)`` gives the same lengths, but
+    importing ``scipy.fft`` adds about 5 MB to every run's resident memory.
+    """
     best, five = 1 << (n - 1).bit_length(), 1
     while five < best:
         odd = five
@@ -270,21 +268,6 @@ class SplitOperator:
                             self.B_FS @ x_S + self.future(x_F)))
         return y.reshape(x.shape)
 
-    def norm1(self) -> float:
-        """||B||_1, the largest column sum of |B|, from per-lag column sums.
-
-        Column (q, b) of B sums |table.coeff(j_p - j_q)[:, b]| over the rows
-        j_p: a window of consecutive lags for the future rows, read off a
-        running sum, plus one lag per gap row.
-        """
-        sums = np.abs(self.table.data).sum(axis=1)          # (lags, T)
-        running = np.concatenate((np.zeros((1, sums.shape[1])), np.cumsum(sums, axis=0)))
-        size, lag0 = self.future.size, self.table.max_lag
-        cols = np.concatenate((self.gap, np.arange(size)))
-        column = (running[lag0 + size - cols] - running[lag0 - cols]
-                  + sums[self.gap[:, None] - cols[None, :] + lag0].sum(axis=0))
-        return float(column.max())
-
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
         """B^{-1} rhs and the conjugate-gradient iterations it took."""
         s = self.B_SS.shape[0]
@@ -304,16 +287,17 @@ class OperatorSystem:
     """Assembled operator matrices over U_K, P = |U_K| T unknowns.
 
     Bmat (P x P) is Hermitian positive definite whenever the minimality check
-    passes; above ``DENSE_MAX_ORDER`` it is a ``SplitOperator``, which applies
-    B without forming it.  Rmat (P x (N+1) T) carries the signal-vs-observation
-    coupling and Qmat ((N+1) T square) the quadratic remainder of the
-    mean-square error; their columns cover only the functional's indices
-    0..N.  Each matrix takes the dtype of the Fourier table it is assembled
-    from (the noiseless identity Rmat and zero Qmat take Bmat's): real for a
-    real process, complex otherwise.  entries lists U_K in block order (gap points ascending, then
-    0..K).  Zinv (the model's ``samples("Fzinv")``, F_zeta^{-1}) and X
-    (F + F_xe) are the grid samples the matrices were built from; eig_max is
-    the largest eigenvalue of F_zeta over the grid.
+    passes, with a 2-norm condition number of at most the report's
+    eig_max / eig_min; above ``DENSE_MAX_ORDER`` it is a ``SplitOperator``,
+    which applies B without forming it.  Rmat (P x (N+1) T) carries the
+    signal-vs-observation coupling and Qmat ((N+1) T square) the quadratic
+    remainder of the mean-square error; their columns cover only the
+    functional's indices 0..N.  Each matrix takes the dtype of the Fourier
+    table it is assembled from (the noiseless identity Rmat and zero Qmat
+    take Bmat's): real for a real process, complex otherwise.  entries lists
+    U_K in block order (gap points ascending, then 0..K).  Zinv (the model's
+    ``samples("Fzinv")``, F_zeta^{-1}) and X (F + F_xe) are the grid samples
+    the matrices were built from.
     """
 
     Bmat: np.ndarray | SplitOperator
@@ -322,7 +306,6 @@ class OperatorSystem:
     entries: np.ndarray
     Zinv: np.ndarray
     X: np.ndarray
-    eig_max: float
 
 
 def _transposed(samples: np.ndarray) -> np.ndarray:
@@ -338,13 +321,14 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
     U_K couples, up to K + max interval depth.  ``coeffs_from_samples``
     refuses a grid of fewer than 4 (K + depth) nodes before any table is
     read; a grid that passes also keeps the lags of U_K distinct modulo its
-    size, which the eigenvalue bound on Bmat relies on.
+    size, so Bmat is a principal section of the block circulant of the grid
+    samples, which the minimality check's condition bound relies on.
     """
     if not 0 <= horizon <= K:
         raise InvalidParameterError(
             f"functional horizon must lie in 0..K={K}, got {horizon}"
         )
-    report = check_minimality(model)
+    check_minimality(model)
     need = K + pattern.max_depth
 
     entries = np.concatenate((np.asarray(pattern.points, dtype=int), np.arange(K + 1)))
@@ -374,7 +358,7 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
         Qmat = block(model.samples("F") - XZinv @ np.conj(_transposed(X)), future)
 
     return OperatorSystem(Bmat=Bmat, Rmat=Rmat, Qmat=Qmat, entries=entries,
-                          Zinv=Zinv, X=X, eig_max=report.eig_max)
+                          Zinv=Zinv, X=X)
 
 
 def cholesky_solver(matrix: np.ndarray, error: type[Exception], name: str):
@@ -407,18 +391,12 @@ def cholesky_solver(matrix: np.ndarray, error: type[Exception], name: str):
 class CoefficientSolution:
     """Solution of the operator system and its relative solve residual.
 
-    ``cond_B`` is the conditioning bound U = ||B||_1 sqrt(P) eig_max of the
-    P x P Bmat.  B is a principal submatrix of the block circulant whose
-    eigenvalues are those of F_zeta^{-1} at the grid nodes, so
-    ||B^{-1}||_1 <= sqrt(P) ||B^{-1}||_2 <= sqrt(P) eig_max: U is never below
-    the 1-norm condition number ||B||_1 ||B^{-1}||_1, nor below the 2-norm one.
     ``cg_iterations`` counts the conjugate-gradient iterations of a
     ``SplitOperator`` solve, 0 for a dense one.
     """
 
     c: np.ndarray
     residual: float
-    cond_B: float
     cg_iterations: int = 0
 
 
@@ -427,10 +405,10 @@ def solve_coefficients(system: OperatorSystem, a_vec: np.ndarray) -> Coefficient
 
     ``a_vec`` holds a(0..N) flattened, (N+1) T values, one per column of Rmat.
     A dense Bmat is factored by Cholesky, with one refinement step; a
-    ``SplitOperator`` is solved by its own ``solve``.  The conditioning bound
-    ``cond_B`` (see ``CoefficientSolution``) must not exceed ``COND_CEILING``;
-    it is checked before either solve.  ``cholesky_solver`` refuses a
-    non-finite Bmat.
+    ``SplitOperator`` is solved by its own ``solve``.  Conditioning is judged
+    once per model, by ``check_minimality`` when the system is built; here
+    ``cholesky_solver`` refuses a non-finite or indefinite matrix and ``pcg``
+    one that does not converge.
     """
     a_vec = np.asarray(a_vec)
     B = system.Bmat
@@ -438,15 +416,8 @@ def solve_coefficients(system: OperatorSystem, a_vec: np.ndarray) -> Coefficient
         raise InvalidParameterError(
             f"functional vector has shape {a_vec.shape}, expected {system.Rmat.shape[1:]}"
         )
-    split = isinstance(B, SplitOperator)
-    norm1 = B.norm1() if split else np.linalg.norm(B, 1)
-    cond = float(norm1 * np.sqrt(B.shape[0]) * system.eig_max)
-    if not np.isfinite(cond) or cond > COND_CEILING:
-        raise NonInvertibleOperatorError(
-            f"operator condition number bound {cond:.3e} exceeds ceiling {COND_CEILING:.1e}"
-        )
     rhs = system.Rmat @ a_vec
-    if split:
+    if isinstance(B, SplitOperator):
         c, iterations = B.solve(rhs)
     else:
         solve = cholesky_solver(B, NonInvertibleOperatorError, "operator matrix")
@@ -457,4 +428,4 @@ def solve_coefficients(system: OperatorSystem, a_vec: np.ndarray) -> Coefficient
     resid = rhs - B @ c
     denom = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
     return CoefficientSolution(c=c, residual=float(np.linalg.norm(resid)) / denom,
-                               cond_B=cond, cg_iterations=iterations)
+                               cg_iterations=iterations)

@@ -98,7 +98,9 @@ def projection_oracle(model: SpectralModel, pattern: MissingPattern,
     inverse the preconditioner needs), conjugate gradients that do not
     converge, or a failed factor of H over the gap.  So a non-minimal density
     is refused at every window, even where its Gamma over a short window
-    could still be factored.
+    could still be factored.  A density that passes keeps the 2-norm
+    condition number of Gamma, at every window, at most its grid spread
+    eig_max / eig_min, itself at most ``COND_CEILING``.
     """
     if window < 1:
         raise InvalidParameterError("window must be >= 1")

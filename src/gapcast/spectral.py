@@ -42,8 +42,9 @@ _PSD_TOL = 1e-10
 # largest real part (about 450 ulp) is stored real; see coeffs_from_samples.
 REAL_TOL = 1e-13
 
-# Largest condition number accepted for F_zeta at a grid node, and largest
-# accepted upper bound on that of the assembled operator matrix.
+# Largest accepted spread eig_max / eig_min of F_zeta's eigenvalues over the
+# whole grid.  It bounds the 2-norm condition number of every matrix solved
+# from the density: the operator matrix B and the oracle's window covariance.
 COND_CEILING = 1e12
 
 
@@ -538,7 +539,13 @@ def covariance(model: SpectralModel, n: int, which: str = "F") -> np.ndarray:
 
 @dataclass(frozen=True)
 class MinimalityReport:
-    """A passed minimality check of an observation density."""
+    """A passed minimality check of an observation density.
+
+    eig_max / eig_min is at most ``COND_CEILING``.  It is reported as
+    ``cond_B``: B and the oracle's covariance are principal sections of block
+    circulants whose eigenvalues are the grid samples of F_zeta^{-1} and
+    F_zeta, so their 2-norm condition numbers are at most this ratio.
+    """
 
     value: float          # (1/2pi) int trace(F_zeta^{-1})
     eig_max: float        # largest eigenvalue of F_zeta over all grid nodes
@@ -549,12 +556,12 @@ def check_minimality(model: SpectralModel) -> MinimalityReport:
     """Check that the observation density is invertible enough to estimate.
 
     The truth condition is integrability of trace(F_zeta^{-1}); numerically we
-    require the condition number of F_zeta to stay below ``COND_CEILING`` at
-    every grid node and the quadrature value to be finite, and raise
-    SingularDensityError naming the first node that fails.  The report
-    carries the extreme eigenvalues of F_zeta over the grid, which bound the
-    spectrum of every operator matrix built from F_zeta^{-1}.  It is computed
-    once per model; later calls return the same report.
+    require F_zeta to be nonsingular at every grid node, the spread
+    eig_max / eig_min of its eigenvalues over the whole grid to stay at most
+    ``COND_CEILING``, and the quadrature value to be finite.  A failure raises
+    SingularDensityError naming the node (or, for the spread, the nodes of the
+    two extremes).  The report is computed once per model; later calls return
+    the same report.
     """
     if model._minimality is not None:
         return model._minimality
@@ -562,18 +569,18 @@ def check_minimality(model: SpectralModel) -> MinimalityReport:
     lam = model.lam
     # eigenvalues come in ascending order: the per-node extremes are the ends
     mineig, maxeig = eig[:, 0], eig[:, -1]
-    eig_max, eig_min = float(maxeig.max()), float(mineig.min())
+    top, bottom = int(np.argmax(maxeig)), int(np.argmin(mineig))
+    eig_max, eig_min = float(maxeig[top]), float(mineig[bottom])
     floor = np.finfo(float).tiny * max(eig_max, 1.0)
     if eig_min <= floor:
         bad = int(np.argmax(mineig <= floor))
         raise SingularDensityError("minimality check failed: observation density "
                                    f"singular at lambda={lam[bad]:.6f}")
-    conds = maxeig / mineig
-    worst = int(np.argmax(conds))
-    if conds[worst] > COND_CEILING:
+    if eig_max > COND_CEILING * eig_min:
         raise SingularDensityError(
-            f"minimality check failed: condition number {conds[worst]:.3e} exceeds "
-            f"ceiling {COND_CEILING:.1e} at lambda={lam[worst]:.6f}")
+            f"minimality check failed: condition number {eig_max / eig_min:.3e} exceeds "
+            f"ceiling {COND_CEILING:.1e}: largest eigenvalue at lambda={lam[top]:.6f}, "
+            f"smallest at lambda={lam[bottom]:.6f}")
     value = float(np.mean(np.sum(1.0 / eig, axis=1)))
     if not np.isfinite(value):
         raise SingularDensityError("minimality check failed: non-finite integral")

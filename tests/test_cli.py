@@ -1396,8 +1396,8 @@ numerics:
     cfg = write_config(tmp_path, text)
     assert run_cli(["estimate", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert capsys.readouterr().err == (
-        "error: minimality check failed: condition number 1.000e+13 exceeds ceiling "
-        "1.0e+12 at lambda=-2.945243\n")
+        "error: minimality check failed: condition number 3.610e+15 exceeds ceiling "
+        "1.0e+12: largest eigenvalue at lambda=0.000000, smallest at lambda=-3.141593\n")
     assert not (tmp_path / "o" / "result.summary").exists()
 
 

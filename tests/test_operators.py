@@ -30,12 +30,12 @@ from gapcast.operators import (
     MAX_GAP_POINTS,
     OperatorSystem,
     SplitOperator,
+    ToeplitzProduct,
     _fast_length,
     assemble,
     cholesky_solver,
 )
 from gapcast.spectral import (
-    COND_CEILING,
     SpectralModel,
     check_minimality,
     coeffs_from_samples,
@@ -46,6 +46,7 @@ from gapcast.errors import (
     InvalidParameterError,
     InvalidPatternError,
     NonInvertibleOperatorError,
+    SingularDensityError,
 )
 from example1_factors import example1_psi, example1_theta, factorized_inverse_check
 from test_extrapolate import _random_instance
@@ -337,22 +338,23 @@ def _solve_with_last_pivot(last):
     bad = np.eye(n, dtype=complex)
     bad[-1, -1] = last
     sick = OperatorSystem(Bmat=bad, Rmat=base.Rmat, Qmat=base.Qmat,
-                          entries=base.entries, Zinv=base.Zinv, X=base.X,
-                          eig_max=base.eig_max)
+                          entries=base.entries, Zinv=base.Zinv, X=base.X)
     return solve_coefficients(sick, np.ones(base.Rmat.shape[1], dtype=complex))
 
 
-def test_solve_rejects_ill_conditioned_system():
-    # Two equal AR(0.9) components, one at 1e-10 of the other's power: the
-    # density's condition number is 1e10 at every node, so the minimality
-    # check passes, but the operator matrix is too ill-conditioned to solve.
+def test_solve_rejects_ill_conditioned_system(monkeypatch):
+    # Two equal AR(0.9) components, one at 1e-10 of the other's power: each
+    # node's own condition number is 1e10, but F_zeta spreads from 100 at 0 to
+    # 1e-10 / 3.61 at pi over the grid, 3.61e12, above the ceiling.  The
+    # minimality check refuses the model before any table is built.
     model = ar1_model(poles=[0.9, 0.9], scales=[1.0, 1e-10], grid_size=1024)
-    check_minimality(model)   # raises where the density itself is too ill-conditioned
-    system = build_operator_system(model, MissingPattern(intervals=((2, 1),)), K=64)
-    B = system.Bmat
-    assert np.linalg.norm(B, 1) * np.linalg.norm(np.linalg.inv(B), 1) > COND_CEILING
-    with pytest.raises(NonInvertibleOperatorError, match="condition number"):
-        solve_coefficients(system, np.ones(system.Rmat.shape[1], dtype=complex))
+    asked = _asked_lags(monkeypatch, operators_module)
+    with pytest.raises(SingularDensityError) as err:
+        build_operator_system(model, MissingPattern(intervals=((2, 1),)), K=64)
+    assert str(err.value) == (
+        "minimality check failed: condition number 3.610e+12 exceeds ceiling 1.0e+12: "
+        "largest eigenvalue at lambda=0.000000, smallest at lambda=-3.141593")
+    assert asked == [] and "Fzinv" not in model._samples
 
 
 @pytest.mark.parametrize("last", [-1.0, np.nan], ids=["indefinite", "non_finite"])
@@ -384,7 +386,7 @@ def _cho_pair_solve(system, a_vec):
     c = c + scipy.linalg.cho_solve(cho, rhs - B @ c)
     residual = float(np.linalg.norm(rhs - B @ c)) / max(float(np.linalg.norm(rhs)),
                                                          np.finfo(float).tiny)
-    return c, residual, float(np.linalg.norm(B, 1) * np.sqrt(B.shape[0]) * system.eig_max)
+    return c, residual
 
 
 @pytest.mark.parametrize("seed,dim", [(seed, None) for seed in range(12)] + [(0, 3), (1, 3)])
@@ -394,9 +396,9 @@ def test_solve_is_bit_equal_to_cho_pair(seed, dim):
     system = build_operator_system(model, pattern, K=24, horizon=functional.horizon)
     a_vec = functional.coeffs.ravel()
     sol = solve_coefficients(system, a_vec)
-    c, residual, cond = _cho_pair_solve(system, a_vec)
+    c, residual = _cho_pair_solve(system, a_vec)
     assert np.array_equal(sol.c, c)
-    assert sol.residual == residual and sol.cond_B == cond
+    assert sol.residual == residual
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -453,28 +455,17 @@ def _random_ar_instance(seed):
 
 @pytest.mark.parametrize("seed", range(24))
 def test_cond_B_is_exact_one_norm_condition_number(seed):
-    # cond_B bounds the exact 1-norm condition number from above, and the
-    # eigenvalue spread G of F_zeta over the grid bounds the 2-norm one; the
-    # dense condition numbers below are the references.  (The name dates from
-    # when cond_B was the exact value; it is kept so the per-seed ids persist.)
+    # cond_B is the spread G = eig_max / eig_min of F_zeta over the grid,
+    # which bounds the 2-norm condition number of B; the dense one is the
+    # reference.  (The name dates from when cond_B was the exact 1-norm value;
+    # it is kept so the per-seed ids persist.)
     rng, params, pattern, K = _random_ar_instance(seed)
     model = ar1_model(**params)
-    system = build_operator_system(model, pattern, K=K)
-    B = system.Bmat
-    sol = solve_coefficients(system, rng.normal(size=system.Rmat.shape[1]).astype(complex))
-
+    functional = FunctionalSpec(coeffs=rng.normal(size=(1, len(params["poles"]))))
+    res = estimate(model, pattern, functional, K=K)
     report = check_minimality(model)
-    assert system.eig_max == report.eig_max
-    exact = np.linalg.norm(B, 1) * np.linalg.norm(np.linalg.inv(B), 1)
-    kappa_2 = np.linalg.cond(B, 2)
-    assert sol.cond_B == pytest.approx(
-        np.linalg.norm(B, 1) * np.sqrt(B.shape[0]) * report.eig_max, rel=1e-12)
-    assert exact <= sol.cond_B
-    assert kappa_2 <= exact * (1 + 1e-10)
-    G = report.eig_max / report.eig_min
-    assert kappa_2 <= G * (1 + 1e-10)
-    # ||B||_1 <= sqrt(P) ||B||_2 <= sqrt(P) / eig_min, so the gate is at most P G
-    assert sol.cond_B <= B.shape[0] * G * (1 + 1e-10)
+    assert res.diagnostics.cond_B == report.eig_max / report.eig_min
+    assert np.linalg.cond(res.system.Bmat, 2) <= res.diagnostics.cond_B * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("seed", range(0, 24, 5))
@@ -700,7 +691,8 @@ def _split_instance(seed):
 
 def test_fft_length_is_the_next_five_smooth_number():
     # 2M - 1 = 193 at M = 97 is prime; 200 = 2^3 5^2 is the length taken
-    assert _fast_length(193) == 200
+    table = coeffs_from_samples(np.ones((1024, 1, 1)), 96)
+    assert ToeplitzProduct(table, 97).length == 200
     lengths = range(1, 5000)
     assert [_fast_length(n) for n in lengths] == [
         scipy.fft.next_fast_len(n, real=True) for n in lengths]
@@ -728,8 +720,11 @@ def test_split_solve_matches_the_dense_reference(seed):
     assert np.abs(sol.c - c).max() <= 1e-12 * np.abs(c).max()
     assert delta(sol.c) == pytest.approx(delta(c), rel=1e-13)
     assert sol.residual <= 1e-13
-    assert sol.cond_B == pytest.approx(
-        np.linalg.norm(dense, 1) * np.sqrt(dense.shape[0]) * system.eig_max, rel=1e-13)
+    report = check_minimality(model)
+    cond_B = estimate(model, pattern, functional, K=K).diagnostics.cond_B
+    assert cond_B == report.eig_max / report.eig_min
+    eig = np.linalg.eigvalsh(dense)
+    assert eig[-1] / eig[0] <= cond_B * (1 + 1e-12)
     assert 0 < sol.cg_iterations <= 20
     # the product B c of the residual is the dense one
     assert np.abs(B @ c - dense @ c).max() <= 1e-13 * np.abs(dense @ c).max()
@@ -810,8 +805,8 @@ def _asked_lags(monkeypatch, module):
 @pytest.mark.parametrize("name", ["benchmark", "noisy_ar1", "split0", "split1", "split2"])
 def test_operator_tables_span_the_lags_of_U_K(monkeypatch, name):
     # U_K couples lags up to K + the deepest gap point, read by B, R and Q on
-    # the dense route and by the gap blocks, both Toeplitz products and the
-    # column sums of norm1 on the split one
+    # the dense route and by the gap blocks and both Toeplitz products on the
+    # split one
     if name.startswith("split"):
         model, pattern, functional, K = _split_instance(int(name[-1]))
     else:

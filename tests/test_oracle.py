@@ -172,15 +172,16 @@ def test_projection_rejects_degenerate_observations(window):
 @pytest.mark.parametrize("window", [20, 600])
 def test_a_unit_root_moving_average_is_refused_at_every_window(window):
     # noiseless xi(t) = e(t) + e(t - 1): F = |1 + e^{i lambda}|^2 vanishes at
-    # pi.  A scalar density passes the minimality check (its condition number
-    # is 1), so conjugate gradients refuse it, at a short window as at a long one
+    # pi, where the grid holds only its rounding residue 1.5e-32.  Its spread
+    # over the grid, 2.7e32, fails the minimality check, at a short window as
+    # at a long one
     model = ma_pair_model([[[1.0]], [[1.0]]], grid_size=4096)
     with pytest.raises(DegenerateObservationsError,
-                       match=f"^observation covariance over window {window}: "
-                             f"conjugate gradients not converged") as info:
+                       match=f"^observation covariance over window {window} is singular: "
+                             f"minimality check failed: condition number 2.667e\\+32 ") as info:
         projection_oracle(model, MissingPattern(intervals=((2, 0),)),
                           FunctionalSpec(coeffs=[[1.0]]), window=window)
-    assert isinstance(info.value.__cause__, NonInvertibleOperatorError)
+    assert isinstance(info.value.__cause__, SingularDensityError)
 
 
 def test_unconverged_window_solve_is_refused_as_degenerate(monkeypatch):

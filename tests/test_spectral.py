@@ -496,14 +496,20 @@ def test_minimality_fails_on_spectral_zero():
                               "singular at lambda=0.000000")
 
 
-def test_minimality_fails_above_the_condition_ceiling():
-    # two equal AR(0.9) components, one at 1e-13 of the other's power: the
-    # density's condition number is 1e13 at every node
-    m = ar1_model(poles=[0.9, 0.9], scales=[1.0, 1e-13], grid_size=256)
+@pytest.mark.parametrize("model,spread", [
+    # two equal AR(0.9) components, one at 1e-13 of the other's power: 1e13
+    # at every node, and 100 at 0 against 1e-13 / 3.61 at pi over the grid
+    (lambda: ar1_model(poles=[0.9, 0.9], scales=[1.0, 1e-13], grid_size=256), "3.610e+15"),
+    # the noiseless unit-root MA(1): a 1 x 1 block is 1 at every node, but
+    # |1 + e^{i lambda}|^2 runs from 4 at 0 to its rounding residue at pi
+    (lambda: ma_pair_model([[[1.0]], [[1.0]]], grid_size=256), "2.667e+32"),
+], ids=["ar1_pair", "unit_root_ma1"])
+def test_minimality_fails_above_the_condition_ceiling(model, spread):
     with pytest.raises(SingularDensityError) as err:
-        check_minimality(m)
-    assert str(err.value) == ("minimality check failed: condition number 1.000e+13 "
-                              "exceeds ceiling 1.0e+12 at lambda=-2.945243")
+        check_minimality(model())
+    assert str(err.value) == (
+        f"minimality check failed: condition number {spread} exceeds ceiling 1.0e+12: "
+        "largest eigenvalue at lambda=0.000000, smallest at lambda=-3.141593")
 
 
 def test_minimality_fails_on_a_non_finite_integral():
