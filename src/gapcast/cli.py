@@ -38,7 +38,7 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, GapcastError, UnsupportedClassError
-from .extrapolate import estimate
+from .extrapolate import estimate, optimal_delta
 from .minimax import (
     characterization_residuals,
     maximize_delta,
@@ -282,18 +282,18 @@ def cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> int:
     functional = build_functional(cfg)
     K = cfg.truncation   # a numerics error is reported before an oracle_check one
     windows, tol = build_oracle_check(cfg)
-    res = estimate(model, pattern, functional, K=K)
+    delta = optimal_delta(model, pattern, functional, K=K)
 
     rows = _header(config_hash(cfg)) + [
         "window,delta_spectral,delta_oracle,abs_diff,rel_diff,within_tol"]
     last_rel = np.inf
     for w in windows:
         orc = projection_oracle(model, pattern, functional, window=w)
-        diff = abs(orc.delta_oracle - res.delta)
-        rel = diff / max(abs(res.delta), 1e-300)
+        diff = abs(orc.delta_oracle - delta)
+        rel = diff / max(abs(delta), 1e-300)
         last_rel = rel
         rows.append(",".join([
-            str(w), _fmt(res.delta), _fmt(orc.delta_oracle),
+            str(w), _fmt(delta), _fmt(orc.delta_oracle),
             _fmt(diff), _fmt(rel), _fmt(rel <= tol)]))
     rows.append(f"# converged={_fmt(last_rel <= tol)}")
     _write(out_dir / "comparison.csv", rows)
@@ -318,14 +318,13 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_minimax(cfg: RunConfig, out_dir: Path) -> int:
-    cls, opt, extras = build_class(cfg)
+    cls, opt, theta = build_class(cfg)
     pattern = build_pattern(cfg)
     functional = build_functional(cfg)
-    result = maximize_delta(cls, pattern, functional, opt, K=cfg.truncation,
-                            theta=extras["theta"])
+    result = maximize_delta(cls, pattern, functional, opt, K=cfg.truncation, theta=theta)
     saddle = verify_saddle_point(result)
     # every check runs before the first artifact: a refused run writes none
-    residuals = [] if extras["skip_residuals"] else characterization_residuals(result).entries
+    residuals = characterization_residuals(result).entries
 
     digest = config_hash(cfg)
     lines = _header(digest, seed=opt.seed)

@@ -80,13 +80,6 @@ def _integer(value) -> int:
     return value if isinstance(value, int) else int(float(value))
 
 
-def _boolean(value) -> bool:
-    """``value`` if it is a YAML boolean (true/false); anything else is refused."""
-    if not isinstance(value, bool):
-        raise TypeError(value)
-    return value
-
-
 def _interval(value) -> tuple[int, int]:
     """A gap ``[offset, extra_length]`` as a pair of integers, read as one value."""
     if not isinstance(value, list) or len(value) != 2:
@@ -94,8 +87,7 @@ def _interval(value) -> tuple[int, int]:
     return _integer(value[0]), _integer(value[1])
 
 
-_EXPECTED = {_integer: "an integer", _boolean: "a boolean (true or false)",
-             _interval: "a pair [offset, extra_length] of integers"}
+_EXPECTED = {_integer: "an integer", _interval: "a pair [offset, extra_length] of integers"}
 
 
 def _fields(cls) -> dict:
@@ -104,17 +96,17 @@ def _fields(cls) -> dict:
 
 
 # The schema: one table per section, per model kind and per family kind.  A
-# table maps each key to its reader (_integer, _real, _boolean, _float_array or
-# str), to the table of a nested section, or to a one-entry list ``[entry]``
+# table maps each key to its reader (_integer, _real, _float_array or str), to
+# the table of a nested section, or to a one-entry list ``[entry]``
 # for a list whose items are each read by ``entry``.
 _AR1 = {"poles": _float_array, "scales": _float_array, "mix": _float_array}
 _MODELS = {   # the keys of the model section besides ``kind``
     "example1": {"b1": _real, "b2": _real},
-    "white": {"dim": _integer, "scale": _float_array},
+    "white": {"scale": _float_array},
     "ar1": {**_AR1, "noise": _AR1},
     "ma_pair": {"signal_coeffs": _float_array, "noise_coeffs": _float_array,
                 "innovation_cov": _float_array},
-    "laurent": {"dim": _integer, "pole_modulus": _real, "entries": [{
+    "laurent": {"pole_modulus": _real, "entries": [{
         "row": _integer, "col": _integer, "num_offset": _integer,
         "num_coeffs": _float_array, "den_offset": _integer, "den_coeffs": _float_array}]},
     "grid_file": {"path": str, "pole_modulus": _real},
@@ -135,8 +127,7 @@ _SCHEMA = {   # every section but model; minimax.family is read by its kind
     "oracle_check": {"windows": [_integer], "tolerance": _real},
     "minimax": {"kind": str, "g_kind": str,
                 "data": {**{f.name: _float_array for f in fields(ClassData)}, "eps": _real},
-                "opt": _fields(OptConfig), "theta": _float_array,
-                "skip_residuals": _boolean},
+                "opt": _fields(OptConfig), "theta": _float_array},
     "output": {"directory": str},
 }
 
@@ -297,7 +288,9 @@ def _model_section(cfg: RunConfig) -> tuple[str, dict]:
 
 
 def build_model(cfg: RunConfig) -> SpectralModel:
-    """The model section; its dimension must be the width of ``functional.coeffs``."""
+    """The model section.  ``white``, ``laurent`` and ``grid_file`` take their
+    dimension T from ``functional.coeffs``; the other kinds' must equal its width.
+    """
     kind, sec = _model_section(cfg)
     n, T = cfg.grid_size, build_functional(cfg).dim
     with _at("model"):
@@ -305,7 +298,7 @@ def build_model(cfg: RunConfig) -> SpectralModel:
             model = make_ar1_pair(_require(sec, "b1", "model"), _require(sec, "b2", "model"),
                                   grid_size=n)
         elif kind == "white":
-            model = white_model(sec.get("dim", 1), scale=sec.get("scale", 1.0), grid_size=n)
+            model = white_model(T, scale=sec.get("scale", 1.0), grid_size=n)
         elif kind == "ar1":
             noise = sec.get("noise", {})
             model = ar1_model(
@@ -319,14 +312,13 @@ def build_model(cfg: RunConfig) -> SpectralModel:
                 noise_coeffs=sec.get("noise_coeffs"),
                 innovation_cov=sec.get("innovation_cov"), grid_size=n)
         elif kind == "laurent":
-            dim = _require(sec, "dim", "model")
             entries = {}
             for i, ent in enumerate(_require(sec, "entries", "model")):
                 r, c = (_require(ent, key, f"model.entries[{i}]") for key in ("row", "col"))
                 entries[(r, c)] = laurent_entry(
                     ent.get("num_offset", 0), ent.get("num_coeffs", (1.0,)),
                     ent.get("den_offset", 0), ent.get("den_coeffs", (1.0,)))
-            model = SpectralModel(dim=dim, F=laurent_density(dim, entries), grid_size=n,
+            model = SpectralModel(dim=T, F=laurent_density(T, entries), grid_size=n,
                                   pole_modulus=sec.get("pole_modulus"))
         else:   # grid_file: the densities are density data of the functional's dimension
             path = Path(_require(sec, "path", "model"))
@@ -390,8 +382,8 @@ def build_oracle_check(cfg: RunConfig) -> tuple[list[int], float]:
     return windows, tol
 
 
-def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
-    """The minimax section: admissible class, optimizer settings, extras."""
+def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, np.ndarray | None]:
+    """The minimax section: admissible class, optimizer settings, fixed ``theta``."""
     if not cfg.minimax:
         raise ConfigError("missing required section 'minimax'", location="top level")
     family = _expect_map(_require(cfg.minimax, "family", "minimax"), "minimax.family")
@@ -434,5 +426,4 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, dict]:
     if theta is not None:
         with _at("minimax.theta", InvalidParameterError):
             theta = fam.point(theta)
-    extras = {"theta": theta, "skip_residuals": sec.get("skip_residuals", False)}
-    return cls, opt, extras
+    return cls, opt, theta

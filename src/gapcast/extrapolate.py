@@ -77,6 +77,8 @@ class EstimateDiagnostics:
 
     ``cond_B`` is the spread eig_max / eig_min of F_zeta over the grid, an
     upper bound on the 2-norm condition number of the operator matrix B.
+    ``gap_coeff_max`` is h's largest coefficient on U_K against a's largest;
+    ``orthogonality_max`` vanishes by construction and checks only F_zeta^{-1}.
     """
 
     delta_operator: float
@@ -193,7 +195,10 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     check_lag = min(n // 4, max(taps_window, K + pattern.max_depth + 8))
     h_table = coeffs_from_samples(h_row[:, :, None], check_lag)
     coeff_norms = np.linalg.norm(h_table.data[:, :, 0], axis=1)  # by lag
-    gap_max = float(coeff_norms[entries + check_lag].max())
+    # against a's largest coefficient: h is linear in a and free of the
+    # densities' units, and its own largest may be rounding noise (h = 0)
+    a_scale = np.linalg.norm(functional.coeffs, axis=1).max()
+    gap_max = float(coeff_norms[entries + check_lag].max() / max(a_scale, np.finfo(float).tiny))
 
     ort_row = AX - np.einsum("nt,ntu->nu", h_row, model.samples("Fz"))
     ort_table = coeffs_from_samples(ort_row[:, :, None], check_lag)

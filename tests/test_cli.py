@@ -294,7 +294,6 @@ def test_estimate_white_no_gaps(tmp_path):
     text = """
 model:
   kind: white
-  dim: 2
   scale: 1.7
 pattern:
   intervals: []
@@ -434,7 +433,7 @@ def test_grid_file_densities_take_the_functional_dimension(tmp_path, capsys):
 def test_a_functional_of_another_width_than_the_model_exits_2(tmp_path, capsys, command):
     # used to exit 3 from the estimate: "functional dimension 1 does not match model dim 2"
     cfg = write_config(tmp_path, MINIMAX_DATA_YAML.format(kind="D0_1", data="{power: 1.5}")
-                       .replace("dim: 1", "dim: 2"))
+                       .replace("kind: white\n  scale: 1.5", "kind: ar1\n  poles: [0.5, 0.3]"))
     assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == ("config error: functional.coeffs: expected 2 "
                                        "column(s), one per model component, got 1\n")
@@ -581,7 +580,6 @@ def test_simulate_builds_no_path_sampler(tmp_path, monkeypatch):
 SINGLETON_MINIMAX = """
 model:
   kind: white
-  dim: 1
   scale: 1.5
 pattern:
   intervals: []
@@ -629,7 +627,7 @@ def test_minimax_singleton_matches_estimate(tmp_path):
 
 # a two-dimensional singleton: the class has no closed-form bound, so the
 # saddle check samples the family
-SINGLETON_2D_MINIMAX = SINGLETON_MINIMAX.replace("dim: 1", "dim: 2").replace(
+SINGLETON_2D_MINIMAX = SINGLETON_MINIMAX.replace(
     "coeffs: [[1.0]]", "coeffs: [[1.0, 0.5]]").replace("kind: D0_1", "kind: D0_2").replace(
     "power: 1.5", "power: [1.5, 1.5]")
 
@@ -655,7 +653,6 @@ def test_singleton_saddle_check_scores_its_one_member_once(tmp_path, monkeypatch
 FIXED_THETA_MINIMAX = """
 model:
   kind: white
-  dim: 1
   scale: 2.0
 pattern:
   intervals: [[1, 0]]
@@ -673,7 +670,6 @@ minimax:
     params:
       power: 2.0
   theta: [0.85, 0.7]
-  skip_residuals: true
 """
 
 
@@ -692,9 +688,11 @@ def test_minimax_fixed_candidate_fails_saddle(tmp_path):
 
     _, rows, _ = read_csv_rows(out / "saddle.csv")
     assert rows == []
-    # residuals were skipped: header only
+    # the characterization sees the detuned point too: its one equation is
+    # off by 42% of its scale
     _, rrows, _ = read_csv_rows(out / "residuals.csv")
-    assert rrows == []
+    assert [row[:2] for row in rrows] == [["signal-side equation", "D0 flavor 1"]]
+    assert float(rrows[0][4]) == pytest.approx(0.4223, abs=5e-4)
 
 
 @pytest.mark.parametrize("theta", [".nan", ".inf"])
@@ -712,6 +710,8 @@ def test_a_non_finite_theta_exits_2(tmp_path, capsys, theta):
     ("kind: white", "kind: whte", "model.kind: unknown model kind 'whte'"),
     ("scale: 1.5", "sclae: 1.5", "model: unknown key(s) ['sclae']"),
     ("scale: 1.5", "scale: '1.5'", "model.scale: expected a numeric value, got '1.5'"),
+    # the shipped example as it was before T came from the functional
+    ("kind: white", "kind: white\n  dim: 1", "model: unknown key(s) ['dim']"),
 ])
 def test_minimax_reads_the_model_section(tmp_path, capsys, old, new, message):
     # a stock family never builds the model; a misspelled kind used to exit 0
@@ -726,7 +726,7 @@ def test_minimax_reads_the_model_section(tmp_path, capsys, old, new, message):
 def test_scalar_family_under_a_wider_functional_exits_2(tmp_path, capsys):
     # used to exit 3 from the search: "functional dimension 2 does not match model dim 1"
     cfg = write_config(tmp_path, """
-model: {kind: white, dim: 2}
+model: {kind: white}
 pattern: {intervals: []}
 functional: {coeffs: [[1.0, 0.5]]}
 numerics: {grid_size: 512, truncation: 16}
@@ -772,7 +772,6 @@ def test_minimax_family_follows_the_grid_flag():
 TWO_STEP_MINIMAX = """
 model:
   kind: white
-  dim: 1
   scale: 2.0
 pattern:
   intervals: [[2, 0]]
@@ -786,7 +785,6 @@ minimax:
   data: {power: 2.0}
   family: {kind: mixture, params: {power: 2.0}}
   opt: {starts: 2, budget: 150, seed: 0}
-  skip_residuals: true
 """
 
 
@@ -841,7 +839,7 @@ def _scaled(text, c):
 # node binds; in units 1e7 times smaller every node used to count as binding
 # at the lower edge (an absolute floor), and the relative residual read 0.234
 DVU_BAND_MINIMAX = """
-model: {kind: white, dim: 1, scale: 2.0}
+model: {kind: white, scale: 2.0}
 pattern: {intervals: [[2, 0]]}
 functional: {coeffs: [[1.0], [1.0]]}
 numerics: {grid_size: 512, truncation: 16}
@@ -919,7 +917,6 @@ def test_minimax_mismatched_pair_exits_4(tmp_path, capsys):
     text = """
 model:
   kind: white
-  dim: 1
   scale: 1.5
 pattern:
   intervals: []
@@ -958,7 +955,7 @@ def test_minimax_one_kind_on_both_sides_is_refused_per_side(tmp_path, capsys):
     # the signal side is over its power (1.5 against 1.0); under one key per
     # kind the noise side's entry hid it, and the run wrote stopped = certified
     cfg = write_config(tmp_path, """
-model: {kind: white, dim: 1, scale: 1.5}
+model: {kind: white, scale: 1.5}
 pattern: {intervals: [[2, 0]]}
 functional: {coeffs: [[1.0]]}
 numerics: {grid_size: 512, truncation: 16}
@@ -982,7 +979,6 @@ minimax:
 MINIMAX_DATA_YAML = """
 model:
   kind: white
-  dim: 1
   scale: 1.5
 pattern:
   intervals: []
@@ -1112,7 +1108,6 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, command, text, key):
 LAURENT_YAML = """
 model:
   kind: laurent
-  dim: 1
   entries:
     - {row: 0, col: 0, num_offset: 0, num_coeffs: [2.0]}
 pattern:
@@ -1167,13 +1162,11 @@ def _assert_config_error(tmp_path, capsys, command, text, key):
     # a stock family is built on numerics.grid_size
     ("minimax", MIXTURE_MINIMAX.replace("grid_size: 256\n", "grid_size: 256.5\n"),
      "numerics.grid_size"),
-    ("estimate", VALID_MINIMAX.replace("dim: 1", "dim: 1.5"), "model.dim"),
-    ("estimate", LAURENT_YAML.replace("dim: 1", "dim: 1.5"), "model.dim"),
     ("estimate", LAURENT_YAML.replace("row: 0", "row: 0.5"), "model.entries[0].row"),
     ("estimate", LAURENT_YAML.replace("num_offset: 0", "num_offset: 0.5"),
      "model.entries[0].num_offset"),
 ], ids=["truncation", "truncation_bool", "grid_size", "interval", "second_interval",
-        "windows", "replications", "opt_starts", "family_grid_size", "white_dim", "laurent_dim", "laurent_row", "laurent_offset"])
+        "windows", "replications", "opt_starts", "family_grid_size", "laurent_row", "laurent_offset"])
 def test_fractional_integers_exit_2(tmp_path, capsys, command, text, key):
     _assert_config_error(tmp_path, capsys, command, text, key)
 
@@ -1185,7 +1178,7 @@ WHITE_YAML = VALID_MINIMAX.split("minimax:")[0]
     # each of these used to run and exit 0 on the quoted value
     ("estimate", WHITE_YAML.replace("scale: 1.5", "scale: '2.0'"), "model.scale"),
     ("estimate", NOISY_AR1_YAML.replace("scales: [1.0]", "scales: ['1.0']"), "model.scales"),
-    ("estimate", LAURENT_YAML.replace("dim: 1", "dim: 1\n  pole_modulus: '0.5'"),
+    ("estimate", LAURENT_YAML.replace("kind: laurent", "kind: laurent\n  pole_modulus: '0.5'"),
      "model.pole_modulus"),
     ("estimate", LAURENT_YAML.replace("num_coeffs: [2.0]", "num_coeffs: ['2.0']"),
      "model.entries[0].num_coeffs"),
@@ -1224,14 +1217,6 @@ def test_integral_values_accepted(tmp_path):
 
 
 @pytest.mark.parametrize("command,text,key", [
-    ("minimax", VALID_MINIMAX + "  skip_residuals: 'false'\n", "minimax.skip_residuals"),
-    ("minimax", VALID_MINIMAX + "  skip_residuals: 1\n", "minimax.skip_residuals"),
-], ids=["skip_residuals_string", "skip_residuals_int"])
-def test_non_boolean_flags_exit_2(tmp_path, capsys, command, text, key):
-    _assert_config_error(tmp_path, capsys, command, text, key)
-
-
-@pytest.mark.parametrize("command,text,key", [
     ("simulate", BENCH_YAML + "simulation: {replicatons: 7}", "simulation"),
     ("simulate", BENCH_YAML + "simulation: {path_length: 100}", "simulation"),
     ("oracle-check", BENCH_YAML + "oracle_check: {window: [25]}", "oracle_check"),
@@ -1239,7 +1224,7 @@ def test_non_boolean_flags_exit_2(tmp_path, capsys, command, text, key):
     ("minimax", VALID_MINIMAX + "  saddle_sample: 3\n", "minimax"),
     ("estimate", BENCH_YAML.replace("intervals: [[2, 1]]", "interval: [[2, 1]]"),
      "pattern"),
-    ("estimate", VALID_MINIMAX.replace("dim: 1", "dimm: 2"), "model"),
+    ("estimate", VALID_MINIMAX.replace("scale: 1.5", "scael: 1.5"), "model"),
     ("estimate", BENCH_YAML.replace("b2: 0.3", "b2: 0.3\n  b3: 0.1"), "model"),
     ("estimate", NOISY_AR1_YAML.replace("noise: {poles: [0.2]}", "noise: {pole: [0.2]}"),
      "model.noise"),
@@ -1260,10 +1245,16 @@ def test_non_boolean_flags_exit_2(tmp_path, capsys, command, text, key):
     # retired: the step schedule is fixed (0.25 of each range, halved below 1e-6)
     ("minimax", VALID_MINIMAX + "  opt: {initial_step: 0.25}\n", "minimax.opt"),
     ("minimax", VALID_MINIMAX + "  opt: {min_step: 1.0e-6}\n", "minimax.opt"),
+    # retired: white and laurent take T from functional.coeffs, and the
+    # residuals are always written
+    ("estimate", VALID_MINIMAX.replace("kind: white", "kind: white\n  dim: 1"), "model"),
+    ("estimate", LAURENT_YAML.replace("kind: laurent", "kind: laurent\n  dim: 1"), "model"),
+    ("minimax", VALID_MINIMAX + "  skip_residuals: true\n", "minimax"),
 ], ids=["simulation", "path_length", "oracle_check", "minimax_opt", "minimax",
         "pattern", "model_white", "model_example1", "model_noise", "model_entry",
         "functional", "output", "minimax_family", "window", "embedding_margin", "psd_tol",
-        "opt_truncation", "functional_truncated", "opt_initial_step", "opt_min_step"])
+        "opt_truncation", "functional_truncated", "opt_initial_step", "opt_min_step",
+        "white_dim", "laurent_dim", "skip_residuals"])
 def test_unknown_keys_exit_2(tmp_path, capsys, command, text, key):
     _assert_config_error(tmp_path, capsys, command, text, key)
 

@@ -47,7 +47,7 @@ FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None
                 suppress_health_check=[HealthCheck.too_slow])
 
 VALID = """\
-model: {kind: white, dim: 1}
+model: {kind: white}
 pattern: {intervals: [[2, 1]]}
 functional: {coeffs: [[1.0], [0.5]]}
 """
@@ -150,12 +150,12 @@ def _perturbed(templates, values, extra_keys=()):
 
 _MODELS = _perturbed(
     [{"kind": "example1", "b1": 0.5, "b2": 0.3},
-     {"kind": "white", "dim": 1, "scale": 1.5},
+     {"kind": "white", "scale": 1.5},
      {"kind": "ar1", "poles": [0.6, -0.2], "mix": [[1.0, 0.3], [0.0, 1.0]],
       "noise": {"poles": [0.2, 0.1], "scales": [0.5, 0.5]}},
      {"kind": "ma_pair", "signal_coeffs": [[[1.0]], [[0.5]]], "noise_coeffs": [[[1.0]]],
       "innovation_cov": [[1.0, 0.2], [0.2, 1.0]]},
-     {"kind": "laurent", "dim": 1, "pole_modulus": 0.5,
+     {"kind": "laurent", "pole_modulus": 0.5,
       "entries": [{"row": 0, "col": 0, "num_offset": 0, "num_coeffs": [2.0],
                    "den_coeffs": [1.0]}]},
      {"kind": "grid_file"}],
@@ -190,7 +190,7 @@ _MINIMAX = _perturbed(
                       _FIELD_VALUES, max_size=4)
     | st.dictionaries(st.sampled_from([f.name for f in fields(OptConfig)]),
                       _NUMBERS | st.none(), max_size=3),
-    extra_keys=["g_kind", "theta", "skip_residuals"])
+    extra_keys=["g_kind", "theta"])
 _SECTION_FILES = st.fixed_dictionaries(
     {"model": _MODELS,
      "pattern": st.just({"intervals": [[2, 1]]}),
@@ -305,7 +305,6 @@ output: {directory: null}
                "nested-minimax": test_cli.VALID_MINIMAX.replace(
                    "data: {power: 1.5}", "data: {power: 1.5, eps: 1.0e-9}") + """\
   opt: {starts: 2, budget: 40, seed: 0}
-  skip_residuals: false
 """,
                "per-node-band": _RUN_TEXTS["robust_banded_noise.yaml"].replace(
                    "upper: 8.0", "upper: [" + ", ".join(["[[8.0]]"] * 512) + "]")}
@@ -338,15 +337,15 @@ def test_dumped_text_covers_the_forms_it_must_keep():
 # each family kind) refuses a quoted number and a boolean with a config error at
 # that key, whatever command reads it.  The run files below are minimal valid
 # ones; the walk sets one key at a time on a copy.
-_NUMERIC_READERS = {_integer, _real, _float_array, _interval}   # not str, not _boolean
+_NUMERIC_READERS = {_integer, _real, _float_array, _interval}   # not str
 _MODEL_BASES = {
     "example1": {"kind": "example1", "b1": 0.5, "b2": 0.3},
-    "white": {"kind": "white", "dim": 1, "scale": 1.5},
+    "white": {"kind": "white", "scale": 1.5},
     "ar1": {"kind": "ar1", "poles": [0.5], "scales": [1.0], "mix": [[1.0]],
             "noise": {"poles": [0.2], "scales": [0.5], "mix": [[1.0]]}},
     "ma_pair": {"kind": "ma_pair", "signal_coeffs": [[[1.0]], [[0.5]]],
                 "noise_coeffs": [[[1.0]]], "innovation_cov": [[1.0, 0.2], [0.2, 1.0]]},
-    "laurent": {"kind": "laurent", "dim": 1, "pole_modulus": 0.5,
+    "laurent": {"kind": "laurent", "pole_modulus": 0.5,
                 "entries": [{"row": 0, "col": 0, "num_offset": 0, "num_coeffs": [2.0],
                              "den_offset": 0, "den_coeffs": [1.0]}]},
     "grid_file": {"kind": "grid_file", "path": "grid.npz", "pole_modulus": 0.5},

@@ -31,6 +31,7 @@ from gapcast import (
     optimal_delta,
     white_model,
 )
+import gapcast.extrapolate as extrapolate_module
 from gapcast.config import build_functional, build_model, build_pattern, load_config
 from gapcast.oracle import functional_variance
 from gapcast.spectral import (
@@ -186,6 +187,43 @@ def test_orthogonality_max_is_unit_free():
                       .diagnostics.orthogonality_max)
     assert max(values) <= 1e-15
     assert max(values) <= 2 * min(values)
+
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
+
+
+def _example(name):
+    cfg = load_config(EXAMPLES / f"{name}.yaml")
+    return build_model(cfg), build_pattern(cfg), build_functional(cfg), cfg.truncation
+
+
+@pytest.mark.parametrize("name", ["benchmark", "noisy_ar1"])
+def test_gap_coeff_max_is_unit_free(name):
+    # the functional in three units: h scales with it, and the gap weight is
+    # read against a's largest coefficient.  In absolute units it read 3.6e-16
+    # on noisy_ar1 and 4.4e-7 with the functional 1e9 times larger
+    model, pattern, functional, K = _example(name)
+    for scale in (1e-9, 1.0, 1e9):
+        scaled = FunctionalSpec(coeffs=scale * functional.coeffs)
+        assert estimate(model, pattern, scaled, K=K).diagnostics.gap_coeff_max <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["benchmark", "noisy_ar1"])
+def test_a_wrong_solve_is_caught(name, monkeypatch):
+    # coefficients 1% off put weight on U_K and split the two error routes;
+    # orthogonality_max holds by construction and cannot see it
+    model, pattern, functional, K = _example(name)
+    real = extrapolate_module.solve_coefficients
+
+    def wrong(system, a):
+        sol = real(system, a)
+        return dataclasses.replace(sol, c=1.01 * sol.c)
+
+    monkeypatch.setattr(extrapolate_module, "solve_coefficients", wrong)
+    d = estimate(model, pattern, functional, K=K).diagnostics
+    assert d.two_form_rel_diff >= 1e-3
+    assert d.gap_coeff_max >= 1e-3
+    assert d.orthogonality_max <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +453,8 @@ def test_benchmark_example_condition_numbers_pinned():
     # docs/examples/benchmark.yaml: the dense 2-norm and 1-norm condition
     # numbers, and the spread of F_zeta over the grid, reported as cond_B,
     # which bounds the 2-norm one
-    path = Path(__file__).resolve().parents[1] / "docs" / "examples" / "benchmark.yaml"
-    cfg = load_config(path)
-    res = estimate(build_model(cfg), build_pattern(cfg), build_functional(cfg),
-                   K=cfg.truncation)
+    model, pattern, functional, K = _example("benchmark")
+    res = estimate(model, pattern, functional, K=K)
     B = res.system.Bmat
     assert np.linalg.cond(B) == pytest.approx(44.235451368951, rel=1e-11)
     kappa_1 = np.linalg.norm(B, 1) * np.linalg.norm(np.linalg.inv(B), 1)
