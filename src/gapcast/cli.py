@@ -41,6 +41,7 @@ from .errors import ConfigError, GapcastError, UnsupportedClassError
 from .extrapolate import estimate, optimal_delta
 from .minimax import (
     characterization_residuals,
+    check_residual_support,
     maximize_delta,
     verify_saddle_point,
 )
@@ -321,6 +322,8 @@ def cmd_minimax(cfg: RunConfig, out_dir: Path) -> int:
     cls, opt, theta = build_class(cfg)
     pattern = build_pattern(cfg)
     functional = build_functional(cfg)
+    # a class whose residuals cannot be fitted is refused before the search
+    check_residual_support(cls, cls.family.build(cls.family.center))
     result = maximize_delta(cls, pattern, functional, opt, K=cfg.truncation, theta=theta)
     saddle = verify_saddle_point(result)
     # every check runs before the first artifact: a refused run writes none

@@ -9,6 +9,8 @@ intervals.  The optimal estimate is characterized in the frequency domain by
 where A is the generating function of the functional, F_zeta the observation
 density and C the generating function of coefficients supported on
 U_K = S union {0..K}, determined by the operator system of operators.py.
+The functional enters only as its per-node row A^T (F + F_xe), whose Fourier
+coefficients (times F_zeta^{-1}) are the system's right side.
 
 The mean-square error is computed twice: from the operator inner-product form
 and by direct quadrature of the error integral; their agreement is reported
@@ -123,13 +125,41 @@ def default_truncation(model: SpectralModel, functional: FunctionalSpec) -> int:
     return N + 8 * max(1, math.ceil(1.0 / (1.0 - rho)))
 
 
+def _functional_rows(model: SpectralModel, functional: FunctionalSpec):
+    """A and AX = A^T (F + F_xe) on the model's grid, each as (n, T) rows: AX
+    is the one way the functional reaches a solve, here and in the oracle."""
+    A = functional.a_on_grid(model.grid_size)
+    return A, np.einsum("nt,ntu->nu", A, model.samples("F") + model.samples("Fxe"))
+
+
+def _right_side(model: SpectralModel, pattern: MissingPattern, functional: FunctionalSpec,
+                system: OperatorSystem, rows) -> tuple[np.ndarray, complex]:
+    """The right side r, the coefficients at U_K of the row AX F_zeta^{-1} in the
+    dtype of B and a together, and the error's quadratic term
+    mean(A^T F conj(A) - AX F_zeta^{-1} conj(AX)^T).  Without noise the row is
+    A^T: r is a in the slots of 0..N, exactly, and the term 0."""
+    A, AX = rows
+    a_vec = functional.coeffs.ravel()
+    dtype = np.result_type(system.Bmat.dtype, a_vec.dtype)
+    if model.is_noiseless:
+        rhs = np.zeros(system.Bmat.shape[0], dtype=dtype)
+        rhs[pattern.size * model.dim:][:a_vec.size] = a_vec   # after the gap blocks
+        return rhs, 0.0
+    row = np.einsum("nt,ntu->nu", AX, system.Zinv)
+    lag = system.entries[-1] + pattern.max_depth
+    rhs = coeffs_from_samples(row[:, :, None], lag).data[system.entries + lag, :, 0].ravel()
+    quadratic = np.mean(np.einsum("nt,ntu,nu->n", A, model.samples("F"), A.conj())
+                        - np.einsum("nu,nu->n", row, AX.conj()))
+    return (rhs.astype(dtype) if dtype.kind == "c" else rhs.real), quadratic
+
+
 def _operator_route(model: SpectralModel, pattern: MissingPattern,
                     functional: FunctionalSpec, K: int | None):
-    """Solve the operator system and take the error from its inner-product form.
+    """Solve the operator system; delta_op = Re(c^H r) + the quadratic term.
 
-    Returns the truncation used, the system, its solution and
-    delta_op = Re(c . (R a) + a . (Q a)); a value below -1e-8 is refused.
-    The one formula for the error, shared by ``estimate`` and ``optimal_delta``.
+    A value below -1e-8 is refused.  Returns the truncation used, the system,
+    its solution, delta_op and the rows (A, AX): the one formula for the
+    error, shared by ``estimate`` and ``optimal_delta``.
     """
     if functional.dim != model.dim:
         raise InvalidParameterError(
@@ -137,17 +167,19 @@ def _operator_route(model: SpectralModel, pattern: MissingPattern,
         )
     if K is None:
         K = default_truncation(model, functional)
-    system = build_operator_system(model, pattern, K, horizon=functional.horizon)
-    a_vec = functional.coeffs.ravel()
-    sol = solve_coefficients(system, a_vec)
-    term1 = np.vdot(sol.c, system.Rmat @ a_vec)
-    term2 = np.vdot(a_vec, system.Qmat @ a_vec)
-    delta_op = float((term1 + term2).real)
+    if not 0 <= functional.horizon <= K:
+        raise InvalidParameterError(f"functional horizon must lie in 0..K={K}, "
+                                    f"got {functional.horizon}")
+    system = build_operator_system(model, pattern, K)
+    rows = _functional_rows(model, functional)
+    rhs, quadratic = _right_side(model, pattern, functional, system, rows)
+    sol = solve_coefficients(system, rhs)
+    delta_op = float((np.vdot(sol.c, rhs) + quadratic).real)
     if delta_op < -1e-8:
         raise InternalConsistencyError(
             f"mean-square error came out negative ({delta_op:.3e})"
         )
-    return K, system, sol, delta_op
+    return K, system, sol, delta_op, rows
 
 
 def optimal_delta(model: SpectralModel, pattern: MissingPattern,
@@ -158,8 +190,7 @@ def optimal_delta(model: SpectralModel, pattern: MissingPattern,
     characteristic, taps or diagnostics.  For callers that score many models,
     such as the least-favorable search.
     """
-    *_, delta_op = _operator_route(model, pattern, functional, K)
-    return max(delta_op, 0.0)
+    return max(_operator_route(model, pattern, functional, K)[3], 0.0)
 
 
 def estimate(model: SpectralModel, pattern: MissingPattern,
@@ -170,7 +201,7 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     past of length 4K (at most a quarter of the grid); the tail mass beyond it is
     reported in the diagnostics.
     """
-    K, system, sol, delta_op = _operator_route(model, pattern, functional, K)
+    K, system, sol, delta_op, (A_row, AX) = _operator_route(model, pattern, functional, K)
     report = check_minimality(model)   # the cached report the system was built under
     taps_window = 4 * max(K, 1)
     entries = system.entries
@@ -180,13 +211,11 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     c_blocks = sol.c.reshape(len(entries), d)
 
     C_row = trig_poly_on_grid(entries, c_blocks, n)       # (n, T), C^T rows
-    A_row = functional.a_on_grid(n)                       # (n, T), A^T rows
-    AX = np.einsum("nt,ntu->nu", A_row, system.X)         # A^T (F + F_xe) rows
     # h^T = (A^T X - C^T) Z^{-1}, rows evaluated per node
     h_row = np.einsum("nt,ntu->nu", AX - C_row, system.Zinv)
 
     # --- mean-square error: second route by quadrature ------------------
-    delta_quad = float(delta_of_characteristic(model, functional, h_row))
+    delta_quad = filter_error(model, A_row - h_row, h_row)
     scale = max(abs(delta_op), abs(delta_quad))
     two_form = abs(delta_op - delta_quad) / scale if scale else 0.0
     delta = max(delta_op, 0.0)

@@ -189,9 +189,10 @@ def _side_constants(cls: "DensityClass", which: str, n: int, d: int) -> dict:
     kind, names, data = dict(cls.sides)[which], _SIDE_FIELDS[which], cls.data
     flavor, weight = int(kind[-1]), getattr(data, names["weight"])
     raw = getattr(data, names["anchor"])
-    if flavor == 3 and np.shape(weight) != (d, d):
-        raise DataShapeError(f"data.{names['weight']}", f"expected a {d}x{d} matrix, "
-                                                         f"got shape {np.shape(weight)}")
+    if flavor == 3 and (np.shape(weight) != (d, d) or np.any(weight != np.conj(weight).T)
+                        or np.linalg.eigvalsh(weight).min() <= 0):
+        raise DataShapeError(f"data.{names['weight']}", "expected a Hermitian positive definite "
+                             f"{d}x{d} matrix, got {np.asarray(weight).tolist()}")
     side = {"which": which, "label": f"{which}:{kind}", "kind": kind,
             "spec": _BASES[kind[:-2]], "flavor": flavor, "data": data,
             "power": getattr(data, names["power"]), "weight": weight, "edges": None,
@@ -477,15 +478,11 @@ def _gap_met(upper: float, delta: float) -> bool:
 def _covered(cls: DensityClass, model: SpectralModel) -> bool:
     """Whether ``delta_upper`` has a closed form for the class at this model.
 
-    It has for a scalar model with uncorrelated signal and noise, a class on
-    every density the model has, and a positive weight on a flavor 3 side
-    (which constrains w*F).
+    It has for a scalar model with uncorrelated signal and noise and a class
+    on every density the model has.
     """
-    if model.dim != 1 or not model.is_uncorrelated:
-        return False
-    sides = cls.constants(model.grid_size, model.dim)
-    return (model.is_noiseless or "G" in sides) and all(
-        side["flavor"] != 3 or np.real(side["weight"]).item() > 0 for side in sides.values())
+    return model.dim == 1 and model.is_uncorrelated and (model.is_noiseless
+                                                          or cls.g_kind is not None)
 
 
 def _delta_upper(cls: DensityClass, model: SpectralModel, est: EstimateResult,
@@ -698,9 +695,6 @@ def _coupling_field(model: SpectralModel, est: EstimateResult,
     and h0 itself on the noise side G.  At an interior least-favorable pair this
     gradient equals the class-specific multiplier structure.
     """
-    if not model.is_uncorrelated and not model.is_noiseless:
-        raise UnsupportedClassError(
-            "characterization residuals require uncorrelated signal and noise")
     A = functional.a_on_grid(est.lam.size)
     r = (A - est.h_grid) if side.which == "F" else est.h_grid
     return np.einsum("nt,nu->ntu", np.conj(r), r)
@@ -805,6 +799,25 @@ def _side_residuals(side: _Side, field: np.ndarray, unit: float) -> list[Residua
     return entries
 
 
+def check_residual_support(cls: DensityClass, model: SpectralModel) -> None:
+    """Refuse (UnsupportedClassError) a class whose residuals cannot be fitted: they
+    need T <= 2, a class on every density of the model, a pair D0 x DVU or Deps x
+    D1delta of one flavor, and uncorrelated signal and noise.  None depends on
+    the family's point, so the search is preceded by asking them of its centre."""
+    if model.dim > 2:
+        raise UnsupportedClassError(
+            "characterization residuals are implemented for dimension <= 2")
+    if cls.g_kind is None and not model.is_noiseless:
+        raise UnsupportedClassError(
+            "a noisy model needs both a signal-side and a noise-side class")
+    if cls.g_kind and ((cls.kind[:-2], cls.g_kind[:-2]) not in {("D0", "DVU"), ("Deps", "D1delta")}
+                       or cls.kind[-1] != cls.g_kind[-1]):
+        raise UnsupportedClassError(f"unsupported class pair ({cls.kind}, {cls.g_kind})")
+    if not model.is_uncorrelated and not model.is_noiseless:
+        raise UnsupportedClassError(
+            "characterization residuals require uncorrelated signal and noise")
+
+
 def characterization_residuals(result: LeastFavorableResult) -> ResidualReport:
     """Fit the Lagrange-multiplier structure of each optimality equation.
 
@@ -815,16 +828,7 @@ def characterization_residuals(result: LeastFavorableResult) -> ResidualReport:
     equation, relative to the field's own size.
     """
     cls, model = result.cls, result.model_star
-    if model.dim > 2:
-        raise UnsupportedClassError(
-            "characterization residuals are implemented for dimension <= 2")
-    if cls.g_kind is None and not model.is_noiseless:
-        raise UnsupportedClassError(
-            "a noisy model needs both a signal-side and a noise-side class")
-    if cls.g_kind and ((cls.kind[:-2], cls.g_kind[:-2]) not in {("D0", "DVU"), ("Deps", "D1delta")}
-                       or cls.kind[-1] != cls.g_kind[-1]):
-        raise UnsupportedClassError(f"unsupported class pair ({cls.kind}, {cls.g_kind})")
-
+    check_residual_support(cls, model)
     est, fun = result.estimate_star, result.functional
     # |A|^2, the size of the zero filter's field
     unit = _l2(np.sum(np.abs(fun.a_on_grid(est.lam.size)) ** 2, axis=1))

@@ -2,14 +2,14 @@
 
 The unknown coefficient sequence c(j) lives on the index set
 U_K = S union {0, ..., K}, where S is the set of missed negative indices and
-K the truncation order of the future part.  The linear system couples Fourier
-coefficient tables of functions of the observation density through block
-matrices indexed by U_K.
+K the truncation order of the future part.  The matrix B of the system
+B c = r holds the Fourier coefficients of F_zeta^{-1} in blocks over U_K; the
+functional enters only the right side r, which extrapolate.py forms.
 
 Block convention: the matrix block at (row p, col q) is table.coeff(j_p - j_q).
-The system builder feeds tables of the *transposed* integrands, which makes
+The system builder feeds the table of the *transposed* integrand, which makes
 the solved system exactly the coefficient-space form of the orthogonality
-conditions (column layout; see extrapolate.py).
+conditions (column layout).
 
 Two solves share one interface.  Up to ``DENSE_MAX_ORDER`` unknowns B is
 assembled and factored by Cholesky.  Above it B is never formed
@@ -284,81 +284,48 @@ class SplitOperator:
 
 @dataclass
 class OperatorSystem:
-    """Assembled operator matrices over U_K, P = |U_K| T unknowns.
+    """The operator matrix over U_K, P = |U_K| T unknowns.
 
     Bmat (P x P) is Hermitian positive definite whenever the minimality check
     passes, with a 2-norm condition number of at most the report's
     eig_max / eig_min; above ``DENSE_MAX_ORDER`` it is a ``SplitOperator``,
-    which applies B without forming it.  Rmat (P x (N+1) T) carries the
-    signal-vs-observation coupling and Qmat ((N+1) T square) the quadratic
-    remainder of the mean-square error; their columns cover only the
-    functional's indices 0..N.  Each matrix takes the dtype of the Fourier
-    table it is assembled from (the noiseless identity Rmat and zero Qmat
-    take Bmat's): real for a real process, complex otherwise.  entries lists
-    U_K in block order (gap points ascending, then 0..K).  Zinv (the model's
-    ``samples("Fzinv")``, F_zeta^{-1}) and X (F + F_xe) are the grid samples
-    the matrices were built from.
+    which applies B without forming it; real for a real process, complex
+    otherwise.  entries lists U_K in block order (gap points ascending, then
+    0..K); Zinv (the model's ``samples("Fzinv")``) is the sample B is built from.
     """
 
     Bmat: np.ndarray | SplitOperator
-    Rmat: np.ndarray
-    Qmat: np.ndarray
     entries: np.ndarray
     Zinv: np.ndarray
-    X: np.ndarray
-
-
-def _transposed(samples: np.ndarray) -> np.ndarray:
-    return np.swapaxes(samples, -1, -2)
 
 
 def build_operator_system(model: SpectralModel, pattern: MissingPattern,
-                          K: int, horizon: int = 0) -> OperatorSystem:
-    """Build the operator system for ``model`` truncated at future order K.
+                          K: int) -> OperatorSystem:
+    """Build the operator matrix for ``model`` truncated at future order K >= 0.
 
-    ``horizon`` is the last index N of the functional, 0 <= N <= K.  The
-    Fourier tables are computed from the model's grid samples at the lags
+    The Fourier tables are computed from the model's grid samples at the lags
     U_K couples, up to K + max interval depth.  ``coeffs_from_samples``
     refuses a grid of fewer than 4 (K + depth) nodes before any table is
     read; a grid that passes also keeps the lags of U_K distinct modulo its
     size, so Bmat is a principal section of the block circulant of the grid
     samples, which the minimality check's condition bound relies on.
     """
-    if not 0 <= horizon <= K:
-        raise InvalidParameterError(
-            f"functional horizon must lie in 0..K={K}, got {horizon}"
-        )
+    if K < 0:
+        raise InvalidParameterError(f"truncation K must be >= 0, got {K}")
     check_minimality(model)
     need = K + pattern.max_depth
-
     entries = np.concatenate((np.asarray(pattern.points, dtype=int), np.arange(K + 1)))
-    future = np.arange(horizon + 1)
     Zinv = model.samples("Fzinv")
-    X = model.samples("F") + model.samples("Fxe")
 
     def table(samples: np.ndarray) -> FourierTable:
-        return coeffs_from_samples(_transposed(samples), need)
-
-    def block(samples: np.ndarray, rows, cols=None) -> np.ndarray:
-        return assemble(table(samples), rows, cols)
+        # the transposed integrand: the column layout of the orthogonality conditions
+        return coeffs_from_samples(np.swapaxes(samples, -1, -2), need)
 
     if entries.size * model.dim > DENSE_MAX_ORDER:
         Bmat = SplitOperator(table(Zinv), table(model.samples("Fz")), pattern.points, K)
     else:
-        Bmat = block(Zinv, entries)
-    if model.is_noiseless:
-        T = model.dim
-        # the identity's columns of 0..N, which follow the |S| gap blocks
-        Rmat = np.eye(len(entries) * T, future.size * T, k=-pattern.size * T,
-                      dtype=Bmat.dtype)
-        Qmat = np.zeros((future.size * T,) * 2, dtype=Bmat.dtype)
-    else:
-        XZinv = X @ Zinv
-        Rmat = block(XZinv, entries, future)
-        Qmat = block(model.samples("F") - XZinv @ np.conj(_transposed(X)), future)
-
-    return OperatorSystem(Bmat=Bmat, Rmat=Rmat, Qmat=Qmat, entries=entries,
-                          Zinv=Zinv, X=X)
+        Bmat = assemble(table(Zinv), entries)
+    return OperatorSystem(Bmat=Bmat, entries=entries, Zinv=Zinv)
 
 
 def cholesky_solver(matrix: np.ndarray, error: type[Exception], name: str):
@@ -400,23 +367,20 @@ class CoefficientSolution:
     cg_iterations: int = 0
 
 
-def solve_coefficients(system: OperatorSystem, a_vec: np.ndarray) -> CoefficientSolution:
-    """Solve Bmat c = Rmat a and report the relative residual of the full system.
+def solve_coefficients(system: OperatorSystem, rhs: np.ndarray) -> CoefficientSolution:
+    """Solve Bmat c = rhs and report the relative residual of the full system.
 
-    ``a_vec`` holds a(0..N) flattened, (N+1) T values, one per column of Rmat.
-    A dense Bmat is factored by Cholesky, with one refinement step; a
-    ``SplitOperator`` is solved by its own ``solve``.  Conditioning is judged
-    once per model, by ``check_minimality`` when the system is built; here
-    ``cholesky_solver`` refuses a non-finite or indefinite matrix and ``pcg``
-    one that does not converge.
+    ``rhs`` holds one value per unknown: the coefficients at U_K of the row
+    A^T (F + F_xe) F_zeta^{-1}.  A dense Bmat is factored by Cholesky, with one
+    refinement step; a ``SplitOperator`` is solved by its own ``solve``.
+    Conditioning is judged once per model, by ``check_minimality`` when the
+    system is built; here ``cholesky_solver`` refuses a non-finite or
+    indefinite matrix and ``pcg`` one that does not converge.
     """
-    a_vec = np.asarray(a_vec)
+    rhs = np.asarray(rhs)
     B = system.Bmat
-    if a_vec.shape != system.Rmat.shape[1:]:
-        raise InvalidParameterError(
-            f"functional vector has shape {a_vec.shape}, expected {system.Rmat.shape[1:]}"
-        )
-    rhs = system.Rmat @ a_vec
+    if rhs.shape != B.shape[:1]:
+        raise InvalidParameterError(f"right side has shape {rhs.shape}, expected {B.shape[:1]}")
     if isinstance(B, SplitOperator):
         c, iterations = B.solve(rhs)
     else:

@@ -3,15 +3,16 @@
 The projection oracle solves the finite-window normal equations built from
 quadrature covariances of the observed process; it is an independent route to
 the optimal estimate that never touches the operator system, so it serves as
-ground truth for the spectral pipeline.  It solves the whole window, a block
-Toeplitz system, by preconditioned conjugate gradients with FFT products and
-removes the gap by a Schur step, so a window of any length up to the grid's
-reach costs about one estimate; its error is in the stationary form, which
-the solve error enters only squared.  A fixed filter's error is a Gaussian
-linear functional of the path, so its variance is the quadrature of the
-written taps and the Monte-Carlo errors are drawn from that law, one normal
-per replication.  ``CirculantEmbedding`` is the exact path sampler that law
-is checked against.
+ground truth for the spectral pipeline.  Its right side is read off the Fourier
+coefficients of the functional's row conj(A^T (F + F_xe)), so no cross-covariance
+block is assembled.  It solves the whole window, a block Toeplitz system, by
+preconditioned conjugate gradients with FFT products and removes the gap by a
+Schur step, so a window of any length up to the grid's reach costs about one
+estimate; its error is in the stationary form, which the solve error enters
+only squared.  A fixed filter's error is a Gaussian linear functional of the
+path, so its variance is the quadrature of the written taps and the
+Monte-Carlo errors are drawn from that law, one normal per replication.
+``CirculantEmbedding`` is the exact path sampler that law is checked against.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .errors import (
     SimulationMethodError,
     SingularDensityError,
 )
-from .extrapolate import FunctionalSpec, filter_error
-from .operators import MissingPattern, ToeplitzProduct, assemble, cholesky_solver, pcg
+from .extrapolate import FunctionalSpec, _functional_rows, filter_error
+from .operators import MissingPattern, ToeplitzProduct, cholesky_solver, pcg
 from .spectral import SpectralModel, check_minimality, coeffs_from_samples, trig_poly_on_grid
 
 
@@ -68,11 +69,9 @@ class OracleResult:
 
 
 def functional_variance(model: SpectralModel, functional: FunctionalSpec) -> float:
-    """E |sum a(j)^T xi(j)|^2 from quadrature covariances."""
-    N = functional.horizon
-    table = coeffs_from_samples(model.samples("F"), N)
-    a = functional.coeffs.ravel()
-    return float((a @ assemble(table, -np.arange(N + 1)) @ np.conj(a)).real)
+    """E |sum a(j)^T xi(j)|^2: the error of the zero filter, ``filter_error`` at h = 0."""
+    A = functional.a_on_grid(model.grid_size)
+    return filter_error(model, A, np.zeros_like(A))
 
 
 def projection_oracle(model: SpectralModel, pattern: MissingPattern,
@@ -118,18 +117,17 @@ def projection_oracle(model: SpectralModel, pattern: MissingPattern,
         check_minimality(model)
     except SingularDensityError as exc:
         raise DegenerateObservationsError(f"{name} is singular: {exc}") from exc
-    # Covariances R(n) = table.coeff(-n).  Over the full window, indexed by
-    # r = -u = 1..window, block (p, q) of Gamma is cov_z.coeff(r_p - r_q) (lags
-    # below the window) and m has blocks sum_k R_zx(u - k) conj(a(k)) (lags
-    # up to window + N).
+    # Over the full window, indexed by r = -u = 1..window, block (p, q) of
+    # Gamma is cov_z.coeff(r_p - r_q) (lags below the window) and block r of
+    # m = cov(zeta(u), sum a(k)^T xi(k)) the lag-r coefficient of conj(AX),
+    # whose table reaches window + N, as sum_k R_zx(u - k) conj(a(k)) does.
     inverse = coeffs_from_samples(model.samples("Fzinv"), window - 1)
     cov_z = coeffs_from_samples(model.samples("Fz"), window - 1)
-    cross = model.samples("F") + model.samples("Fex")   # density of (zeta, xi)
-    cov_zx = coeffs_from_samples(cross, window + N)
-    a = np.conj(functional.coeffs).ravel()
+    lag, AX = window + N, _functional_rows(model, functional)[1]
+    m_table = coeffs_from_samples(np.conj(AX)[:, :, None], lag)
     gap = np.repeat(np.isin(np.arange(1, window + 1), -np.asarray(pattern.points)), d)
     S, O = np.flatnonzero(gap), np.flatnonzero(~gap)
-    m = assemble(cov_zx, np.arange(1, window + 1), -np.arange(N + 1)) @ a
+    m = m_table.data[lag + 1:lag + window + 1, :, 0].ravel()
     m[S] = 0.0
     rhs = np.zeros((window * d, 1 + S.size), dtype=np.result_type(m, cov_z.data))
     rhs[:, 0] = m

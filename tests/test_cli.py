@@ -521,6 +521,49 @@ def test_simulate_z_score_and_determinism(tmp_path):
     assert "# seed=7" in (out_a / "mc.csv").read_text().splitlines()
 
 
+CORRELATED_YAML = """
+model:
+  kind: ma_pair
+  signal_coeffs: [[[1.0]], [[0.6]]]
+  noise_coeffs: [[[0.8]], [[-0.3]]]
+  innovation_cov: [[1.0, 0.5], [0.5, 1.0]]
+pattern:
+  intervals: [[2, 1], [6, 0]]
+functional:
+  coeffs: [[1.0], [0.5]]
+numerics:
+  grid_size: 2048
+  truncation: 64
+oracle_check:
+  windows: [25, 100, 400]
+  tolerance: 1.0e-10
+"""
+CORRELATED_DELTA = 2.0396309963099633
+
+
+def test_correlated_signal_and_noise_through_every_command(tmp_path):
+    # F_xe != 0 reaches the CLI: the operator route, the oracle at every
+    # window and the exact error of the written taps agree to rounding
+    cfg = write_config(tmp_path, CORRELATED_YAML)
+    runs = {}
+    for run in ("a", "b"):
+        for command in ("estimate", "oracle-check", "simulate"):
+            assert run_cli([command, "--config", cfg, "--out", tmp_path / run / command]) == 0
+        runs[run] = {path.relative_to(tmp_path / run): path.read_bytes()
+                     for path in sorted((tmp_path / run).rglob("*.*"))}
+    assert len(runs["a"]) == 5 and runs["a"] == runs["b"]
+    out = tmp_path / "a"
+    summary = read_summary(out / "estimate" / "result.summary")
+    delta = float(summary["delta"])
+    assert delta == pytest.approx(CORRELATED_DELTA, rel=1e-13)
+    assert float(summary["delta_quadrature"]) == pytest.approx(delta, rel=1e-13)
+    _, rows, trailer = read_csv_rows(out / "oracle-check" / "comparison.csv")
+    assert [int(r[0]) for r in rows] == [25, 100, 400]
+    assert all(r[5] == "true" for r in rows) and "# converged=true" in trailer
+    assert float(read_mc(out / "simulate" / "mc.csv")["mse_exact"]) == pytest.approx(
+        delta, rel=1e-12)
+
+
 def test_simulate_seed_override(tmp_path):
     cfg = write_config(tmp_path, SIM_YAML)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -913,48 +956,25 @@ numerics: {{grid_size: {n}, truncation: 16}}
     assert not (tmp_path / "out").exists()
 
 
-def test_minimax_mismatched_pair_exits_4(tmp_path, capsys):
-    text = """
-model:
-  kind: white
-  scale: 1.5
-pattern:
-  intervals: []
-functional:
-  coeffs: [[1.0]]
-numerics:
-  grid_size: 256
-  truncation: 8
+UNSUPPORTED_CLASSES = {
+    # a pair without residual equations; this run used to leave an
+    # lfd.summary reading stopped = certified, and a saddle.csv
+    "mismatched-pair": ("""
+model: {kind: white, scale: 1.5}
+pattern: {intervals: []}
+functional: {coeffs: [[1.0]]}
+numerics: {grid_size: 256, truncation: 8}
 minimax:
   kind: D0_1
   g_kind: DVU_2
-  data:
-    power: 1.5
-    noise_power: 0.8
-    lower: 0.0
-    upper: 8.0
-  family:
-    kind: mixture
-    params:
-      power: 1.5
-      noise_power: 0.8
-  opt:
-    starts: 2
-    budget: 60
-"""
-    cfg = write_config(tmp_path, text)
-    rc = run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"])
-    assert rc == 4
-    assert "unsupported class:" in capsys.readouterr().err
-    # the residuals run before the first artifact: this run used to leave an
-    # lfd.summary reading stopped = certified, and a saddle.csv
-    assert not (tmp_path / "out").exists()
-
-
-def test_minimax_one_kind_on_both_sides_is_refused_per_side(tmp_path, capsys):
-    # the signal side is over its power (1.5 against 1.0); under one key per
-    # kind the noise side's entry hid it, and the run wrote stopped = certified
-    cfg = write_config(tmp_path, """
+  data: {power: 1.5, noise_power: 0.8, lower: 0.0, upper: 8.0}
+  family: {kind: mixture, params: {power: 1.5, noise_power: 0.8}}
+  opt: {starts: 2, budget: 60}
+""", "unsupported class pair (D0_1, DVU_2)"),
+    # no pair of one kind has residual equations, so the signal side's
+    # violation of its power (1.5 against 1.0) is never read; its per-side
+    # report is pinned in test_minimax
+    "one-kind-pair": ("""
 model: {kind: white, scale: 1.5}
 pattern: {intervals: [[2, 0]]}
 functional: {coeffs: [[1.0]]}
@@ -965,10 +985,65 @@ minimax:
   data: {power: 1.0, noise_power: 0.8, upper: 8.0}
   family: {kind: mixture, params: {power: 1.5, noise_power: 0.8}}
   opt: {starts: 2, budget: 60, seed: 0}
+""", "unsupported class pair (DVU_1, DVU_1)"),
+    # no class on the noise; this run used to score 579 points and sample
+    # 100 saddle filters before it was refused
+    "noisy-without-g_kind": ("""
+model: {kind: white, scale: 1.5}
+pattern: {intervals: [[2, 0]]}
+functional: {coeffs: [[1.0]]}
+numerics: {grid_size: 512, truncation: 16}
+minimax:
+  kind: D0_1
+  data: {power: 1.5}
+  family: {kind: mixture, params: {power: 1.5, noise_power: 0.8}}
+  opt: {starts: 4, budget: 2000}
+""", "a noisy model needs both a signal-side and a noise-side class"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSUPPORTED_CLASSES))
+def test_minimax_unsupported_class_exits_4_before_the_search(tmp_path, capsys, monkeypatch,
+                                                             name):
+    text, message = UNSUPPORTED_CLASSES[name]
+    calls, optimal_delta = [], minimax_module.optimal_delta
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return optimal_delta(*args, **kwargs)
+
+    monkeypatch.setattr(minimax_module, "optimal_delta", spy)
+    cfg = write_config(tmp_path, text)
+    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 4
+    assert f"unsupported class: {message}\n" in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("coeffs,data,key", [
+    ("[[1.0]]", "{power: -2.0, weight_f: [[-1.0]]}", "weight_f"),
+    ("[[1.0, 0.5]]", "{power: 2.0, weight_f: [[1.0, 0.0], [0.0, -1.0]]}", "weight_f"),
+    ("[[1.0]]", "{power: 2.0, weight_f: [[1.0]], noise_power: 0.8, upper: 8.0, "
+                "weight_g: [[-1.0]]}", "weight_g"),
+], ids=["negative-f", "indefinite-f", "negative-g"])
+def test_minimax_flavor_3_weight_not_positive_definite_exits_2(tmp_path, capsys, coeffs,
+                                                                data, key):
+    # a negative weight used to run the search to its budget and write
+    # delta_upper = nan
+    g_kind = "  g_kind: DVU_3\n" if key == "weight_g" else ""
+    cfg = write_config(tmp_path, f"""
+model: {{kind: white, scale: 2.0}}
+pattern: {{intervals: [[2, 0]]}}
+functional: {{coeffs: {coeffs}}}
+numerics: {{grid_size: 512, truncation: 16}}
+minimax:
+  kind: D0_3
+{g_kind}  data: {data}
+  family: {{kind: singleton}}
 """)
-    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 3
-    assert "error: family point violates F:DVU_1:power by 5.000e-01" in \
-        capsys.readouterr().err
+    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    dim = coeffs.count(",") + 1
+    assert (f"config error: minimax.data.{key}: expected a Hermitian positive definite "
+            f"{dim}x{dim} matrix, got [[") in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

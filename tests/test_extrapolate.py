@@ -436,7 +436,8 @@ def test_characteristic_matches_phase_matrix_reference(seed):
     assert _normwise_close(trig_poly_on_grid(sys.entries, c_blocks, n), C_ref, 1e-12)
     assert _normwise_close(functional.a_on_grid(n), A_ref, 1e-12)
 
-    AX = np.einsum("nt,ntu->nu", A_ref, sys.X)
+    X = model.samples("F") + model.samples("Fxe")
+    AX = np.einsum("nt,ntu->nu", A_ref, X)
     h_ref = np.einsum("nt,ntu->nu", AX - C_ref, sys.Zinv)
     assert _normwise_close(res.h_grid, h_ref, 1e-12)
 

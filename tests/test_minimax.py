@@ -906,16 +906,29 @@ def test_first_order_lp_closed_forms_match_a_solver(base):
 
 
 def test_delta_upper_is_nan_outside_the_closed_forms():
-    # a noisy model whose noise no class constrains, and a negative weight
+    # a noisy model whose noise no class constrains
     noisy = scalar_mixture_family(power=1.5, noise_power=0.8, grid_size=GRID)
     lone = DensityClass(kind="D0_1", data=ClassData(power=1.5), family=noisy)
+    out = maximize_delta(lone, NO_GAP, PRED, FAST, K=16)
+    assert np.isnan(out.delta_upper) and np.isnan(out.fw_gap)
+    assert out.stopped != "certified"
+
+
+@pytest.mark.parametrize("weight", [[[-1.0]], [[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.5], [0.0, 1.0]]],
+                         ids=["negative", "indefinite", "not-hermitian"])
+def test_a_flavor_3_weight_must_be_hermitian_positive_definite(weight):
+    # a negative weight turned the fixed power -2 of w F into a power of 2:
+    # the search ran to its budget and reported delta_upper = nan
     fam = scalar_mixture_family(power=2.0, grid_size=GRID)
-    negative = DensityClass(kind="D0_3", data=ClassData(
-        power=-2.0, weight_f=np.array([[-1.0]])), family=fam)
-    for cls in (lone, negative):
-        out = maximize_delta(cls, NO_GAP, PRED, FAST, K=16)
-        assert np.isnan(out.delta_upper) and np.isnan(out.fw_gap)
-        assert out.stopped != "certified"
+    cls = DensityClass(kind="D0_3", data=ClassData(
+        power=-2.0, weight_f=np.array(weight)), family=fam)
+    with pytest.raises(DataShapeError, match=(
+            rf"^data\.weight_f: expected a Hermitian positive definite {len(weight)}x{len(weight)} "
+            r"matrix, got \[\[")):
+        cls.constants(GRID, len(weight))
+    if len(weight) == 1:
+        with pytest.raises(DataShapeError, match=r"^data\.weight_f: "):
+            maximize_delta(cls, NO_GAP, PRED, FAST, K=16)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 import scipy.fft
 import scipy.linalg
 
+import gapcast.extrapolate as extrapolate_module
 import gapcast.operators as operators_module
 import gapcast.oracle as oracle_module
 from gapcast import (
@@ -20,6 +21,7 @@ from gapcast import (
     build_operator_system,
     estimate,
     make_ar1_pair,
+    optimal_delta,
     projection_oracle,
     solve_coefficients,
     white_model,
@@ -161,9 +163,10 @@ def test_assemble_places_lag_blocks():
 
 
 def test_estimate_lays_out_functional_after_gaps():
-    # On a flat noiseless density Bmat and Rmat are identities, so the solved
-    # coefficients are the layout of a itself: entries (-3, 0, 1, 2), the
-    # functional rows land on 0..N and the gap and tail blocks stay zero.
+    # On a flat noiseless density Bmat is the identity and the right side is
+    # a itself, so the solved coefficients are the layout of a: entries
+    # (-3, 0, 1, 2), the functional rows land on 0..N and the gap and tail
+    # blocks stay zero.
     model = white_model(2, grid_size=256)
     pattern = MissingPattern(intervals=((3, 0),))
     res = estimate(model, pattern, FunctionalSpec(coeffs=[[1.0, 2.0], [3.0, 4.0]]), K=2)
@@ -260,26 +263,36 @@ def _random_noisy_model(seed, grid_size=512):
                      grid_size=grid_size)
 
 
-def _full_blocks(model, system):
-    """Reference: the P x P Rmat and Qmat over all of U_K."""
-    entries = system.entries
+def _rhs(model, pattern, functional, system):
+    """The operator route's right side and quadratic term for ``functional``."""
+    rows = extrapolate_module._functional_rows(model, functional)
+    return extrapolate_module._right_side(model, pattern, functional, system, rows)
+
+
+def _paper_operators(model, system, future):
+    """Reference: the paper's R (U_K x future) and Q (future square) by ``assemble``.
+
+    Their blocks are the Fourier coefficients of (X F_zeta^{-1})^T and
+    (F - X F_zeta^{-1} X^H)^T, X = F + F_xe, at lags j_p - j_q.
+    """
+    X = model.samples("F") + model.samples("Fxe")
+    XZinv = X @ model.samples("Fzinv")
     max_lag = model.grid_size // 4
-    X, Zinv = system.X, system.Zinv
-    XZinv = X @ Zinv
 
-    def block(samples):
-        return assemble(coeffs_from_samples(np.swapaxes(samples, -1, -2), max_lag), entries)
+    def table(samples):
+        return coeffs_from_samples(np.swapaxes(samples, -1, -2), max_lag)
 
-    return block(XZinv), block(model.samples("F") - XZinv @ np.conj(np.swapaxes(X, -1, -2)))
+    Q = table(model.samples("F") - XZinv @ np.conj(np.swapaxes(X, -1, -2)))
+    return assemble(table(XZinv), system.entries, future), assemble(Q, future)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_system_matrices_hermitian_and_definite(seed):
-    # horizon N = K, so Qmat covers the whole future segment 0..K
+    # the paper's Q over the whole future segment 0..K
     model = _random_noisy_model(seed)
     pat = MissingPattern(intervals=((2, 1),))
-    sys = build_operator_system(model, pat, K=12, horizon=12)
-    B, Q = sys.Bmat, sys.Qmat
+    sys = build_operator_system(model, pat, K=12)
+    B, Q = sys.Bmat, _paper_operators(model, sys, np.arange(13))[1]
     assert Q.shape == (13 * model.dim,) * 2
     assert np.abs(B - B.conj().T).max() < 1e-12 * max(1.0, np.abs(B).max())
     assert np.abs(Q - Q.conj().T).max() < 1e-12 * max(1.0, np.abs(Q).max())
@@ -288,47 +301,55 @@ def test_system_matrices_hermitian_and_definite(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_kept_blocks_match_full_assembly(seed):
-    # Rmat and Qmat are the 0..N columns and square of the P x P matrices
+def test_right_side_is_the_paper_operators_on_a(seed):
+    # the right side is R's 0..N columns times a, the quadratic term a^H Q a
     model = _random_noisy_model(seed)
     pat = MissingPattern(intervals=((1, 0), (4, 1)))
-    N = 3
-    sys = build_operator_system(model, pat, K=12, horizon=N)
-    R_full, Q_full = _full_blocks(model, sys)
-    T = model.dim
-    cols = slice(pat.size * T, (pat.size + N + 1) * T)
-    assert sys.Rmat.shape == (sys.Bmat.shape[0], (N + 1) * T)
-    assert np.array_equal(sys.Rmat, R_full[:, cols])
-    assert np.array_equal(sys.Qmat, Q_full[cols, cols])
+    functional = FunctionalSpec(coeffs=np.random.default_rng(seed).normal(size=(4, model.dim)))
+    sys = build_operator_system(model, pat, K=12)
+    R, Q = _paper_operators(model, sys, np.arange(4))
+    a = functional.coeffs.ravel()
+    rhs, quadratic = _rhs(model, pat, functional, sys)
+    assert rhs.shape == (sys.Bmat.shape[0],)
+    assert _close(rhs, R @ a, np.abs(R @ a).max(), rtol=1e-13)
+    assert abs(quadratic - np.vdot(a, Q @ a)) <= 1e-13 * abs(np.vdot(a, Q @ a))
 
 
 def test_noiseless_system_degenerates():
     model = make_ar1_pair(0.5, 0.3, grid_size=512)
-    sys = build_operator_system(model, MissingPattern(intervals=((1, 0),)), K=6, horizon=2)
-    # the identity's columns of 0..2, which sit after the one gap block
+    pattern = MissingPattern(intervals=((1, 0),))
+    functional = FunctionalSpec(coeffs=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    sys = build_operator_system(model, pattern, K=6)
+    # a itself in the slots of 0..2, which sit after the one gap block; the
+    # paper's R is the identity's columns there up to rounding, and Q is 0
     P = sys.Bmat.shape[0]
-    assert sys.Rmat.shape == (P, 6) and sys.Qmat.shape == (6, 6)
-    assert np.allclose(sys.Rmat, np.eye(P)[:, 2:8], atol=1e-12)
-    assert np.abs(sys.Qmat).max() < 1e-12
+    rhs, quadratic = _rhs(model, pattern, functional, sys)
+    want = np.zeros(P)
+    want[2:8] = functional.coeffs.ravel()
+    assert np.array_equal(rhs, want) and quadratic == 0.0
+    R, Q = _paper_operators(model, sys, np.arange(3))
+    assert np.allclose(R, np.eye(P)[:, 2:8], atol=1e-12)
+    assert np.abs(Q).max() < 1e-12
 
 
-def test_operator_system_rejects_horizon_outside_truncation():
-    model = white_model(1, grid_size=256)
-    for N in (-1, 4):
-        with pytest.raises(InvalidParameterError):
-            build_operator_system(model, MissingPattern(), K=3, horizon=N)
+@pytest.mark.parametrize("K,N", [(3, 4), (-1, 0)])
+def test_operator_route_rejects_horizon_outside_truncation(K, N):
+    functional = FunctionalSpec(coeffs=np.ones((N + 1, 1)))
+    with pytest.raises(InvalidParameterError,
+                       match=rf"^functional horizon must lie in 0\.\.K={K}, got {N}$"):
+        optimal_delta(white_model(1, grid_size=256), MissingPattern(), functional, K=K)
 
 
 def test_solve_reports_small_residual():
     model = _random_noisy_model(7)
-    sys = build_operator_system(model, MissingPattern(intervals=((2, 0),)), K=10, horizon=4)
+    sys = build_operator_system(model, MissingPattern(intervals=((2, 0),)), K=10)
     rng = np.random.default_rng(1)
-    a = rng.normal(size=sys.Rmat.shape[1])
-    sol = solve_coefficients(sys, a.astype(complex))
+    rhs = rng.normal(size=sys.Bmat.shape[0])
+    sol = solve_coefficients(sys, rhs.astype(complex))
     assert sol.residual < 1e-10
-    assert np.allclose(sys.Bmat @ sol.c, sys.Rmat @ a, atol=1e-8)
-    with pytest.raises(InvalidParameterError):
-        solve_coefficients(sys, np.ones(sys.Bmat.shape[0], dtype=complex))
+    assert np.allclose(sys.Bmat @ sol.c, rhs, atol=1e-8)
+    with pytest.raises(InvalidParameterError, match="right side has shape"):
+        solve_coefficients(sys, np.ones(sys.Bmat.shape[0] - 1, dtype=complex))
 
 
 def _solve_with_last_pivot(last):
@@ -337,9 +358,8 @@ def _solve_with_last_pivot(last):
     n = base.Bmat.shape[0]
     bad = np.eye(n, dtype=complex)
     bad[-1, -1] = last
-    sick = OperatorSystem(Bmat=bad, Rmat=base.Rmat, Qmat=base.Qmat,
-                          entries=base.entries, Zinv=base.Zinv, X=base.X)
-    return solve_coefficients(sick, np.ones(base.Rmat.shape[1], dtype=complex))
+    sick = OperatorSystem(Bmat=bad, entries=base.entries, Zinv=base.Zinv)
+    return solve_coefficients(sick, np.ones(n, dtype=complex))
 
 
 def test_solve_rejects_ill_conditioned_system(monkeypatch):
@@ -377,11 +397,10 @@ def test_cholesky_solver_names_its_refusals(last, match):
         cholesky_solver(matrix, NonInvertibleOperatorError, "Gamma")
 
 
-def _cho_pair_solve(system, a_vec):
+def _cho_pair_solve(system, rhs):
     """Reference: the same solve through scipy's cho_factor/cho_solve wrappers."""
     B = system.Bmat
     cho = scipy.linalg.cho_factor(B, lower=False, check_finite=False)
-    rhs = system.Rmat @ a_vec
     c = scipy.linalg.cho_solve(cho, rhs)
     c = c + scipy.linalg.cho_solve(cho, rhs - B @ c)
     residual = float(np.linalg.norm(rhs - B @ c)) / max(float(np.linalg.norm(rhs)),
@@ -393,10 +412,10 @@ def _cho_pair_solve(system, a_vec):
 def test_solve_is_bit_equal_to_cho_pair(seed, dim):
     # one ?potrf and one ?potrs per solve: the wrappers' routines, called directly
     model, pattern, functional = _random_instance(seed, dim=dim)
-    system = build_operator_system(model, pattern, K=24, horizon=functional.horizon)
-    a_vec = functional.coeffs.ravel()
-    sol = solve_coefficients(system, a_vec)
-    c, residual = _cho_pair_solve(system, a_vec)
+    system = build_operator_system(model, pattern, K=24)
+    rhs = _rhs(model, pattern, functional, system)[0]
+    sol = solve_coefficients(system, rhs)
+    c, residual = _cho_pair_solve(system, rhs)
     assert np.array_equal(sol.c, c)
     assert sol.residual == residual
 
@@ -409,7 +428,7 @@ def test_scalar_observation_inverse_is_the_reciprocal(seed):
     fz = model.samples("Fz")
     assert not np.any(fz.imag)
     assert np.array_equal(model.samples("Fzinv"), np.linalg.inv(fz))
-    system = build_operator_system(model, pattern, K=12, horizon=functional.horizon)
+    system = build_operator_system(model, pattern, K=12)
     assert system.Zinv is model.samples("Fzinv")
 
 
@@ -536,7 +555,7 @@ COMPLEX_MODELS = {
 
 
 def _dtypes(monkeypatch, model, pattern, functional, K):
-    """dtypes of the operator tables, Bmat, Rmat, Qmat and the oracle's H over the gap."""
+    """dtypes of the tables, Bmat, the right side and the oracle's H over the gap."""
     seen = {"tables": [], "H_SS": []}
 
     def table_spy(samples, max_lag):
@@ -548,15 +567,15 @@ def _dtypes(monkeypatch, model, pattern, functional, K):
         seen["H_SS"].append(matrix.dtype)
         return cholesky_solver(matrix, *args)
 
-    monkeypatch.setattr(operators_module, "coeffs_from_samples", table_spy)
-    monkeypatch.setattr(oracle_module, "coeffs_from_samples", table_spy)
+    for module in (operators_module, extrapolate_module, oracle_module):
+        monkeypatch.setattr(module, "coeffs_from_samples", table_spy)
     monkeypatch.setattr(oracle_module, "cholesky_solver", factor_spy)
-    system = build_operator_system(model, pattern, K=K, horizon=functional.horizon)
+    system = build_operator_system(model, pattern, K=K)
+    rhs = _rhs(model, pattern, functional, system)[0]
     projection_oracle(model, pattern, functional, window=20)
     assert len(seen["H_SS"]) == 1
     return {"tables": set(seen["tables"]), "Bmat": system.Bmat.dtype,
-            "Rmat": system.Rmat.dtype, "Qmat": system.Qmat.dtype,
-            "H_SS": seen["H_SS"][0]}
+            "rhs": rhs.dtype, "H_SS": seen["H_SS"][0]}
 
 
 @pytest.mark.parametrize("name,noiseless", [("benchmark", True), ("noisy_ar1", False),
@@ -572,7 +591,7 @@ def test_real_process_is_solved_in_real_arithmetic(monkeypatch, name, noiseless)
     assert functional.coeffs.dtype == np.float64
     real = np.dtype(np.float64)
     assert _dtypes(monkeypatch, model, pattern, functional, K) == {
-        "tables": {real}, "Bmat": real, "Rmat": real, "Qmat": real, "H_SS": real}
+        "tables": {real}, "Bmat": real, "rhs": real, "H_SS": real}
 
 
 @pytest.mark.parametrize("name", sorted(COMPLEX_MODELS))
@@ -582,7 +601,7 @@ def test_complex_process_keeps_complex_arithmetic(monkeypatch, name):
     pattern = MissingPattern(intervals=((2, 1),))
     cplx = np.dtype(np.complex128)
     assert _dtypes(monkeypatch, model, pattern, functional, K=12) == {
-        "tables": {cplx}, "Bmat": cplx, "Rmat": cplx, "Qmat": cplx, "H_SS": cplx}
+        "tables": {cplx}, "Bmat": cplx, "rhs": cplx, "H_SS": cplx}
 
 
 def _complex_reference(model, pattern, functional, K, tap_lags):
@@ -649,6 +668,74 @@ def test_estimate_matches_complex_reference(seed, dim):
     assert _close([res.taps[j] for j in lags], taps, tap_scale)
 
 
+def _row_instance(seed):
+    """A seeded MA(3) pair: T in {1, 2}; noiseless, noisy or correlated
+    (``innovation_cov`` coupling signal and noise); a real or complex functional."""
+    rng = np.random.default_rng(900 + seed)
+    dim, kind, complex_a = 1 + seed % 2, seed // 2 % 3, seed // 6 % 2 == 1
+
+    def ma(lead):   # MA(3): the covariances reach past the gap
+        return [lead * np.eye(dim) + 0.2 * rng.normal(size=(dim, dim))] + [
+            scale * rng.normal(size=(dim, dim)) for scale in (0.4, 0.3, 0.2)]
+
+    signal, noise, cov = ma(1.0), None, None
+    if kind:
+        noise = ma(0.7)
+        if kind == 2:
+            root = rng.normal(size=(2 * dim, 2 * dim))
+            cov = root @ root.T + 0.5 * np.eye(2 * dim)
+    model = ma_pair_model(signal, noise, cov, grid_size=512)
+    pattern = MissingPattern(intervals=((int(rng.integers(2, 4)), int(rng.integers(0, 2))),
+                                        (7, int(rng.integers(0, 2)))))
+    coeffs = rng.normal(size=(int(rng.integers(1, 4)), dim))
+    if complex_a:
+        coeffs = coeffs + 1j * rng.normal(size=coeffs.shape)
+    return model, pattern, FunctionalSpec(coeffs=coeffs)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_right_sides_are_the_paper_operators_on_every_instance(monkeypatch, seed):
+    # the paper's R, Q and the oracle's cross-covariance block, assembled
+    # here from their tables, against the one row A^T (F + F_xe)
+    model, pattern, functional = _row_instance(seed)
+    assert model.is_noiseless == (seed // 2 % 3 == 0)
+    assert model.is_uncorrelated == (seed // 2 % 3 != 2)
+    K, N, window = 16, functional.horizon, 30
+    a = functional.coeffs.ravel()
+    system = build_operator_system(model, pattern, K=K)
+    rhs, quadratic = _rhs(model, pattern, functional, system)
+    R, Q = _paper_operators(model, system, np.arange(N + 1))
+    assert _close(rhs, R @ a, np.abs(R @ a).max(), rtol=1e-13)
+    aQa = np.vdot(a, Q @ a)
+    if model.is_noiseless:
+        start = pattern.size * model.dim
+        assert np.array_equal(rhs[start:start + a.size], a)
+        assert not np.any(np.delete(rhs, np.arange(start, start + a.size)))
+        variance = oracle_module.functional_variance(model, functional)
+        assert quadratic == 0.0 and abs(aQa) <= 1e-13 * variance
+    else:
+        assert abs(quadratic - aQa) <= 1e-13 * abs(aQa)
+
+    seen, pcg = [], oracle_module.pcg
+
+    def spy(apply, precondition, b):
+        seen.append(b[:, 0].copy())
+        return pcg(apply, precondition, b)
+
+    monkeypatch.setattr(oracle_module, "pcg", spy)
+    projection_oracle(model, pattern, functional, window=window)
+    cross = model.samples("F") + model.samples("Fex")
+    block = assemble(coeffs_from_samples(cross, window + N), np.arange(1, window + 1),
+                     -np.arange(N + 1))
+    m = block @ np.conj(a)
+    m[np.repeat(np.isin(np.arange(1, window + 1), -np.asarray(pattern.points)),
+                model.dim)] = 0.0
+    assert _close(seen[0], m, np.abs(block).max() * np.abs(a).max(), rtol=1e-13)
+    assert np.abs(m).max() > 1e-3 * np.abs(block).max() * np.abs(a).max()
+    assert optimal_delta(model, pattern, functional, K=K) == \
+        estimate(model, pattern, functional, K=K).delta
+
+
 # ---------------------------------------------------------------------------
 # above the crossover: a Schur complement over the gap, and preconditioned
 # conjugate gradients over the future, without forming B
@@ -703,19 +790,18 @@ def test_split_solve_matches_the_dense_reference(seed):
     # the reference assembles all of B and factors it
     model, pattern, functional, K = _split_instance(seed)
     assert model.is_noiseless == (seed // 2 % 2 == 1)
-    system = build_operator_system(model, pattern, K=K, horizon=functional.horizon)
+    system = build_operator_system(model, pattern, K=K)
     B = system.Bmat
     assert isinstance(B, SplitOperator) and B.shape[0] > DENSE_MAX_ORDER
     assert np.iscomplexobj(B.table.data) == (seed // 4 % 2 == 1)
-    a = functional.coeffs.ravel()
-    sol = solve_coefficients(system, a)
+    rhs, quadratic = _rhs(model, pattern, functional, system)
+    sol = solve_coefficients(system, rhs)
 
     dense = assemble(B.table, system.entries)
-    rhs = system.Rmat @ a
     c = scipy.linalg.cho_solve(scipy.linalg.cho_factor(dense), rhs)
 
     def delta(coeffs):
-        return float((np.vdot(coeffs, rhs) + np.vdot(a, system.Qmat @ a)).real)
+        return float((np.vdot(coeffs, rhs) + quadratic).real)
 
     assert np.abs(sol.c - c).max() <= 1e-12 * np.abs(c).max()
     assert delta(sol.c) == pytest.approx(delta(c), rel=1e-13)
@@ -741,11 +827,12 @@ def test_split_solve_builds_one_product_per_toeplitz_matrix(monkeypatch):
         return product(table, size)
 
     monkeypatch.setattr(operators_module, "ToeplitzProduct", spy)
-    system = build_operator_system(model, pattern, K=K, horizon=functional.horizon)
+    system = build_operator_system(model, pattern, K=K)
     B = system.Bmat
     assert isinstance(B, SplitOperator) and built == [(B.table, K + 1)]
+    rhs = _rhs(model, pattern, functional, system)[0]
     built.clear()
-    solve_coefficients(system, functional.coeffs.ravel())
+    solve_coefficients(system, rhs)
     assert built and all(entry == (B.inverse_table, K + 1) for entry in built)
 
 
@@ -804,33 +891,35 @@ def _asked_lags(monkeypatch, module):
 
 @pytest.mark.parametrize("name", ["benchmark", "noisy_ar1", "split0", "split1", "split2"])
 def test_operator_tables_span_the_lags_of_U_K(monkeypatch, name):
-    # U_K couples lags up to K + the deepest gap point, read by B, R and Q on
-    # the dense route and by the gap blocks and both Toeplitz products on the
-    # split one
+    # U_K couples lags up to K + the deepest gap point, read by B on the dense
+    # route, by the gap blocks and both Toeplitz products on the split one, and
+    # by the right side of a noisy model, the one table of the functional
     if name.startswith("split"):
         model, pattern, functional, K = _split_instance(int(name[-1]))
     else:
         model, pattern, functional, K = _example(name)
     asked = _asked_lags(monkeypatch, operators_module)
-    system = build_operator_system(model, pattern, K=K, horizon=functional.horizon)
+    asked_rhs = _asked_lags(monkeypatch, extrapolate_module)
+    system = build_operator_system(model, pattern, K=K)
     split = isinstance(system.Bmat, SplitOperator)
     assert split == name.startswith("split")
-    tables = (2 if split else 1) + (0 if model.is_noiseless else 2)
-    assert asked == [K + pattern.max_depth] * tables
-    solve_coefficients(system, functional.coeffs.ravel())
+    assert asked == [K + pattern.max_depth] * (2 if split else 1)
+    rhs = _rhs(model, pattern, functional, system)[0]
+    assert asked_rhs == [K + pattern.max_depth] * (0 if model.is_noiseless else 1)
+    solve_coefficients(system, rhs)
 
 
 @pytest.mark.parametrize("window", [3, 20, 100, 400])
 def test_oracle_tables_span_the_lags_they_read(monkeypatch, window):
-    # E|A xi|^2 reads lags up to N; the preconditioner's table of
-    # F_zeta^{-1}, asked for first, and Gamma's read those below the window;
-    # m's reads up to window + N
+    # the preconditioner's table of F_zeta^{-1}, asked for first, and Gamma's
+    # read lags below the window; m's, of conj(A^T (F + F_xe)), is asked up
+    # to window + N, the reach of its cross covariances
     model, pattern, functional, _ = _example("noisy_ar1")
     asked = _asked_lags(monkeypatch, oracle_module)
     res = projection_oracle(model, pattern, functional, window=window)
     N = functional.horizon
     assert res.cg_iterations > 0
-    assert asked == [N, window - 1, window - 1, window + N]
+    assert asked == [window - 1, window - 1, window + N]
 
 
 @pytest.mark.parametrize("intervals", [(), ((2, 1),)])

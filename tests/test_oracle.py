@@ -195,30 +195,25 @@ def test_unconverged_window_solve_is_refused_as_degenerate(monkeypatch):
 
 def test_long_window_matches_the_dense_route_without_forming_gamma(monkeypatch):
     # the dense route is the block reference below, which factors Gamma.
-    # Window 400 holds 2 (400 - 3) = 794 observed unknowns.  At every window
-    # the only matrices assembled are E|A xi|^2's and m's, and the only one
-    # factored is H over the gap, |S| T square
+    # Window 400 holds 2 (400 - 3) = 794 observed unknowns.  The oracle
+    # assembles no block at all, and at every window the only matrix it
+    # factors is H over the gap, |S| T square
     model, pattern, functional, _ = _example("noisy_ar1")
-    T, N = model.dim, functional.horizon
-    shapes, assemble, cholesky_solver = [], oracle_module.assemble, oracle_module.cholesky_solver
-
-    def spy(table, rows, cols=None):
-        out = assemble(table, rows, cols)
-        shapes.append(out.shape)
-        return out
+    T = model.dim
+    shapes, cholesky_solver = [], oracle_module.cholesky_solver
+    assert not hasattr(oracle_module, "assemble")
 
     def factor_spy(matrix, *args):
         shapes.append(matrix.shape)
         return cholesky_solver(matrix, *args)
 
-    monkeypatch.setattr(oracle_module, "assemble", spy)
     monkeypatch.setattr(oracle_module, "cholesky_solver", factor_spy)
     for window in (3, 20, 100, 400):
         shapes.clear()
         got = projection_oracle(model, pattern, functional, window=window)
         assert got.cg_iterations > 0
         gap = sum(j >= -window for j in pattern.points)
-        assert shapes == [((N + 1) * T,) * 2, (window * T, (N + 1) * T), (gap * T,) * 2]
+        assert shapes == [(gap * T,) * 2]
         want, taps = _reference_projection(model, pattern, functional, window)
         assert got.delta_oracle == pytest.approx(want, rel=1e-13)
         assert set(got.taps_oracle) == set(taps)
