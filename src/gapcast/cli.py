@@ -5,7 +5,7 @@ pipeline and writes the error with diagnostics and filter tables;
 ``oracle-check`` compares it against the finite-window projection solution
 over a schedule of windows; ``simulate`` samples the filter's error from its
 exact time-domain law; ``minimax`` searches an admissible class for its least
-favorable member and writes the saddle/characterization reports.
+favorable member and writes its saddle verdict and characterization residuals.
 
 Outputs are plain text and CSV, deterministic byte for byte for a given
 config, seed and BLAS thread count (threaded BLAS sums in another order), and
@@ -350,17 +350,6 @@ def cmd_minimax(cfg: RunConfig, out_dir: Path) -> int:
         theta = " ".join(_fmt(t) for t in ev.theta)
         lines.append(f"eval {i}: theta = [{theta}]  delta = {_fmt(ev.delta)}")
     _write(out_dir / "lfd.summary", lines)
-
-    dim = len(result.theta_star)
-    srows = _header(digest) + [
-        ",".join(["index"] + [f"theta{i + 1}" for i in range(max(dim, 1))]
-                 + ["delta_fixed_filter", "reference", "passed"])]
-    for i, s in enumerate(saddle.samples):
-        theta = list(s.theta) or [0.0]
-        srows.append(",".join([str(i)] + [_fmt(t) for t in theta]
-                              + [_fmt(s.delta_fixed_filter),
-                                 _fmt(saddle.reference), _fmt(s.passed)]))
-    _write(out_dir / "saddle.csv", srows)
 
     rrows = _header(digest) + ["name,structure,residual,scale,relative,params"]
     for e in residuals:

@@ -269,9 +269,9 @@ def delta_of_characteristic(model: SpectralModel, functional: FunctionalSpec,
 
     Direct quadrature of
     (1/2pi) int (A-h)^T F conj(A-h) + h^T G conj(h)
-                - (A-h)^T F_xe conj(h) - h^T F_ex conj(A-h) d lambda.
-    Used both as the second route for the optimal h and to evaluate a fixed h
-    under alternative densities (robust-estimation checks).
+                - (A-h)^T F_xe conj(h) - h^T F_ex conj(A-h) d lambda,
+    for any h on the model's grid; ``estimate`` takes its second route from
+    the same quadrature, ``filter_error``, on the rows it already holds.
     """
     lam = model.lam
     if h_grid.shape != (lam.size, model.dim):

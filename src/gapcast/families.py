@@ -68,14 +68,9 @@ class DensityFamily:
     def clip(self, theta: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(theta, dtype=float), self.lower, self.upper)
 
-    def sample(self, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-        """Uniform points of the box: one (dim,) point, or (count, dim) rows.
-
-        The rows come from one draw, with the stream and the values of
-        ``count`` single draws; a family without parameters draws nothing.
-        """
-        shape = (self.dim,) if count is None else (count, self.dim)
-        return rng.uniform(self.lower, self.upper, size=shape)
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """A uniform (dim,) point of the box; a family without parameters draws nothing."""
+        return rng.uniform(self.lower, self.upper, size=self.dim)
 
 
 def _mixture(z: np.ndarray, power: float, w: float, b: float) -> np.ndarray:

@@ -3,9 +3,9 @@
 Instead of a single known pair of signal/noise densities, an admissible set is
 given and the goal is the density pair that maximizes the optimal-estimate
 error ("least favorable"), together with checks that the estimate built from
-that pair is minimax: the saddle inequality (by the class bound, else over a
-fixed draw of class members, with a slack relative to the maximizer's error)
-and the multiplier equations of interior maximizers.
+that pair is minimax: the saddle inequality, read off the class bound with a
+slack relative to the maximizer's error, and the multiplier equations of
+interior maximizers.
 
 Supported admissible sets (``kind`` = ``base_k``) constrain the signal density
 F or the noise density G.  The bases are ``D0`` (fixed power), ``DVU``
@@ -22,10 +22,13 @@ A class instance pairs a signal-side kind with an optional noise-side kind.
 Candidate densities come from a finite-dimensional family that is inside the
 class by construction; the search is a derivative-free multi-start ascent.
 It scores candidates by their optimal error alone (``optimal_delta``) and
-runs the full estimate, whose filter the checks read, at the maximizer.  For
-scalar classes that filter also bounds the error of every class member in
+runs the full estimate, whose filter the checks read, at the maximizer.
+Where every side reads one number per node (any flavor at T = 1, flavors 1
+and 3 at any T) that filter also bounds the error of every class member in
 closed form (``delta_upper``), and the search stops once no member can beat
-the incumbent by more than rounding.
+the incumbent by more than rounding.  Elsewhere the bound is nan and the
+saddle check fails: a sample of members could refute a saddle point, never
+certify one.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .extrapolate import (
     EstimateResult,
     FunctionalSpec,
     estimate,
-    filter_error,
     optimal_delta,
 )
 from .families import DensityFamily
@@ -206,12 +208,14 @@ def _side_constants(cls: "DensityClass", which: str, n: int, d: int) -> dict:
     return side
 
 
-# First-order LPs of the scalar (T = 1) bases: the largest mean(g * q) over the
-# projected densities q of the class, for a gradient g >= 0 per node.
+# First-order LPs of the bases whose sides read one number q per node: the
+# largest mean(g * q) over the projected densities q of the class, for a
+# gradient g >= 0 per node.
 
 
 def _scalar(value) -> float:
-    """A constant of a scalar side: its power and radius have one effective value."""
+    """A constant of a side that reads one number per node: its power and radius
+    have one effective value."""
     return float(np.min(np.real(value)))
 
 
@@ -252,7 +256,7 @@ class _Base:
     inequalities ``x >= 0``, named ``names``, as a lower and an upper one (None
     when absent) and the reference whose size scales their binding test;
     ``fallback`` is the multiplier when no node is free.  ``lp(side, g)`` is
-    the closed-form first-order LP of a scalar side.
+    the closed-form first-order LP of a side that reads one number per node.
     """
 
     fields: tuple[str, ...]
@@ -378,16 +382,8 @@ class Evaluation:
 
 
 @dataclass
-class SaddleSample:
-    theta: tuple
-    delta_fixed_filter: float
-    passed: bool
-
-
-@dataclass
 class SaddleReport:
     reference: float
-    samples: list[SaddleSample]
     max_violation: float
     all_pass: bool
 
@@ -464,25 +460,29 @@ _GAP_TOL = 1e-12
 # halves its step from _INITIAL_STEP until it falls below _MIN_STEP
 _INITIAL_STEP = 0.25
 _MIN_STEP = 1e-6
-# the saddle check: its slack relative to the maximizer's error, and where the
-# class has no closed-form bound, the members it scores and their seed
+# the saddle check's slack, relative to the maximizer's error
 _SADDLE_RTOL = 1e-6
-_SADDLE_SAMPLES = 100
-_SADDLE_SEED = 1
 
 
 def _gap_met(upper: float, delta: float) -> bool:
     return upper - delta <= _GAP_TOL * delta
 
 
+def _filter_row(est: EstimateResult, functional: FunctionalSpec, which: str) -> np.ndarray:
+    """Per node, the row r of the fixed filter whose error a density D adds as
+    r^T D conj(r): A - h0 on the signal side F, h0 itself on the noise side G."""
+    return functional.a_on_grid(est.lam.size) - est.h_grid if which == "F" else est.h_grid
+
+
 def _covered(cls: DensityClass, model: SpectralModel) -> bool:
     """Whether ``delta_upper`` has a closed form for the class at this model.
 
-    It has for a scalar model with uncorrelated signal and noise and a class
-    on every density the model has.
+    It has where signal and noise are uncorrelated, a class sits on every
+    density the model has, and each side reads one number per node: any
+    flavor at T = 1, flavors 1 and 3 (a trace or a weighted trace) at any T.
     """
-    return model.dim == 1 and model.is_uncorrelated and (model.is_noiseless
-                                                          or cls.g_kind is not None)
+    return model.is_uncorrelated and (model.is_noiseless or cls.g_kind is not None) \
+        and all(model.dim == 1 or kind[-1] in "13" for _, kind in cls.sides)
 
 
 def _delta_upper(cls: DensityClass, model: SpectralModel, est: EstimateResult,
@@ -491,15 +491,18 @@ def _delta_upper(cls: DensityClass, model: SpectralModel, est: EstimateResult,
 
     The error of a fixed filter is linear in the densities, and the optimal
     error is its minimum over filters, so no class member has an optimal error
-    above this bound.  Each side is the first-order LP of its base, on the
-    gradient the coupling field gives, in the units of its projection.
+    above this bound.  A side that reads q = tr(W D) of its density D adds at
+    most q g per node, with g = r^T W^{-1} conj(r) (W = I but for flavor 3),
+    when D lies along W^{-1} conj(r); each side is then the first-order LP of
+    its base on g.
     """
     if not _covered(cls, model):
         return math.nan
     upper = 0.0
-    for side in _sides_at(cls, model):   # a flavor 3 side reads w*F: g in units of w
-        g = _coupling_field(model, est, functional, side)[:, 0, 0].real
-        upper += side.spec.lp(side, g / np.real(side.weight).item() if side.flavor == 3 else g)
+    for side in _sides_at(cls, model):
+        r = _filter_row(est, functional, side.which)
+        along = np.conj(r) if side.flavor != 3 else np.conj(r) @ np.linalg.inv(side.weight).T
+        upper += side.spec.lp(side, np.einsum("nt,nt->n", r, along).real)
     return upper
 
 
@@ -648,37 +651,14 @@ def verify_saddle_point(result: LeastFavorableResult) -> SaddleReport:
 
     Holds the spectral characteristic of the maximizer fixed; its error at any
     class member must stay below ``result.delta_star``, the error at the
-    maximizer, up to ``_SADDLE_RTOL`` times that error.  A finite
-    ``result.delta_upper`` is the class's worst member and decides alone, with
-    no sample: the violation is ``max(fw_gap, 0)``.  Else ``_SADDLE_SAMPLES``
-    random members drawn from ``_SADDLE_SEED`` are scored.  Failures are
-    recorded, not raised.
+    maximizer, up to ``_SADDLE_RTOL`` times that error.  ``result.delta_upper``
+    is the class's worst member and decides alone: the violation is
+    ``max(fw_gap, 0)``.  A class without that bound has a nan gap, which stays
+    nan and does not pass.  Failures are recorded, not raised.
     """
-    cls, star, h0 = result.cls, result.model_star, result.estimate_star.h_grid
-    ref = result.delta_star
-    if math.isfinite(result.delta_upper):
-        gap = result.fw_gap
-        return SaddleReport(reference=ref, samples=[], max_violation=max(gap, 0.0),
-                            all_pass=gap <= _SADDLE_RTOL * ref)
-    bound = ref + _SADDLE_RTOL * ref
-    r = result.functional.a_on_grid(star.grid_size) - h0   # the filter is fixed
-    samples: list[SaddleSample] = []
-    worst = 0.0
-    scores: dict[tuple, float] = {}   # each member once: a dim-0 family has one
-    for theta in cls.family.sample(np.random.default_rng(_SADDLE_SEED), _SADDLE_SAMPLES):
-        key = tuple(np.atleast_1d(theta))
-        if key not in scores:
-            model = cls.family.build(theta)
-            if (model.grid_size, model.dim) != (star.grid_size, star.dim):
-                raise InvalidParameterError(
-                    "family members must share one grid size and dimension")
-            _check_in_class(cls, model)
-            scores[key] = filter_error(model, r, h0)
-        val = scores[key]
-        worst = max(worst, val - ref)
-        samples.append(SaddleSample(theta=key, delta_fixed_filter=val, passed=val <= bound))
-    return SaddleReport(reference=ref, samples=samples, max_violation=worst,
-                        all_pass=all(s.passed for s in samples))
+    ref, gap = result.delta_star, result.fw_gap
+    return SaddleReport(reference=ref, max_violation=gap if math.isnan(gap) else max(gap, 0.0),
+                        all_pass=gap <= _SADDLE_RTOL * ref)
 
 
 # ---------------------------------------------------------------------------
@@ -686,17 +666,15 @@ def verify_saddle_point(result: LeastFavorableResult) -> SaddleReport:
 # ---------------------------------------------------------------------------
 
 
-def _coupling_field(model: SpectralModel, est: EstimateResult,
-                    functional: FunctionalSpec, side: _Side) -> np.ndarray:
+def _coupling_field(est: EstimateResult, functional: FunctionalSpec, side: _Side) -> np.ndarray:
     """Pointwise rank-one field that the multiplier structure must match.
 
     The error of a fixed filter is linear in the densities, with matrix-valued
-    gradient conj(r) r^T at each node, where r is A - h0 on the signal side F
-    and h0 itself on the noise side G.  At an interior least-favorable pair this
-    gradient equals the class-specific multiplier structure.
+    gradient conj(r) r^T at each node (``_filter_row``).  At an interior
+    least-favorable pair this gradient equals the class-specific multiplier
+    structure.
     """
-    A = functional.a_on_grid(est.lam.size)
-    r = (A - est.h_grid) if side.which == "F" else est.h_grid
+    r = _filter_row(est, functional, side.which)
     return np.einsum("nt,nu->ntu", np.conj(r), r)
 
 
@@ -834,4 +812,4 @@ def characterization_residuals(result: LeastFavorableResult) -> ResidualReport:
     unit = _l2(np.sum(np.abs(fun.a_on_grid(est.lam.size)) ** 2, axis=1))
     return ResidualReport(entries=[
         entry for side in _sides_at(cls, model)
-        for entry in _side_residuals(side, _coupling_field(model, est, fun, side), unit)])
+        for entry in _side_residuals(side, _coupling_field(est, fun, side), unit)])

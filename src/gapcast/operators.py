@@ -314,17 +314,18 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
         raise InvalidParameterError(f"truncation K must be >= 0, got {K}")
     check_minimality(model)
     need = K + pattern.max_depth
-    entries = np.concatenate((np.asarray(pattern.points, dtype=int), np.arange(K + 1)))
     Zinv = model.samples("Fzinv")
 
     def table(samples: np.ndarray) -> FourierTable:
         # the transposed integrand: the column layout of the orthogonality conditions
         return coeffs_from_samples(np.swapaxes(samples, -1, -2), need)
 
+    zinv_table = table(Zinv)   # refuses a K the grid cannot resolve before U_K is formed
+    entries = np.concatenate((np.asarray(pattern.points, dtype=int), np.arange(K + 1)))
     if entries.size * model.dim > DENSE_MAX_ORDER:
-        Bmat = SplitOperator(table(Zinv), table(model.samples("Fz")), pattern.points, K)
+        Bmat = SplitOperator(zinv_table, table(model.samples("Fz")), pattern.points, K)
     else:
-        Bmat = assemble(table(Zinv), entries)
+        Bmat = assemble(zinv_table, entries)
     return OperatorSystem(Bmat=Bmat, entries=entries, Zinv=Zinv)
 
 

@@ -651,14 +651,11 @@ def test_minimax_singleton_matches_estimate(tmp_path):
     assert float(summary["delta_star"]) == pytest.approx(1.5, rel=1e-9)
     assert summary["evaluations"] == "1"
     assert summary["stopped"] == "certified"
-    # the class bound decides the saddle check: no violation and no sample
+    # the class bound decides the saddle check: no violation, and no saddle.csv
     assert summary["delta_upper"] == summary["delta_star"]
     assert summary["saddle_all_pass"] == "true"
     assert summary["saddle_max_violation"] == "0"
-
-    header, rows, trailer = read_csv_rows(out / "saddle.csv")
-    assert header[-1] == "passed"
-    assert rows == [] and not any(line.startswith("# seed=") for line in trailer)
+    assert sorted(p.name for p in out.iterdir()) == ["lfd.summary", "residuals.csv"]
 
     rheader, rrows, _ = read_csv_rows(out / "residuals.csv")
     assert rheader == ["name", "structure", "residual", "scale",
@@ -668,28 +665,74 @@ def test_minimax_singleton_matches_estimate(tmp_path):
         json.loads(json.loads(",".join(row[5:])))  # params field round-trips
 
 
-# a two-dimensional singleton: the class has no closed-form bound, so the
-# saddle check samples the family
+# a two-dimensional singleton whose class reads the diagonal (flavor 2): no
+# closed-form bound exists, so the saddle check cannot certify it
 SINGLETON_2D_MINIMAX = SINGLETON_MINIMAX.replace(
     "coeffs: [[1.0]]", "coeffs: [[1.0, 0.5]]").replace("kind: D0_1", "kind: D0_2").replace(
     "power: 1.5", "power: [1.5, 1.5]")
 
 
-def test_singleton_saddle_check_scores_its_one_member_once(tmp_path, monkeypatch):
-    # every saddle sample of a one-member family is the same model: it is
-    # built and scored once, and each of the 100 rows still written
+def test_a_class_without_a_bound_fails_the_saddle_check(tmp_path, monkeypatch):
+    # the check used to score 100 copies of the one member and pass; now only
+    # the search's one evaluation checks the class, and the nan gap fails
     cfg = write_config(tmp_path, SINGLETON_2D_MINIMAX)
     checked = []
     real = minimax_module._check_in_class
     monkeypatch.setattr(minimax_module, "_check_in_class",
                         lambda cls, model: checked.append(model) or real(cls, model))
-    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 0
-    assert len(checked) == 2   # the search's one evaluation, then the saddle check
-    assert read_summary(tmp_path / "out" / "lfd.summary")["fw_gap"] == "nan"
-    assert (tmp_path / "out" / "saddle.csv").read_text() == "".join(
-        [f"# config_sha256={config_hash(load_config(cfg))}\n",
-         "index,theta1,delta_fixed_filter,reference,passed\n"]
-        + [f"{i},0,1.875,1.875,true\n" for i in range(100)])
+    out = tmp_path / "out"
+    assert run_cli(["minimax", "--config", cfg, "--out", out]) == 0
+    assert len(checked) == 1
+    summary = read_summary(out / "lfd.summary")
+    assert summary["delta_upper"] == summary["fw_gap"] == "nan"
+    assert summary["saddle_all_pass"] == "false"
+    assert summary["saddle_max_violation"] == "nan"
+    assert not (out / "saddle.csv").exists()
+
+
+# the example-1 pair as a one-member class of fixed trace power, its own mean
+# trace: the search has nothing to move, and the class's vertex density (all
+# the power at one node, along conj(A - h)) makes the filter's error 15.43
+EXAMPLE1_D0_MINIMAX = """
+model: {kind: example1, b1: 0.5, b2: 0.3}
+pattern: {intervals: [[2, 1]]}
+functional: {coeffs: [[1.0, 0.5], [0.2, -1.0]]}
+numerics: {grid_size: 256, truncation: 16}
+minimax:
+  kind: D0_1
+  data: {power: 3.7655677655677655}
+  family: {kind: singleton}
+"""
+# the same member under a weighted trace tr(W F); 6.43... is its mean
+EXAMPLE1_D0_3_MINIMAX = EXAMPLE1_D0_MINIMAX.replace("D0_1", "D0_3").replace(
+    "power: 3.7655677655677655",
+    "power: 6.4322344322344325, weight_f: [[2.0, 0.5], [0.5, 1.0]]")
+
+
+@pytest.mark.parametrize("flavor", [1, 3])
+def test_a_two_component_class_bound_decides_the_saddle_check(tmp_path, flavor):
+    # at T = 2 the saddle check used to sample the singleton family, 100 copies
+    # of the maximizer, and read saddle_all_pass = true with violation 0
+    text = EXAMPLE1_D0_MINIMAX if flavor == 1 else EXAMPLE1_D0_3_MINIMAX
+    path, out = write_config(tmp_path, text), tmp_path / "out"
+    assert run_cli(["minimax", "--config", path, "--out", out]) == 0
+    summary = read_summary(out / "lfd.summary")
+    assert summary["delta_star"] == "2.8899999999890866"
+    # P max_n r_n^T W^{-1} conj(r_n), r = A - h, from an estimate of its own
+    cfg = load_config(path)
+    cls, _, _ = build_class(cfg)
+    est = estimate(cls.family.build(()), build_pattern(cfg), build_functional(cfg), K=16)
+    r = build_functional(cfg).a_on_grid(256) - est.h_grid
+    weight = np.eye(2) if flavor == 1 else np.array(cls.data.weight_f)
+    along = np.linalg.solve(weight, np.conj(r).T).T
+    bound = cls.data.power * np.max(np.sum(r * along, axis=1).real)
+    assert float(summary["delta_upper"]) == pytest.approx(bound, rel=1e-12)
+    if flavor == 1:
+        assert float(summary["delta_upper"]) == pytest.approx(15.430139230306821, rel=1e-12)
+    assert float(summary["fw_gap"]) == float(summary["delta_upper"]) - 2.8899999999890866
+    assert summary["saddle_all_pass"] == "false"
+    assert summary["saddle_max_violation"] == summary["fw_gap"]
+    assert not (out / "saddle.csv").exists()
 
 
 # a detuned point of the mixture family, evaluated in place of a search
@@ -729,8 +772,7 @@ def test_minimax_fixed_candidate_fails_saddle(tmp_path):
     assert summary["saddle_max_violation"] == summary["fw_gap"]
     assert summary["stopped"] == "budget"
 
-    _, rows, _ = read_csv_rows(out / "saddle.csv")
-    assert rows == []
+    assert not (out / "saddle.csv").exists()
     # the characterization sees the detuned point too: its one equation is
     # off by 42% of its scale
     _, rrows, _ = read_csv_rows(out / "residuals.csv")
@@ -792,6 +834,18 @@ def test_a_grid_that_cannot_resolve_the_lags_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: a grid of 256 nodes resolves lags up to 64, "
                                        "not 99; lag 99 needs at least 512 nodes\n")
     assert not (out / "result.summary").exists()
+
+
+def test_a_truncation_no_grid_resolves_exits_3_before_forming_u_k(tmp_path, capsys):
+    # K = 2^45 used to allocate the lags 0..K of U_K (256 TiB) before any table
+    # refused the lag, and end in a raw MemoryError traceback
+    out = tmp_path / "out"
+    assert run_cli(["estimate", "--config", EXAMPLES / "noisy_ar1.yaml",
+                    "--truncation", 35184372088832, "--out", out]) == 3
+    assert capsys.readouterr().err == (
+        "error: a grid of 2048 nodes resolves lags up to 512, not 35184372088837; "
+        "lag 35184372088837 needs at least 281474976710656 nodes\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["estimate", "oracle-check", "simulate", "minimax"])
@@ -861,9 +915,7 @@ def test_saddle_check_fails_where_the_class_bound_beats_the_family(tmp_path):
         assert float(summary["saddle_max_violation"]) > 1
         # the reference is the search's own delta_star: one quantity, bit for bit
         assert summary["saddle_max_violation"] == summary["fw_gap"]
-        header, rows, trailer = read_csv_rows(out / "saddle.csv")
-        assert header[-1] == "passed" and rows == []
-        assert not any(line.startswith("# seed=") for line in trailer)
+        assert not (out / "saddle.csv").exists()
 
 
 def _scaled(text, c):
@@ -910,6 +962,7 @@ def test_minimax_does_not_depend_on_units(tmp_path, name):
                         "--out", out]) == 0
         runs[c] = read_summary(out / "lfd.summary")
         relative[c] = [float(row[4]) for row in read_csv_rows(out / "residuals.csv")[1]]
+        assert not (out / "saddle.csv").exists()
     unit = runs[1.0]
     assert unit["saddle_all_pass"] == ("true" if name == "robust_fixed_power" else "false")
     if name == "dvu_band":

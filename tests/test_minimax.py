@@ -51,6 +51,7 @@ from gapcast.errors import (
     InvalidParameterError,
     UnsupportedClassError,
 )
+from gapcast.extrapolate import filter_error
 from gapcast.minimax import Evaluation, _check_in_class
 
 GRID = 512
@@ -170,14 +171,14 @@ def _stock_families():
 
 
 @pytest.mark.parametrize("name", sorted(_stock_families()))
-def test_sample_rows_are_single_draws(name):
+def test_a_sample_is_one_point_of_the_box(name):
     fam = _stock_families()[name]
-    one, many = np.random.default_rng(8), np.random.default_rng(8)
-    singles = [fam.sample(one) for _ in range(7)]
-    rows = fam.sample(many, 7)
-    assert rows.shape == (7, fam.dim)
-    assert np.array_equal(rows, np.reshape(singles, (7, fam.dim)))
-    assert one.random() == many.random()   # the streams stand at the same place
+    one, other = np.random.default_rng(8), np.random.default_rng(8)
+    points = [fam.sample(one) for _ in range(7)]
+    assert all(p.shape == (fam.dim,) and np.all((fam.lower <= p) & (p <= fam.upper))
+               for p in points)
+    other.random(7 * fam.dim)
+    assert one.random() == other.random()   # each point takes dim draws of the stream
 
 
 def test_family_dimension_is_the_box():
@@ -663,27 +664,19 @@ def _reference_constraint_report(cls, model):
     return out
 
 
-def _reference_saddle(result):
-    """verify_saddle_point as a loop that pays every quantity per sample: a
-    single draw of the 100 from seed 1, the class re-read, r = A - h0 formed
-    again.  The reference is the search's delta_star and the slack 1e-6 of it.
-    Returns the (theta, delta_fixed_filter, passed) rows and the worst
-    violation."""
+def _family_errors(result):
+    """The error of the maximizer's filter at 100 family members drawn from
+    seed 1, each checked in class by the reference report."""
     cls, fam, fun = result.cls, result.cls.family, result.functional
     h0 = result.estimate_star.h_grid
-    ref = result.delta_star
     rng = np.random.default_rng(1)
-    rows, worst = [], 0.0
+    errors = []
     for _ in range(100):
-        theta = rng.uniform(fam.lower, fam.upper) if fam.dim else np.zeros(0)
-        model = fam.build(theta)
+        model = fam.build(rng.uniform(fam.lower, fam.upper) if fam.dim else np.zeros(0))
         report = _reference_constraint_report(cls, model)
         assert max(report.values(), default=0.0) <= minimax_module._CONSTRAINT_TOL
-        assert model.grid_size == result.model_star.grid_size
-        val = delta_of_characteristic(model, fun, h0)
-        worst = max(worst, val - ref)
-        rows.append((tuple(np.atleast_1d(theta)), val, val <= ref + 1e-6 * ref))
-    return rows, worst
+        errors.append(delta_of_characteristic(model, fun, h0))
+    return errors
 
 
 TWO_STEP = FunctionalSpec(coeffs=np.array([[1.0], [1.0]]))
@@ -729,24 +722,19 @@ SADDLE_CASES = {   # each builds a search result
 
 
 @pytest.mark.parametrize("case", sorted(SADDLE_CASES))
-def test_saddle_check_matches_the_per_sample_reference(case):
-    # the sampled path, taken here with the class bound withheld; where the
-    # class has a bound, no sampled member beats it, so reading the bound
-    # instead of the sample loses nothing
+def test_no_family_member_beats_the_class_bound(case):
+    # a sample of members can refute a saddle point but never certify one:
+    # where the class has a bound no sampled member beats it, and where it has
+    # none the saddle check fails, however the members score
     result = SADDLE_CASES[case]()
+    errors = _family_errors(result)
     if case == "correlated_ma_pairs":
         assert not result.model_star.is_uncorrelated   # the cross terms run
         assert np.isnan(result.delta_upper)
+        rep = verify_saddle_point(result)
+        assert not rep.all_pass and np.isnan(rep.max_violation)
     else:
-        assert np.isfinite(result.delta_upper)
-    rep = verify_saddle_point(replace(result, delta_upper=np.nan))
-    rows, worst = _reference_saddle(result)
-    assert rep.reference == result.delta_star
-    assert rep.max_violation == worst
-    assert rep.all_pass == all(row[2] for row in rows)
-    assert [(s.theta, s.delta_fixed_filter, s.passed) for s in rep.samples] == rows
-    if np.isfinite(result.delta_upper):
-        assert max(row[1] for row in rows) <= result.delta_upper * (1 + 1e-12)
+        assert max(errors) <= result.delta_upper * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("case", sorted(set(SADDLE_CASES) - {"correlated_ma_pairs"}))
@@ -760,21 +748,9 @@ def test_saddle_check_reads_the_class_bound_where_there_is_one(case, monkeypatch
     cls = replace(result.cls, family=replace(result.cls.family, build=refuse))
     rep = verify_saddle_point(replace(result, cls=cls))
     # the search's own delta_star is the reference: the violation is the duality gap
-    assert rep.reference == result.delta_star and rep.samples == []
+    assert rep.reference == result.delta_star
     assert rep.all_pass == (result.fw_gap <= 1e-6 * result.delta_star)
     assert rep.max_violation == max(result.fw_gap, 0.0)
-
-
-def test_saddle_checks_the_grid_size_before_the_class():
-    # per-node band edges of 512 nodes; the saddle members sit on 256 nodes.  The
-    # class used to report the shape of its edges instead of the grid mismatch.
-    fam = DensityFamily(lower=[0.0], upper=[1.0], build=lambda theta: white_model(
-        1, 1.5, GRID if theta[0] == 0.5 else GRID // 2))
-    cls = DensityClass(kind="DVU_1", data=ClassData(
-        power=1.5, upper=np.full((GRID, 1, 1), 8.0)), family=fam)
-    result = replace(_candidate(cls, (0.5,), NO_GAP, PRED), delta_upper=np.nan)
-    with pytest.raises(InvalidParameterError, match="family members must share one grid size"):
-        verify_saddle_point(result)
 
 
 def test_class_constants_are_read_once_per_grid():
@@ -792,7 +768,8 @@ def test_class_constants_are_read_once_per_grid():
                             family=fam),
                DensityClass(kind="D1delta_1", data=ClassData(anchor_f=anchor, radius=0.5),
                             family=fam)]
-    models = [fam.build(theta) for theta in fam.sample(np.random.default_rng(4), 8)]
+    rng = np.random.default_rng(4)
+    models = [fam.build(fam.sample(rng)) for _ in range(8)]
     reports = [[class_constraint_report(cls, m) for m in models] for cls in classes]
     assert calls == [GRID, GRID]
     assert reports == [[_reference_constraint_report(cls, m) for m in models]
@@ -912,6 +889,148 @@ def test_delta_upper_is_nan_outside_the_closed_forms():
     out = maximize_delta(lone, NO_GAP, PRED, FAST, K=16)
     assert np.isnan(out.delta_upper) and np.isnan(out.fw_gap)
     assert out.stopped != "certified"
+
+
+# ---------------------------------------------------------------------------
+# the class bound at T = 2: flavors 1 and 3 read one number per node
+# ---------------------------------------------------------------------------
+
+T2_GRID = 128
+T2_WEIGHT = np.array([[2.0, 0.4 + 0.3j], [0.4 - 0.3j, 1.0]])
+T2_FUN = FunctionalSpec(coeffs=np.array([[1.0, 0.5], [0.2, -1.0]]))
+T2_GAP = MissingPattern(intervals=((2, 1),))
+EPS_T2 = 0.3
+T2_CASES = [(f, g, k) for f, g in [("D0", None), ("DVU", None), ("Deps", None),
+                                   ("D1delta", None), ("D0", "DVU"), ("Deps", "D1delta")]
+            for k in (1, 3)]
+
+
+def _t2_density(rng):
+    """A random smooth 2 x 2 density: an MA(1) spectrum plus 0.3 I."""
+    b0, b1 = rng.normal(size=(2, 2, 2))
+    filt = b0 + b1 * np.exp(1j * grid_points(T2_GRID))[:, None, None]
+    return filt @ np.conj(np.swapaxes(filt, -1, -2)) + 0.3 * np.eye(2)
+
+
+def _t2_class(rng, f_base, g_base, flavor):
+    """A class with a random T = 2 member, as the singleton family of that
+    member: the power, band, anchor and radius each hold it inside."""
+    weight = np.eye(2) if flavor == 1 else T2_WEIGHT
+    densities, data = {}, {}
+    for which, base in (("F", f_base), ("G", g_base)):
+        if base is None:
+            continue
+        names = minimax_module._SIDE_FIELDS[which]
+        density, anchor = _t2_density(rng), _t2_density(rng)
+        if base == "Deps":
+            density = (1.0 - EPS_T2) * anchor + EPS_T2 * density
+        projected = np.einsum("ij,nji->n", weight, density).real
+        data[names["power"]] = float(projected.mean())
+        data[names["weight"]] = weight
+        data[names["anchor"]] = anchor
+        if base == "DVU":
+            data.update(lower=0.5 * density, upper=2.0 * density)
+        if base == "Deps":
+            data["eps"] = EPS_T2
+        if base == "D1delta":
+            gap = np.einsum("ij,nji->n", weight, density - anchor).real
+            data["radius"] = 1.2 * float(np.mean(np.abs(gap)))
+        densities[which] = density
+    model = SpectralModel(dim=2, F=densities["F"], G=densities.get("G"), grid_size=T2_GRID)
+    return DensityClass(kind=f"{f_base}_{flavor}", g_kind=g_base and f"{g_base}_{flavor}",
+                        data=ClassData(**data), family=singleton_family(model)), weight
+
+
+def _t2_projected(data, which, base, weight, g, rng):
+    """Per node, q = tr(W D) of a class member: the LP's vertex for the
+    gradient g, or with an rng a random member."""
+    names, n = minimax_module._SIDE_FIELDS[which], g.size
+
+    def proj(x):
+        return np.einsum("ij,nji->n", weight, x).real
+
+    power = getattr(data, names["power"])
+    anchor = getattr(data, names["anchor"])
+    spread = None if rng is None else rng.exponential(size=n) ** 3
+    top = np.argmax(g)
+    if base == "DVU":
+        lo, hi = proj(data.lower), proj(data.upper)
+        if rng is not None:   # the class's own member, q0 = 2 lo, moved by at most q0 / 2
+            q0 = 2.0 * lo
+            u = rng.uniform(-1.0, 1.0, n) * q0
+            return q0 + 0.25 * (u - q0 * u.mean() / q0.mean())
+        q, left = lo.copy(), n * power - lo.sum()
+        for i in np.argsort(-g, kind="stable"):
+            q[i] += min(hi[i] - lo[i], left)
+            left -= q[i] - lo[i]
+        return q
+    if base == "D1delta":   # the anchor moved by at most the radius in mean |.|
+        q = proj(anchor)
+        if rng is not None:
+            move = data.radius * spread / spread.mean() * rng.choice([-1.0, 1.0], n)
+            return np.maximum(q + move, 0.0)
+        q[top] += n * data.radius
+        return q
+    kept = (1.0 - data.eps) * proj(anchor) if base == "Deps" else np.zeros(n)
+    free = power - kept.mean()
+    if rng is not None:
+        return kept + free * spread / spread.mean()
+    q = kept.copy()
+    q[top] += n * free
+    return q
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("f_base,g_base,flavor", T2_CASES)
+def test_t2_class_bound_caps_every_member_and_its_vertex_attains_it(f_base, g_base, flavor,
+                                                                   seed):
+    # delta_upper = sum over sides of the LP of mean(q g), g = r^T W^{-1} conj(r):
+    # random members (projection q and random directions) never beat it, and
+    # the vertex density, the LP's q along W^{-1} conj(r), attains it
+    rng = np.random.default_rng(seed)
+    cls, weight = _t2_class(rng, f_base, g_base, flavor)
+    out = _candidate(cls, (), T2_GAP, T2_FUN, K=8)
+    assert np.isfinite(out.delta_upper) and out.fw_gap >= -1e-12 * out.delta_star
+    h = out.estimate_star.h_grid
+    rows = {"F": T2_FUN.a_on_grid(T2_GRID) - h, "G": h}
+    sides = [(which, base) for which, base in (("F", f_base), ("G", g_base)) if base]
+
+    def member(qs, directions):
+        dens = {which: qs[which][:, None, None] * directions[which] for which, _ in sides}
+        model = SpectralModel(dim=2, F=dens["F"], G=dens.get("G"), grid_size=T2_GRID)
+        _check_in_class(cls, model)
+        return filter_error(model, rows["F"], h)
+
+    along = {which: np.linalg.solve(weight, np.conj(rows[which]).T).T for which, _ in sides}
+    grads = {which: np.sum(rows[which] * along[which], axis=1).real for which, _ in sides}
+    vertex = {which: _t2_projected(cls.data, which, base, weight, grads[which], None)
+              for which, base in sides}
+    unit = {which: np.einsum("nt,nu->ntu", v, np.conj(v)) / grads[which][:, None, None]
+            for which, v in along.items()}   # tr(W D) = 1 along W^{-1} conj(r)
+    assert member(vertex, unit) == pytest.approx(out.delta_upper, rel=1e-12)
+
+    for _ in range(20):
+        qs, directions = {}, {}
+        for which, base in sides:
+            qs[which] = _t2_projected(cls.data, which, base, weight, grads[which], rng)
+            rank = rng.integers(1, 3)
+            b = rng.normal(size=(T2_GRID, 2, rank)) + 1j * rng.normal(size=(T2_GRID, 2, rank))
+            d = b @ np.conj(np.swapaxes(b, -1, -2))
+            directions[which] = d / np.einsum("ij,nji->n", weight, d).real[:, None, None]
+        assert member(qs, directions) <= out.delta_upper * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("kinds", [("D0_2", None), ("D0_4", None), ("D0_1", "DVU_2"),
+                                   ("DVU_4", None)])
+def test_t2_flavors_2_and_4_have_no_class_bound(kinds):
+    # a diagonal or a matrix side reads more than one number per node
+    rng = np.random.default_rng(5)
+    model = SpectralModel(dim=2, F=_t2_density(rng),
+                          G=None if kinds[1] is None else _t2_density(rng), grid_size=T2_GRID)
+    cls = DensityClass(kind=kinds[0], g_kind=kinds[1], data=ClassData(
+        power=1.0, noise_power=1.0, upper=10.0), family=singleton_family(model))
+    assert not minimax_module._covered(cls, model)
+    assert np.isnan(minimax_module._delta_upper(cls, model, None, T2_FUN))
 
 
 @pytest.mark.parametrize("weight", [[[-1.0]], [[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.5], [0.0, 1.0]]],
