@@ -113,12 +113,11 @@ _MODELS = {   # the keys of the model section besides ``kind``
 }
 _FAMILIES = {   # each family kind's builder and the table of its params
     "singleton": (singleton_family, {}),
-    "mixture": (scalar_mixture_family, {"power": _real, "w_max": _real, "b_max": _real,
-                                        "noise_power": _real}),
-    "ar1_fixed_power": (ar1_fixed_power_family, {"power": _real, "b_max": _real}),
+    "mixture": (scalar_mixture_family, {"w_max": _real, "b_max": _real}),
+    "ar1_fixed_power": (ar1_fixed_power_family, {"b_max": _real}),
     "contamination": (contamination_family, {"anchor_power": _real, "anchor_pole": _real,
-                                             "eps": _real, "power": _real, "b_max": _real}),
-}
+                                             "eps": _real, "b_max": _real}),
+}   # a stock family's power (the mixture's noise power) is the class's, minimax.data
 _SCHEMA = {   # every section but model; minimax.family is read by its kind
     "pattern": {"intervals": [_interval]},
     "functional": {"coeffs": _float_array},
@@ -395,22 +394,31 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, np.ndarray | N
     sec = _read(cfg.minimax, {**_SCHEMA["minimax"],
                               "family": {"kind": str, "params": params}}, "minimax")
     kind = _require(sec, "kind", "minimax")
-    T = build_functional(cfg).dim
-
-    if fam_kind == "singleton":
-        fam = builder(build_model(cfg))
-    else:
-        with _at("minimax.family.params", (TypeError, ValueError, GapcastError)):
-            # a bad grid stays a ConfigError at numerics.grid_size
-            fam = builder(**sec["family"].get("params", {}), grid_size=cfg.grid_size)
-            width = fam.build(fam.center).dim
-        if width != T:
-            raise ConfigError(f"expected {width} column(s), one per component of the "
-                              f"family's densities, got {T}", location="functional.coeffs")
+    given, T = sec.get("data", {}), build_functional(cfg).dim
 
     try:   # the class, and the constants the search and the saddle check read, once
-        cls = DensityClass(kind=kind, g_kind=sec.get("g_kind"),
-                           data=ClassData(**sec.get("data", {})), family=fam)
+        data = ClassData(**given)
+        if fam_kind == "singleton":
+            fam = builder(build_model(cfg))
+        elif T != 1:   # the stock families are scalar
+            raise ConfigError(f"expected 1 column(s), one per component of the family's "
+                              f"densities, got {T}", location="functional.coeffs")
+        else:   # each side's power as the mean of a scalar density f, which flavor 3
+            # reads as w f; a mixture has a noise side exactly when the class has one
+            powers, sides = {}, [("power", kind, "weight_f")]
+            if fam_kind == "mixture" and "g_kind" in sec:
+                sides.append(("noise_power", sec["g_kind"], "weight_g"))
+            for key, side, weight in sides:
+                w = given.get(weight, 1.0) if side.endswith("3") else 1.0
+                with _at(f"minimax.data.{key}", ValueError), np.errstate(all="ignore"):
+                    # a zero weight gives a non-finite power, which the family refuses
+                    powers[key] = np.divide(_require(given, key, "minimax.data"), w).item()
+            with _at("minimax.family", (TypeError, ValueError, GapcastError)):
+                # a bad grid stays a ConfigError at numerics.grid_size
+                fam = builder(**sec["family"].get("params", {}), **powers,
+                              grid_size=cfg.grid_size)
+                fam.build(fam.center)
+        cls = DensityClass(kind=kind, g_kind=sec.get("g_kind"), data=data, family=fam)
         cls.constants(cfg.grid_size, T)
     except DataShapeError as exc:
         raise ConfigError(exc.detail, location=f"minimax.{exc.key}") from exc

@@ -71,7 +71,8 @@ class ClassData:
     the Hermitian weights of the weighted flavors; ``lower``/``upper`` are the
     band edges (scalar, matrix, or per-node array); ``anchor_f``/``anchor_g``
     anchor the contamination and L1-ball classes; ``radius`` is the L1 radius
-    (scalar, vector, or matrix by flavor).
+    (scalar, vector, or matrix by flavor).  A non-finite constant (any field
+    but the densities, which ``density_data`` checks) raises DataShapeError.
     """
 
     power: float | np.ndarray | None = None
@@ -84,6 +85,12 @@ class ClassData:
     anchor_g: object = None
     eps: float | None = None
     radius: float | np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("power", "noise_power", "weight_f", "weight_g", "eps", "radius"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=complex))):
+                raise DataShapeError(f"data.{name}", f"expected finite values, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +294,6 @@ def _binding(side: _Side):
                  else _slack(x, side.flavor)[0] <= _BTOL * size for x in (lower, upper))
 
 
-# the ClassData constants no density reader sees; the densities are checked
-# by ``density_data``
-_CONSTANT_FIELDS = ("power", "noise_power", "weight_f", "weight_g", "eps", "radius")
-
-
 @dataclass(frozen=True)
 class DensityClass:
     """An admissible set: signal-side kind, optional noise-side kind, family."""
@@ -314,10 +316,6 @@ class DensityClass:
             missing = [f"data.{name}" for name in names if getattr(self.data, name) is None]
             if missing:
                 raise InvalidParameterError(f"{kind} requires " + ", ".join(missing))
-        for name in _CONSTANT_FIELDS:
-            value = getattr(self.data, name)
-            if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=complex))):
-                raise DataShapeError(f"data.{name}", f"expected finite values, got {value!r}")
 
     @property
     def sides(self) -> tuple[tuple[str, str], ...]:
@@ -383,7 +381,6 @@ class Evaluation:
 
 @dataclass
 class SaddleReport:
-    reference: float
     max_violation: float
     all_pass: bool
 
@@ -656,9 +653,9 @@ def verify_saddle_point(result: LeastFavorableResult) -> SaddleReport:
     ``max(fw_gap, 0)``.  A class without that bound has a nan gap, which stays
     nan and does not pass.  Failures are recorded, not raised.
     """
-    ref, gap = result.delta_star, result.fw_gap
-    return SaddleReport(reference=ref, max_violation=gap if math.isnan(gap) else max(gap, 0.0),
-                        all_pass=gap <= _SADDLE_RTOL * ref)
+    gap = result.fw_gap
+    return SaddleReport(max_violation=gap if math.isnan(gap) else max(gap, 0.0),
+                        all_pass=gap <= _SADDLE_RTOL * result.delta_star)
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,14 @@ REAL_TOL = 1e-13
 COND_CEILING = 1e12
 
 
+MAX_GRID_SIZE = 1 << 22   # a T = 2 complex sample array of this many nodes is 256 MB
+
+
 def check_grid_size(n: int) -> int:
-    """``n`` if it is a power of two >= 64, the grids a model accepts."""
-    if n < 64 or (n & (n - 1)) != 0:
-        raise InvalidParameterError(f"grid_size must be a power of two >= 64, got {n}")
+    """``n`` if it is a power of two from 64 to ``MAX_GRID_SIZE``, the grids a model accepts."""
+    if not 64 <= n <= MAX_GRID_SIZE or (n & (n - 1)) != 0:
+        raise InvalidParameterError(f"grid_size must be a power of two from 64 to "
+                                    f"{MAX_GRID_SIZE}, got {n}")
     return n
 
 

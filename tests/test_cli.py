@@ -27,8 +27,10 @@ from gapcast.config import (
 import gapcast.cli as cli_module
 import gapcast.minimax as minimax_module
 import gapcast.operators as operators_module
-from gapcast.extrapolate import estimate
-from gapcast.minimax import maximize_delta
+from gapcast.extrapolate import FunctionalSpec, estimate
+from gapcast.families import scalar_mixture_family
+from gapcast.minimax import ClassData, DensityClass, OptConfig, maximize_delta
+from gapcast.operators import MissingPattern
 from gapcast.oracle import CirculantEmbedding
 from gapcast.spectral import grid_points
 
@@ -753,8 +755,6 @@ minimax:
     power: 2.0
   family:
     kind: mixture
-    params:
-      power: 2.0
   theta: [0.85, 0.7]
 """
 
@@ -818,7 +818,7 @@ numerics: {grid_size: 512, truncation: 16}
 minimax:
   kind: D0_1
   data: {power: 2.0}
-  family: {kind: mixture, params: {power: 2.0}}
+  family: {kind: mixture}
 """)
     assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == (
@@ -848,12 +848,17 @@ def test_a_truncation_no_grid_resolves_exits_3_before_forming_u_k(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", [100, 35184372088832])
 @pytest.mark.parametrize("command", ["estimate", "oracle-check", "simulate", "minimax"])
-def test_grid_flag_is_checked_for_every_command(tmp_path, capsys, command):
-    # minimax used to build its family on a grid of its own and exit 0
+def test_grid_flag_is_checked_for_every_command(tmp_path, capsys, command, grid):
+    # minimax used to build its family on a grid of its own and exit 0; 2^45
+    # nodes used to pass the check and exit 2 at the wrong key, `model`, with
+    # numpy's "Unable to allocate 256. TiB"
     assert run_cli([command, "--config", ROBUST, "--out", tmp_path / "out",
-                    "--grid", 100]) == 2
-    assert capsys.readouterr().err.startswith("config error: numerics.grid_size: ")
+                    "--grid", grid]) == 2
+    assert capsys.readouterr().err == ("config error: numerics.grid_size: grid_size must be "
+                                       f"a power of two from 64 to 4194304, got {grid}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_minimax_family_follows_the_grid_flag():
@@ -880,7 +885,7 @@ numerics:
 minimax:
   kind: D0_1
   data: {power: 2.0}
-  family: {kind: mixture, params: {power: 2.0}}
+  family: {kind: mixture}
   opt: {starts: 2, budget: 150, seed: 0}
 """
 
@@ -919,14 +924,13 @@ def test_saddle_check_fails_where_the_class_bound_beats_the_family(tmp_path):
 
 
 def _scaled(text, c):
-    """A minimax run file whose model scale, class power (and band edge) and
-    family power are c times."""
+    """A minimax run file whose model scale and class power (and band edge),
+    which the family reads too, are c times."""
     doc = yaml.safe_load(text)
     doc["model"]["scale"] *= c
     for key in ("power", "upper"):
         if key in doc["minimax"]["data"]:
             doc["minimax"]["data"][key] *= c
-    doc["minimax"]["family"]["params"]["power"] *= c
     return yaml.safe_dump(doc)
 
 
@@ -941,7 +945,7 @@ numerics: {grid_size: 512, truncation: 16}
 minimax:
   kind: DVU_1
   data: {power: 2.0, upper: 100.0}
-  family: {kind: mixture, params: {power: 2.0}}
+  family: {kind: mixture}
   theta: [0.85, 0.7]
 """
 
@@ -978,18 +982,6 @@ def test_minimax_does_not_depend_on_units(tmp_path, name):
             assert abs(float(summary[key]) / c - float(unit[key])) <= 1e-12 * delta, (c, key)
 
 
-@pytest.mark.parametrize("c", [2e-7, 2.0, 2e9])
-def test_a_family_above_the_class_power_is_refused_at_any_scale(tmp_path, capsys, c):
-    # family power 1% above the class's: a violation of 1e-2 of the power,
-    # refused whatever the units (the tolerance is relative to the side)
-    doc = yaml.safe_load(TWO_STEP_MINIMAX)
-    doc["model"]["scale"] = doc["minimax"]["data"]["power"] = c
-    doc["minimax"]["family"]["params"]["power"] = 1.01 * c
-    cfg = write_config(tmp_path, yaml.safe_dump(doc))
-    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 3
-    assert "family point violates F:D0_1:power by" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("c", [1e-12, 1e-7, 1.0, 1e9])
 def test_a_negative_density_is_refused_at_any_scale(tmp_path, capsys, c):
     # F = -0.5c with G = c: at c = 1e-12 it used to run and write delta = 0
@@ -1021,12 +1013,11 @@ minimax:
   kind: D0_1
   g_kind: DVU_2
   data: {power: 1.5, noise_power: 0.8, lower: 0.0, upper: 8.0}
-  family: {kind: mixture, params: {power: 1.5, noise_power: 0.8}}
+  family: {kind: mixture}
   opt: {starts: 2, budget: 60}
 """, "unsupported class pair (D0_1, DVU_2)"),
-    # no pair of one kind has residual equations, so the signal side's
-    # violation of its power (1.5 against 1.0) is never read; its per-side
-    # report is pinned in test_minimax
+    # no pair of one kind has residual equations; the per-side report of
+    # such a pair is pinned in test_minimax
     "one-kind-pair": ("""
 model: {kind: white, scale: 1.5}
 pattern: {intervals: [[2, 0]]}
@@ -1036,20 +1027,21 @@ minimax:
   kind: DVU_1
   g_kind: DVU_1
   data: {power: 1.0, noise_power: 0.8, upper: 8.0}
-  family: {kind: mixture, params: {power: 1.5, noise_power: 0.8}}
+  family: {kind: mixture}
   opt: {starts: 2, budget: 60, seed: 0}
 """, "unsupported class pair (DVU_1, DVU_1)"),
-    # no class on the noise; this run used to score 579 points and sample
-    # 100 saddle filters before it was refused
+    # no class on the noise; a noisy mixture run like this one used to score
+    # 579 points and sample 100 saddle filters before it was refused, and now
+    # a mixture has a noise side only under a noise-side class
     "noisy-without-g_kind": ("""
-model: {kind: white, scale: 1.5}
+model: {kind: ar1, poles: [0.5], noise: {poles: [0.2], scales: [0.5]}}
 pattern: {intervals: [[2, 0]]}
 functional: {coeffs: [[1.0]]}
 numerics: {grid_size: 512, truncation: 16}
 minimax:
   kind: D0_1
   data: {power: 1.5}
-  family: {kind: mixture, params: {power: 1.5, noise_power: 0.8}}
+  family: {kind: singleton}
   opt: {starts: 4, budget: 2000}
 """, "a noisy model needs both a signal-side and a noise-side class"),
 }
@@ -1263,7 +1255,7 @@ numerics:
 """
 
 MIXTURE_MINIMAX = VALID_MINIMAX.replace(
-    "    kind: singleton\n", "    kind: mixture\n    params: {power: 1.5}\n")
+    "    kind: singleton\n", "    kind: mixture\n")
 
 
 def _assert_config_error(tmp_path, capsys, command, text, key):
@@ -1378,11 +1370,20 @@ def test_integral_values_accepted(tmp_path):
     ("estimate", VALID_MINIMAX.replace("kind: white", "kind: white\n  dim: 1"), "model"),
     ("estimate", LAURENT_YAML.replace("kind: laurent", "kind: laurent\n  dim: 1"), "model"),
     ("minimax", VALID_MINIMAX + "  skip_residuals: true\n", "minimax"),
+    # retired: a stock family reads its power (noise power) from minimax.data
+    *[("minimax", VALID_MINIMAX.replace("kind: singleton", f"{family}\n    params: {params}"),
+       "minimax.family.params")
+      for family, params in [("kind: mixture", "{power: 1.5}"),
+                             ("kind: mixture", "{noise_power: 0.8}"),
+                             ("kind: ar1_fixed_power", "{power: 1.5}"),
+                             ("kind: contamination", "{anchor_power: 1.5, anchor_pole: 0.3, "
+                              "eps: 0.2, power: 1.5}")]],
 ], ids=["simulation", "path_length", "oracle_check", "minimax_opt", "minimax",
         "pattern", "model_white", "model_example1", "model_noise", "model_entry",
         "functional", "output", "minimax_family", "window", "embedding_margin", "psd_tol",
         "opt_truncation", "functional_truncated", "opt_initial_step", "opt_min_step",
-        "white_dim", "laurent_dim", "skip_residuals"])
+        "white_dim", "laurent_dim", "skip_residuals", "mixture_power", "mixture_noise_power",
+        "ar1_fixed_power_power", "contamination_power"])
 def test_unknown_keys_exit_2(tmp_path, capsys, command, text, key):
     _assert_config_error(tmp_path, capsys, command, text, key)
 
@@ -1412,11 +1413,102 @@ def test_saddle_settings_are_unknown_keys(tmp_path, capsys, key, value):
 def test_the_mixture_label_is_an_unknown_key(tmp_path, capsys):
     # the family's name in lfd.summary is fixed by its kind
     cfg = write_config(tmp_path, MIXTURE_MINIMAX.replace(
-        "params: {power: 1.5}", "params: {power: 1.5, label: mine}"))
+        "kind: mixture\n", "kind: mixture\n    params: {label: mine}\n"))
     assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == (
         "config error: minimax.family.params: unknown key(s) ['label']\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind,data,family,key", [
+    ("D0_1", "{}", "mixture", "power"),
+    ("D1delta_1", "{anchor_f: 1.0, radius: 2.0}", "ar1_fixed_power", "power"),
+    ("D0_1", "{eps: 0.2}", "contamination", "power"),
+    ("D0_1\n  g_kind: DVU_1", "{power: 1.5, upper: 8.0}", "mixture", "noise_power"),
+], ids=["mixture", "ar1_fixed_power-D1delta", "contamination", "mixture-noise"])
+def test_a_stock_family_without_the_class_power_exits_2(tmp_path, capsys, kind, data,
+                                                        family, key):
+    params = "\n    params: {anchor_power: 1.0, anchor_pole: 0.3, eps: 0.2}" * (
+        family == "contamination")
+    cfg = write_config(tmp_path, MINIMAX_DATA_YAML.format(kind=kind, data=data).replace(
+        "kind: singleton", f"kind: {family}{params}"))
+    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: minimax.data: missing required key '{key}'\n")
+
+
+# an L1 ball fixes no power: the mixture's power is its own, written at
+# minimax.data as under every class
+D1DELTA_MIXTURE = """
+model: {kind: white}
+pattern: {intervals: [[2, 0]]}
+functional: {coeffs: [[1.0], [1.0]]}
+numerics: {grid_size: 512, truncation: 16}
+minimax:
+  kind: D1delta_1
+  data: {power: 1.0, anchor_f: 1.0, radius: 2.0}
+  family: {kind: mixture, params: {w_max: 0.5}}
+  opt: {starts: 2, budget: 40, seed: 0}
+"""
+
+
+def test_a_ball_search_reads_the_family_power_from_the_class_data(tmp_path):
+    # the run the same class and family made when the power was written as
+    # family.params.power: the library family of that power, its trace and,
+    # from that run's lfd.summary and residuals.csv, the maximizer
+    out = tmp_path / "out"
+    assert run_cli(["minimax", "--config", write_config(tmp_path, D1DELTA_MIXTURE),
+                    "--out", out]) == 0
+    fam = scalar_mixture_family(power=1.0, w_max=0.5, grid_size=512)
+    cls = DensityClass(kind="D1delta_1", data=ClassData(anchor_f=1.0, radius=2.0), family=fam)
+    want = maximize_delta(cls, MissingPattern(intervals=((2, 0),)),
+                          FunctionalSpec(coeffs=np.array([[1.0], [1.0]])),
+                          OptConfig(starts=2, budget=40, seed=0), K=16).evaluations
+    lines = (out / "lfd.summary").read_text().splitlines()
+    assert [line.split("delta = ")[1] for line in lines if line.startswith("eval ")] == \
+        [_fmt(ev.delta) for ev in want]
+    summary = read_summary(out / "lfd.summary")
+    assert {key: summary[key] for key in ("family", "stopped", "evaluations", "theta_star")} \
+        == {"family": "white/AR(1) mixture", "stopped": "budget", "evaluations": "40",
+            "theta_star": "0.5 0.56210937500000002"}
+    for key, value in (("delta_star", 2.3639406539523247), ("fw_gap", 6.484112472391077),
+                       ("delta_upper", 8.8480531263434017)):
+        assert float(summary[key]) == pytest.approx(value, rel=1e-12), key
+    assert [float(row[4]) for row in read_csv_rows(out / "residuals.csv")[1]] == \
+        pytest.approx([1.0, 0.809988972679341], rel=1e-12)
+
+
+@pytest.mark.parametrize("kinds,data,cls_data,powers", [
+    # without a noise-side class the mixture has no noise side
+    ("D0_1", "{power: 1.5, noise_power: 0.8}", dict(power=1.5), dict(power=1.5)),
+    ("D0_2", "{power: [1.5]}", dict(power=np.array([1.5])), dict(power=1.5)),
+    ("D0_3", "{power: 3.0, weight_f: [[2.0]]}",
+     dict(power=3.0, weight_f=np.array([[2.0]])), dict(power=1.5)),
+    ("D0_4", "{power: [[1.5]]}", dict(power=np.array([[1.5]])), dict(power=1.5)),
+    ("D0_3\n  g_kind: DVU_3", "{power: 3.0, noise_power: 0.4, weight_f: [[2.0]], "
+     "weight_g: [[0.5]], lower: 0.1, upper: 8.0}",
+     dict(power=3.0, noise_power=0.4, weight_f=np.array([[2.0]]),
+          weight_g=np.array([[0.5]]), lower=0.1, upper=8.0), dict(power=1.5, noise_power=0.8)),
+], ids=["D0_1-noise_power", "D0_2", "D0_3", "D0_4", "D0_3xDVU_3"])
+def test_a_stock_family_reads_its_power_in_each_flavor(tmp_path, kinds, data, cls_data,
+                                                       powers):
+    # data.power is the mean of the side's projection: a 1-vector or a 1 x 1
+    # matrix at T = 1, and w times the scalar density's power at flavor 3
+    out = tmp_path / "out"
+    text = MINIMAX_DATA_YAML.format(kind=kinds, data=data).replace(
+        "kind: singleton", "kind: mixture\n  opt: {starts: 2, budget: 20, seed: 0}")
+    assert run_cli(["minimax", "--config", write_config(tmp_path, text), "--out", out]) == 0
+    fam = scalar_mixture_family(**powers, grid_size=256)
+    kind, _, g_kind = kinds.partition("\n  g_kind: ")
+    cls = DensityClass(kind=kind, g_kind=g_kind or None, data=ClassData(**cls_data),
+                       family=fam)
+    want = maximize_delta(cls, MissingPattern(intervals=()),
+                          FunctionalSpec(coeffs=np.array([[1.0]])),
+                          OptConfig(starts=2, budget=20, seed=0), K=8)
+    lines = (out / "lfd.summary").read_text().splitlines()
+    assert [line.split("delta = ")[1] for line in lines if line.startswith("eval ")] == \
+        [_fmt(ev.delta) for ev in want.evaluations]
+    assert read_summary(out / "lfd.summary")["stopped"] == want.stopped
 
 
 def test_negative_seed_flag_exits_2(tmp_path, capsys):

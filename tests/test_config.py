@@ -167,10 +167,9 @@ _SIMULATIONS = _perturbed(
     [{"replications": 200, "seed": 7}], _NUMBERS | st.none())
 _FAMILIES = [
     {"kind": "singleton"},
-    {"kind": "mixture", "params": {"power": 1.5, "noise_power": 0.8}},
-    {"kind": "ar1_fixed_power", "params": {"power": 1.5, "b_max": 0.7}},
-    {"kind": "contamination",
-     "params": {"anchor_power": 1.5, "anchor_pole": 0.3, "eps": 0.2, "power": 1.5}},
+    {"kind": "mixture", "params": {"w_max": 0.9}},
+    {"kind": "ar1_fixed_power", "params": {"b_max": 0.7}},
+    {"kind": "contamination", "params": {"anchor_power": 1.5, "anchor_pole": 0.3, "eps": 0.2}},
     {"kind": ["mixture"]},
 ]
 _PARAMS = st.dictionaries(
@@ -215,17 +214,17 @@ def test_section_builders_fuzz(doc):
             pass
 
 
-@pytest.mark.parametrize("family", [
-    "{kind: []}",                                               # unhashable kind
-    "{kind: mixture, params: {power: -1.0}}",                   # refused power
-    "{kind: contamination, params: {anchor_power: 4.0, anchor_pole: 0.0, eps: 0.2, "
-    "power: 1.0}}",                                             # no admissible member
-    "{kind: mixture, params: {power: 1.0, grid_size: 512}}",    # shadowed numerics
+@pytest.mark.parametrize("power,family", [
+    (1.0, "{kind: []}"),                                        # unhashable kind
+    (-1.0, "{kind: mixture}"),                                  # refused power
+    (1.0, "{kind: contamination, params: {anchor_power: 4.0, anchor_pole: 0.0, "
+          "eps: 0.2}}"),                                        # no admissible member
+    (1.0, "{kind: mixture, params: {grid_size: 512}}"),         # shadowed numerics
 ])
-def test_build_class_regressions(family):
+def test_build_class_regressions(power, family):
     # each escaped build_class as a raw TypeError or a non-config error, or
     # (the last) overrode numerics.grid_size
-    cfg = loads_config(VALID + "minimax: {kind: D0_1, data: {power: 1.0}, "
+    cfg = loads_config(VALID + f"minimax: {{kind: D0_1, data: {{power: {power}}}, "
                        f"family: {family}}}\n")
     with pytest.raises(ConfigError, match="minimax.family"):
         build_class(cfg)
@@ -352,10 +351,9 @@ _MODEL_BASES = {
 }
 _FAMILY_PARAMS = {
     "singleton": {},
-    "mixture": {"power": 1.5, "w_max": 0.9, "b_max": 0.8, "noise_power": 0.8},
-    "ar1_fixed_power": {"power": 1.5, "b_max": 0.7},
-    "contamination": {"anchor_power": 1.5, "anchor_pole": 0.3, "eps": 0.2, "power": 1.5,
-                      "b_max": 0.8},
+    "mixture": {"w_max": 0.9, "b_max": 0.8},
+    "ar1_fixed_power": {"b_max": 0.7},
+    "contamination": {"anchor_power": 1.5, "anchor_pole": 0.3, "eps": 0.2, "b_max": 0.8},
 }
 _COMMANDS = {"simulation": "simulate", "oracle_check": "oracle-check", "minimax": "minimax"}
 

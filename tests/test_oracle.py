@@ -604,6 +604,16 @@ def test_monte_carlo_resolves_a_coarse_grid():
                                     rel=1e-12)
 
 
+def test_monte_carlo_refuses_a_grid_above_the_cap():
+    # taps 2^21 lags deep need a grid of 2^24 nodes to resolve them: the finer
+    # grid is refused by the grid rule, a typed error, before any sample is taken
+    model = _scalar_ar1(0.5, grid_size=64)
+    with pytest.raises(InvalidParameterError, match="from 64 to 4194304, got 16777216$"):
+        monte_carlo_mse(model, MissingPattern(intervals=()),
+                        FunctionalSpec(coeffs=np.array([[1.0]])), {-(2 ** 21): np.array([0.1])},
+                        SimulationConfig(replications=2, seed=0))
+
+
 def test_monte_carlo_draws_one_normal_per_replication():
     model, pattern, fun = _oracle_instance(2, "ma_pair", "two", seed=3)
     taps = {-3: np.array([0.4, -0.2]), -10: np.array([0.1, 0.3])}

@@ -32,7 +32,7 @@ from gapcast.errors import (
     InvalidParameterError,
     SingularDensityError,
 )
-from gapcast.spectral import _eigvalsh, _inv, density_data
+from gapcast.spectral import _eigvalsh, _inv, check_grid_size, density_data
 
 EPS = np.finfo(float).eps
 
@@ -54,6 +54,14 @@ def test_model_rejects_bad_grid_sizes():
     for n in (48, 32):  # not a power of two / below the minimum
         with pytest.raises(InvalidParameterError):
             white_model(1, grid_size=n)
+
+
+def test_grid_sizes_stop_at_2_to_the_22():
+    # a T = 2 array of density samples on 2^22 nodes takes 256 MB
+    assert check_grid_size(2 ** 22) == 2 ** 22
+    for n in (2 ** 23, 35184372088832):
+        with pytest.raises(InvalidParameterError, match=f"from 64 to 4194304, got {n}$"):
+            check_grid_size(n)
 
 
 def test_white_coefficients_vanish_off_zero():
