@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -115,9 +115,8 @@ _FAMILIES = {   # each family kind's builder and the table of its params
     "singleton": (singleton_family, {}),
     "mixture": (scalar_mixture_family, {"w_max": _real, "b_max": _real}),
     "ar1_fixed_power": (ar1_fixed_power_family, {"b_max": _real}),
-    "contamination": (contamination_family, {"anchor_power": _real, "anchor_pole": _real,
-                                             "eps": _real, "b_max": _real}),
-}   # a stock family's power (the mixture's noise power) is the class's, minimax.data
+    "contamination": (contamination_family, {"b_max": _real}),
+}   # a stock family's power (the mixture's noise power), eps and anchor are minimax.data's
 _SCHEMA = {   # every section but model; minimax.family is read by its kind
     "pattern": {"intervals": [_interval]},
     "functional": {"coeffs": _float_array},
@@ -396,8 +395,10 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, np.ndarray | N
     kind = _require(sec, "kind", "minimax")
     given, T = sec.get("data", {}), build_functional(cfg).dim
 
-    try:   # the class, and the constants the search and the saddle check read, once
-        data = ClassData(**given)
+    try:   # the class data is checked before any family reads it
+        cls = DensityClass(kind=kind, g_kind=sec.get("g_kind"), data=ClassData(**given),
+                           family=None)
+        anchor = cls.constants(cfg.grid_size, T)["F"]["anchor"]
         if fam_kind == "singleton":
             fam = builder(build_model(cfg))
         elif T != 1:   # the stock families are scalar
@@ -405,21 +406,23 @@ def build_class(cfg: RunConfig) -> tuple[DensityClass, OptConfig, np.ndarray | N
                               f"densities, got {T}", location="functional.coeffs")
         else:   # each side's power as the mean of a scalar density f, which flavor 3
             # reads as w f; a mixture has a noise side exactly when the class has one
-            powers, sides = {}, [("power", kind, "weight_f")]
+            facts, sides = {}, [("power", kind, "weight_f")]
             if fam_kind == "mixture" and "g_kind" in sec:
                 sides.append(("noise_power", sec["g_kind"], "weight_g"))
-            for key, side, weight in sides:
-                w = given.get(weight, 1.0) if side.endswith("3") else 1.0
-                with _at(f"minimax.data.{key}", ValueError), np.errstate(all="ignore"):
-                    # a zero weight gives a non-finite power, which the family refuses
-                    powers[key] = np.divide(_require(given, key, "minimax.data"), w).item()
+            for key, side, weight in sides:   # the class has checked each weight
+                w = given[weight] if side.endswith("3") else 1.0
+                with _at(f"minimax.data.{key}", ValueError):
+                    facts[key] = np.divide(_require(given, key, "minimax.data"), w).item()
+            if fam_kind == "contamination":   # eps and the anchor as the class reads them
+                facts["eps"] = _require(given, "eps", "minimax.data")
+                _require(given, "anchor_f", "minimax.data")
+                facts["anchor"] = anchor
             with _at("minimax.family", (TypeError, ValueError, GapcastError)):
                 # a bad grid stays a ConfigError at numerics.grid_size
-                fam = builder(**sec["family"].get("params", {}), **powers,
+                fam = builder(**sec["family"].get("params", {}), **facts,
                               grid_size=cfg.grid_size)
                 fam.build(fam.center)
-        cls = DensityClass(kind=kind, g_kind=sec.get("g_kind"), data=data, family=fam)
-        cls.constants(cfg.grid_size, T)
+        cls = replace(cls, family=fam)
     except DataShapeError as exc:
         raise ConfigError(exc.detail, location=f"minimax.{exc.key}") from exc
     except SingularDensityError as exc:   # non-finite density data

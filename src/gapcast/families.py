@@ -4,8 +4,8 @@ A family maps a box of parameters to spectral models that lie inside an
 admissible class by construction (``gapcast.minimax`` re-checks every point
 it evaluates).  The stock families are scalar: a flat/autoregressive mixture
 of fixed power, with an optional noise pair; autoregressions of fixed power;
-a contamination of a fixed autoregressive anchor; convex combinations of
-fixed models; and the one-member family.
+a contamination of a fixed anchor density; convex combinations of fixed
+models; and the one-member family.
 """
 
 from __future__ import annotations
@@ -168,28 +168,30 @@ def convex_combination_family(models: Sequence[SpectralModel],
     return DensityFamily(lower=np.zeros(k - 1), upper=np.ones(k - 1), build=build, label=label)
 
 
-def contamination_family(anchor_power: float, anchor_pole: float, eps: float,
-                         power: float, b_max: float = 0.8,
+def contamination_family(anchor, eps: float, power: float, b_max: float = 0.8,
                          grid_size: int = 4096) -> DensityFamily:
-    """Scalar contamination: (1-eps) * fixed AR(1) anchor + eps * free part.
+    """Scalar contamination: (1-eps) * fixed anchor + eps * free part.
 
-    The free part is a white/AR(1) mixture whose power is pinned so the total
-    power equals ``power``; members therefore satisfy both the mixture and the
-    moment constraints of the contamination class.
+    ``anchor`` is the anchor density's node values, or one number.  The free
+    part is a white/AR(1) mixture whose power is pinned so the total power (the
+    grid mean) equals ``power``; members therefore satisfy both the mixture and
+    the moment constraints of the contamination class.  A varying anchor has
+    no known pole, so its members report none.
     """
     if not 0.0 < eps < 1.0:
         raise InvalidParameterError("eps must lie in (0, 1)")
-    w_pow = (power - (1.0 - eps) * anchor_power) / eps
+    anchor = np.reshape(np.real(anchor), -1)
+    w_pow = (power - (1.0 - eps) * anchor.mean()) / eps
     if w_pow < 0:
         raise InfeasibleClassError(
             "target power below the anchor's share; no admissible member")
     z = _nodes(grid_size)
-    anchor = (1.0 - eps) * _mixture(z, anchor_power, 1.0, anchor_pole)
+    kept, flat = (1.0 - eps) * anchor, np.all(anchor == anchor[0])
 
     def build(theta):
         u, b = theta
-        return _scalar_model(grid_size, anchor + eps * _mixture(z, w_pow, u, b),
-                             poles=(anchor_pole, b if u > 0 else 0.0))
+        return _scalar_model(grid_size, kept + eps * _mixture(z, w_pow, u, b),
+                             poles=(b if u > 0 else 0.0,) if flat else ())
 
     return DensityFamily(lower=[0.0, -b_max], upper=[0.9, b_max],
                          build=build, label="contaminated AR(1)")

@@ -72,7 +72,8 @@ class ClassData:
     band edges (scalar, matrix, or per-node array); ``anchor_f``/``anchor_g``
     anchor the contamination and L1-ball classes; ``radius`` is the L1 radius
     (scalar, vector, or matrix by flavor).  A non-finite constant (any field
-    but the densities, which ``density_data`` checks) raises DataShapeError.
+    but the densities, which ``density_data`` checks) or an ``eps`` outside
+    (0, 1) raises DataShapeError.
     """
 
     power: float | np.ndarray | None = None
@@ -91,6 +92,8 @@ class ClassData:
             value = getattr(self, name)
             if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=complex))):
                 raise DataShapeError(f"data.{name}", f"expected finite values, got {value!r}")
+        if self.eps is not None and not 0.0 < self.eps < 1.0:
+            raise DataShapeError("data.eps", f"expected a number in (0, 1), got {self.eps!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -508,16 +508,18 @@ def coeffs_from_samples(samples: np.ndarray, max_lag: int) -> FourierTable:
     factorization of it, run in real arithmetic.  A complex process keeps its
     complex table.  The test reduces over the table, not over the grid.
     A grid of n nodes resolves lags up to n/4: this is the one refusal of a
-    longer table (``InsufficientLagError``), which names the grid it needs.
+    longer table (``InsufficientLagError``), naming the grid it needs if one is accepted.
     """
     n = samples.shape[0]
     if max_lag < 0:
         raise InvalidParameterError(f"max_lag must be >= 0, got {max_lag}")
     if 4 * max_lag > n:
+        need = max(64, 1 << (4 * max_lag - 1).bit_length())
         raise InsufficientLagError(
-            f"a grid of {n} nodes resolves lags up to {n // 4}, not {max_lag}; "
-            f"lag {max_lag} needs at least {max(64, 1 << (4 * max_lag - 1).bit_length())} nodes"
-        )
+            f"a grid of {n} nodes resolves lags up to {n // 4}, not {max_lag}; " + (
+                f"lag {max_lag} needs at least {need} nodes" if need <= MAX_GRID_SIZE else
+                f"no accepted grid resolves lag {max_lag}: the largest, {MAX_GRID_SIZE} "
+                f"nodes, resolves lags up to {MAX_GRID_SIZE // 4}"))
     ks = np.arange(-max_lag, max_lag + 1)
     coeffs = np.fft.fft(samples, axis=0)[ks % n]
     if np.abs(coeffs.imag).max() <= REAL_TOL * np.abs(coeffs.real).max():

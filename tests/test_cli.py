@@ -836,16 +836,27 @@ def test_a_grid_that_cannot_resolve_the_lags_exits_3(tmp_path, capsys):
     assert not (out / "result.summary").exists()
 
 
-def test_a_truncation_no_grid_resolves_exits_3_before_forming_u_k(tmp_path, capsys):
+@pytest.mark.parametrize("K", [2000000, 35184372088832])
+def test_a_truncation_no_grid_resolves_exits_3_before_forming_u_k(tmp_path, capsys, K):
     # K = 2^45 used to allocate the lags 0..K of U_K (256 TiB) before any table
-    # refused the lag, and end in a raw MemoryError traceback
+    # refused the lag, and end in a raw MemoryError traceback; both used to
+    # advise a grid above the largest that numerics.grid_size accepts
     out = tmp_path / "out"
     assert run_cli(["estimate", "--config", EXAMPLES / "noisy_ar1.yaml",
-                    "--truncation", 35184372088832, "--out", out]) == 3
+                    "--truncation", K, "--out", out]) == 3
     assert capsys.readouterr().err == (
-        "error: a grid of 2048 nodes resolves lags up to 512, not 35184372088837; "
-        "lag 35184372088837 needs at least 281474976710656 nodes\n")
+        f"error: a grid of 2048 nodes resolves lags up to 512, not {K + 5}; no accepted "
+        f"grid resolves lag {K + 5}: the largest, 4194304 nodes, resolves lags up to 1048576\n")
     assert not out.exists()
+
+
+def test_a_truncation_the_largest_grid_resolves_names_that_grid(tmp_path, capsys):
+    # lag 1048576 = 4194304 / 4 is the longest an accepted grid resolves
+    assert run_cli(["estimate", "--config", EXAMPLES / "noisy_ar1.yaml",
+                    "--truncation", 1048571, "--out", tmp_path / "out"]) == 3
+    assert capsys.readouterr().err == (
+        "error: a grid of 2048 nodes resolves lags up to 512, not 1048576; "
+        "lag 1048576 needs at least 4194304 nodes\n")
 
 
 @pytest.mark.parametrize("grid", [100, 35184372088832])
@@ -1064,14 +1075,19 @@ def test_minimax_unsupported_class_exits_4_before_the_search(tmp_path, capsys, m
     assert calls == [] and not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("coeffs,data,key", [
-    ("[[1.0]]", "{power: -2.0, weight_f: [[-1.0]]}", "weight_f"),
-    ("[[1.0, 0.5]]", "{power: 2.0, weight_f: [[1.0, 0.0], [0.0, -1.0]]}", "weight_f"),
+@pytest.mark.parametrize("coeffs,data,key,family", [
+    ("[[1.0]]", "{power: -2.0, weight_f: [[-1.0]]}", "weight_f", "singleton"),
+    ("[[1.0, 0.5]]", "{power: 2.0, weight_f: [[1.0, 0.0], [0.0, -1.0]]}", "weight_f",
+     "singleton"),
     ("[[1.0]]", "{power: 2.0, weight_f: [[1.0]], noise_power: 0.8, upper: 8.0, "
-                "weight_g: [[-1.0]]}", "weight_g"),
-], ids=["negative-f", "indefinite-f", "negative-g"])
+                "weight_g: [[-1.0]]}", "weight_g", "singleton"),
+    # a stock family's own refusal ("power must be positive", a non-finite
+    # density) used to come first, at minimax.family
+    ("[[1.0]]", "{power: 2.0, weight_f: [[-1.0]]}", "weight_f", "mixture"),
+    ("[[1.0]]", "{power: 2.0, weight_f: [[0.0]]}", "weight_f", "mixture"),
+], ids=["negative-f", "indefinite-f", "negative-g", "mixture-negative-f", "mixture-zero-f"])
 def test_minimax_flavor_3_weight_not_positive_definite_exits_2(tmp_path, capsys, coeffs,
-                                                                data, key):
+                                                                data, key, family):
     # a negative weight used to run the search to its budget and write
     # delta_upper = nan
     g_kind = "  g_kind: DVU_3\n" if key == "weight_g" else ""
@@ -1083,7 +1099,7 @@ numerics: {{grid_size: 512, truncation: 16}}
 minimax:
   kind: D0_3
 {g_kind}  data: {data}
-  family: {{kind: singleton}}
+  family: {{kind: {family}}}
 """)
     assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 2
     dim = coeffs.count(",") + 1
@@ -1376,14 +1392,18 @@ def test_integral_values_accepted(tmp_path):
       for family, params in [("kind: mixture", "{power: 1.5}"),
                              ("kind: mixture", "{noise_power: 0.8}"),
                              ("kind: ar1_fixed_power", "{power: 1.5}"),
-                             ("kind: contamination", "{anchor_power: 1.5, anchor_pole: 0.3, "
-                              "eps: 0.2, power: 1.5}")]],
+                             ("kind: contamination", "{power: 1.5}")]],
+    # retired: the contamination family reads eps and its anchor from minimax.data
+    *[("minimax", VALID_MINIMAX.replace("kind: singleton",
+                                        f"kind: contamination\n    params: {{{key}: 0.3}}"),
+       "minimax.family.params") for key in ("eps", "anchor_power", "anchor_pole")],
 ], ids=["simulation", "path_length", "oracle_check", "minimax_opt", "minimax",
         "pattern", "model_white", "model_example1", "model_noise", "model_entry",
         "functional", "output", "minimax_family", "window", "embedding_margin", "psd_tol",
         "opt_truncation", "functional_truncated", "opt_initial_step", "opt_min_step",
         "white_dim", "laurent_dim", "skip_residuals", "mixture_power", "mixture_noise_power",
-        "ar1_fixed_power_power", "contamination_power"])
+        "ar1_fixed_power_power", "contamination_power", "contamination_eps",
+        "contamination_anchor_power", "contamination_anchor_pole"])
 def test_unknown_keys_exit_2(tmp_path, capsys, command, text, key):
     _assert_config_error(tmp_path, capsys, command, text, key)
 
@@ -1420,21 +1440,75 @@ def test_the_mixture_label_is_an_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("kind,data,family,key", [
-    ("D0_1", "{}", "mixture", "power"),
-    ("D1delta_1", "{anchor_f: 1.0, radius: 2.0}", "ar1_fixed_power", "power"),
-    ("D0_1", "{eps: 0.2}", "contamination", "power"),
-    ("D0_1\n  g_kind: DVU_1", "{power: 1.5, upper: 8.0}", "mixture", "noise_power"),
-], ids=["mixture", "ar1_fixed_power-D1delta", "contamination", "mixture-noise"])
-def test_a_stock_family_without_the_class_power_exits_2(tmp_path, capsys, kind, data,
-                                                        family, key):
-    params = "\n    params: {anchor_power: 1.0, anchor_pole: 0.3, eps: 0.2}" * (
-        family == "contamination")
+@pytest.mark.parametrize("kind,data,family,error", [
+    # the class data is checked before the family is built: a class that fixes
+    # the power names it first
+    ("D0_1", "{}", "mixture", ": D0_1 requires data.power"),
+    ("D1delta_1", "{anchor_f: 1.0, radius: 2.0}", "ar1_fixed_power",
+     ".data: missing required key 'power'"),
+    ("D0_1", "{eps: 0.2, anchor_f: 1.0}", "contamination", ": D0_1 requires data.power"),
+    ("D0_1\n  g_kind: DVU_1", "{power: 1.5, upper: 8.0}", "mixture",
+     ": DVU_1 requires data.noise_power"),
+    # eps and the anchor are the class's facts under Deps, the family's own
+    # (written at minimax.data) under any other kind
+    ("Deps_1", "{power: 1.5, anchor_f: 1.0}", "contamination", ": Deps_1 requires data.eps"),
+    ("Deps_1", "{power: 1.5, eps: 0.2}", "contamination", ": Deps_1 requires data.anchor_f"),
+    ("D0_1", "{power: 1.5, anchor_f: 1.0}", "contamination",
+     ".data: missing required key 'eps'"),
+    ("D0_1", "{power: 1.5, eps: 0.2}", "contamination",
+     ".data: missing required key 'anchor_f'"),
+    ("D1delta_1", "{power: 1.5, anchor_f: 1.0, radius: 0.5}", "contamination",
+     ".data: missing required key 'eps'"),
+], ids=["mixture", "ar1_fixed_power-D1delta", "contamination", "mixture-noise",
+        "contamination-Deps-eps", "contamination-Deps-anchor_f", "contamination-D0-eps",
+        "contamination-D0-anchor_f", "contamination-D1delta-eps"])
+def test_a_stock_family_without_a_fact_it_reads_exits_2(tmp_path, capsys, kind, data,
+                                                        family, error):
     cfg = write_config(tmp_path, MINIMAX_DATA_YAML.format(kind=kind, data=data).replace(
-        "kind: singleton", f"kind: {family}{params}"))
+        "kind: singleton", f"kind: {family}"))
+    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"config error: minimax{error}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# a contamination search states eps and its anchor once, at minimax.data
+DEPS_1 = """
+model: {kind: white, scale: 2.0}
+pattern: {intervals: [[2, 0]]}
+functional: {coeffs: [[1.0]]}
+numerics: {grid_size: 512, truncation: 16}
+minimax:
+  kind: Deps_1
+  data: {power: 2.5, anchor_f: 2.0, eps: 0.3}
+  family: {kind: contamination}
+  opt: {starts: 4, budget: 300, seed: 0}
+"""
+DEPS_3 = DEPS_1.replace("[[1.0]]}", "[[1.0], [1.0]]}").replace("Deps_1", "Deps_3").replace(
+    "power: 2.5", "power: 5.0").replace("eps: 0.3}", "eps: 0.3, weight_f: [[2.0]]}")
+
+
+@pytest.mark.parametrize("text,want", [
+    (DEPS_1, {"delta_star": "2.5", "stopped": "certified", "evaluations": "1"}),
+    (DEPS_3, {"delta_star": "5.8067288870335787", "fw_gap": "0.9311907441543843",
+              "stopped": "converged", "evaluations": "212"}),
+], ids=["Deps_1", "Deps_3"])
+def test_a_contamination_search_reads_eps_and_the_anchor_from_the_class(tmp_path, text, want):
+    # the numbers the same runs gave with the family's own copies
+    # (params: {anchor_power: 2.0, anchor_pole: 0.0, eps: 0.3})
+    out = tmp_path / "out"
+    assert run_cli(["minimax", "--config", write_config(tmp_path, text), "--out", out]) == 0
+    summary = read_summary(out / "lfd.summary")
+    assert {key: summary[key] for key in want} == want
+
+
+@pytest.mark.parametrize("eps", ["1.5", "1.0", "0.0", "-0.2"])
+def test_a_contamination_eps_outside_the_unit_interval_exits_2(tmp_path, capsys, eps):
+    # eps = 1.5 under a one-member family used to certify delta_star = 2 and exit 0
+    cfg = write_config(tmp_path, DEPS_1.replace("power: 2.5", "power: 2.0").replace(
+        "eps: 0.3", f"eps: {eps}").replace("kind: contamination", "kind: singleton"))
     assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == (
-        f"config error: minimax.data: missing required key '{key}'\n")
+        f"config error: minimax.data.eps: expected a number in (0, 1), got {float(eps)}\n")
 
 
 # an L1 ball fixes no power: the mixture's power is its own, written at

@@ -169,7 +169,7 @@ _FAMILIES = [
     {"kind": "singleton"},
     {"kind": "mixture", "params": {"w_max": 0.9}},
     {"kind": "ar1_fixed_power", "params": {"b_max": 0.7}},
-    {"kind": "contamination", "params": {"anchor_power": 1.5, "anchor_pole": 0.3, "eps": 0.2}},
+    {"kind": "contamination", "params": {"b_max": 0.7}},
     {"kind": ["mixture"]},
 ]
 _PARAMS = st.dictionaries(
@@ -179,8 +179,8 @@ _PARAMS = st.dictionaries(
 _FAMILY = st.tuples(st.sampled_from(_FAMILIES), _PARAMS).map(
     lambda t: {**t[0], "params": {**t[0].get("params", {}), **t[1]}})
 _MINIMAX = _perturbed(
-    [{"kind": "D0_1", "data": {"power": 1.5}, "family": family, "opt": {"starts": 2}}
-     for family in _FAMILIES]
+    [{"kind": "D0_1", "data": {"power": 1.5, "eps": 0.2, "anchor_f": 1.0}, "family": family,
+      "opt": {"starts": 2}} for family in _FAMILIES]
     + [{"kind": "D0_1", "g_kind": "DVU_1",
         "data": {"power": 1.5, "noise_power": 0.8, "lower": 0.0, "upper": 8.0},
         "family": _FAMILIES[1]}],
@@ -214,17 +214,16 @@ def test_section_builders_fuzz(doc):
             pass
 
 
-@pytest.mark.parametrize("power,family", [
-    (1.0, "{kind: []}"),                                        # unhashable kind
-    (-1.0, "{kind: mixture}"),                                  # refused power
-    (1.0, "{kind: contamination, params: {anchor_power: 4.0, anchor_pole: 0.0, "
-          "eps: 0.2}}"),                                        # no admissible member
-    (1.0, "{kind: mixture, params: {grid_size: 512}}"),         # shadowed numerics
+@pytest.mark.parametrize("data,family", [
+    ("power: 1.0", "{kind: []}"),                                  # unhashable kind
+    ("power: -1.0", "{kind: mixture}"),                            # refused power
+    ("power: 1.0, anchor_f: 4.0, eps: 0.2", "{kind: contamination}"),  # no admissible member
+    ("power: 1.0", "{kind: mixture, params: {grid_size: 512}}"),   # shadowed numerics
 ])
-def test_build_class_regressions(power, family):
+def test_build_class_regressions(data, family):
     # each escaped build_class as a raw TypeError or a non-config error, or
     # (the last) overrode numerics.grid_size
-    cfg = loads_config(VALID + f"minimax: {{kind: D0_1, data: {{power: {power}}}, "
+    cfg = loads_config(VALID + f"minimax: {{kind: D0_1, data: {{{data}}}, "
                        f"family: {family}}}\n")
     with pytest.raises(ConfigError, match="minimax.family"):
         build_class(cfg)
@@ -353,7 +352,7 @@ _FAMILY_PARAMS = {
     "singleton": {},
     "mixture": {"w_max": 0.9, "b_max": 0.8},
     "ar1_fixed_power": {"b_max": 0.7},
-    "contamination": {"anchor_power": 1.5, "anchor_pole": 0.3, "eps": 0.2, "b_max": 0.8},
+    "contamination": {"b_max": 0.8},
 }
 _COMMANDS = {"simulation": "simulate", "oracle_check": "oracle-check", "minimax": "minimax"}
 
@@ -368,7 +367,8 @@ def _run_file(model="white", family="singleton") -> dict:
             "oracle_check": {"windows": [10], "tolerance": 1.0e-4},
             "minimax": {"kind": "D0_1", "g_kind": "DVU_1" if family == "mixture" else None,
                         "data": {"power": 1.5, "noise_power": 0.8, "lower": 0.0,
-                                 "upper": 8.0},
+                                 "upper": 8.0, **({"eps": 0.2, "anchor_f": 1.0}
+                                                  if family == "contamination" else {})},
                         "family": {"kind": family, "params": dict(_FAMILY_PARAMS[family])},
                         "opt": {"starts": 1, "budget": 5}},
             "output": {"directory": "out"}}

@@ -161,7 +161,7 @@ def _stock_families():
         "mixture": scalar_mixture_family(power=2.0, grid_size=GRID),
         "mixture+noise": scalar_mixture_family(power=1.5, noise_power=0.8, grid_size=GRID),
         "ar1": ar1_fixed_power_family(power=1.0, grid_size=GRID),
-        "contamination": contamination_family(anchor_power=2.0, anchor_pole=0.5, eps=0.3,
+        "contamination": contamination_family(anchor=2.0 * _unit_ar1(lam, 0.5), eps=0.3,
                                               power=2.5, grid_size=GRID),
         "convex": convex_combination_family(
             [SpectralModel(dim=1, F=(1.0 + c * np.cos(lam))[:, None, None],
@@ -211,19 +211,23 @@ def test_point_is_a_float_vector_of_dim_finite_values():
                                   f"got {shown}")
 
 
-def test_contamination_family_respects_both_constraints():
-    fam = contamination_family(anchor_power=2.0, anchor_pole=0.0, eps=0.2,
-                               power=2.0, grid_size=GRID)
-    cls = DensityClass(kind="Deps_1",
-                       data=ClassData(power=2.0, anchor_f=2.0, eps=0.2),
+@pytest.mark.parametrize("shape", ["flat", "ar"])
+def test_contamination_family_respects_both_constraints(shape):
+    # a family on a flat or a per-node AR(0.5) anchor lies in the class on the
+    # same anchor; only a flat anchor leaves its members the free part's pole
+    ar = (2.0 * _unit_ar1(grid_points(GRID), 0.5))[:, None, None]
+    anchor = 2.0 if shape == "flat" else ar
+    fam = contamination_family(anchor=anchor, eps=0.2, power=2.0, grid_size=GRID)
+    cls = DensityClass(kind="Deps_1", data=ClassData(power=2.0, anchor_f=anchor, eps=0.2),
                        family=fam)
     rng = np.random.default_rng(1)
     for _ in range(10):
-        report = class_constraint_report(cls, fam.build(fam.sample(rng)))
-        assert max(report.values()) < 1e-10
+        theta = fam.sample(rng)
+        model = fam.build(theta)
+        assert max(class_constraint_report(cls, model).values()) < 1e-10
+        assert model.pole_modulus == (abs(theta[1]) if shape == "flat" else None)
     with pytest.raises(InfeasibleClassError):
-        contamination_family(anchor_power=4.0, anchor_pole=0.0, eps=0.2,
-                             power=2.0, grid_size=GRID)
+        contamination_family(anchor=4.0, eps=0.2, power=2.0, grid_size=GRID)
 
 
 def test_class_kind_validation():
@@ -773,8 +777,8 @@ def test_class_constants_are_read_once_per_grid():
         calls.append(lam.size)
         return (2.0 * _unit_ar1(lam, 0.5))[:, None, None]
 
-    fam = contamination_family(anchor_power=2.0, anchor_pole=0.5, eps=0.3, power=2.5,
-                               grid_size=GRID)
+    fam = contamination_family(anchor=2.0 * _unit_ar1(grid_points(GRID), 0.5), eps=0.3,
+                               power=2.5, grid_size=GRID)
     classes = [DensityClass(kind="Deps_1", data=ClassData(power=2.5, anchor_f=anchor, eps=0.3),
                             family=fam),
                DensityClass(kind="D1delta_1", data=ClassData(anchor_f=anchor, radius=0.5),
@@ -809,8 +813,7 @@ def _sandwich_cases():
 
     lam = grid_points(GRID)
     anchor = 2.0 * _unit_ar1(lam, 0.5)
-    fam = contamination_family(anchor_power=2.0, anchor_pole=0.5, eps=0.3, power=2.5,
-                               grid_size=GRID)
+    fam = contamination_family(anchor=anchor, eps=0.3, power=2.5, grid_size=GRID)
     cases["Deps_1"] = (DensityClass(kind="Deps_1", data=ClassData(
         power=2.5, anchor_f=anchor[:, None, None], eps=0.3), family=fam), fam)
 
@@ -1101,8 +1104,7 @@ def _residual_cases():
 
     # contamination of a flat anchor: flat total is least favorable and the
     # mixture constraint is strictly slack everywhere
-    fam5 = contamination_family(anchor_power=2.0, anchor_pole=0.0, eps=0.25,
-                                power=2.0, grid_size=GRID)
+    fam5 = contamination_family(anchor=2.0, eps=0.25, power=2.0, grid_size=GRID)
     cases["Deps_1"] = (
         DensityClass(kind="Deps_1",
                      data=ClassData(power=2.0, anchor_f=2.0, eps=0.25),
