@@ -45,6 +45,7 @@ from .spectral import (
     grid_points,
     laurent_density,
     laurent_entry,
+    laurent_pole_modulus,
     ma_pair_model,
     make_ar1_pair,
     white_model,
@@ -106,7 +107,7 @@ _MODELS = {   # the keys of the model section besides ``kind``
     "ar1": {**_AR1, "noise": _AR1},
     "ma_pair": {"signal_coeffs": _float_array, "noise_coeffs": _float_array,
                 "innovation_cov": _float_array},
-    "laurent": {"pole_modulus": _real, "entries": [{
+    "laurent": {"entries": [{
         "row": _integer, "col": _integer, "num_offset": _integer,
         "num_coeffs": _float_array, "den_offset": _integer, "den_coeffs": _float_array}]},
     "grid_file": {"path": str, "pole_modulus": _real},
@@ -309,15 +310,16 @@ def build_model(cfg: RunConfig) -> SpectralModel:
                 signal_coeffs=_require(sec, "signal_coeffs", "model"),
                 noise_coeffs=sec.get("noise_coeffs"),
                 innovation_cov=sec.get("innovation_cov"), grid_size=n)
-        elif kind == "laurent":
-            entries = {}
+        elif kind == "laurent":   # the decay rate is read off the denominators
+            entries, rhos = {}, [0.0]
             for i, ent in enumerate(_require(sec, "entries", "model")):
                 r, c = (_require(ent, key, f"model.entries[{i}]") for key in ("row", "col"))
                 entries[(r, c)] = laurent_entry(
                     ent.get("num_offset", 0), ent.get("num_coeffs", (1.0,)),
                     ent.get("den_offset", 0), ent.get("den_coeffs", (1.0,)))
+                rhos.append(laurent_pole_modulus(ent.get("den_coeffs", ())))
             model = SpectralModel(dim=T, F=laurent_density(T, entries), grid_size=n,
-                                  pole_modulus=sec.get("pole_modulus"))
+                                  pole_modulus=None if None in rhos else max(rhos))
         else:   # grid_file: the densities are density data of the functional's dimension
             path = Path(_require(sec, "path", "model"))
             try:

@@ -114,14 +114,13 @@ class EstimateResult:
 def default_truncation(model: SpectralModel, functional: FunctionalSpec) -> int:
     """Default future truncation order K.
 
-    Uses the model's largest pole modulus rho when known:
-    K = N + 8 * max(1, ceil(1/(1-rho))); otherwise K = N + 64.
+    Uses the model's pole modulus rho in [0, 1) (``SpectralModel`` checks
+    it) when known: K = N + 8 * max(1, ceil(1/(1-rho))); otherwise K = N + 64.
     """
     N = functional.horizon
     rho = model.pole_modulus
     if rho is None:
         return N + 64
-    rho = min(max(float(rho), 0.0), 0.999999)
     return N + 8 * max(1, math.ceil(1.0 / (1.0 - rho)))
 
 

@@ -83,6 +83,13 @@ def _nodes(grid_size: int) -> np.ndarray:
     return np.exp(1j * grid_points(grid_size))
 
 
+def _pole_bound(b_max: float) -> float:
+    """``b_max`` if it lies in [0, 1): the poles of a stock family lie in [-b_max, b_max]."""
+    if not 0.0 <= b_max < 1.0:   # NaN fails both
+        raise InvalidParameterError(f"b_max must lie in [0, 1), got {b_max}")
+    return b_max
+
+
 def _scalar_model(grid_size: int, f: np.ndarray, g: np.ndarray | None = None,
                   poles: Sequence[float] = ()) -> SpectralModel:
     """Scalar model from node values; the pole modulus is None when all poles are 0."""
@@ -97,13 +104,17 @@ def scalar_mixture_family(power: float, w_max: float = 0.9, b_max: float = 0.8,
                           noise_power: float | None = None) -> DensityFamily:
     """Scalar density of fixed total power: (1-w) flat + w unit-power AR(1).
 
-    Parameters are the mixture weight and the AR pole; every member has power
-    exactly ``power``, so the family sits inside the fixed-power class.  With
-    ``noise_power`` set, a second pair of parameters shapes an independent
-    noise density of that power the same way.
+    Parameters are the mixture weight in [0, w_max] and the AR pole in
+    [-b_max, b_max], for w_max in [0, 1] and b_max in [0, 1); every member has
+    power exactly ``power``, so the family sits inside the fixed-power class.
+    With ``noise_power`` set, a second pair of parameters shapes an
+    independent noise density of that power the same way.
     """
     if power <= 0:
         raise InvalidParameterError("power must be positive")
+    if not 0.0 <= w_max <= 1.0:
+        raise InvalidParameterError(f"w_max must lie in [0, 1], got {w_max}")
+    _pole_bound(b_max)
     z = _nodes(grid_size)
     powers = (power,) if noise_power is None else (power, noise_power)
 
@@ -120,7 +131,9 @@ def scalar_mixture_family(power: float, w_max: float = 0.9, b_max: float = 0.8,
 
 def ar1_fixed_power_family(power: float, b_max: float = 0.8,
                            grid_size: int = 4096) -> DensityFamily:
-    """Scalar AR(1) densities of fixed total power, parameterized by the pole."""
+    """Scalar AR(1) densities of fixed total power, parameterized by the pole
+    in [-b_max, b_max], b_max in [0, 1)."""
+    _pole_bound(b_max)
     z = _nodes(grid_size)
 
     def build(theta):
@@ -152,7 +165,8 @@ def convex_combination_family(models: Sequence[SpectralModel],
     for m in models[1:]:
         if m.grid_size != n or m.dim != d or (not m.is_noiseless) != noisy:
             raise InvalidParameterError("anchor models must be structurally alike")
-    rho = max((m.pole_modulus or 0.0) for m in models) or None
+    rhos = [m.pole_modulus for m in models]   # one anchor of unknown decay leaves it unknown
+    rho = None if None in rhos else max(rhos) or None
     correlated = any(not m.is_uncorrelated for m in models)   # only a noisy model can be
     parts = ("F", "G", "Fxe")[:1 + noisy + correlated]
 
@@ -175,11 +189,13 @@ def contamination_family(anchor, eps: float, power: float, b_max: float = 0.8,
     ``anchor`` is the anchor density's node values, or one number.  The free
     part is a white/AR(1) mixture whose power is pinned so the total power (the
     grid mean) equals ``power``; members therefore satisfy both the mixture and
-    the moment constraints of the contamination class.  A varying anchor has
-    no known pole, so its members report none.
+    the moment constraints of the contamination class.  Its weight lies in
+    [0, 0.9] and its pole in [-b_max, b_max], b_max in [0, 1).  A varying
+    anchor has no known pole, so its members report none.
     """
     if not 0.0 < eps < 1.0:
         raise InvalidParameterError("eps must lie in (0, 1)")
+    _pole_bound(b_max)
     anchor = np.reshape(np.real(anchor), -1)
     w_pow = (power - (1.0 - eps) * anchor.mean()) / eps
     if w_pow < 0:

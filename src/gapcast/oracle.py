@@ -180,16 +180,18 @@ def _resolving_grid(model: SpectralModel, path_length: int,
     """The embedding order m of a path, and the model on at least 2m nodes.
 
     Covariances beyond ``margin`` lags are taken as negligible: by default
-    rho^margin <= 1e-12 for the largest pole modulus rho (64..1024 lags), or
-    256 lags when rho is unknown.  m is the power of two of at least
-    2 (path_length + margin), so a grid of 2m nodes aliases no covariance
-    that a path of ``path_length`` sees.  A model known only on its own
-    coarser grid (per-node density data) raises SimulationMethodError.
+    rho^margin <= 1e-12 for the model's pole modulus rho in (0, 1) (64..1024
+    lags), or 256 lags when rho is unknown or 0 (a moving average's
+    covariances reach its order, which rho does not state).  m is the power
+    of two of at least 2 (path_length + margin), so a grid of 2m nodes
+    aliases no covariance that a path of ``path_length`` sees.  A model
+    known only on its own coarser grid (per-node density data) raises
+    SimulationMethodError.
     """
     if margin is None:
         rho = model.pole_modulus or 0.0
         margin = (int(min(max(math.ceil(math.log(1e-12) / math.log(rho)), 64), 1024))
-                  if 0.0 < rho < 1.0 else 256)
+                  if rho > 0.0 else 256)
     m = 1 << max(int(math.ceil(math.log2(2 * (path_length + margin)))), 3)
     if model.grid_size >= 2 * m:
         return m, model

@@ -146,13 +146,15 @@ class SpectralModel:
     F_xe : cross density (signal vs noise); None means uncorrelated.  The
         adjoint cross density F_ex is its conjugate transpose.
     grid_size : number of frequency nodes (power of two, >= 64).
-    pole_modulus : largest pole modulus of the underlying rational model,
-        when known; it sets the default truncation and the covariance
-        margin of ``simulate``'s quadrature grid.
+    pole_modulus : decay rate rho of the covariances, |R(k)| = O(rho^|k|): the
+        largest pole modulus of the underlying rational model, a number in
+        [0, 1), or None when unknown.  It sets the default truncation and
+        the covariance margin of ``simulate``'s quadrature grid.
 
     Construction reads each given density onto the grid and validates what
     exists: F and G (when given) must be Hermitian and positive semidefinite,
     and so must the joint density [[F, F_xe], [F_ex, G]] when F_xe is nonzero.
+    Then the pole modulus must be None or lie in [0, 1).
     Per-node density data pins the model to its grid size.
     The grid nodes ``lam`` are read-only and shared by every model of the
     same grid size.  Samples and the minimality report are computed once
@@ -175,6 +177,9 @@ class SpectralModel:
             raise InvalidParameterError(f"dim must be positive, got {self.dim}")
         self.lam = _shared_nodes(n)
         self._validate()
+        rho = self.pole_modulus
+        if rho is not None and not 0.0 <= rho < 1.0:   # NaN fails both
+            raise InvalidParameterError(f"pole_modulus must lie in [0, 1), got {rho}")
 
     # -- evaluation ------------------------------------------------------
 
@@ -420,6 +425,22 @@ def laurent_entry(num_offset: int, num_coeffs, den_offset: int = 0, den_coeffs=(
         return num / den
 
     return fn
+
+
+def laurent_pole_modulus(den_coeffs) -> float | None:
+    """Decay rate of 1/D for D(z) = sum_j den_coeffs[j] z^j, times any power of z.
+
+    The largest min(|r|, 1/|r|) over the nonzero roots r of D, the root nearest
+    the unit circle, as ``ar1_model`` reads its poles; 0 without such a root.
+    A root at 0 carries no decay.  None unless the coefficients are a finite
+    list: such a denominator is the density checks' to judge.
+    """
+    c = np.asarray(den_coeffs, dtype=complex)
+    if c.ndim != 1 or not np.all(np.isfinite(c)):
+        return None
+    r = np.abs(np.roots(c[::-1]))
+    r = r[r > 0]
+    return float(np.minimum(r, 1.0 / r).max(initial=0.0))
 
 
 def laurent_density(dim: int, entries: dict) -> DensityFn:

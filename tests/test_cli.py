@@ -431,6 +431,70 @@ def test_grid_file_densities_take_the_functional_dimension(tmp_path, capsys):
         "array, got shape (256,)\n")
 
 
+def _ar1_run(tmp_path, b, name):
+    """Unit-innovation AR(b) with the point -2 missing, one step ahead: as
+    ``laurent`` its denominator is 1 + b^2 - b (z + 1/z)."""
+    model = ("{kind: ar1, poles: [%r]}" % b if name == "ar1" else
+             "{kind: laurent, entries: [{row: 0, col: 0, num_coeffs: [1.0], den_offset: -1, "
+             "den_coeffs: [%r, %r, %r]}]}" % (-b, 1.0 + b * b, -b))
+    cfg = write_config(tmp_path, f"model: {model}\npattern: {{intervals: [[2, 1]]}}\n"
+                       f"functional: {{coeffs: [[1.0]]}}\nnumerics: {{grid_size: 4096}}\n",
+                       name=f"{name}.yaml")
+    assert run_cli(["estimate", "--config", cfg, "--out", tmp_path / name]) == 0
+    return read_summary(tmp_path / name / "result.summary")
+
+
+def test_a_laurent_model_reads_its_decay_off_its_denominators(tmp_path):
+    # xi(-1) is observed, so delta is the one-step error of a unit-innovation
+    # AR(1), 1; with no pole modulus the default truncation was 64 and delta
+    # read 0.99987595716875033
+    summary = _ar1_run(tmp_path, 0.95, "laurent")
+    assert summary["truncation"] == "160"   # 8 ceil(1 / (1 - 0.95))
+    assert float(summary["delta"]) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("b", [0.5, -0.6, 0.9, 0.95])
+def test_a_laurent_model_reads_the_delta_of_its_ar1_twin(tmp_path, b):
+    # delta, not K: the roots may lie a few ulp off |b|, which moves
+    # ceil(1 / (1 - rho)) where it is an exact integer
+    twin, laurent = (_ar1_run(tmp_path, b, name) for name in ("ar1", "laurent"))
+    assert float(laurent["delta"]) == pytest.approx(float(twin["delta"]), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("rho", [".nan", "-0.5", "1.5"])
+def test_a_grid_file_pole_modulus_outside_the_unit_interval_exits_2(tmp_path, capsys, rho):
+    # .nan used to end in a raw ValueError, -0.5 to run at truncation 8 and
+    # 1.5 to exit 3 with a lag message
+    npz = tmp_path / "ar.npz"
+    np.savez(npz, lam=grid_points(256), F=(1.0 / np.abs(1.0 - 0.5 * np.exp(
+        1j * grid_points(256))) ** 2)[:, None, None])
+    cfg = write_config(tmp_path, f"model: {{kind: grid_file, path: {npz}, "
+                                 f"pole_modulus: {rho}}}\npattern: {{intervals: [[2, 1]]}}\n"
+                                 f"functional: {{coeffs: [[1.0]]}}\n"
+                                 f"numerics: {{grid_size: 256}}\n")
+    assert run_cli(["estimate", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: model: pole_modulus must lie in [0, 1), got ")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("params,message", [
+    ("{b_max: 1.2}", "b_max must lie in [0, 1), got 1.2"),
+    ("{b_max: 1.0}", "b_max must lie in [0, 1), got 1.0"),
+    ("{w_max: 1.5}", "w_max must lie in [0, 1], got 1.5"),
+], ids=["b_max_1.2", "b_max_1", "w_max_1.5"])
+def test_a_family_box_bound_outside_its_range_exits_2(tmp_path, capsys, params, message):
+    # each used to exit 3 mid-search: a negative eigenvalue, a non-finite
+    # density and a failed minimality check
+    text = (ROBUST.read_text().replace("coeffs: [[1.0]]", "coeffs: [[1.0], [1.0]]")
+            .replace("    kind: mixture\n", f"    kind: mixture\n    params: {params}\n"))
+    assert f"params: {params}" in text and "[[1.0], [1.0]]" in text
+    out = tmp_path / "out"
+    assert run_cli(["minimax", "--config", write_config(tmp_path, text), "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: minimax.family: {message}\n"
+    assert not (out / "lfd.summary").exists()
+
+
 @pytest.mark.parametrize("command", ["estimate", "oracle-check", "simulate", "minimax"])
 def test_a_functional_of_another_width_than_the_model_exits_2(tmp_path, capsys, command):
     # used to exit 3 from the estimate: "functional dimension 1 does not match model dim 2"
@@ -1314,13 +1378,13 @@ WHITE_YAML = VALID_MINIMAX.split("minimax:")[0]
     # each of these used to run and exit 0 on the quoted value
     ("estimate", WHITE_YAML.replace("scale: 1.5", "scale: '2.0'"), "model.scale"),
     ("estimate", NOISY_AR1_YAML.replace("scales: [1.0]", "scales: ['1.0']"), "model.scales"),
-    ("estimate", LAURENT_YAML.replace("kind: laurent", "kind: laurent\n  pole_modulus: '0.5'"),
-     "model.pole_modulus"),
+    ("estimate", "model: {kind: grid_file, path: grid.npz, pole_modulus: '0.5'}\npattern:"
+     + LAURENT_YAML.split("pattern:")[1], "model.pole_modulus"),
     ("estimate", LAURENT_YAML.replace("num_coeffs: [2.0]", "num_coeffs: ['2.0']"),
      "model.entries[0].num_coeffs"),
     ("estimate", WHITE_YAML.replace("coeffs: [[1.0]]", "coeffs: [['1.0']]"),
      "functional.coeffs"),
-], ids=["white_scale", "ar1_scales", "laurent_pole_modulus", "laurent_num_coeffs",
+], ids=["white_scale", "ar1_scales", "grid_file_pole_modulus", "laurent_num_coeffs",
         "functional_coeffs"])
 def test_quoted_model_and_functional_numbers_exit_2(tmp_path, capsys, command, text, key):
     _assert_config_error(tmp_path, capsys, command, text, key)
@@ -1386,6 +1450,9 @@ def test_integral_values_accepted(tmp_path):
     ("estimate", VALID_MINIMAX.replace("kind: white", "kind: white\n  dim: 1"), "model"),
     ("estimate", LAURENT_YAML.replace("kind: laurent", "kind: laurent\n  dim: 1"), "model"),
     ("minimax", VALID_MINIMAX + "  skip_residuals: true\n", "minimax"),
+    # retired: a laurent model reads its decay rate off its denominators
+    ("estimate", LAURENT_YAML.replace("kind: laurent", "kind: laurent\n  pole_modulus: 0.5"),
+     "model"),
     # retired: a stock family reads its power (noise power) from minimax.data
     *[("minimax", VALID_MINIMAX.replace("kind: singleton", f"{family}\n    params: {params}"),
        "minimax.family.params")
@@ -1401,7 +1468,8 @@ def test_integral_values_accepted(tmp_path):
         "pattern", "model_white", "model_example1", "model_noise", "model_entry",
         "functional", "output", "minimax_family", "window", "embedding_margin", "psd_tol",
         "opt_truncation", "functional_truncated", "opt_initial_step", "opt_min_step",
-        "white_dim", "laurent_dim", "skip_residuals", "mixture_power", "mixture_noise_power",
+        "white_dim", "laurent_dim", "skip_residuals", "laurent_pole_modulus", "mixture_power",
+        "mixture_noise_power",
         "ar1_fixed_power_power", "contamination_power", "contamination_eps",
         "contamination_anchor_power", "contamination_anchor_pole"])
 def test_unknown_keys_exit_2(tmp_path, capsys, command, text, key):

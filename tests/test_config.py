@@ -155,7 +155,7 @@ _MODELS = _perturbed(
       "noise": {"poles": [0.2, 0.1], "scales": [0.5, 0.5]}},
      {"kind": "ma_pair", "signal_coeffs": [[[1.0]], [[0.5]]], "noise_coeffs": [[[1.0]]],
       "innovation_cov": [[1.0, 0.2], [0.2, 1.0]]},
-     {"kind": "laurent", "pole_modulus": 0.5,
+     {"kind": "laurent",
       "entries": [{"row": 0, "col": 0, "num_offset": 0, "num_coeffs": [2.0],
                    "den_coeffs": [1.0]}]},
      {"kind": "grid_file"}],
@@ -343,7 +343,7 @@ _MODEL_BASES = {
             "noise": {"poles": [0.2], "scales": [0.5], "mix": [[1.0]]}},
     "ma_pair": {"kind": "ma_pair", "signal_coeffs": [[[1.0]], [[0.5]]],
                 "noise_coeffs": [[[1.0]]], "innovation_cov": [[1.0, 0.2], [0.2, 1.0]]},
-    "laurent": {"kind": "laurent", "pole_modulus": 0.5,
+    "laurent": {"kind": "laurent",
                 "entries": [{"row": 0, "col": 0, "num_offset": 0, "num_coeffs": [2.0],
                              "den_offset": 0, "den_coeffs": [1.0]}]},
     "grid_file": {"kind": "grid_file", "path": "grid.npz", "pole_modulus": 0.5},
@@ -446,3 +446,25 @@ def test_every_schema_key_is_documented():
     missing = sorted(key for key in keys
                      if f"`{key}`" not in text and not re.search(rf"\b{key}:", text))
     assert missing == []
+
+
+def _laurent(entries: str, coeffs: str = "[[1.0]]"):
+    return build_model(loads_config(f"model: {{kind: laurent, entries: [{entries}]}}\n"
+                                    f"pattern: {{intervals: []}}\n"
+                                    f"functional: {{coeffs: {coeffs}}}\n"))
+
+
+def test_a_laurent_model_is_as_slow_as_its_slowest_entry():
+    # AR(0.5) and AR(0.9) on the diagonal: the denominator root nearest the
+    # unit circle is 0.9's
+    model = _laurent("{row: 0, col: 0, den_offset: -1, den_coeffs: [-0.5, 1.25, -0.5]}, "
+                     "{row: 1, col: 1, den_offset: -1, den_coeffs: [-0.9, 1.81, -0.9]}",
+                     "[[1.0, 1.0]]")
+    assert model.pole_modulus == pytest.approx(0.9, abs=1e-12)
+
+
+def test_a_laurent_model_without_a_denominator_root_has_modulus_0():
+    assert _laurent("{row: 0, col: 0, num_coeffs: [2.0]}").pole_modulus == 0.0
+    # z^2 / (2 z^2): the offset adds roots at 0 only, which carry no decay
+    assert _laurent("{row: 0, col: 0, num_offset: 2, num_coeffs: [1.0], den_offset: 2, "
+                    "den_coeffs: [2.0]}").pole_modulus == 0.0

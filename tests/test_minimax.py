@@ -10,8 +10,10 @@ must be large.
 """
 
 import json
+import re
 import tracemalloc
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from gapcast import (
     OptConfig,
     SpectralModel,
     ar1_fixed_power_family,
+    ar1_model,
     characterization_residuals,
     class_constraint_report,
     contamination_family,
@@ -137,6 +140,18 @@ def test_convex_family_interpolates_anchors():
         convex_combination_family([lo])
 
 
+@pytest.mark.parametrize("anchors,rho", [
+    ((ar1_model([0.5], grid_size=GRID), SpectralModel(dim=1, F=np.ones((GRID, 1, 1)),
+                                                      grid_size=GRID)), None),
+    ((white_model(1, 1.0, GRID), white_model(1, 2.0, GRID)), None),
+    ((ar1_model([0.5], grid_size=GRID), ar1_model([0.3], grid_size=GRID)), 0.5),
+], ids=["unknown", "white", "ar1"])
+def test_a_convex_family_knows_its_decay_only_when_every_anchor_does(anchors, rho):
+    # an anchor of unknown decay used to be read as pole-free, so the mix of
+    # AR(0.5) with it reported 0.5
+    assert convex_combination_family(anchors).build(np.array([0.5])).pole_modulus == rho
+
+
 def _correlated_pair():
     """Two jointly driven MA pairs, signal power 1.25 and noise power 0.49 each,
     whose signal and noise are correlated with opposite signs."""
@@ -179,6 +194,25 @@ def test_a_sample_is_one_point_of_the_box(name):
                for p in points)
     other.random(7 * fam.dim)
     assert one.random() == other.random()   # each point takes dim draws of the stream
+
+
+@pytest.mark.parametrize("build,bounds", [
+    (scalar_mixture_family, {"b_max": 1.2}),
+    (scalar_mixture_family, {"b_max": 1.0}),
+    (scalar_mixture_family, {"b_max": np.nan}),
+    (scalar_mixture_family, {"w_max": 1.5}),
+    (scalar_mixture_family, {"w_max": -0.1}),
+    (ar1_fixed_power_family, {"b_max": 1.0}),
+    (ar1_fixed_power_family, {"b_max": -0.2}),
+    (partial(contamination_family, anchor=1.0, eps=0.3), {"b_max": 1.2}),
+], ids=["mixture_b_1.2", "mixture_b_1", "mixture_b_nan", "mixture_w_1.5",
+        "mixture_w_negative", "ar1_b_1", "ar1_b_negative", "contamination_b_1.2"])
+def test_a_stock_family_refuses_a_box_bound_outside_its_range(build, bounds):
+    # a pole of modulus 1 or more, or a weight above 1, used to fail mid-search
+    (key, value), = bounds.items()
+    interval = "[0, 1]" if key == "w_max" else "[0, 1)"
+    with pytest.raises(InvalidParameterError, match=re.escape(f"{key} must lie in {interval}")):
+        build(power=2.0, **bounds)
 
 
 def test_family_dimension_is_the_box():

@@ -32,7 +32,13 @@ from gapcast.errors import (
     InvalidParameterError,
     SingularDensityError,
 )
-from gapcast.spectral import _eigvalsh, _inv, check_grid_size, density_data
+from gapcast.spectral import (
+    _eigvalsh,
+    _inv,
+    check_grid_size,
+    density_data,
+    laurent_pole_modulus,
+)
 
 EPS = np.finfo(float).eps
 
@@ -236,6 +242,40 @@ def test_laurent_entry_matches_ar1():
     lam = grid_points(256)
     fn = laurent_entry(0, (1.0,), -1, (-0.5, 1.25, -0.5))
     assert np.allclose(fn(lam), ar1_scalar(lam, 0.5), atol=1e-12)
+
+
+@pytest.mark.parametrize("b", [0.5, -0.6, 0.9, 0.95])
+def test_a_laurent_denominator_states_its_pole_modulus(b):
+    # the symmetric factor 1 + b^2 - b (z + 1/z) has roots b and 1/b, the
+    # one-sided 1 - b z the root 1/b: each nearest the unit circle at |b|
+    assert laurent_pole_modulus((-b, 1.0 + b * b, -b)) == pytest.approx(abs(b), abs=1e-12)
+    assert laurent_pole_modulus((1.0, -b)) == pytest.approx(abs(b), abs=1e-12)
+    # leading zeros are roots at 0, which carry no decay
+    assert laurent_pole_modulus((0.0, 0.0, 1.0, -b)) == pytest.approx(abs(b), abs=1e-12)
+
+
+def test_a_denominator_without_a_nonzero_root_has_modulus_0():
+    assert laurent_pole_modulus((2.0,)) == 0.0
+    assert laurent_pole_modulus((0.0, 0.0, 2.0)) == 0.0   # 2 z^2: roots at 0 only
+    # a denominator that is not a finite list is the density checks' to judge
+    assert laurent_pole_modulus((1.0, np.nan)) is None
+    assert laurent_pole_modulus(2.0) is None
+
+
+@pytest.mark.parametrize("rho", [np.nan, np.inf, -0.5, 1.0, 1.5])
+def test_a_pole_modulus_outside_the_unit_interval_is_refused(rho):
+    with pytest.raises(InvalidParameterError, match=r"pole_modulus must lie in \[0, 1\)"):
+        SpectralModel(dim=1, F=1.0, grid_size=64, pole_modulus=rho)
+
+
+@pytest.mark.parametrize("rho", [None, 0.0, 0.999])
+def test_a_pole_modulus_in_the_unit_interval_or_none_is_accepted(rho):
+    assert SpectralModel(dim=1, F=1.0, grid_size=64, pole_modulus=rho).pole_modulus == rho
+
+
+def test_the_pole_modulus_is_checked_after_the_densities():
+    with pytest.raises(InvalidParameterError, match="density F has a negative eigenvalue"):
+        SpectralModel(dim=1, F=-1.0, grid_size=64, pole_modulus=np.nan)
 
 
 def test_laurent_density_assembles_matrix():
