@@ -53,7 +53,11 @@ class DensityFamily:
         return 0.5 * (self.lower + self.upper)
 
     def point(self, theta) -> np.ndarray:
-        """``theta`` as a float vector of ``dim`` finite values, else InvalidParameterError."""
+        """``theta`` as a float vector of ``dim`` finite values in [lower, upper].
+
+        Anything else raises InvalidParameterError; a value outside the box is
+        refused with the box named, not clipped into it.
+        """
         try:
             arr = np.atleast_1d(np.asarray(theta))
             real = arr.dtype.kind in "iuf"   # not a string, a complex value or an object
@@ -63,7 +67,12 @@ class DensityFamily:
             raise InvalidParameterError(
                 f"expected {self.dim} finite value(s), one per family parameter, "
                 f"got {arr.astype(float).tolist() if real else repr(theta)}")
-        return arr.astype(float)
+        arr = arr.astype(float)
+        if np.any(arr < self.lower) or np.any(arr > self.upper):
+            box = " x ".join(f"[{lo}, {hi}]" for lo, hi in zip(self.lower.tolist(),
+                                                              self.upper.tolist()))
+            raise InvalidParameterError(f"{arr.tolist()} lies outside the family's box {box}")
+        return arr
 
     def clip(self, theta: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(theta, dtype=float), self.lower, self.upper)

@@ -539,9 +539,10 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
     most ``_GAP_TOL`` times its error, and the last certificate's estimate is
     the maximizer's.  ``opt.budget`` is then an upper bound.
 
-    A given ``theta``, one finite value per family parameter, is the only
-    start and the budget is one evaluation: the search at that point, which
-    stops ``certified`` when its gap meets the rule and ``budget`` otherwise.
+    A given ``theta``, one finite value per family parameter in its box, is
+    the only start and the budget is one evaluation: the search at that point,
+    which stops ``certified`` when its gap meets the rule and ``budget``
+    otherwise.
     """
     fam = cls.family
     if fam.dim > 8:
@@ -590,10 +591,9 @@ def maximize_delta(cls: DensityClass, pattern: MissingPattern,
         return val
 
     done = False
-    for theta0 in starts:
+    for theta in starts:
         if len(scores) >= budget:
             break
-        theta = fam.clip(theta0)
         evaluate(theta)
         if len(scores) == 1 and certified():
             done = True

@@ -18,7 +18,9 @@ B_FF [u V] = [r_F B_FS] is solved by conjugate gradients with FFT products,
 preconditioned by the Toeplitz matrix of the inverse symbol F_zeta^T, and the
 gap unknowns follow from the |S| T square Schur complement.  The projection
 oracle solves its window covariance with the same ``ToeplitzProduct`` and
-``pcg``.
+``pcg``.  A product is one circulant-embedding FFT convolution: x travels as
+T k contiguous lines along the FFT axis, and the block symbol multiplies their
+spectra by T^2 elementwise multiply-adds, never by a matrix per frequency.
 """
 
 from __future__ import annotations
@@ -163,18 +165,23 @@ class ToeplitzProduct:
 
     One FFT convolution per call, at length ``_fast_length(2 size - 1)``:
     long enough that the lags p - q stay distinct, and never a slow prime
-    length.  A real table keeps real FFTs; complex x then travels as its real
-    and imaginary parts side by side.
+    length.  The kernel is laid out as (T, T, length), so its symbol is one
+    FFT along the last axis, kept as (T, T, 1, F).  A call copies x once into
+    zero-padded contiguous (T, k, length) lines, transforms them along the last
+    axis and forms the symbol product as the T^2 elementwise multiply-adds
+    sum_j symbol[:, j] * spectrum[j] before the inverse FFT.  A real table
+    keeps real FFTs; complex x then travels as its real and imaginary parts
+    side by side.
     """
 
     def __init__(self, table: FourierTable, size: int):
         lags = np.arange(1 - size, size)
         self.size, self.dim = size, table.dim
         self.length = _fast_length(2 * size - 1)
-        kernel = np.zeros((self.length, self.dim, self.dim), dtype=table.data.dtype)
-        kernel[lags % self.length] = table.data[lags + table.max_lag]
+        kernel = np.zeros((self.dim, self.dim, self.length), dtype=table.data.dtype)
+        kernel[..., lags % self.length] = np.moveaxis(table.data[lags + table.max_lag], 0, -1)
         self.real = not np.iscomplexobj(kernel)
-        self.symbol = (np.fft.rfft if self.real else np.fft.fft)(kernel, axis=0)
+        self.symbol = (np.fft.rfft if self.real else np.fft.fft)(kernel)[:, :, None, :]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The product with x of shape (size T, k)."""
@@ -182,14 +189,17 @@ class ToeplitzProduct:
         if self.real and np.iscomplexobj(x):
             y = self(np.hstack((x.real, x.imag)))
             return y[:, :k] + 1j * y[:, k:]
-        blocks = x.reshape(self.size, self.dim, k)
+        lines = np.zeros((self.dim, k, self.length), dtype=float if self.real else complex)
+        lines[..., :self.size] = x.reshape(self.size, self.dim, k).transpose(1, 2, 0)
+        spectrum = (np.fft.rfft if self.real else np.fft.fft)(lines)
+        product = self.symbol[:, 0] * spectrum[0]
+        for j in range(1, self.dim):
+            product += self.symbol[:, j] * spectrum[j]
         if self.real:
-            spectrum = np.fft.rfft(blocks, n=self.length, axis=0)
-            y = np.fft.irfft(self.symbol @ spectrum, n=self.length, axis=0)
+            y = np.fft.irfft(product, n=self.length)
         else:
-            spectrum = np.fft.fft(blocks, n=self.length, axis=0)
-            y = np.fft.ifft(self.symbol @ spectrum, axis=0)
-        return y[:self.size].reshape(self.size * self.dim, k)
+            y = np.fft.ifft(product)
+        return y[..., :self.size].transpose(2, 0, 1).reshape(self.size * self.dim, k)
 
 
 def _column_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -422,7 +422,9 @@ def laurent_entry(num_offset: int, num_coeffs, den_offset: int = 0, den_coeffs=(
         z = np.exp(1j * lam)
         num = sum(c * z ** (num_offset + j) for j, c in enumerate(nc))
         den = sum(c * z ** (den_offset + j) for j, c in enumerate(dc))
-        return num / den
+        # a vanishing or NaN denominator is refused by the density checks
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return num / den
 
     return fn
 

@@ -7,6 +7,9 @@ temp directory, then parses the emitted artifacts the way a user would.
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -461,6 +464,32 @@ def test_a_laurent_model_reads_the_delta_of_its_ar1_twin(tmp_path, b):
     assert float(laurent["delta"]) == pytest.approx(float(twin["delta"]), rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("den_offset,den_coeffs", [
+    (-1, "[-1.0, 2.0, -1.0]"), (0, "[.nan]"), (0, "[0.0]")], ids=["root", "nan", "zero"])
+def test_a_vanishing_laurent_denominator_prints_only_the_config_error(
+        tmp_path, den_offset, den_coeffs):
+    # the division used to print NumPy's divide and invalid RuntimeWarnings,
+    # with their source line, before the config error; a child process sees
+    # stderr as a user does, where pytest would catch the warnings
+    cfg = write_config(tmp_path, "model: {kind: laurent, entries: [{row: 0, col: 0, "
+                                 f"num_coeffs: [1.0], den_offset: {den_offset}, "
+                                 f"den_coeffs: {den_coeffs}}}]}}\n"
+                                 "pattern: {intervals: [[2, 1]]}\n"
+                                 "functional: {coeffs: [[1.0]]}\n"
+                                 "numerics: {grid_size: 256}\n")
+    src = Path(cli_module.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "gapcast.cli", "estimate", "--config", str(cfg),
+                          "--out", str(tmp_path / "out")], capture_output=True, text=True,
+                         env=env)
+    assert run.returncode == 2
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "config error: model: density 'F' is non-finite at grid node lambda="), run.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("rho", [".nan", "-0.5", "1.5"])
 def test_a_grid_file_pole_modulus_outside_the_unit_interval_exits_2(tmp_path, capsys, rho):
     # .nan used to end in a raw ValueError, -0.5 to run at truncation 8 and
@@ -853,6 +882,21 @@ def test_a_non_finite_theta_exits_2(tmp_path, capsys, theta):
     assert capsys.readouterr().err == ("config error: minimax.theta: expected 2 finite "
                                        f"value(s), one per family parameter, got {[value, 0.5]}\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_a_theta_outside_the_family_box_exits_2(tmp_path, capsys):
+    # used to be clipped: exit 0 with theta_star = 0.5 0.80000000000000004
+    cfg = write_config(tmp_path, FIXED_THETA_MINIMAX.replace("[0.85, 0.7]", "[0.5, 1.5]"))
+    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == ("config error: minimax.theta: [0.5, 1.5] lies outside "
+                                       "the family's box [0.0, 0.9] x [-0.8, 0.8]\n")
+    assert not (tmp_path / "out").exists()
+
+    # a point on the box's edge is a point of the family
+    cfg = write_config(tmp_path, FIXED_THETA_MINIMAX.replace("[0.85, 0.7]", "[0.9, -0.8]"))
+    assert run_cli(["minimax", "--config", cfg, "--out", tmp_path / "edge"]) == 0
+    assert read_summary(tmp_path / "edge" / "lfd.summary")["theta_star"] == (
+        f"{_fmt(0.9)} {_fmt(-0.8)}")
 
 
 @pytest.mark.parametrize("old,new,message", [

@@ -229,8 +229,8 @@ def test_family_dimension_is_the_box():
 
 def test_point_is_a_float_vector_of_dim_finite_values():
     fam = scalar_mixture_family(power=2.0, grid_size=GRID)
-    point = fam.point([1, 0.5])
-    assert point.dtype == float and point.tolist() == [1.0, 0.5]
+    point = fam.point([0, 0.5])   # w = 1 would lie outside the box [0, 0.9]
+    assert point.dtype == float and point.tolist() == [0.0, 0.5]
     assert singleton_family(white_model(1, 1.0, GRID)).point([]).shape == (0,)
     for theta, shown in [(0.5, [0.5]), ((0.5, 0.2, 0.1), [0.5, 0.2, 0.1]),
                          ([[0.5, 0.2]], [[0.5, 0.2]]), ((np.nan, 0.5), [np.nan, 0.5]),
@@ -599,6 +599,24 @@ def test_a_fixed_theta_must_be_finite(theta):
         maximize_delta(cls, NO_GAP, PRED, K=16, theta=theta)
     with pytest.raises(InvalidParameterError, match=message):
         evaluate_candidate(cls, theta, NO_GAP, PRED, K=16)
+
+
+def test_a_fixed_theta_outside_the_box_is_refused_and_its_edge_accepted():
+    # theta (0.5, 1.5) used to be clipped to (0.5, 0.8) and searched there
+    cls = DensityClass(kind="D0_1", data=ClassData(power=2.0),
+                       family=scalar_mixture_family(power=2.0, grid_size=GRID))
+    box = r"lies outside the family's box \[0.0, 0.9\] x \[-0.8, 0.8\]"
+    for theta in [(0.5, 1.5), (-1e-12, 0.0), (0.9, -0.8 - 1e-12)]:
+        with pytest.raises(InvalidParameterError, match=box):
+            cls.family.point(theta)
+        with pytest.raises(InvalidParameterError, match=box):
+            maximize_delta(cls, NO_GAP, PRED, K=16, theta=theta)
+        with pytest.raises(InvalidParameterError, match=box):
+            evaluate_candidate(cls, theta, NO_GAP, PRED, K=16)
+    for edge in [(0.0, 0.8), (0.9, -0.8)]:
+        assert cls.family.point(edge).tolist() == list(edge)
+        out = maximize_delta(cls, GAP_2, PRED, K=16, theta=edge)
+        assert np.array_equal(out.theta_star, edge) and out.boundary
 
 
 def test_a_fixed_theta_is_the_search_at_that_point():

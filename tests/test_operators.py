@@ -785,6 +785,31 @@ def test_fft_length_is_the_next_five_smooth_number():
         scipy.fft.next_fast_len(n, real=True) for n in lengths]
 
 
+@pytest.mark.parametrize("complex_table", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("size", [1, 2, 97, 513])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_toeplitz_product_matches_assembled_matrix(dim, size, complex_table):
+    # blocks of random tables are neither symmetric nor Hermitian, so a
+    # transposed block or a flipped lag shows; 97 gives the length 200
+    rng = np.random.default_rng(100 * dim + size)
+    data = rng.normal(size=(2 * size - 1, dim, dim))
+    if complex_table:
+        data = data + 1j * rng.normal(size=data.shape)
+    table = FourierTable(max_lag=size - 1, data=data)
+    product = ToeplitzProduct(table, size)
+    assert product.real is not complex_table
+    reference = assemble(table, range(size))
+    for k in (1, 7):
+        for complex_x in (False, True):
+            x = rng.normal(size=(size * dim, k))
+            if complex_x:
+                x = x + 1j * rng.normal(size=x.shape)
+            want = reference @ x
+            got = product(x)
+            assert got.shape == want.shape and np.iscomplexobj(got) == np.iscomplexobj(want)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("seed", range(16))
 def test_split_solve_matches_the_dense_reference(seed):
     # the reference assembles all of B and factors it
