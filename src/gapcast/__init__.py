@@ -37,6 +37,7 @@ from .oracle import (
     SimulationConfig,
     functional_variance,
     monte_carlo_mse,
+    projection_ladder,
     projection_oracle,
 )
 from .config import (

@@ -45,7 +45,7 @@ from .minimax import (
     maximize_delta,
     verify_saddle_point,
 )
-from .oracle import monte_carlo_mse, projection_oracle
+from .oracle import monte_carlo_mse, projection_ladder
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -288,13 +288,12 @@ def cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> int:
     rows = _header(config_hash(cfg)) + [
         "window,delta_spectral,delta_oracle,abs_diff,rel_diff,within_tol"]
     last_rel = np.inf
-    for w in windows:
-        orc = projection_oracle(model, pattern, functional, window=w)
+    for orc in projection_ladder(model, pattern, functional, windows):
         diff = abs(orc.delta_oracle - delta)
         rel = diff / max(abs(delta), 1e-300)
         last_rel = rel
         rows.append(",".join([
-            str(w), _fmt(delta), _fmt(orc.delta_oracle),
+            str(orc.window), _fmt(delta), _fmt(orc.delta_oracle),
             _fmt(diff), _fmt(rel), _fmt(rel <= tol)]))
     rows.append(f"# converged={_fmt(last_rel <= tol)}")
     _write(out_dir / "comparison.csv", rows)
@@ -369,7 +368,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gapcast",
         description="Optimal and minimax-robust linear extrapolation for "
@@ -383,7 +384,11 @@ def main(argv=None) -> int:
                         help="override numerics.grid_size")
     parser.add_argument("--truncation", type=int, default=None,
                         help="override numerics.truncation")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config)

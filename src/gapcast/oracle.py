@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +33,15 @@ from .errors import (
 )
 from .extrapolate import FunctionalSpec, _functional_rows, filter_error
 from .operators import MissingPattern, ToeplitzProduct, cholesky_solver, pcg
-from .spectral import SpectralModel, check_minimality, coeffs_from_samples, trig_poly_on_grid
+from .spectral import (
+    GridTransform,
+    SpectralModel,
+    check_minimality,
+    coeffs_from_samples,
+    grid_transform,
+    lag_table,
+    trig_poly_on_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,14 @@ def projection_oracle(model: SpectralModel, pattern: MissingPattern,
     Solves the normal equations Gamma g = m with exact (quadrature)
     covariances of the observed sequence.  The reported error is an upper
     bound for the infinite-past optimum and decreases as the window grows.
+    It is ``projection_ladder`` over the one window.
+    """
+    return projection_ladder(model, pattern, functional, [window])[0]
+
+
+def projection_ladder(model: SpectralModel, pattern: MissingPattern,
+                      functional: FunctionalSpec, windows: Sequence[int]) -> list[OracleResult]:
+    """``projection_oracle`` at each window, in the order given.
 
     Gamma is never formed.  Over the full window {-window..-1} the covariance
     is block Toeplitz with symbol F_zeta; conjugate gradients (``pcg``) apply
@@ -92,42 +109,63 @@ def projection_oracle(model: SpectralModel, pattern: MissingPattern,
     form E|A|^2 - 2 Re(m^H g) + g^H Gamma g, one more Toeplitz product, so the
     solve error enters it only squared.
 
+    The ladder does once what every window shares: the checks, Var A, the
+    functional's row AX and one grid FFT each of F_zeta^{-1}, F_zeta and
+    conj(AX), kept at the largest window's lags.  Each window slices its own
+    tables from those (``lag_table``), so its result is the one-window
+    result bit for bit, and costs only its own solve.
+
     A singular observation covariance raises DegenerateObservationsError
     naming the window: a density that fails ``check_minimality`` (whose
-    inverse the preconditioner needs), conjugate gradients that do not
-    converge, or a failed factor of H over the gap.  So a non-minimal density
-    is refused at every window, even where its Gamma over a short window
-    could still be factored.  A density that passes keeps the 2-norm
-    condition number of Gamma, at every window, at most its grid spread
-    eig_max / eig_min, itself at most ``COND_CEILING``.
+    inverse the preconditioner needs; named at the first window that
+    observes anything), conjugate gradients that do not converge, or a
+    failed factor of H over the gap.  So a non-minimal density is refused
+    at every window, even where its Gamma over a short window could still
+    be factored.  A density that passes keeps the 2-norm condition number
+    of Gamma, at every window, at most its grid spread eig_max / eig_min,
+    itself at most ``COND_CEILING``.
     """
-    if window < 1:
+    if any(w < 1 for w in windows):
         raise InvalidParameterError("window must be >= 1")
     if functional.dim != model.dim:
         raise InvalidParameterError("functional dimension does not match model")
-    N = functional.horizon
-    d = model.dim
-    observed = pattern.observed_window(window)
+    observed = [pattern.observed_window(w) for w in windows]
     e_s2 = functional_variance(model, functional)
-    if not observed:
-        return OracleResult(delta_oracle=e_s2, taps_oracle={}, window=window)
+    # a window that observes nothing needs no table: its error is Var A
+    solved = [w for w, obs in zip(windows, observed) if obs]
+    tables = ()
+    if solved:
+        try:
+            check_minimality(model)
+        except SingularDensityError as exc:
+            raise DegenerateObservationsError(
+                f"observation covariance over window {solved[0]} is singular: {exc}") from exc
+        # block (p, q) of Gamma is the lag r_p - r_q coefficient of F_zeta
+        # (lags below the window); block r of m = cov(zeta(u), sum a(k)^T xi(k)),
+        # r = -u, the lag-r coefficient of conj(AX), whose table reaches
+        # window + N, as sum_k R_zx(u - k) conj(a(k)) does
+        top, AX = max(solved), _functional_rows(model, functional)[1]
+        tables = (grid_transform(model.samples("Fzinv"), top - 1),
+                  grid_transform(model.samples("Fz"), top - 1),
+                  grid_transform(np.conj(AX)[:, :, None], top + functional.horizon))
+    return [_rung(pattern, w, obs, e_s2, *tables, functional.horizon)
+            if obs else OracleResult(delta_oracle=e_s2, taps_oracle={}, window=w)
+            for w, obs in zip(windows, observed)]
 
+
+def _rung(pattern: MissingPattern, window: int, observed: tuple[int, ...], e_s2: float,
+          inverse_bins: GridTransform, cov_bins: GridTransform, m_bins: GridTransform,
+          N: int) -> OracleResult:
+    """One window of ``projection_ladder``: its tables sliced from the ladder's
+    transforms of F_zeta^{-1}, F_zeta and conj(AX), its solve and its error."""
     name = f"observation covariance over window {window}"
-    try:
-        check_minimality(model)
-    except SingularDensityError as exc:
-        raise DegenerateObservationsError(f"{name} is singular: {exc}") from exc
-    # Over the full window, indexed by r = -u = 1..window, block (p, q) of
-    # Gamma is cov_z.coeff(r_p - r_q) (lags below the window) and block r of
-    # m = cov(zeta(u), sum a(k)^T xi(k)) the lag-r coefficient of conj(AX),
-    # whose table reaches window + N, as sum_k R_zx(u - k) conj(a(k)) does.
-    inverse = coeffs_from_samples(model.samples("Fzinv"), window - 1)
-    cov_z = coeffs_from_samples(model.samples("Fz"), window - 1)
-    lag, AX = window + N, _functional_rows(model, functional)[1]
-    m_table = coeffs_from_samples(np.conj(AX)[:, :, None], lag)
+    # over the full window, indexed by r = -u = 1..window
+    inverse = lag_table(inverse_bins, window - 1)
+    cov_z, lag = lag_table(cov_bins, window - 1), window + N
+    m = lag_table(m_bins, lag).data[lag + 1:lag + window + 1, :, 0].ravel()
+    d = cov_z.dim
     gap = np.repeat(np.isin(np.arange(1, window + 1), -np.asarray(pattern.points)), d)
     S, O = np.flatnonzero(gap), np.flatnonzero(~gap)
-    m = m_table.data[lag + 1:lag + window + 1, :, 0].ravel()
     m[S] = 0.0
     rhs = np.zeros((window * d, 1 + S.size), dtype=np.result_type(m, cov_z.data))
     rhs[:, 0] = m
@@ -150,9 +188,8 @@ def projection_oracle(model: SpectralModel, pattern: MissingPattern,
     delta = e_s2 - (2.0 * float(np.vdot(m, g).real) - float(np.vdot(g, gamma_g).real))
     # observed u ascend, so r descends: reverse the blocks
     taps_vec = np.conj(g).reshape(-1, d)[::-1]
-    taps = {u: taps_vec[i].copy() for i, u in enumerate(observed)}
-    return OracleResult(delta_oracle=max(delta, 0.0), taps_oracle=taps, window=window,
-                        cg_iterations=iterations)
+    return OracleResult(delta_oracle=max(delta, 0.0), taps_oracle=dict(zip(observed, taps_vec)),
+                        window=window, cg_iterations=iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ _HERMITIAN_TOL = 1e-10
 _PSD_TOL = 1e-10
 
 # A Fourier table whose imaginary parts are at most this fraction of its
-# largest real part (about 450 ulp) is stored real; see coeffs_from_samples.
+# largest real part (about 450 ulp) is stored real; see lag_table.
 REAL_TOL = 1e-13
 
 # Largest accepted spread eig_max / eig_min of F_zeta's eigenvalues over the
@@ -502,7 +502,7 @@ class FourierTable:
 
     data[k + max_lag] holds c(k) = (1/2pi) int f e^{-i k lambda} d lambda.
     ``data`` is float64 when the coefficients are real up to rounding (see
-    ``coeffs_from_samples``), complex128 otherwise.
+    ``lag_table``), complex128 otherwise.
     """
 
     max_lag: int
@@ -520,16 +520,22 @@ class FourierTable:
         return self.data[k + self.max_lag]
 
 
-def coeffs_from_samples(samples: np.ndarray, max_lag: int) -> FourierTable:
-    """Fourier coefficients of grid samples (standard grid layout assumed).
+@dataclass
+class GridTransform:
+    """The FFT bins of n grid samples at lags |k| <= max_lag, unscaled.
 
-    The table is real (float64) when max|Im c(k)| <= REAL_TOL * max|Re c(k)|
-    over the table, and complex128 otherwise.  The densities of a real
-    process satisfy f(-lambda) = conj f(lambda), so their coefficients are
-    real and the imaginary parts the FFT leaves are rounding, about 1e-17
-    relative.  Dropping them lets every matrix built from the table, and every
-    factorization of it, run in real arithmetic.  A complex process keeps its
-    complex table.  The test reduces over the table, not over the grid.
+    bins[k + max_lag] is bin k mod n; ``lag_table`` turns any lag range up to
+    ``max_lag`` into a ``FourierTable``, so one transform serves many tables.
+    """
+
+    n: int
+    max_lag: int
+    bins: np.ndarray  # complex, (2*max_lag + 1, ...)
+
+
+def grid_transform(samples: np.ndarray, max_lag: int) -> GridTransform:
+    """The grid FFT of samples (standard grid layout assumed), kept at |k| <= max_lag.
+
     A grid of n nodes resolves lags up to n/4: this is the one refusal of a
     longer table (``InsufficientLagError``), naming the grid it needs if one is accepted.
     """
@@ -544,11 +550,32 @@ def coeffs_from_samples(samples: np.ndarray, max_lag: int) -> FourierTable:
                 f"no accepted grid resolves lag {max_lag}: the largest, {MAX_GRID_SIZE} "
                 f"nodes, resolves lags up to {MAX_GRID_SIZE // 4}"))
     ks = np.arange(-max_lag, max_lag + 1)
-    coeffs = np.fft.fft(samples, axis=0)[ks % n]
+    return GridTransform(n=n, max_lag=max_lag, bins=np.fft.fft(samples, axis=0)[ks % n])
+
+
+def lag_table(transform: GridTransform, max_lag: int) -> FourierTable:
+    """The Fourier coefficients c(k), |k| <= max_lag <= transform.max_lag, of its samples.
+
+    The table is real (float64) when max|Im c(k)| <= REAL_TOL * max|Re c(k)|
+    over the table, and complex128 otherwise.  The densities of a real
+    process satisfy f(-lambda) = conj f(lambda), so their coefficients are
+    real and the imaginary parts the FFT leaves are rounding, about 1e-17
+    relative.  Dropping them lets every matrix built from the table, and every
+    factorization of it, run in real arithmetic.  A complex process keeps its
+    complex table.  The test reduces over the table, not over the grid, so a
+    table depends only on the samples and its own ``max_lag``.
+    """
+    start = transform.max_lag - max_lag
+    coeffs = transform.bins[start:start + 2 * max_lag + 1]
     if np.abs(coeffs.imag).max() <= REAL_TOL * np.abs(coeffs.real).max():
         coeffs = coeffs.real
-    signs = np.where(ks % 2 == 0, 1.0, -1.0)
-    return FourierTable(max_lag=max_lag, data=signs[:, None, None] * (coeffs / n))
+    signs = np.where(np.arange(-max_lag, max_lag + 1) % 2 == 0, 1.0, -1.0)
+    return FourierTable(max_lag=max_lag, data=signs[:, None, None] * (coeffs / transform.n))
+
+
+def coeffs_from_samples(samples: np.ndarray, max_lag: int) -> FourierTable:
+    """Fourier coefficients of grid samples: ``lag_table`` of their ``grid_transform``."""
+    return lag_table(grid_transform(samples, max_lag), max_lag)
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,18 @@ def test_cli_numeric_overrides(tmp_path):
     assert header_hash(out / "result.summary") != config_hash(loads_config(BENCH_YAML))
 
 
+def test_one_calls_override_does_not_reach_the_next(tmp_path, monkeypatch):
+    # the parser is built once per process; each call still parses its own flags
+    cfg = write_config(tmp_path, BENCH_YAML)
+    grids = []
+    monkeypatch.setitem(cli_module._COMMANDS, "estimate",
+                        lambda run, out_dir: grids.append(run.numerics["grid_size"]) or 0)
+    for flags in (["--grid", "512"], []):
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 0
+    assert grids == [512, 1024]
+    assert cli_module._parser() is cli_module._parser()
+
+
 def test_estimate_grid_file_model(tmp_path):
     n = 256
     lam = grid_points(n)

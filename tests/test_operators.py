@@ -3,6 +3,7 @@ two-component benchmark whose operator blocks and factorized inverse are
 known in closed form.
 """
 
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -558,8 +559,8 @@ def _dtypes(monkeypatch, model, pattern, functional, K):
     """dtypes of the tables, Bmat, the right side and the oracle's H over the gap."""
     seen = {"tables": [], "H_SS": []}
 
-    def table_spy(samples, max_lag):
-        table = coeffs_from_samples(samples, max_lag)
+    def table_spy(source, max_lag, make=coeffs_from_samples):
+        table = make(source, max_lag)
         seen["tables"].append(table.data.dtype)
         return table
 
@@ -569,6 +570,8 @@ def _dtypes(monkeypatch, model, pattern, functional, K):
 
     for module in (operators_module, extrapolate_module, oracle_module):
         monkeypatch.setattr(module, "coeffs_from_samples", table_spy)
+    monkeypatch.setattr(oracle_module, "lag_table",
+                        functools.partial(table_spy, make=oracle_module.lag_table))
     monkeypatch.setattr(oracle_module, "cholesky_solver", factor_spy)
     system = build_operator_system(model, pattern, K=K)
     rhs = _rhs(model, pattern, functional, system)[0]
@@ -902,15 +905,15 @@ def test_unconverged_conjugate_gradients_are_refused(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _asked_lags(monkeypatch, module):
-    """The lags of every table ``module`` asks ``coeffs_from_samples`` for, in order."""
-    asked = []
+def _asked_lags(monkeypatch, module, name="coeffs_from_samples"):
+    """The lags of every table ``module`` asks its function ``name`` for, in order."""
+    asked, real = [], getattr(module, name)
 
-    def spy(samples, max_lag):
+    def spy(source, max_lag):
         asked.append(max_lag)
-        return coeffs_from_samples(samples, max_lag)
+        return real(source, max_lag)
 
-    monkeypatch.setattr(module, "coeffs_from_samples", spy)
+    monkeypatch.setattr(module, name, spy)
     return asked
 
 
@@ -940,11 +943,12 @@ def test_oracle_tables_span_the_lags_they_read(monkeypatch, window):
     # read lags below the window; m's, of conj(A^T (F + F_xe)), is asked up
     # to window + N, the reach of its cross covariances
     model, pattern, functional, _ = _example("noisy_ar1")
-    asked = _asked_lags(monkeypatch, oracle_module)
+    transformed = _asked_lags(monkeypatch, oracle_module, "grid_transform")
+    asked = _asked_lags(monkeypatch, oracle_module, "lag_table")
     res = projection_oracle(model, pattern, functional, window=window)
     N = functional.horizon
     assert res.cg_iterations > 0
-    assert asked == [window - 1, window - 1, window + N]
+    assert transformed == asked == [window - 1, window - 1, window + N]
 
 
 @pytest.mark.parametrize("intervals", [(), ((2, 1),)])

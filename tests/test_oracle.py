@@ -284,6 +284,60 @@ def test_near_unit_ladder_never_rises(rho):
         assert longer <= shorter * (1 + 1e-13)
 
 
+def _ladder_case(name):
+    """(model, pattern, functional, windows) of one ladder; windows unsorted on purpose."""
+    gap, target = MissingPattern(intervals=((2, 1),)), FunctionalSpec(coeffs=[[1.0], [0.5]])
+    if name == "noiseless_ar1":
+        return _scalar_ar1(0.6), gap, target, [60, 5, 20]
+    if name == "complex_ma_pair":   # correlated signal and noise, complex coefficients
+        return COMPLEX_MODELS["ma_pair_noisy"](), gap, target, [40, 10, 25]
+    if name == "unobserved_rung":   # the gap covers all of window 2
+        return _scalar_ar1(0.6), MissingPattern(intervals=((1, 3),)), target, [30, 2, 8, 2]
+    model, pattern, functional, _ = _example("noisy_ar1")
+    return model, pattern, functional, ([400, 100, 200] if name == "noisy_ar1"
+                                        else [100, 25, 100, 50])
+
+
+@pytest.mark.parametrize("name", ["noiseless_ar1", "noisy_ar1", "complex_ma_pair",
+                                  "unobserved_rung", "duplicate_window"])
+def test_ladder_rungs_match_single_windows(name):
+    # every rung slices its tables from the ladder's transforms at the largest
+    # window: bit for bit the one-window result, taps and iterations included
+    model, pattern, functional, windows = _ladder_case(name)
+    ladder = oracle_module.projection_ladder(model, pattern, functional, windows)
+    assert [rung.window for rung in ladder] == windows
+    for rung in ladder:
+        single = projection_oracle(model, pattern, functional, window=rung.window)
+        assert rung.delta_oracle == single.delta_oracle
+        assert rung.cg_iterations == single.cg_iterations
+        assert list(rung.taps_oracle) == list(single.taps_oracle)
+        for lag, tap in rung.taps_oracle.items():
+            assert tap.dtype == single.taps_oracle[lag].dtype
+            assert tap.tobytes() == single.taps_oracle[lag].tobytes()
+    if name == "unobserved_rung":
+        empty = [rung for rung in ladder if rung.window == 2]
+        assert all(rung.taps_oracle == {} and rung.cg_iterations == 0 and
+                   rung.delta_oracle == functional_variance(model, functional) for rung in empty)
+    if name == "complex_ma_pair":
+        assert all(np.iscomplexobj(tap) for rung in ladder for tap in rung.taps_oracle.values())
+
+
+def test_a_ladder_transforms_each_grid_density_once(monkeypatch):
+    model, pattern, functional, _ = _example("noisy_ar1")
+    lengths, transform = [], oracle_module.grid_transform
+
+    def spy(samples, max_lag):
+        lengths.append(samples.shape[0])
+        return transform(samples, max_lag)
+
+    monkeypatch.setattr(oracle_module, "grid_transform", spy)
+    oracle_module.projection_ladder(model, pattern, functional, [400])
+    one = len(lengths)
+    oracle_module.projection_ladder(model, pattern, functional, [100, 400, 200])
+    assert one == 3   # F_zeta^{-1}, F_zeta and conj(AX)
+    assert lengths == [model.grid_size] * 2 * one
+
+
 # ---------------------------------------------------------------------------
 # reference: the normal equations assembled block by block
 # ---------------------------------------------------------------------------
