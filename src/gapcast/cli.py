@@ -379,7 +379,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the YAML run file")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the simulation / search seed")
+                        help="override the simulation / search seed (simulate and "
+                             "minimax only)")
     parser.add_argument("--grid", type=int, default=None,
                         help="override numerics.grid_size")
     parser.add_argument("--truncation", type=int, default=None,
@@ -406,6 +407,9 @@ def main(argv=None) -> int:
                 if not isinstance(opt, dict):
                     raise ConfigError("expected a mapping", location="minimax.opt")
                 opt["seed"] = args.seed
+            else:
+                raise ConfigError(f"{args.command} draws nothing at random; only simulate "
+                                  "and minimax read a seed", location="--seed")
         out_dir = Path(args.out if args.out is not None else cfg.out_dir)
         return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:

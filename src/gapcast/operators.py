@@ -47,9 +47,12 @@ MAX_GAP_POINTS = 100_000
 
 # The crossover of the operator solve.  Above this many unknowns it splits over
 # the gap and the future and B is never formed; at or below it B is assembled
-# and factored.  Every shipped example stays dense (P <= 198); the benchmark's
-# estimates (P = 1030) split.
-DENSE_MAX_ORDER = 512
+# and factored.  Timed with one BLAS thread, the split solve is the faster above
+# P = 300 on benchmark.yaml, noisy_ar1.yaml and a scalar AR(0.7) in AR(0.2)
+# noise; noisy_ar1.yaml crosses last (the table is in CHANGES.md).  Every
+# shipped example stays dense (P <= 198); the benchmark's estimates (P = 1030)
+# split.
+DENSE_MAX_ORDER = 300
 
 # Conjugate gradients stop when every column's residual is at most
 # ``CG_TOL`` of its right-hand side, and refuse after ``CG_MAX_ITERATIONS``.
@@ -175,6 +178,11 @@ class ToeplitzProduct:
     """
 
     def __init__(self, table: FourierTable, size: int):
+        if size - 1 > table.max_lag:
+            raise InsufficientLagError(
+                f"a product of size {size} needs lag {size - 1} but table covers only "
+                f"+-{table.max_lag}"
+            )
         lags = np.arange(1 - size, size)
         self.size, self.dim = size, table.dim
         self.length = _fast_length(2 * size - 1)

@@ -55,6 +55,8 @@ numerics:
 """
 
 BENCH_DELTA = 15.69  # 10 + 8 b1 + 4 b1^2 + 2 b2 + b2^2 at (0.5, 0.3)
+# the quadrature of tr F_zeta^{-1}, 1 + b1^2 + 2 (1 + b2^2), exact on these grids
+BENCH_MINIMALITY = 3.43
 
 
 def write_config(tmp_path, text, name="run.yaml"):
@@ -92,6 +94,15 @@ def read_csv_rows(path):
         else:
             rows.append(line.split(","))
     return header, rows, trailer
+
+
+def entry_point(args, **env):
+    """``python -m gapcast.cli args`` in a fresh interpreter, which sees stderr as a user does."""
+    src = Path(cli_module.__file__).resolve().parents[1]
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-m", "gapcast.cli", *map(str, args)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
 
 
 def header_hash(path):
@@ -136,6 +147,14 @@ def test_estimate_benchmark_outputs(tmp_path):
 
     # the recorded hash is reproducible from the config text alone
     assert header_hash(out / "result.summary") == config_hash(loads_config(BENCH_YAML))
+
+    # the shipped file sits on both closed forms up to rounding
+    out = tmp_path / "example"
+    assert run_cli(["estimate", "--config", EXAMPLES / "benchmark.yaml", "--out", out]) == 0
+    summary = read_summary(out / "result.summary")
+    assert abs(float(summary["delta"]) - BENCH_DELTA) <= 1e-12 * BENCH_DELTA
+    assert abs(float(summary["minimality_value"]) - BENCH_MINIMALITY) <= \
+        1e-13 * BENCH_MINIMALITY
 
 
 def test_estimate_rerun_is_byte_identical(tmp_path):
@@ -489,16 +508,12 @@ def test_a_vanishing_laurent_denominator_prints_only_the_config_error(
                                  "pattern: {intervals: [[2, 1]]}\n"
                                  "functional: {coeffs: [[1.0]]}\n"
                                  "numerics: {grid_size: 256}\n")
-    src = Path(cli_module.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-m", "gapcast.cli", "estimate", "--config", str(cfg),
-                          "--out", str(tmp_path / "out")], capture_output=True, text=True,
-                         env=env)
+    run = entry_point(["estimate", "--config", cfg, "--out", tmp_path / "out"])
+    _, stderr = run.communicate(timeout=300)
     assert run.returncode == 2
-    lines = run.stderr.splitlines()
+    lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(
-        "config error: model: density 'F' is non-finite at grid node lambda="), run.stderr
+        "config error: model: density 'F' is non-finite at grid node lambda="), stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -563,34 +578,49 @@ def test_an_oracle_window_beyond_the_grid_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     cfg = write_config(tmp_path, BENCH_YAML + "oracle_check: {windows: [255]}\n")
     assert run_cli(["oracle-check", "--config", cfg, "--out", tmp_path / "out"]) == 0
-    # --grid is checked by the same rule
-    assert run_cli(["oracle-check", "--config", cfg, "--out", tmp_path / "out2",
-                    "--grid", 512]) == 2
-    assert "the largest window allowed is 127" in capsys.readouterr().err
+    # --grid is checked by the same rule, also on benchmark.yaml's windows up to 200
+    for path, window in ((cfg, 255), (EXAMPLES / "benchmark.yaml", 200)):
+        assert run_cli(["oracle-check", "--config", path, "--out", tmp_path / "out2",
+                        "--grid", 512]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: oracle_check.windows: window {window} is too long for "
+            "numerics.grid_size 512: the largest window allowed is 127 ")
+        assert not (tmp_path / "out2").exists()
 
-def test_oracle_check_converges_and_is_monotone(tmp_path):
-    text = BENCH_YAML + """
-oracle_check:
-  windows: [20, 40, 80, 160]
-  tolerance: 1.0e-3
-"""
-    cfg = write_config(tmp_path, text)
+ORACLE_LADDERS = {   # run file, windows, tolerance
+    "benchmark": (BENCH_YAML, [20, 40, 80, 160], "1.0e-3"),
+    # windows 400 and 510 (= 2048 / 4 - 2, the longest the grid resolves) hold
+    # 794 and 1014 observed unknowns
+    "noisy_ar1_long": ((EXAMPLES / "noisy_ar1.yaml").read_text(), [100, 400, 510], "1.0e-4"),
+    # AR(0.99) in AR(0.2) noise up to window 1024 = 4096 / 4
+    "near_unit": ("model: {kind: ar1, poles: [0.99], noise: {poles: [0.2], scales: [0.5]}}\n"
+                  "pattern: {intervals: [[2, 1]]}\nfunctional: {coeffs: [[1.0]]}\n"
+                  "numerics: {grid_size: 4096}\n", [25, 200, 1024], "1.0e-8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LADDERS))
+def test_oracle_check_converges_and_is_monotone(tmp_path, name):
+    text, windows, tolerance = ORACLE_LADDERS[name]
+    cfg = write_config(tmp_path, text + f"oracle_check:\n  windows: {windows}\n"
+                                        f"  tolerance: {tolerance}\n")
     out = tmp_path / "out"
     assert run_cli(["oracle-check", "--config", cfg, "--out", out]) == 0
 
     header, rows, trailer = read_csv_rows(out / "comparison.csv")
     assert header == ["window", "delta_spectral", "delta_oracle",
                       "abs_diff", "rel_diff", "within_tol"]
-    windows = [int(r[0]) for r in rows]
-    assert windows == [20, 40, 80, 160]
+    assert [int(r[0]) for r in rows] == windows
+    # a longer window projects on more, so its error is no larger
     oracle = [float(r[2]) for r in rows]
     for prev, cur in zip(oracle, oracle[1:]):
-        assert cur <= prev + 1e-8 * (1.0 + abs(prev))
+        assert cur <= prev * (1 + 1e-13)
     assert rows[-1][5] == "true"
     assert any(t == "# converged=true" for t in trailer)
-    # both routes sit on the frozen benchmark value
-    assert float(rows[-1][1]) == pytest.approx(BENCH_DELTA, rel=1e-6)
-    assert float(rows[-1][2]) == pytest.approx(BENCH_DELTA, rel=1e-4)
+    if name == "benchmark":
+        # both routes sit on the frozen benchmark value
+        assert float(rows[-1][1]) == pytest.approx(BENCH_DELTA, rel=1e-6)
+        assert float(rows[-1][2]) == pytest.approx(BENCH_DELTA, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -1397,7 +1427,9 @@ MIXTURE_MINIMAX = VALID_MINIMAX.replace(
 def _assert_config_error(tmp_path, capsys, command, text, key):
     cfg = write_config(tmp_path, text)
     assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
-    assert f"config error: {key}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and not (tmp_path / "out").exists()
+    return err
 
 
 @pytest.mark.parametrize("command,text,key", [
@@ -1459,6 +1491,10 @@ def test_truncation_at_the_horizon_is_the_least_accepted(tmp_path, capsys):
     _assert_config_error(tmp_path, capsys, "estimate",
                          BENCH_YAML.replace("truncation: 48", "truncation: 0"),
                          "numerics.truncation")
+    # and so is the flag
+    assert run_cli(["estimate", "--config", EXAMPLES / "benchmark.yaml", "--truncation", 0,
+                    "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.startswith("config error: numerics.truncation: ")
     cfg = write_config(tmp_path, BENCH_YAML.replace("truncation: 48", "truncation: 1"))
     assert run_cli(["estimate", "--config", cfg, "--out", tmp_path / "out"]) == 0
 
@@ -1472,54 +1508,60 @@ def test_integral_values_accepted(tmp_path):
     assert read_summary(tmp_path / "out" / "result.summary")["truncation"] == "8"
 
 
-@pytest.mark.parametrize("command,text,key", [
-    ("simulate", BENCH_YAML + "simulation: {replicatons: 7}", "simulation"),
-    ("simulate", BENCH_YAML + "simulation: {path_length: 100}", "simulation"),
-    ("oracle-check", BENCH_YAML + "oracle_check: {window: [25]}", "oracle_check"),
-    ("minimax", VALID_MINIMAX + "  opt: {strats: 2}\n", "minimax.opt"),
-    ("minimax", VALID_MINIMAX + "  saddle_sample: 3\n", "minimax"),
+@pytest.mark.parametrize("command,text,key,name", [
+    ("simulate", BENCH_YAML + "simulation: {replicatons: 7}", "simulation",
+     "replicatons"),
+    ("simulate", BENCH_YAML + "simulation: {path_length: 100}", "simulation",
+     "path_length"),
+    ("oracle-check", BENCH_YAML + "oracle_check: {window: [25]}", "oracle_check",
+     "window"),
+    ("minimax", VALID_MINIMAX + "  opt: {strats: 2}\n", "minimax.opt", "strats"),
+    ("minimax", VALID_MINIMAX + "  saddle_sample: 3\n", "minimax", "saddle_sample"),
     ("estimate", BENCH_YAML.replace("intervals: [[2, 1]]", "interval: [[2, 1]]"),
-     "pattern"),
-    ("estimate", VALID_MINIMAX.replace("scale: 1.5", "scael: 1.5"), "model"),
-    ("estimate", BENCH_YAML.replace("b2: 0.3", "b2: 0.3\n  b3: 0.1"), "model"),
+     "pattern", "interval"),
+    ("estimate", VALID_MINIMAX.replace("scale: 1.5", "scael: 1.5"), "model", "scael"),
+    ("estimate", BENCH_YAML.replace("b2: 0.3", "b2: 0.3\n  b3: 0.1"), "model", "b3"),
     ("estimate", NOISY_AR1_YAML.replace("noise: {poles: [0.2]}", "noise: {pole: [0.2]}"),
-     "model.noise"),
-    ("estimate", LAURENT_YAML.replace("num_coeffs", "num_coefs"), "model.entries[0]"),
+     "model.noise", "pole"),
+    ("estimate", LAURENT_YAML.replace("num_coeffs", "num_coefs"), "model.entries[0]",
+     "num_coefs"),
     ("estimate", BENCH_YAML.replace("[1.0, 1.0]]", "[1.0, 1.0]]\n  truncate: true"),
-     "functional"),
-    ("estimate", BENCH_YAML + "output: {dir: elsewhere}", "output"),
+     "functional", "truncate"),
+    ("estimate", BENCH_YAML + "output: {dir: elsewhere}", "output", "dir"),
     ("minimax", VALID_MINIMAX.replace("kind: singleton", "kind: singleton\n    param: {}"),
-     "minimax.family"),
+     "minimax.family", "param"),
     # retired: they sized the circulant embedding, which simulate no longer builds
-    ("simulate", SIM_YAML + "  window: 60\n", "simulation"),
-    ("simulate", SIM_YAML + "  embedding_margin: 900\n", "simulation"),
-    ("simulate", SIM_YAML + "  psd_tol: 1.0e-8\n", "simulation"),
+    ("simulate", SIM_YAML + "  window: 60\n", "simulation", "window"),
+    ("simulate", SIM_YAML + "  embedding_margin: 900\n", "simulation", "embedding_margin"),
+    ("simulate", SIM_YAML + "  psd_tol: 1.0e-8\n", "simulation", "psd_tol"),
     # retired: the search takes numerics.truncation, and the flag only relabeled output
-    ("minimax", VALID_MINIMAX + "  opt: {truncation: 8}\n", "minimax.opt"),
+    ("minimax", VALID_MINIMAX + "  opt: {truncation: 8}\n", "minimax.opt", "truncation"),
     ("estimate", BENCH_YAML.replace("[1.0, 1.0]]", "[1.0, 1.0]]\n  truncated: true"),
-     "functional"),
+     "functional", "truncated"),
     # retired: the step schedule is fixed (0.25 of each range, halved below 1e-6)
-    ("minimax", VALID_MINIMAX + "  opt: {initial_step: 0.25}\n", "minimax.opt"),
-    ("minimax", VALID_MINIMAX + "  opt: {min_step: 1.0e-6}\n", "minimax.opt"),
+    ("minimax", VALID_MINIMAX + "  opt: {initial_step: 0.25}\n", "minimax.opt", "initial_step"),
+    ("minimax", VALID_MINIMAX + "  opt: {min_step: 1.0e-6}\n", "minimax.opt", "min_step"),
     # retired: white and laurent take T from functional.coeffs, and the
     # residuals are always written
-    ("estimate", VALID_MINIMAX.replace("kind: white", "kind: white\n  dim: 1"), "model"),
-    ("estimate", LAURENT_YAML.replace("kind: laurent", "kind: laurent\n  dim: 1"), "model"),
-    ("minimax", VALID_MINIMAX + "  skip_residuals: true\n", "minimax"),
+    ("estimate", VALID_MINIMAX.replace("kind: white", "kind: white\n  dim: 1"), "model", "dim"),
+    ("estimate", LAURENT_YAML.replace("kind: laurent", "kind: laurent\n  dim: 1"), "model",
+     "dim"),
+    ("minimax", VALID_MINIMAX + "  skip_residuals: true\n", "minimax", "skip_residuals"),
     # retired: a laurent model reads its decay rate off its denominators
     ("estimate", LAURENT_YAML.replace("kind: laurent", "kind: laurent\n  pole_modulus: 0.5"),
-     "model"),
+     "model", "pole_modulus"),
     # retired: a stock family reads its power (noise power) from minimax.data
-    *[("minimax", VALID_MINIMAX.replace("kind: singleton", f"{family}\n    params: {params}"),
-       "minimax.family.params")
-      for family, params in [("kind: mixture", "{power: 1.5}"),
-                             ("kind: mixture", "{noise_power: 0.8}"),
-                             ("kind: ar1_fixed_power", "{power: 1.5}"),
-                             ("kind: contamination", "{power: 1.5}")]],
+    *[("minimax", VALID_MINIMAX.replace("kind: singleton",
+                                        f"{family}\n    params: {{{name}: {value}}}"),
+       "minimax.family.params", name)
+      for family, name, value in [("kind: mixture", "power", 1.5),
+                                  ("kind: mixture", "noise_power", 0.8),
+                                  ("kind: ar1_fixed_power", "power", 1.5),
+                                  ("kind: contamination", "power", 1.5)]],
     # retired: the contamination family reads eps and its anchor from minimax.data
     *[("minimax", VALID_MINIMAX.replace("kind: singleton",
                                         f"kind: contamination\n    params: {{{key}: 0.3}}"),
-       "minimax.family.params") for key in ("eps", "anchor_power", "anchor_pole")],
+       "minimax.family.params", key) for key in ("eps", "anchor_power", "anchor_pole")],
 ], ids=["simulation", "path_length", "oracle_check", "minimax_opt", "minimax",
         "pattern", "model_white", "model_example1", "model_noise", "model_entry",
         "functional", "output", "minimax_family", "window", "embedding_margin", "psd_tol",
@@ -1528,8 +1570,9 @@ def test_integral_values_accepted(tmp_path):
         "mixture_noise_power",
         "ar1_fixed_power_power", "contamination_power", "contamination_eps",
         "contamination_anchor_power", "contamination_anchor_pole"])
-def test_unknown_keys_exit_2(tmp_path, capsys, command, text, key):
-    _assert_config_error(tmp_path, capsys, command, text, key)
+def test_unknown_keys_exit_2(tmp_path, capsys, command, text, key, name):
+    err = _assert_config_error(tmp_path, capsys, command, text, key)
+    assert err == f"config error: {key}: unknown key(s) [{name!r}]\n"
 
 
 @pytest.mark.parametrize("extra,key", [
@@ -1716,6 +1759,17 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys):
     assert "config error: minimax.opt:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "oracle-check"])
+def test_a_seed_flag_where_nothing_is_drawn_exits_2(tmp_path, capsys, command):
+    # both used to accept --seed and ignore it (exit 0)
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", EXAMPLES / "benchmark.yaml", "--seed", 3,
+                    "--out", out]) == 2
+    assert capsys.readouterr().err == (f"config error: --seed: {command} draws nothing at "
+                                       "random; only simulate and minimax read a seed\n")
+    assert not out.exists()
+
+
 def test_seed_flag_over_a_null_opt(tmp_path):
     # a null opt is no section: the flag's seed drives the search
     cfg = write_config(tmp_path, MIXTURE_MINIMAX + "  opt: null\n")
@@ -1787,31 +1841,31 @@ numerics:
     assert not (tmp_path / "o" / "result.summary").exists()
 
 
-def test_an_ill_conditioned_observation_density_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("model,coeffs,cond", [
     # two equal AR(0.9) components, one at 1e-13 of the other's power
-    text = """
-model:
-  kind: ar1
-  poles: [0.9, 0.9]
-  scales: [1.0, 1.0e-13]
-pattern:
-  intervals: []
-functional:
-  coeffs: [[1.0, 1.0]]
-numerics:
-  grid_size: 256
-  truncation: 8
-"""
-    cfg = write_config(tmp_path, text)
+    ("{kind: ar1, poles: [0.9, 0.9], scales: [1.0, 1.0e-13]}", "[[1.0, 1.0]]", "3.610e+15"),
+    # the noiseless unit-root MA(1): each 1 x 1 node is its own condition
+    # number 1, but |1 + e^{i lambda}|^2 falls from 4 at 0 to 1.5e-32 at pi
+    ("{kind: ma_pair, signal_coeffs: [[[1.0]], [[1.0]]]}", "[[1.0]]", "2.667e+32"),
+], ids=["two_ar1", "unit_root_ma1"])
+def test_an_ill_conditioned_observation_density_exits_3(tmp_path, capsys, model, coeffs, cond):
+    cfg = write_config(tmp_path, f"model: {model}\npattern: {{intervals: []}}\n"
+                                 f"functional: {{coeffs: {coeffs}}}\n"
+                                 "numerics: {grid_size: 256, truncation: 8}\n")
     assert run_cli(["estimate", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert capsys.readouterr().err == (
-        "error: minimality check failed: condition number 3.610e+15 exceeds ceiling "
+        f"error: minimality check failed: condition number {cond} exceeds ceiling "
         "1.0e+12: largest eigenvalue at lambda=0.000000, smallest at lambda=-3.141593\n")
     assert not (tmp_path / "o" / "result.summary").exists()
 
 
-def test_large_estimate_is_solved_by_conjugate_gradients(tmp_path, monkeypatch):
-    # 2 (2 + 513) = 1030 unknowns: above the crossover, and still 15.69
+@pytest.mark.parametrize("example,delta", [
+    ("benchmark", BENCH_DELTA),
+    # with noise and a gap Schur step: the delta the dense solve gives at grid
+    # 2048, truncation 64
+    ("noisy_ar1", 8.5919928228423181)])
+def test_large_estimate_is_solved_by_conjugate_gradients(tmp_path, monkeypatch, example, delta):
+    # 2 (2 + 513) = 1030 and 2 (3 + 513) = 1032 unknowns: above the crossover
     results = []
 
     def recording_estimate(*args, **kwargs):
@@ -1820,12 +1874,15 @@ def test_large_estimate_is_solved_by_conjugate_gradients(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_module, "estimate", recording_estimate)
     out = tmp_path / "o"
-    assert run_cli(["estimate", "--config", EXAMPLES / "benchmark.yaml", "--grid", 8192,
+    assert run_cli(["estimate", "--config", EXAMPLES / f"{example}.yaml", "--grid", 8192,
                     "--truncation", 512, "--out", out]) == 0
     summary = read_summary(out / "result.summary")
-    assert abs(float(summary["delta"]) - BENCH_DELTA) <= 1e-12 * BENCH_DELTA
+    assert abs(float(summary["delta"]) - delta) <= 1e-12 * delta
     assert int(summary["cg_iterations"]) > 0
     assert float(summary["solve_residual"]) <= 1e-13
+    if example == "benchmark":
+        assert abs(float(summary["minimality_value"]) - BENCH_MINIMALITY) <= \
+            1e-13 * BENCH_MINIMALITY
 
     # both tables as one _fmt call per number would write them
     (res,) = results
@@ -1866,3 +1923,48 @@ def test_config_round_trip_and_hash_stability(tmp_path):
 
     path = write_config(tmp_path, BENCH_YAML)
     assert load_config(path).to_dict() == cfg.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# the real entry point, one interpreter per run
+# ---------------------------------------------------------------------------
+
+ARTIFACTS = {"estimate": ["h_grid.csv", "result.summary", "taps.csv"],
+             "oracle-check": ["comparison.csv"], "simulate": ["mc.csv"],
+             "minimax": ["lfd.summary", "residuals.csv"]}
+# (run file or its text, flags, exit code): every shipped example through each
+# command that reads it, and the runs above whose artifacts carry a claim
+ENTRY_POINT_RUNS = {
+    "estimate": [(EXAMPLES / f"{name}.yaml", flags, 0)
+                 for flags in ([], ["--grid", 8192, "--truncation", 512])
+                 for name in ("benchmark", "noisy_ar1")],
+    "oracle-check": [(EXAMPLES / f"{name}.yaml", [], 0) for name in ("benchmark", "noisy_ar1")],
+    "simulate": [(EXAMPLES / f"{name}.yaml", [], 0) for name in ("benchmark", "noisy_ar1")]
+    # a seed is one 64-bit word of the stream key
+    + [(EXAMPLES / "benchmark.yaml", ["--seed", 2 ** 64], 2)],
+    "minimax": [(ROBUST, [], 0), (EXAMPLES / "robust_banded_noise.yaml", [], 0),
+                (ROBUST, ["--grid", 1024, "--truncation", 24], 0)]
+    + [(text, [], 0) for text in (FIXED_THETA_MINIMAX, TWO_STEP_MINIMAX,
+                                  _scaled(TWO_STEP_MINIMAX, 1e-7), EXAMPLE1_D0_MINIMAX, DEPS_3)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ENTRY_POINT_RUNS))
+def test_artifacts_are_byte_identical_across_interpreters(tmp_path, command):
+    # each run twice, in interpreters that hash strings differently, with
+    # BLAS at the one thread the byte-for-byte promise is made for
+    env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    for i, (config, flags, code) in enumerate(ENTRY_POINT_RUNS[command]):
+        if isinstance(config, str):
+            config = write_config(tmp_path, config, name=f"run{i}.yaml")
+        runs = [entry_point([command, "--config", config, *flags,
+                             "--out", tmp_path / side / str(i)], PYTHONHASHSEED=side, **env)
+                for side in ("1", "2")]
+        stderr = [run.communicate(timeout=300)[1] for run in runs]
+        assert [run.returncode for run in runs] == [code, code], stderr
+        assert stderr[0] == stderr[1]
+        names = sorted(path.name for path in (tmp_path / "1" / str(i)).glob("*"))
+        assert names == (ARTIFACTS[command] if code == 0 else []), (config, flags)
+    trees = [{path.relative_to(tmp_path / side): path.read_bytes()
+              for path in (tmp_path / side).rglob("*") if path.is_file()} for side in ("1", "2")]
+    assert trees[0] == trees[1]

@@ -561,6 +561,7 @@ def test_search_estimates_once_and_matches_reference(case, monkeypatch):
     assert np.isnan(out.fw_gap) == (case == "gapped_D0_2")
     if stopped == "certified":
         assert out.fw_gap <= 1e-12 * out.delta_star
+        assert verify_saddle_point(out).all_pass
     elif case == "two_step_D0_1":
         assert out.fw_gap == out.delta_upper - out.delta_star > 0.1 * out.delta_star
 

@@ -161,6 +161,11 @@ def test_assemble_places_lag_blocks():
                                   table2.coeff(jp - jq))
     with pytest.raises(InsufficientLagError):
         assemble(table2, (-3,), (2,))          # lag -5 beyond +-4
+    # the FFT product refuses the same way: size 6 reads lags up to 5
+    assert ToeplitzProduct(table2, 5).size == 5
+    with pytest.raises(InsufficientLagError,
+                       match=r"^a product of size 6 needs lag 5 but table covers only \+-4$"):
+        ToeplitzProduct(table2, 6)
 
 
 def test_estimate_lays_out_functional_after_gaps():

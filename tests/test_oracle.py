@@ -293,13 +293,14 @@ def _ladder_case(name):
         return COMPLEX_MODELS["ma_pair_noisy"](), gap, target, [40, 10, 25]
     if name == "unobserved_rung":   # the gap covers all of window 2
         return _scalar_ar1(0.6), MissingPattern(intervals=((1, 3),)), target, [30, 2, 8, 2]
-    model, pattern, functional, _ = _example("noisy_ar1")
-    return model, pattern, functional, ([400, 100, 200] if name == "noisy_ar1"
-                                        else [100, 25, 100, 50])
+    windows = {"noisy_ar1": [400, 100, 200], "duplicate_window": [100, 25, 100, 50],
+               # 510 = 2048 / 4 - 2 is the longest window the example's grid resolves
+               "long_windows": [100, 400, 510]}[name]
+    return (*_example("noisy_ar1")[:3], windows)
 
 
 @pytest.mark.parametrize("name", ["noiseless_ar1", "noisy_ar1", "complex_ma_pair",
-                                  "unobserved_rung", "duplicate_window"])
+                                  "unobserved_rung", "duplicate_window", "long_windows"])
 def test_ladder_rungs_match_single_windows(name):
     # every rung slices its tables from the ladder's transforms at the largest
     # window: bit for bit the one-window result, taps and iterations included
@@ -700,6 +701,8 @@ def test_exact_error_matches_quadrature_of_the_taps(example):
     quad = filter_error(fine, fun.a_on_grid(fine.grid_size) - h, h)
     assert exact == pytest.approx(quad, rel=1e-13)
     assert exact == pytest.approx(res.delta, rel=1e-12)
+    if example == "benchmark":   # and on the closed form 10 + 8 b1 + 4 b1^2 + 2 b2 + b2^2
+        assert exact == pytest.approx(15.69, rel=1e-12)
 
 
 def test_monte_carlo_rejects_unobservable_taps():
