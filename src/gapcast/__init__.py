@@ -57,7 +57,6 @@ from .families import (
     DensityFamily,
     ar1_fixed_power_family,
     contamination_family,
-    convex_combination_family,
     scalar_mixture_family,
     singleton_family,
 )

@@ -4,8 +4,7 @@ A family maps a box of parameters to spectral models that lie inside an
 admissible class by construction (``gapcast.minimax`` re-checks every point
 it evaluates).  The stock families are scalar: a flat/autoregressive mixture
 of fixed power, with an optional noise pair; autoregressions of fixed power;
-a contamination of a fixed anchor density; convex combinations of fixed
-models; and the one-member family.
+a contamination of a fixed anchor density; and the one-member family.
 """
 
 from __future__ import annotations
@@ -155,40 +154,6 @@ def ar1_fixed_power_family(power: float, b_max: float = 0.8,
 def singleton_family(model: SpectralModel) -> DensityFamily:
     """A family with exactly one member."""
     return DensityFamily(lower=[], upper=[], build=lambda theta: model, label="singleton")
-
-
-def convex_combination_family(models: Sequence[SpectralModel],
-                              label: str = "convex hull") -> DensityFamily:
-    """Convex combinations of fixed models via stick-breaking weights.
-
-    Each density, the cross density included, is the same combination of the
-    anchors' densities.  Any convex admissible class containing the anchors
-    contains the whole family.  Parameters live in [0, 1]^(k-1).
-    """
-    models = list(models)
-    if len(models) < 2:
-        raise InvalidParameterError("need at least two anchor models")
-    n = models[0].grid_size
-    d = models[0].dim
-    noisy = not models[0].is_noiseless
-    for m in models[1:]:
-        if m.grid_size != n or m.dim != d or (not m.is_noiseless) != noisy:
-            raise InvalidParameterError("anchor models must be structurally alike")
-    rhos = [m.pole_modulus for m in models]   # one anchor of unknown decay leaves it unknown
-    rho = None if None in rhos else max(rhos) or None
-    correlated = any(not m.is_uncorrelated for m in models)   # only a noisy model can be
-    parts = ("F", "G", "Fxe")[:1 + noisy + correlated]
-
-    def build(theta):
-        rest = np.cumprod(np.concatenate(([1.0], 1.0 - np.asarray(theta, dtype=float))))
-        w = np.append(rest[:-1] * theta, rest[-1])
-        dens = [sum(wi * m.samples(which) for wi, m in zip(w, models)) for which in parts]
-        return SpectralModel(dim=d, F=dens[0], G=dens[1] if noisy else None,
-                             F_xe=dens[2] if correlated else None,
-                             grid_size=n, pole_modulus=rho)
-
-    k = len(models)
-    return DensityFamily(lower=np.zeros(k - 1), upper=np.ones(k - 1), build=build, label=label)
 
 
 def contamination_family(anchor, eps: float, power: float, b_max: float = 0.8,

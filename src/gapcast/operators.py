@@ -11,22 +11,23 @@ The system builder feeds the table of the *transposed* integrand, which makes
 the solved system exactly the coefficient-space form of the orthogonality
 conditions (column layout).
 
-Two solves share one interface.  Up to ``DENSE_MAX_ORDER`` unknowns B is
-assembled and factored by Cholesky.  Above it B is never formed
-(``SplitOperator``): its future block over {0..K} is block Toeplitz, so
+One section solver serves B and the projection oracle's window covariance:
+``section`` takes a principal section of a block Toeplitz matrix over a set
+of extra points and a contiguous run {0..run-1}.  Up to ``DENSE_MAX_ORDER``
+unknowns it is assembled and factored by Cholesky.  Above it the section is
+never formed (``SplitOperator``): its run block is block Toeplitz, so
 B_FF [u V] = [r_F B_FS] is solved by conjugate gradients with FFT products,
-preconditioned by the Toeplitz matrix of the inverse symbol F_zeta^T, and the
-gap unknowns follow from the |S| T square Schur complement.  The projection
-oracle solves its window covariance with the same ``ToeplitzProduct`` and
-``pcg``.  A product is one circulant-embedding FFT convolution: x travels as
-T k contiguous lines along the FFT axis, and the block symbol multiplies their
-spectra by T^2 elementwise multiply-adds, never by a matrix per frequency.
+preconditioned by the Toeplitz matrix of the inverse symbol, and the extra
+unknowns follow from the square Schur complement over them.  A product is
+one circulant-embedding FFT convolution: x travels as T k contiguous lines
+along the FFT axis, and the block symbol multiplies their spectra by T^2
+elementwise multiply-adds, never by a matrix per frequency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -45,13 +46,14 @@ from .spectral import FourierTable, SpectralModel, check_minimality, coeffs_from
 # ``points`` from being enumerated.
 MAX_GAP_POINTS = 100_000
 
-# The crossover of the operator solve.  Above this many unknowns it splits over
-# the gap and the future and B is never formed; at or below it B is assembled
-# and factored.  Timed with one BLAS thread, the split solve is the faster above
-# P = 300 on benchmark.yaml, noisy_ar1.yaml and a scalar AR(0.7) in AR(0.2)
-# noise; noisy_ar1.yaml crosses last (the table is in CHANGES.md).  Every
-# shipped example stays dense (P <= 198); the benchmark's estimates (P = 1030)
-# split.
+# The crossover of the section solve.  Above this many unknowns it splits over
+# the extra points and the run and the section is never formed; at or below
+# it the section is assembled and factored.  Timed with one BLAS thread, the
+# split solve is the faster above P = 300 on benchmark.yaml, noisy_ar1.yaml
+# and a scalar AR(0.7) in AR(0.2) noise; noisy_ar1.yaml crosses last (the
+# table is in CHANGES.md).  Every shipped example's B stays dense (P <= 198);
+# the benchmark's estimates (P = 1030) split.  The oracle's windows cross at
+# the same order: on noisy_ar1.yaml window 100 is dense, 200 and 400 split.
 DENSE_MAX_ORDER = 300
 
 # Conjugate gradients stop when every column's residual is at most
@@ -254,26 +256,25 @@ def pcg(apply, precondition, b: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 class SplitOperator:
-    """Bmat over U_K = S union {0..K}, above ``DENSE_MAX_ORDER``, never formed.
+    """A ``section`` above ``DENSE_MAX_ORDER`` unknowns, never formed.
 
-    It has the ``shape`` and ``dtype`` of B, and ``B @ x`` is B's product.
-    The gap blocks B_SS and B_FS (|S| T columns) are assembled; the future
-    block B_FF is block Toeplitz and applied by an FFT product.  ``solve``
-    runs ``pcg`` on B_FF [u V] = [r_F B_FS], the preconditioner being the
-    Toeplitz matrix of ``inverse_table`` (the coefficients of the inverse
-    symbol), then factors the Schur complement B_SS - B_FS^H V and sets c_S
-    from it and c_F = u - V c_S.
+    It has the ``shape`` and ``dtype`` of the section, and ``B @ x`` is its
+    product.  The blocks of the extra points B_SS and B_FS (|extra| T
+    columns) are assembled; the run block B_FF is block Toeplitz and applied
+    by an FFT product.  ``solve`` runs ``pcg`` on B_FF [u V] = [r_F B_FS],
+    the preconditioner being the Toeplitz matrix of ``inverse_table`` (the
+    coefficients of the inverse symbol), then factors the Schur complement
+    B_SS - B_FS^H V and sets c_S from it and c_F = u - V c_S.
     """
 
     def __init__(self, table: FourierTable, inverse_table: FourierTable,
-                 gap: Sequence[int], K: int):
-        future = np.arange(K + 1)
+                 extra: Sequence[int], run: int):
         self.table, self.inverse_table = table, inverse_table
-        self.gap = np.asarray(gap, dtype=int)
-        self.B_SS = assemble(table, self.gap)
-        self.B_FS = assemble(table, future, self.gap)
-        self.future = ToeplitzProduct(table, K + 1)
-        order = (self.gap.size + K + 1) * table.dim
+        self.extra = np.asarray(extra, dtype=int)
+        self.B_SS = assemble(table, self.extra)
+        self.B_FS = assemble(table, np.arange(run), self.extra)
+        self.future = ToeplitzProduct(table, run)
+        order = (self.extra.size + run) * table.dim
         self.shape, self.dtype = (order, order), table.data.dtype
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -294,27 +295,60 @@ class SplitOperator:
         u, V = uv[:, 0], uv[:, 1:]
         if not s:
             return u, iterations
-        schur = cholesky_solver(self.B_SS - self.B_FS.conj().T @ V,
-                                NonInvertibleOperatorError, "gap Schur complement")
+        schur = cholesky_solver(self.B_SS - self.B_FS.conj().T @ V, NonInvertibleOperatorError,
+                                "Schur complement over the extra points")
         c_S = schur(rhs[:s] - self.B_FS.conj().T @ u)
         return np.concatenate((c_S, u - V @ c_S)), iterations
 
 
+_Solve = Callable[[np.ndarray], tuple[np.ndarray, int]]
+
+
+def section(table: FourierTable, inverse: Callable[[], FourierTable],
+            extra: Sequence[int], run: int) -> tuple[np.ndarray | SplitOperator, _Solve]:
+    """The principal section over ``extra`` and {0..run-1} of the block
+    Toeplitz matrix of ``table``, and its solve.
+
+    The unknowns are ordered as the extra points, then the run; block (p, q)
+    is table.coeff(j_p - j_q).  Up to ``DENSE_MAX_ORDER`` unknowns the section
+    is the assembled matrix and its solve one Cholesky factor, applied with
+    one step of iterative refinement.  Above it the section is a
+    ``SplitOperator``, whose preconditioner reads ``inverse()``, the table of
+    the inverse symbol: it is built only then.  ``solve(rhs)`` returns the
+    solution and its conjugate-gradient iterations, 0 for a dense section;
+    every refusal is a ``NonInvertibleOperatorError``.
+    """
+    if (len(extra) + run) * table.dim > DENSE_MAX_ORDER:
+        split = SplitOperator(table, inverse(), extra, run)
+        return split, split.solve
+    matrix = assemble(table, np.concatenate((np.asarray(extra, dtype=int), np.arange(run))))
+
+    def solve(rhs: np.ndarray) -> tuple[np.ndarray, int]:
+        factor = cholesky_solver(matrix, NonInvertibleOperatorError, "Toeplitz section")
+        c = factor(rhs)
+        return c + factor(rhs - matrix @ c), 0   # one step of iterative refinement
+
+    return matrix, solve
+
+
 @dataclass
 class OperatorSystem:
-    """The operator matrix over U_K, P = |U_K| T unknowns.
+    """The operator matrix over U_K, P = |U_K| T unknowns, and its solve.
 
     Bmat (P x P) is Hermitian positive definite whenever the minimality check
     passes, with a 2-norm condition number of at most the report's
-    eig_max / eig_min; above ``DENSE_MAX_ORDER`` it is a ``SplitOperator``,
-    which applies B without forming it; real for a real process, complex
-    otherwise.  entries lists U_K in block order (gap points ascending, then
-    0..K); Zinv (the model's ``samples("Fzinv")``) is the sample B is built from.
+    eig_max / eig_min; it is the ``section`` of the gap points and the run
+    0..K, so above ``DENSE_MAX_ORDER`` a ``SplitOperator``, which applies B
+    without forming it; real for a real process, complex otherwise.  entries
+    lists U_K in block order (gap points ascending, then 0..K); Zinv (the
+    model's ``samples("Fzinv")``) is the sample B is built from; ``solve`` is
+    the section's.
     """
 
     Bmat: np.ndarray | SplitOperator
     entries: np.ndarray
     Zinv: np.ndarray
+    solve: _Solve = field(repr=False)
 
 
 def build_operator_system(model: SpectralModel, pattern: MissingPattern,
@@ -322,11 +356,13 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
     """Build the operator matrix for ``model`` truncated at future order K >= 0.
 
     The Fourier tables are computed from the model's grid samples at the lags
-    U_K couples, up to K + max interval depth.  ``coeffs_from_samples``
-    refuses a grid of fewer than 4 (K + depth) nodes before any table is
-    read; a grid that passes also keeps the lags of U_K distinct modulo its
-    size, so Bmat is a principal section of the block circulant of the grid
-    samples, which the minimality check's condition bound relies on.
+    U_K couples, up to K + max interval depth: F_zeta^{-1}'s always, F_zeta's,
+    the preconditioner's, only when the section splits.
+    ``coeffs_from_samples`` refuses a grid of fewer than 4 (K + depth) nodes
+    before any table is read; a grid that passes also keeps the lags of U_K
+    distinct modulo its size, so Bmat is a principal section of the block
+    circulant of the grid samples, which the minimality check's condition
+    bound relies on.
     """
     if K < 0:
         raise InvalidParameterError(f"truncation K must be >= 0, got {K}")
@@ -340,11 +376,8 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
 
     zinv_table = table(Zinv)   # refuses a K the grid cannot resolve before U_K is formed
     entries = np.concatenate((np.asarray(pattern.points, dtype=int), np.arange(K + 1)))
-    if entries.size * model.dim > DENSE_MAX_ORDER:
-        Bmat = SplitOperator(zinv_table, table(model.samples("Fz")), pattern.points, K)
-    else:
-        Bmat = assemble(zinv_table, entries)
-    return OperatorSystem(Bmat=Bmat, entries=entries, Zinv=Zinv)
+    Bmat, solve = section(zinv_table, lambda: table(model.samples("Fz")), pattern.points, K + 1)
+    return OperatorSystem(Bmat=Bmat, entries=entries, Zinv=Zinv, solve=solve)
 
 
 def cholesky_solver(matrix: np.ndarray, error: type[Exception], name: str):
@@ -383,31 +416,23 @@ class CoefficientSolution:
 
     c: np.ndarray
     residual: float
-    cg_iterations: int = 0
+    cg_iterations: int
 
 
 def solve_coefficients(system: OperatorSystem, rhs: np.ndarray) -> CoefficientSolution:
     """Solve Bmat c = rhs and report the relative residual of the full system.
 
     ``rhs`` holds one value per unknown: the coefficients at U_K of the row
-    A^T (F + F_xe) F_zeta^{-1}.  A dense Bmat is factored by Cholesky, with one
-    refinement step; a ``SplitOperator`` is solved by its own ``solve``.
-    Conditioning is judged once per model, by ``check_minimality`` when the
-    system is built; here ``cholesky_solver`` refuses a non-finite or
-    indefinite matrix and ``pcg`` one that does not converge.
+    A^T (F + F_xe) F_zeta^{-1}.  The system's ``section`` solve does the
+    work.  Conditioning is judged once per model, by ``check_minimality``
+    when the system is built; here ``cholesky_solver`` refuses a non-finite
+    or indefinite matrix and ``pcg`` one that does not converge.
     """
     rhs = np.asarray(rhs)
     B = system.Bmat
     if rhs.shape != B.shape[:1]:
         raise InvalidParameterError(f"right side has shape {rhs.shape}, expected {B.shape[:1]}")
-    if isinstance(B, SplitOperator):
-        c, iterations = B.solve(rhs)
-    else:
-        solve = cholesky_solver(B, NonInvertibleOperatorError, "operator matrix")
-        c = solve(rhs)
-        # one step of iterative refinement
-        c = c + solve(rhs - B @ c)
-        iterations = 0
+    c, iterations = system.solve(rhs)
     resid = rhs - B @ c
     denom = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
     return CoefficientSolution(c=c, residual=float(np.linalg.norm(resid)) / denom,

@@ -5,21 +5,25 @@ quadrature covariances of the observed process; it is an independent route to
 the optimal estimate that never touches the operator system, so it serves as
 ground truth for the spectral pipeline.  Its right side is read off the Fourier
 coefficients of the functional's row conj(A^T (F + F_xe)), so no cross-covariance
-block is assembled.  It solves the whole window, a block Toeplitz system, by
-preconditioned conjugate gradients with FFT products and removes the gap by a
-Schur step, so a window of any length up to the grid's reach costs about one
-estimate; its error is in the stationary form, which the solve error enters
-only squared.  A fixed filter's error is a Gaussian linear functional of the
-path, so its variance is the quadrature of the written taps and the
-Monte-Carlo errors are drawn from that law, one normal per replication.
+block is assembled.  Its window covariance is a principal section of a block
+Toeplitz matrix, solved by the operator route's section solver
+(``operators.section``): dense up to ``DENSE_MAX_ORDER`` unknowns, above it by
+preconditioned conjugate gradients with FFT products over the observed run and
+a Schur step over the few observed points shallower than the gap, so a window
+of any length up to the grid's reach costs about one estimate; its error is in
+the stationary form, which the solve error enters only squared.  A fixed
+filter's error is a Gaussian linear functional of the path, so its variance is
+the quadrature of the written taps and the Monte-Carlo errors are drawn from
+that law, one normal per replication.
 ``CirculantEmbedding`` is the exact path sampler that law is checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from .errors import (
     SingularDensityError,
 )
 from .extrapolate import FunctionalSpec, _functional_rows, filter_error
-from .operators import MissingPattern, ToeplitzProduct, cholesky_solver, pcg
+from .operators import MissingPattern, section
 from .spectral import (
     GridTransform,
     SpectralModel,
@@ -68,7 +72,8 @@ class OracleResult:
     """Finite-window projection estimate: its error and taps.
 
     ``cg_iterations`` counts the conjugate-gradient iterations of the window
-    solve, 0 when the window holds no observation.
+    solve: 0 for a dense window, one of at most ``DENSE_MAX_ORDER`` observed
+    unknowns, and for a window that holds no observation.
     """
 
     delta_oracle: float
@@ -99,29 +104,32 @@ def projection_ladder(model: SpectralModel, pattern: MissingPattern,
                       functional: FunctionalSpec, windows: Sequence[int]) -> list[OracleResult]:
     """``projection_oracle`` at each window, in the order given.
 
-    Gamma is never formed.  Over the full window {-window..-1} the covariance
-    is block Toeplitz with symbol F_zeta; conjugate gradients (``pcg``) apply
-    its inverse H to m (zero on the gap) and to the gap's unit vectors,
-    preconditioned by the Toeplitz matrix of F_zeta^{-1}, and then
-    g = (H m)_O - H_OS H_SS^{-1} (H m)_S, the inverse of the observed block
-    read from the inverse of the whole.  The preconditioner moves only the
-    iteration count, never the answer.  The error is taken in its stationary
-    form E|A|^2 - 2 Re(m^H g) + g^H Gamma g, one more Toeplitz product, so the
-    solve error enters it only squared.
+    Gamma over the observed lags r = -u is a principal section of the block
+    Toeplitz matrix with symbol F_zeta: the run is the contiguous observed
+    stretch that ends at the window's deepest observed lag, and the extra
+    points are the shallower observed lags, both shifted to start the run at
+    0.  ``operators.section`` solves Gamma g = m: assembled and factored up to
+    ``DENSE_MAX_ORDER`` unknowns, above it by conjugate gradients over the run,
+    preconditioned by the Toeplitz matrix of F_zeta^{-1}, and a Schur step
+    over the extra points.  The preconditioner moves only the iteration count,
+    never the answer.  The error is taken in its stationary form
+    E|A|^2 - 2 Re(m^H g) + g^H Gamma g, one more product with the section, so
+    the solve error enters it only squared.
 
     The ladder does once what every window shares: the checks, Var A, the
-    functional's row AX and one grid FFT each of F_zeta^{-1}, F_zeta and
-    conj(AX), kept at the largest window's lags.  Each window slices its own
-    tables from those (``lag_table``), so its result is the one-window
-    result bit for bit, and costs only its own solve.
+    functional's row AX and one grid FFT each of F_zeta, conj(AX) and, when
+    a window's section splits, F_zeta^{-1}, kept at the largest window's
+    lags.  Each window slices its own tables from those (``lag_table``), so
+    its result is the one-window result bit for bit, and costs only its own
+    solve.
 
     A singular observation covariance raises DegenerateObservationsError
     naming the window: a density that fails ``check_minimality`` (whose
     inverse the preconditioner needs; named at the first window that
     observes anything), conjugate gradients that do not converge, or a
-    failed factor of H over the gap.  So a non-minimal density is refused
-    at every window, even where its Gamma over a short window could still
-    be factored.  A density that passes keeps the 2-norm condition number
+    failed factor of Gamma or of its Schur complement.  So a non-minimal
+    density is refused at every window, even where its Gamma over a short
+    window could still be factored.  A density that passes keeps the 2-norm condition number
     of Gamma, at every window, at most its grid spread eig_max / eig_min,
     itself at most ``COND_CEILING``.
     """
@@ -145,49 +153,37 @@ def projection_ladder(model: SpectralModel, pattern: MissingPattern,
         # r = -u, the lag-r coefficient of conj(AX), whose table reaches
         # window + N, as sum_k R_zx(u - k) conj(a(k)) does
         top, AX = max(solved), _functional_rows(model, functional)[1]
-        tables = (grid_transform(model.samples("Fzinv"), top - 1),
-                  grid_transform(model.samples("Fz"), top - 1),
-                  grid_transform(np.conj(AX)[:, :, None], top + functional.horizon))
-    return [_rung(pattern, w, obs, e_s2, *tables, functional.horizon)
+        tables = (grid_transform(model.samples("Fz"), top - 1),
+                  grid_transform(np.conj(AX)[:, :, None], top + functional.horizon),
+                  functools.cache(lambda: grid_transform(model.samples("Fzinv"), top - 1)))
+    return [_rung(w, obs, e_s2, *tables, functional.horizon)
             if obs else OracleResult(delta_oracle=e_s2, taps_oracle={}, window=w)
             for w, obs in zip(windows, observed)]
 
 
-def _rung(pattern: MissingPattern, window: int, observed: tuple[int, ...], e_s2: float,
-          inverse_bins: GridTransform, cov_bins: GridTransform, m_bins: GridTransform,
+def _rung(window: int, observed: tuple[int, ...], e_s2: float, cov_bins: GridTransform,
+          m_bins: GridTransform, inverse_bins: Callable[[], GridTransform],
           N: int) -> OracleResult:
     """One window of ``projection_ladder``: its tables sliced from the ladder's
-    transforms of F_zeta^{-1}, F_zeta and conj(AX), its solve and its error."""
-    name = f"observation covariance over window {window}"
-    # over the full window, indexed by r = -u = 1..window
-    inverse = lag_table(inverse_bins, window - 1)
+    transforms of F_zeta, conj(AX) and, if its section splits, F_zeta^{-1};
+    its solve and its error."""
+    # observed lags r = -u, ascending; the run is the stretch after the last hole
+    r = -np.asarray(observed[::-1])
+    holes = np.flatnonzero(np.diff(r) > 1)
+    start = r[holes[-1] + 1] if holes.size else r[0]
     cov_z, lag = lag_table(cov_bins, window - 1), window + N
-    m = lag_table(m_bins, lag).data[lag + 1:lag + window + 1, :, 0].ravel()
-    d = cov_z.dim
-    gap = np.repeat(np.isin(np.arange(1, window + 1), -np.asarray(pattern.points)), d)
-    S, O = np.flatnonzero(gap), np.flatnonzero(~gap)
-    m[S] = 0.0
-    rhs = np.zeros((window * d, 1 + S.size), dtype=np.result_type(m, cov_z.data))
-    rhs[:, 0] = m
-    rhs[S, 1 + np.arange(S.size)] = 1.0
-    gamma = ToeplitzProduct(cov_z, window)
+    m = lag_table(m_bins, lag).data[lag + r, :, 0].ravel()
+    gamma, solve = section(cov_z, lambda: lag_table(inverse_bins(), window - 1),
+                           r[r < start] - start, int(r[-1] - start) + 1)
     try:
-        H, iterations = pcg(gamma, ToeplitzProduct(inverse, window), rhs)
+        g, iterations = solve(m)
     except NonInvertibleOperatorError as exc:
-        raise DegenerateObservationsError(f"{name}: {exc}") from exc
-    g = H[:, 0]
-    if S.size:
-        H_S = H[:, 1:]
-        solve = cholesky_solver(H_S[S], DegenerateObservationsError,
-                                f"inverse {name}, over the gap")
-        g = g - H_S @ solve(g[S])
-        g[S] = 0.0
-    # the explained variance in stationary form, 2 Re(m^H g) - g^H Gamma g,
-    # over the observed rows (g is zero on the gap)
-    m, g, gamma_g = m[O], g[O], gamma(g[:, None])[O, 0]
-    delta = e_s2 - (2.0 * float(np.vdot(m, g).real) - float(np.vdot(g, gamma_g).real))
-    # observed u ascend, so r descends: reverse the blocks
-    taps_vec = np.conj(g).reshape(-1, d)[::-1]
+        raise DegenerateObservationsError(
+            f"observation covariance over window {window}: {exc}") from exc
+    # the explained variance in stationary form, 2 Re(m^H g) - g^H Gamma g
+    delta = e_s2 - (2.0 * float(np.vdot(m, g).real) - float(np.vdot(g, gamma @ g).real))
+    # the unknowns ascend in r, so descend in u: reverse the blocks
+    taps_vec = np.conj(g).reshape(-1, cov_z.dim)[::-1]
     return OracleResult(delta_oracle=max(delta, 0.0), taps_oracle=dict(zip(observed, taps_vec)),
                         window=window, cg_iterations=iterations)
 

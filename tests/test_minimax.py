@@ -33,7 +33,6 @@ from gapcast import (
     characterization_residuals,
     class_constraint_report,
     contamination_family,
-    convex_combination_family,
     delta_of_characteristic,
     estimate,
     evaluate_candidate,
@@ -130,26 +129,27 @@ def test_constraint_report_flags_violations():
     assert report["F:DVU_1:lower"] == 0.0
 
 
-def test_convex_family_interpolates_anchors():
-    lo = white_model(1, 1.0, GRID)
-    hi = white_model(1, 2.0, GRID)
-    fam = convex_combination_family([lo, hi])
-    mid = fam.build(np.array([0.5]))
-    assert mid.samples("F")[0, 0, 0].real == pytest.approx(1.5)
-    with pytest.raises(InvalidParameterError):
-        convex_combination_family([lo])
+def _hull(models):
+    """The convex combinations of fixed ``models`` by stick-breaking weights in
+    [0, 1]^(k-1): each density, the cross density included, mixes alike, and
+    the decay rate is the slowest anchor's when every anchor states one.  Any
+    convex class that holds the anchors holds the whole family."""
+    noisy = not models[0].is_noiseless
+    correlated = any(not m.is_uncorrelated for m in models)
+    parts = ("F", "G", "Fxe")[:1 + noisy + correlated]
+    rhos = [m.pole_modulus for m in models]
+    rho = None if None in rhos else max(rhos) or None
 
+    def build(theta):
+        rest = np.cumprod(np.concatenate(([1.0], 1.0 - np.asarray(theta, dtype=float))))
+        w = np.append(rest[:-1] * theta, rest[-1])
+        dens = [sum(wi * m.samples(which) for wi, m in zip(w, models)) for which in parts]
+        return SpectralModel(dim=models[0].dim, F=dens[0], G=dens[1] if noisy else None,
+                             F_xe=dens[2] if correlated else None,
+                             grid_size=models[0].grid_size, pole_modulus=rho)
 
-@pytest.mark.parametrize("anchors,rho", [
-    ((ar1_model([0.5], grid_size=GRID), SpectralModel(dim=1, F=np.ones((GRID, 1, 1)),
-                                                      grid_size=GRID)), None),
-    ((white_model(1, 1.0, GRID), white_model(1, 2.0, GRID)), None),
-    ((ar1_model([0.5], grid_size=GRID), ar1_model([0.3], grid_size=GRID)), 0.5),
-], ids=["unknown", "white", "ar1"])
-def test_a_convex_family_knows_its_decay_only_when_every_anchor_does(anchors, rho):
-    # an anchor of unknown decay used to be read as pole-free, so the mix of
-    # AR(0.5) with it reported 0.5
-    assert convex_combination_family(anchors).build(np.array([0.5])).pole_modulus == rho
+    k = len(models)
+    return DensityFamily(lower=np.zeros(k - 1), upper=np.ones(k - 1), build=build)
 
 
 def _correlated_pair():
@@ -160,16 +160,6 @@ def _correlated_pair():
             for a, b, s in ((1.0, 0.5, 0.4), (0.5, 1.0, -0.3))]
 
 
-def test_convex_family_combines_the_cross_density():
-    # it used to drop the anchors' cross densities, so every member was uncorrelated
-    m1, m2 = _correlated_pair()
-    mid = convex_combination_family([m1, m2]).build(np.array([0.25]))
-    assert not mid.is_uncorrelated
-    for which in ("F", "G", "Fxe"):
-        assert np.array_equal(mid.samples(which),
-                              0.25 * m1.samples(which) + 0.75 * m2.samples(which))
-
-
 def _stock_families():
     lam = grid_points(GRID)
     return {
@@ -178,9 +168,6 @@ def _stock_families():
         "ar1": ar1_fixed_power_family(power=1.0, grid_size=GRID),
         "contamination": contamination_family(anchor=2.0 * _unit_ar1(lam, 0.5), eps=0.3,
                                               power=2.5, grid_size=GRID),
-        "convex": convex_combination_family(
-            [SpectralModel(dim=1, F=(1.0 + c * np.cos(lam))[:, None, None],
-                           grid_size=GRID) for c in (0.0, 0.3, 0.6)]),
         "singleton": singleton_family(white_model(1, 1.0, GRID)),
     }
 
@@ -219,7 +206,7 @@ def test_family_dimension_is_the_box():
     fam = DensityFamily(lower=[0.0, -1.0, 2.0], upper=[1.0, 1.0, 2.0], build=None)
     assert fam.dim == 3 and fam.lower.dtype == float
     assert {name: fam.dim for name, fam in _stock_families().items()} == {
-        "mixture": 2, "mixture+noise": 4, "ar1": 1, "contamination": 2, "convex": 2,
+        "mixture": 2, "mixture+noise": 4, "ar1": 1, "contamination": 2,
         "singleton": 0}
     with pytest.raises(TypeError):
         DensityFamily(dim=1, lower=[0.0], upper=[1.0], build=None)
@@ -786,7 +773,7 @@ SADDLE_CASES = {   # each builds a search result
     "correlated_ma_pairs": lambda: _at(DensityClass(
         kind="D0_1", g_kind="DVU_1",
         data=ClassData(power=1.25, noise_power=0.49, lower=0.0, upper=8.0),
-        family=convex_combination_family(_correlated_pair())), (0.5,)),
+        family=_hull(_correlated_pair())), (0.5,)),
 }
 
 
@@ -883,7 +870,7 @@ def _d1delta_case(unit=1.0):
                             grid_size=GRID, pole_modulus=0.3)
               for bump in (1.0, 1.0 + 0.2 * np.sin(lam), 1.0 + 0.3 * np.cos(2 * lam))]
     radius = max(float(np.mean(np.abs(m.samples("F")[:, 0, 0] - base))) for m in models)
-    fam = convex_combination_family(models)
+    fam = _hull(models)
     return DensityClass(kind="D1delta_1", data=ClassData(
         anchor_f=base[:, None, None], radius=radius), family=fam), fam
 
@@ -1168,7 +1155,7 @@ def _residual_cases():
     # the top of the ball saturates the distance and maximizes the error
     bump = 0.5
     anchors = [white_model(1, 1.0, GRID), white_model(1, 1.0 + bump, GRID)]
-    fam6 = convex_combination_family(anchors)
+    fam6 = _hull(anchors)
     cases["D1delta_1"] = (
         DensityClass(kind="D1delta_1",
                      data=ClassData(anchor_f=1.0, radius=bump), family=fam6),

@@ -37,6 +37,7 @@ from gapcast.operators import (
     _fast_length,
     assemble,
     cholesky_solver,
+    section,
 )
 from gapcast.spectral import (
     SpectralModel,
@@ -364,7 +365,9 @@ def _solve_with_last_pivot(last):
     n = base.Bmat.shape[0]
     bad = np.eye(n, dtype=complex)
     bad[-1, -1] = last
-    sick = OperatorSystem(Bmat=bad, entries=base.entries, Zinv=base.Zinv)
+    # the section of one n x n block is ``bad`` itself, and dense
+    Bmat, solve = section(FourierTable(max_lag=0, data=bad[None]), None, (), 1)
+    sick = OperatorSystem(Bmat=Bmat, entries=base.entries, Zinv=base.Zinv, solve=solve)
     return solve_coefficients(sick, np.ones(n, dtype=complex))
 
 
@@ -561,8 +564,8 @@ COMPLEX_MODELS = {
 
 
 def _dtypes(monkeypatch, model, pattern, functional, K):
-    """dtypes of the tables, Bmat, the right side and the oracle's H over the gap."""
-    seen = {"tables": [], "H_SS": []}
+    """dtypes of the tables, Bmat, the right side and the oracle's Gamma."""
+    seen = {"tables": [], "Gamma": []}
 
     def table_spy(source, max_lag, make=coeffs_from_samples):
         table = make(source, max_lag)
@@ -570,20 +573,21 @@ def _dtypes(monkeypatch, model, pattern, functional, K):
         return table
 
     def factor_spy(matrix, *args):
-        seen["H_SS"].append(matrix.dtype)
+        seen["Gamma"].append(matrix.dtype)
         return cholesky_solver(matrix, *args)
 
     for module in (operators_module, extrapolate_module, oracle_module):
         monkeypatch.setattr(module, "coeffs_from_samples", table_spy)
     monkeypatch.setattr(oracle_module, "lag_table",
                         functools.partial(table_spy, make=oracle_module.lag_table))
-    monkeypatch.setattr(oracle_module, "cholesky_solver", factor_spy)
     system = build_operator_system(model, pattern, K=K)
     rhs = _rhs(model, pattern, functional, system)[0]
+    # window 20 is a dense section: Gamma itself is factored
+    monkeypatch.setattr(operators_module, "cholesky_solver", factor_spy)
     projection_oracle(model, pattern, functional, window=20)
-    assert len(seen["H_SS"]) == 1
+    assert len(seen["Gamma"]) == 1
     return {"tables": set(seen["tables"]), "Bmat": system.Bmat.dtype,
-            "rhs": rhs.dtype, "H_SS": seen["H_SS"][0]}
+            "rhs": rhs.dtype, "Gamma": seen["Gamma"][0]}
 
 
 @pytest.mark.parametrize("name,noiseless", [("benchmark", True), ("noisy_ar1", False),
@@ -599,7 +603,7 @@ def test_real_process_is_solved_in_real_arithmetic(monkeypatch, name, noiseless)
     assert functional.coeffs.dtype == np.float64
     real = np.dtype(np.float64)
     assert _dtypes(monkeypatch, model, pattern, functional, K) == {
-        "tables": {real}, "Bmat": real, "rhs": real, "H_SS": real}
+        "tables": {real}, "Bmat": real, "rhs": real, "Gamma": real}
 
 
 @pytest.mark.parametrize("name", sorted(COMPLEX_MODELS))
@@ -609,7 +613,7 @@ def test_complex_process_keeps_complex_arithmetic(monkeypatch, name):
     pattern = MissingPattern(intervals=((2, 1),))
     cplx = np.dtype(np.complex128)
     assert _dtypes(monkeypatch, model, pattern, functional, K=12) == {
-        "tables": {cplx}, "Bmat": cplx, "rhs": cplx, "H_SS": cplx}
+        "tables": {cplx}, "Bmat": cplx, "rhs": cplx, "Gamma": cplx}
 
 
 def _complex_reference(model, pattern, functional, K, tap_lags):
@@ -724,20 +728,23 @@ def test_right_sides_are_the_paper_operators_on_every_instance(monkeypatch, seed
     else:
         assert abs(quadratic - aQa) <= 1e-13 * abs(aQa)
 
-    seen, pcg = [], oracle_module.pcg
+    seen, real_section = [], oracle_module.section
 
-    def spy(apply, precondition, b):
-        seen.append(b[:, 0].copy())
-        return pcg(apply, precondition, b)
+    def spy(*args):
+        matrix, solve = real_section(*args)
 
-    monkeypatch.setattr(oracle_module, "pcg", spy)
+        def watched(rhs):
+            seen.append(rhs.copy())
+            return solve(rhs)
+        return matrix, watched
+
+    monkeypatch.setattr(oracle_module, "section", spy)
     projection_oracle(model, pattern, functional, window=window)
     cross = model.samples("F") + model.samples("Fex")
-    block = assemble(coeffs_from_samples(cross, window + N), np.arange(1, window + 1),
-                     -np.arange(N + 1))
+    # the section's rows are the observed lags r = -u, ascending
+    block = assemble(coeffs_from_samples(cross, window + N),
+                     -np.asarray(pattern.observed_window(window))[::-1], -np.arange(N + 1))
     m = block @ np.conj(a)
-    m[np.repeat(np.isin(np.arange(1, window + 1), -np.asarray(pattern.points)),
-                model.dim)] = 0.0
     assert _close(seen[0], m, np.abs(block).max() * np.abs(a).max(), rtol=1e-13)
     assert np.abs(m).max() > 1e-3 * np.abs(block).max() * np.abs(a).max()
     assert optimal_delta(model, pattern, functional, K=K) == \
@@ -944,16 +951,40 @@ def test_operator_tables_span_the_lags_of_U_K(monkeypatch, name):
 
 @pytest.mark.parametrize("window", [3, 20, 100, 400])
 def test_oracle_tables_span_the_lags_they_read(monkeypatch, window):
-    # the preconditioner's table of F_zeta^{-1}, asked for first, and Gamma's
-    # read lags below the window; m's, of conj(A^T (F + F_xe)), is asked up
-    # to window + N, the reach of its cross covariances
+    # Gamma's table, asked for first, reads lags below the window; m's, of
+    # conj(A^T (F + F_xe)), is asked up to window + N, the reach of its cross
+    # covariances; the preconditioner's, of F_zeta^{-1}, only by a split
+    # section (window 400), below the window
     model, pattern, functional, _ = _example("noisy_ar1")
     transformed = _asked_lags(monkeypatch, oracle_module, "grid_transform")
     asked = _asked_lags(monkeypatch, oracle_module, "lag_table")
     res = projection_oracle(model, pattern, functional, window=window)
-    N = functional.horizon
-    assert res.cg_iterations > 0
-    assert transformed == asked == [window - 1, window - 1, window + N]
+    N, split = functional.horizon, window == 400
+    assert (res.cg_iterations > 0) == split
+    assert transformed == asked == [window - 1, window + N] + [window - 1] * split
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["dense", "split"])
+def test_the_inverse_symbol_table_is_built_only_when_the_section_splits(monkeypatch, split):
+    # the operator route's inverse symbol is F_zeta, the oracle's F_zeta^{-1}:
+    # a dense estimate or window never transforms it
+    model, pattern, functional, _ = _example("noisy_ar1")
+    if split:
+        monkeypatch.setattr(operators_module, "DENSE_MAX_ORDER", 0)
+    read = []
+    for module, name in ((operators_module, "coeffs_from_samples"),
+                         (oracle_module, "grid_transform")):
+        def spy(samples, max_lag, real=getattr(module, name)):
+            read.append(samples)
+            return real(samples, max_lag)
+
+        monkeypatch.setattr(module, name, spy)
+    res = estimate(model, pattern, functional, K=12)
+    assert any(np.shares_memory(s, model.samples("Fz")) for s in read) == split
+    read.clear()
+    got = projection_oracle(model, pattern, functional, window=20)
+    assert any(np.shares_memory(s, model.samples("Fzinv")) for s in read) == split
+    assert (res.diagnostics.cg_iterations > 0) == (got.cg_iterations > 0) == split
 
 
 @pytest.mark.parametrize("intervals", [(), ((2, 1),)])

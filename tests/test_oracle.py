@@ -45,6 +45,7 @@ from gapcast.config import (
     load_config,
 )
 from gapcast.extrapolate import filter_error
+from gapcast.operators import DENSE_MAX_ORDER
 from gapcast.oracle import CirculantEmbedding, _stream
 from gapcast.spectral import trig_poly_on_grid
 from gapcast.errors import (
@@ -195,25 +196,28 @@ def test_unconverged_window_solve_is_refused_as_degenerate(monkeypatch):
 
 def test_long_window_matches_the_dense_route_without_forming_gamma(monkeypatch):
     # the dense route is the block reference below, which factors Gamma.
-    # Window 400 holds 2 (400 - 3) = 794 observed unknowns.  The oracle
-    # assembles no block at all, and at every window the only matrix it
-    # factors is H over the gap, |S| T square
+    # Window 400 holds 2 (400 - 3) = 794 observed unknowns, above the
+    # crossover: its section is never formed, and the only matrix it factors
+    # is the Schur complement over the two observed lags shallower than the
+    # gap, 2 T square.  Windows 3 to 100 are dense sections, factored whole
     model, pattern, functional, _ = _example("noisy_ar1")
     T = model.dim
-    shapes, cholesky_solver = [], oracle_module.cholesky_solver
-    assert not hasattr(oracle_module, "assemble")
+    shapes, cholesky_solver = [], operators_module.cholesky_solver
+    assert not any(hasattr(oracle_module, name)
+                   for name in ("assemble", "cholesky_solver", "pcg", "ToeplitzProduct"))
 
     def factor_spy(matrix, *args):
         shapes.append(matrix.shape)
         return cholesky_solver(matrix, *args)
 
-    monkeypatch.setattr(oracle_module, "cholesky_solver", factor_spy)
+    monkeypatch.setattr(operators_module, "cholesky_solver", factor_spy)
     for window in (3, 20, 100, 400):
         shapes.clear()
         got = projection_oracle(model, pattern, functional, window=window)
-        assert got.cg_iterations > 0
-        gap = sum(j >= -window for j in pattern.points)
-        assert shapes == [(gap * T,) * 2]
+        order = len(pattern.observed_window(window)) * T
+        split = order > DENSE_MAX_ORDER
+        assert split == (window == 400) and (got.cg_iterations > 0) == split
+        assert shapes == [(2 * T if split else order,) * 2]
         want, taps = _reference_projection(model, pattern, functional, window)
         assert got.delta_oracle == pytest.approx(want, rel=1e-13)
         assert set(got.taps_oracle) == set(taps)
@@ -222,20 +226,25 @@ def test_long_window_matches_the_dense_route_without_forming_gamma(monkeypatch):
             assert np.abs(got.taps_oracle[j] - tap).max() <= 1e-13 * largest
 
 
-def test_projection_builds_one_product_per_toeplitz_matrix(monkeypatch):
-    # Gamma's product serves both the solve and the stationary error; the
-    # other is the preconditioner's, of F_zeta^{-1}'s coefficients
+@pytest.mark.parametrize("window", [100, 400])
+def test_projection_builds_one_product_per_toeplitz_matrix(monkeypatch, window):
+    # a split section's run product serves both the solve and the stationary
+    # error; the other is the preconditioner's, of F_zeta^{-1}'s
+    # coefficients.  A dense section builds none
     model, pattern, functional, _ = _example("noisy_ar1")
-    built, product = [], oracle_module.ToeplitzProduct
+    built, product = [], operators_module.ToeplitzProduct
 
     def spy(table, size):
         built.append((table, size))
         return product(table, size)
 
-    monkeypatch.setattr(oracle_module, "ToeplitzProduct", spy)
-    window = 100
-    projection_oracle(model, pattern, functional, window=window)
-    assert len(built) == 2 and all(size == window for _, size in built)
+    monkeypatch.setattr(operators_module, "ToeplitzProduct", spy)
+    got = projection_oracle(model, pattern, functional, window=window)
+    if window == 100:
+        assert built == [] and got.cg_iterations == 0
+        return
+    run = window - 5   # the observed lags from -6 down, below the gap at -5
+    assert len(built) == 2 and all(size == run for _, size in built)
     assert built[0][0] is not built[1][0]
 
 
@@ -268,7 +277,8 @@ def _near_unit_ladder(rho):
 def test_projection_matches_the_exact_ar1_reference(rho):
     for window, got in _near_unit_ladder(rho):
         want, taps = ar1_window_projection(rho, 0.2, 0.5, [-3, -2], [[1.0]], window)
-        assert 0 < got.cg_iterations <= 20
+        assert (got.cg_iterations > 0) == (window - 2 > DENSE_MAX_ORDER)
+        assert got.cg_iterations <= 20
         assert got.delta_oracle == pytest.approx(want, rel=1e-12)
         assert set(got.taps_oracle) == set(taps)
         largest = max(abs(tap) for tap in taps.values())
@@ -378,22 +388,25 @@ def _reference_projection(model, pattern, functional, window):
     return max(e_s2 - float(np.vdot(m, gm).real), 0.0), taps
 
 
-# the deepest stretch of both gapped patterns reaches past the start of window 7
-GAPS = {"none": (), "two": ((1, 1), (6, 2)), "past_start": ((3, 5),)}
+# the deepest stretch of the gapped patterns reaches past the start of window
+# 7; the scattered one leaves every other lag down to -38 observed, so a split
+# section has 19 extra points
+GAPS = {"none": (), "two": ((1, 1), (6, 2)), "past_start": ((3, 5),),
+        "scattered": tuple((k, 0) for k in range(1, 40, 2))}
 
 
-def _oracle_instance(dim, kind, gaps, seed):
+def _oracle_instance(dim, kind, gaps, seed, grid_size=256):
     rng = np.random.default_rng(seed)
     if kind == "ar1":
         model = ar1_model(poles=rng.uniform(-0.7, 0.7, size=dim),
                           mix=np.eye(dim) + 0.3 * rng.normal(size=(dim, dim)),
                           noise_poles=rng.uniform(-0.5, 0.5, size=dim),
-                          noise_scales=rng.uniform(0.2, 1.0, size=dim), grid_size=256)
+                          noise_scales=rng.uniform(0.2, 1.0, size=dim), grid_size=grid_size)
     else:   # moving-average signal and noise with correlated innovations
         root = np.eye(2 * dim) + 0.5 * rng.normal(size=(2 * dim, 2 * dim))
         model = ma_pair_model([rng.normal(size=(dim, dim)) for _ in range(5)],
                               [rng.normal(size=(dim, dim)) for _ in range(2)],
-                              innovation_cov=root @ root.T, grid_size=256)
+                              innovation_cov=root @ root.T, grid_size=grid_size)
     pattern = MissingPattern(intervals=GAPS[gaps])
     N = int(rng.integers(0, 3))
     return model, pattern, FunctionalSpec(coeffs=rng.normal(size=(N + 1, dim)))
@@ -403,21 +416,29 @@ def _oracle_instance(dim, kind, gaps, seed):
 @pytest.mark.parametrize("kind", ("ar1", "ma_pair"))
 @pytest.mark.parametrize("gaps", GAPS)
 def test_projection_matches_block_reference(dim, kind, gaps):
-    model, pattern, fun = _oracle_instance(dim, kind, gaps, seed=10 * dim + len(kind))
+    # windows 1 to 40 are dense sections; the last window, on a grid fine
+    # enough to resolve it, holds more than DENSE_MAX_ORDER observed unknowns
+    # and splits
+    seed = 10 * dim + len(kind)
+    model, pattern, fun = _oracle_instance(dim, kind, gaps, seed)
     if kind == "ma_pair":
         assert not model.is_uncorrelated
     variance = functional_variance(model, fun)
     assert variance == pytest.approx(_reference_variance(model, fun), rel=1e-13)
-    for window in (1, 7, 40):
+    long = 360 // dim
+    fine = _oracle_instance(dim, kind, gaps, seed, grid_size=2048)[0]
+    for model, window in ((model, 1), (model, 7), (model, 40), (fine, long)):
         got = projection_oracle(model, pattern, fun, window=window)
         want, taps = _reference_projection(model, pattern, fun, window)
-        assert (got.cg_iterations > 0) == bool(taps)
+        split = len(taps) * dim > DENSE_MAX_ORDER
+        assert split == (window == long)
+        assert (got.cg_iterations > 0) == split
         assert got.delta_oracle == pytest.approx(want, rel=1e-12)
         assert set(got.taps_oracle) == set(taps)
         for j, tap in taps.items():
             np.testing.assert_allclose(got.taps_oracle[j], tap, rtol=1e-12, atol=1e-14)
     # the observations explain part of the functional in every case, so the
-    # projection, and its Schur step over the gap, is tested
+    # projection, and its Schur step over the extra points, is tested
     assert variance - got.delta_oracle > 1e-6 * variance
 
 
