@@ -13,12 +13,13 @@ conditions (column layout).
 
 One section solver serves B and the projection oracle's window covariance:
 ``section`` takes a principal section of a block Toeplitz matrix over a set
-of extra points and a contiguous run {0..run-1}.  Up to ``DENSE_MAX_ORDER``
-unknowns it is assembled and factored by Cholesky.  Above it the section is
-never formed (``SplitOperator``): its run block is block Toeplitz, so
-B_FF [u V] = [r_F B_FS] is solved by conjugate gradients with FFT products,
-preconditioned by the Toeplitz matrix of the inverse symbol, and the extra
-unknowns follow from the square Schur complement over them.  A product is
+of points.  Up to ``DENSE_MAX_ORDER`` unknowns it is assembled and factored
+by Cholesky.  Above it the section is never formed (``SplitOperator``): the
+points lie in a contiguous run, but for a few extra points below it, and the
+run may have holes.  The run block is block Toeplitz, so it is solved by
+conjugate gradients with FFT products, preconditioned by the Toeplitz matrix
+of the inverse symbol; a Schur step over the holes and the square Schur
+complement over the extra points finish the solve.  A product is
 one circulant-embedding FFT convolution: x travels as T k contiguous lines
 along the FFT axis, and the block symbol multiplies their spectra by T^2
 elementwise multiply-adds, never by a matrix per frequency.
@@ -259,72 +260,82 @@ class SplitOperator:
     """A ``section`` above ``DENSE_MAX_ORDER`` unknowns, never formed.
 
     It has the ``shape`` and ``dtype`` of the section, and ``B @ x`` is its
-    product.  The blocks of the extra points B_SS and B_FS (|extra| T
-    columns) are assembled; the run block B_FF is block Toeplitz and applied
-    by an FFT product.  ``solve`` runs ``pcg`` on B_FF [u V] = [r_F B_FS],
-    the preconditioner being the Toeplitz matrix of ``inverse_table`` (the
-    coefficients of the inverse symbol), then factors the Schur complement
-    B_SS - B_FS^H V and sets c_S from it and c_F = u - V c_S.
+    product.  Its run {start..points[-1]} has the block Toeplitz matrix R,
+    applied by an FFT product; the points below ``start`` are extra, and the
+    run's lags that are not points are its holes H.  B_SS (extra by extra)
+    and B_FS (run points by extra) are assembled.  ``solve`` runs ``pcg`` on
+    R [u V Z] = [r_F B_FS E_H] (zero at H, E_H its unit columns),
+    preconditioned by the Toeplitz matrix of ``inverse_table``, the inverse
+    symbol's coefficients; the Schur step [u V] -= Z Z_H^{-1} [u V]_H removes
+    the holes, the Schur complement B_SS - B_FS^H V sets c_S, and
+    c_F = u - V c_S.
     """
 
     def __init__(self, table: FourierTable, inverse_table: FourierTable,
-                 extra: Sequence[int], run: int):
-        self.table, self.inverse_table = table, inverse_table
-        self.extra = np.asarray(extra, dtype=int)
+                 points: Sequence[int], start: int, name: str):
+        points, T = np.asarray(points, dtype=int), table.dim
+        self.table, self.inverse_table, self.name = table, inverse_table, name
+        self.extra, run_points = points[points < start], points[points >= start]
         self.B_SS = assemble(table, self.extra)
-        self.B_FS = assemble(table, np.arange(run), self.extra)
-        self.future = ToeplitzProduct(table, run)
-        order = (self.extra.size + run) * table.dim
-        self.shape, self.dtype = (order, order), table.data.dtype
+        self.B_FS = assemble(table, run_points, self.extra)
+        self.future = ToeplitzProduct(table, int(points[-1]) - start + 1)
+        # the run's rows that are unknowns; the others are its holes
+        self.rows = ((run_points - start)[:, None] * T + np.arange(T)).ravel()
+        self.holes = np.setdiff1d(np.arange(self.future.size * T), self.rows, assume_unique=True)
+        self.shape, self.dtype = (points.size * T,) * 2, table.data.dtype
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """B x for x of shape (P,) or (P, k)."""
         x = np.asarray(x)
-        cols = x.reshape(x.shape[0], -1)
-        s = self.B_SS.shape[0]
-        x_S, x_F = cols[:s], cols[s:]
-        y = np.concatenate((self.B_SS @ x_S + self.B_FS.conj().T @ x_F,
-                            self.B_FS @ x_S + self.future(x_F)))
+        cols, s = x.reshape(x.shape[0], -1), self.B_SS.shape[0]
+        run = np.zeros((self.future.size * self.table.dim, cols.shape[1]), dtype=cols.dtype)
+        run[self.rows] = cols[s:]   # zero at the holes
+        y = np.concatenate((self.B_SS @ cols[:s] + self.B_FS.conj().T @ cols[s:],
+                            self.B_FS @ cols[:s] + self.future(run)[self.rows]))
         return y.reshape(x.shape)
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
         """B^{-1} rhs and the conjugate-gradient iterations it took."""
-        s = self.B_SS.shape[0]
-        uv, iterations = pcg(self.future, ToeplitzProduct(self.inverse_table, self.future.size),
-                             np.column_stack((rhs[s:], self.B_FS)))
-        u, V = uv[:, 0], uv[:, 1:]
+        s, h = self.B_SS.shape[0], self.holes.size
+        b = np.zeros((self.future.size * self.table.dim, 1 + s + h),
+                     dtype=np.result_type(rhs, self.B_FS))
+        b[self.rows, 0], b[self.rows, 1:1 + s] = rhs[s:], self.B_FS
+        b[self.holes, 1 + s + np.arange(h)] = 1.0
+        uv, iterations = pcg(self.future, ToeplitzProduct(self.inverse_table, self.future.size), b)
+        if h:
+            Z = uv[:, 1 + s:]
+            holes = cholesky_solver(Z[self.holes], NonInvertibleOperatorError,
+                                    f"inverse {self.name} over its holes")
+            uv = (uv[:, :1 + s] - Z @ holes(uv[self.holes, :1 + s]))[self.rows]
+        u, V = uv[:, 0], uv[:, 1:1 + s]
         if not s:
             return u, iterations
         schur = cholesky_solver(self.B_SS - self.B_FS.conj().T @ V, NonInvertibleOperatorError,
-                                "Schur complement over the extra points")
+                                f"Schur complement of the {self.name} over its extra points")
         c_S = schur(rhs[:s] - self.B_FS.conj().T @ u)
         return np.concatenate((c_S, u - V @ c_S)), iterations
 
 
-_Solve = Callable[[np.ndarray], tuple[np.ndarray, int]]
+def section(table: FourierTable, inverse: Callable[[], FourierTable], points: Sequence[int],
+            start: int, name: str) -> tuple[np.ndarray | SplitOperator, Callable]:
+    """The principal section over ``points`` (ascending) of the block Toeplitz
+    matrix of ``table``, block (p, q) = table.coeff(points[p] - points[q]),
+    and its solve: ``solve(rhs)`` returns the solution and its
+    conjugate-gradient iterations.
 
-
-def section(table: FourierTable, inverse: Callable[[], FourierTable],
-            extra: Sequence[int], run: int) -> tuple[np.ndarray | SplitOperator, _Solve]:
-    """The principal section over ``extra`` and {0..run-1} of the block
-    Toeplitz matrix of ``table``, and its solve.
-
-    The unknowns are ordered as the extra points, then the run; block (p, q)
-    is table.coeff(j_p - j_q).  Up to ``DENSE_MAX_ORDER`` unknowns the section
-    is the assembled matrix and its solve one Cholesky factor, applied with
-    one step of iterative refinement.  Above it the section is a
-    ``SplitOperator``, whose preconditioner reads ``inverse()``, the table of
-    the inverse symbol: it is built only then.  ``solve(rhs)`` returns the
-    solution and its conjugate-gradient iterations, 0 for a dense section;
-    every refusal is a ``NonInvertibleOperatorError``.
+    Up to ``DENSE_MAX_ORDER`` unknowns the section is assembled and solved by
+    one Cholesky factor with one step of iterative refinement (0 iterations).
+    Above it it is a ``SplitOperator`` whose run starts at ``start``, and
+    ``inverse()``, the inverse symbol's table, is built only then.  Every
+    refusal is a ``NonInvertibleOperatorError``; a failed factor names ``name``.
     """
-    if (len(extra) + run) * table.dim > DENSE_MAX_ORDER:
-        split = SplitOperator(table, inverse(), extra, run)
+    if len(points) * table.dim > DENSE_MAX_ORDER:
+        split = SplitOperator(table, inverse(), points, start, name)
         return split, split.solve
-    matrix = assemble(table, np.concatenate((np.asarray(extra, dtype=int), np.arange(run))))
+    matrix = assemble(table, points)
 
     def solve(rhs: np.ndarray) -> tuple[np.ndarray, int]:
-        factor = cholesky_solver(matrix, NonInvertibleOperatorError, "Toeplitz section")
+        factor = cholesky_solver(matrix, NonInvertibleOperatorError, name)
         c = factor(rhs)
         return c + factor(rhs - matrix @ c), 0   # one step of iterative refinement
 
@@ -348,7 +359,7 @@ class OperatorSystem:
     Bmat: np.ndarray | SplitOperator
     entries: np.ndarray
     Zinv: np.ndarray
-    solve: _Solve = field(repr=False)
+    solve: Callable = field(repr=False)
 
 
 def build_operator_system(model: SpectralModel, pattern: MissingPattern,
@@ -376,7 +387,8 @@ def build_operator_system(model: SpectralModel, pattern: MissingPattern,
 
     zinv_table = table(Zinv)   # refuses a K the grid cannot resolve before U_K is formed
     entries = np.concatenate((np.asarray(pattern.points, dtype=int), np.arange(K + 1)))
-    Bmat, solve = section(zinv_table, lambda: table(model.samples("Fz")), pattern.points, K + 1)
+    Bmat, solve = section(zinv_table, lambda: table(model.samples("Fz")), entries, 0,
+                          "operator matrix")
     return OperatorSystem(Bmat=Bmat, entries=entries, Zinv=Zinv, solve=solve)
 
 

@@ -8,13 +8,13 @@ coefficients of the functional's row conj(A^T (F + F_xe)), so no cross-covarianc
 block is assembled.  Its window covariance is a principal section of a block
 Toeplitz matrix, solved by the operator route's section solver
 (``operators.section``): dense up to ``DENSE_MAX_ORDER`` unknowns, above it by
-preconditioned conjugate gradients with FFT products over the observed run and
-a Schur step over the few observed points shallower than the gap, so a window
-of any length up to the grid's reach costs about one estimate; its error is in
-the stationary form, which the solve error enters only squared.  A fixed
-filter's error is a Gaussian linear functional of the path, so its variance is
-the quadrature of the written taps and the Monte-Carlo errors are drawn from
-that law, one normal per replication.
+preconditioned conjugate gradients with FFT products over a run of lags and
+Schur steps over the gap lags inside the run and the observed lags before it,
+whose count the run's start keeps least; its error is in the stationary form,
+which the solve error enters only squared.  A fixed filter's error is a
+Gaussian linear functional of the path, so its variance is the quadrature of
+the written taps and the Monte-Carlo errors are drawn from that law, one
+normal per replication.
 ``CirculantEmbedding`` is the exact path sampler that law is checked against.
 """
 
@@ -105,13 +105,13 @@ def projection_ladder(model: SpectralModel, pattern: MissingPattern,
     """``projection_oracle`` at each window, in the order given.
 
     Gamma over the observed lags r = -u is a principal section of the block
-    Toeplitz matrix with symbol F_zeta: the run is the contiguous observed
-    stretch that ends at the window's deepest observed lag, and the extra
-    points are the shallower observed lags, both shifted to start the run at
-    0.  ``operators.section`` solves Gamma g = m: assembled and factored up to
-    ``DENSE_MAX_ORDER`` unknowns, above it by conjugate gradients over the run,
-    preconditioned by the Toeplitz matrix of F_zeta^{-1}, and a Schur step
-    over the extra points.  The preconditioner moves only the iteration count,
+    Toeplitz matrix with symbol F_zeta, and ``operators.section`` solves
+    Gamma g = m: assembled and factored up to ``DENSE_MAX_ORDER`` unknowns,
+    above it by conjugate gradients over a run of lags, preconditioned by the
+    Toeplitz matrix of F_zeta^{-1}, and Schur steps over its holes (gap lags
+    inside it) and its extra points (observed lags before it).  The run ends
+    at the window's deepest observed lag and starts where holes plus extra
+    points are fewest.  The preconditioner moves only the iteration count,
     never the answer.  The error is taken in its stationary form
     E|A|^2 - 2 Re(m^H g) + g^H Gamma g, one more product with the section, so
     the solve error enters it only squared.
@@ -127,11 +127,11 @@ def projection_ladder(model: SpectralModel, pattern: MissingPattern,
     naming the window: a density that fails ``check_minimality`` (whose
     inverse the preconditioner needs; named at the first window that
     observes anything), conjugate gradients that do not converge, or a
-    failed factor of Gamma or of its Schur complement.  So a non-minimal
-    density is refused at every window, even where its Gamma over a short
-    window could still be factored.  A density that passes keeps the 2-norm condition number
-    of Gamma, at every window, at most its grid spread eig_max / eig_min,
-    itself at most ``COND_CEILING``.
+    failed factor of Gamma or of a Schur step.  So a non-minimal density is
+    refused at every window, even where its Gamma over a short window could
+    still be factored.  A density that passes keeps the 2-norm condition
+    number of Gamma, at every window, at most its grid spread
+    eig_max / eig_min, itself at most ``COND_CEILING``.
     """
     if any(w < 1 for w in windows):
         raise InvalidParameterError("window must be >= 1")
@@ -167,14 +167,13 @@ def _rung(window: int, observed: tuple[int, ...], e_s2: float, cov_bins: GridTra
     """One window of ``projection_ladder``: its tables sliced from the ladder's
     transforms of F_zeta, conj(AX) and, if its section splits, F_zeta^{-1};
     its solve and its error."""
-    # observed lags r = -u, ascending; the run is the stretch after the last hole
+    # observed lags r = -u, ascending.  A run from r_i to r[-1] has i extra
+    # points and (r[-1] - r_i + 1) - (r.size - i) holes: 2 i - r_i + constant
     r = -np.asarray(observed[::-1])
-    holes = np.flatnonzero(np.diff(r) > 1)
-    start = r[holes[-1] + 1] if holes.size else r[0]
     cov_z, lag = lag_table(cov_bins, window - 1), window + N
     m = lag_table(m_bins, lag).data[lag + r, :, 0].ravel()
-    gamma, solve = section(cov_z, lambda: lag_table(inverse_bins(), window - 1),
-                           r[r < start] - start, int(r[-1] - start) + 1)
+    gamma, solve = section(cov_z, lambda: lag_table(inverse_bins(), window - 1), r,
+                           int(r[np.argmin(2 * np.arange(r.size) - r)]), "observation covariance")
     try:
         g, iterations = solve(m)
     except NonInvertibleOperatorError as exc:

@@ -129,27 +129,15 @@ def test_constraint_report_flags_violations():
     assert report["F:DVU_1:lower"] == 0.0
 
 
-def _hull(models):
-    """The convex combinations of fixed ``models`` by stick-breaking weights in
-    [0, 1]^(k-1): each density, the cross density included, mixes alike, and
-    the decay rate is the slowest anchor's when every anchor states one.  Any
-    convex class that holds the anchors holds the whole family."""
-    noisy = not models[0].is_noiseless
-    correlated = any(not m.is_uncorrelated for m in models)
-    parts = ("F", "G", "Fxe")[:1 + noisy + correlated]
-    rhos = [m.pole_modulus for m in models]
-    rho = None if None in rhos else max(rhos) or None
-
+def _mix(m1, m2, *parts):
+    """The family theta m1 + (1 - theta) m2, theta in [0, 1], of two scalar
+    models: each density in ``parts`` (of F, G, Fxe) mixes alike."""
     def build(theta):
-        rest = np.cumprod(np.concatenate(([1.0], 1.0 - np.asarray(theta, dtype=float))))
-        w = np.append(rest[:-1] * theta, rest[-1])
-        dens = [sum(wi * m.samples(which) for wi, m in zip(w, models)) for which in parts]
-        return SpectralModel(dim=models[0].dim, F=dens[0], G=dens[1] if noisy else None,
-                             F_xe=dens[2] if correlated else None,
-                             grid_size=models[0].grid_size, pole_modulus=rho)
+        dens = {key: theta[0] * m1.samples(which) + (1.0 - theta[0]) * m2.samples(which)
+                for key, which in zip(("F", "G", "F_xe"), parts)}
+        return SpectralModel(dim=1, grid_size=GRID, **dens)
 
-    k = len(models)
-    return DensityFamily(lower=np.zeros(k - 1), upper=np.ones(k - 1), build=build)
+    return DensityFamily(lower=[0.0], upper=[1.0], build=build)
 
 
 def _correlated_pair():
@@ -773,7 +761,7 @@ SADDLE_CASES = {   # each builds a search result
     "correlated_ma_pairs": lambda: _at(DensityClass(
         kind="D0_1", g_kind="DVU_1",
         data=ClassData(power=1.25, noise_power=0.49, lower=0.0, upper=8.0),
-        family=_hull(_correlated_pair())), (0.5,)),
+        family=_mix(*_correlated_pair(), "F", "G", "Fxe")), (0.5,)),
 }
 
 
@@ -870,7 +858,14 @@ def _d1delta_case(unit=1.0):
                             grid_size=GRID, pole_modulus=0.3)
               for bump in (1.0, 1.0 + 0.2 * np.sin(lam), 1.0 + 0.3 * np.cos(2 * lam))]
     radius = max(float(np.mean(np.abs(m.samples("F")[:, 0, 0] - base))) for m in models)
-    fam = _hull(models)
+
+    def build(theta):
+        a, b = theta   # stick-breaking weights
+        F = sum(w * m.samples("F") for w, m in zip((a, (1.0 - a) * b, (1.0 - a) * (1.0 - b)),
+                                                  models))
+        return SpectralModel(dim=1, F=F, grid_size=GRID, pole_modulus=0.3)
+
+    fam = DensityFamily(lower=[0.0, 0.0], upper=[1.0, 1.0], build=build)
     return DensityClass(kind="D1delta_1", data=ClassData(
         anchor_f=base[:, None, None], radius=radius), family=fam), fam
 
@@ -1155,7 +1150,7 @@ def _residual_cases():
     # the top of the ball saturates the distance and maximizes the error
     bump = 0.5
     anchors = [white_model(1, 1.0, GRID), white_model(1, 1.0 + bump, GRID)]
-    fam6 = _hull(anchors)
+    fam6 = _mix(*anchors, "F")
     cases["D1delta_1"] = (
         DensityClass(kind="D1delta_1",
                      data=ClassData(anchor_f=1.0, radius=bump), family=fam6),

@@ -366,7 +366,8 @@ def _solve_with_last_pivot(last):
     bad = np.eye(n, dtype=complex)
     bad[-1, -1] = last
     # the section of one n x n block is ``bad`` itself, and dense
-    Bmat, solve = section(FourierTable(max_lag=0, data=bad[None]), None, (), 1)
+    Bmat, solve = section(FourierTable(max_lag=0, data=bad[None]), None, (0,), 0,
+                          "operator matrix")
     sick = OperatorSystem(Bmat=Bmat, entries=base.entries, Zinv=base.Zinv, solve=solve)
     return solve_coefficients(sick, np.ones(n, dtype=complex))
 
@@ -393,7 +394,8 @@ def test_solve_rejects_indefinite_or_non_finite_system(last):
 
 
 def test_solve_names_an_indefinite_system():
-    with pytest.raises(NonInvertibleOperatorError, match="not positive definite"):
+    with pytest.raises(NonInvertibleOperatorError,
+                       match="^operator matrix is not positive definite"):
         _solve_with_last_pivot(-1.0)
 
 

@@ -197,9 +197,10 @@ def test_unconverged_window_solve_is_refused_as_degenerate(monkeypatch):
 def test_long_window_matches_the_dense_route_without_forming_gamma(monkeypatch):
     # the dense route is the block reference below, which factors Gamma.
     # Window 400 holds 2 (400 - 3) = 794 observed unknowns, above the
-    # crossover: its section is never formed, and the only matrix it factors
-    # is the Schur complement over the two observed lags shallower than the
-    # gap, 2 T square.  Windows 3 to 100 are dense sections, factored whole
+    # crossover: its section is never formed; its run covers -400..-3, and
+    # the only matrix it factors is the inverse run's block over its one
+    # hole, the gap point -5, T square.  Windows 3 to 100 are dense sections,
+    # factored whole
     model, pattern, functional, _ = _example("noisy_ar1")
     T = model.dim
     shapes, cholesky_solver = [], operators_module.cholesky_solver
@@ -217,7 +218,7 @@ def test_long_window_matches_the_dense_route_without_forming_gamma(monkeypatch):
         order = len(pattern.observed_window(window)) * T
         split = order > DENSE_MAX_ORDER
         assert split == (window == 400) and (got.cg_iterations > 0) == split
-        assert shapes == [(2 * T if split else order,) * 2]
+        assert shapes == [(T if split else order,) * 2]
         want, taps = _reference_projection(model, pattern, functional, window)
         assert got.delta_oracle == pytest.approx(want, rel=1e-13)
         assert set(got.taps_oracle) == set(taps)
@@ -243,7 +244,7 @@ def test_projection_builds_one_product_per_toeplitz_matrix(monkeypatch, window):
     if window == 100:
         assert built == [] and got.cg_iterations == 0
         return
-    run = window - 5   # the observed lags from -6 down, below the gap at -5
+    run = window - 2   # -3 down to -window, with the gap point -5 a hole
     assert len(built) == 2 and all(size == run for _, size in built)
     assert built[0][0] is not built[1][0]
 
@@ -389,10 +390,16 @@ def _reference_projection(model, pattern, functional, window):
 
 
 # the deepest stretch of the gapped patterns reaches past the start of window
-# 7; the scattered one leaves every other lag down to -38 observed, so a split
-# section has 19 extra points
+# 7.  At a split window, the section's extra points and holes (SPLIT_SHAPES):
+# "two" runs from -3 with the holes -6..-8; "past_start" from -9, with -1 and
+# -2 extra; "scattered" leaves every other lag down to -38 observed, so 19
+# holes; "both" runs from -6 with -1 extra and the hole -9; "deep" has one
+# gap point at -150, a hole, and 149 observed lags shallower than it
 GAPS = {"none": (), "two": ((1, 1), (6, 2)), "past_start": ((3, 5),),
-        "scattered": tuple((k, 0) for k in range(1, 40, 2))}
+        "scattered": tuple((k, 0) for k in range(1, 40, 2)), "both": ((2, 3), (9, 0)),
+        "deep": ((150, 0),)}
+SPLIT_SHAPES = {"none": (0, 0), "two": (0, 3), "past_start": (2, 0), "scattered": (0, 19),
+                "both": (1, 1), "deep": (0, 1)}
 
 
 def _oracle_instance(dim, kind, gaps, seed, grid_size=256):
@@ -415,10 +422,20 @@ def _oracle_instance(dim, kind, gaps, seed, grid_size=256):
 @pytest.mark.parametrize("dim", (1, 2))
 @pytest.mark.parametrize("kind", ("ar1", "ma_pair"))
 @pytest.mark.parametrize("gaps", GAPS)
-def test_projection_matches_block_reference(dim, kind, gaps):
+def test_projection_matches_block_reference(monkeypatch, dim, kind, gaps):
     # windows 1 to 40 are dense sections; the last window, on a grid fine
     # enough to resolve it, holds more than DENSE_MAX_ORDER observed unknowns
-    # and splits
+    # and splits.  Each extra point or hole costs T more right sides, so its
+    # run starts where they are fewest: a deep gap is a hole of a run over
+    # the whole window, not a run below it with every shallower lag extra
+    shapes, split_operator = [], operators_module.SplitOperator
+
+    class Spy(split_operator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            shapes.append((self.extra.size, self.holes.size // dim))
+
+    monkeypatch.setattr(operators_module, "SplitOperator", Spy)
     seed = 10 * dim + len(kind)
     model, pattern, fun = _oracle_instance(dim, kind, gaps, seed)
     if kind == "ma_pair":
@@ -433,12 +450,13 @@ def test_projection_matches_block_reference(dim, kind, gaps):
         split = len(taps) * dim > DENSE_MAX_ORDER
         assert split == (window == long)
         assert (got.cg_iterations > 0) == split
+        assert shapes == [SPLIT_SHAPES[gaps]] * split
         assert got.delta_oracle == pytest.approx(want, rel=1e-12)
         assert set(got.taps_oracle) == set(taps)
         for j, tap in taps.items():
             np.testing.assert_allclose(got.taps_oracle[j], tap, rtol=1e-12, atol=1e-14)
     # the observations explain part of the functional in every case, so the
-    # projection, and its Schur step over the extra points, is tested
+    # projection, and its Schur steps over the extra points and holes, is tested
     assert variance - got.delta_oracle > 1e-6 * variance
 
 
