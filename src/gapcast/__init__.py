@@ -80,7 +80,6 @@ from .spectral import (
     ar1_scalar,
     check_minimality,
     coeffs_from_samples,
-    covariance,
     grid_points,
     laurent_density,
     laurent_entry,

@@ -103,7 +103,6 @@ class EstimateResult:
     """Optimal-extrapolation output: coefficients, characteristic, taps, error."""
 
     c: dict[int, np.ndarray]
-    lam: np.ndarray
     h_grid: np.ndarray           # h(lambda) as column vectors, shape (n, T)
     taps: dict[int, np.ndarray]
     delta: float
@@ -206,7 +205,6 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     entries = system.entries
     n, d = model.grid_size, model.dim
 
-    lam = model.lam
     c_blocks = sol.c.reshape(len(entries), d)
 
     C_row = trig_poly_on_grid(entries, c_blocks, n)       # (n, T), C^T rows
@@ -257,7 +255,7 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     )
 
     return EstimateResult(
-        c=dict(zip(entries.tolist(), c_blocks)), lam=lam, h_grid=h_row, taps=taps,
+        c=dict(zip(entries.tolist(), c_blocks)), h_grid=h_row, taps=taps,
         delta=delta, diagnostics=diags, system=system,
     )
 

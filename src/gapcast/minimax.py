@@ -471,7 +471,7 @@ def _gap_met(upper: float, delta: float) -> bool:
 def _filter_row(est: EstimateResult, functional: FunctionalSpec, which: str) -> np.ndarray:
     """Per node, the row r of the fixed filter whose error a density D adds as
     r^T D conj(r): A - h0 on the signal side F, h0 itself on the noise side G."""
-    return functional.a_on_grid(est.lam.size) - est.h_grid if which == "F" else est.h_grid
+    return functional.a_on_grid(len(est.h_grid)) - est.h_grid if which == "F" else est.h_grid
 
 
 def _covered(cls: DensityClass, model: SpectralModel) -> bool:
@@ -809,7 +809,7 @@ def characterization_residuals(result: LeastFavorableResult) -> ResidualReport:
     check_residual_support(cls, model)
     est, fun = result.estimate_star, result.functional
     # |A|^2, the size of the zero filter's field
-    unit = _l2(np.sum(np.abs(fun.a_on_grid(est.lam.size)) ** 2, axis=1))
+    unit = _l2(np.sum(np.abs(fun.a_on_grid(len(est.h_grid))) ** 2, axis=1))
     return ResidualReport(entries=[
         entry for side in _sides_at(cls, model)
         for entry in _side_residuals(side, _coupling_field(est, fun, side), unit)])

@@ -579,18 +579,8 @@ def coeffs_from_samples(samples: np.ndarray, max_lag: int) -> FourierTable:
 
 
 # ---------------------------------------------------------------------------
-# Covariances and minimality
+# Minimality
 # ---------------------------------------------------------------------------
-
-
-def covariance(model: SpectralModel, n: int, which: str = "F") -> np.ndarray:
-    """Covariance R(n) = (1/2pi) int e^{i n lambda} density d lambda.
-
-    Real (float64) for the densities of a real process, complex otherwise;
-    ``coeffs_from_samples`` decides.
-    """
-    table = coeffs_from_samples(model.samples(which), abs(n))
-    return table.coeff(-n)
 
 
 @dataclass(frozen=True)

@@ -428,7 +428,7 @@ def test_characteristic_matches_phase_matrix_reference(seed):
     model, pattern, functional = _random_instance(seed)
     assert pattern.size > 0
     res = estimate(model, pattern, functional, K=20)
-    sys, lam, n = res.system, res.lam, model.grid_size
+    sys, lam, n = res.system, model.lam, model.grid_size
     c_blocks = np.array([res.c[j] for j in sys.entries.tolist()])
 
     C_ref = _phase_matrix_eval(lam, sys.entries, c_blocks)

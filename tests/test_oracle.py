@@ -28,7 +28,6 @@ from gapcast import (
     ar1_model,
     ar1_scalar,
     coeffs_from_samples,
-    covariance,
     estimate,
     functional_variance,
     make_ar1_pair,
@@ -501,7 +500,7 @@ def test_sampler_cross_covariance():
     cfg = SimulationConfig(replications=30000, seed=3)
     xi, eta = _paths(model, cfg, 4)
     tol = 5 * 1.5 / np.sqrt(30000)
-    want = covariance(model, 0, which="Fxe")[0, 0].real
+    want = coeffs_from_samples(model.samples("Fxe"), 0).coeff(0)[0, 0].real
     emp = np.mean(xi[:, 2, 0] * eta[:, 2, 0])
     assert emp == pytest.approx(want, abs=tol)
     # xi(t) = e1(t) + 0.6 e1(t-1) and eta(t) = 0.8 e2(t) with E e1 e2 = 0.5:

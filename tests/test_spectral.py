@@ -18,7 +18,6 @@ from gapcast import (
     ar1_scalar,
     check_minimality,
     coeffs_from_samples,
-    covariance,
     grid_points,
     laurent_density,
     laurent_entry,
@@ -143,6 +142,11 @@ def test_nonfinite_integrand_rejected():
 # ---------------------------------------------------------------------------
 # covariances against closed forms
 # ---------------------------------------------------------------------------
+
+
+def covariance(model, n, which="F"):
+    """R(n) = (1/2pi) int e^{i n lambda} density d lambda, from the model's samples."""
+    return coeffs_from_samples(model.samples(which), abs(n)).coeff(-n)
 
 
 @pytest.mark.parametrize("b,scale", [(0.5, 1.0), (-0.3, 2.5), (0.9, 0.4)])
