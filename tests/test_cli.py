@@ -199,6 +199,61 @@ def test_complex_table_writes_integer_keys_and_empty_tables():
     assert _complex_table("lag", "tap", [], [], 2) == ("lag,tap1_re,tap1_im,tap2_re,tap2_im", b"")
 
 
+def test_complex_table_matches_per_float_formatting():
+    rng = np.random.default_rng(3)
+    tens = np.array([float(f"1e{e}") for e in range(-300, 301)])
+    edges = np.array([1e-280, 1e280, 2.2250738585072014e-308])
+    cases = {
+        "bit patterns": rng.integers(0, 2 ** 64, size=10 ** 5, dtype=np.uint64).view(float),
+        "normals": rng.normal(size=20000) * 10.0 ** rng.integers(-30, 30, size=20000),
+        "powers of ten": np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)]),
+        # fixed notation from k = -4 to 16, exponent notation outside
+        "switch points": np.array([9.9999999999999991e-05, 1e-4, 1.0000000000000001e-4,
+                                   9.9999999999999991e-06, 1e-5, 9999999999999998.0, 1e16,
+                                   1.0000000000000002e16, 99999999999999984.0, 1e17]),
+        "integers": np.array([2.0 ** 53, 2.0 ** 53 - 1, 2.0 ** 53 + 2, 120000.0, 1e6, 3e22,
+                              12345678901234567000.0, 40.0, 7.0, 100.0]),
+        "ties": np.array([1234567890123456.25, 1234567890123456.75, 3 * 2.0 ** -24, 2.0 ** -25]),
+        "edges": np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+                                 [5e-324, 1e-300, 4.9406564584124654e-320, 1e300]]),
+        "non-finite and zero": np.array([np.nan, np.copysign(np.nan, -1.0), np.inf, 0.0]),
+    }
+    for numbers in cases.values():
+        numbers = np.concatenate([numbers, -numbers])
+        table = np.resize(numbers, (-(-len(numbers) // 5), 5))
+        head, body = _complex_table("lambda", "h", table[:, 0],
+                                    table[:, 1:].copy().view(complex), 2)
+        assert head == "lambda,h1_re,h1_im,h2_re,h2_im"
+        got = body.decode().replace("\n", ",").split(",")
+        assert got.pop() == ""
+        assert got == ["%.17g" % v for v in table.ravel().tolist()]
+        # every finite number, its sign included, reads back as the same double
+        back = np.array([float(text) for text in got])
+        finite = np.isfinite(table.ravel())
+        assert np.array_equal(back[finite].view(np.uint64), table.ravel()[finite].view(np.uint64))
+
+
+@pytest.mark.parametrize("example", ["benchmark", "noisy_ar1", "robust_banded_noise"])
+def test_taps_csv_reads_back_as_the_estimates_taps(tmp_path, monkeypatch, example):
+    # every lag and every tap part reads back as the double the estimate holds
+    results = []
+
+    def recording_estimate(*args, **kwargs):
+        results.append(estimate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli_module, "estimate", recording_estimate)
+    out = tmp_path / "o"
+    assert run_cli(["estimate", "--config", EXAMPLES / f"{example}.yaml", "--out", out]) == 0
+    (res,) = results
+    header, rows, _ = read_csv_rows(out / "taps.csv")
+    assert len(header) == 1 + 2 * len(next(iter(res.taps.values())))
+    assert [int(row[0]) for row in rows] == sorted(res.taps)
+    back = np.array([[float(x) for x in row[1:]] for row in rows])
+    want = np.array([res.taps[lag] for lag in sorted(res.taps)], dtype=complex).view(float)
+    assert np.array_equal(back.view(np.uint64), want.view(np.uint64))
+
+
 def test_estimate_white_no_gaps(tmp_path):
     text = """
 model:
