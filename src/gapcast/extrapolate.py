@@ -14,8 +14,10 @@ coefficients (times F_zeta^{-1}) are the system's right side.
 
 The mean-square error is computed twice: from the operator inner-product form
 and by direct quadrature of the error integral; their agreement is reported
-and is part of the library's self-checks.  ``optimal_delta`` returns the
-operator-form error alone, without the characteristic or the diagnostics.
+and is part of the library's self-checks.  The exact error of the written
+taps, a filter on the observed past, bounds it from above.  ``optimal_delta``
+returns the operator-form error alone, without the characteristic or the
+diagnostics.
 """
 
 from __future__ import annotations
@@ -38,6 +40,12 @@ from .spectral import (
     coeffs_from_samples,
     trig_poly_on_grid,
 )
+
+# Relative rounding allowance on a filter's exact error.  A tap window whose
+# error exceeds the 4K window's by at most this fraction has the same error,
+# and an optimal error above the written filter's by more than this fraction
+# is a wrong solve: no filter on the observed past beats delta.
+ROUNDING_ALLOWANCE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -81,6 +89,11 @@ class EstimateDiagnostics:
     upper bound on the 2-norm condition number of the operator matrix B.
     ``gap_coeff_max`` is h's largest coefficient on U_K against a's largest;
     ``orthogonality_max`` vanishes by construction and checks only F_zeta^{-1}.
+    ``tap_tail_mass`` is h's coefficient mass off U_K and off the observed past
+    of length 4K.  ``delta_filter`` is the exact error of the taps, a filter on
+    the observed past of length ``taps_window``, so delta <= delta_filter, and
+    ``bracket_rel_width`` = (delta_filter - delta) / delta_filter is what the
+    truncation at K and the window cost.
     """
 
     delta_operator: float
@@ -96,6 +109,9 @@ class EstimateDiagnostics:
     orthogonality_max: float
     tap_tail_mass: float
     minimality_value: float
+    delta_filter: float
+    bracket_rel_width: float
+    taps_window: int
 
 
 @dataclass
@@ -195,13 +211,17 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
              functional: FunctionalSpec, K: int | None = None) -> EstimateResult:
     """Full optimal-extrapolation pipeline; see module docstring.
 
-    The filter taps are read off the spectral characteristic over the observed
-    past of length 4K (at most a quarter of the grid); the tail mass beyond it is
-    reported in the diagnostics.
+    The characteristic's coefficients on the observed past of length 4K (at
+    most a quarter of the grid) are a filter; the tail mass beyond them is
+    reported in the diagnostics.  The taps returned are that filter cut to the
+    shortest window of 8, 16, 32, ... lags, or 4K, whose exact error exceeds
+    the 4K filter's by at most ``ROUNDING_ALLOWANCE``, relative; that error is
+    ``delta_filter``.  A delta above it by more than the allowance raises
+    InternalConsistencyError.
     """
     K, system, sol, delta_op, (A_row, AX) = _operator_route(model, pattern, functional, K)
     report = check_minimality(model)   # the cached report the system was built under
-    taps_window = 4 * max(K, 1)
+    full_window = 4 * max(K, 1)
     entries = system.entries
     n, d = model.grid_size, model.dim
 
@@ -218,9 +238,10 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     delta = max(delta_op, 0.0)
 
     # --- diagnostics ---------------------------------------------------
-    check_lag = min(n // 4, max(taps_window, K + pattern.max_depth + 8))
+    check_lag = min(n // 4, max(full_window, K + pattern.max_depth + 8))
     h_table = coeffs_from_samples(h_row[:, :, None], check_lag)
-    coeff_norms = np.linalg.norm(h_table.data[:, :, 0], axis=1)  # by lag
+    h_coeffs = h_table.data[:, :, 0]
+    coeff_norms = np.linalg.norm(h_coeffs, axis=1)  # by lag
     # against a's largest coefficient: h is linear in a and free of the
     # densities' units, and its own largest may be rounding noise (h = 0)
     a_scale = np.linalg.norm(functional.coeffs, axis=1).max()
@@ -235,14 +256,37 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     ort_max = float(ort_norms[observed + check_lag].max(initial=0.0))
     ort_max = ort_max / ort_scale if ort_scale else 0.0
 
-    tap_lags = observed[observed >= -taps_window]
-    taps = dict(zip(tap_lags.tolist(), h_table.data[tap_lags + check_lag, :, 0]))
+    tap_lags = observed[observed >= -full_window]
     total_mass = float(np.sum(coeff_norms ** 2))
     unused = np.ones(coeff_norms.size, dtype=bool)
     unused[tap_lags + check_lag] = False
     unused[entries + check_lag] = False
     tail_mass = float(np.sum(coeff_norms[unused] ** 2))
     tail_rel = tail_mass / max(total_mass, np.finfo(float).tiny)
+
+    # --- the written filter: the shortest window with the 4K filter's error
+    def window_error(window):
+        lags = tap_lags[tap_lags >= -window]
+        h = trig_poly_on_grid(lags, h_coeffs[lags + check_lag], n)
+        return filter_error(model, A_row - h, h)
+
+    full_error = window_error(full_window)
+    window = 8
+    while window < full_window:
+        delta_filter = window_error(window)
+        if delta_filter - full_error <= ROUNDING_ALLOWANCE * abs(full_error):
+            break
+        window *= 2
+    else:
+        window, delta_filter = full_window, full_error
+    width = (delta_filter - delta) / max(abs(delta_filter), np.finfo(float).tiny)
+    if width < -ROUNDING_ALLOWANCE:
+        raise InternalConsistencyError(
+            f"the optimal error {delta:.17g} exceeds the exact error {delta_filter:.17g} "
+            f"of its own filter (bracket width {width:.3e}): the solve is wrong"
+        )
+    lags = tap_lags[tap_lags >= -window]
+    taps = dict(zip(lags.tolist(), h_coeffs[lags + check_lag]))
 
     diags = EstimateDiagnostics(
         truncation=K, grid_size=n, max_lag=h_table.max_lag,
@@ -251,7 +295,8 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
         delta_operator=delta_op, delta_quadrature=delta_quad,
         two_form_rel_diff=two_form, gap_coeff_max=gap_max,
         orthogonality_max=ort_max, tap_tail_mass=tail_rel,
-        minimality_value=report.value,
+        minimality_value=report.value, delta_filter=delta_filter,
+        bracket_rel_width=width, taps_window=window,
     )
 
     return EstimateResult(
@@ -286,9 +331,12 @@ def filter_error(model: SpectralModel, r: np.ndarray, h_grid: np.ndarray) -> flo
     arrays must have shape (n, T) on the model's grid.
     """
     def form(row_l, dens, row_r):
-        return np.einsum("nt,ntu,nu->n", row_l, model.samples(dens), np.conj(row_r))
+        # sum over nodes of row_l^T S conj(row_r), as one matrix-vector product
+        # per node and one dot product
+        return np.vdot(np.conj(row_l), np.einsum("ntu,nu->nt", model.samples(dens),
+                                                 np.conj(row_r)))
 
-    vals = form(r, "F", r) + form(h_grid, "G", h_grid)
+    total = form(r, "F", r) + form(h_grid, "G", h_grid)
     if not model.is_uncorrelated:
-        vals = vals - form(r, "Fxe", h_grid) - form(h_grid, "Fex", r)
-    return float(np.mean(vals).real)
+        total = total - form(r, "Fxe", h_grid) - form(h_grid, "Fex", r)
+    return float(total.real) / r.shape[0]

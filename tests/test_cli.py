@@ -4,8 +4,10 @@ Every test goes through ``gapcast.cli.main`` with a config written to a
 temp directory, then parses the emitted artifacts the way a user would.
 """
 
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +27,7 @@ from gapcast.config import (
     loads_config,
 )
 import gapcast.cli as cli_module
+import gapcast.extrapolate as extrapolate_module
 import gapcast.minimax as minimax_module
 import gapcast.operators as operators_module
 from gapcast.extrapolate import FunctionalSpec, estimate
@@ -127,7 +130,8 @@ def test_estimate_benchmark_outputs(tmp_path):
     assert list(summary) == [
         "delta", "delta_operator", "delta_quadrature", "two_form_rel_diff", "truncation",
         "grid_size", "max_lag", "cond_B", "solve_residual", "cg_iterations", "gap_coeff_max",
-        "orthogonality_max", "tap_tail_mass", "minimality_value"]
+        "orthogonality_max", "tap_tail_mass", "minimality_value", "delta_filter",
+        "bracket_rel_width", "taps_window"]
 
     header, rows, _ = read_csv_rows(out / "taps.csv")
     assert header == ["lag", "tap1_re", "tap1_im", "tap2_re", "tap2_im"]
@@ -330,8 +334,9 @@ numerics:
 
 
 def test_simulate_on_a_grid_file_too_coarse_to_resolve_names_the_remedy(tmp_path, capsys):
-    # a flat 256-node density: the quadrature of the taps needs 2048 nodes, and
-    # per-node data cannot be read on more nodes than it has
+    # a flat 256-node density: the taps are the shortest window, 8 lags, and
+    # their quadrature still needs 2048 nodes, and per-node data cannot be read
+    # on more nodes than it has
     npz = tmp_path / "flat.npz"
     np.savez(npz, lam=grid_points(256), F=np.full((256, 1, 1), 1.3))
     cfg = write_config(tmp_path, f"""
@@ -343,7 +348,7 @@ numerics: {{grid_size: 256, truncation: 16}}
     assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 3
     assert capsys.readouterr().err == (
         "error: the time-domain quadrature needs 2048 grid nodes to resolve the covariances "
-        "from the deepest tap to the horizon (65 lags) plus a margin of 256, but the density "
+        "from the deepest tap to the horizon (9 lags) plus a margin of 256, but the density "
         "data gives 256; supply the density on at least 2048 nodes and raise "
         "numerics.grid_size to match\n")
 
@@ -1831,6 +1836,26 @@ def test_large_estimate_is_solved_by_conjugate_gradients(tmp_path, monkeypatch, 
     rows = _per_float_rows(lags, [res.taps[lag] for lag in lags])
     assert lines[2:] == [row.encode() for row in rows] + [b""]
     assert len(res.h_grid) == 8192
+
+
+@pytest.mark.parametrize("example", ["benchmark", "noisy_ar1"])
+def test_a_wrong_solve_exits_3(tmp_path, capsys, monkeypatch, example):
+    # coefficients 1% off raise delta above the exact error of its own filter,
+    # which no filter on the observed past can beat
+    real = extrapolate_module.solve_coefficients
+
+    def wrong(system, a):
+        sol = real(system, a)
+        return dataclasses.replace(sol, c=1.01 * sol.c)
+
+    monkeypatch.setattr(extrapolate_module, "solve_coefficients", wrong)
+    out = tmp_path / "o"
+    assert run_cli(["estimate", "--config", EXAMPLES / f"{example}.yaml", "--out", out]) == 3
+    err = capsys.readouterr().err
+    match = re.fullmatch(r"error: the optimal error \S+ exceeds the exact error \S+ of its "
+                         r"own filter \(bracket width (\S+)\): the solve is wrong\n", err)
+    assert match and -2e-2 <= float(match.group(1)) <= -5e-3
+    assert not out.exists()
 
 
 def test_unconverged_conjugate_gradients_exit_3(tmp_path, capsys, monkeypatch):

@@ -40,7 +40,8 @@ from gapcast.spectral import (
     grid_points,
     trig_poly_on_grid,
 )
-from gapcast.errors import InvalidParameterError
+from gapcast.errors import InternalConsistencyError, InvalidParameterError
+from exact_reference import ar1_window_projection
 
 
 def _scalar_ar1(b, scale=1.0, grid_size=512):
@@ -210,8 +211,9 @@ def test_gap_coeff_max_is_unit_free(name):
 
 @pytest.mark.parametrize("name", ["benchmark", "noisy_ar1"])
 def test_a_wrong_solve_is_caught(name, monkeypatch):
-    # coefficients 1% off put weight on U_K and split the two error routes;
-    # orthogonality_max holds by construction and cannot see it
+    # coefficients 1% off raise delta above its own filter's exact error, put
+    # weight on U_K and split the two error routes; orthogonality_max holds by
+    # construction and cannot see it
     model, pattern, functional, K = _example(name)
     real = extrapolate_module.solve_coefficients
 
@@ -220,10 +222,66 @@ def test_a_wrong_solve_is_caught(name, monkeypatch):
         return dataclasses.replace(sol, c=1.01 * sol.c)
 
     monkeypatch.setattr(extrapolate_module, "solve_coefficients", wrong)
+    with pytest.raises(InternalConsistencyError, match="the solve is wrong"):
+        estimate(model, pattern, functional, K=K)
+    # the diagnostics the refusal reads, with the refusal lifted
+    monkeypatch.setattr(extrapolate_module, "ROUNDING_ALLOWANCE", np.inf)
     d = estimate(model, pattern, functional, K=K).diagnostics
+    assert -2e-2 <= d.bracket_rel_width <= -5e-3
     assert d.two_form_rel_diff >= 1e-3
     assert d.gap_coeff_max >= 1e-3
     assert d.orthogonality_max <= 1e-15
+
+
+def _window_error(model, pattern, functional, res, window):
+    """The exact error of the estimate's characteristic cut to the observed
+    past of length ``window``, built here from its Fourier coefficients."""
+    L = res.diagnostics.max_lag
+    h = coeffs_from_samples(res.h_grid[:, :, None], L).data[:, :, 0]
+    lags = np.array([j for j in pattern.observed_window(L) if j >= -window])
+    hw = trig_poly_on_grid(lags, h[lags + L], model.grid_size)
+    return extrapolate_module.filter_error(model, functional.a_on_grid(model.grid_size) - hw,
+                                           hw)
+
+
+@pytest.mark.parametrize("name,window,half_meets", [
+    # Example 1's filter is one tap at lag -1: every window meets the
+    # allowance, and 8 is the shortest the search tries
+    ("benchmark", 8, True),
+    # noisy_ar1's window 8 reads about 1.3e-9 above the 4K window
+    ("noisy_ar1", 16, False)])
+def test_taps_are_the_shortest_window_with_the_4K_error(name, window, half_meets):
+    cfg = load_config(EXAMPLES / f"{name}.yaml")
+    cfg.numerics["grid_size"] = 8192
+    model, pattern, functional = build_model(cfg), build_pattern(cfg), build_functional(cfg)
+    res = estimate(model, pattern, functional, K=512)
+    d = res.diagnostics
+    assert d.taps_window == window
+    assert set(res.taps) == set(pattern.observed_window(window))
+    full = _window_error(model, pattern, functional, res, 4 * 512)
+    allowance = extrapolate_module.ROUNDING_ALLOWANCE
+    assert d.delta_filter == _window_error(model, pattern, functional, res, window)
+    assert d.delta_filter - full <= allowance * full
+    assert (_window_error(model, pattern, functional, res, window // 2) - full
+            <= allowance * full) == half_meets
+
+
+@pytest.mark.parametrize("rho,window,below", [
+    (0.6, 400, 4.5e-12), (0.9, 1000, 1.7e-9), (0.99, 2000, 2.9e-9)])
+def test_the_bracket_holds_the_exact_error(rho, window, below):
+    # AR(rho) in AR(0.2) noise of scale 0.5, gap {-3, -2}, xi(0), default K,
+    # on 4096 nodes.  The exact error is the closed-form projection on a window
+    # that a longer window reproduces to rounding; delta_K sits ``below`` it,
+    # relative, and the written filter's exact error does not
+    model = ar1_model(poles=[rho], noise_poles=[0.2], noise_scales=[0.5], grid_size=4096)
+    res = estimate(model, MissingPattern(intervals=((2, 1),)), FunctionalSpec(coeffs=[[1.0]]))
+    exact, _ = ar1_window_projection(rho, 0.2, 0.5, [-3, -2], [[1.0]], window)
+    d = res.diagnostics
+    allowance = extrapolate_module.ROUNDING_ALLOWANCE
+    assert res.delta <= exact * (1 + allowance)
+    assert exact <= d.delta_filter * (1 + allowance)
+    assert (exact - res.delta) / exact == pytest.approx(below, rel=0.01)
+    assert d.bracket_rel_width >= (exact - res.delta) / exact - allowance
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +443,11 @@ def test_filter_taps_window_and_gaps():
     pattern = MissingPattern(intervals=((2, 0),))
     res = estimate(model, pattern, FunctionalSpec(coeffs=np.array([[1.0]])),
                    K=16)
-    # the taps cover the observed past of length 4K and skip the gap
-    assert set(res.taps) == {j for j in range(-64, 0) if j != -2}
-    assert res.taps[-1] == pytest.approx(0.6, abs=1e-6)   # AR(1): x(0) ~ 0.6 x(-1)
+    # AR(1): x(0) ~ 0.6 x(-1), so the shortest window tried, 8 lags of the
+    # 4K = 64, has the exact error of them all; the taps skip the gap
+    assert res.diagnostics.taps_window == 8
+    assert set(res.taps) == {j for j in range(-8, 0) if j != -2}
+    assert res.taps[-1] == pytest.approx(0.6, abs=1e-6)
 
 
 def test_taps_and_tail_mass_match_loop_reference():

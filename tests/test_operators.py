@@ -707,6 +707,30 @@ def _row_instance(seed):
     return model, pattern, FunctionalSpec(coeffs=coeffs)
 
 
+def _filter_error_loop(model, r, h):
+    """The four density forms of ``filter_error``, node by node."""
+    total = 0.0
+    for which, left, right, sign in (("F", r, r, 1), ("G", h, h, 1),
+                                     ("Fxe", r, h, -1), ("Fex", h, r, -1)):
+        S = model.samples(which)
+        for k in range(model.grid_size):
+            total += sign * (left[k] @ S[k] @ np.conj(right[k]))
+    return total.real / model.grid_size
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_filter_error_matches_a_per_node_loop(seed):
+    # noiseless, noisy and correlated MA pairs, each with a real and a complex
+    # functional; a random h, so every cross term counts
+    model, pattern, functional = _row_instance(seed)
+    rng = np.random.default_rng(seed)
+    n = model.grid_size
+    h = rng.normal(size=(n, model.dim)) + 1j * rng.normal(size=(n, model.dim))
+    r = functional.a_on_grid(n) - h
+    want = _filter_error_loop(model, r, h)
+    assert extrapolate_module.filter_error(model, r, h) == pytest.approx(want, rel=1e-13)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_right_sides_are_the_paper_operators_on_every_instance(monkeypatch, seed):
     # the paper's R, Q and the oracle's cross-covariance block, assembled
