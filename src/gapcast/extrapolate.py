@@ -42,9 +42,10 @@ from .spectral import (
 )
 
 # Relative rounding allowance on a filter's exact error.  A tap window whose
-# error exceeds the 4K window's by at most this fraction has the same error,
-# and an optimal error above the written filter's by more than this fraction
-# is a wrong solve: no filter on the observed past beats delta.
+# error exceeds the 4K window's by at most this fraction has the same error.
+# An optimal error above the written filter's by more than this fraction, or
+# by more than cond_B * eps where the operator route's rounding is larger, is
+# a wrong solve: no filter on the observed past beats delta.
 ROUNDING_ALLOWANCE = 1e-13
 
 
@@ -90,10 +91,12 @@ class EstimateDiagnostics:
     ``gap_coeff_max`` is h's largest coefficient on U_K against a's largest;
     ``orthogonality_max`` vanishes by construction and checks only F_zeta^{-1}.
     ``tap_tail_mass`` is h's coefficient mass off U_K and off the observed past
-    of length 4K.  ``delta_filter`` is the exact error of the taps, a filter on
-    the observed past of length ``taps_window``, so delta <= delta_filter, and
-    ``bracket_rel_width`` = (delta_filter - delta) / delta_filter is what the
-    truncation at K and the window cost.
+    of length 4K.  ``delta_filter`` is the error of the taps, a filter on the
+    observed past of length ``taps_window``, by quadrature on the model's grid.
+    Where that grid resolves the covariances the taps span, it is their exact
+    error, so delta <= delta_filter, and ``bracket_rel_width`` =
+    (delta_filter - delta) / delta_filter is what the truncation at K and the
+    window cost; a coarser grid aliases them, and the bound may fail.
     """
 
     delta_operator: float
@@ -216,11 +219,12 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     reported in the diagnostics.  The taps returned are that filter cut to the
     shortest window of 8, 16, 32, ... lags, or 4K, whose exact error exceeds
     the 4K filter's by at most ``ROUNDING_ALLOWANCE``, relative; that error is
-    ``delta_filter``.  A delta above it by more than the allowance raises
-    InternalConsistencyError.
+    ``delta_filter``.  A delta above it by more than the allowance, or than
+    cond_B * eps where that is larger, raises InternalConsistencyError.
     """
     K, system, sol, delta_op, (A_row, AX) = _operator_route(model, pattern, functional, K)
     report = check_minimality(model)   # the cached report the system was built under
+    cond_B = report.eig_max / report.eig_min
     full_window = 4 * max(K, 1)
     entries = system.entries
     n, d = model.grid_size, model.dim
@@ -280,17 +284,22 @@ def estimate(model: SpectralModel, pattern: MissingPattern,
     else:
         window, delta_filter = full_window, full_error
     width = (delta_filter - delta) / max(abs(delta_filter), np.finfo(float).tiny)
-    if width < -ROUNDING_ALLOWANCE:
+    # delta_op carries the solve's rounding to first order, about cond_B eps
+    # relative; delta_filter is stationary at the optimum and carries it to
+    # second order, so the two part by that much on a correct solve
+    floor = max(ROUNDING_ALLOWANCE, cond_B * np.finfo(float).eps)
+    if width < -floor:
         raise InternalConsistencyError(
             f"the optimal error {delta:.17g} exceeds the exact error {delta_filter:.17g} "
-            f"of its own filter (bracket width {width:.3e}): the solve is wrong"
+            f"of its own filter (bracket width {width:.3e}, below -{floor:.1e}): "
+            f"the solve is wrong"
         )
     lags = tap_lags[tap_lags >= -window]
     taps = dict(zip(lags.tolist(), h_coeffs[lags + check_lag]))
 
     diags = EstimateDiagnostics(
         truncation=K, grid_size=n, max_lag=h_table.max_lag,
-        cond_B=report.eig_max / report.eig_min,
+        cond_B=cond_B,
         solve_residual=sol.residual, cg_iterations=sol.cg_iterations,
         delta_operator=delta_op, delta_quadrature=delta_quad,
         two_form_rel_diff=two_form, gap_coeff_max=gap_max,

@@ -1853,9 +1853,30 @@ def test_a_wrong_solve_exits_3(tmp_path, capsys, monkeypatch, example):
     assert run_cli(["estimate", "--config", EXAMPLES / f"{example}.yaml", "--out", out]) == 3
     err = capsys.readouterr().err
     match = re.fullmatch(r"error: the optimal error \S+ exceeds the exact error \S+ of its "
-                         r"own filter \(bracket width (\S+)\): the solve is wrong\n", err)
+                         r"own filter \(bracket width (\S+), below -1\.0e-13\): the solve is "
+                         r"wrong\n", err)
     assert match and -2e-2 <= float(match.group(1)) <= -5e-3
     assert not out.exists()
+
+
+def test_a_correct_solve_near_the_conditioning_ceiling_exits_0(tmp_path):
+    # a mixed AR(1) pair, one innovation at 1e-9 of the other's: cond_B reads
+    # 7.1e10, and the two error routes part by 3.8e-7 through the solve's
+    # rounding alone.  The bracket's width sits as far below 0 and is
+    # accepted: the refusal allows cond_B * eps, 1.6e-5, here
+    cfg = write_config(tmp_path, (
+        "model: {kind: ar1, poles: [-0.449, 0.804], scales: [1.0, 1.0e-9],\n"
+        "        mix: [[1.222, 0.217], [0.486, 0.638]]}\n"
+        "pattern: {intervals: [[2, 1]]}\n"
+        "functional: {coeffs: [[-0.627, -1.321], [-0.108, 0.999]]}\n"
+        "numerics: {grid_size: 512, truncation: 24}\n"))
+    out = tmp_path / "o"
+    assert run_cli(["estimate", "--config", cfg, "--out", out]) == 0
+    summary = read_summary(out / "result.summary")
+    cond = float(summary["cond_B"])
+    assert 1e10 <= cond <= 1e12
+    assert float(summary["two_form_rel_diff"]) >= 1e3 * extrapolate_module.ROUNDING_ALLOWANCE
+    assert abs(float(summary["bracket_rel_width"])) <= cond * np.finfo(float).eps
 
 
 def test_unconverged_conjugate_gradients_exit_3(tmp_path, capsys, monkeypatch):

@@ -233,6 +233,39 @@ def test_a_wrong_solve_is_caught(name, monkeypatch):
     assert d.orthogonality_max <= 1e-15
 
 
+@pytest.mark.parametrize("seed", [307, 313, 316])
+def test_an_ill_conditioned_correct_solve_is_accepted(seed, monkeypatch):
+    # mixed AR(1) components, the last at 1e-6..1e-11 of the others' power,
+    # solved by conjugate gradients (K = 200).  The operator route's rounding
+    # parts delta from its filter's error by up to about cond_B * eps / 5,
+    # either sign: here -4.2e-8, -7.2e-9 and -2.0e-8 at cond_B 3.8e10,
+    # 1.6e9 and 2.0e11, each far beyond ROUNDING_ALLOWANCE and each accepted.
+    # Coefficients 1% off are still refused
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 4))
+    poles = rng.uniform(-0.95, 0.95, size=dim)
+    mix = np.eye(dim) + 0.4 * rng.normal(size=(dim, dim))
+    functional = FunctionalSpec(coeffs=rng.normal(size=(int(rng.integers(0, 3)) + 1, dim)))
+    pattern = MissingPattern(intervals=((int(rng.integers(1, 4)), int(rng.integers(0, 3))),))
+    scales = np.ones(dim)
+    scales[-1] = 10.0 ** -rng.uniform(6, 11)
+    model = ar1_model(poles, scales=scales, mix=mix, grid_size=4096)
+    d = estimate(model, pattern, functional, K=200).diagnostics
+    assert d.cg_iterations > 0
+    assert d.two_form_rel_diff >= 1e4 * extrapolate_module.ROUNDING_ALLOWANCE
+    assert abs(d.bracket_rel_width) <= d.cond_B * np.finfo(float).eps
+
+    real = extrapolate_module.solve_coefficients
+
+    def wrong(system, a):
+        sol = real(system, a)
+        return dataclasses.replace(sol, c=1.01 * sol.c)
+
+    monkeypatch.setattr(extrapolate_module, "solve_coefficients", wrong)
+    with pytest.raises(InternalConsistencyError, match="the solve is wrong"):
+        estimate(model, pattern, functional, K=200)
+
+
 def _window_error(model, pattern, functional, res, window):
     """The exact error of the estimate's characteristic cut to the observed
     past of length ``window``, built here from its Fourier coefficients."""
